@@ -12,7 +12,6 @@ import hashlib
 from typing import Any
 
 _HASH_BYTES = 8
-_MASK = (1 << 64) - 1
 
 
 def _encode(value: Any) -> bytes:
@@ -51,6 +50,37 @@ def _encode_sequence(tag: bytes, encoded_items: list[bytes]) -> bytes:
     return b"".join(parts)
 
 
+def _encode_fast(value: Any) -> bytes:
+    """``_encode`` for the exact types the hot path carries, same bytes.
+
+    Dispatches on ``type(value) is ...`` rather than an ``isinstance``
+    ladder and frames sequence items as it goes.  Anything else -- ``bool``
+    and every other subclass included, because ``_encode`` orders those
+    checks deliberately -- takes ``_encode`` itself.
+    """
+    kind = type(value)
+    if kind is str:
+        return b"s" + value.encode("utf-8")
+    if kind is int:
+        return b"i%d" % value
+    if kind is float:
+        return b"f" + repr(value).encode("ascii")
+    if kind is tuple or kind is list:
+        parts = [b"t%d" % len(value)]
+        for item in value:
+            encoded = _encode_fast(item)
+            parts.append(b"%d:" % len(encoded))
+            parts.append(encoded)
+        return b"".join(parts)
+    return _encode(value)
+
+
+#: salt -> keyed BLAKE2b state with nothing hashed yet.  Salts are string
+#: literals at the call sites, so this holds a couple of dozen entries;
+#: every hash starts from a ``.copy()`` and the prototypes never change.
+_PROTOTYPES: dict[str, Any] = {}
+
+
 def stable_hash(value: Any, *, salt: str = "") -> int:
     """Return a stable 64-bit hash of ``value``.
 
@@ -58,10 +88,14 @@ def stable_hash(value: Any, *, salt: str = "") -> int:
     input (used e.g. for per-level coin flips in the randomized folding
     tree).
     """
-    digest = hashlib.blake2b(
-        _encode(value), digest_size=_HASH_BYTES, person=salt.encode("utf-8")[:16]
-    ).digest()
-    return int.from_bytes(digest, "big") & _MASK
+    prototype = _PROTOTYPES.get(salt)
+    if prototype is None:
+        prototype = _PROTOTYPES[salt] = hashlib.blake2b(
+            digest_size=_HASH_BYTES, person=salt.encode("utf-8")[:16]
+        )
+    state = prototype.copy()
+    state.update(_encode_fast(value))
+    return int.from_bytes(state.digest(), "big")
 
 
 def stable_hash_pair(left: int, right: int, *, salt: str = "") -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.partition import Partition
+from repro.core.partition import Partition, combined_uid
 from repro.metrics import Phase, WorkMeter
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
@@ -257,7 +257,7 @@ def fused_combine_partitions(  # analysis: charge-in-caller-span (tree task span
     entries, cost = kernel.batch(merged_lists, combiner)
     if meter is not None:
         meter.charge(phase, cost * cost_factor + invocation_overhead)
-    return Partition(entries)
+    return Partition(entries, uid=combined_uid(non_empty, merged_lists, entries))
 
 
 def _register_defaults() -> None:

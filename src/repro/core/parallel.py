@@ -243,11 +243,19 @@ def _shutdown(pipes: list, procs: list) -> None:
             pipe.send_bytes(_SHUTDOWN)
         except Exception:
             pass
+    # A worker that has not gone a second after each request is sent the
+    # next stronger one, and every one is waited for: none is left
+    # running or as a zombie of this process.
     for proc in procs:
         try:
             proc.join(timeout=1.0)
             if proc.is_alive():
                 proc.terminate()
+                proc.join(timeout=1.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            proc.close()
         except ValueError:
             continue  # already closed elsewhere
     for pipe in pipes:

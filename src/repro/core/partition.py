@@ -126,6 +126,45 @@ def _fingerprint_entries(entries: Mapping[Any, Any]) -> int:
     return acc
 
 
+def combined_uid(
+    inputs: Sequence["Partition"],
+    merged_lists: Mapping[Any, list[Any]],
+    entries: Mapping[Any, Any],
+) -> int:
+    """``_fingerprint_entries(entries)`` for the result of combining ``inputs``.
+
+    ``merged_lists`` is the gather the combine just made (key -> the value
+    each input held for it) and ``entries`` what it produced from that.  A
+    fingerprint is an XOR of per-entry hashes, so the result's equals the
+    XOR of the inputs' with the length terms swapped and, for each key more
+    than one input held, those inputs' entries taken out and the merged
+    entry (none, if a poison handler dropped the key) put in.  Keys one
+    input held pass through unhashed.  That is ``m + 1`` hashes per key
+    ``m`` inputs held plus one per input; when it would not be fewer than
+    hashing ``entries`` afresh, they are hashed afresh.
+
+    Precondition: every input's ``uid`` is the fingerprint of its entries.
+    Everything the engine builds satisfies it, and ``inject_and_repair``
+    repairs a flipped slot before a combine reads it.  From an input whose
+    entries diverged from its uid the delta yields a uid that fails
+    ``verify_fingerprint`` too (hashing afresh would fingerprint the
+    corrupt content as valid); the entries are the same either way.
+    """
+    merged = [item for item in merged_lists.items() if len(item[1]) > 1]
+    delta_hashes = sum(len(values) + 1 for _, values in merged) + len(inputs)
+    if delta_hashes >= len(entries):
+        return _fingerprint_entries(entries)
+    acc = stable_hash(len(entries), salt="pfp")
+    for partition in inputs:
+        acc ^= partition.uid ^ stable_hash(len(partition.entries), salt="pfp")
+    for key, values in merged:
+        for value in values:
+            acc ^= stable_hash((key, _coerce(value)), salt="pent")
+        if key in entries:
+            acc ^= stable_hash((key, _coerce(entries[key])), salt="pent")
+    return acc
+
+
 def _coerce(value: Any) -> Any:
     """Best-effort stable projection of a combined value."""
     if isinstance(value, frozenset):
@@ -185,4 +224,4 @@ def combine_partitions(  # analysis: charge-in-caller-span (tree task span)
             cost += combiner.merge_cost(key, values)
     if meter is not None:
         meter.charge(phase, cost * cost_factor + invocation_overhead)
-    return Partition(entries)
+    return Partition(entries, uid=combined_uid(non_empty, merged_lists, entries))

@@ -23,6 +23,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from repro.cluster.chaos import ChaosPlan, ChaosSchedule
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.mapreduce.types import Split
 from repro.slider.equivalence import (
@@ -50,13 +51,18 @@ def _scenario_steps(mode: WindowMode) -> list[tuple[list[Split], int]]:
     return steps
 
 
-def _make_slider(variant: str, mode: WindowMode) -> Slider:
+def _make_slider(
+    variant: str,
+    mode: WindowMode,
+    chaos: ChaosSchedule | ChaosPlan | None = None,
+) -> Slider:
     cluster = Cluster(ClusterConfig(num_machines=8, straggler_fraction=0.0))
     return Slider(
         _scenario_job(),
         mode,
         config=SliderConfig(mode=mode, tree=variant),
         cluster=cluster,
+        chaos=chaos,
     )
 
 
@@ -90,13 +96,19 @@ def sweep_variant(
     variant: str,
     mode_name: str,
     keep_checkpoint: Path | None = None,
+    chaos: ChaosSchedule | ChaosPlan | None = None,
 ) -> dict[str, Any]:
-    """Kill/restore at every slide boundary for one variant."""
+    """Kill/restore at every slide boundary for one variant.
+
+    ``chaos`` (a schedule or plan) runs the baseline and every victim
+    under the same faults; it travels through the checkpoint, so the
+    resumed engine meets the rest of it.
+    """
     mode = _MODES[mode_name]
     steps = _scenario_steps(mode)
     job = _scenario_job()
 
-    baseline_slider = _make_slider(variant, mode)
+    baseline_slider = _make_slider(variant, mode, chaos)
     baseline = _drive(baseline_slider, steps, 0)
     baseline_slider.verify_outputs()
 
@@ -105,7 +117,7 @@ def sweep_variant(
     workdir = Path(tempfile.mkdtemp(prefix="slider-sweep-"))
     try:
         for kill_at in kill_points:
-            victim = _make_slider(variant, mode)
+            victim = _make_slider(variant, mode, chaos)
             prefix = _drive(victim, steps[:kill_at], 0)
             mismatches.extend(
                 _diff_records(
@@ -144,6 +156,7 @@ def sweep_variant(
 def run_sweep(
     variants: list[str] | None = None,
     keep_checkpoint: Path | None = None,
+    chaos: ChaosSchedule | ChaosPlan | None = None,
 ) -> dict[str, Any]:
     """Sweep every (or the selected) tree variant."""
     selected = [
@@ -152,7 +165,9 @@ def run_sweep(
         if variants is None or variant in variants
     ]
     results = [
-        sweep_variant(variant, mode_name, keep_checkpoint=keep_checkpoint)
+        sweep_variant(
+            variant, mode_name, keep_checkpoint=keep_checkpoint, chaos=chaos
+        )
         for variant, mode_name in selected
     ]
     return {

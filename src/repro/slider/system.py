@@ -31,7 +31,7 @@ from repro.cluster.chaos import ChaosPlan, ChaosSchedule
 from repro.cluster.executor import ExecutorConfig
 from repro.cluster.machine import Cluster
 from repro.cluster.scheduler import HybridScheduler, Scheduler
-from repro.common.errors import WindowError
+from repro.common.errors import ReproError, WindowError
 from repro.core.backends import ExecutionBackend, make_backend
 from repro.core.base import ContractionTree
 from repro.core.compile import CompiledPlan, PlanCache
@@ -174,6 +174,7 @@ class Slider:
         self.trees: list[ContractionTree] = self.planner.make_trees()
         self.run_index = 0
         self._ran_initial = False
+        self._closed = False
         #: The latest run's output delta.
         self._last_changed_keys: frozenset = frozenset()
         self._last_removed_keys: frozenset = frozenset()
@@ -182,6 +183,7 @@ class Slider:
 
     def initial_run(self, splits: Sequence[Split]) -> SliderResult:
         """Process the first window from scratch, building all trees."""
+        self._check_open()
         if self._ran_initial:
             raise WindowError("initial_run may only be called once")
         self._ran_initial = True
@@ -212,6 +214,7 @@ class Slider:
 
     def advance(self, added: Sequence[Split], removed: int) -> SliderResult:
         """Slide the window and incrementally update the output."""
+        self._check_open()
         if not self._ran_initial:
             raise WindowError("advance called before initial_run")
         WindowDelta(len(added), removed).validate(self.mode, len(self.window))
@@ -260,6 +263,7 @@ class Slider:
         Returns the background work charged.  No-op for trees without a
         split-processing mode.
         """
+        self._check_open()
         before = self.meter.by_phase.get(Phase.BACKGROUND, 0.0)
         with self.telemetry.span("background", SpanKind.PHASE):
             for tree in self.trees:
@@ -364,10 +368,36 @@ class Slider:
         return self.lifecycle.collect_garbage()
 
     def close(self) -> None:
-        """Release execution-backend resources (worker pool, shared
-        segment).  Idempotent; only needed for long test sessions — the
-        backend also cleans up on garbage collection and process exit."""
+        """End this engine's life: release the execution backend (worker
+        pool, shared segment) and let go of the window's state.
+
+        Terminal and idempotent.  The planner, time simulator and
+        lifecycle manager each hold the engine that holds them, so they
+        are dropped here, with the window, the map memo and the trees:
+        an engine let go of after ``close()`` is then freed by reference
+        counting at once, rather than staying whole (with its copy of
+        the window's records) until the next full cycle collection.
+        Afterwards ``initial_run``, ``advance``, ``background_preprocess``
+        and ``checkpoint`` raise :class:`~repro.common.errors.ReproError`;
+        results already returned, ``telemetry`` and ``config`` stay
+        readable.  An engine never closed still cleans its backend up on
+        garbage collection and at process exit.
+        """
+        if self._closed:
+            return
+        self._closed = True
         self.backend.close()
+        del self.planner, self.timing, self.lifecycle
+        self.window = SplitWindow()
+        self.map_memo.clear()
+        self.trees.clear()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ReproError(
+                f"Slider for job {self.job.name!r} is closed: close() is "
+                "terminal — restore from a checkpoint or build a new engine"
+            )
 
     def space(self) -> float:
         """Memoized state retained across runs (Figure 13's space metric)."""
@@ -391,6 +421,7 @@ class Slider:
         """
         from repro.recovery.checkpoint import write_checkpoint
 
+        self._check_open()
         write_checkpoint(self, path)
 
     @staticmethod

@@ -125,10 +125,9 @@ def graft_spans(
     """
     if isinstance(telemetry, NullTelemetry):
         return
-    parent = telemetry.current
     for span in spans:
         _shift(span, offset)
-        parent.children.append(span)
+        telemetry.attach(span)
 
 
 def merge_counters(

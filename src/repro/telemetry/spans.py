@@ -137,6 +137,10 @@ class Telemetry:
         #: Instant events: dicts with name/ts/args.
         self.instants: list[dict[str, Any]] = []
         self._work_cursor = 0.0
+        #: Spans that were open inside a subtree built elsewhere when it
+        #: was attached here (``adopt``, ``merge.graft_spans``); no stack
+        #: of this recorder will ever close them.
+        self._foreign_open: list[Span] = []
 
     # -- clock -----------------------------------------------------------
     def now(self) -> float:
@@ -206,8 +210,17 @@ class Telemetry:
             grafted.end = other.now()
         if name is not None:
             grafted.name = name
-        self._stack[-1].children.append(grafted)
+        self.attach(grafted)
         return grafted
+
+    def attach(self, span: Span) -> None:
+        """Append a subtree built by another recorder under the current span.
+
+        The subtree is walked once, here, for spans left open, so that
+        :meth:`unclosed_spans` never has to walk the tree.
+        """
+        self._stack[-1].children.append(span)
+        self._foreign_open.extend(s for s in span.iter() if s.is_open)
 
     # -- accounting ------------------------------------------------------
     def charge(self, phase: Phase, amount: float) -> None:
@@ -275,8 +288,13 @@ class Telemetry:
         return self.root.iter()
 
     def unclosed_spans(self) -> list[Span]:
-        """Open spans other than the root (which closes only at export)."""
-        return [s for s in self.root.iter() if s.is_open and s is not self.root]
+        """Open spans other than the root (which closes only at export).
+
+        Every open span is on the open-span stack or was open when its
+        subtree was attached, so this costs O(open spans), not a walk of
+        every span retained.
+        """
+        return self._stack[1:] + [s for s in self._foreign_open if s.is_open]
 
     def span_count(self) -> int:
         return sum(1 for _ in self.root.iter())
@@ -295,6 +313,7 @@ class Telemetry:
         label = self.root.name
         self.root = Span(name=label, kind=SpanKind.RUN, start=0.0)
         self._stack = [self.root]
+        self._foreign_open.clear()
         self.counters.clear()
         self.counter_samples.clear()
         self.instants.clear()
@@ -339,6 +358,9 @@ class NullTelemetry(Telemetry):
 
     def adopt(self, other: "Telemetry", name: str | None = None) -> Span | None:
         return None
+
+    def attach(self, span: Span) -> None:
+        pass
 
     def charge(self, phase: Phase, amount: float) -> None:
         if amount < 0:

@@ -1,7 +1,11 @@
 """The execution-backend seam: dispatch ladder, fallback, certification tie."""
 
+import os
+import signal
+
 import pytest
 
+from repro.core import parallel
 from repro.core.backends import (
     CERTIFIED_PARALLEL_VARIANTS,
     EXECUTION_BACKENDS,
@@ -207,6 +211,34 @@ class TestDispatchLadder:
         finally:
             proc.close()
             inproc.close()
+
+    def test_close_reaps_a_worker_that_ignores_shutdown(self, monkeypatch):
+        """A worker deaf to the shutdown message and to SIGTERM is killed
+        and waited for: ``close()`` leaves no child running or zombie."""
+        serve = parallel._worker_main
+
+        def stubborn(conn, store):
+            # Runs in the forked child only: it serves payloads as usual
+            # but no longer recognises the parent's shutdown message.
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            parallel._SHUTDOWN = b"\x00not the sentinel"
+            serve(conn, store)
+
+        monkeypatch.setattr(parallel, "_worker_main", stubborn)
+        slider = _warm(_slider(workers=1), advances=10)
+        try:
+            assert (
+                slider.telemetry.counters.get("backend.dispatched_reducers", 0)
+                > 0
+            )
+            pids = [proc.pid for proc in slider.backend._pool.procs]
+            assert pids
+        finally:
+            slider.close()
+        for pid in pids:
+            # Reaped: the pid is no longer a child of this process at all.
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestUnpicklableFallback:

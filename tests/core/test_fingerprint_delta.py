@@ -1,0 +1,226 @@
+"""A combined partition's uid, derived from its inputs' uids, is the
+fingerprint of its entries.
+
+``combine_partitions`` and ``fused_combine_partitions`` no longer hash
+every entry of their result: keys only one input held pass through
+unhashed, and the result's uid is worked out from the inputs' uids.  These
+tests hold that uid to the full re-hash (``_fingerprint_entries``), on both
+sides of the rule that picks between the two and at it.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import repro.core.partition as partition_module
+from repro.core.compile.kernels import fused_combine_partitions, kernel_for
+from repro.core.partition import (
+    Partition,
+    _fingerprint_entries,
+    combine_partitions,
+)
+from repro.mapreduce.combiners import (
+    ListConcatCombiner,
+    SetUnionCombiner,
+    SumCombiner,
+    VectorSumCombiner,
+)
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+KEY_FAMILIES = {
+    "str": lambda i: f"k{i}",
+    "tuple-of-str": lambda i: ("row", f"c{i}"),
+    "int": lambda i: i * 7 - 40,
+}
+
+
+def _values(kind, dim):
+    return {
+        "int": st.integers(-1000, 1000),
+        "float": finite,
+        "vector": st.tuples(
+            st.integers(1, 50),
+            st.lists(finite, min_size=dim, max_size=dim).map(tuple),
+        ),
+        "sequence": st.lists(st.integers(0, 9), max_size=3).map(tuple),
+        "frozenset": st.frozensets(st.integers(0, 9), max_size=4),
+    }[kind]
+
+
+#: value kind -> a combiner that merges it.  ``ListConcatCombiner`` is the
+#: order-sensitive one: its result depends on the inputs' order, which the
+#: delta must not.
+COMBINERS = {
+    "int": SumCombiner(),
+    "float": SumCombiner(),
+    "vector": VectorSumCombiner(),
+    "sequence": ListConcatCombiner(),
+    "frozenset": SetUnionCombiner(),
+}
+
+
+@st.composite
+def merges(draw, kinds=tuple(COMBINERS)):
+    """2-5 partitions: some keys held by several of them (merged), some by
+    one (passed through), in any proportion from all-merged to none."""
+    make_key = KEY_FAMILIES[draw(st.sampled_from(sorted(KEY_FAMILIES)))]
+    kind = draw(st.sampled_from(kinds))
+    values = _values(kind, dim=draw(st.integers(1, 4)))
+    arity = draw(st.integers(2, 5))
+    holders = {}
+    for i in range(draw(st.integers(0, 12))):
+        holders[make_key(i)] = draw(
+            st.sets(st.integers(0, arity - 1), min_size=2, max_size=arity)
+        )
+    for i in range(draw(st.integers(0, 40))):
+        holders[make_key(100 + i)] = {draw(st.integers(0, arity - 1))}
+    entries = [{} for _ in range(arity)]
+    for key in draw(st.permutations(list(holders))):
+        for index in sorted(holders[key]):
+            entries[index][key] = draw(values)
+    partitions = [Partition(held) for held in entries]
+    # Fewer than two non-empty inputs is a pass-through, not a combine.
+    assume(sum(map(bool, partitions)) >= 2)
+    return kind, partitions
+
+
+def _count_hashes(monkeypatch):
+    """Count calls through ``repro.core.partition.stable_hash`` -- the name
+    the benchmark's traced pass wraps to count fingerprint work."""
+    calls = []
+    real = partition_module.stable_hash
+
+    def counted(value, *, salt=""):
+        calls.append(salt)
+        return real(value, salt=salt)
+
+    monkeypatch.setattr(partition_module, "stable_hash", counted)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge=merges())
+def test_combined_uid_is_the_fingerprint_of_the_entries(merge):
+    kind, partitions = merge
+    combined = combine_partitions(partitions, COMBINERS[kind])
+    assert combined.uid == _fingerprint_entries(combined.entries)
+    assert combined.verify_fingerprint()
+    assert combined == Partition(combined.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(merge=merges(kinds=("int", "float", "vector")))
+def test_fused_combined_uid_is_the_fingerprint_of_the_entries(merge):
+    kind, partitions = merge
+    combiner = COMBINERS[kind]
+    fused = fused_combine_partitions(partitions, combiner, kernel_for(combiner))
+    scalar = combine_partitions(partitions, combiner)
+    assert fused.uid == _fingerprint_entries(fused.entries)
+    assert fused.uid == scalar.uid and fused.entries == scalar.entries
+
+
+class _Unlucky(SumCombiner):
+    """Refuses every key whose values sum to a multiple of three."""
+
+    def merge(self, key, values):
+        total = sum(values)
+        if total % 3 == 0:
+            raise ValueError(f"poison at {key!r}")
+        return total
+
+
+def _drop_or_recover(key, values, exc):
+    # Keys with an even number of values are recovered (to a value no
+    # merge produces), the rest are dropped from the result.
+    return len(values) % 2 == 0, -(10**6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(merge=merges(kinds=("int",)))
+def test_combined_uid_when_a_poison_handler_drops_or_recovers_keys(merge):
+    _, partitions = merge
+    combined = combine_partitions(
+        partitions, _Unlucky(), on_poison=_drop_or_recover
+    )
+    assert combined.uid == _fingerprint_entries(combined.entries)
+    if not combined.entries:  # every key dropped: still a computed uid
+        assert combined.uid == Partition({}).uid
+
+
+def _two_inputs(merged, passing):
+    """Two partitions sharing ``merged`` keys, with ``passing`` more keys
+    that only one of them holds (dealt alternately)."""
+    left = {f"m{i}": i + 1 for i in range(merged)}
+    right = {f"m{i}": 10 * (i + 1) for i in range(merged)}
+    for i in range(passing):
+        (left if i % 2 else right)[f"p{i}"] = i
+    return [Partition(left), Partition(right)]
+
+
+@pytest.mark.parametrize("combine", ["scalar", "fused"])
+@pytest.mark.parametrize("passing", [0, 5, 6, 7, 30])
+def test_the_cheaper_of_delta_and_full_rehash_runs(monkeypatch, combine, passing):
+    """Two merged keys of two inputs cost the delta 2 * (2 + 1) entry
+    hashes and one length hash an input: 8, against one entry hash a
+    result key.  So 8 result keys is the threshold (full re-hash, at no
+    loss), 9 is the first delta, and either way the uid is the same."""
+    merged = 2
+    partitions = _two_inputs(merged, passing)
+    combiner = SumCombiner()
+    calls = _count_hashes(monkeypatch)
+    if combine == "scalar":
+        combined = combine_partitions(partitions, combiner)
+    else:
+        combined = fused_combine_partitions(
+            partitions, combiner, kernel_for(combiner)
+        )
+    spent, entry_hashes = len(calls), calls.count("pent")
+    assert len(combined) == merged + passing
+    assert combined.uid == _fingerprint_entries(combined.entries)
+    full = len(combined) + 1
+    delta = merged * 3 + len(partitions) + 1
+    assert spent == min(full, delta)
+    if len(combined) > 8:
+        assert spent == delta < full and entry_hashes == merged * 3
+    else:
+        assert spent == full and entry_hashes == len(combined)
+
+
+def test_both_kmeans_keys_always_merge_so_the_full_rehash_runs(monkeypatch):
+    vector = VectorSumCombiner()
+    partitions = [
+        Partition({"c0": (3, (0.5, 1.5)), "c1": (2, (1.0, -1.0))}),
+        Partition({"c0": (1, (2.5, 0.5)), "c1": (4, (0.0, 8.0))}),
+    ]
+    calls = _count_hashes(monkeypatch)
+    combined = combine_partitions(partitions, vector)
+    assert calls == ["pfp", "pent", "pent"]
+    assert combined.uid == _fingerprint_entries(combined.entries)
+
+
+def test_a_stale_input_uid_fails_verification_downstream():
+    """The delta trusts its inputs' uids.  An input whose entries diverged
+    from its uid (a flipped slot read with ``memo_verify="off"``) yields
+    the same entries as ever, under a uid that no longer verifies -- where
+    the full re-hash fingerprints the corrupt content as valid."""
+    clean, other = _two_inputs(merged=2, passing=30)
+    rotten_entries = dict(clean.entries, p1=-999)
+    assert "p1" in clean.entries
+    stale = Partition(rotten_entries, uid=clean.uid)
+    assert not stale.verify_fingerprint()
+
+    honest = combine_partitions([Partition(rotten_entries), other], SumCombiner())
+    combined = combine_partitions([stale, other], SumCombiner())
+    assert combined.entries == honest.entries  # outputs do not change
+    assert honest.verify_fingerprint()
+    assert not combined.verify_fingerprint()  # ... detection gets stricter
+
+    # Below the threshold every entry is hashed afresh, as before: the
+    # corrupt content comes out with a valid fingerprint of itself.
+    small_clean, small_other = _two_inputs(merged=2, passing=4)
+    small_stale = Partition(
+        dict(small_clean.entries, p1=-999), uid=small_clean.uid
+    )
+    rehashed = combine_partitions([small_stale, small_other], SumCombiner())
+    assert rehashed.verify_fingerprint()

@@ -10,6 +10,7 @@ from repro.recovery.repair import (
     corruption_candidates,
     verify_restored,
 )
+from repro.recovery.sweep import run_sweep
 from repro.slider.equivalence import _scenario_job, _scenario_split
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
@@ -102,3 +103,13 @@ def test_verify_restored_raises_on_in_memory_corruption():
     tree._cache[position] = _corrupt_copy(tree._cache[position], salt=7)
     with pytest.raises(CorruptionError, match="fingerprint"):
         verify_restored(engine)
+
+
+def test_kill_restore_sweep_is_bit_identical_under_corruption():
+    """Every variant, killed and restored at every boundary while slots
+    are being flipped and repaired, reproduces the uninterrupted run: a
+    repaired node's uid is again the fingerprint of its entries, so the
+    combines above it may derive theirs from it."""
+    report = run_sweep(chaos=_corruption_plan())
+    assert len(report["variants"]) == 5
+    assert report["equivalent"], report["variants"]

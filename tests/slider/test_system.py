@@ -1,9 +1,12 @@
 """Integration tests: the Slider engine end to end on a word-count job."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.machine import Cluster, ClusterConfig
-from repro.common.errors import WindowError
+from repro.common.errors import ReproError, WindowError
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import make_splits
@@ -233,3 +236,37 @@ def test_current_outputs_matches_last_run():
     slider = Slider(job, WindowMode.VARIABLE)
     result = slider.initial_run(splits[:4])
     assert slider.current_outputs() == result.outputs
+
+
+@pytest.mark.parametrize("mode", list(WindowMode))
+def test_closed_engine_is_freed_without_the_cycle_collector(mode, tmp_path):
+    """``close()`` drops the collaborators that point back at the engine,
+    so letting go of a closed engine frees it (and its copy of the
+    window) by reference counting, with no collection in between."""
+    job = word_count_job()
+    splits = make_splits(CORPUS, split_size=1)
+    gc.collect()
+    gc.disable()
+    try:
+        slider = Slider(job, mode=mode)
+        result = slider.initial_run(splits[:4])
+        if mode is not WindowMode.APPEND:
+            result = slider.advance(splits[4:5], 1)
+        slider.checkpoint(tmp_path / "ckpt")
+        engine_ref = weakref.ref(slider)
+        window_ref = weakref.ref(slider.window)
+        slider.close()
+        slider.close()
+        with pytest.raises(ReproError, match="closed"):
+            slider.advance(splits[5:6], 1)
+        with pytest.raises(ReproError, match="closed"):
+            slider.initial_run(splits[:4])
+        with pytest.raises(ReproError, match="closed"):
+            slider.checkpoint(tmp_path / "again")
+        assert len(slider.window) == 0 and not slider.map_memo and not slider.trees
+        del slider
+        assert engine_ref() is None
+        assert window_ref() is None
+        assert result.outputs  # what was handed out stays whole
+    finally:
+        gc.enable()

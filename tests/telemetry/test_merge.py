@@ -15,6 +15,7 @@ The process backend's bit-identity claim rests on three merge laws:
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from repro.telemetry import (
     merge_counters,
     replay_events,
 )
+from repro.telemetry.export import TraceValidationError, to_chrome_trace
 
 # -- MemoStats ---------------------------------------------------------------
 
@@ -121,7 +123,7 @@ worker_programs = st.lists(
 )
 
 
-def _run_worker(program):
+def _run_worker(program, close_all=True):
     """Execute one program in a fresh capturing recorder (the worker side)."""
     telemetry = CaptureTelemetry(label="worker")
     depth = 0
@@ -138,7 +140,7 @@ def _run_worker(program):
             telemetry.charge(op[1], op[2])
         else:
             telemetry.count(op[1])
-    while open_spans:
+    while close_all and open_spans:
         telemetry.close_span(open_spans.pop())
     return telemetry
 
@@ -207,3 +209,45 @@ def test_grafted_spans_preserve_subtree_work_decomposition(programs):
             check(child)
 
     check(parent.root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    programs=st.lists(worker_programs, min_size=1, max_size=4),
+    parent_depth=st.integers(0, 3),
+    adopt_last=st.booleans(),
+    late_closes=st.integers(0, 3),
+)
+def test_unclosed_spans_equals_the_full_walk(
+    programs, parent_depth, adopt_last, late_closes
+):
+    """``unclosed_spans`` answers from the open-span stack plus what was
+    open in a subtree when it was attached; a walk of every retained span
+    must find the same spans, through graft, adopt and record_span, with
+    spans left open on either side and foreign ones closed afterwards."""
+    parent = Telemetry(label="run")
+    for level in range(parent_depth):
+        parent.open_span(f"p{level}", SpanKind.PHASE)
+    workers = [_run_worker(program, close_all=False) for program in programs]
+    for worker in workers[:-1] if adopt_last else workers:
+        graft_spans(parent, worker.root.children, parent.now())
+    if adopt_last:
+        parent.adopt(workers[-1], name="adopted")
+    parent.record_span("attempt", SpanKind.ATTEMPT, 0.0, 1.0, thread="m0.s0")
+    # A worker may go on to close spans the parent took over while open.
+    for worker in workers:
+        for _ in range(late_closes):
+            if len(worker._stack) > 1:
+                worker.close_span(worker.current)
+
+    walked = [
+        s for s in parent.root.iter() if s.is_open and s is not parent.root
+    ]
+    answered = parent.unclosed_spans()
+    assert sorted(map(id, answered)) == sorted(map(id, walked))
+    assert parent.snapshot().unclosed_spans == len(walked)
+    if walked:
+        with pytest.raises(TraceValidationError, match=f"^{len(walked)} unclosed"):
+            to_chrome_trace(parent)
+    else:
+        to_chrome_trace(parent)
