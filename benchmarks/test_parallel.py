@@ -8,19 +8,24 @@ claims are checked:
   advance are bit-identical across every backend configuration — the
   execution backend is a placement decision, never a semantics change.
 * **Speedup is hardware-conditional.**  Worker processes can only beat
-  the in-process path when the host actually has CPUs to run them on,
-  so the ``speedup > 1`` assertion (workers=4, at least one app) is
-  gated on ``os.cpu_count() >= 2``.  On a single-CPU box the sweep
-  still runs — dispatch, shared-memory traffic, and merge are all
-  exercised and the numbers are recorded with ``host_cpus`` so a reader
-  can tell a slow box from a slow backend.
+  the in-process path when the host has a CPU for each of them.  A
+  configuration with more workers than ``os.cpu_count()`` still runs —
+  dispatch, shared-memory traffic, and merge are all exercised and its
+  timings recorded — but its ``speedup_over_inprocess`` is written as
+  ``null`` with ``"skipped": "host_cpus < workers"``: the host cannot
+  support the figure.  The ``speedup > 1`` assertion (at least one app)
+  applies to the largest ``workers <= host_cpus`` only, and only when
+  that is at least 2.
 
-Wall clock is steady state only (two-period warmup fills the plan cache
-and burns off one-time pool/segment setup; the process backend only
-dispatches when replaying a compiled plan, so warmup also guarantees
-the measured advances actually cross the process seam), with measured
-periods interleaved across configurations and min-over-repeats
-reported.  Results land in ``BENCH_parallel.json`` at the repo root.
+Each app's whole input stream is generated once, at offset 0, before any
+timer starts, and sliced; ``make_splits(1, seed, offset)`` costs
+O(offset) and used to be most of the timed region.  Wall clock is steady
+state only (two-period warmup fills the plan cache and burns off
+one-time pool/segment setup; the process backend only dispatches when
+replaying a compiled plan, so warmup also guarantees the measured
+advances actually cross the process seam), with measured periods
+interleaved across configurations and min-over-repeats reported.
+Results land in ``BENCH_parallel.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -59,11 +64,13 @@ def _configs():
 class _Drive:
     """One backend configuration over the fixed schedule."""
 
-    def __init__(self, spec, config_kw):
-        self.spec = spec
+    def __init__(self, spec, stream, config_kw):
+        self.stream = stream
+        #: Worker processes this configuration asks for (0: in-process).
+        self.workers = config_kw.get("workers", 0)
         config = SliderConfig(mode=WindowMode.VARIABLE, **config_kw)
         self.slider = Slider(spec.make_job(), WindowMode.VARIABLE, config=config)
-        self.slider.initial_run(spec.make_splits(WINDOW_SPLITS, 17, 0))
+        self.slider.initial_run(stream[:WINDOW_SPLITS])
         self.offset = WINDOW_SPLITS
         self.outputs, self.work = [], []
         self.period_seconds = []
@@ -71,7 +78,7 @@ class _Drive:
     def advance_many(self, count, record=False):
         for _ in range(count):
             result = self.slider.advance(
-                self.spec.make_splits(1, 17, self.offset), 1
+                self.stream[self.offset : self.offset + 1], 1
             )
             self.offset += 1
             if record:
@@ -99,10 +106,16 @@ def test_parallel_workers_sweep(apps):
     specs = {spec.name: spec for spec in apps}
     report = {"host_cpus": host_cpus}
     rows = []
-    speedups_at_4 = []
+    #: The widest configuration this host has a CPU per worker for.
+    gate = max((w for w in _WORKERS_SWEEP if w <= host_cpus), default=0)
+    speedups_at_gate = []
+    stream_splits = (
+        WINDOW_SPLITS + _WARMUP_ADVANCES + _REPEATS * _MEASURED_ADVANCES
+    )
     for app_name in ("hct", "kmeans"):
         spec = specs[app_name]
-        drives = {name: _Drive(spec, kw) for name, kw in _configs()}
+        stream = spec.make_splits(stream_splits, 17, 0)
+        drives = {name: _Drive(spec, stream, kw) for name, kw in _configs()}
         try:
             for drive in drives.values():
                 drive.advance_many(_WARMUP_ADVANCES)
@@ -131,28 +144,25 @@ def test_parallel_workers_sweep(apps):
                     "speedup_over_inprocess": base_seconds / seconds,
                     "backend_counters": counters,
                 }
+                if drive.workers > host_cpus:
+                    app_report[name]["speedup_over_inprocess"] = None
+                    app_report[name]["skipped"] = "host_cpus < workers"
             report[app_name] = app_report
-            speedups_at_4.append(
-                app_report["process-4"]["speedup_over_inprocess"]
+            at_gate = app_report.get(f"process-{gate}", {}).get(
+                "speedup_over_inprocess"
             )
+            speedups_at_gate.append(at_gate)
             rows.append(
                 [app_name, base_seconds * 1e3]
                 + [
                     app_report[f"process-{w}"]["seconds"] * 1e3
                     for w in _WORKERS_SWEEP
                 ]
-                + [app_report["process-4"]["speedup_over_inprocess"]]
+                + [at_gate if at_gate is not None else float("nan")]
             )
         finally:
             for drive in drives.values():
                 drive.close()
-
-    if host_cpus >= 2:
-        # On real multi-core hardware at least one app must profit.
-        assert max(speedups_at_4) > 1.0, (
-            f"no app sped up at workers=4 on a {host_cpus}-CPU host: "
-            f"{speedups_at_4}"
-        )
 
     report["schedule"] = {
         "window_splits": WINDOW_SPLITS,
@@ -160,6 +170,8 @@ def test_parallel_workers_sweep(apps):
         "measured_advances": _MEASURED_ADVANCES,
         "repeats": _REPEATS,
         "timing": "min over interleaved repeats, steady state only",
+        "inputs": "one stream per app generated at offset 0 before any timer",
+        "speedup_asserted_at_workers": gate if gate >= 2 else None,
     }
     _REPORT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True))
 
@@ -171,7 +183,15 @@ def test_parallel_workers_sweep(apps):
             f"{_WARMUP_ADVANCES}-advance warmup)",
             ["app", "inproc ms"]
             + [f"w={w} ms" for w in _WORKERS_SWEEP]
-            + ["speedup@4"],
+            + [f"speedup@{gate}"],
             rows,
         )
     )
+
+    # Last, so that the record and the table exist either way.
+    if gate >= 2:
+        # With a CPU per worker at least one app must profit.
+        assert max(speedups_at_gate) > 1.0, (
+            f"no app sped up at workers={gate} on a {host_cpus}-CPU host: "
+            f"{speedups_at_gate}"
+        )

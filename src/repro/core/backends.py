@@ -38,11 +38,19 @@ planner and time simulator already follow.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from typing import TYPE_CHECKING, Any
 
 from repro.core.compile.compiler import contraction_slices, slice_template
 from repro.core.memo import DictMemoStore, MemoStore
-from repro.core.parallel import WorkerPool, build_payload
+from repro.core.parallel import (
+    Held,
+    WorkerPool,
+    build_payload,
+    decode_refs,
+    encode_refs,
+    held_table,
+)
 from repro.core.sharedmem import SharedMemoStore
 from repro.telemetry import SpanKind
 from repro.telemetry.merge import graft_spans, replay_events
@@ -130,6 +138,10 @@ class ProcessBackend(ExecutionBackend):
         #: Set on the first worker failure: the pool is not trusted again
         #: and every later run stays in-process (degradation, not error).
         self.broken = False
+        #: Per reducer, the partitions of the state last merged, which its
+        #: worker holds too (:mod:`repro.core.parallel`).  Popped at
+        #: dispatch, stored at merge: no merged reply, nothing held.
+        self._held: dict[int, Held] = {}
 
     # -- the store seam -----------------------------------------------------
 
@@ -173,6 +185,12 @@ class ProcessBackend(ExecutionBackend):
                 engine.telemetry.instant("backend.pool_failed")
         return None if self.broken else self._pool
 
+    def _worker_failed(self, engine: Any, **what: Any) -> None:
+        """The pool is never dispatched to again, so nothing is held."""
+        self.broken = True
+        self._held.clear()
+        engine.telemetry.instant("backend.worker_failed", **what)
+
     def contract(
         self,
         engine: Any,
@@ -185,7 +203,13 @@ class ProcessBackend(ExecutionBackend):
         compiled = engine.executor.replay_template
         slices = contraction_slices(compiled, engine.job.num_reducers)
         graph = engine.executor.recorder.graph
-        blobs: dict[int, bytes] = {}
+        sent: dict[int, Held] = {}
+        #: What this dispatch moves (partitions: both directions summed).
+        moved: Counter[str] = Counter()
+        pool: WorkerPool | None = None
+        submitted: dict[int, int] = {}
+        # Each payload is submitted as soon as it is pickled: its worker
+        # runs while the next reducer's payload is being built.
         for reducer, tree in enumerate(engine.trees):
             if reducer not in slices:
                 continue
@@ -205,26 +229,31 @@ class ProcessBackend(ExecutionBackend):
                 externals,
                 label=f"reducer:{reducer}",
             )
+            sent[reducer] = held_table()
+            payload["coded"], refs, values = encode_refs(
+                (payload.pop("state"), payload.pop("leaves")),
+                self._held.pop(reducer, None) or held_table(),
+                sent[reducer],
+            )
             try:
-                blobs[reducer] = pickle.dumps(
-                    payload, protocol=pickle.HIGHEST_PROTOCOL
-                )
+                blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             except Exception:
                 engine.telemetry.count("backend.unpicklable_fallbacks")
-        pool = self._ensure_pool(engine) if blobs else None
-        submitted: dict[int, int] = {}
-        if pool is not None:
-            for reducer, blob in blobs.items():
-                worker = reducer % len(pool)
-                try:
-                    pool.submit(worker, blob)
-                    submitted[reducer] = worker
-                except RuntimeError:
-                    self.broken = True
-                    engine.telemetry.instant(
-                        "backend.worker_failed", worker=worker
-                    )
-                    break
+                continue
+            if pool is None:
+                pool = self._ensure_pool(engine)
+            if pool is None:
+                break
+            worker = reducer % len(pool)
+            try:
+                pool.submit(worker, blob)
+            except RuntimeError:
+                self._worker_failed(engine, worker=worker)
+                break
+            submitted[reducer] = worker
+            moved["payload_bytes"] += len(blob)
+            moved["partitions_by_ref"] += refs
+            moved["partitions_by_value"] += values
         if submitted:
             engine.telemetry.count("backend.dispatch_runs")
             engine.telemetry.count(
@@ -245,11 +274,14 @@ class ProcessBackend(ExecutionBackend):
                     if reducer in submitted:
                         root = self._merge_one(
                             engine, reducer, tree, slices[reducer], pool,
-                            submitted[reducer],
+                            submitted[reducer], sent[reducer], moved,
                         )
                     if root is None:
                         root = tree.advance(per_reducer[reducer], removed)
                     roots.append(root)
+        if submitted:
+            for name, amount in moved.items():
+                engine.telemetry.count(f"backend.{name}", amount)
         return roots
 
     def _merge_one(
@@ -260,6 +292,8 @@ class ProcessBackend(ExecutionBackend):
         slice_range: tuple[int, int],
         pool: WorkerPool | None,
         worker: int,
+        sent: Held,
+        moved: Counter[str],
     ) -> "Partition | None":
         """Receive one worker result and fold it in; None → run locally.
 
@@ -268,14 +302,13 @@ class ProcessBackend(ExecutionBackend):
         a half-finished worker leaves warm cache, never wrong state.
         """
         assert pool is not None
+        kept = held_table()
         try:
-            result = pool.receive(worker)
-        except RuntimeError as exc:
-            self.broken = True
+            result, size = pool.receive(worker)
+            (state, root), refs, values = decode_refs(result["coded"], sent, kept)
+        except (RuntimeError, KeyError) as exc:
             engine.telemetry.count("backend.worker_fallbacks")
-            engine.telemetry.instant(
-                "backend.worker_failed", worker=worker, error=str(exc)
-            )
+            self._worker_failed(engine, worker=worker, error=str(exc))
             return None
         executor = engine.executor
         telemetry = engine.telemetry
@@ -290,12 +323,17 @@ class ProcessBackend(ExecutionBackend):
         if executor.probe is not None:
             for op, kwargs in result["probe_events"]:
                 executor.probe.on_step(op, **kwargs)
-        tree.__dict__.update(result["state"])
+        tree.__dict__.update(state)
         tree.memo.stats.absorb(result["memo_stats"])
         tree.memo._tainted = set(result["tainted"])
-        return result["root"]
+        self._held[reducer] = kept
+        moved["reply_bytes"] += size
+        moved["partitions_by_ref"] += refs
+        moved["partitions_by_value"] += values
+        return root
 
     def close(self) -> None:
+        self._held.clear()
         if self._pool is not None:
             self._pool.close()
             self._pool = None

@@ -9,17 +9,28 @@ same pipe, so per-worker FIFO plus the backend's reducer-ordered merge
 loop gives a deterministic receive order without any sequencing
 metadata.
 
-The payload protocol (:func:`build_payload` → :func:`_execute_payload`)
-ships a contraction tree by *state*, not by reference: the tree's
+What crosses the seam.  A payload (:func:`build_payload`) is the tree's
 ``__dict__`` minus its process-local collaborators (meter, memo table,
-executor).  The worker rebuilds those around its own
-:class:`~repro.telemetry.merge.CaptureTelemetry` — charges, counters,
-spans, task-graph nodes, and probe events are all captured in order and
-shipped back for the parent to replay, which is what keeps the merged
-run bit-identical to an in-process one (see
-:mod:`repro.telemetry.merge`).  The memo table is rebuilt over the
-fork-inherited shared store's namespace for that reducer, so memo hits
-and misses resolve against exactly the state the parent sees.
+executor), the slide's new leaves and the reducer's slice of the
+compiled template; a reply is the advanced state, the root and what the
+worker's :class:`~repro.telemetry.merge.CaptureTelemetry` captured —
+charges, counters, spans, task-graph nodes and probe events, in order,
+for the parent to replay, which keeps the merged run bit-identical to an
+in-process one (see :mod:`repro.telemetry.merge`).  Containers, scalars
+and the template are always sent.  A partition is sent only when the
+receiver does not hold it: each worker keeps, per reducer it serves, a
+``uid -> Partition`` table of exactly the partitions in the state it
+last returned, the parent keeps the matching table, and
+:func:`encode_refs` marks the place of a partition that *is* the
+sender's table entry and sends its uid (:func:`decode_refs` puts the
+receiver's own object there).  A steady slide so sends the new leaves
+one way and the nodes the advance combined the other.  Each message's
+coding also builds the table the next one is coded against, so tables
+are replaced, never appended to, and a first dispatch, or one after a
+table was dropped, is the same code over an empty table.  The worker's
+memo table is rebuilt over the fork-inherited shared store's namespace
+for that reducer, so memo hits and misses resolve against exactly the
+state the parent sees.
 
 Failure ladder: a worker that dies or errors costs nothing but work —
 the parent falls back to executing that reducer in-process (the shared
@@ -37,6 +48,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.execute import PlanExecutor
 from repro.core.memo import MemoStats, MemoTable
+from repro.core.partition import Partition
 from repro.core.sharedmem import SharedMemoStore
 from repro.metrics import WorkMeter
 from repro.telemetry.merge import CaptureTelemetry
@@ -44,14 +56,102 @@ from repro.telemetry.merge import CaptureTelemetry
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.core.base import ContractionTree
     from repro.core.compile.compiler import CompiledPlan
-    from repro.core.partition import Partition
 
 _SHUTDOWN = b"\x00shutdown\x00"
+#: Asks a worker how many partitions it holds per reducer (tests only).
+_HELD_SIZES = b"\x00held\x00"
 
 #: Tree attributes that are process-local collaborators, rebuilt worker-
 #: side, never shipped.  ``combiner`` ships out (the worker needs it) but
 #: never back (the parent keeps its own instance).
 _LOCAL_ATTRS = ("meter", "memo", "executor")
+
+
+class HeldPartition:
+    """In a coded message, the place of a partition the receiver holds.
+
+    The class itself is the mark: pickle writes a class by name, in C,
+    where an instance for each of a message's ~100 references costs a
+    Python call apiece on both sides.  The uids of the marked places
+    travel beside the message, in walk order.  A type of its own because
+    tree state keeps ``int`` fields next to its partitions.
+    """
+
+
+#: uid -> partition: what one side holds of one reducer's tree.
+Held = dict[int, Partition]
+
+
+def held_table() -> Held:
+    """A new table: every process holds the shared empty partition."""
+    empty = Partition.empty()
+    return {empty.uid: empty}
+
+
+def _map_partitions(value: Any, leaf: Any) -> Any:
+    """A copy of ``value`` with ``leaf`` applied to each partition (or
+    mark) in it, in a fixed order.
+
+    Tree state nests partitions in ``list`` / ``tuple`` / ``dict`` values
+    (``_bucket_leaves``, ``_pending``, the strawman's cache triples) next
+    to ints and ``None``; anything else is returned as it is, and so
+    crosses by value.
+    """
+    kind = type(value)
+    if kind is Partition or value is HeldPartition:
+        return leaf(value)
+    if kind is list:
+        return [_map_partitions(item, leaf) for item in value]
+    if kind is tuple:
+        return tuple(_map_partitions(item, leaf) for item in value)
+    if kind is dict:
+        return {key: _map_partitions(item, leaf) for key, item in value.items()}
+    return value
+
+
+def encode_refs(value: Any, held: Held, sent: Held) -> tuple[Any, int, int]:
+    """``value`` as it crosses the seam — ``(marked copy, uids of the
+    marks)`` — and how many partitions went by reference and by value.
+
+    By reference only when the partition *is* ``held``'s entry for its
+    uid: a copy with the same uid and other entries (what
+    :mod:`repro.recovery.repair` injects) travels in full, as it always
+    did.  ``sent`` collects every partition met: what the receiver holds
+    once it has decoded the message.
+    """
+    uids: list[int] = []
+    values = 0
+
+    def leaf(partition: Partition) -> Any:
+        nonlocal values
+        uid = partition.uid
+        sent.setdefault(uid, partition)
+        if held.get(uid) is partition:
+            uids.append(uid)
+            return HeldPartition
+        values += 1
+        return partition
+
+    return (_map_partitions(value, leaf), uids), len(uids), values
+
+
+def decode_refs(coded: Any, held: Held, received: Held) -> tuple[Any, int, int]:
+    """The inverse: each mark becomes ``held``'s own object (``KeyError``
+    if it holds none); ``received`` collects like ``sent``."""
+    marked, uids = coded
+    next_uid = iter(uids).__next__
+    values = 0
+
+    def leaf(item: Any) -> Partition:
+        nonlocal values
+        if item is HeldPartition:
+            item = held[next_uid()]
+        else:
+            values += 1
+        received.setdefault(item.uid, item)
+        return item
+
+    return _map_partitions(marked, leaf), len(uids), values
 
 
 class _ProbeCapture:
@@ -104,16 +204,19 @@ def build_payload(
 
 
 def _execute_payload(
-    payload: dict[str, Any], store: SharedMemoStore
-) -> dict[str, Any]:
-    """Rebuild the tree around worker-local collaborators and advance it."""
+    payload: dict[str, Any], store: SharedMemoStore, held: Held
+) -> tuple[dict[str, Any], Held]:
+    """Rebuild the tree around worker-local collaborators and advance it;
+    returns the reply and what this worker then holds for the reducer."""
+    received = held_table()
+    (tree_state, leaves), _, _ = decode_refs(payload["coded"], held, received)
     telemetry = CaptureTelemetry(label=payload["label"])
     meter = WorkMeter(telemetry=telemetry)
     executor = PlanExecutor(meter=meter)
     probe = _ProbeCapture()
 
     tree: "ContractionTree" = object.__new__(payload["tree_class"])
-    tree.__dict__.update(payload["state"])
+    tree.__dict__.update(tree_state)
     tree.meter = meter
     tree.executor = executor
     tree.memo = MemoTable(
@@ -135,7 +238,7 @@ def _execute_payload(
     for content_uid, parent_uid in payload["externals"]:
         graph.seed_external_producer(content_uid, parent_uid)
 
-    root = tree.advance(payload["leaves"], payload["removed"])
+    root = tree.advance(leaves, payload["removed"])
     run = executor.end_run()
 
     state = {
@@ -143,20 +246,24 @@ def _execute_payload(
         for key, value in tree.__dict__.items()
         if key not in _LOCAL_ATTRS and key != "combiner"
     }
+    returned = held_table()
+    coded, _, _ = encode_refs((state, root), received, returned)
     return {
-        "root": root,
-        "state": state,
+        "coded": coded,
         "events": telemetry.events,
         "spans": telemetry.root.children,
         "graph": run.graph,
         "memo_stats": tree.memo.stats,
         "tainted": set(tree.memo._tainted),
         "probe_events": probe.events,
-    }
+    }, returned
 
 
 def _worker_main(conn: Any, store: SharedMemoStore) -> None:
     """The worker process loop: recv payload, execute, send result."""
+    #: Per reducer, the partitions of the state last returned.  Popped
+    #: for the run: a reducer whose run raised holds nothing.
+    held: dict[int, Held] = {}
     while True:
         try:
             blob = conn.recv_bytes()
@@ -165,8 +272,15 @@ def _worker_main(conn: Any, store: SharedMemoStore) -> None:
         if blob == _SHUTDOWN:
             break
         try:
-            payload = pickle.loads(blob)
-            result: tuple[str, Any] = ("ok", _execute_payload(payload, store))
+            if blob == _HELD_SIZES:
+                reply_value: Any = {r: len(t) for r, t in held.items()}
+            else:
+                payload = pickle.loads(blob)
+                reducer = payload["reducer"]
+                reply_value, held[reducer] = _execute_payload(
+                    payload, store, held.pop(reducer, None) or held_table()
+                )
+            result: tuple[str, Any] = ("ok", reply_value)
         except Exception as exc:  # noqa: BLE001 - errors travel to the parent
             result = ("error", f"{type(exc).__name__}: {exc}")
         try:
@@ -221,16 +335,18 @@ class WorkerPool:
             self.broken = True
             raise RuntimeError(f"worker {worker} is gone") from exc
 
-    def receive(self, worker: int) -> Any:
-        """Block for the next result from a worker; raises if it died."""
+    def receive(self, worker: int) -> tuple[Any, int]:
+        """Block for a worker's next result and its size in bytes; raises
+        if the worker died or reported an error."""
         try:
-            status, value = pickle.loads(self.pipes[worker].recv_bytes())
+            blob = self.pipes[worker].recv_bytes()
+            status, value = pickle.loads(blob)
         except (EOFError, OSError) as exc:
             self.broken = True
             raise RuntimeError(f"worker {worker} died mid-task") from exc
         if status != "ok":
             raise RuntimeError(f"worker {worker} failed: {value}")
-        return value
+        return value, len(blob)
 
     def close(self) -> None:
         """Shut the workers down (idempotent); the store stays up."""

@@ -39,3 +39,14 @@ def leaf_seq(values: list[int]) -> list[Partition]:
 def root_total(partition: Partition) -> int:
     """The summed 'total' key of a root built from leaf_seq leaves."""
     return partition.get("total", 0)
+
+
+def plain_counters(engine) -> dict:
+    """An engine's telemetry counters minus the ``backend.*`` dispatch
+    accounting, which legitimately differs between a backend that
+    dispatches and one that cannot; the rest must match bit for bit."""
+    return {
+        name: value
+        for name, value in engine.telemetry.counters.items()
+        if not name.startswith("backend.")
+    }

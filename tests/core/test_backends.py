@@ -21,6 +21,7 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
+from tests.conftest import plain_counters
 
 
 def _job(num_reducers=2):
@@ -204,10 +205,17 @@ class TestDispatchLadder:
                 "backend.worker_fallbacks", 0
             ) + proc.telemetry.counters.get("backend.inprocess_runs", 0) > 0
             assert backend.broken
-            # Later advances keep working, permanently local.
-            c = proc.advance([_split(31)], 1)
-            d = inproc.advance([_split(31)], 1)
-            assert c.outputs == d.outputs
+            # The reply that never came was not merged: the reducers it
+            # was for hold nothing, and the parent's trees were complete
+            # all along, so later advances keep working, permanently
+            # local and bit for bit.
+            assert not backend._held
+            for i in range(20):
+                c = proc.advance([_split(31 + i)], 1)
+                d = inproc.advance([_split(31 + i)], 1)
+                assert c.outputs == d.outputs
+                assert c.report.work == d.report.work
+            assert plain_counters(proc) == plain_counters(inproc)
         finally:
             proc.close()
             inproc.close()

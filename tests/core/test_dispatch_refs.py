@@ -1,0 +1,433 @@
+"""Partitions cross the process seam by reference.
+
+``encode_refs`` / ``decode_refs`` over every tree variant's state, the
+identity rule, the two tables staying equal and bounded over a long run,
+and each way the two sides can lose step with each other: an in-process
+run between two dispatched ones, a restore, a worker handed a reference
+it cannot resolve.  (A worker that dies is in ``test_backends``.)
+"""
+
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.shared import audit_value
+from repro.core import parallel
+from repro.core.coalescing import CoalescingTree
+from repro.core.folding import FoldingTree
+from repro.core.parallel import HeldPartition, decode_refs, encode_refs
+from repro.core.partition import Partition
+from repro.core.randomized import RandomizedFoldingTree
+from repro.core.rotating import RotatingTree
+from repro.core.sharedmem import SharedMemoStore
+from repro.core.strawman import StrawmanTree
+from repro.mapreduce.combiners import SumCombiner
+from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.types import Split
+from repro.slider.system import Slider, SliderConfig
+from repro.slider.window import WindowMode
+from tests.conftest import plain_counters
+
+EMPTY = Partition.empty()
+
+
+def _leaf(tag: int) -> Partition:
+    return Partition({"sum": tag, "tag": tag % 3, ("u", tag): 1})
+
+
+def _state(tree) -> dict:
+    """What a payload carries of a tree (the combiner is left out: it
+    has no value equality)."""
+    return {
+        key: value
+        for key, value in vars(tree).items()
+        if key not in parallel._LOCAL_ATTRS and key != "combiner"
+    }
+
+
+def _partitions(value) -> list[Partition]:
+    """Every partition nested in ``value``, found without the walker
+    under test."""
+    if isinstance(value, Partition):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [p for item in value for p in _partitions(item)]
+    return []
+
+
+def _assert_same(sent, got, path="state"):
+    """Same shape, same scalars, partitions equal by uid and entries."""
+    assert type(got) is type(sent), path
+    if isinstance(sent, Partition):
+        assert got.uid == sent.uid and got.entries == sent.entries, path
+    elif isinstance(sent, dict):
+        assert list(got) == list(sent), path
+        for key in sent:
+            _assert_same(sent[key], got[key], f"{path}[{key!r}]")
+    elif isinstance(sent, (list, tuple)):
+        assert len(got) == len(sent), path
+        for index, (a, b) in enumerate(zip(sent, got)):
+            _assert_same(a, b, f"{path}[{index}]")
+    else:
+        assert got == sent, path
+
+
+def _folding(advances):
+    tree = FoldingTree(SumCombiner())
+    tree.initial_run([_leaf(i) for i in range(5)])
+    for i in range(advances):
+        tree.advance([_leaf(10 + i)], 1)
+    return tree
+
+
+def _randomized(advances):
+    tree = RandomizedFoldingTree(SumCombiner(), seed=3)
+    tree.initial_run([_leaf(i) for i in range(5)])
+    for i in range(advances):
+        tree.advance([_leaf(10 + i)], 1)
+    return tree
+
+
+def _strawman(advances):
+    tree = StrawmanTree(SumCombiner())
+    tree.initial_run([_leaf(i) for i in range(5)])
+    for i in range(advances):
+        tree.advance([_leaf(10 + i)], 1)
+    return tree
+
+
+def _rotating(advances):
+    # Split processing leaves ``_intermediate`` set after a background
+    # phase and ``_pending`` (an ``(int, Partition)`` tuple) after the
+    # foreground run that used it.
+    tree = RotatingTree(SumCombiner(), bucket_size=2, split_mode=True)
+    tree.initial_run([_leaf(i) for i in range(8)])
+    for i in range(advances):
+        tree.background_preprocess()
+        tree.advance([_leaf(10 + 2 * i), _leaf(11 + 2 * i)], 2)
+    return tree
+
+
+def _coalescing(advances):
+    tree = CoalescingTree(SumCombiner(), split_mode=True)
+    tree.initial_run([_leaf(i) for i in range(3)])
+    for i in range(advances):
+        tree.advance([_leaf(10 + i)], 0)  # leaves ``_pending_delta`` set
+    return tree
+
+
+BUILDERS = {
+    "folding": _folding,
+    "randomized": _randomized,
+    "strawman": _strawman,
+    "rotating": _rotating,
+    "coalescing": _coalescing,
+}
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("variant", sorted(BUILDERS))
+    @settings(max_examples=25, deadline=None)
+    @given(advances=st.integers(0, 9), data=st.data())
+    def test_state_survives_the_seam(self, variant, advances, data):
+        state = _state(BUILDERS[variant](advances))
+        mine = {}
+        for partition in _partitions(state):
+            mine.setdefault(partition.uid, partition)
+        chosen = data.draw(st.sets(st.sampled_from(sorted(mine))), label="held")
+        held = {uid: mine[uid] for uid in chosen}
+        # The receiver's table: its own objects, equal to the sender's.
+        theirs = {
+            uid: Partition(p.entries, uid=p.uid) for uid, p in held.items()
+        }
+
+        sent = {}
+        coded, refs, values = encode_refs(state, held, sent)
+        assert sent == mine
+        assert refs + values == len(_partitions(state))
+        # Nothing the receiver holds is in the message in full.
+        assert not any(held.get(p.uid) is p for p in _partitions(coded))
+        blob = pickle.dumps(coded, protocol=pickle.HIGHEST_PROTOCOL)
+
+        received = {}
+        decoded, refs_in, values_in = decode_refs(
+            pickle.loads(blob), theirs, received
+        )
+        assert (refs_in, values_in) == (refs, values)
+        _assert_same(state, decoded)
+        assert set(received) == set(mine)
+        for partition in _partitions(decoded):
+            if partition.uid in theirs:
+                assert partition is theirs[partition.uid]
+            else:
+                assert partition is not mine[partition.uid]
+
+    def test_variants_cover_every_shape_of_tree_state(self):
+        """The fixtures really hold the nested shapes the walker is for."""
+        rotating = _state(_rotating(3))
+        assert isinstance(rotating["_bucket_leaves"][0], list)
+        assert isinstance(rotating["_pending"], tuple)
+        assert isinstance(rotating["_pending"][1], Partition)
+        assert isinstance(rotating["_root"], Partition)
+        assert isinstance(rotating["_intermediate_slot"], (int, type(None)))
+        rotating_bg = _rotating(3)
+        rotating_bg.background_preprocess()
+        assert isinstance(_state(rotating_bg)["_intermediate"], Partition)
+        triple = next(iter(_state(_strawman(3))["_cache"].values()))
+        assert isinstance(triple[0], int) and isinstance(triple[2], Partition)
+        assert isinstance(_state(_coalescing(2))["_pending_delta"], Partition)
+        assert None in _state(_folding(3))["_slots"]
+
+    def test_unrecognised_values_cross_by_value(self):
+        class Opaque:
+            def __init__(self, partition):
+                self.partition = partition
+
+        leaf = _leaf(1)
+        opaque = Opaque(leaf)
+        (marked, uids), refs, values = encode_refs(
+            {"x": opaque, "n": 7, "s": {leaf.uid}}, {leaf.uid: leaf}, {}
+        )
+        assert marked["x"] is opaque and marked["n"] == 7
+        assert marked["s"] == {leaf.uid}
+        assert (uids, refs, values) == ([], 0, 0)
+
+    def test_the_mark_passes_the_serializability_audit(self):
+        assert audit_value(HeldPartition, "dispatch:mark") == []
+        assert audit_value(([HeldPartition, 3, None], [0xABC]), "dispatch:coded") == []
+        assert pickle.loads(pickle.dumps(HeldPartition)) is HeldPartition
+
+
+class TestIdentityRule:
+    def test_a_copy_with_the_same_uid_travels_in_full(self):
+        tree = _folding(6)
+        held = {p.uid: p for p in _partitions(_state(tree))}
+        key, genuine = next(
+            (k, v) for k, v in tree._cache.items() if v and held[v.uid] is v
+        )
+        corrupt = Partition({**genuine.entries, "rot": 1}, uid=genuine.uid)
+        tree._cache[key] = corrupt
+        (marked, uids), _, _ = encode_refs(_state(tree), held, {})
+        assert marked["_cache"][key] is corrupt
+        others = [
+            value
+            for k, value in marked["_cache"].items()
+            if k != key and tree._cache[k] is not genuine
+        ]
+        assert others
+        assert all(value is HeldPartition for value in others)
+        assert genuine.uid not in uids or any(
+            p is genuine for p in _partitions(_state(tree))
+        )
+
+    def test_a_missing_reference_raises(self):
+        with pytest.raises(KeyError):
+            decode_refs(([HeldPartition], [42]), {}, {})
+
+
+# -- engines ------------------------------------------------------------------
+
+
+def _job():
+    return MapReduceJob(
+        name="dispatch-refs",
+        map_fn=lambda record: [record],
+        combiner=SumCombiner(),
+        num_reducers=2,
+    )
+
+
+def _split(i):
+    # The same nine keys in every split, so every node is a real merge,
+    # with a weight no other split has, so every leaf's content, and with
+    # it every uid in a tree, is distinct.
+    records = [(f"w{j}", 1000 + i) for j in range(9)]
+    return Split.from_records(records, label=f"s{i}")
+
+
+def _engine(backend, job=None):
+    config = SliderConfig(
+        mode=WindowMode.VARIABLE, execution_backend=backend, workers=2
+    )
+    return Slider(job or _job(), WindowMode.VARIABLE, config=config)
+
+
+def _count(engine, name):
+    return engine.telemetry.counters.get(name, 0)
+
+
+class _Twins:
+    """A process engine and an in-process one over the same schedule,
+    compared bit for bit after every advance."""
+
+    def __init__(self, job=None):
+        self.proc = _engine("process", job)
+        self.inproc = _engine("inprocess", job)
+        self.engines = [self.proc, self.inproc]
+        self.next_split = 6
+        for engine in self.engines:
+            engine.initial_run([_split(i) for i in range(6)])
+
+    def advance(self, count=1):
+        for _ in range(count):
+            added = [_split(self.next_split)]
+            self.next_split += 1
+            a, b = (engine.advance(list(added), 1) for engine in self.engines)
+            assert a.outputs == b.outputs
+            assert a.report.work == b.report.work
+            assert dict(a.report.breakdown) == dict(b.report.breakdown)
+        assert plain_counters(self.proc) == plain_counters(self.inproc)
+
+    def advance_until_dispatched(self, runs):
+        """Slide until ``runs`` more advances have crossed the seam."""
+        target = _count(self.proc, "backend.dispatch_runs") + runs
+        for _ in range(40 * runs + 40):
+            if _count(self.proc, "backend.dispatch_runs") >= target:
+                return
+            self.advance()
+        raise AssertionError("the process engine stopped dispatching")
+
+    def close(self):
+        for engine in self.engines:
+            engine.close()
+
+
+@pytest.fixture
+def twins():
+    pair = _Twins()
+    yield pair
+    pair.close()
+
+
+def _tree_partitions(tree):
+    return _partitions(_state(tree))
+
+
+class TestHeldOnce:
+    def test_window_leaves_are_the_map_memo_objects(self, twins):
+        twins.advance_until_dispatched(100)
+        engine = twins.proc
+        for reducer, tree in enumerate(engine.trees):
+            leaves = tree.window_leaves()
+            live = list(engine.window)
+            assert len(leaves) == len(live)
+            for leaf, split in zip(leaves, live):
+                assert leaf is engine.map_memo[split.uid][reducer]
+            reachable = _tree_partitions(tree)
+            assert len({id(p) for p in reachable}) == len(
+                {p.uid for p in reachable}
+            )
+
+    def test_references_engage_and_little_crosses_by_value(self, twins):
+        twins.advance_until_dispatched(20)
+        before = dict(twins.proc.telemetry.counters)
+        twins.advance_until_dispatched(10)
+        moved = {
+            name: _count(twins.proc, name) - before.get(name, 0)
+            for name in twins.proc.telemetry.counters
+            if name.startswith("backend.")
+        }
+        reducers = moved["backend.dispatched_reducers"]
+        assert moved["backend.partitions_by_ref"] > 0
+        assert moved["backend.payload_bytes"] > 0
+        assert moved["backend.reply_bytes"] > 0
+        # One new leaf out, two root paths of a height <= 4 tree back.
+        assert moved["backend.partitions_by_value"] <= reducers * (1 + 2 * 4 + 1)
+
+
+class TestLostSync:
+    def test_inprocess_run_between_two_dispatched_ones(self, twins):
+        twins.advance_until_dispatched(5)
+        for engine in twins.engines:
+            engine.plan_cache.clear()
+        local = _count(twins.proc, "backend.inprocess_runs")
+        twins.advance()
+        assert _count(twins.proc, "backend.inprocess_runs") == local + 1
+        twins.advance_until_dispatched(1)
+        twins.advance(20)
+        assert not twins.proc.backend.broken
+        assert _count(twins.proc, "backend.worker_fallbacks") == 0
+
+    def test_checkpoint_restore_then_dispatch(self, tmp_path):
+        job = _job()
+        twins = _Twins(job)
+        try:
+            twins.advance_until_dispatched(5)
+            for index, engine in enumerate(list(twins.engines)):
+                engine.checkpoint(tmp_path / f"ckpt{index}")
+                engine.close()
+                twins.engines[index] = Slider.restore(tmp_path / f"ckpt{index}", job)
+            twins.proc, twins.inproc = twins.engines
+            twins.advance_until_dispatched(2)
+            twins.advance(20)
+            assert not twins.proc.backend.broken
+            assert _count(twins.proc, "backend.worker_fallbacks") == 0
+        finally:
+            twins.close()
+
+    def test_unresolvable_reference_falls_back_in_process(self, twins):
+        twins.advance_until_dispatched(5)
+        for engine in twins.engines:
+            engine.plan_cache.clear()
+        backend = twins.proc.backend
+        dispatches = _count(twins.proc, "backend.dispatch_runs")
+        while _count(twins.proc, "backend.dispatch_runs") == dispatches:
+            # The runs that refill the plan cache are in process and make
+            # nodes the workers never saw; wrongly believe worker 0 holds
+            # all of reducer 0's tree when the next dispatch comes.
+            backend._held[0] = {
+                p.uid: p for p in _tree_partitions(twins.proc.trees[0])
+            }
+            twins.advance()
+        assert _count(twins.proc, "backend.worker_fallbacks") == 1
+        assert backend.broken
+        assert 0 not in backend._held
+        failures = [
+            instant
+            for instant in twins.proc.telemetry.instants
+            if instant["name"] == "backend.worker_failed"
+        ]
+        assert "KeyError" in failures[-1]["args"]["error"]
+        twins.advance(20)
+
+
+class TestWorkerProtocol:
+    def test_worker_reports_an_unknown_uid_as_an_error(self):
+        store = SharedMemoStore(namespaces=1)
+        pool = parallel.WorkerPool(1, store)
+        try:
+            payload = {"reducer": 0, "coded": (({"_root": HeldPartition}, []), [7])}
+            pool.submit(0, pickle.dumps(payload))
+            with pytest.raises(RuntimeError, match="failed: KeyError"):
+                pool.receive(0)
+            # The worker is still serving, and holds nothing for reducer 0.
+            pool.submit(0, parallel._HELD_SIZES)
+            assert pool.receive(0)[0] == {}
+        finally:
+            pool.close()
+            store.close()
+
+
+class TestBounded:
+    def test_tables_stay_the_size_of_the_tree_on_both_sides(self, twins):
+        engine, backend = twins.proc, twins.proc.backend
+        dispatched = 0
+        while dispatched < 300:
+            before = _count(engine, "backend.dispatch_runs")
+            twins.advance()
+            if _count(engine, "backend.dispatch_runs") == before:
+                continue
+            dispatched += 1
+            for reducer, tree in enumerate(engine.trees):
+                uids = {p.uid for p in _tree_partitions(tree)}
+                assert set(backend._held[reducer]) == uids | {EMPTY.uid}
+        pool = backend._pool
+        sizes = {}
+        for worker in range(len(pool)):
+            pool.submit(worker, parallel._HELD_SIZES)
+            sizes.update(pool.receive(worker)[0])
+        assert sizes == {r: len(t) for r, t in backend._held.items()}
+        assert sorted(sizes) == [0, 1]
