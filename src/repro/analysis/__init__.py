@@ -17,7 +17,7 @@ those contracts instead of trusting them:
 * :mod:`repro.analysis.effects` — interprocedural read/write-set
   inference over job functions (the parallel-safety effect summaries);
 * :mod:`repro.analysis.races` — happens-before race detection over the
-  plan IR, plus the static fusion-legality proof obligations;
+  plan IR;
 * :mod:`repro.analysis.shared` — the serializability audit and the
   per-variant parallel-safety certificates;
 * :mod:`repro.analysis.dynamic` — the vector-clock cross-check that
@@ -38,7 +38,7 @@ from repro.analysis.effects import (
     summarize_functions,
 )
 from repro.analysis.findings import AnalysisReport, Finding, finalize
-from repro.analysis.races import analyze_compiled, analyze_plan, check_fused
+from repro.analysis.races import analyze_plan
 from repro.analysis.sarif import to_sarif, write_sarif
 from repro.analysis.shared import (
     ParallelSafetyCertificate,
@@ -72,13 +72,11 @@ __all__ = [
     "Finding",
     "ParallelSafetyCertificate",
     "TrustEntry",
-    "analyze_compiled",
     "analyze_plan",
     "audit_trusted",
     "audit_value",
     "certify_all",
     "certify_variant",
-    "check_fused",
     "effect_findings",
     "finalize",
     "infer_effects",

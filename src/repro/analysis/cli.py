@@ -38,7 +38,7 @@ from repro.analysis.targets import (
 )
 
 #: Resources the shipped job plane may legitimately touch: memo tables
-#: (the kernels' job) and telemetry (commutative counters/charges).
+#: (the executor's job) and telemetry (commutative counters/charges).
 _ALLOWED_EFFECTS = frozenset({"memo", "telemetry"})
 
 

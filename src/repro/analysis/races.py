@@ -1,4 +1,4 @@
-"""Plan-level race detection: happens-before over the Plan/FusedStep IR.
+"""Plan-level race detection: happens-before over the Plan IR.
 
 The future multi-process executor will run one worker lane per reducer
 (plus parallel Map tasks), so the correctness question is: *which pairs of
@@ -36,25 +36,15 @@ and every writer is a law-checked deterministic combiner), so concurrent
 memo write/write or write/read pairs across lanes are *benign idempotent*
 races — both orders store/observe the same bytes — reported at info
 severity, not as errors.  Everything else is a hard finding.
-
-**Fusion obligations.**  A :class:`~repro.core.plan.FusedStep` batch may
-be dispatched with its members reordered or vectorized, so fusion is
-legal only if the members are pairwise conflict-free *under the member
-granularity*: no two members may share a memo slot (a sequential replay
-would hit where a batched replay misses, diverging the executed graph),
-all combine members must share one reducer lane, and kernel hints may
-mark only combine steps.  :func:`check_fused` turns each violation into
-a blocking finding — the static half of the fusion-legality proof that
-kernel registration alone used to carry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Sequence
 
 from repro.analysis.findings import ERROR, INFO, Finding
-from repro.core.plan import FusedStep, Plan, PlanStep
+from repro.core.plan import Plan, PlanStep
 
 #: The conservative lane for steps with no reducer attribution.
 ENGINE_LANE = "engine"
@@ -218,87 +208,3 @@ def analyze_plan(plan: Plan, where: str = "plan") -> list[Finding]:
             )
     return findings
 
-
-# ---------------------------------------------------------------------------
-# fusion proof obligations
-
-
-def check_fused(
-    fused: Iterable[FusedStep],
-    kernel_hints: Sequence[bool] = (),
-    where: str = "compiled",
-) -> list[Finding]:
-    """Static fusion-legality obligations over a compiled plan's groups."""
-    findings: list[Finding] = []
-    for group in fused:
-        seen_memo: dict[int, int] = {}
-        lanes = set()
-        for member in group.steps:
-            if member.op == "combine":
-                lanes.add(member.reducer)
-            if member.memo_uid is None:
-                continue
-            if member.memo_uid in seen_memo:
-                findings.append(
-                    Finding(
-                        rule="races.fused-memo-overlap",
-                        message=(
-                            f"fused {group.kind} group at step {group.start} "
-                            f"has members {seen_memo[member.memo_uid]} and "
-                            f"{member.uid} sharing memo slot "
-                            f"{member.memo_uid:#x} — batch dispatch would "
-                            "miss where sequential replay hits"
-                        ),
-                        where=where,
-                        severity=ERROR,
-                    )
-                )
-            else:
-                seen_memo[member.memo_uid] = member.uid
-        if len(lanes) > 1:
-            findings.append(
-                Finding(
-                    rule="races.fused-mixed-lane",
-                    message=(
-                        f"fused {group.kind} group at step {group.start} "
-                        f"mixes reducer lanes {sorted(map(str, lanes))} — "
-                        "a batch must stay within one worker lane"
-                    ),
-                    where=where,
-                    severity=ERROR,
-                )
-            )
-    for uid, hinted in enumerate(kernel_hints):
-        if not hinted:
-            continue
-        member = _hinted_step(fused, uid)
-        if member is not None and member.op != "combine":
-            findings.append(
-                Finding(
-                    rule="races.fused-hint-noncombine",
-                    message=(
-                        f"kernel hint on step {uid} ({member.op}) — batch "
-                        "kernels may only dispatch combine steps"
-                    ),
-                    where=where,
-                    severity=ERROR,
-                )
-            )
-    return findings
-
-
-def _hinted_step(fused: Iterable[FusedStep], uid: int) -> PlanStep | None:
-    for group in fused:
-        for member in group.steps:
-            if member.uid == uid:
-                return member
-    return None
-
-
-def analyze_compiled(compiled: Any, where: str = "compiled") -> list[Finding]:
-    """Race + fusion findings for one CompiledPlan."""
-    findings = analyze_plan(compiled.plan, where=where)
-    findings.extend(
-        check_fused(compiled.fused, compiled.kernel_hints, where=where)
-    )
-    return findings

@@ -63,10 +63,10 @@ MAX_MODULE_LINES = 500
 #: a cycle by construction.
 #: First match wins (insertion order), so the plan-compile sublayer and
 #: the planner modules are pinned before the blanket ``core/`` rule.
-#: The compiler is a pure pass pipeline over the plan IR: it may read
-#: ``core.plan``/``core.partition`` but never the executor or the
-#: planners, and planners never import the compiler — plans stay a
-#: planner-agnostic exchange format between the two.
+#: The compiler is a pure function of the plan IR: it may read
+#: ``core.plan`` but never the executor or the planners, and planners
+#: never import the compiler — plans stay a planner-agnostic exchange
+#: format between the two.
 _PLANNER_FORBIDS = (
     "repro.slider",
     "repro.cluster",

@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable
 
 from repro.analysis.effects import effect_findings
 from repro.analysis.findings import ERROR, Finding
-from repro.analysis.races import analyze_compiled, analyze_plan
+from repro.analysis.races import analyze_plan
 
 #: Certificate schema identifier; bump on breaking format changes.
 CERTIFICATE_SCHEMA = "parallel-safety-certificate/v1"
@@ -233,7 +233,6 @@ class ParallelSafetyCertificate:
     job: str
     runs: int = 0
     steps_analyzed: int = 0
-    fused_groups: int = 0
     values_audited: int = 0
     benign_races: int = 0
     findings: list[Finding] = field(default_factory=list)
@@ -256,7 +255,6 @@ class ParallelSafetyCertificate:
             "verdict": self.verdict,
             "runs": self.runs,
             "steps_analyzed": self.steps_analyzed,
-            "fused_groups": self.fused_groups,
             "values_audited": self.values_audited,
             "benign_races": self.benign_races,
             "checks": self.checks,
@@ -341,7 +339,7 @@ def certify_variant(
         "errors": len(effect_errors),
     }
 
-    # 2. race detection over every executed run (and compiled template).
+    # 2. race detection over every executed run.
     race_errors = 0
     for result in results:
         cert.runs += 1
@@ -357,14 +355,6 @@ def certify_variant(
                     race_errors += 1
                 else:
                     cert.benign_races += 1
-        if result.compiled is not None:
-            cert.fused_groups += len(result.compiled.fused)
-            for finding in analyze_compiled(
-                result.compiled, where=f"{variant}:run{result.run_index}"
-            ):
-                if finding.severity == ERROR:
-                    cert.findings.append(finding)
-                    race_errors += 1
     cert.checks["races"] = (
         {
             "runs": cert.runs,
@@ -420,8 +410,6 @@ def certify_variant(
     last = results[-1]
     if last.plan is not None:
         audit(tuple(last.plan.steps), f"{variant}:plan-steps")
-    if last.compiled is not None:
-        audit(last.compiled, f"{variant}:compiled-plan")
     # Checkpoint segments: the exact payloads write_checkpoint pickles.
     audit(capture_engine_state(engine), f"{variant}:checkpoint:state")
     cert.checks["shared"] = {

@@ -137,40 +137,6 @@ def registry_targets() -> list[CheckTarget]:
         ),
     ):
         targets.append(aggregation_target(agg_name, aggregation))
-    targets.extend(kernel_targets())
-    return targets
-
-
-def kernel_targets() -> list[CheckTarget]:
-    """Every combiner type carrying a registered batch kernel.
-
-    Fusion legality lets the compiler batch these combiners through
-    vectorized kernels, re-associating and re-grouping their merges — so
-    their declared associativity/commutativity must survive the law
-    harness before a kernel registration can ship.  Types whose
-    constructor needs arguments are exercised elsewhere (the app corpus)
-    and skipped here.
-    """
-    from repro.core.compile import registered_kernel_types
-
-    targets: list[CheckTarget] = []
-    for combiner_type in registered_kernel_types():
-        try:
-            combiner = combiner_type()
-        except TypeError:
-            continue
-        targets.append(
-            CheckTarget(
-                name=f"kernel:{combiner_type.__name__}",
-                functions=[
-                    ("merge", combiner.merge),
-                    ("value_size", combiner.value_size),
-                    ("merge_cost", combiner.merge_cost),
-                    ("fingerprint", combiner.fingerprint),
-                ],
-                combiners=[(f"kernel:{combiner_type.__name__}", combiner)],
-            )
-        )
     return targets
 
 

@@ -24,10 +24,9 @@ or the reducer, with a telemetry trace of why:
 2. the (variant, window-mode) pair holds a green
    ``parallel-safety-certificate/v1`` (the frozen allowlist below is
    tied to the live ``repro.analysis.shared`` certification by test);
-3. the job's combiner passed the fusion law gate at compile time;
-4. no poison policy (quarantine bookkeeping is engine-local) and no
+3. no poison policy (quarantine bookkeeping is engine-local) and no
    cluster simulation (its cache layer is a process-local handle);
-5. per reducer: the payload pickles, and its template slice is one
+4. per reducer: the payload pickles, and its template slice is one
    contiguous run of the compiled plan.
 
 This module lives in ``repro.core`` and therefore never imports the
@@ -169,8 +168,6 @@ class ProcessBackend(ExecutionBackend):
         if engine.cluster is not None or engine.cache is not None:
             return False
         if engine.executor.poison is not None:
-            return False
-        if not compiled.fusion_legal:
             return False
         pair = (engine.config.tree_variant(), engine.mode.value)
         return pair in CERTIFIED_PARALLEL_VARIANTS

@@ -1,17 +1,14 @@
-"""The plan-compile layer: cache, fuse, and batch-dispatch plans.
+"""The plan-compile layer: cache and replay plans.
 
 Sits strictly between the plan IR and everything above it: this package
-may read :mod:`repro.core.plan` and :mod:`repro.core.partition` but never
-the executor, the planners, or the slider/cluster/recovery layers (the
-``repro.analysis`` layering gate enforces both directions).
+may read :mod:`repro.core.plan` but never the executor, the planners, or
+the slider/cluster/recovery layers (the ``repro.analysis`` layering gate
+enforces both directions).
 
-* :func:`compile_plan` — the pass pipeline: template extraction, fusion,
-  kernel-hint assignment (:mod:`repro.core.compile.compiler`);
+* :func:`compile_plan` — extracts a plan's replay template
+  (:mod:`repro.core.compile.compiler`);
 * :class:`PlanCache` — LRU of compiled plans keyed by window-motion
-  signature (:mod:`repro.core.compile.cache`);
-* :mod:`repro.core.compile.kernels` — bit-identical vectorized batch
-  kernels for the numeric combiners, plus the fusion-legality rule tied
-  to the declared combiner algebra.
+  signature (:mod:`repro.core.compile.cache`).
 """
 
 from repro.core.compile.cache import PlanCache, PlanCacheStats
@@ -21,28 +18,12 @@ from repro.core.compile.compiler import (
     contraction_slices,
     slice_template,
 )
-from repro.core.compile.kernels import (
-    BatchKernel,
-    fused_combine_partitions,
-    fusion_legal,
-    kernel_for,
-    register_kernel,
-    registered_kernel_types,
-    unregister_kernel,
-)
 
 __all__ = [
-    "BatchKernel",
     "CompiledPlan",
     "PlanCache",
     "PlanCacheStats",
     "compile_plan",
     "contraction_slices",
-    "fused_combine_partitions",
-    "fusion_legal",
-    "kernel_for",
-    "register_kernel",
-    "registered_kernel_types",
     "slice_template",
-    "unregister_kernel",
 ]

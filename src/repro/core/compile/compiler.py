@@ -1,58 +1,32 @@
-"""The plan compiler: explicit passes from a Plan to a CompiledPlan.
+"""The plan compiler: a Plan's replay template.
 
-The pipeline has three passes, each pure over the plan IR:
-
-1. **template extraction** — the op sequence and structural signature the
-   executor's replay mode validates live execution against;
-2. **fusion** — maximal runs of consecutive steps sharing
-   ``(op, phase, reducer, level)`` collapse into
-   :class:`~repro.core.plan.FusedStep` groups (same-level combine runs,
-   map batches, strawman visit runs), and a map batch that feeds exactly
-   one combine absorbs it as a ``map-combine`` chain;
-3. **kernel-hint assignment** — combine members of a fused group are
-   marked for vectorized batch dispatch *iff* the job's combiner is
-   fusion-legal (:func:`~repro.core.compile.kernels.fusion_legal`:
-   registered kernel + declared associative and commutative algebra).
-
-Fusion preserves the member steps verbatim — a CompiledPlan's shape,
-counts, and signatures are exactly its source plan's — so golden plan
+A :class:`CompiledPlan` is the source plan plus its op sequence — the
+template the executor's replay mode validates live execution against,
+step by step.  The source plan is carried verbatim, so a CompiledPlan's
+shape, counts, and signatures are exactly its plan's and golden plan
 fixtures gate the compiler for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.core.compile.kernels import fusion_legal
-from repro.core.plan import FusedStep, Plan, PlanStep
+from repro.core.plan import Plan
 from repro.metrics import Phase
-
-if TYPE_CHECKING:  # pragma: no cover - type-only
-    from repro.mapreduce.combiners import Combiner
-
-#: Ops whose consecutive runs the fusion pass may group.
-_FUSABLE_OPS = ("map", "combine", "visit")
-_RUN_KINDS = {"map": "map-batch", "combine": "combine-run", "visit": "visit-run"}
 
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """A reusable, optimized form of one run's Plan.
+    """A reusable form of one run's Plan.
 
-    ``ops``/``kernel_hints`` are the executor's replay template: one entry
-    per plan step, in emission order.  ``fused`` is the fusion pass's
-    grouping; ``plan`` is the source plan, served verbatim on cache hits
-    so downstream consumers (shape goldens, reports) see the identical
-    artifact.
+    ``ops`` is the executor's replay template: one entry per plan step,
+    in emission order.  ``plan`` is the source plan, served verbatim on
+    cache hits so downstream consumers (shape goldens, reports) see the
+    identical artifact.
     """
 
     plan: Plan
     ops: tuple[str, ...]
-    kernel_hints: tuple[bool, ...]
-    fused: tuple[FusedStep, ...] = ()
-    #: Whether the job's combiner admitted batch dispatch at compile time.
-    fusion_legal: bool = False
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -63,97 +37,10 @@ class CompiledPlan:
     def structural_signature(self) -> tuple:
         return self.plan.structural_signature()
 
-    def fused_counts(self) -> dict[str, int]:
-        """Fused groups per kind — the compile telemetry's summary view."""
-        counts: dict[str, int] = {}
-        for group in self.fused:
-            counts[group.kind] = counts.get(group.kind, 0) + 1
-        return counts
 
-    def batched_step_count(self) -> int:
-        """Steps that will dispatch through a batch kernel on replay."""
-        return sum(1 for hint in self.kernel_hints if hint)
-
-
-def _group_key(step: PlanStep) -> tuple:
-    return (step.op, step.phase, step.reducer, step.level)
-
-
-def _segments(steps: list[PlanStep]) -> list[tuple[int, int, tuple]]:
-    """Maximal runs of consecutive steps sharing a group key."""
-    segments: list[tuple[int, int, tuple]] = []
-    start = 0
-    while start < len(steps):
-        key = _group_key(steps[start])
-        end = start + 1
-        while end < len(steps) and _group_key(steps[end]) == key:
-            end += 1
-        segments.append((start, end - start, key))
-        start = end
-    return segments
-
-
-def compile_plan(
-    plan: Plan,
-    combiner: "Combiner | None" = None,
-    fusion: bool = True,
-) -> CompiledPlan:
-    """Run the pass pipeline over ``plan``."""
-    steps = plan.steps
-    ops = tuple(step.op for step in steps)
-    legal = bool(fusion and combiner is not None and fusion_legal(combiner))
-
-    fused: list[FusedStep] = []
-    hinted: set[int] = set()
-    segments = _segments(steps) if fusion else []
-    consumed: set[int] = set()  # segment indices absorbed into a chain
-    for index, (start, count, key) in enumerate(segments):
-        if index in consumed:
-            continue
-        op = key[0]
-        if op not in _FUSABLE_OPS:
-            continue
-        members = list(steps[start : start + count])
-        kind = _RUN_KINDS[op]
-        if op == "map" and index + 1 < len(segments):
-            # A map batch feeding exactly one combine of all its outputs
-            # fuses across the map → contraction edge (the coalescing
-            # delta, a rotating bucket build).
-            next_start, next_count, next_key = segments[index + 1]
-            if (
-                next_key[0] == "combine"
-                and next_count == 1
-                and steps[next_start].n_inputs == count
-            ):
-                members.append(steps[next_start])
-                kind = "map-combine"
-                consumed.add(index + 1)
-        if len(members) < 2:
-            continue
-        group = FusedStep(
-            kind=kind,
-            start=members[0].uid,
-            count=len(members),
-            phase=key[1] if kind != "map-combine" else None,
-            reducer=key[2],
-            level=key[3],
-            n_inputs=sum(member.n_inputs for member in members),
-            steps=tuple(members),
-        )
-        fused.append(group)
-        if legal:
-            hinted.update(
-                member.uid for member in members if member.op == "combine"
-            )
-
-    kernel_hints = tuple(uid in hinted for uid in range(len(steps)))
-    return CompiledPlan(
-        plan=plan,
-        ops=ops,
-        kernel_hints=kernel_hints,
-        fused=tuple(fused),
-        fusion_legal=legal,
-    )
+def compile_plan(plan: Plan) -> CompiledPlan:
+    """Extract ``plan``'s replay template."""
+    return CompiledPlan(plan=plan, ops=tuple(step.op for step in plan.steps))
 
 
 #: Step shapes that make up one reducer's contraction pass: combiner
@@ -197,9 +84,8 @@ def slice_template(compiled: CompiledPlan, start: int, end: int) -> CompiledPlan
     """A standalone mini-template covering ``compiled``'s ``[start, end)``.
 
     The worker-side executor replays this slice exactly as the parent
-    would have replayed those steps in place: same ops, same kernel
-    hints, cursor starting at zero.  Fused groups are not carried — the
-    per-step hints are what the replay path consumes.
+    would have replayed those steps in place: same ops, cursor starting
+    at zero.
     """
     if not 0 <= start <= end <= len(compiled.ops):
         raise ValueError(
@@ -207,10 +93,4 @@ def slice_template(compiled: CompiledPlan, start: int, end: int) -> CompiledPlan
         )
     plan = Plan(label=f"{compiled.plan.label}[{start}:{end}]")
     plan.steps.extend(compiled.plan.steps[start:end])
-    return CompiledPlan(
-        plan=plan,
-        ops=compiled.ops[start:end],
-        kernel_hints=compiled.kernel_hints[start:end],
-        fused=(),
-        fusion_legal=compiled.fusion_legal,
-    )
+    return CompiledPlan(plan=plan, ops=compiled.ops[start:end])

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.common.errors import CompileError
 from repro.core.compile.compiler import CompiledPlan
-from repro.core.compile.kernels import fused_combine_partitions, kernel_for
 from repro.core.partition import Partition, combine_partitions
 from repro.core.plan import Plan
 from repro.core.poison import PoisonContext
@@ -110,8 +109,7 @@ class PlanExecutor:
         With ``compiled`` (a plan-cache hit), the run replays the compiled
         template instead of assembling a plan: planners still drive
         execution — values flow, memos resolve, work is charged exactly as
-        when planning fresh — but no steps are emitted, and combine steps
-        carrying a kernel hint dispatch through the vectorized batch path.
+        when planning fresh — but no steps are emitted.
         """
         if compiled is not None:
             self.plan = None
@@ -191,13 +189,13 @@ class PlanExecutor:
             )
         self._replay_cursor = end
 
-    def _consume(self, op: str) -> bool:
+    def _consume(self, op: str) -> None:
         """Advance the replay cursor past one executed step.
 
         Validates that execution emits exactly the compiled template's op
-        sequence; returns the step's kernel hint.  A divergence means a
-        planner's ``plan_structure_key`` missed a piece of structural
-        state — fail loudly rather than execute against a stale template.
+        sequence.  A divergence means a planner's ``plan_structure_key``
+        missed a piece of structural state — fail loudly rather than
+        execute against a stale template.
         """
         compiled = self._replay
         cursor = self._replay_cursor
@@ -212,7 +210,6 @@ class PlanExecutor:
                 f"template has {expected}, execution emitted {op!r}"
             )
         self._replay_cursor = cursor + 1
-        return compiled.kernel_hints[cursor]
 
     @contextmanager
     def reducer_scope(self, reducer: int):
@@ -277,9 +274,8 @@ class PlanExecutor:
         processing).  ``node`` names the sub-computation's position in
         the planner's level structure.
         """
-        use_kernel = False
         if self._replay is not None:
-            use_kernel = self._consume("combine")
+            self._consume("combine")
         elif self.plan is not None:
             self.plan.step(
                 "combine",
@@ -293,7 +289,7 @@ class PlanExecutor:
         reuses_before = tree.stats.combiner_reuses
         with self.meter.telemetry.span(node or "combine", SpanKind.TASK):
             result = self._resolve_combine(
-                tree, parts, phase, memo_uid, cost_scale, node, use_kernel
+                tree, parts, phase, memo_uid, cost_scale, node
             )
         if self.probe is not None and self.active:
             self.probe.on_step(
@@ -313,7 +309,6 @@ class PlanExecutor:
         memo_uid: int | None,
         cost_scale: float,
         node: str,
-        use_kernel: bool = False,
     ) -> Partition:
         recorder = self.recorder if self.recorder.active else None
         meter = self.meter
@@ -350,37 +345,19 @@ class PlanExecutor:
                 )
             return value
         before = meter.by_phase.get(phase, 0.0) if recorder else 0.0
-        # The compiled plan's kernel hint is bit-identity-safe by the
-        # kernel contract; poison handling stays on the scalar path.
-        kernel = (
-            kernel_for(tree.combiner)
-            if use_kernel and self.poison is None
-            else None
+        result = combine_partitions(
+            parts,
+            tree.combiner,
+            meter=meter,
+            phase=phase,
+            cost_factor=tree.combine_cost_factor * cost_scale,
+            invocation_overhead=tree.invocation_overhead * cost_scale,
+            on_poison=(
+                self.poison.combine_handler(tree.combiner)
+                if self.poison is not None
+                else None
+            ),
         )
-        if kernel is not None:
-            result = fused_combine_partitions(
-                parts,
-                tree.combiner,
-                kernel,
-                meter=meter,
-                phase=phase,
-                cost_factor=tree.combine_cost_factor * cost_scale,
-                invocation_overhead=tree.invocation_overhead * cost_scale,
-            )
-        else:
-            result = combine_partitions(
-                parts,
-                tree.combiner,
-                meter=meter,
-                phase=phase,
-                cost_factor=tree.combine_cost_factor * cost_scale,
-                invocation_overhead=tree.invocation_overhead * cost_scale,
-                on_poison=(
-                    self.poison.combine_handler(tree.combiner)
-                    if self.poison is not None
-                    else None
-                ),
-            )
         combine_node = None
         if recorder is not None:
             combine_node = recorder.combine(

@@ -38,14 +38,6 @@ PLAN_OPS = (
 _LEVEL_RE = re.compile(r":L(\d+)\.")
 _HEX_ID_RE = re.compile(r"0x[0-9a-f]+")
 
-#: Fused-step kinds the compiler's fusion pass produces.
-FUSED_KINDS = (
-    "map-batch",    # a run of consecutive Map steps
-    "map-combine",  # a Map batch plus the combine consuming all its outputs
-    "combine-run",  # same-level consecutive combines for one reducer
-    "visit-run",    # consecutive strawman node visits
-)
-
 
 @dataclass(frozen=True)
 class PlanStep:
@@ -114,46 +106,6 @@ class PlanStep:
             self.memo_uid is not None,
             self.reducer,
             self.cost_scale,
-        )
-
-
-@dataclass(frozen=True)
-class FusedStep:
-    """A compile-time grouping of consecutive plan steps.
-
-    Fusion never rewrites the member steps — their signatures and counts
-    are preserved verbatim in ``steps`` — it only records that the group
-    may be dispatched as one batch.  ``level``/``reducer``/``phase`` are
-    the shared values all members agree on (``None`` where they vary, as
-    in a map-combine chain crossing the map → contraction boundary).
-    """
-
-    kind: str
-    start: int  # uid of the first member step
-    count: int
-    phase: Phase | None = None
-    reducer: int | None = None
-    level: int | None = None
-    #: Total partitions feeding the group (sum of member ``n_inputs``).
-    n_inputs: int = 0
-    steps: tuple[PlanStep, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in FUSED_KINDS:
-            raise ValueError(f"unknown fused-step kind {self.kind!r}")
-
-    def counts_by_op(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for planned in self.steps:
-            counts[planned.op] = counts.get(planned.op, 0) + 1
-        return counts
-
-    def signature(self) -> tuple:
-        return (
-            self.kind,
-            self.start,
-            self.count,
-            tuple(planned.signature() for planned in self.steps),
         )
 
 

@@ -56,9 +56,6 @@ class SliderConfig:
     #: Reuse compiled plans across structurally identical window advances
     #: (replanning is skipped on a hit; outputs and work are bit-identical).
     plan_cache: bool = True
-    #: Dispatch fused combine runs of replayed plans through the
-    #: vectorized batch kernels (numeric combiners only; scalar fallback).
-    plan_fusion: bool = True
     #: Max compiled plans retained (LRU).  Must cover the steady-state
     #: motion period — a folding tree's structural state recurs with
     #: period ≈ the window size — or steady advances never re-hit.

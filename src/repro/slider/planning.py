@@ -11,11 +11,11 @@ Since the plan-compile layer, the planner is also the plan cache's front
 end: :meth:`RunPlanner.begin_run` keys the upcoming advance by (config
 fingerprint, job identity, window motion, per-tree structure key) and on
 a hit opens the executor in *replay* mode — trees still drive execution,
-but step emission (the replanning work) is skipped and fused combines
-dispatch through the batch kernels.  On a miss the freshly planned run is
-compiled and stored by :meth:`RunPlanner.finish_run`.  Chaos bypasses the
-cache, and the data-dependent variants (randomized, strawman) never enter
-it — their ``plan_structure_key`` is ``None``.
+but step emission (the replanning work) is skipped.  On a miss the
+freshly planned run is compiled and stored by
+:meth:`RunPlanner.finish_run`.  Chaos bypasses the cache, and the
+data-dependent variants (randomized, strawman) never enter it — their
+``plan_structure_key`` is ``None``.
 
 * **Map plan** — one ``map`` step per split in the update; the split uid
   is the step's plan-level cache edge.  Execution resolves it against the
@@ -62,6 +62,9 @@ class RunPlanner:
         #: Key the in-flight run's fresh plan will be stored under (None
         #: when the run is uncacheable, bypassed, or replaying a hit).
         self._pending_key: tuple | None = None
+        #: The plan key's constant part: config and job are fixed for the
+        #: engine's life, and the cache is per engine.
+        self._engine_key = (_config_key(engine.config), _job_key(engine.job))
 
     # -- the plan-cache front end -------------------------------------------
 
@@ -87,26 +90,14 @@ class RunPlanner:
         engine.executor.begin_run(label, compiled=compiled)
         return compiled
 
-    def finish_run(self, plan) -> CompiledPlan | None:
+    def finish_run(self, plan) -> None:
         """Compile and store the run planned fresh under the pending key."""
         engine = self.engine
         key, self._pending_key = self._pending_key, None
         if key is None:
-            return None
+            return
         with engine.telemetry.span("compile", SpanKind.PHASE):
-            compiled = compile_plan(
-                plan,
-                engine.job.combiner,
-                fusion=engine.config.plan_fusion,
-            )
-            engine.plan_cache.store(key, compiled)
-            engine.telemetry.count(
-                "compile.fused_groups", len(compiled.fused)
-            )
-            engine.telemetry.count(
-                "compile.batched_steps", compiled.batched_step_count()
-            )
-        return compiled
+            engine.plan_cache.store(key, compile_plan(plan))
 
     def _plan_key(self, added: Sequence[Split], removed: int) -> tuple | None:
         engine = self.engine
@@ -126,12 +117,7 @@ class RunPlanner:
                 return None
             structure.append(tree_key)
         return (
-            "advance",
-            len(added),
-            removed,
-            _config_key(config),
-            _job_key(engine.job),
-            tuple(structure),
+            "advance", len(added), removed, *self._engine_key, tuple(structure)
         )
 
     def _chaos_active(self) -> bool:

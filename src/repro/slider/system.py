@@ -34,7 +34,7 @@ from repro.cluster.scheduler import HybridScheduler, Scheduler
 from repro.common.errors import ReproError, WindowError
 from repro.core.backends import ExecutionBackend, make_backend
 from repro.core.base import ContractionTree
-from repro.core.compile import CompiledPlan, PlanCache
+from repro.core.compile import PlanCache
 from repro.core.execute import PlanExecutor, RunExecution
 from repro.core.partition import Partition
 from repro.core.poison import DeadLetterQueue, PoisonContext
@@ -81,10 +81,9 @@ class SliderResult:
     graph: TaskGraph | None = None
     #: The run's plan: the memo-independent step sequence that was executed.
     plan: Plan | None = None
-    #: The compiled form of the plan (fused groups + kernel hints); set
-    #: whenever the compile layer engaged — on a plan-cache hit this is the
-    #: replayed template, on a cacheable miss the freshly compiled store.
-    compiled: CompiledPlan | None = None
+    #: Never set.  Kept only because ``benchmarks/e2e/e2ebench/session.py``
+    #: reads it (and treats ``None`` as "no batched steps").
+    compiled: None = None
     #: True when this run replayed a cached plan (replanning was skipped).
     plan_cache_hit: bool = False
     #: Poison records/keys quarantined during this run (empty unless the
@@ -304,11 +303,10 @@ class Slider:
     ) -> SliderResult:
         phase_delta = self._phase_delta(phase_before)
         run: RunExecution = self.executor.end_run()
-        compiled = run.compiled
-        if compiled is None:
+        if not run.replayed:
             # A cacheable fresh advance compiles + stores here; initial
             # runs and uncacheable runs are a no-op (no pending key).
-            compiled = self.planner.finish_run(run.plan)
+            self.planner.finish_run(run.plan)
         work = sum(
             amount
             for phase, amount in phase_delta.items()
@@ -335,7 +333,6 @@ class Slider:
             removed_keys=self._last_removed_keys,
             graph=run.graph,
             plan=run.plan,
-            compiled=compiled,
             plan_cache_hit=run.replayed,
             dead_letters=(
                 self.dead_letters.drain()

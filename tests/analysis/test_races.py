@@ -1,22 +1,18 @@
-"""Plan-level race detection: the happens-before model, conflicts, and
-fusion proof obligations — on hand-built violating plans and on the real
-planners' output."""
+"""Plan-level race detection: the happens-before model and conflicts — on
+hand-built violating plans and on the real planners' output."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.races import (
-    analyze_compiled,
     analyze_plan,
-    check_fused,
     find_races,
     happens_before,
     plan_footprints,
     step_footprint,
 )
-from repro.core.compile import compile_plan
-from repro.core.plan import FusedStep, Plan, PlanStep
+from repro.core.plan import Plan, PlanStep
 from repro.metrics import Phase
 
 
@@ -125,52 +121,6 @@ def test_find_races_returns_pairs():
     assert not races[0].benign
 
 
-# -- fusion obligations ------------------------------------------------------
-
-
-def _combine_step(uid, memo_uid, reducer=0):
-    return PlanStep(
-        uid=uid, op="combine", label=f"c:L0.{uid}",
-        phase=Phase.CONTRACTION, memo_uid=memo_uid, reducer=reducer,
-    )
-
-
-def test_fused_memo_overlap_fires():
-    group = FusedStep(
-        kind="combine-run", start=0, count=2, reducer=0,
-        steps=(_combine_step(0, 0xAA), _combine_step(1, 0xAA)),
-    )
-    findings = check_fused([group])
-    assert error_rules(findings) == ["races.fused-memo-overlap"]
-
-
-def test_fused_mixed_lane_fires():
-    group = FusedStep(
-        kind="combine-run", start=0, count=2, reducer=0,
-        steps=(
-            _combine_step(0, 0x1, reducer=0),
-            _combine_step(1, 0x2, reducer=1),
-        ),
-    )
-    findings = check_fused([group])
-    assert error_rules(findings) == ["races.fused-mixed-lane"]
-
-
-def test_fused_hint_on_noncombine_fires():
-    visit = PlanStep(uid=0, op="visit", label="v", phase=Phase.MEMO_READ)
-    group = FusedStep(kind="visit-run", start=0, count=2, steps=(visit,))
-    findings = check_fused([group], kernel_hints=(True,))
-    assert error_rules(findings) == ["races.fused-hint-noncombine"]
-
-
-def test_clean_fused_group_passes():
-    group = FusedStep(
-        kind="combine-run", start=0, count=2, reducer=0,
-        steps=(_combine_step(0, 0x1), _combine_step(1, 0x2)),
-    )
-    assert check_fused([group]) == []
-
-
 # -- real planner output -----------------------------------------------------
 
 
@@ -218,6 +168,3 @@ def test_real_plans_are_race_free(variant, mode):
     for result in results:
         findings = analyze_plan(result.plan, where=f"{variant}:{result.run_index}")
         assert error_rules(findings) == [], [f.render() for f in findings]
-        if result.compiled is not None:
-            fused_findings = analyze_compiled(result.compiled)
-            assert error_rules(fused_findings) == []

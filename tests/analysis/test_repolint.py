@@ -249,7 +249,7 @@ def test_compiler_importing_planners_or_slider_fires(tmp_path):
         "from repro.slider.system import Slider",
     ):
         findings = lint_source(
-            tmp_path, source, name="core/compile/kernels.py"
+            tmp_path, source, name="core/compile/cache.py"
         )
         assert rules_of(findings) == ["lint.layering"], source
 
@@ -258,7 +258,7 @@ def test_compiler_may_import_plan_ir_and_partitions(tmp_path):
     findings = lint_source(
         tmp_path,
         """
-        from repro.core.plan import FusedStep, Plan
+        from repro.core.plan import Plan
         from repro.core.partition import Partition
         """,
         name="core/compile/compiler.py",
@@ -270,7 +270,7 @@ def test_executor_may_import_compiler(tmp_path):
     findings = lint_source(
         tmp_path,
         """
-        from repro.core.compile import CompiledPlan, kernel_for
+        from repro.core.compile import CompiledPlan
         """,
         name="core/execute.py",
     )

@@ -37,12 +37,12 @@ def _split(i):
     return Split.from_records([f"w{(i + j) % 9}" for j in range(12)], label=f"s{i}")
 
 
-def _slider(**config_kw):
+def _slider(job=None, **config_kw):
     config_kw.setdefault("mode", WindowMode.VARIABLE)
     config_kw.setdefault("execution_backend", "process")
     config_kw.setdefault("workers", 2)
     return Slider(
-        _job(), config_kw["mode"], config=SliderConfig(**config_kw)
+        job or _job(), config_kw["mode"], config=SliderConfig(**config_kw)
     )
 
 
@@ -100,6 +100,39 @@ class TestDispatchLadder:
             assert counters.get("backend.dispatch_runs", 0) > 0
         finally:
             slider.close()
+
+    def test_non_numeric_combiner_dispatches(self):
+        """Dispatch needs an associative combiner and a certificate, not a
+        numeric value type: knn (``KSmallestCombiner``) crosses the seam
+        and stays bit-identical to its in-process twin."""
+        from repro.apps.registry import APP_REGISTRY
+
+        spec = APP_REGISTRY["knn"]
+        splits = spec.make_splits(34, 7, 0)
+        inproc = _slider(spec.make_job(), execution_backend="inprocess")
+        proc = _slider(spec.make_job())
+        try:
+            for slider in (inproc, proc):
+                slider.initial_run(splits[:6])
+                for split in splits[6:14]:  # one structural period
+                    slider.advance([split], 1)
+            before = proc.telemetry.counters.get("backend.dispatch_runs", 0)
+            for split in splits[14:]:
+                a = inproc.advance([split], 1)
+                b = proc.advance([split], 1)
+                assert b.outputs == a.outputs
+                assert b.report.work == a.report.work
+                assert b.report.breakdown == a.report.breakdown
+            counters = proc.telemetry.counters
+            assert counters["backend.dispatch_runs"] - before == 20
+            assert not [name for name in counters if name.endswith("_fallbacks")]
+            left, right = inproc.meter.by_phase, proc.meter.by_phase
+            assert {p: v.hex() for p, v in left.items()} == {
+                p: v.hex() for p, v in right.items()
+            }
+        finally:
+            inproc.close()
+            proc.close()
 
     def test_fresh_plans_stay_inprocess(self):
         # Cache off -> no replay template -> every run falls back.

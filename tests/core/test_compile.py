@@ -1,43 +1,14 @@
-"""The plan compiler: fusion grouping, kernel bit-identity, legality.
+"""The plan compiler: a compiled plan is its source plan plus the op template.
 
-The compile layer's contract has three parts, each tested here in
-isolation from the slider front end:
-
-* **fusion is shape-preserving** — FusedSteps group consecutive steps
-  without rewriting them, so counts and signatures survive verbatim;
-* **kernels are bit-identical** — a batched combine produces the same
-  entries (values *and* types), dict order, and float cost as the scalar
-  ``combine_partitions`` loop;
-* **legality is algebraic** — only combiners whose declared
-  associativity/commutativity passed the law gate may batch; an
-  order-sensitive combiner is never fused even with a kernel registered.
+The compile layer's contract, tested here in isolation from the slider
+front end: compilation is shape-preserving — the source plan is carried
+verbatim, so counts and signatures survive — and the plan's cached views
+(what the cache key and the goldens read) invalidate on mutation.
 """
 
-import math
-import random
-
-import pytest
-
-from repro.apps.netsession import AuditCombiner
-from repro.core.compile import (
-    CompiledPlan,
-    compile_plan,
-    fused_combine_partitions,
-    fusion_legal,
-    kernel_for,
-    register_kernel,
-    registered_kernel_types,
-    unregister_kernel,
-)
-from repro.core.compile.kernels import SumKernel, VectorSumKernel
-from repro.core.partition import Partition, combine_partitions
-from repro.core.plan import FUSED_KINDS, FusedStep, Plan, PlanStep
-from repro.mapreduce.combiners import (
-    CountCombiner,
-    SumCombiner,
-    VectorSumCombiner,
-)
-from repro.metrics import Phase, WorkMeter
+from repro.core.compile import CompiledPlan, compile_plan
+from repro.core.plan import Plan, PlanStep
+from repro.metrics import Phase
 
 
 def build_plan(ops):
@@ -52,363 +23,6 @@ def build_plan(ops):
             reducer=reducer,
         )
     return plan
-
-
-class TestFusionPass:
-    def test_consecutive_combines_fuse_per_level(self):
-        plan = build_plan(
-            [
-                ("combine", "fold:L0.0", 2, 0),
-                ("combine", "fold:L0.1", 2, 0),
-                ("combine", "fold:L0.2", 2, 0),
-                ("combine", "fold:L1.0", 2, 0),
-                ("combine", "fold:L1.1", 2, 0),
-                ("reduce", "reduce:0", 1, 0),
-            ]
-        )
-        compiled = compile_plan(plan, SumCombiner())
-        kinds = [group.kind for group in compiled.fused]
-        assert kinds == ["combine-run", "combine-run"]
-        assert [group.count for group in compiled.fused] == [3, 2]
-        assert [group.level for group in compiled.fused] == [0, 1]
-        assert compiled.fused[0].n_inputs == 6
-
-    def test_reducers_never_fuse_together(self):
-        plan = build_plan(
-            [
-                ("combine", "fold:L0.0", 2, 0),
-                ("combine", "fold:L0.1", 2, 1),
-                ("combine", "fold:L0.2", 2, 1),
-            ]
-        )
-        compiled = compile_plan(plan, SumCombiner())
-        assert [g.reducer for g in compiled.fused] == [1]
-        assert [g.count for g in compiled.fused] == [2]
-
-    def test_map_batch_absorbs_its_single_combine(self):
-        plan = build_plan(
-            [
-                ("map", "map:s0", 1, None),
-                ("map", "map:s1", 1, None),
-                ("map", "map:s2", 1, None),
-                ("combine", "coal:delta", 3, 0),
-                ("reduce", "reduce:0", 1, 0),
-            ]
-        )
-        compiled = compile_plan(plan, SumCombiner())
-        assert [g.kind for g in compiled.fused] == ["map-combine"]
-        group = compiled.fused[0]
-        assert group.count == 4
-        assert group.counts_by_op() == {"map": 3, "combine": 1}
-        # The chain crosses the map → contraction boundary, so the
-        # members' shared phase is undefined.
-        assert group.phase is None
-
-    def test_combine_not_absorbed_when_inputs_mismatch(self):
-        plan = build_plan(
-            [
-                ("map", "map:s0", 1, None),
-                ("map", "map:s1", 1, None),
-                ("combine", "fold:L0.0", 5, 0),
-            ]
-        )
-        compiled = compile_plan(plan, SumCombiner())
-        assert [g.kind for g in compiled.fused] == ["map-batch"]
-        assert compiled.fused[0].count == 2
-
-    def test_singletons_never_fuse(self):
-        plan = build_plan(
-            [
-                ("map", "map:s0", 1, None),
-                ("combine", "fold:L0.0", 2, 0),
-                ("reduce", "reduce:0", 1, 0),
-            ]
-        )
-        compiled = compile_plan(plan, SumCombiner())
-        # map feeds a 2-input combine: no chain, and neither run has 2+.
-        assert compiled.fused == ()
-
-    def test_visit_runs_fuse(self):
-        plan = build_plan(
-            [
-                ("visit", "straw:L0.0", 1, 0),
-                ("visit", "straw:L0.1", 1, 0),
-                ("visit", "straw:L0.2", 1, 0),
-            ]
-        )
-        compiled = compile_plan(plan, SumCombiner())
-        assert [g.kind for g in compiled.fused] == ["visit-run"]
-        # Visits are positional reuse walks, not combiner merges: no
-        # kernel dispatch even for a legal combiner.
-        assert compiled.batched_step_count() == 0
-
-    def test_fusion_preserves_plan_artifacts(self):
-        plan = build_plan(
-            [
-                ("map", "map:s0", 1, None),
-                ("map", "map:s1", 1, None),
-                ("combine", "fold:L0.0", 2, 0),
-                ("combine", "fold:L0.1", 2, 0),
-                ("reduce", "reduce:0", 1, 0),
-            ]
-        )
-        fused = compile_plan(plan, SumCombiner(), fusion=True)
-        unfused = compile_plan(plan, SumCombiner(), fusion=False)
-        assert fused.plan is plan and unfused.plan is plan
-        assert fused.ops == unfused.ops
-        assert fused.shape() == plan.shape()
-        assert fused.structural_signature() == plan.structural_signature()
-        assert unfused.fused == () and unfused.batched_step_count() == 0
-
-    def test_fused_step_kind_validated(self):
-        with pytest.raises(ValueError, match="kind"):
-            FusedStep(kind="mystery", start=0, count=2)
-        for kind in FUSED_KINDS:
-            FusedStep(kind=kind, start=0, count=2)
-
-
-class TestKernelHints:
-    def test_legal_combiner_hints_combines_only(self):
-        plan = build_plan(
-            [
-                ("map", "map:s0", 1, None),
-                ("map", "map:s1", 1, None),
-                ("combine", "fold:L0.0", 2, 0),
-                ("combine", "fold:L0.1", 2, 0),
-            ]
-        )
-        compiled = compile_plan(plan, SumCombiner())
-        assert compiled.fusion_legal
-        assert compiled.kernel_hints == (False, False, True, True)
-        assert compiled.batched_step_count() == 2
-
-    def test_no_combiner_means_no_hints(self):
-        plan = build_plan(
-            [
-                ("combine", "fold:L0.0", 2, 0),
-                ("combine", "fold:L0.1", 2, 0),
-            ]
-        )
-        compiled = compile_plan(plan)
-        assert not compiled.fusion_legal
-        assert compiled.fused != ()  # grouping still recorded
-        assert compiled.batched_step_count() == 0
-
-    def test_fusion_flag_disables_grouping(self):
-        plan = build_plan([("combine", "fold:L0.0", 2, 0)] * 3)
-        compiled = compile_plan(plan, SumCombiner(), fusion=False)
-        assert compiled.fused == ()
-        assert compiled.kernel_hints == (False, False, False)
-
-
-class TestFusionLegality:
-    def test_numeric_combiners_are_legal(self):
-        assert fusion_legal(SumCombiner())
-        assert fusion_legal(CountCombiner())
-        assert fusion_legal(VectorSumCombiner())
-
-    def test_kernels_bind_to_exact_types(self):
-        class TweakedSum(SumCombiner):
-            def merge(self, key, values):
-                return sum(values) + 1
-
-        assert kernel_for(TweakedSum()) is None
-        assert not fusion_legal(TweakedSum())
-
-    def test_audit_combiner_is_never_fused(self):
-        """The order-sensitive NetSession combiner: not commutative, so
-        not legal — even if someone registers a kernel for it."""
-        audit = AuditCombiner()
-        assert not audit.commutative
-        assert not fusion_legal(audit)
-        register_kernel(AuditCombiner, SumKernel())
-        try:
-            assert kernel_for(audit) is not None
-            assert not fusion_legal(audit), (
-                "legality must require the declared algebra, not just a "
-                "registered kernel"
-            )
-            plan = build_plan(
-                [
-                    ("combine", "fold:L0.0", 2, 0),
-                    ("combine", "fold:L0.1", 2, 0),
-                ]
-            )
-            compiled = compile_plan(plan, audit)
-            assert compiled.batched_step_count() == 0
-        finally:
-            unregister_kernel(AuditCombiner)
-        assert AuditCombiner not in registered_kernel_types()
-
-    def test_registered_types_feed_the_law_gate(self):
-        from repro.analysis.targets import kernel_targets
-
-        names = {t.name for t in kernel_targets()}
-        assert {
-            "kernel:SumCombiner",
-            "kernel:CountCombiner",
-            "kernel:VectorSumCombiner",
-        } <= names
-
-
-def scalar_vs_kernel(partitions, combiner, kernel):
-    scalar_meter, kernel_meter = WorkMeter(), WorkMeter()
-    scalar = combine_partitions(
-        partitions,
-        combiner,
-        meter=scalar_meter,
-        cost_factor=1.5,
-        invocation_overhead=2.0,
-    )
-    batched = fused_combine_partitions(
-        partitions,
-        combiner,
-        kernel,
-        meter=kernel_meter,
-        cost_factor=1.5,
-        invocation_overhead=2.0,
-    )
-    return scalar, batched, scalar_meter, kernel_meter
-
-
-def assert_bit_identical(scalar, batched, scalar_meter, kernel_meter):
-    assert list(batched.entries) == list(scalar.entries)  # dict order
-    for key, value in scalar.entries.items():
-        got = batched.entries[key]
-        assert got == value, key
-        assert type(got) is type(value), key
-        if isinstance(value, float):
-            assert math.copysign(1.0, got) == math.copysign(1.0, value)
-    assert kernel_meter.total() == scalar_meter.total()  # exact, not approx
-
-
-class TestSumKernelBitIdentity:
-    def test_int_values(self):
-        rng = random.Random(7)
-        partitions = [
-            Partition(
-                {f"k{j}": rng.randrange(-(10**9), 10**9) for j in range(40)}
-            )
-            for _ in range(9)
-        ]
-        assert_bit_identical(
-            *scalar_vs_kernel(partitions, SumCombiner(), SumKernel())
-        )
-
-    def test_int_results_stay_ints(self):
-        partitions = [Partition({"a": 2}), Partition({"a": 3})]
-        _, batched, *_ = scalar_vs_kernel(
-            partitions, SumCombiner(), SumKernel()
-        )
-        assert type(batched.entries["a"]) is int
-
-    def test_float_values_match_left_fold(self):
-        rng = random.Random(11)
-        partitions = [
-            Partition(
-                {f"k{j}": rng.uniform(-1e9, 1e9) for j in range(25)}
-            )
-            for _ in range(7)
-        ]
-        # Python's sum() folds left-to-right; pairwise numpy sums round
-        # differently, so exact equality here is the kernel's whole point.
-        assert_bit_identical(
-            *scalar_vs_kernel(partitions, SumCombiner(), SumKernel())
-        )
-
-    def test_negative_zero_preserved(self):
-        partitions = [Partition({"a": -0.0}), Partition({"a": -0.0})]
-        scalar, batched, *_ = scalar_vs_kernel(
-            partitions, SumCombiner(), SumKernel()
-        )
-        # sum([-0.0, -0.0]) starts from int 0, so 0 + -0.0 == 0.0.
-        assert math.copysign(1.0, scalar.entries["a"]) == 1.0
-        assert math.copysign(1.0, batched.entries["a"]) == 1.0
-
-    def test_mixed_and_huge_values_fall_back_per_key(self):
-        partitions = [
-            Partition({"mixed": 1, "huge": 2**50, "ok": 3, "b": True}),
-            Partition({"mixed": 2.5, "huge": 2**50, "ok": 4, "b": True}),
-        ]
-        assert_bit_identical(
-            *scalar_vs_kernel(partitions, SumCombiner(), SumKernel())
-        )
-
-    def test_singletons_copy_through(self):
-        partitions = [
-            Partition({"both": 1, "left": 5}),
-            Partition({"both": 2, "right": 7.5}),
-        ]
-        assert_bit_identical(
-            *scalar_vs_kernel(partitions, SumCombiner(), SumKernel())
-        )
-
-    def test_ragged_value_counts(self):
-        partitions = [
-            Partition({"a": 1.5, "b": 2.5, "c": 1}),
-            Partition({"a": 3.5, "b": 4.5}),
-            Partition({"a": 5.5}),
-        ]
-        assert_bit_identical(
-            *scalar_vs_kernel(partitions, SumCombiner(), SumKernel())
-        )
-
-    def test_empty_and_single_partitions(self):
-        empty = fused_combine_partitions([], SumCombiner(), SumKernel())
-        assert empty.entries == {}
-        only = Partition({"a": 1})
-        assert (
-            fused_combine_partitions(
-                [only, Partition({})], SumCombiner(), SumKernel()
-            )
-            is only
-        )
-
-
-class TestVectorSumKernelBitIdentity:
-    def make_partitions(self, seed, n_parts=6, n_keys=10, dim=4):
-        rng = random.Random(seed)
-        return [
-            Partition(
-                {
-                    f"c{j}": (
-                        rng.randrange(1, 50),
-                        tuple(rng.uniform(-100, 100) for _ in range(dim)),
-                    )
-                    for j in range(n_keys)
-                }
-            )
-            for _ in range(n_parts)
-        ]
-
-    def test_centroid_accumulation(self):
-        partitions = self.make_partitions(3)
-        assert_bit_identical(
-            *scalar_vs_kernel(
-                partitions, VectorSumCombiner(), VectorSumKernel()
-            )
-        )
-
-    def test_non_vectorizable_values_fall_back(self):
-        partitions = [
-            Partition({"odd": (1, (1.0, 2)), "ok": (1, (1.0, 2.0))}),
-            Partition({"odd": (1, (1.0, 3)), "ok": (2, (3.0, 4.0))}),
-        ]
-        assert_bit_identical(
-            *scalar_vs_kernel(
-                partitions, VectorSumCombiner(), VectorSumKernel()
-            )
-        )
-
-    def test_results_are_count_and_tuple(self):
-        partitions = self.make_partitions(5, n_parts=3, n_keys=2, dim=2)
-        _, batched, *_ = scalar_vs_kernel(
-            partitions, VectorSumCombiner(), VectorSumKernel()
-        )
-        for count, vec in batched.entries.values():
-            assert type(count) is int
-            assert type(vec) is tuple
-            assert all(type(x) is float for x in vec)
 
 
 class TestPlanCachedViews:
@@ -456,7 +70,10 @@ class TestCompiledPlanViews:
                 ("combine", "fold:L0.0", 2, 0),
             ]
         )
-        compiled = compile_plan(plan, SumCombiner())
+        compiled = compile_plan(plan)
         assert len(compiled) == 3
         assert isinstance(compiled, CompiledPlan)
-        assert compiled.fused_counts() == {"map-combine": 1}
+        assert compiled.ops == ("map", "map", "combine")
+        assert compiled.plan is plan
+        assert compiled.shape() == plan.shape()
+        assert compiled.structural_signature() == plan.structural_signature()

@@ -1,11 +1,11 @@
 """A combined partition's uid, derived from its inputs' uids, is the
 fingerprint of its entries.
 
-``combine_partitions`` and ``fused_combine_partitions`` no longer hash
-every entry of their result: keys only one input held pass through
-unhashed, and the result's uid is worked out from the inputs' uids.  These
-tests hold that uid to the full re-hash (``_fingerprint_entries``), on both
-sides of the rule that picks between the two and at it.
+``combine_partitions`` does not hash every entry of its result: keys only
+one input held pass through unhashed, and the result's uid is worked out
+from the inputs' uids.  These tests hold that uid to the full re-hash
+(``_fingerprint_entries``), on both sides of the rule that picks between
+the two and at it.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.partition as partition_module
-from repro.core.compile.kernels import fused_combine_partitions, kernel_for
 from repro.core.partition import (
     Partition,
     _fingerprint_entries,
@@ -109,17 +108,6 @@ def test_combined_uid_is_the_fingerprint_of_the_entries(merge):
     assert combined == Partition(combined.entries)
 
 
-@settings(max_examples=150, deadline=None)
-@given(merge=merges(kinds=("int", "float", "vector")))
-def test_fused_combined_uid_is_the_fingerprint_of_the_entries(merge):
-    kind, partitions = merge
-    combiner = COMBINERS[kind]
-    fused = fused_combine_partitions(partitions, combiner, kernel_for(combiner))
-    scalar = combine_partitions(partitions, combiner)
-    assert fused.uid == _fingerprint_entries(fused.entries)
-    assert fused.uid == scalar.uid and fused.entries == scalar.entries
-
-
 class _Unlucky(SumCombiner):
     """Refuses every key whose values sum to a multiple of three."""
 
@@ -158,23 +146,16 @@ def _two_inputs(merged, passing):
     return [Partition(left), Partition(right)]
 
 
-@pytest.mark.parametrize("combine", ["scalar", "fused"])
 @pytest.mark.parametrize("passing", [0, 5, 6, 7, 30])
-def test_the_cheaper_of_delta_and_full_rehash_runs(monkeypatch, combine, passing):
+def test_the_cheaper_of_delta_and_full_rehash_runs(monkeypatch, passing):
     """Two merged keys of two inputs cost the delta 2 * (2 + 1) entry
     hashes and one length hash an input: 8, against one entry hash a
     result key.  So 8 result keys is the threshold (full re-hash, at no
     loss), 9 is the first delta, and either way the uid is the same."""
     merged = 2
     partitions = _two_inputs(merged, passing)
-    combiner = SumCombiner()
     calls = _count_hashes(monkeypatch)
-    if combine == "scalar":
-        combined = combine_partitions(partitions, combiner)
-    else:
-        combined = fused_combine_partitions(
-            partitions, combiner, kernel_for(combiner)
-        )
+    combined = combine_partitions(partitions, SumCombiner())
     spent, entry_hashes = len(calls), calls.count("pent")
     assert len(combined) == merged + passing
     assert combined.uid == _fingerprint_entries(combined.entries)

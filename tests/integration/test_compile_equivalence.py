@@ -1,18 +1,15 @@
-"""Compiled execution is bit-identical to uncompiled, for every variant.
+"""Replayed execution is bit-identical to fresh planning, for every variant.
 
-The tentpole gate: with the plan cache and fusion on (the defaults),
-every run of every tree variant must produce *exactly* the outputs, the
-metered work, the per-phase breakdown, the simulated time, and the plan
-shape of a twin engine with the compile layer disabled.  No approx
-comparisons anywhere — the kernels' bit-identity contract makes exact
-equality the spec.
+With the plan cache on (the default), every run of every tree variant
+must produce *exactly* the outputs, the metered work, the per-phase
+breakdown, the simulated time, and the plan shape of a twin engine with
+the cache disabled.  No approx comparisons anywhere — replay runs the
+same combines in the same order, so exact equality is the spec.
 """
 
 import pytest
 
-import repro.core.execute as execute_module
 from repro.cluster.machine import Cluster, ClusterConfig
-from repro.core.compile import fused_combine_partitions
 from repro.mapreduce.combiners import SumCombiner, VectorSumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split
@@ -87,8 +84,8 @@ def assert_runs_identical(compiled_runs, plain_runs):
 
 @pytest.mark.parametrize("variant,mode", VARIANTS)
 def test_compiled_equals_uncompiled(variant, mode):
-    compiled = build(variant, mode)  # cache + fusion on by default
-    plain = build(variant, mode, plan_cache=False, plan_fusion=False)
+    compiled = build(variant, mode)  # cache on by default
+    plain = build(variant, mode, plan_cache=False)
     assert_runs_identical(drive(compiled, mode), drive(plain, mode))
     for slider in (compiled, plain):
         assert slider.verify_outputs()
@@ -96,32 +93,6 @@ def test_compiled_equals_uncompiled(variant, mode):
         stats = compiled.plan_cache.stats
         assert stats.hits > 0, "steady state must actually replay"
     assert plain.plan_cache.stats.hits == 0
-
-
-@pytest.mark.parametrize("variant,mode", VARIANTS)
-def test_fusion_off_equals_fusion_on(variant, mode):
-    fused = build(variant, mode)
-    unfused = build(variant, mode, plan_fusion=False)
-    assert_runs_identical(drive(fused, mode), drive(unfused, mode))
-
-
-def test_replay_dispatches_batch_kernels(monkeypatch):
-    """On a cache hit with a fusion-legal combiner, fused combines really
-    go through the vectorized path — not just a flag on the artifact."""
-    calls = {"n": 0}
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return fused_combine_partitions(*args, **kwargs)
-
-    monkeypatch.setattr(
-        execute_module, "fused_combine_partitions", counting
-    )
-    slider = build("folding", WindowMode.VARIABLE)
-    drive(slider, WindowMode.VARIABLE)
-    stats = slider.plan_cache.stats
-    assert stats.hits > 0
-    assert calls["n"] > 0, "hits occurred but no kernel dispatch happened"
 
 
 def test_vector_combiner_equivalence_under_replay():
@@ -136,7 +107,6 @@ def test_vector_combiner_equivalence_under_replay():
         WindowMode.VARIABLE,
         job_factory=centroid_job,
         plan_cache=False,
-        plan_fusion=False,
     )
     compiled_runs = drive(compiled, WindowMode.VARIABLE, splits_fn=splits)
     plain_runs = drive(plain, WindowMode.VARIABLE, splits_fn=splits)
