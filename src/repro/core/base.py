@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.common.errors import CombinerContractError
 from repro.core.execute import PlanExecutor
@@ -93,6 +93,15 @@ class ContractionTree(ABC):
         )
         self.stats = TreeStats()
         self._ran_initial = False
+        #: position -> node value: the results a positional variant keeps
+        #: between runs (empty for the variants that memoize by content).
+        #: A plain ``dict``, written only through :meth:`_set_node`,
+        #: :meth:`_drop_node` and :meth:`_replace_nodes`, which keep
+        #: ``_cache_keys`` beside it.
+        self._cache: dict[tuple[int, int], Any] = {}
+        #: Keys held over all of ``_cache``: a plain int in the tree's own
+        #: state, so it crosses the process seam and comes back with it.
+        self._cache_keys = 0
         #: The unified plan executor every sub-computation flows through.
         #: The engine injects its shared executor; a standalone tree runs
         #: on a private one over its own meter.
@@ -136,6 +145,49 @@ class ContractionTree(ABC):
         uncacheable.
         """
         return None
+
+    # -- retained space ------------------------------------------------------
+
+    @staticmethod
+    def _node_keys(value: Any) -> int:
+        """Keys one ``_cache`` value holds (the strawman caches triples)."""
+        return len(value)
+
+    def _set_node(self, position: tuple[int, int], value: Any) -> None:
+        """Cache ``value`` as the node at ``position``."""
+        old = self._cache.get(position)
+        if old is not None:
+            self._cache_keys -= self._node_keys(old)
+        self._cache[position] = value
+        self._cache_keys += self._node_keys(value)
+
+    def _drop_node(self, position: tuple[int, int]) -> None:
+        """Forget the node cached at ``position``."""
+        self._cache_keys -= self._node_keys(self._cache.pop(position))
+
+    def _replace_nodes(self, nodes: dict[tuple[int, int], Any], keys: int) -> None:
+        """Swap in a whole new cache whose values hold ``keys`` keys."""
+        self._cache = nodes
+        self._cache_keys = keys
+
+    def space(self) -> float:
+        """Keys this tree retains between runs: its memo table's plus its
+        positional cache's.  Read from counts kept where each is written,
+        never by walking either."""
+        return self.memo.space() + self._cache_keys
+
+    def recount(self) -> float:
+        """:meth:`space` re-derived by walking what is retained — O(state).
+
+        Resets the cache count from the cache itself, which is what a
+        restore needs after setting ``_cache`` wholesale; the tests hold
+        :meth:`space` to this after every step.  Never on the advance path.
+        """
+        self._cache_keys = sum(map(self._node_keys, self._cache.values()))
+        return (
+            float(sum(len(p) for p in self.memo.entries.values()))
+            + self._cache_keys
+        )
 
     # -- shared machinery ----------------------------------------------------
 

@@ -36,7 +36,6 @@ class FoldingTree(ContractionTree):
         self._start = 0  # first live slot
         self._end = 0  # one past the last live slot
         self._height = 0
-        self._cache: dict[tuple[int, int], Partition] = {}
 
     # -- public lifecycle ----------------------------------------------------
 
@@ -109,17 +108,14 @@ class FoldingTree(ContractionTree):
         capacity = 1 << self._height
         self._slots = list(leaves) + [None] * (capacity - count)
         self._start, self._end = 0, count
-        self._cache = {}
+        self._replace_nodes({}, 0)
         self._propagate(set(range(count)))
         self.stats.height = self._height
         self.stats.leaves = count
 
     def _rebuild(self) -> None:
         """From-scratch rebalance: garbage-collect voids, rebuild compact."""
-        live = self.window_leaves()
-        for key in list(self._cache):
-            self._cache.pop(key)
-        self._build_fresh(live)
+        self._build_fresh(self.window_leaves())
 
     def _needs_rebuild(self) -> bool:
         if self.rebuild_factor is None or self.size == 0:
@@ -138,7 +134,7 @@ class FoldingTree(ContractionTree):
             self._slots = []
             self._start = self._end = 0
             self._height = 0
-            self._cache = {}
+            self._replace_nodes({}, 0)
             dirty.clear()
 
     def _insert_back(self, added: list[Partition], dirty: set[int]) -> None:
@@ -173,13 +169,15 @@ class FoldingTree(ContractionTree):
             old_height = self._height
             self._height -= 1
             shifted: dict[tuple[int, int], Partition] = {}
+            keys = 0
             for (level, index), value in self._cache.items():
                 if level >= old_height:
                     continue  # old root level disappears
                 offset = 1 << (old_height - 1 - level)
                 if index >= offset:
                     shifted[(level, index - offset)] = value
-            self._cache = shifted
+                    keys += len(value)
+            self._replace_nodes(shifted, keys)
 
     # -- change propagation ------------------------------------------------
 
@@ -192,10 +190,13 @@ class FoldingTree(ContractionTree):
                 for parent in parents:
                     left = self._node_value(level - 1, parent * 2)
                     right = self._node_value(level - 1, parent * 2 + 1)
-                    self._cache[(level, parent)] = self._combine(
-                        [left, right],
-                        phase=Phase.CONTRACTION,
-                        node=f"fold:L{level}.{parent}",
+                    self._set_node(
+                        (level, parent),
+                        self._combine(
+                            [left, right],
+                            phase=Phase.CONTRACTION,
+                            node=f"fold:L{level}.{parent}",
+                        ),
                     )
             dirty = parents
 

@@ -10,7 +10,7 @@ distributed in-memory cache and its fault-tolerant replicas (§6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.common.errors import MemoStoreFull
 from repro.core.partition import Partition
@@ -110,14 +110,46 @@ class MemoStore(Protocol):
 class DictMemoStore(dict):
     """The default in-process store: a plain dict plus the store protocol.
 
-    Subclassing ``dict`` keeps every historical access pattern (iteration
-    order, ``clear``, direct item assignment by the repair layer) exactly
-    as fast and exactly as ordered as the seed's bare dict.
+    Subclassing ``dict`` keeps reads and iteration exactly as fast and
+    as ordered as the seed's bare dict.  The four mutating verbs of the
+    protocol (``store[uid] = p``, ``del store[uid]``, ``pop``, ``clear``)
+    also keep the sum :meth:`space` returns, so it never walks the
+    entries; ``update`` / ``setdefault`` / ``popitem`` would bypass the
+    sum and are not part of the protocol.
     """
+
+    #: Keys retained over all stored partitions.
+    _space = 0
+
+    def __setitem__(self, uid: int, value: Partition) -> None:
+        old = self.get(uid)
+        if old is not None:
+            self._space -= len(old)
+        self._space += len(value)
+        super().__setitem__(uid, value)
+
+    def __delitem__(self, uid: int) -> None:
+        self._space -= len(self[uid])
+        super().__delitem__(uid)
+
+    def pop(self, uid: int, default: Any = None) -> Any:
+        found = super().pop(uid, None)
+        if found is None:
+            return default
+        self._space -= len(found)
+        return found
+
+    def clear(self) -> None:
+        super().clear()
+        self._space = 0
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles re-insert the items, which re-derives the sum.
+        return (type(self), (), None, None, iter(self.items()))
 
     def space(self) -> float:
         """Total abstract size (keys retained) of the stored results."""
-        return float(sum(len(p) for p in self.values()))
+        return float(self._space)
 
 
 @dataclass
@@ -308,11 +340,7 @@ class MemoTable:
 
     def space(self) -> float:
         """Total abstract size of retained results (for space overheads)."""
-        store_space = getattr(self.entries, "space", None)
-        if store_space is not None:
-            return float(store_space())
-        # A bare dict passed by legacy callers/tests: summarize directly.
-        return float(sum(len(p) for p in self.entries.values()))
+        return float(self.entries.space())
 
     def replace_entries(self, mapping: Mapping[int, Partition]) -> None:
         """Reattach a drained entry snapshot onto this table's store.

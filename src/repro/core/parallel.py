@@ -17,7 +17,10 @@ worker's :class:`~repro.telemetry.merge.CaptureTelemetry` captured —
 charges, counters, spans, task-graph nodes and probe events, in order,
 for the parent to replay, which keeps the merged run bit-identical to an
 in-process one (see :mod:`repro.telemetry.merge`).  Containers, scalars
-and the template are always sent.  A partition is sent only when the
+and the template are always sent; one of the scalars is the tree's count
+of the keys its node cache holds (``_cache_keys``), so whichever process
+ran the advance kept it, and the cache itself stays a plain ``dict`` the
+walker below recognises.  A partition is sent only when the
 receiver does not hold it: each worker keeps, per reducer it serves, a
 ``uid -> Partition`` table of exactly the partitions in the state it
 last returned, the parent keeps the matching table, and

@@ -52,7 +52,6 @@ class RotatingTree(ContractionTree):
         self._bucket_leaves: list[list[Partition]] = []
         self._oldest = 0  # physical slot holding the oldest bucket
         self._height = 0
-        self._cache: dict[tuple[int, int], Partition] = {}
         self._root = Partition.empty()
         # Split-processing state.
         self._intermediate: Partition | None = None  # pre-combined off-path I
@@ -205,8 +204,13 @@ class RotatingTree(ContractionTree):
                 for parent in parents:
                     left = self._node_value(level - 1, parent * 2)
                     right = self._node_value(level - 1, parent * 2 + 1)
-                    self._cache[(level, parent)] = self._combine(
-                        [left, right], phase=phase, node=f"rot:L{level}.{parent}"
+                    self._set_node(
+                        (level, parent),
+                        self._combine(
+                            [left, right],
+                            phase=phase,
+                            node=f"rot:L{level}.{parent}",
+                        ),
                     )
             dirty = parents
 

@@ -36,8 +36,7 @@ class StrawmanTree(ContractionTree):
         output — the data-movement constant of the strawman design."""
         super().__init__(*args, **kwargs)
         self.visit_cost = visit_cost
-        #: (level, index) -> (left_uid, right_uid, value)
-        self._cache: dict[tuple[int, int], tuple[int, int, Partition]] = {}
+        # ``_cache`` here maps (level, index) -> (left_uid, right_uid, value).
         self._leaves: list[Partition] = []
         self._root = Partition.empty()
 
@@ -67,11 +66,16 @@ class StrawmanTree(ContractionTree):
 
     # -- internals ---------------------------------------------------------
 
+    @staticmethod
+    def _node_keys(value: tuple[int, int, Partition]) -> int:
+        return len(value[2])
+
     def _build(self) -> Partition:
         """Walk the whole tree; reuse positionally-unchanged nodes."""
         level = list(self._leaves)
         height = 0
         fresh: dict[tuple[int, int], tuple[int, int, Partition]] = {}
+        keys = 0
         while len(level) > 1:
             next_level: list[Partition] = []
             with self._level_span("straw", height + 1):
@@ -94,12 +98,13 @@ class StrawmanTree(ContractionTree):
                             [left, right], node=f"straw:L{height}.{i // 2}"
                         )
                     fresh[position] = (left.uid, right.uid, value)
+                    keys += len(value)
                     next_level.append(value)
             if len(level) % 2:
                 next_level.append(level[-1])  # odd node promotes unchanged
             level = next_level
             height += 1
-        self._cache = fresh
+        self._replace_nodes(fresh, keys)
         self.stats.height = height
         self.stats.leaves = len(self._leaves)
         return level[0] if level else Partition.empty()

@@ -64,12 +64,34 @@ def make_splits(
 
 @dataclass
 class SplitWindow:
-    """A mutable ordered window of splits with front-drop/back-append slides."""
+    """A mutable ordered window of splits with front-drop/back-append slides.
+
+    Beside the order it keeps how many times each uid is in the window
+    (a split uid is a content id, so the same split can sit in a window
+    twice) and which uids have left altogether since they were last
+    taken: a collector evicts exactly those, and never has to compare
+    the whole window with what it retains.
+    """
 
     splits: list[Split] = field(default_factory=list)
+    #: uid -> how many of ``splits`` carry it.
+    counts: dict[int, int] = field(init=False, repr=False)
+    #: uids whose count fell to zero and has not risen again since
+    #: :meth:`take_departed` last ran.
+    departed: set[int] = field(init=False, repr=False, default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.counts = {}
+        given, self.splits = self.splits, []
+        self.append(given)
 
     def append(self, new_splits: Sequence[Split]) -> None:
         self.splits.extend(new_splits)
+        counts = self.counts
+        for split in new_splits:
+            uid = split.uid
+            counts[uid] = counts.get(uid, 0) + 1
+            self.departed.discard(uid)
 
     def drop_front(self, count: int) -> list[Split]:
         if count < 0:
@@ -79,7 +101,20 @@ class SplitWindow:
                 f"cannot drop {count} splits from a window of {len(self.splits)}"
             )
         dropped, self.splits = self.splits[:count], self.splits[count:]
+        counts = self.counts
+        for split in dropped:
+            uid = split.uid
+            if counts[uid] == 1:
+                del counts[uid]
+                self.departed.add(uid)
+            else:
+                counts[uid] -= 1
         return dropped
+
+    def take_departed(self) -> set[int]:
+        """The uids that left the window since the last call, handed over."""
+        departed, self.departed = self.departed, set()
+        return departed
 
     def __len__(self) -> int:
         return len(self.splits)

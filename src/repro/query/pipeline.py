@@ -26,7 +26,7 @@ from repro.query.compiler import CompiledPlan, CompiledStage, compile_plan
 from repro.query.plan import Query, Row
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-from repro.telemetry import SpanKind, Telemetry
+from repro.telemetry import ENGINE_KEEP_LAST, SpanKind, Telemetry
 
 
 @dataclass
@@ -152,7 +152,9 @@ class IncrementalQueryPipeline:
         self.telemetry = (
             telemetry
             if telemetry is not None
-            else Telemetry(label=f"query:{first_job.name}")
+            else Telemetry(
+                label=f"query:{first_job.name}", keep_last=ENGINE_KEEP_LAST
+            )
         )
         self.slider = Slider(
             first_job,

@@ -12,6 +12,9 @@ tree's memo entries are the distributed cache's memory copies; position
 caches can hold pass-through references to map outputs), and corrupting
 the shared object would poison state the repair does not own.  The copy
 models bit rot of one stored replica — exactly what fingerprints detect.
+Position-cache slots are written through the tree's ``_set_node`` /
+``_drop_node``, so its retained-space count follows every flip and
+repair (a corrupt copy holds one key more than its victim).
 
 Repair strategy per fault surface:
 
@@ -91,12 +94,12 @@ def _corrupt_copy(value: Partition, salt: int) -> Partition:
 def _inject(tree: "ContractionTree", victim: Victim, salt: int) -> None:
     kind, _, key = victim
     if kind == "cache":
-        tree._cache[key] = _corrupt_copy(tree._cache[key], salt)
+        tree._set_node(key, _corrupt_copy(tree._cache[key], salt))
     elif kind == "bucket":
         tree._buckets[key] = _corrupt_copy(tree._buckets[key], salt)
     elif kind == "straw":
         left_uid, right_uid, value = tree._cache[key]
-        tree._cache[key] = (left_uid, right_uid, _corrupt_copy(value, salt))
+        tree._set_node(key, (left_uid, right_uid, _corrupt_copy(value, salt)))
     elif kind == "memo":
         tree.memo.entries[key] = _corrupt_copy(tree.memo.entries[key], salt)
         tree.memo.taint({key})
@@ -168,12 +171,15 @@ def _repair(engine: "Slider", victims: list[Victim]) -> int:
         tree = engine.trees[index]
         if tree._cache[(level, node_index)].verify_fingerprint():
             continue
-        tree._cache[(level, node_index)] = tree._combine(
-            [
-                tree._node_value(level - 1, node_index * 2),
-                tree._node_value(level - 1, node_index * 2 + 1),
-            ],
-            node=f"repair:L{level}.{node_index}",
+        tree._set_node(
+            (level, node_index),
+            tree._combine(
+                [
+                    tree._node_value(level - 1, node_index * 2),
+                    tree._node_value(level - 1, node_index * 2 + 1),
+                ],
+                node=f"repair:L{level}.{node_index}",
+            ),
         )
         engine.telemetry.count("recovery.corruptions_repaired")
         repaired += 1
@@ -183,7 +189,7 @@ def _repair(engine: "Slider", victims: list[Victim]) -> int:
             continue
         tree = engine.trees[index]
         if not tree._cache[position][2].verify_fingerprint():
-            del tree._cache[position]
+            tree._drop_node(position)
             engine.telemetry.count("recovery.corruptions_repaired")
             repaired += 1
     # Memo entries stay tainted: the next lookup verifies lazily, drops

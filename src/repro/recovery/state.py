@@ -29,6 +29,7 @@ from repro.core.folding import FoldingTree
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
+from repro.mapreduce.types import SplitWindow
 from repro.metrics import Phase
 from repro.telemetry import SpanKind, Telemetry
 
@@ -151,8 +152,13 @@ def capture_engine_state(engine: "Slider") -> dict[str, Any]:
 
 def apply_engine_state(engine: "Slider", state: dict[str, Any]) -> None:
     """Push captured state onto a freshly constructed engine."""
-    engine.window.splits = list(state["window"])
+    engine.window = SplitWindow(list(state["window"]))
     engine.map_memo = state["map_memo"]
+    # Rows a checkpoint taken before a collection still held are garbage
+    # the next collection must find.
+    engine.window.departed.update(
+        engine.map_memo.keys() - engine.window.counts.keys()
+    )
     engine.reduce_memo = state["reduce_memo"]
     if len(state["trees"]) != len(engine.trees):
         raise CheckpointError(
@@ -161,6 +167,10 @@ def apply_engine_state(engine: "Slider", state: dict[str, Any]) -> None:
         )
     for tree, tree_state in zip(engine.trees, state["trees"]):
         apply_tree(tree, tree_state)
+    # The space counts are not checkpointed (and a checkpoint written
+    # before they existed has none): derive them, once, from what was
+    # just set wholesale.
+    engine.lifecycle.recount()
     engine.chaos_downed = list(state["chaos_downed"])
     engine.last_recovery = dict(state["last_recovery"])
     engine.run_index = state["run_index"]

@@ -25,7 +25,7 @@ from repro.mapreduce.types import Split, SplitWindow
 from repro.metrics import RunReport
 from repro.slider.system import SliderResult
 from repro.slider.window import WindowDelta, WindowMode
-from repro.telemetry import SpanKind, Telemetry
+from repro.telemetry import ENGINE_KEEP_LAST, SpanKind, Telemetry
 
 
 class VanillaRunner:
@@ -46,7 +46,7 @@ class VanillaRunner:
         self.telemetry = (
             telemetry
             if telemetry is not None
-            else Telemetry(label=f"vanilla:{job.name}")
+            else Telemetry(label=f"vanilla:{job.name}", keep_last=ENGINE_KEEP_LAST)
         )
         self.runtime = BatchRuntime(job, telemetry=self.telemetry)
         self.window = SplitWindow()

@@ -27,7 +27,6 @@ from repro.cluster.scheduler import SimTask, simulate_two_waves
 from repro.common.errors import ReproError
 from repro.common.hashing import stable_hash
 from repro.core.execute import RunExecution
-from repro.core.partition import Partition
 from repro.core.taskgraph import TaskGraph, TaskNode
 from repro.metrics import Phase
 from repro.telemetry import SpanKind
@@ -92,14 +91,6 @@ class TimeSimulator:
             1, len(engine.trees)
         )
         for reducer_index, tree in enumerate(engine.trees):
-            # A reduce task migrated away from its memoized state must pull
-            # that state (tree node values) over the network.
-            state_size = tree.memo.space()
-            cache = getattr(tree, "_cache", None)
-            if isinstance(cache, dict):
-                state_size += sum(
-                    len(p) for p in cache.values() if isinstance(p, Partition)
-                )
             reduce_tasks.append(
                 SimTask(
                     label=f"reduce:{reducer_index}",
@@ -108,7 +99,10 @@ class TimeSimulator:
                         (engine.job.name, reducer_index), salt="memoloc"
                     )
                     % len(engine.cluster),
-                    fetch_bytes=state_size,
+                    # A reduce task migrated away from its memoized state
+                    # must pull that state (tree node values) over the
+                    # network.
+                    fetch_bytes=tree.space(),
                     kind="reduce",
                 )
             )

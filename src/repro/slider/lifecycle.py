@@ -122,15 +122,28 @@ class LifecycleManager:
     # -- garbage collection and space ----------------------------------------
 
     def collect_garbage(self) -> int:
-        """Drop memoized state that the current window can no longer use."""
+        """Drop memoized state that the current window can no longer use.
+
+        The map memo loses exactly the splits that left the window since
+        the last collection (:meth:`SplitWindow.take_departed`), so the
+        cost follows the slide and not the window — whether this runs
+        after every advance (``auto_gc``) or after many.  The tree-side
+        steps keep their whole-table shape: ``retain_only`` walks only a
+        strawman's (empty) table, and the distributed cache's collection,
+        which does walk every tree's entries, runs only with a cluster
+        attached — the path the paper's figures take, where flat
+        wall-clock is not the claim.
+        """
         engine = self.engine
-        live_split_uids = {split.uid for split in engine.window}
-        dead = [uid for uid in engine.map_memo if uid not in live_split_uids]
-        for uid in dead:
-            del engine.map_memo[uid]
+        dropped = 0
+        for uid in engine.window.take_departed():
+            row = engine.map_memo.pop(uid, None)
+            if row is None:
+                continue
+            engine.map_keys -= sum(len(p) for p in row)
+            dropped += 1
             if engine.blocks is not None:
                 engine.blocks.drop_split(uid)
-        dropped = len(dead)
         for tree in engine.trees:
             live = getattr(tree, "live_memo_uids", None)
             if live is not None:
@@ -148,19 +161,33 @@ class LifecycleManager:
         return dropped
 
     def space(self) -> float:
-        """Memoized state retained across runs (Figure 13's space metric)."""
+        """Memoized state retained across runs (Figure 13's space metric):
+        the keys of every map-memo row, every tree memo entry and every
+        positionally cached node.
+
+        Read from the counts kept where each of those is inserted and
+        evicted (``engine.map_keys``, :meth:`ContractionTree.space`), so
+        it costs one addition per tree whatever the window holds;
+        :meth:`recount` is the same number by definition.
+        """
         engine = self.engine
-        map_space = sum(
-            sum(len(p) for p in partitions)
-            for partitions in engine.map_memo.values()
+        return float(engine.map_keys) + sum(tree.space() for tree in engine.trees)
+
+    def recount(self) -> float:
+        """:meth:`space` re-derived by walking all retained state.
+
+        The one O(state) form of the sum.  It also resets the counts it
+        re-derives, which is what a restore needs after setting the map
+        memo and the trees' caches wholesale; the tests use it as the
+        oracle for :meth:`space`.  ``advance`` never calls it.
+        """
+        engine = self.engine
+        engine.map_keys = sum(
+            len(p) for row in engine.map_memo.values() for p in row
         )
-        tree_space = sum(tree.memo.space() for tree in engine.trees)
-        cache_space = 0.0
-        for tree in engine.trees:
-            cache = getattr(tree, "_cache", None)
-            if isinstance(cache, dict):
-                cache_space += sum(len(p) for p in cache.values())
-        return float(map_space) + tree_space + cache_space
+        return float(engine.map_keys) + sum(
+            tree.recount() for tree in engine.trees
+        )
 
     # -- output verification --------------------------------------------------
 

@@ -228,7 +228,7 @@ class RunPlanner:
             before = meter.total()
             map_before = meter.by_phase.get(Phase.MAP, 0.0)
             shuffle_before = meter.by_phase.get(Phase.SHUFFLE, 0.0)
-            engine.map_memo[split.uid] = run_map_task(
+            outputs = engine.map_memo[split.uid] = run_map_task(
                 engine.job,
                 split.records,
                 engine.partitioner,
@@ -236,10 +236,11 @@ class RunPlanner:
                 label=f"map:{split.uid:#x}",
                 poison=executor.poison,
             )
+            engine.map_keys += sum(len(p) for p in outputs)
             executor.record_map_cost(split.uid, meter.total() - before)
             recorder.map_task(
                 split.uid,
-                engine.map_memo[split.uid],
+                outputs,
                 map_cost=meter.by_phase.get(Phase.MAP, 0.0) - map_before,
                 shuffle_cost=meter.by_phase.get(Phase.SHUFFLE, 0.0)
                 - shuffle_before,

@@ -49,7 +49,7 @@ from repro.slider.execution import TimeSimulator
 from repro.slider.lifecycle import LifecycleManager
 from repro.slider.planning import RunPlanner
 from repro.slider.window import WindowDelta, WindowMode
-from repro.telemetry import SpanKind, Telemetry
+from repro.telemetry import ENGINE_KEEP_LAST, SpanKind, Telemetry
 
 __all__ = [
     "Slider",
@@ -68,6 +68,13 @@ class SliderResult:
     relative to the previous one — what a downstream consumer of the
     incrementally-maintained result needs to apply, without diffing the
     whole output dict itself.
+
+    ``report`` is cut from the recorder's running totals (``by_phase``,
+    the space counts), which no retention policy touches: it reads the
+    same whether the spans of this run are still in ``engine.telemetry``
+    or not.  The recorder you hand an engine keeps what you built it to
+    keep; the one an engine makes for itself is a ring of the last
+    :data:`~repro.telemetry.ENGINE_KEEP_LAST` runs.
     """
 
     outputs: dict[Any, Any]
@@ -114,8 +121,12 @@ class Slider:
         self.partitioner = HashPartitioner(job.num_reducers)
         #: The telemetry backbone: one span tree shared by the engine, the
         #: trees, the distributed cache, the block store, and the executor.
+        #: A recorder handed in keeps what it was built to keep; the one
+        #: made here is a ring of the last ``ENGINE_KEEP_LAST`` runs.
         self.telemetry = (
-            telemetry if telemetry is not None else Telemetry(label=f"slider:{job.name}")
+            telemetry
+            if telemetry is not None
+            else Telemetry(label=f"slider:{job.name}", keep_last=ENGINE_KEEP_LAST)
         )
         self.meter = WorkMeter(telemetry=self.telemetry)
         self.window = SplitWindow()
@@ -154,6 +165,11 @@ class Slider:
         self.last_recovery: dict[str, float] = {}
         #: split uid -> per-reducer map-output partitions.
         self.map_memo: dict[int, list[Partition]] = {}
+        #: Keys held over every row of ``map_memo``, kept where rows are
+        #: inserted (``RunPlanner.run_maps``) and evicted
+        #: (``LifecycleManager.collect_garbage``): the map term of
+        #: :meth:`space`.
+        self.map_keys = 0
         #: per-reducer memoized Reduce outputs: key -> (root value, output).
         self.reduce_memo: list[dict[Any, tuple[Any, Any]]] = [
             {} for _ in range(job.num_reducers)
@@ -387,6 +403,7 @@ class Slider:
         del self.planner, self.timing, self.lifecycle
         self.window = SplitWindow()
         self.map_memo.clear()
+        self.map_keys = 0
         self.trees.clear()
 
     def _check_open(self) -> None:

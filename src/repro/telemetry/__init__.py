@@ -10,6 +10,7 @@ table checked against the asymptotic-analysis bounds.
 """
 
 from repro.telemetry.spans import (
+    ENGINE_KEEP_LAST,
     NullTelemetry,
     Phase,
     Span,
@@ -38,6 +39,7 @@ from repro.telemetry.worktable import (
 )
 
 __all__ = [
+    "ENGINE_KEEP_LAST",
     "CaptureTelemetry",
     "graft_spans",
     "merge_counters",

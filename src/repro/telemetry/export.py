@@ -51,6 +51,10 @@ class TraceValidationError(ValueError):
 def to_chrome_trace(telemetry: Telemetry, pid: int = 1) -> dict[str, Any]:
     """Render a telemetry tree as a Trace Event Format document.
 
+    The spans, instants and counter samples are those the recorder
+    retains (for a ``keep_last`` ring: the last runs, which is the trace
+    of what just happened); ``otherData`` carries the whole-life totals.
+
     Raises :class:`TraceValidationError` if any non-root span is still
     open — an unclosed span means a charge site exited without closing
     its scope, and its timeline would silently render wrong.

@@ -35,9 +35,13 @@ lane.  Both land in the same tree and the same Chrome trace.
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+#: ``keep_last`` of the recorder an engine makes for itself when it is
+#: handed none: enough top-level spans for a trace of what just happened.
+ENGINE_KEEP_LAST = 32
 
 
 class Phase(enum.Enum):
@@ -104,7 +108,12 @@ class Span:
 
 @dataclass(frozen=True)
 class TelemetrySnapshot:
-    """Immutable summary of a telemetry tree, for reports and benches."""
+    """Immutable summary of a telemetry tree, for reports and benches.
+
+    ``by_phase`` and ``counters`` are whole-life totals; ``span_count``
+    and ``instant_events`` count what the recorder still retains (see
+    ``keep_last`` on :class:`Telemetry`).
+    """
 
     label: str
     by_phase: dict[str, float]
@@ -125,9 +134,26 @@ class Telemetry:
     attempt with cluster-clock timestamps), :meth:`charge` (add work to
     every open span), and :meth:`count`/:meth:`instant` (typed counters
     and point events).
+
+    Retention.  ``keep_last=None`` keeps every span, counter sample and
+    instant for the life of the recorder — what a recorder you construct
+    and hand to an engine does, so it keeps what you built it to keep.
+    With ``keep_last=N`` the root's direct children (window-update,
+    background and restore spans, each closed before the next opens) are
+    a ring of the newest ``N``, and the samples, instants and foreign
+    open spans recorded before the oldest kept one opened leave with the
+    spans that do — what the recorder an engine makes for itself does
+    (:data:`ENGINE_KEEP_LAST`), so a stream can run indefinitely.  The
+    ring drops structure only: ``by_phase``, ``counters`` and the work
+    cursor are never touched, so every total is the same float either
+    way.  :meth:`iter_spans`, :meth:`span_count` and :meth:`snapshot`
+    describe what is retained.
     """
 
-    def __init__(self, label: str = "run") -> None:
+    def __init__(self, label: str = "run", keep_last: int | None = None) -> None:
+        if keep_last is not None and keep_last < 1:
+            raise ValueError(f"keep_last must be positive, got {keep_last}")
+        self.keep_last = keep_last
         self.root = Span(name=label, kind=SpanKind.RUN, start=0.0)
         self._stack: list[Span] = [self.root]
         #: Monotone counters by name (gauges are the latest sample value).
@@ -141,6 +167,11 @@ class Telemetry:
         #: was attached here (``adopt``, ``merge.graft_spans``); no stack
         #: of this recorder will ever close them.
         self._foreign_open: list[Span] = []
+        #: Per kept top-level span (``keep_last`` only): how many counter
+        #: samples, instants and foreign open spans had ever been recorded
+        #: when it was added, and how many of each have been dropped.
+        self._marks: deque[tuple[int, ...]] = deque()
+        self._dropped: tuple[int, ...] = (0, 0, 0)
 
     # -- clock -----------------------------------------------------------
     def now(self) -> float:
@@ -154,7 +185,7 @@ class Telemetry:
 
     def open_span(self, name: str, kind: SpanKind, **attrs: Any) -> Span:
         span = Span(name=name, kind=kind, start=self._work_cursor, attrs=attrs)
-        self._stack[-1].children.append(span)
+        self._add_child(span)
         self._stack.append(span)
         return span
 
@@ -167,14 +198,13 @@ class Telemetry:
         self._stack.pop()
         span.end = self._work_cursor
 
-    @contextmanager
-    def span(self, name: str, kind: SpanKind = SpanKind.TASK, **attrs: Any):
-        """Open a child span of the current span for the ``with`` body."""
-        opened = self.open_span(name, kind, **attrs)
-        try:
-            yield opened
-        finally:
-            self.close_span(opened)
+    def span(
+        self, name: str, kind: SpanKind = SpanKind.TASK, **attrs: Any
+    ) -> "_SpanContext":
+        """Open a child span of the current span for a ``with`` body:
+        ``with telemetry.span(...) as span``.  The span opens here and
+        closes when the body exits, however it exits."""
+        return _SpanContext(self, self.open_span(name, kind, **attrs))
 
     def record_span(
         self,
@@ -194,7 +224,7 @@ class Telemetry:
         span = Span(
             name=name, kind=kind, start=start, end=end, thread=thread, attrs=attrs
         )
-        self._stack[-1].children.append(span)
+        self._add_child(span)
         return span
 
     def adopt(self, other: "Telemetry", name: str | None = None) -> Span | None:
@@ -219,8 +249,36 @@ class Telemetry:
         The subtree is walked once, here, for spans left open, so that
         :meth:`unclosed_spans` never has to walk the tree.
         """
-        self._stack[-1].children.append(span)
+        self._add_child(span)
         self._foreign_open.extend(s for s in span.iter() if s.is_open)
+
+    def _add_child(self, span: Span) -> None:
+        """Put ``span`` under the current span; under the root, the ring
+        (if any) first lets its oldest go."""
+        stack = self._stack
+        if len(stack) == 1 and self.keep_last is not None:
+            self._make_room()
+        stack[-1].children.append(span)
+
+    def _make_room(self) -> None:
+        """Before one more top-level span is added: let the oldest go
+        until ``keep_last - 1`` are kept, and with them every counter
+        sample, instant and foreign open span older than the oldest kept."""
+        children = self.root.children
+        marks = self._marks
+        tails = (self.counter_samples, self.instants, self._foreign_open)
+        excess = len(children) + 1 - self.keep_last
+        if excess > 0:
+            del children[:excess]
+        while len(marks) > len(children):
+            marks.popleft()
+        marks.append(
+            tuple(gone + len(tail) for gone, tail in zip(self._dropped, tails))
+        )
+        if excess > 0:
+            for tail, gone, keep_from in zip(tails, self._dropped, marks[0]):
+                del tail[: keep_from - gone]
+            self._dropped = marks[0]
 
     # -- accounting ------------------------------------------------------
     def charge(self, phase: Phase, amount: float) -> None:
@@ -297,6 +355,7 @@ class Telemetry:
         return self._stack[1:] + [s for s in self._foreign_open if s.is_open]
 
     def span_count(self) -> int:
+        """Spans retained, the root included."""
         return sum(1 for _ in self.root.iter())
 
     def snapshot(self) -> TelemetrySnapshot:
@@ -314,10 +373,30 @@ class Telemetry:
         self.root = Span(name=label, kind=SpanKind.RUN, start=0.0)
         self._stack = [self.root]
         self._foreign_open.clear()
+        self._marks.clear()
+        self._dropped = (0, 0, 0)
         self.counters.clear()
         self.counter_samples.clear()
         self.instants.clear()
         self._work_cursor = 0.0
+
+
+class _SpanContext:
+    """What :meth:`Telemetry.span` returns: yields the open span and
+    closes it on exit (``close_span`` raises if it is not innermost)."""
+
+    __slots__ = ("_telemetry", "_span")
+
+    def __init__(self, telemetry: Telemetry, span: Span) -> None:
+        self._telemetry = telemetry
+        self._span = span
+
+    def __enter__(self) -> Span:
+        return self._span
+
+    def __exit__(self, *exc: Any) -> bool:
+        self._telemetry.close_span(self._span)
+        return False
 
 
 class _NullSpanContext:

@@ -49,6 +49,11 @@ def per_level_table(
 ) -> list[LevelRow]:
     """Aggregate TREE_LEVEL spans under ``root`` into per-level rows.
 
+    Given a :class:`Telemetry` it reads the spans that recorder retains:
+    all of them for ``keep_last=None``, the last runs for the ring an
+    engine makes for itself — hand the engine a recorder of your own to
+    tabulate a whole experiment.
+
     ``tree`` filters by the variant tag the tree recorded on its level
     spans (``fold``, ``rft``, ``rot``, ``straw``); ``None`` keeps all.
     """
