@@ -199,7 +199,6 @@ class ProcessBackend(ExecutionBackend):
             return _advance_inprocess(engine, per_reducer, removed)
         compiled = engine.executor.replay_template
         slices = contraction_slices(compiled, engine.job.num_reducers)
-        graph = engine.executor.recorder.graph
         sent: dict[int, Held] = {}
         #: What this dispatch moves (partitions: both directions summed).
         moved: Counter[str] = Counter()
@@ -211,19 +210,12 @@ class ProcessBackend(ExecutionBackend):
             if reducer not in slices:
                 continue
             start, end = slices[reducer]
-            externals = []
-            if graph is not None:
-                for leaf in per_reducer[reducer]:
-                    producer = graph.producer_of(leaf)
-                    if producer is not None:
-                        externals.append((leaf.uid, producer))
             payload = build_payload(
                 tree,
                 reducer,
                 per_reducer[reducer],
                 removed,
                 slice_template(compiled, start, end),
-                externals,
                 label=f"reducer:{reducer}",
             )
             sent[reducer] = held_table()
@@ -314,9 +306,7 @@ class ProcessBackend(ExecutionBackend):
         executor.skip_replay(start, end)
         replay_events(telemetry, result["events"])
         graft_spans(telemetry, result["spans"], offset)
-        graph = executor.recorder.graph
-        if graph is not None:
-            graph.graft(result["graph"])
+        executor.recorder.extend(result["graph"])
         if executor.probe is not None:
             for op, kwargs in result["probe_events"]:
                 executor.probe.on_step(op, **kwargs)

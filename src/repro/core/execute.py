@@ -9,7 +9,7 @@ Trees *plan*; this module *executes*.  Each planner call (a tree's
   ``memo_read`` nodes on hit, ``combine`` + ``memo_write`` on miss);
 * run the combiner over the live inputs (or forward a pass-through);
 * charge the work meter, inside the step's telemetry task span;
-* transcribe the executed node into the run's
+* log the executed node as one record of the run's
   :class:`~repro.core.taskgraph.TaskGraph`.
 
 Executing while planning (instead of batching the whole plan first) keeps
@@ -358,9 +358,8 @@ class PlanExecutor:
                 else None
             ),
         )
-        combine_node = None
         if recorder is not None:
-            combine_node = recorder.combine(
+            recorder.combine(
                 parts,
                 result,
                 phase,
@@ -374,10 +373,7 @@ class PlanExecutor:
                 meter.charge(Phase.MEMO_WRITE, tree.memo_write_cost)
                 if recorder is not None:
                     recorder.memo_write(
-                        combine_node,
-                        result,
-                        cost=tree.memo_write_cost,
-                        memo_uid=memo_uid,
+                        result, cost=tree.memo_write_cost, memo_uid=memo_uid
                     )
         return result
 

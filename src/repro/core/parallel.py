@@ -14,7 +14,7 @@ What crosses the seam.  A payload (:func:`build_payload`) is the tree's
 executor), the slide's new leaves and the reducer's slice of the
 compiled template; a reply is the advanced state, the root and what the
 worker's :class:`~repro.telemetry.merge.CaptureTelemetry` captured —
-charges, counters, spans, task-graph nodes and probe events, in order,
+charges, counters, spans, task-graph records and probe events, in order,
 for the parent to replay, which keeps the merged run bit-identical to an
 in-process one (see :mod:`repro.telemetry.merge`).  Containers, scalars
 and the template are always sent; one of the scalars is the tree's count
@@ -182,7 +182,6 @@ def build_payload(
     leaves: "list[Partition]",
     removed: int,
     template: "CompiledPlan",
-    externals: list[tuple[int, int]],
     label: str,
 ) -> dict[str, Any]:
     """Everything one worker needs to run ``tree.advance`` remotely."""
@@ -198,7 +197,6 @@ def build_payload(
         "leaves": leaves,
         "removed": removed,
         "template": template,
-        "externals": externals,
         "label": label,
         "verify_mode": tree.memo.verify_mode,
         "capacity": tree.memo.capacity,
@@ -235,13 +233,10 @@ def _execute_payload(
     # Attach the probe only after begin_run: the parent's probe already
     # observed this run's begin event.
     executor.probe = probe
-    graph = executor.recorder.graph
-    assert graph is not None
-    graph.allow_external = True
-    for content_uid, parent_uid in payload["externals"]:
-        graph.seed_external_producer(content_uid, parent_uid)
 
-    root = tree.advance(leaves, payload["removed"])
+    # Records and probe events carry the reducer, as they do in process.
+    with executor.recorder.reducer_context(payload["reducer"]):
+        root = tree.advance(leaves, payload["removed"])
     run = executor.end_run()
 
     state = {
@@ -255,7 +250,7 @@ def _execute_payload(
         "coded": coded,
         "events": telemetry.events,
         "spans": telemetry.root.children,
-        "graph": run.graph,
+        "graph": run.graph.records,
         "memo_stats": tree.memo.stats,
         "tainted": set(tree.memo._tainted),
         "probe_events": probe.events,

@@ -13,7 +13,10 @@ it from :meth:`~repro.core.base.ContractionTree._combine`, passing their
 own level structure as node labels.  The graph is a pure *observation*: it
 charges nothing to the :class:`~repro.metrics.WorkMeter`, and its per-phase
 totals are asserted (in tests) to equal the legacy metering, making the
-meter a derived view of the graph.
+meter a derived view of the graph.  Observing is also all a run pays for:
+the recorder appends one flat :data:`Record` a node to a log, and the
+:class:`TaskGraph` builds its nodes, edges and producer table from the
+log the first time somebody reads them.
 
 The cluster layer replays the graph at sub-computation granularity
 (:func:`repro.cluster.executor.execute_dag`): topological readiness instead
@@ -24,7 +27,7 @@ rather than the per-reducer work sum.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.core.partition import Partition
 from repro.metrics import Phase
@@ -39,6 +42,14 @@ NODE_KINDS = (
     "memo_write",   # persisting a fresh combiner result
     "reduce",       # the Reduce function on one changed key
 )
+
+#: One executed node as a run logs it, the :class:`TaskNode` fields in
+#: order with three differences: no uid (its position), the content ids
+#: the node consumed and those it produced in place of ``deps``, and a
+#: last flag for the two edges not wired through content — a ``shuffle``
+#: follows its ``map``, a ``memo_write`` its ``combine``, each the record
+#: directly before it.  Atoms and tuples of atoms only.
+Record = tuple
 
 
 @dataclass(frozen=True)
@@ -64,27 +75,55 @@ class TaskNode:
     deps: tuple[int, ...] = ()
 
 
-@dataclass
 class TaskGraph:
-    """The dependency graph of one Slider run."""
+    """The dependency graph of one Slider run, built on first read.
 
-    label: str = ""
-    nodes: list[TaskNode] = field(default_factory=list)
-    #: Partition content id -> uid of the node that produced it this run.
-    #: Negative values are *external references* (see :meth:`graft`).
-    _producers: dict[int, int] = field(default_factory=dict)
-    #: Permit negative deps — references to nodes of an enclosing parent
-    #: graph, encoded ``-(parent_uid + 1)``.  Set on the worker-side
-    #: fragment graphs the multi-process backend grafts back with
-    #: :meth:`graft`; never on a run's own graph.
-    allow_external: bool = False
+    A run *appends* to ``records`` — one flat tuple a node, see
+    :class:`GraphRecorder` — and the first read of ``nodes``, of a view
+    over it or of the producer table turns what is pending into
+    :class:`TaskNode` values through :meth:`add`; reading is O(nodes)
+    once, a later read builds only what was recorded since, and a graph
+    nobody reads never builds.  ``len`` does not build.  Graphs carry no
+    generated equality: a built and an unbuilt graph of one run hold the
+    same nodes in different fields.
+    """
+
+    def __init__(self, label: str = "") -> None:
+        self.label = label
+        #: Recorded, not yet built (:data:`Record` tuples, in run order).
+        self.records: list[Record] = []
+        self._nodes: list[TaskNode] = []
+        #: Partition content id -> uid of the node that produced it this run.
+        self._producers: dict[int, int] = {}
 
     # -- construction --------------------------------------------------------
 
-    @staticmethod
-    def external_ref(parent_uid: int) -> int:
-        """Encode a parent-graph node uid as a negative external dep."""
-        return -(parent_uid + 1)
+    @property
+    def nodes(self) -> list[TaskNode]:
+        self._build()
+        return self._nodes
+
+    def _build(self) -> None:
+        """Turn the pending records into nodes, wiring edges by content."""
+        if not self.records:
+            return
+        pending, self.records = self.records, []
+        nodes, producers = self._nodes, self._producers
+        for (
+            kind, phase, label, cost, data_size, memo_hit, reducer,
+            split_uid, memo_uid, consumed, produced, follows,
+        ) in pending:
+            deps = [producers[uid] for uid in consumed if uid in producers]
+            if follows:
+                deps.append(len(nodes) - 1)
+            if kind == "reduce":  # recorded as the key; see reduce_key
+                label = f"reduce:{reducer}:{label!r:.32}"
+            node = self.add(
+                kind, phase, label, cost, data_size, memo_hit, reducer,
+                split_uid, memo_uid, tuple(deps),
+            )
+            for uid in produced:
+                producers[uid] = node.uid
 
     def add(
         self,
@@ -99,16 +138,14 @@ class TaskGraph:
         memo_uid: int | None = None,
         deps: tuple[int, ...] = (),
     ) -> TaskNode:
+        nodes = self.nodes
         if kind not in NODE_KINDS:
             raise ValueError(f"unknown node kind {kind!r}")
         for dep in deps:
-            if 0 <= dep < len(self.nodes):
-                continue
-            if dep < 0 and self.allow_external:
-                continue
-            raise ValueError(f"dependency {dep} does not exist yet")
+            if not 0 <= dep < len(nodes):
+                raise ValueError(f"dependency {dep} does not exist yet")
         node = TaskNode(
-            uid=len(self.nodes),
+            uid=len(nodes),
             kind=kind,
             phase=phase,
             label=label,
@@ -120,7 +157,7 @@ class TaskGraph:
             memo_uid=memo_uid,
             deps=tuple(sorted(set(deps))),
         )
-        self.nodes.append(node)
+        nodes.append(node)
         return node
 
     def set_producer(self, partition: Partition, node_uid: int) -> None:
@@ -130,6 +167,7 @@ class TaskGraph:
         content id would wire bogus edges between unrelated subtrees.
         """
         if partition:
+            self._build()  # what is pending registers first
             self._producers[partition.uid] = node_uid
 
     def producer_of(self, partition: Partition) -> int | None:
@@ -140,6 +178,7 @@ class TaskGraph:
         """
         if not partition:
             return None
+        self._build()
         return self._producers.get(partition.uid)
 
     def deps_of(self, parts) -> tuple[int, ...]:
@@ -151,59 +190,10 @@ class TaskGraph:
                 found.append(uid)
         return tuple(found)
 
-    def seed_external_producer(self, content_uid: int, parent_uid: int) -> None:
-        """Pre-register a partition produced by an *enclosing* graph's node.
-
-        The multi-process backend seeds each worker's fragment graph with
-        the parent-run producers (map/shuffle tails) its reducer consumes,
-        so combine nodes built in the worker carry the same dependency
-        edges an in-process run would have wired.  The reference is
-        stored negative-encoded and translated back at :meth:`graft`.
-        """
-        if not self.allow_external:
-            raise ValueError("external producers need allow_external=True")
-        self._producers[content_uid] = self.external_ref(parent_uid)
-
-    def graft(self, other: "TaskGraph") -> int:
-        """Append another graph's nodes to this one; returns the uid offset.
-
-        ``other`` is a worker-side fragment built with
-        ``allow_external=True``: its internal uids are shifted by this
-        graph's current length and its negative external deps translate
-        back to parent uids — which always point backwards, because the
-        referenced parent nodes existed before the fragment was
-        dispatched.  Dep tuples are re-sorted after translation, so a
-        grafted node is indistinguishable from one recorded in-process
-        at the same position.  Producer registrations carry over (with
-        the same shift) so later parent-side nodes (per-key reduces) can
-        depend on worker-produced partitions.
-        """
-        offset = len(self.nodes)
-        for node in other.nodes:
-            deps = []
-            for dep in node.deps:
-                if dep < 0:
-                    parent_uid = -dep - 1
-                    if not 0 <= parent_uid < offset:
-                        raise ValueError(
-                            f"external dep {dep} of node {node.uid} does not "
-                            f"name a node of the receiving graph"
-                        )
-                    deps.append(parent_uid)
-                else:
-                    deps.append(dep + offset)
-            self.nodes.append(
-                replace(node, uid=node.uid + offset, deps=tuple(sorted(deps)))
-            )
-        for content_uid, uid in other._producers.items():
-            if uid >= 0:
-                self._producers[content_uid] = uid + offset
-        return offset
-
     # -- derived views -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._nodes) + len(self.records)
 
     def node(self, uid: int) -> TaskNode:
         return self.nodes[uid]
@@ -268,18 +258,24 @@ class TaskGraph:
 
 
 class GraphRecorder:
-    """Builds one TaskGraph per Slider run.
+    """Logs one TaskGraph per Slider run.
 
-    Lifecycle: ``begin_run`` opens a fresh graph, the engine and trees feed
-    nodes while the run executes, ``end_run`` closes it and retains it as
-    ``last_graph``.  Outside a run every recording call is a no-op, so
-    background pre-processing (which runs between windows) never pollutes a
-    run's graph.
+    Lifecycle: ``begin_run`` opens a fresh graph, the engine and trees
+    feed it while the run executes, ``end_run`` closes it and hands it
+    over.  Outside a run every recording call is a no-op, so background
+    pre-processing (which runs between windows) never pollutes a run's
+    graph.
+
+    Recording builds nothing: each call appends one :data:`Record` to the
+    open graph's ``records`` and :class:`TaskGraph` makes the nodes when
+    somebody reads them.  A record holds only what was true when the step
+    executed — sizes, costs and content uids, never a partition — so a
+    graph read long after its run is the graph of that run, and a kept
+    result pins none of the window's state.
     """
 
     def __init__(self) -> None:
         self.graph: TaskGraph | None = None
-        self.last_graph: TaskGraph | None = None
         #: Reducer context set by the engine around per-tree work.
         self.reducer: int | None = None
 
@@ -297,8 +293,6 @@ class GraphRecorder:
     def end_run(self) -> TaskGraph | None:
         graph, self.graph = self.graph, None
         self.reducer = None
-        if graph is not None:
-            self.last_graph = graph
         return graph
 
     @contextmanager
@@ -310,6 +304,14 @@ class GraphRecorder:
             self.reducer = previous
 
     # -- recording ---------------------------------------------------------
+    # A record, in order: kind, phase, label, cost, data_size, memo_hit,
+    # reducer, split_uid, memo_uid, consumed, produced, follows.
+
+    def extend(self, records: list[Record]) -> None:
+        """Records another process made of its share of this run, which
+        take their place here: edges resolve by content in the one log."""
+        if self.graph is not None:
+            self.graph.records.extend(records)
 
     def map_task(
         self,
@@ -322,27 +324,19 @@ class GraphRecorder:
         per-reducer output partitions are produced by the chain's tail."""
         if self.graph is None:
             return
-        map_node = self.graph.add(
-            kind="map",
-            phase=Phase.MAP,
-            label=f"map:{split_uid:#x}",
-            cost=map_cost,
-            data_size=float(sum(len(p) for p in outputs)),
-            split_uid=split_uid,
-        )
-        tail = map_node
-        if shuffle_cost > 0:
-            tail = self.graph.add(
-                kind="shuffle",
-                phase=Phase.SHUFFLE,
-                label=f"shuffle:{split_uid:#x}",
-                cost=shuffle_cost,
-                data_size=map_node.data_size,
-                split_uid=split_uid,
-                deps=(map_node.uid,),
-            )
-        for partition in outputs:
-            self.graph.set_producer(partition, tail.uid)
+        size = float(sum(len(p) for p in outputs))
+        produced = _content_uids(outputs)
+        chained = shuffle_cost > 0
+        self.graph.records.append((
+            "map", Phase.MAP, f"map:{split_uid:#x}", map_cost, size, False,
+            None, split_uid, None, (), () if chained else produced, False,
+        ))
+        if chained:
+            self.graph.records.append((
+                "shuffle", Phase.SHUFFLE, f"shuffle:{split_uid:#x}",
+                shuffle_cost, size, False, None, split_uid, None, (),
+                produced, True,
+            ))
 
     def map_reuse(
         self, split_uid: int, outputs: list[Partition], cost: float
@@ -350,17 +344,11 @@ class GraphRecorder:
         """A memoized Map task: its outputs are served by a memo read."""
         if self.graph is None:
             return
-        node = self.graph.add(
-            kind="memo_read",
-            phase=Phase.MEMO_READ,
-            label=f"map-memo:{split_uid:#x}",
-            cost=cost,
-            data_size=float(sum(len(p) for p in outputs)),
-            memo_hit=True,
-            split_uid=split_uid,
-        )
-        for partition in outputs:
-            self.graph.set_producer(partition, node.uid)
+        self.graph.records.append((
+            "memo_read", Phase.MEMO_READ, f"map-memo:{split_uid:#x}", cost,
+            float(sum(len(p) for p in outputs)), True, None, split_uid,
+            None, (), _content_uids(outputs), False,
+        ))
 
     def memo_read(
         self,
@@ -372,17 +360,11 @@ class GraphRecorder:
         """A memo hit inside a tree: the cached value enters the run here."""
         if self.graph is None:
             return
-        node = self.graph.add(
-            kind="memo_read",
-            phase=Phase.MEMO_READ,
-            label=label,
-            cost=cost,
-            data_size=float(len(value)),
-            memo_hit=True,
-            reducer=self.reducer,
-            memo_uid=memo_uid,
-        )
-        self.graph.set_producer(value, node.uid)
+        self.graph.records.append((
+            "memo_read", Phase.MEMO_READ, label, cost, float(len(value)),
+            True, self.reducer, None, memo_uid, (),
+            (value.uid,) if value else (), False,
+        ))
 
     def combine(
         self,
@@ -393,66 +375,54 @@ class GraphRecorder:
         label: str = "",
         pass_through: bool = False,
         memo_uid: int | None = None,
-    ) -> TaskNode | None:
+    ) -> None:
         """One combiner invocation (or pass-through) at a tree position."""
         if self.graph is None:
-            return None
-        node = self.graph.add(
-            kind="pass_through" if pass_through else "combine",
-            phase=phase,
-            label=label,
-            cost=cost,
-            data_size=float(len(result)),
-            reducer=self.reducer,
-            memo_uid=memo_uid,
-            deps=self.graph.deps_of(parts),
-        )
-        self.graph.set_producer(result, node.uid)
-        return node
+            return
+        self.graph.records.append((
+            "pass_through" if pass_through else "combine", phase, label,
+            cost, float(len(result)), False, self.reducer, None, memo_uid,
+            _content_uids(parts), (result.uid,) if result else (), False,
+        ))
 
     def memo_write(
-        self, combine_node: TaskNode | None, value: Partition, cost: float,
-        memo_uid: int | None = None,
+        self, value: Partition, cost: float, memo_uid: int | None = None
     ) -> None:
+        """Persisting the result of the combine recorded just before."""
         if self.graph is None:
             return
-        deps = (combine_node.uid,) if combine_node is not None else ()
-        self.graph.add(
-            kind="memo_write",
-            phase=Phase.MEMO_WRITE,
-            label=f"memo-write:{(memo_uid or 0):#x}",
-            cost=cost,
-            data_size=float(len(value)),
-            reducer=self.reducer,
-            memo_uid=memo_uid,
-            deps=deps,
-        )
+        self.graph.records.append((
+            "memo_write", Phase.MEMO_WRITE,
+            f"memo-write:{(memo_uid or 0):#x}", cost, float(len(value)),
+            False, self.reducer, None, memo_uid, (), (), True,
+        ))
 
     def reduce_key(self, root: Partition, key, cost: float) -> None:
-        """The Reduce function applied to one changed key of a root."""
+        """The Reduce function applied to one changed key of a root.
+
+        One a changed key, so the hottest record: the label slot holds
+        the key itself and the build formats it.
+        """
         if self.graph is None:
             return
-        self.graph.add(
-            kind="reduce",
-            phase=Phase.REDUCE,
-            label=f"reduce:{self.reducer}:{key!r:.32}",
-            cost=cost,
-            data_size=1.0,
-            reducer=self.reducer,
-            deps=self.graph.deps_of((root,)),
-        )
+        self.graph.records.append((
+            "reduce", Phase.REDUCE, key, cost, 1.0, False, self.reducer,
+            None, None, (root.uid,) if root else (), (), False,
+        ))
 
     def reduce_reuse(self, root: Partition, keys: int, cost: float) -> None:
         """Memoized Reduce outputs for ``keys`` unchanged keys of a root."""
         if self.graph is None:
             return
-        self.graph.add(
-            kind="memo_read",
-            phase=Phase.MEMO_READ,
-            label=f"reduce-memo:{self.reducer}:{keys}keys",
-            cost=cost,
-            data_size=float(keys),
-            memo_hit=True,
-            reducer=self.reducer,
-            deps=self.graph.deps_of((root,)),
-        )
+        self.graph.records.append((
+            "memo_read", Phase.MEMO_READ,
+            f"reduce-memo:{self.reducer}:{keys}keys", cost, float(keys),
+            True, self.reducer, None, None, (root.uid,) if root else (), (),
+            False,
+        ))
+
+
+def _content_uids(parts) -> tuple[int, ...]:
+    """Content ids of the non-empty partitions in ``parts`` — the shared
+    empty content id would wire bogus edges between unrelated subtrees."""
+    return tuple([part.uid for part in parts if part])

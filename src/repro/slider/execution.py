@@ -11,7 +11,8 @@ the configured time model:
   figure bit-for-bit.
 * ``"dag"`` — replays the run's task graph at sub-computation
   granularity with topological readiness, so the makespan tracks the
-  graph's critical path.
+  graph's critical path.  The one place under ``src/`` that reads a
+  run's nodes, and so the one that makes the graph build them.
 
 Chaos schedules route either model through the fault-tolerant executor,
 with the engine's lifecycle manager healing the storage layers via

@@ -84,7 +84,9 @@ class SliderResult:
     new_map_tasks: int = 0
     changed_keys: frozenset = frozenset()
     removed_keys: frozenset = frozenset()
-    #: The run's executed task-graph IR (always recorded).
+    #: The run's executed task-graph IR: always recorded, built on first
+    #: read (reading is O(nodes) once; ``len`` does not build).  Unread,
+    #: it is a log of atoms and pins none of the run's partitions.
     graph: TaskGraph | None = None
     #: The run's plan: the memo-independent step sequence that was executed.
     plan: Plan | None = None

@@ -55,6 +55,10 @@ class Phase(enum.Enum):
     MEMO_WRITE = "memo_write"
     BACKGROUND = "background"
 
+    # Members are singletons compared by identity; Enum's own __hash__ is
+    # a Python-level call on every dict keyed by phase.
+    __hash__ = object.__hash__
+
 
 class SpanKind(enum.Enum):
     """Level of the span hierarchy a span belongs to."""
@@ -65,6 +69,8 @@ class SpanKind(enum.Enum):
     TREE_LEVEL = "tree_level"
     TASK = "task"
     ATTEMPT = "attempt"
+
+    __hash__ = object.__hash__  # as Phase
 
 
 @dataclass(eq=False)

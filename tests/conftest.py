@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.common.rng import RngStream
@@ -50,3 +52,10 @@ def plain_counters(engine) -> dict:
         for name, value in engine.telemetry.counters.items()
         if not name.startswith("backend.")
     }
+
+
+def graph_fields(graph) -> list[tuple]:
+    """Every field of every node of a task graph, in order: uid, kind,
+    phase, label, cost, data size, memo-hit, reducer, split uid, memo
+    uid, deps.  Reading them builds the graph."""
+    return [dataclasses.astuple(node) for node in graph.nodes]

@@ -95,7 +95,7 @@ class TestGraphRecorder:
         recorder.map_task(1, [part([("a", 1)])], map_cost=1.0, shuffle_cost=1.0)
         recorder.memo_read(part([("a", 1)]), cost=0.1)
         recorder.reduce_key(part([("a", 1)]), "a", cost=1.0)
-        assert recorder.last_graph is None
+        assert recorder.end_run() is None
 
     def test_run_lifecycle(self):
         recorder = GraphRecorder()
@@ -104,7 +104,6 @@ class TestGraphRecorder:
         recorder.map_task(7, [part([("a", 1)])], map_cost=2.0, shuffle_cost=1.0)
         closed = recorder.end_run()
         assert closed is graph
-        assert recorder.last_graph is graph
         assert not recorder.active
         assert graph.counts_by_kind() == {"map": 1, "shuffle": 1}
 
@@ -128,10 +127,9 @@ class TestGraphRecorder:
         recorder.map_task(1, [left], map_cost=1.0, shuffle_cost=0.0)
         recorder.map_task(2, [right], map_cost=1.0, shuffle_cost=0.0)
         result = part([("a", 1), ("b", 2)])
-        node = recorder.combine(
-            [left, right], result, Phase.CONTRACTION, cost=2.0
-        )
+        recorder.combine([left, right], result, Phase.CONTRACTION, cost=2.0)
         graph = recorder.end_run()
+        node = graph.nodes[2]
         assert node.deps == (0, 1)
         assert graph.producer_of(result) == node.uid
 
@@ -140,19 +138,18 @@ class TestGraphRecorder:
         recorder = GraphRecorder()
         recorder.begin_run()
         stale = part([("old", 1)])  # never produced this run
-        node = recorder.combine(
+        recorder.combine(
             [stale], part([("old", 1)]), Phase.CONTRACTION, cost=1.0
         )
-        recorder.end_run()
+        node = recorder.end_run().nodes[0]
         assert node.deps == ()
 
     def test_reducer_context_tags_nodes(self):
         recorder = GraphRecorder()
         recorder.begin_run()
         with recorder.reducer_context(3):
-            node = recorder.combine(
-                [], part([("a", 1)]), Phase.CONTRACTION, cost=1.0
-            )
+            recorder.combine([], part([("a", 1)]), Phase.CONTRACTION, cost=1.0)
+        node = recorder.graph.nodes[0]
         assert node.reducer == 3
         assert recorder.reducer is None
 
@@ -160,10 +157,10 @@ class TestGraphRecorder:
         recorder = GraphRecorder()
         recorder.begin_run()
         value = part([("a", 1)])
-        node = recorder.combine([], value, Phase.CONTRACTION, cost=1.0)
-        recorder.memo_write(node, value, cost=0.5, memo_uid=9)
+        recorder.combine([], value, Phase.CONTRACTION, cost=1.0)
+        recorder.memo_write(value, cost=0.5, memo_uid=9)
         graph = recorder.end_run()
-        write = graph.nodes[-1]
+        node, write = graph.nodes
         assert write.kind == "memo_write"
         assert write.deps == (node.uid,)
         assert write.memo_uid == 9

@@ -1,0 +1,186 @@
+"""Nothing is built until read, and a kept result pins nothing.
+
+An advance logs its task graph as flat records; ``TaskNode`` values
+exist only once somebody reads ``result.graph``.  So: no advance makes a
+node, in the engine's process or in a worker; a result kept for a
+hundred advances still reads as the graph of its run; an unread result
+holds none of its run's partitions; and the one reader under ``src/``
+that prices a run from its graph (``time_model="dag"``) gets the floats
+it got when graphs were built as they were recorded.
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+import pickle
+
+import pytest
+
+from repro.cluster.machine import Cluster, ClusterConfig
+from repro.core.parallel import WorkerPool
+from repro.core.partition import Partition
+from repro.core.taskgraph import TaskNode
+from repro.mapreduce.combiners import SumCombiner
+from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.types import Split
+from repro.slider.equivalence import _scenario_split as split_of
+from repro.slider.system import Slider, SliderConfig
+from repro.slider.window import WindowMode
+from tests.conftest import graph_fields as fields
+
+VARIANTS = [
+    ("folding", WindowMode.VARIABLE),
+    ("randomized", WindowMode.VARIABLE),
+    ("strawman", WindowMode.VARIABLE),
+    ("rotating", WindowMode.FIXED),
+    ("coalescing", WindowMode.APPEND),
+]
+#: The variants whose plans are cacheable, so that they dispatch.
+DISPATCHING = [VARIANTS[0], VARIANTS[3], VARIANTS[4]]
+
+
+def count_job():
+    # test_taskgraph_recording's job: its name places the dag model's
+    # reduce-side tasks, so the floats pinned below depend on it.
+    return MapReduceJob(
+        name="counts",
+        map_fn=lambda record: [(record, 1)],
+        combiner=SumCombiner(),
+        num_reducers=2,
+    )
+
+
+def make_slider(variant, mode, cluster=None, **config):
+    config = SliderConfig(mode=mode, tree=variant, **config)
+    return Slider(count_job(), mode, config=config, cluster=cluster)
+
+
+def steady(slider, mode, advances, first=6):
+    """An initial window of six splits, then one in and one out."""
+    removed = 0 if mode is WindowMode.APPEND else 1
+    results = [slider.initial_run([split_of(i) for i in range(first)])]
+    for i in range(advances):
+        results.append(slider.advance([split_of(first + i)], removed))
+    return results
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The ``TaskNode`` constructions of this process, one entry each; in
+    any other process (a forked worker) constructing one raises, which
+    reaches the parent as a ``backend.worker_fallbacks`` count."""
+    made: list[str] = []
+    init, home = TaskNode.__init__, os.getpid()
+
+    def counting(self, *args, **kwargs):
+        if os.getpid() != home:
+            raise AssertionError("a worker built a TaskNode")
+        init(self, *args, **kwargs)
+        made.append(self.kind)
+
+    monkeypatch.setattr(TaskNode, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("variant,mode", VARIANTS)
+def test_an_advance_builds_no_node(variant, mode, made):
+    slider = make_slider(variant, mode)
+    results = steady(slider, mode, 64)
+    slider.background_preprocess()
+    slider.verify_outputs()
+    assert made == []
+    assert sum(len(result.graph) for result in results) > 64 * 10
+    assert made == []  # len does not build either
+    assert len(results[-1].graph.nodes) == len(made) > 10
+
+
+@pytest.mark.parametrize("variant,mode", DISPATCHING)
+def test_a_worker_builds_no_node_and_replies_with_records(
+    variant, mode, made, monkeypatch
+):
+    replies = []
+    receive = WorkerPool.receive
+
+    def spy(self, worker):
+        value, size = receive(self, worker)
+        replies.append(value)
+        return value, size
+
+    monkeypatch.setattr(WorkerPool, "receive", spy)
+    slider = make_slider(variant, mode, execution_backend="process", workers=2)
+    try:
+        results = steady(slider, mode, 64)
+        counters = slider.telemetry.counters
+        assert counters["backend.dispatched_reducers"] == len(replies) > 64
+        assert counters.get("backend.worker_fallbacks", 0) == 0
+        assert made == []
+        for reply in replies:
+            assert type(reply["graph"]) is list and reply["graph"]
+            assert all(type(record) is tuple for record in reply["graph"])
+            assert b"TaskNode" not in pickle.dumps(reply)
+        assert len(results[-1].graph.nodes) == len(made) > 10
+    finally:
+        slider.close()
+
+
+@pytest.mark.parametrize("variant,mode", VARIANTS)
+def test_results_kept_for_a_hundred_advances_read_as_their_runs(variant, mode):
+    late, twin = (make_slider(variant, mode, auto_gc=True) for _ in range(2))
+    kept = steady(late, mode, 128)[::16]
+    as_finished = [fields(r.graph) for r in steady(twin, mode, 128)][::16]
+    assert len(kept) == 9
+    assert [fields(result.graph) for result in kept] == as_finished
+
+
+def _live_partitions(uids: set[int]) -> int:
+    # Partition has __slots__ and no __weakref__, so look for them.
+    gc.collect()
+    return sum(
+        type(item) is Partition and item.uid in uids for item in gc.get_objects()
+    )
+
+
+@pytest.mark.parametrize("variant,mode", VARIANTS[:4])
+def test_an_unread_result_pins_no_partition_of_its_run(variant, mode):
+    """The coalescing tree's window only grows, so it is not here."""
+
+    def own_split(i):  # no key, so no content id, in common with another
+        return Split.from_records([f"s{i}.{j}" for j in range(8)], label=f"s{i}")
+
+    slider = make_slider(variant, mode, auto_gc=True)
+    first = own_split(0)
+    results = [slider.initial_run([first] + [own_split(i) for i in range(1, 6)])]
+    leaf_uids = {leaf.uid for leaf in slider.map_memo[first.uid]}
+    assert _live_partitions(leaf_uids) == 2
+    for i in range(6, 6 + 24):
+        results.append(slider.advance([own_split(i)], 1))
+    slider.collect_garbage()
+    assert first.uid not in slider.map_memo
+    assert len(results[0].graph) > 10  # held, whole, unread
+    assert _live_partitions(leaf_uids) == 0
+    assert results[0].graph.counts_by_kind()["map"] == 6
+
+
+#: ``report.time`` under ``time_model="dag"`` of test_taskgraph_recording's
+#: ``test_dag_replay_property`` scenario (eight calm machines; an initial
+#: run over six splits, then two slides), as the commit before the log
+#: computed them.
+DAG_TIMES = {
+    "folding": (82.99999999999999, 65.8, 82.07),
+    "randomized": (92.0, 72.0, 78.07),
+    "strawman": (83.0, 63.0, 62.07),
+    "rotating": (85.81800000000001, 85.80000000000003, 84.86999999999999),
+    "coalescing": (79.0, 45.8, 45.8),
+}
+
+
+@pytest.mark.parametrize("variant,mode", VARIANTS)
+def test_the_dag_time_model_prices_a_run_as_before(variant, mode):
+    cluster = Cluster(ClusterConfig(num_machines=8, straggler_fraction=0.0))
+    slider = make_slider(variant, mode, cluster=cluster, time_model="dag")
+    removed = 0 if mode is WindowMode.APPEND else 1
+    times = [slider.initial_run([split_of(i) for i in range(6)]).report.time]
+    times.append(slider.advance([split_of(10)], removed).report.time)
+    times.append(slider.advance([split_of(11)], removed).report.time)
+    assert tuple(times) == DAG_TIMES[variant]
