@@ -9,7 +9,7 @@ which are based on BLAKE2b and therefore stable across runs and platforms.
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from typing import Any, Callable
 
 _HASH_BYTES = 8
 
@@ -81,6 +81,13 @@ def _encode_fast(value: Any) -> bytes:
 _PROTOTYPES: dict[str, Any] = {}
 
 
+def _new_prototype(salt: str) -> Any:
+    prototype = _PROTOTYPES[salt] = hashlib.blake2b(
+        digest_size=_HASH_BYTES, person=salt.encode("utf-8")[:16]
+    )
+    return prototype
+
+
 def stable_hash(value: Any, *, salt: str = "") -> int:
     """Return a stable 64-bit hash of ``value``.
 
@@ -88,14 +95,44 @@ def stable_hash(value: Any, *, salt: str = "") -> int:
     input (used e.g. for per-level coin flips in the randomized folding
     tree).
     """
-    prototype = _PROTOTYPES.get(salt)
-    if prototype is None:
-        prototype = _PROTOTYPES[salt] = hashlib.blake2b(
-            digest_size=_HASH_BYTES, person=salt.encode("utf-8")[:16]
-        )
-    state = prototype.copy()
+    state = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
     state.update(_encode_fast(value))
     return int.from_bytes(state.digest(), "big")
+
+
+def entry_hash(key: Any, value: Any, *, salt: str = "") -> int:
+    """``stable_hash((key, value), salt=salt)``, without building the pair.
+
+    Feeds the same bytes -- ``t2``, then key and value each framed by its
+    length -- from the two encodings directly.
+    """
+    key = _encode_fast(key)
+    value = _encode_fast(value)
+    state = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
+    state.update(b"t2%d:%b%d:%b" % (len(key), key, len(value), value))
+    return int.from_bytes(state.digest(), "big")
+
+
+def entry_hasher(key: Any, *, salt: str = "") -> Callable[[Any], int]:
+    """Return ``h`` with ``h(value) == stable_hash((key, value), salt=salt)``.
+
+    The encoding of a pair starts with ``t2`` and the framed key whatever
+    the value is, so the key is encoded and absorbed once, here, and each
+    call finishes a copy of that state with the value's frame.  For the
+    caller that hashes one key against several values; the state lives as
+    long as the returned function.
+    """
+    key = _encode_fast(key)
+    keyed = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
+    keyed.update(b"t2%d:%b" % (len(key), key))
+
+    def finish(value: Any) -> int:
+        value = _encode_fast(value)
+        state = keyed.copy()
+        state.update(b"%d:%b" % (len(value), value))
+        return int.from_bytes(state.digest(), "big")
+
+    return finish
 
 
 def stable_hash_pair(left: int, right: int, *, salt: str = "") -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.common.hashing import content_id, stable_hash
+from repro.common.hashing import content_id, entry_hash, entry_hasher, stable_hash
 from repro.metrics import Phase, WorkMeter
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
@@ -122,7 +122,7 @@ def _fingerprint_entries(entries: Mapping[Any, Any]) -> int:
     # Key order must not matter: XOR per-entry hashes (stable, order-free).
     acc = stable_hash(len(entries), salt="pfp")
     for key, value in entries.items():
-        acc ^= stable_hash((key, _coerce(value)), salt="pent")
+        acc ^= entry_hash(key, _coerce(value), salt="pent")
     return acc
 
 
@@ -139,9 +139,10 @@ def combined_uid(
     XOR of the inputs' with the length terms swapped and, for each key more
     than one input held, those inputs' entries taken out and the merged
     entry (none, if a poison handler dropped the key) put in.  Keys one
-    input held pass through unhashed.  That is ``m + 1`` hashes per key
-    ``m`` inputs held plus one per input; when it would not be fewer than
-    hashing ``entries`` afresh, they are hashed afresh.
+    input held pass through unhashed.  That is ``m + 1`` digests per key
+    ``m`` inputs held -- all finished from one encoding of the key -- plus
+    one per input; when it would not be fewer than hashing ``entries``
+    afresh, they are hashed afresh.
 
     Precondition: every input's ``uid`` is the fingerprint of its entries.
     Everything the engine builds satisfies it, and ``inject_and_repair``
@@ -158,10 +159,11 @@ def combined_uid(
     for partition in inputs:
         acc ^= partition.uid ^ stable_hash(len(partition.entries), salt="pfp")
     for key, values in merged:
+        hash_with_key = entry_hasher(key, salt="pent")
         for value in values:
-            acc ^= stable_hash((key, _coerce(value)), salt="pent")
+            acc ^= hash_with_key(_coerce(value))
         if key in entries:
-            acc ^= stable_hash((key, _coerce(entries[key])), salt="pent")
+            acc ^= hash_with_key(_coerce(entries[key]))
     return acc
 
 

@@ -48,8 +48,13 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
     emitted pair).  When metered, the whole task is wrapped in a TASK span
     (named ``label`` if given) so its map/shuffle charges are attributed.
 
+    The partitioner is asked once per distinct key, not per pair: keys equal
+    as dict keys (``1``, ``1.0`` and ``True``) are one key to the task, as
+    they are to every dict downstream, and go where the first of them went.
+
     ``poison`` (when the engine configured a poison policy) quarantines
-    records whose ``map_fn`` raises — after the policy's bounded retries —
+    records whose ``map_fn`` raises — in the call or, for a generator,
+    while its pairs are drained; after the policy's bounded retries —
     to the dead-letter channel instead of aborting the task; quarantined
     records emit nothing but still pay their map cost (the attempts ran).
     """
@@ -62,17 +67,23 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
         buffers: list[dict[Any, list[Any]]] = [
             {} for _ in range(partitioner.num_partitions)
         ]
+        # key -> that key's value list in its reducer's buffer.
+        routed: dict[Any, list[Any]] = {}
         record_count = 0
         pair_count = 0
         for record in records:
             record_count += 1
             try:
                 pairs = job.map_fn(record)
+                if poison is not None:
+                    # A generator's body runs when it is drained: do that
+                    # here, so a failed attempt emits nothing.
+                    pairs = list(pairs)
             except Exception as exc:
                 if poison is None:
                     raise
                 ok, pairs, attempts, last = poison.queue.retry(
-                    lambda: job.map_fn(record), exc
+                    lambda: list(job.map_fn(record)), exc
                 )
                 if not ok:
                     poison.queue.quarantine(
@@ -81,9 +92,11 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
                     continue
             for key, value in pairs:
                 pair_count += 1
-                buffers[partitioner.partition(key)].setdefault(key, []).append(
-                    value
-                )
+                values = routed.get(key)
+                if values is None:
+                    buffer = buffers[partitioner.partition(key)]
+                    values = routed[key] = buffer[key] = []
+                values.append(value)
 
         if meter is not None:
             meter.charge(Phase.MAP, record_count * job.costs.map_cost_per_record)

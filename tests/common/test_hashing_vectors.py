@@ -7,6 +7,7 @@ fast path and the per-salt prototype states went in; they must never be
 regenerated from the code under test.
 """
 
+import enum
 import hashlib
 
 import numpy
@@ -14,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.hashing import _encode, _encode_fast, stable_hash
+from repro.common.hashing import (
+    _encode,
+    _encode_fast,
+    entry_hash,
+    entry_hasher,
+    stable_hash,
+)
+from repro.core.partition import _coerce
 
 
 class Celsius(float):
@@ -144,3 +152,66 @@ def test_fast_path_encodes_the_reference_bytes(value, salt):
         encoded, digest_size=8, person=salt.encode("utf-8")[:16]
     ).digest()
     assert stable_hash(value, salt=salt) == int.from_bytes(reference, "big")
+
+
+# -- the two entry forms are ``stable_hash`` of the pair ----------------------
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Label(str):
+    """A str subclass: not the fast path's exact ``str``."""
+
+
+PAIR_VECTORS = [
+    pytest.param(*vector, id=f"v{i:02d}")
+    for i, vector in enumerate(VECTORS)
+    if isinstance(vector[0], (tuple, list)) and len(vector[0]) == 2
+]
+
+
+@pytest.mark.parametrize("pair, salt, expected", PAIR_VECTORS)
+def test_pinned_pair_vector_through_both_entry_forms(pair, salt, expected):
+    key, value = pair
+    assert entry_hash(key, value, salt=salt) == expected
+    assert entry_hasher(key, salt=salt)(value) == expected
+
+
+# ``values`` already draws bool, None, bytes, Celsius and numpy.float64.
+off_the_fast_path = st.sampled_from([Colour.RED, Label("row"), Label("")])
+entry_parts = st.one_of(
+    values, off_the_fast_path, st.tuples(off_the_fast_path, values)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=entry_parts,
+    value=entry_parts.map(_coerce),
+    salt=st.sampled_from(["", "pent", "a-salt-over-16-bytes"]),
+)
+def test_both_entry_forms_are_stable_hash_of_the_pair(key, value, salt):
+    expected = stable_hash((key, value), salt=salt)
+    assert entry_hash(key, value, salt=salt) == expected
+    assert entry_hasher(key, salt=salt)(value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=entry_parts, several=st.lists(entry_parts.map(_coerce), max_size=5))
+def test_finishing_a_keyed_hasher_leaves_its_key_state_alone(key, several):
+    hash_with_key = entry_hasher(key, salt="pent")
+    expected = [stable_hash((key, value), salt="pent") for value in several]
+    assert [hash_with_key(value) for value in several] == expected
+    assert [hash_with_key(value) for value in reversed(several)] == expected[::-1]
+
+
+@pytest.mark.parametrize("key, value", [(numpy.int64(3), 1), ("k", numpy.int64(3))])
+def test_what_stable_hash_cannot_encode_neither_entry_form_can(key, value):
+    with pytest.raises(TypeError, match="int64"):
+        stable_hash((key, value), salt="pent")
+    with pytest.raises(TypeError, match="int64"):
+        entry_hash(key, value, salt="pent")
+    with pytest.raises(TypeError, match="int64"):
+        entry_hasher(key, salt="pent")(value)

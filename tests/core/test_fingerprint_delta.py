@@ -85,17 +85,39 @@ def merges(draw, kinds=tuple(COMBINERS)):
 
 
 def _count_hashes(monkeypatch):
-    """Count calls through ``repro.core.partition.stable_hash`` -- the name
-    the benchmark's traced pass wraps to count fingerprint work."""
-    calls = []
-    real = partition_module.stable_hash
+    """Count what ``repro.core.partition`` hashes, through the three names
+    it hashes with: ``digests`` gets the salt of every digest made and
+    ``keyings`` every entry key encoded (once a flat entry hash, once a
+    keyed hasher however many values it then finishes).  ``stable_hash``
+    is the name the benchmark's traced pass wraps."""
+    digests, keyings = [], []
+    real_hash = partition_module.stable_hash
+    real_entry_hash = partition_module.entry_hash
+    real_entry_hasher = partition_module.entry_hasher
 
-    def counted(value, *, salt=""):
-        calls.append(salt)
-        return real(value, salt=salt)
+    def stable_hash(value, *, salt=""):
+        digests.append(salt)
+        return real_hash(value, salt=salt)
 
-    monkeypatch.setattr(partition_module, "stable_hash", counted)
-    return calls
+    def entry_hash(key, value, *, salt=""):
+        digests.append(salt)
+        keyings.append(key)
+        return real_entry_hash(key, value, salt=salt)
+
+    def entry_hasher(key, *, salt=""):
+        keyings.append(key)
+        finish = real_entry_hasher(key, salt=salt)
+
+        def counted_finish(value):
+            digests.append(salt)
+            return finish(value)
+
+        return counted_finish
+
+    monkeypatch.setattr(partition_module, "stable_hash", stable_hash)
+    monkeypatch.setattr(partition_module, "entry_hash", entry_hash)
+    monkeypatch.setattr(partition_module, "entry_hasher", entry_hasher)
+    return digests, keyings
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +176,7 @@ def test_the_cheaper_of_delta_and_full_rehash_runs(monkeypatch, passing):
     loss), 9 is the first delta, and either way the uid is the same."""
     merged = 2
     partitions = _two_inputs(merged, passing)
-    calls = _count_hashes(monkeypatch)
+    calls, _ = _count_hashes(monkeypatch)
     combined = combine_partitions(partitions, SumCombiner())
     spent, entry_hashes = len(calls), calls.count("pent")
     assert len(combined) == merged + passing
@@ -168,13 +190,27 @@ def test_the_cheaper_of_delta_and_full_rehash_runs(monkeypatch, passing):
         assert spent == full and entry_hashes == len(combined)
 
 
+@pytest.mark.parametrize("merged", [1, 6, 13])
+def test_each_merged_key_is_encoded_once(monkeypatch, merged):
+    """The delta makes three entry digests a key two inputs held -- one out
+    for each input's value, one in for the merged value -- from one
+    encoding of that key; the 30 keys passing through are never touched."""
+    partitions = _two_inputs(merged, passing=30)
+    digests, keyings = _count_hashes(monkeypatch)
+    combined = combine_partitions(partitions, SumCombiner())
+    assert digests.count("pent") == 3 * merged
+    assert digests.count("pfp") == len(partitions) + 1
+    assert sorted(keyings) == sorted(f"m{i}" for i in range(merged))
+    assert combined.uid == _fingerprint_entries(combined.entries)
+
+
 def test_both_kmeans_keys_always_merge_so_the_full_rehash_runs(monkeypatch):
     vector = VectorSumCombiner()
     partitions = [
         Partition({"c0": (3, (0.5, 1.5)), "c1": (2, (1.0, -1.0))}),
         Partition({"c0": (1, (2.5, 0.5)), "c1": (4, (0.0, 8.0))}),
     ]
-    calls = _count_hashes(monkeypatch)
+    calls, _ = _count_hashes(monkeypatch)
     combined = combine_partitions(partitions, vector)
     assert calls == ["pfp", "pent", "pent"]
     assert combined.uid == _fingerprint_entries(combined.entries)

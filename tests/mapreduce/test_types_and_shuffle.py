@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.apps.registry import APP_REGISTRY
+from repro.core.partition import Partition
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import CostModel, MapReduceJob
+from repro.mapreduce.runtime import BatchRuntime
 from repro.mapreduce.shuffle import (
     HashPartitioner,
     run_map_task,
@@ -11,6 +14,7 @@ from repro.mapreduce.shuffle import (
 )
 from repro.mapreduce.types import Split, SplitWindow, make_splits
 from repro.metrics import Phase, WorkMeter
+from repro.slider.system import Slider
 
 
 # -- splits ------------------------------------------------------------------
@@ -131,6 +135,121 @@ def test_shuffle_transposes_outputs():
 def test_shuffle_validates_partition_count():
     with pytest.raises(ValueError):
         shuffle_map_outputs([[None]], 2)
+
+
+# -- routing ------------------------------------------------------------------------
+
+
+class _CountingPartitioner(HashPartitioner):
+    def __init__(self, num_partitions):
+        super().__init__(num_partitions)
+        self.asked = []
+
+    def partition(self, key):
+        self.asked.append(key)
+        return super().partition(key)
+
+
+def _route_every_pair(job, records, partitioner):
+    """The reference: ask the partitioner about every emitted pair."""
+    buffers = [{} for _ in range(partitioner.num_partitions)]
+    for record in records:
+        for key, value in job.map_fn(record):
+            buffers[partitioner.partition(key)].setdefault(key, []).append(value)
+    return [Partition.from_value_lists(buffer, job.combiner) for buffer in buffers]
+
+
+@pytest.mark.parametrize("app", sorted(APP_REGISTRY))
+def test_a_map_task_routes_each_distinct_key_once_as_the_partitioner_says(app):
+    spec = APP_REGISTRY[app]
+    job = spec.make_job()
+    for split in spec.make_splits(3, 5):
+        counting = _CountingPartitioner(job.num_reducers)
+        outputs = run_map_task(job, split.records, counting)
+        expected = _route_every_pair(
+            job, split.records, HashPartitioner(job.num_reducers)
+        )
+        # Entries in the order the reference inserts them, not just equal.
+        assert [list(p.entries.items()) for p in outputs] == [
+            list(p.entries.items()) for p in expected
+        ]
+        assert [p.uid for p in outputs] == [p.uid for p in expected]
+        emitted = [key for p in outputs for key in p.entries]
+        assert len(counting.asked) == len(emitted)
+        assert set(counting.asked) == set(emitted)
+        pairs = sum(len(list(job.map_fn(record))) for record in split.records)
+        assert pairs > len(emitted)  # some key repeated: the memo was used
+
+
+def _keys_job():
+    """Every element of a record is a key, counted."""
+    return MapReduceJob(
+        name="keys",
+        map_fn=lambda record: [(key, 1) for key in record],
+        combiner=SumCombiner(),
+        num_reducers=5,
+    )
+
+
+@pytest.mark.parametrize(
+    "equal_keys", [(1, 1.0, True), (True, 1.0, 1), (0.0, -0.0), (-0.0, 0.0)]
+)
+def test_keys_equal_as_dict_keys_are_one_key_to_a_map_task(equal_keys):
+    """They encode differently, so the partitioner would scatter them, but
+    every dict downstream holds them as one key: a task routes them with
+    the first of them it saw (DESIGN, "A map task routes a key once")."""
+    partitioner = HashPartitioner(5)
+    assert len({partitioner.partition(key) for key in equal_keys}) > 1
+    outputs = run_map_task(_keys_job(), [equal_keys], partitioner)
+    first = equal_keys[0]
+    for reducer, partition in enumerate(outputs):
+        if reducer == partitioner.partition(first):
+            assert list(partition.entries.items()) == [(first, len(equal_keys))]
+            assert type(next(iter(partition.entries))) is type(first)
+        else:
+            assert not partition
+
+
+def test_distinct_nans_stay_distinct_keys_on_one_reducer():
+    one, other = float("nan"), float("nan")
+    partitioner = HashPartitioner(5)
+    outputs = run_map_task(_keys_job(), [(one, other, one)], partitioner)
+    entries = outputs[partitioner.partition(one)].entries
+    assert [(key is one, count) for key, count in entries.items()] == [
+        (True, 2),
+        (False, 1),
+    ]
+    assert sum(map(len, outputs)) == 2
+
+
+def test_an_unhashable_key_is_a_type_error():
+    with pytest.raises(TypeError, match="unhashable"):
+        run_map_task(_keys_job(), [([1, 2],)], HashPartitioner(5))
+
+
+def test_incremental_and_batch_agree_over_keys_that_are_equal_but_encode_apart():
+    nan = float("nan")
+    records = [
+        [(1, 1.0, True), (0.0, -0.0, "a")],
+        [(True, 1, "a"), (nan, nan)],
+        [(-0.0, 0.0), (1.0, "b", 1)],
+        [(1.0, True), (float("nan"), nan, 0.0)],
+        [("a", 1, -0.0)],
+        [(True, "b"), (0.0, 1.0)],
+    ]
+    splits = [
+        Split.from_records(lines, label=f"s{index}")
+        for index, lines in enumerate(records)
+    ]
+    job = _keys_job()
+    slider = Slider(job)
+    result = slider.initial_run(splits[:3])
+    for arriving in splits[3:]:
+        result = slider.advance([arriving], 1)
+    expected = BatchRuntime(job).run(splits[3:]).outputs
+    assert list(slider.window) == splits[3:]
+    assert result.outputs == expected
+    slider.verify_outputs()
 
 
 # -- job validation ---------------------------------------------------------------

@@ -62,6 +62,60 @@ def test_poison_without_policy_propagates():
         slider.initial_run([Split.from_records(["a", "boom"], label="s0")])
 
 
+def _raises_before_first_yield(record):
+    if record == "boom":
+        raise ValueError("poison record")
+    yield (record, 1)
+
+
+def _raises_after_one_yield(record):
+    yield (record, 1)
+    if record == "boom":
+        raise ValueError("poison record")
+
+
+GENERATOR_MAP_FNS = [_raises_before_first_yield, _raises_after_one_yield]
+
+
+def _generator_job(map_fn) -> MapReduceJob:
+    return MapReduceJob(
+        name="poison-generator-job",
+        map_fn=map_fn,
+        combiner=SumCombiner(),
+        num_reducers=2,
+    )
+
+
+@pytest.mark.parametrize("map_fn", GENERATOR_MAP_FNS)
+def test_poison_record_of_a_generator_map_fn_is_quarantined(map_fn):
+    """A generator's body runs when its pairs are drained, not when
+    ``map_fn`` is called: the policy covers that too, and a record that
+    fails after a ``yield`` leaves nothing of itself in the partition."""
+    slider = Slider(
+        _generator_job(map_fn),
+        config=SliderConfig(poison_policy=PoisonPolicy(max_retries=2)),
+    )
+    result = slider.initial_run(
+        [Split.from_records(["a", "boom", "b"], label="s0")]
+    )
+    assert result.outputs == {"a": 1, "b": 1}
+    assert [(l.stage, l.unit, l.attempts) for l in result.dead_letters] == [
+        ("map", "boom", 3)
+    ]
+    # The attempts ran: the quarantined record still pays its map cost,
+    # and emitted no pair to pay shuffle cost for.
+    costs = slider.job.costs
+    assert result.report.breakdown["map"] == 3 * costs.map_cost_per_record
+    assert result.report.breakdown["shuffle"] == 2 * costs.shuffle_cost_per_pair
+
+
+@pytest.mark.parametrize("map_fn", GENERATOR_MAP_FNS)
+def test_poison_generator_without_policy_propagates(map_fn):
+    slider = Slider(_generator_job(map_fn))
+    with pytest.raises(ValueError, match="poison record"):
+        slider.initial_run([Split.from_records(["a", "boom"], label="s0")])
+
+
 def test_poison_key_dropped_from_combine():
     slider = Slider(
         _poison_job(combiner=_BoomCombiner()),
