@@ -10,7 +10,7 @@ claims are checked:
 * **Speedup is hardware-conditional.**  Worker processes can only beat
   the in-process path when the host has a CPU for each of them.  A
   configuration with more workers than ``os.cpu_count()`` still runs —
-  dispatch, shared-memory traffic, and merge are all exercised and its
+  dispatch and merge are both exercised and its
   timings recorded — but its ``speedup_over_inprocess`` is written as
   ``null`` with ``"skipped": "host_cpus < workers"``: the host cannot
   support the figure.  The ``speedup > 1`` assertion (at least one app)
@@ -20,10 +20,11 @@ claims are checked:
 Each app's whole input stream is generated once, at offset 0, before any
 timer starts, and sliced; ``make_splits(1, seed, offset)`` costs
 O(offset) and used to be most of the timed region.  Wall clock is steady
-state only (two-period warmup fills the plan cache and burns off
-one-time pool/segment setup; the process backend only dispatches when
-replaying a compiled plan, so warmup also guarantees the measured
-advances actually cross the process seam), with measured periods
+state only (two-period warmup takes the engine through every structural
+state once and burns off one-time pool setup; the process backend only
+dispatches an advance from a state the engine has been in, so warmup
+also guarantees the measured advances actually cross the process seam),
+with measured periods
 interleaved across configurations and min-over-repeats reported.
 Results land in ``BENCH_parallel.json`` at the repo root.
 """
@@ -45,7 +46,7 @@ _REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
 #: Folding structural period for the 40-split window (next power of two).
 _PERIOD = 64
 _WARMUP_ADVANCES = 2 * _PERIOD
-#: Steady state replays regardless of position in the period, so the
+#: Steady state dispatches regardless of position in the period, so the
 #: measured stretch need not cover a full period.
 _MEASURED_ADVANCES = 32
 _REPEATS = 2

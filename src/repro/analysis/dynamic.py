@@ -5,8 +5,8 @@ IR; this module validates its verdicts against *execution*.  A
 :class:`DynamicRaceRecorder` attaches to a
 :class:`~repro.core.execute.PlanExecutor` as its (duck-typed, test-only)
 ``probe`` and observes every resolved step — including memo hit/miss,
-which the static pass must over-approximate — across fresh, chaos, and
-compile-replay runs alike.
+which the static pass must over-approximate — across calm, chaos, and
+dispatched runs alike.
 
 Each observed step gets a **vector clock** under the same lane model the
 static pass uses (per-map lanes in the map phase, per-reducer lanes after

@@ -61,33 +61,7 @@ MAX_MODULE_LINES = 500
 #: every layer to capture/restore state), so no substrate layer may
 #: import it — a downward dependency on the recovery subsystem would be
 #: a cycle by construction.
-#: First match wins (insertion order), so the plan-compile sublayer and
-#: the planner modules are pinned before the blanket ``core/`` rule.
-#: The compiler is a pure function of the plan IR: it may read
-#: ``core.plan`` but never the executor or the planners, and planners
-#: never import the compiler — plans stay a planner-agnostic exchange
-#: format between the two.
-_PLANNER_FORBIDS = (
-    "repro.slider",
-    "repro.cluster",
-    "repro.recovery",
-    "repro.core.compile",
-)
-
 LAYERING_RULES = {
-    "core/compile/": (
-        "repro.slider",
-        "repro.cluster",
-        "repro.recovery",
-        "repro.core.execute",
-        "repro.core.base",
-    ),
-    "core/base.py": _PLANNER_FORBIDS,
-    "core/folding.py": _PLANNER_FORBIDS,
-    "core/randomized.py": _PLANNER_FORBIDS,
-    "core/rotating.py": _PLANNER_FORBIDS,
-    "core/coalescing.py": _PLANNER_FORBIDS,
-    "core/strawman.py": _PLANNER_FORBIDS,
     "core/": ("repro.slider", "repro.cluster", "repro.recovery"),
     "common/": ("repro.recovery",),
     "mapreduce/": ("repro.recovery",),

@@ -1,9 +1,8 @@
 """Shared-state certificates: the multi-process admission gate.
 
 Running the PlanExecutor across worker processes moves state across
-process boundaries: memo values into a shared-memory store, combiner
-instances and plan steps to workers, checkpoint segments to disk and
-back.  This module audits everything that would cross, and emits one
+process boundaries: tree state and combiner instances to workers, memo
+values and plan records back, checkpoint segments to disk and back.  This module audits everything that would cross, and emits one
 machine-readable **parallel-safety certificate** per tree variant — the
 artifact the future multi-process executor will consume before admitting
 a (job, variant) pair to parallel execution.
@@ -21,15 +20,15 @@ Three audit rules per value:
     the value's identity is address-dependent: its repr embeds ``at 0x``
     (so any repr-derived key or fingerprint differs per process), or its
     content fingerprint changes across a pickle round-trip (so the
-    shared store's content addressing would split or collide entries).
+    uid a partition crosses the seam under would name other content).
 
 :func:`certify_variant` runs a small canonical scenario for one variant,
 then combines three verdicts into the certificate: effect inference over
 the job plane (:mod:`repro.analysis.effects`), plan-level race detection
 over every executed run (:mod:`repro.analysis.races`), and the shared-
-state audit over memo values, combiner state, plan steps, and checkpoint
-segments.  The verdict is ``parallel-safe`` iff no error-severity finding
-was recorded anywhere.
+state audit over memo values, combiner state, plan records, and
+checkpoint segments.  The verdict is ``parallel-safe`` iff no
+error-severity finding was recorded anywhere.
 """
 
 from __future__ import annotations
@@ -409,7 +408,7 @@ def certify_variant(
         audit(dict(_sample(memo.items())), f"{variant}:reduce_memo:{reducer}")
     last = results[-1]
     if last.plan is not None:
-        audit(tuple(last.plan.steps), f"{variant}:plan-steps")
+        audit(last.plan.records, f"{variant}:plan-records")
     # Checkpoint segments: the exact payloads write_checkpoint pickles.
     audit(capture_engine_state(engine), f"{variant}:checkpoint:state")
     cert.checks["shared"] = {

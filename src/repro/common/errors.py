@@ -63,17 +63,6 @@ class MemoStoreFull(ReproError):
     """
 
 
-class CompileError(ReproError):
-    """A compiled plan disagreed with the run that replayed it.
-
-    Raised when execution under a plan-cache hit emits a step the
-    compiled template did not predict (or ends before consuming the whole
-    template).  This is always a bug in a planner's
-    ``plan_structure_key`` — the key failed to capture a piece of
-    structural state the plan depends on — never a data error.
-    """
-
-
 class CheckpointError(ReproError):
     """A checkpoint could not be written, read, or applied.
 

@@ -7,27 +7,26 @@ each reducer's contraction:
 
 * :class:`InProcessBackend` — the default: every reducer advances in the
   engine's process, exactly the historical path, bit for bit.
-* :class:`ProcessBackend` — dispatches each reducer's certified,
-  compiled contraction slice to a persistent forked worker
-  (:mod:`repro.core.parallel`) over a shared-memory memo store
-  (:mod:`repro.core.sharedmem`), then merges the results back in
-  reducer order so outputs, work breakdowns, span trees, task graphs,
-  and counters are bit-identical to the in-process run.
+* :class:`ProcessBackend` — dispatches each reducer's certified
+  contraction pass to a persistent forked worker
+  (:mod:`repro.core.parallel`), then merges the results back in reducer
+  order so outputs, work breakdowns, span trees, plans, task graphs and
+  counters are bit-identical to the in-process run.
 
 Dispatch is gated, not assumed — the parallel-safety analysis (PR 9)
 becomes a *runtime* precondition here.  A run dispatches only when every
 rung of the ladder holds; any miss falls back to in-process for the run
 or the reducer, with a telemetry trace of why:
 
-1. the run replays a compiled plan (fresh plans and chaos runs replan
-   value-dependently and stay local);
+1. the engine has been in this structural state before (the run was
+   opened ``recurring``: a first visit, a chaos run and a variant whose
+   structure depends on window content stay local);
 2. the (variant, window-mode) pair holds a green
    ``parallel-safety-certificate/v1`` (the frozen allowlist below is
    tied to the live ``repro.analysis.shared`` certification by test);
 3. no poison policy (quarantine bookkeeping is engine-local) and no
    cluster simulation (its cache layer is a process-local handle);
-4. per reducer: the payload pickles, and its template slice is one
-   contiguous run of the compiled plan.
+4. per reducer: the payload pickles.
 
 This module lives in ``repro.core`` and therefore never imports the
 slider layer; the engine reaches it duck-typed, the same contract the
@@ -40,8 +39,6 @@ import pickle
 from collections import Counter
 from typing import TYPE_CHECKING, Any
 
-from repro.core.compile.compiler import contraction_slices, slice_template
-from repro.core.memo import DictMemoStore, MemoStore
 from repro.core.parallel import (
     Held,
     WorkerPool,
@@ -50,7 +47,6 @@ from repro.core.parallel import (
     encode_refs,
     held_table,
 )
-from repro.core.sharedmem import SharedMemoStore
 from repro.telemetry import SpanKind
 from repro.telemetry.merge import graft_spans, replay_events
 
@@ -83,10 +79,6 @@ class ExecutionBackend:
 
     name = "abstract"
 
-    def tree_store(self, engine: Any, reducer: int) -> MemoStore:
-        """The memo store backing one reducer's tree."""
-        raise NotImplementedError
-
     def contract(
         self,
         engine: Any,
@@ -97,7 +89,7 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release pool/segment resources (idempotent)."""
+        """Release the worker pool (idempotent)."""
 
 
 def _advance_inprocess(
@@ -113,9 +105,6 @@ class InProcessBackend(ExecutionBackend):
 
     name = "inprocess"
 
-    def tree_store(self, engine: Any, reducer: int) -> MemoStore:
-        return DictMemoStore()
-
     def contract(
         self,
         engine: Any,
@@ -126,13 +115,12 @@ class InProcessBackend(ExecutionBackend):
 
 
 class ProcessBackend(ExecutionBackend):
-    """Dispatch certified compiled contraction slices to forked workers."""
+    """Dispatch certified contraction passes to forked workers."""
 
     name = "process"
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        self._store: SharedMemoStore | None = None
         self._pool: WorkerPool | None = None
         #: Set on the first worker failure: the pool is not trusted again
         #: and every later run stays in-process (degradation, not error).
@@ -142,26 +130,10 @@ class ProcessBackend(ExecutionBackend):
         #: dispatch, stored at merge: no merged reply, nothing held.
         self._held: dict[int, Held] = {}
 
-    # -- the store seam -----------------------------------------------------
-
-    def store(self, engine: Any) -> SharedMemoStore:
-        if self._store is None:
-            self._store = SharedMemoStore(namespaces=engine.job.num_reducers)
-        return self._store
-
-    def tree_store(self, engine: Any, reducer: int) -> MemoStore:
-        if engine.cluster is not None:
-            # The cluster simulation's cache layer backs the memo table
-            # with process-local handles; its runs never dispatch, so its
-            # trees keep the plain in-process store.
-            return DictMemoStore()
-        return self.store(engine).namespace(reducer)
-
     # -- dispatch ------------------------------------------------------------
 
     def _eligible(self, engine: Any) -> bool:
-        compiled = engine.executor.replay_template
-        if compiled is None:
+        if not engine.executor.recurring:
             return False
         if self.broken or self.workers < 1:
             return False
@@ -176,7 +148,7 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is None and not self.broken:
             size = min(self.workers, engine.job.num_reducers)
             try:
-                self._pool = WorkerPool(size, self.store(engine))
+                self._pool = WorkerPool(size)
             except Exception:
                 self.broken = True
                 engine.telemetry.instant("backend.pool_failed")
@@ -197,8 +169,6 @@ class ProcessBackend(ExecutionBackend):
         if not self._eligible(engine):
             engine.telemetry.count("backend.inprocess_runs")
             return _advance_inprocess(engine, per_reducer, removed)
-        compiled = engine.executor.replay_template
-        slices = contraction_slices(compiled, engine.job.num_reducers)
         sent: dict[int, Held] = {}
         #: What this dispatch moves (partitions: both directions summed).
         moved: Counter[str] = Counter()
@@ -206,17 +176,15 @@ class ProcessBackend(ExecutionBackend):
         submitted: dict[int, int] = {}
         # Each payload is submitted as soon as it is pickled: its worker
         # runs while the next reducer's payload is being built.
+        probe = engine.executor.probe is not None
         for reducer, tree in enumerate(engine.trees):
-            if reducer not in slices:
-                continue
-            start, end = slices[reducer]
             payload = build_payload(
                 tree,
                 reducer,
                 per_reducer[reducer],
                 removed,
-                slice_template(compiled, start, end),
                 label=f"reducer:{reducer}",
+                probe=probe,
             )
             sent[reducer] = held_table()
             payload["coded"], refs, values = encode_refs(
@@ -262,7 +230,7 @@ class ProcessBackend(ExecutionBackend):
                     root = None
                     if reducer in submitted:
                         root = self._merge_one(
-                            engine, reducer, tree, slices[reducer], pool,
+                            engine, reducer, tree, pool,
                             submitted[reducer], sent[reducer], moved,
                         )
                     if root is None:
@@ -278,7 +246,6 @@ class ProcessBackend(ExecutionBackend):
         engine: Any,
         reducer: int,
         tree: "ContractionTree",
-        slice_range: tuple[int, int],
         pool: WorkerPool | None,
         worker: int,
         sent: Held,
@@ -287,8 +254,8 @@ class ProcessBackend(ExecutionBackend):
         """Receive one worker result and fold it in; None → run locally.
 
         The in-process fallback after a worker failure is safe because
-        the shared store's writes are content-addressed and idempotent:
-        a half-finished worker leaves warm cache, never wrong state.
+        the parent's tree is a complete mirror that nothing has touched:
+        the worker advanced a copy.
         """
         assert pool is not None
         kept = held_table()
@@ -302,17 +269,13 @@ class ProcessBackend(ExecutionBackend):
         executor = engine.executor
         telemetry = engine.telemetry
         offset = telemetry.now()
-        start, end = slice_range
-        executor.skip_replay(start, end)
         replay_events(telemetry, result["events"])
         graft_spans(telemetry, result["spans"], offset)
+        executor.plan.records.extend(result["plan"])
         executor.recorder.extend(result["graph"])
-        if executor.probe is not None:
-            for op, kwargs in result["probe_events"]:
-                executor.probe.on_step(op, **kwargs)
+        for op, kwargs in result["probe_events"]:
+            executor.probe.on_step(op, **kwargs)
         tree.__dict__.update(state)
-        tree.memo.stats.absorb(result["memo_stats"])
-        tree.memo._tainted = set(result["tainted"])
         self._held[reducer] = kept
         moved["reply_bytes"] += size
         moved["partitions_by_ref"] += refs
@@ -324,9 +287,6 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._store is not None:
-            self._store.close()
-            self._store = None
 
 
 def make_backend(name: str, workers: int) -> ExecutionBackend:

@@ -135,9 +135,9 @@ class ContractionTree(ABC):
 
         Together with the window motion ``(len(added), removed)``, the key
         must *fully* determine the step sequence the next ``advance`` will
-        emit — it feeds the slider layer's plan cache, and an incomplete
-        key surfaces as a :class:`~repro.common.errors.CompileError` when
-        a replayed run diverges from its compiled template.
+        emit (structurally: content ids masked).  The slider layer keeps
+        the set of keys it has advanced from, and the process backend
+        dispatches only an advance whose key is in it.
 
         The default ``None`` declares the variant's plans data-dependent
         (randomized coins hash leaf *content*; the strawman branches on

@@ -2,8 +2,9 @@
 
 Trees *plan*; this module *executes*.  Each planner call (a tree's
 ``_combine``/``_memo_visit``, the engine's map and reduce passes) emits a
-:class:`~repro.core.plan.PlanStep` and hands it straight to the
-:class:`PlanExecutor`, which resolves it in a single pass:
+step into the run's :class:`~repro.core.plan.Plan` (one flat record) and
+hands it straight to the :class:`PlanExecutor`, which resolves it in a
+single pass — the only mode there is, in the engine and in a worker:
 
 * consult the planner's memo table (plan-level cache edges become
   ``memo_read`` nodes on hit, ``combine`` + ``memo_write`` on miss);
@@ -29,8 +30,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.common.errors import CompileError
-from repro.core.compile.compiler import CompiledPlan
 from repro.core.partition import Partition, combine_partitions
 from repro.core.plan import Plan
 from repro.core.poison import PoisonContext
@@ -52,10 +51,9 @@ class RunExecution:
     map_costs: dict[int, float] = field(default_factory=dict)
     #: Per-reducer work measured while that reducer's scope was open.
     reducer_costs: dict[int, float] = field(default_factory=dict)
-    #: The compiled plan the run replayed (None when planned fresh).
-    compiled: CompiledPlan | None = None
-    #: True when the run skipped replanning by replaying ``compiled``.
-    replayed: bool = False
+    #: What the run was opened with: the engine had been in this
+    #: structural state before (see :meth:`PlanExecutor.begin_run`).
+    recurring: bool = False
 
     def reducer_cost_list(self, num_reducers: int) -> list[float]:
         return [self.reducer_costs.get(r, 0.0) for r in range(num_reducers)]
@@ -89,127 +87,46 @@ class PlanExecutor:
         self.probe: Any | None = None
         self._map_costs: dict[int, float] = {}
         self._reducer_costs: dict[int, float] = {}
-        #: Replay state: a plan-cache hit puts the executor in replay mode
-        #: — step emission is skipped (the compiled template already holds
-        #: the plan) and a cursor validates each executed op against it.
-        self._replay: CompiledPlan | None = None
-        self._replay_cursor = 0
+        #: The open run's ``recurring`` verdict (False outside a run).
+        self.recurring = False
 
     # -- run lifecycle -------------------------------------------------------
 
     @property
     def active(self) -> bool:
-        return self.plan is not None or self._replay is not None
+        return self.plan is not None
 
-    def begin_run(
-        self, label: str = "", compiled: CompiledPlan | None = None
-    ) -> Plan:
+    def begin_run(self, label: str = "", recurring: bool = False) -> Plan:
         """Open a run: a fresh plan plus a fresh task graph.
 
-        With ``compiled`` (a plan-cache hit), the run replays the compiled
-        template instead of assembling a plan: planners still drive
-        execution — values flow, memos resolve, work is charged exactly as
-        when planning fresh — but no steps are emitted.
+        ``recurring`` is the caller's verdict that the engine has been in
+        this run's structural state before.  The executor runs every run
+        the same way and only carries the verdict: the execution backend
+        reads it off the open run (its first dispatch rung) and
+        :meth:`end_run` hands it back.
         """
-        if compiled is not None:
-            self.plan = None
-            self._replay = compiled
-            self._replay_cursor = 0
-        else:
-            self.plan = Plan(label=label)
-            self._replay = None
+        self.plan = Plan(label=label)
+        self.recurring = recurring
         self.recorder.begin_run(label)
         if self.probe is not None:
             self.probe.on_begin_run(label)
         self._map_costs = {}
         self._reducer_costs = {}
-        return self.plan if self.plan is not None else compiled.plan
+        return self.plan
 
     def end_run(self) -> RunExecution:
         """Close the run; returns the plan/graph pair plus measurements."""
-        compiled, self._replay = self._replay, None
-        if compiled is not None:
-            if self._replay_cursor != len(compiled.ops):
-                raise CompileError(
-                    f"replayed run ended after {self._replay_cursor} of "
-                    f"{len(compiled.ops)} compiled steps — the plan-cache "
-                    "key does not fully determine this run's structure"
-                )
-            return RunExecution(
-                plan=compiled.plan,
-                graph=self.recorder.end_run(),
-                map_costs=self._map_costs,
-                reducer_costs=self._reducer_costs,
-                compiled=compiled,
-                replayed=True,
-            )
         plan, self.plan = self.plan, None
         if plan is None:
             raise RuntimeError("end_run called with no open run")
-        graph = self.recorder.end_run()
+        recurring, self.recurring = self.recurring, False
         return RunExecution(
             plan=plan,
-            graph=graph,
+            graph=self.recorder.end_run(),
             map_costs=self._map_costs,
             reducer_costs=self._reducer_costs,
+            recurring=recurring,
         )
-
-    @property
-    def replay_template(self) -> CompiledPlan | None:
-        """The compiled template this run is replaying, if any.
-
-        The execution backend seam keys off this: only a replayed run
-        has a step-exact template whose contraction slice can be
-        dispatched to a worker and skipped locally.
-        """
-        return self._replay
-
-    def skip_replay(self, start: int, end: int) -> None:
-        """Jump the replay cursor over ``[start, end)`` executed elsewhere.
-
-        The multi-process backend dispatches a reducer's contraction
-        slice to a worker, which replays exactly those template steps
-        against its own cursor; on merge the parent accounts for them
-        here instead of re-executing.  The cursor must sit at ``start``
-        — anything else means the backend's slicing disagrees with the
-        actual step order, which is a structural bug, not a data error.
-        """
-        compiled = self._replay
-        if compiled is None:
-            raise CompileError("skip_replay outside a replayed run")
-        if not 0 <= start <= end <= len(compiled.ops):
-            raise CompileError(
-                f"skip_replay range [{start}, {end}) outside the "
-                f"{len(compiled.ops)}-step template"
-            )
-        if self._replay_cursor != start:
-            raise CompileError(
-                f"skip_replay expected the cursor at {start}, "
-                f"found it at {self._replay_cursor}"
-            )
-        self._replay_cursor = end
-
-    def _consume(self, op: str) -> None:
-        """Advance the replay cursor past one executed step.
-
-        Validates that execution emits exactly the compiled template's op
-        sequence.  A divergence means a planner's ``plan_structure_key``
-        missed a piece of structural state — fail loudly rather than
-        execute against a stale template.
-        """
-        compiled = self._replay
-        cursor = self._replay_cursor
-        if cursor >= len(compiled.ops) or compiled.ops[cursor] != op:
-            expected = (
-                repr(compiled.ops[cursor])
-                if cursor < len(compiled.ops)
-                else "<end of plan>"
-            )
-            raise CompileError(
-                f"replayed plan diverged at step {cursor}: compiled "
-                f"template has {expected}, execution emitted {op!r}"
-            )
-        self._replay_cursor = cursor + 1
 
     @contextmanager
     def reducer_scope(self, reducer: int):
@@ -236,17 +153,10 @@ class PlanExecutor:
     # -- planning-facing emission -------------------------------------------
 
     def plan_step(self, op: str, **kwargs) -> None:
-        """Emit a step into the open plan (no-op outside a run).
-
-        In replay mode nothing is emitted — the compiled template is the
-        plan — but the step is still validated against the template.
-        """
-        if self._replay is not None:
-            self._consume(op)
-        elif self.plan is not None:
-            self.plan.step(op, **kwargs)
-        else:
+        """Emit a step into the open plan (no-op outside a run)."""
+        if self.plan is None:
             return
+        self.plan.step(op, **kwargs)
         if self.probe is not None:
             self.probe.on_step(
                 op,
@@ -274,17 +184,15 @@ class PlanExecutor:
         processing).  ``node`` names the sub-computation's position in
         the planner's level structure.
         """
-        if self._replay is not None:
-            self._consume("combine")
-        elif self.plan is not None:
+        if self.plan is not None:
             self.plan.step(
                 "combine",
-                label=node,
-                phase=phase,
-                n_inputs=len(parts),
-                memo_uid=memo_uid,
-                reducer=self.recorder.reducer,
-                cost_scale=cost_scale,
+                node,
+                phase,
+                len(parts),
+                memo_uid,
+                self.recorder.reducer,
+                cost_scale,
             )
         reuses_before = tree.stats.combiner_reuses
         with self.meter.telemetry.span(node or "combine", SpanKind.TASK):
@@ -382,15 +290,9 @@ class PlanExecutor:
     ) -> None:
         """Plan and charge a memoized result moving through the tree —
         the strawman's per-node visit cost on positional reuse."""
-        if self._replay is not None:
-            self._consume("visit")
-        elif self.plan is not None:
+        if self.plan is not None:
             self.plan.step(
-                "visit",
-                label=node,
-                phase=Phase.MEMO_READ,
-                n_inputs=1,
-                reducer=self.recorder.reducer,
+                "visit", node, Phase.MEMO_READ, 1, None, self.recorder.reducer
             )
         with self.meter.telemetry.span(node or "memo-visit", SpanKind.TASK):
             self.meter.charge(Phase.MEMO_READ, cost)

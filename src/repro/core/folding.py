@@ -82,7 +82,8 @@ class FoldingTree(ContractionTree):
         Dirty-leaf propagation, unfold/fold moves, and the rebuild check
         all derive from the live index range and capacity (``2^height``);
         under a constant slide this state recurs with period ≈ the window
-        size, which is what makes steady-state advances cache-hit.
+        size, after which every steady-state advance starts from a state
+        the engine has seen.
         """
         return ("fold", self._height, self._start, self._end, self.rebuild_factor)
 

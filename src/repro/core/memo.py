@@ -75,8 +75,8 @@ class MemoStore(Protocol):
     :meth:`space` summary.  Two implementations ship: the in-process
     :class:`DictMemoStore` (the default, bit-identical to the historical
     plain dict) and the cross-process
-    :class:`~repro.core.sharedmem.SharedMemoStore` namespace view used by
-    the multi-process execution backend.  A bounded store signals
+    :class:`~repro.core.sharedmem.SharedMemoStore` namespace view, which
+    no engine sits on any more (see that module).  A bounded store signals
     exhaustion by raising
     :class:`~repro.common.errors.MemoStoreFull` from ``__setitem__`` —
     the table degrades to recomputation instead of failing.

@@ -1,23 +1,22 @@
 """The persistent worker pool behind the multi-process execution backend.
 
 One :class:`WorkerPool` owns N forked daemon processes, each holding one
-end of a dedicated pipe.  Workers are forked *after* the parent created
-the :class:`~repro.core.sharedmem.SharedMemoStore`, so the segment and
-its lock arrive by inheritance — no attach-by-name, no Manager proxies.
-Dispatch is one pickled payload per reducer; results come back over the
-same pipe, so per-worker FIFO plus the backend's reducer-ordered merge
-loop gives a deterministic receive order without any sequencing
-metadata.
+end of a dedicated pipe.  Dispatch is one pickled payload per reducer;
+results come back over the same pipe, so per-worker FIFO plus the
+backend's reducer-ordered merge loop gives a deterministic receive order
+without any sequencing metadata.
 
 What crosses the seam.  A payload (:func:`build_payload`) is the tree's
 ``__dict__`` minus its process-local collaborators (meter, memo table,
-executor), the slide's new leaves and the reducer's slice of the
-compiled template; a reply is the advanced state, the root and what the
-worker's :class:`~repro.telemetry.merge.CaptureTelemetry` captured —
-charges, counters, spans, task-graph records and probe events, in order,
-for the parent to replay, which keeps the merged run bit-identical to an
-in-process one (see :mod:`repro.telemetry.merge`).  Containers, scalars
-and the template are always sent; one of the scalars is the tree's count
+executor) and the slide's new leaves; a reply is the advanced state, the
+root and what the worker's run logged — the charges, counters and spans
+its :class:`~repro.telemetry.merge.CaptureTelemetry` captured, its plan
+records, its task-graph records and, when the engine has a probe
+attached, its probe events, each in order, for the parent to take into
+its own run, which keeps the merged run bit-identical to an in-process
+one (see :mod:`repro.telemetry.merge`).  A worker runs the advance the
+way the engine would have: it emits its own plan steps.  Containers and
+scalars are always sent; one of the scalars is the tree's count
 of the keys its node cache holds (``_cache_keys``), so whichever process
 ran the advance kept it, and the cache itself stays a plain ``dict`` the
 walker below recognises.  A partition is sent only when the
@@ -31,15 +30,14 @@ one way and the nodes the advance combined the other.  Each message's
 coding also builds the table the next one is coded against, so tables
 are replaced, never appended to, and a first dispatch, or one after a
 table was dropped, is the same code over an empty table.  The worker's
-memo table is rebuilt over the fork-inherited shared store's namespace
-for that reducer, so memo hits and misses resolve against exactly the
-state the parent sees.
+tree gets a fresh, empty memo table: the trees that dispatch keep their
+node results by position, in the state that crosses, and never consult
+it.
 
 Failure ladder: a worker that dies or errors costs nothing but work —
-the parent falls back to executing that reducer in-process (the shared
-store's writes are content-addressed and idempotent, so a half-finished
-worker leaves no wrong state, only warm cache) and marks the pool
-broken so later runs stop dispatching.
+the parent's trees are complete mirrors, so it falls back to executing
+that reducer in-process and marks the pool broken so later runs stop
+dispatching.
 """
 
 from __future__ import annotations
@@ -50,15 +48,13 @@ from multiprocessing import get_context
 from typing import TYPE_CHECKING, Any
 
 from repro.core.execute import PlanExecutor
-from repro.core.memo import MemoStats, MemoTable
+from repro.core.memo import MemoTable
 from repro.core.partition import Partition
-from repro.core.sharedmem import SharedMemoStore
 from repro.metrics import WorkMeter
 from repro.telemetry.merge import CaptureTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.core.base import ContractionTree
-    from repro.core.compile.compiler import CompiledPlan
 
 _SHUTDOWN = b"\x00shutdown\x00"
 #: Asks a worker how many partitions it holds per reducer (tests only).
@@ -161,8 +157,9 @@ class _ProbeCapture:
     """Worker-side stand-in for the executor's dynamic-analysis probe.
 
     Records ``on_step`` events in execution order so the parent can
-    replay them into its real probe (when one is attached) — this is how
-    the vector-clock cross-check observes real worker processes.
+    replay them into its real probe — this is how the vector-clock
+    cross-check observes real worker processes.  Attached only when the
+    engine's executor has a probe.
     """
 
     def __init__(self) -> None:
@@ -181,10 +178,11 @@ def build_payload(
     reducer: int,
     leaves: "list[Partition]",
     removed: int,
-    template: "CompiledPlan",
     label: str,
+    probe: bool,
 ) -> dict[str, Any]:
-    """Everything one worker needs to run ``tree.advance`` remotely."""
+    """Everything one worker needs to run ``tree.advance`` remotely;
+    ``probe`` asks for the run's probe events in the reply."""
     state = {
         key: value
         for key, value in tree.__dict__.items()
@@ -196,16 +194,13 @@ def build_payload(
         "reducer": reducer,
         "leaves": leaves,
         "removed": removed,
-        "template": template,
         "label": label,
-        "verify_mode": tree.memo.verify_mode,
-        "capacity": tree.memo.capacity,
-        "tainted": set(tree.memo._tainted),
+        "probe": probe,
     }
 
 
 def _execute_payload(
-    payload: dict[str, Any], store: SharedMemoStore, held: Held
+    payload: dict[str, Any], held: Held
 ) -> tuple[dict[str, Any], Held]:
     """Rebuild the tree around worker-local collaborators and advance it;
     returns the reply and what this worker then holds for the reducer."""
@@ -214,25 +209,17 @@ def _execute_payload(
     telemetry = CaptureTelemetry(label=payload["label"])
     meter = WorkMeter(telemetry=telemetry)
     executor = PlanExecutor(meter=meter)
-    probe = _ProbeCapture()
 
     tree: "ContractionTree" = object.__new__(payload["tree_class"])
     tree.__dict__.update(tree_state)
     tree.meter = meter
     tree.executor = executor
-    tree.memo = MemoTable(
-        entries=store.namespace(payload["reducer"]),
-        stats=MemoStats(),
-        telemetry=telemetry,
-        verify_mode=payload["verify_mode"],
-        capacity=payload["capacity"],
-    )
-    tree.memo._tainted = set(payload["tainted"])
+    tree.memo = MemoTable()
 
-    executor.begin_run(payload["label"], compiled=payload["template"])
+    executor.begin_run(payload["label"])
     # Attach the probe only after begin_run: the parent's probe already
     # observed this run's begin event.
-    executor.probe = probe
+    probe = executor.probe = _ProbeCapture() if payload["probe"] else None
 
     # Records and probe events carry the reducer, as they do in process.
     with executor.recorder.reducer_context(payload["reducer"]):
@@ -250,14 +237,13 @@ def _execute_payload(
         "coded": coded,
         "events": telemetry.events,
         "spans": telemetry.root.children,
+        "plan": run.plan.records,
         "graph": run.graph.records,
-        "memo_stats": tree.memo.stats,
-        "tainted": set(tree.memo._tainted),
-        "probe_events": probe.events,
+        "probe_events": probe.events if probe is not None else [],
     }, returned
 
 
-def _worker_main(conn: Any, store: SharedMemoStore) -> None:
+def _worker_main(conn: Any) -> None:
     """The worker process loop: recv payload, execute, send result."""
     #: Per reducer, the partitions of the state last returned.  Popped
     #: for the run: a reducer whose run raised holds nothing.
@@ -276,7 +262,7 @@ def _worker_main(conn: Any, store: SharedMemoStore) -> None:
                 payload = pickle.loads(blob)
                 reducer = payload["reducer"]
                 reply_value, held[reducer] = _execute_payload(
-                    payload, store, held.pop(reducer, None) or held_table()
+                    payload, held.pop(reducer, None) or held_table()
                 )
             result: tuple[str, Any] = ("ok", reply_value)
         except Exception as exc:  # noqa: BLE001 - errors travel to the parent
@@ -296,12 +282,11 @@ def _worker_main(conn: Any, store: SharedMemoStore) -> None:
 
 
 class WorkerPool:
-    """N persistent forked workers over one inherited shared memo store."""
+    """N persistent forked workers, one duplex pipe each."""
 
-    def __init__(self, workers: int, store: SharedMemoStore) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        self.store = store
         self.broken = False
         ctx = get_context("fork")
         self.pipes = []
@@ -310,7 +295,7 @@ class WorkerPool:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, store),
+                args=(child_conn,),
                 daemon=True,
                 name=f"repro-worker-{index}",
             )
@@ -347,7 +332,7 @@ class WorkerPool:
         return value, len(blob)
 
     def close(self) -> None:
-        """Shut the workers down (idempotent); the store stays up."""
+        """Shut the workers down (idempotent)."""
         self._finalizer()
 
 

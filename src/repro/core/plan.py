@@ -1,9 +1,11 @@
 """The per-run plan IR: what a window update *will* compute.
 
 The contraction trees are *planners*: walking their level structure, they
-emit one :class:`PlanStep` per sub-computation a window update needs — Map
-tasks, combiner invocations at tree positions, strawman node visits, and
-per-reducer Reduce passes.  The unified executor
+emit one step per sub-computation a window update needs — Map tasks,
+combiner invocations at tree positions, strawman node visits, and
+per-reducer Reduce passes.  Emitting appends one flat record to the
+:class:`Plan`'s log; the :class:`PlanStep` values are made when somebody
+reads them.  The unified executor
 (:mod:`repro.core.execute`) resolves each step as it is emitted: a step
 carrying a ``memo_uid`` is a **plan-level cache edge** — the plan says
 "this position is memoizable under that id", and only execution decides
@@ -23,7 +25,7 @@ The split keeps two artifacts apart:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.metrics import Phase
 
@@ -94,8 +96,8 @@ class PlanStep:
         Map steps embed split content ids in their labels and memo uids, so
         two structurally identical runs over different data differ in
         :meth:`signature` but agree here: hex ids collapse to ``0x*`` and a
-        cache edge reduces to its presence.  This is the view the plan
-        cache's correctness contract is stated in.
+        cache edge reduces to its presence.  Two advances from one
+        structural state (``plan_structure_key`` plus motion) agree here.
         """
         return (
             self.uid,
@@ -109,22 +111,29 @@ class PlanStep:
         )
 
 
-@dataclass
-class Plan:
-    """The ordered step sequence of one Slider run."""
+#: One planned step as a run logs it: the :class:`PlanStep` fields in
+#: order, minus the uid (its position).  Atoms only.
+Record = tuple
 
-    label: str = ""
-    steps: list[PlanStep] = field(default_factory=list)
-    # Derived views below are cached per instance; ``step`` invalidates.
-    _signature: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _structural: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _counts: dict[str, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+class Plan:
+    """The ordered step sequence of one Slider run, built on first read.
+
+    A run *appends* to ``records`` — :meth:`step` logs one flat tuple a
+    step — and a read of ``steps`` (or of a view over it) makes the
+    :class:`PlanStep` values for what was logged since the last read; a
+    plan nobody reads never builds one, and ``len`` does not build.  The
+    log stays whole: it is what crosses the process seam (a worker's
+    reply carries its ``records`` and the parent appends them to the
+    run's own).  Like :class:`~repro.core.taskgraph.TaskGraph`, plans
+    carry no generated equality; compare :meth:`signature`.
+    """
+
+    def __init__(self, label: str = "") -> None:
+        self.label = label
+        #: Every step emitted, in order (:data:`Record` tuples).
+        self.records: list[Record] = []
+        self._steps: list[PlanStep] = []
 
     def step(
         self,
@@ -135,37 +144,30 @@ class Plan:
         memo_uid: int | None = None,
         reducer: int | None = None,
         cost_scale: float = 1.0,
-    ) -> PlanStep:
+    ) -> None:
         if op not in PLAN_OPS:
             raise ValueError(f"unknown plan op {op!r}")
-        planned = PlanStep(
-            uid=len(self.steps),
-            op=op,
-            label=label,
-            phase=phase,
-            n_inputs=n_inputs,
-            memo_uid=memo_uid,
-            reducer=reducer,
-            cost_scale=cost_scale,
+        self.records.append(
+            (op, label, phase, n_inputs, memo_uid, reducer, cost_scale)
         )
-        self.steps.append(planned)
-        self._signature = None
-        self._structural = None
-        self._counts = None
-        return planned
+
+    @property
+    def steps(self) -> list[PlanStep]:
+        built = self._steps
+        for record in self.records[len(built):]:
+            built.append(PlanStep(len(built), *record))
+        return built
 
     # -- derived views -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.records)
 
     def counts_by_op(self) -> dict[str, int]:
-        if self._counts is None:
-            counts: dict[str, int] = {}
-            for planned in self.steps:
-                counts[planned.op] = counts.get(planned.op, 0) + 1
-            self._counts = counts
-        return dict(self._counts)
+        counts: dict[str, int] = {}
+        for planned in self.steps:
+            counts[planned.op] = counts.get(planned.op, 0) + 1
+        return counts
 
     def cache_edge_count(self) -> int:
         """How many steps carry a plan-level cache edge."""
@@ -182,11 +184,7 @@ class Plan:
 
     def signature(self) -> tuple:
         """Order-sensitive identity of the whole plan."""
-        if self._signature is None:
-            self._signature = tuple(
-                planned.signature() for planned in self.steps
-            )
-        return self._signature
+        return tuple(planned.signature() for planned in self.steps)
 
     def structural_signature(self) -> tuple:
         """Order-sensitive identity with content ids masked out.
@@ -195,16 +193,12 @@ class Plan:
         state and motion agree here; see
         :meth:`PlanStep.structural_signature`.
         """
-        if self._structural is None:
-            self._structural = tuple(
-                planned.structural_signature() for planned in self.steps
-            )
-        return self._structural
+        return tuple(planned.structural_signature() for planned in self.steps)
 
     def shape(self) -> dict:
         """The golden-test view: counts, cache edges, level structure."""
         return {
-            "steps": len(self.steps),
+            "steps": len(self),
             "ops": self.counts_by_op(),
             "cache_edges": self.cache_edge_count(),
             "levels": self.level_structure(),

@@ -1,10 +1,19 @@
 """A cross-process memo store over one shared-memory segment.
 
-The multi-process execution backend runs each reducer's contraction in a
-worker process; the results those workers memoize must land where the
-parent (and every other worker, next run) can see them.  This module
-provides that plane: a :class:`SharedMemoStore` owns a single
-``multiprocessing.shared_memory`` segment — created *before* the worker
+**Nothing under ``src/`` imports this module.**  It was the store under
+the process backend's memo tables until no run that can dispatch turned
+out to read or write it (the trees that dispatch keep node results by
+position; the one variant that memoizes never dispatches and paid a
+pickle, a lock and a CRC an access, in the parent alone).  It stays, with
+``tests/core/test_sharedmem.py``, only because the end-to-end benchmark
+(``benchmarks/e2e/e2ebench/probes.py``, which a code PR may not edit)
+imports :class:`SharedMemoStore` for its ``sharedmem.put_us`` /
+``get_us`` probes; a ``benchmark`` PR that drops those probes deletes
+this file, the :class:`~repro.core.memo.MemoStore` protocol and
+``MemoTable``'s ``MemoStoreFull`` branch with it.
+
+What it is: a :class:`SharedMemoStore` owns a single
+``multiprocessing.shared_memory`` segment — created *before* a worker
 pool forks, so every process addresses the same mapping without any
 name-attach or ``Manager`` proxy traffic — and exposes per-reducer
 :class:`SharedNamespace` views that satisfy the

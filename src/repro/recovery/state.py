@@ -72,10 +72,7 @@ def capture_tree(tree: ContractionTree) -> dict[str, Any]:
         "stats": tree.stats,
         "fields": {name: getattr(tree, name) for name in _tree_fields(tree)},
         "memo": {
-            # Drain the store into a plain dict: under the process
-            # backend the entries live in a shared-memory segment that
-            # must not (and cannot) be pickled, and a checkpoint taken
-            # under one execution backend must restore under another.
+            # A plain dict, whatever store the table sits on.
             "entries": dict(tree.memo.entries.items()),
             "stats": tree.memo.stats,
             "degraded": tree.memo.degraded,
@@ -95,9 +92,7 @@ def apply_tree(tree: ContractionTree, state: dict[str, Any]) -> None:
     tree.stats = state["stats"]
     for name, value in state["fields"].items():
         setattr(tree, name, value)
-    # Reattach through the table's own store (the fresh engine's backend
-    # already supplied it — a DictMemoStore or a shared namespace), so
-    # the restored entries land wherever this engine executes.
+    # Reattach through the table's own store.
     tree.memo.replace_entries(state["memo"]["entries"])
     tree.memo.stats = state["memo"]["stats"]
     tree.memo.degraded = state["memo"]["degraded"]

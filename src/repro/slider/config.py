@@ -53,13 +53,6 @@ class SliderConfig:
     auto_gc: bool = True
     #: How the time simulation replays a run's tasks on the cluster.
     time_model: str = "waves"
-    #: Reuse compiled plans across structurally identical window advances
-    #: (replanning is skipped on a hit; outputs and work are bit-identical).
-    plan_cache: bool = True
-    #: Max compiled plans retained (LRU).  Must cover the steady-state
-    #: motion period — a folding tree's structural state recurs with
-    #: period ≈ the window size — or steady advances never re-hit.
-    plan_cache_capacity: int = 256
     #: Quarantine poison records/keys under this retry policy instead of
     #: failing the run; ``None`` propagates user-code exceptions unchanged.
     poison_policy: PoisonPolicy | None = None
@@ -71,8 +64,8 @@ class SliderConfig:
     memo_verify: str = "tainted"
     #: Where certified contraction work executes: "inprocess" (default,
     #: bit-identical single-process path) or "process" (persistent forked
-    #: worker pool over a shared-memory memo store; ineligible runs fall
-    #: back per the backend's dispatch ladder).  Defaults honor the
+    #: worker pool; ineligible runs fall back per the backend's dispatch
+    #: ladder).  Defaults honor the
     #: ``REPRO_EXECUTION_BACKEND`` / ``REPRO_WORKERS`` environment.
     execution_backend: str = field(default_factory=_default_backend)
     #: Worker processes the process backend may fork (capped at the
@@ -90,11 +83,6 @@ class SliderConfig:
         if self.memo_budget is not None and self.memo_budget < 0:
             raise ValueError(
                 f"memo_budget must be non-negative, got {self.memo_budget}"
-            )
-        if self.plan_cache_capacity < 1:
-            raise ValueError(
-                f"plan_cache_capacity must be positive, got "
-                f"{self.plan_cache_capacity}"
             )
         if self.execution_backend not in EXECUTION_BACKENDS:
             raise ValueError(

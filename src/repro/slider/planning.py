@@ -1,4 +1,4 @@
-"""Run planning: the cache-aware front end over plan assembly.
+"""Run planning: the front end over plan assembly.
 
 The :class:`RunPlanner` drives one window update's planning passes.  It
 owns no cross-run state — that lives on the :class:`~repro.slider.system.
@@ -7,15 +7,17 @@ a tree it drives) assembles is emitted into the run's
 :class:`~repro.core.plan.Plan` and resolved by the engine's shared
 :class:`~repro.core.execute.PlanExecutor`.
 
-Since the plan-compile layer, the planner is also the plan cache's front
-end: :meth:`RunPlanner.begin_run` keys the upcoming advance by (config
-fingerprint, job identity, window motion, per-tree structure key) and on
-a hit opens the executor in *replay* mode — trees still drive execution,
-but step emission (the replanning work) is skipped.  On a miss the
-freshly planned run is compiled and stored by
-:meth:`RunPlanner.finish_run`.  Chaos bypasses the cache, and the
-data-dependent variants (randomized, strawman) never enter it — their
-``plan_structure_key`` is ``None``.
+The planner is also the front end of the one thing left of the
+plan-compile layer, the set of structural states the engine has advanced
+from (:class:`PlanCache`, held as ``engine.plan_cache``):
+:meth:`RunPlanner.begin_run` keys the upcoming
+advance by (window motion, per-tree structure key) and opens the run
+``recurring`` when the key was seen before; :meth:`RunPlanner.finish_run`
+remembers the key of a run that completed.  Every run executes the same
+way — the verdict only tells the process backend whether it may dispatch
+(its first rung).  Chaos runs are not keyed, and the data-dependent
+variants (randomized, strawman) never are — their ``plan_structure_key``
+is ``None``.
 
 * **Map plan** — one ``map`` step per split in the update; the split uid
   is the step's plan-level cache edge.  Execution resolves it against the
@@ -31,13 +33,12 @@ data-dependent variants (randomized, strawman) never enter it — their
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
-
-import dataclasses
 
 from repro.common.errors import CombinerContractError
 from repro.core.base import ContractionTree
-from repro.core.compile import CompiledPlan, compile_plan
 from repro.core.coalescing import CoalescingTree
 from repro.core.folding import FoldingTree
 from repro.core.memo import MemoTable
@@ -54,56 +55,119 @@ if TYPE_CHECKING:  # pragma: no cover - type-only facade reference
     from repro.slider.system import Slider
 
 
+#: Structural states an engine remembers (LRU).  A folding tree's
+#: ``(height, start, end)`` recurs with period ≈ the next power of two
+#: above the window under a constant slide; a period longer than this
+#: never recurs in the set, and such a stream never dispatches.
+PLAN_CACHE_CAPACITY = 256
+
+
+@dataclass
+class PlanCacheStats:
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    evictions: int = 0
+    #: Lookups skipped entirely: a fault schedule covers the run.
+    bypasses: int = 0
+    #: Lookups skipped because a tree declared its plans data-dependent.
+    uncacheable: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of keyed lookups that hit; 0.0 before any lookup."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def snapshot(self) -> dict:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "stores": self.stores,
+            "evictions": self.evictions,
+            "bypasses": self.bypasses,
+            "uncacheable": self.uncacheable,
+            "hit_rate": self.hit_rate,
+        }
+
+
+class PlanCache:
+    """The structural states one engine has advanced from, LRU-bounded.
+
+    It holds keys and nothing else — no plan is stored or served; it
+    keeps the name of the cache it is what is left of.  A key is every
+    thing a run's plan shape is a function of besides the engine itself:
+    the motion ``(len(added), removed)`` and each tree's
+    ``plan_structure_key()``.
+    """
+
+    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self.stats = PlanCacheStats()
+        self._seen: OrderedDict[tuple, None] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._seen)
+
+    def lookup(self, key: tuple) -> bool:
+        if key not in self._seen:
+            self.stats.misses += 1
+            return False
+        self._seen.move_to_end(key)
+        self.stats.hits += 1
+        return True
+
+    def store(self, key: tuple) -> None:
+        self._seen[key] = None
+        self._seen.move_to_end(key)
+        self.stats.stores += 1
+        while len(self._seen) > self.capacity:
+            self._seen.popitem(last=False)
+            self.stats.evictions += 1
+
+    def clear(self) -> None:
+        self._seen.clear()
+
+
 class RunPlanner:
     """Assembles and drives one run's plan against the engine's executor."""
 
     def __init__(self, engine: "Slider") -> None:
         self.engine = engine
-        #: Key the in-flight run's fresh plan will be stored under (None
-        #: when the run is uncacheable, bypassed, or replaying a hit).
+        #: Key the in-flight run will be remembered under when it
+        #: completes (None when the run is not keyed, or recurring).
         self._pending_key: tuple | None = None
-        #: The plan key's constant part: config and job are fixed for the
-        #: engine's life, and the cache is per engine.
-        self._engine_key = (_config_key(engine.config), _job_key(engine.job))
 
-    # -- the plan-cache front end -------------------------------------------
+    # -- the seen-states front end ------------------------------------------
 
     def begin_run(
         self, label: str, added: Sequence[Split], removed: int
-    ) -> CompiledPlan | None:
-        """Open an advance on the executor, replaying a cached plan if the
-        motion key hits.  Must be called *before* any tree state mutates —
-        the key captures the pre-advance structure."""
+    ) -> None:
+        """Open an advance on the executor, ``recurring`` when the engine
+        has been in this structural state before.  Must be called *before*
+        any tree state mutates — the key captures the pre-advance
+        structure."""
         engine = self.engine
         key = self._plan_key(added, removed)
-        compiled = None
+        recurring = False
         if key is not None:
-            compiled = engine.plan_cache.lookup(key)
-            if compiled is not None:
-                engine.telemetry.count("plan_cache.hits")
-                engine.telemetry.count(
-                    "plan_cache.steps_replayed", len(compiled)
-                )
-            else:
-                engine.telemetry.count("plan_cache.misses")
-        self._pending_key = key if compiled is None else None
-        engine.executor.begin_run(label, compiled=compiled)
-        return compiled
+            recurring = engine.plan_cache.lookup(key)
+            engine.telemetry.count(
+                "plan_cache.hits" if recurring else "plan_cache.misses"
+            )
+        self._pending_key = None if recurring else key
+        engine.executor.begin_run(label, recurring=recurring)
 
-    def finish_run(self, plan) -> None:
-        """Compile and store the run planned fresh under the pending key."""
-        engine = self.engine
+    def finish_run(self) -> None:
+        """Remember the structural state the completed run started from."""
         key, self._pending_key = self._pending_key, None
-        if key is None:
-            return
-        with engine.telemetry.span("compile", SpanKind.PHASE):
-            engine.plan_cache.store(key, compile_plan(plan))
+        if key is not None:
+            self.engine.plan_cache.store(key)
 
     def _plan_key(self, added: Sequence[Split], removed: int) -> tuple | None:
         engine = self.engine
-        config = engine.config
-        if not config.plan_cache:
-            return None
         if self._chaos_active():
             engine.telemetry.count("plan_cache.bypasses")
             engine.plan_cache.stats.bypasses += 1
@@ -116,13 +180,11 @@ class RunPlanner:
                 engine.plan_cache.stats.uncacheable += 1
                 return None
             structure.append(tree_key)
-        return (
-            "advance", len(added), removed, *self._engine_key, tuple(structure)
-        )
+        return ("advance", len(added), removed, tuple(structure))
 
     def _chaos_active(self) -> bool:
-        """Any fault schedule for this run bypasses the cache: chaos paths
-        may branch execution in ways the compiled template cannot see."""
+        """A run under any fault schedule is not keyed: chaos paths may
+        branch execution in ways the structure key cannot see."""
         chaos = self.engine.chaos
         if chaos is None:
             return False
@@ -131,15 +193,11 @@ class RunPlanner:
     # -- tree assembly -------------------------------------------------------
 
     def make_trees(self) -> list[ContractionTree]:
-        return [
-            self.make_tree(reducer)
-            for reducer in range(self.engine.job.num_reducers)
-        ]
+        return [self.make_tree() for _ in range(self.engine.job.num_reducers)]
 
-    def make_tree(self, reducer: int = 0) -> ContractionTree:
+    def make_tree(self) -> ContractionTree:
         engine = self.engine
         memo = MemoTable(
-            entries=engine.backend.tree_store(engine, reducer),
             backing=engine.cache,
             telemetry=engine.telemetry,
             verify_mode=engine.config.memo_verify,
@@ -334,24 +392,3 @@ class RunPlanner:
                         root, unchanged, cost=unchanged * read_cost
                     )
         return outputs, frozenset(changed_keys), frozenset(removed_keys)
-
-
-def _config_key(config) -> tuple:
-    """A stable fingerprint over *every* config field: any SliderConfig
-    change must miss the plan cache, even fields that happen not to steer
-    planning today."""
-    return tuple(
-        (field.name, repr(getattr(config, field.name)))
-        for field in dataclasses.fields(config)
-    )
-
-
-def _job_key(job) -> tuple:
-    """Job identity for the plan-cache key: a different job (name, fan-out,
-    cost model, or combiner type) never shares compiled plans."""
-    return (
-        job.name,
-        job.num_reducers,
-        type(job.combiner).__qualname__,
-        repr(job.costs),
-    )

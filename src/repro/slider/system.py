@@ -34,7 +34,6 @@ from repro.cluster.scheduler import HybridScheduler, Scheduler
 from repro.common.errors import ReproError, WindowError
 from repro.core.backends import ExecutionBackend, make_backend
 from repro.core.base import ContractionTree
-from repro.core.compile import PlanCache
 from repro.core.execute import PlanExecutor, RunExecution
 from repro.core.partition import Partition
 from repro.core.poison import DeadLetterQueue, PoisonContext
@@ -47,7 +46,7 @@ from repro.metrics import Phase, RunReport, WorkMeter
 from repro.slider.config import TIME_MODELS, TREE_VARIANTS, SliderConfig
 from repro.slider.execution import TimeSimulator
 from repro.slider.lifecycle import LifecycleManager
-from repro.slider.planning import RunPlanner
+from repro.slider.planning import PlanCache, RunPlanner
 from repro.slider.window import WindowDelta, WindowMode
 from repro.telemetry import ENGINE_KEEP_LAST, SpanKind, Telemetry
 
@@ -88,12 +87,15 @@ class SliderResult:
     #: read (reading is O(nodes) once; ``len`` does not build).  Unread,
     #: it is a log of atoms and pins none of the run's partitions.
     graph: TaskGraph | None = None
-    #: The run's plan: the memo-independent step sequence that was executed.
+    #: The run's own plan: the memo-independent step sequence that was
+    #: executed, logged flat and built on first read (``len`` does not).
     plan: Plan | None = None
     #: Never set.  Kept only because ``benchmarks/e2e/e2ebench/session.py``
     #: reads it (and treats ``None`` as "no batched steps").
     compiled: None = None
-    #: True when this run replayed a cached plan (replanning was skipped).
+    #: True when the engine had advanced from this run's structural state
+    #: before — the one run a process backend may dispatch.  The run
+    #: itself executed as any other does.
     plan_cache_hit: bool = False
     #: Poison records/keys quarantined during this run (empty unless the
     #: engine was configured with a poison policy and user code raised).
@@ -176,12 +178,12 @@ class Slider:
         self.reduce_memo: list[dict[Any, tuple[Any, Any]]] = [
             {} for _ in range(job.num_reducers)
         ]
-        #: Compiled plans keyed by window-motion signature; steady-state
-        #: advances replay out of here instead of replanning.
-        self.plan_cache = PlanCache(capacity=self.config.plan_cache_capacity)
+        #: The structural states this engine has advanced from (keys
+        #: only): what is left of the plan cache, and the process
+        #: backend's first rung.
+        self.plan_cache = PlanCache()
         #: The execution-backend seam: decides per run whether certified
-        #: contraction slices dispatch to worker processes or run here.
-        #: Constructed before the trees — it supplies their memo stores.
+        #: contraction passes dispatch to worker processes or run here.
         self.backend: ExecutionBackend = make_backend(
             self.config.execution_backend, self.config.workers
         )
@@ -249,8 +251,7 @@ class Slider:
             self.lifecycle.inject_corruption()
             if self.executor.poison is not None:
                 self.executor.poison.context = f"incremental-{self.run_index}"
-            # The cache-aware front end: keys the advance off pre-mutation
-            # tree structure; a hit opens the executor in replay mode.
+            # Keys the advance off pre-mutation tree structure.
             self.planner.begin_run(
                 f"incremental-{self.run_index}", added, removed
             )
@@ -321,10 +322,7 @@ class Slider:
     ) -> SliderResult:
         phase_delta = self._phase_delta(phase_before)
         run: RunExecution = self.executor.end_run()
-        if not run.replayed:
-            # A cacheable fresh advance compiles + stores here; initial
-            # runs and uncacheable runs are a no-op (no pending key).
-            self.planner.finish_run(run.plan)
+        self.planner.finish_run()
         work = sum(
             amount
             for phase, amount in phase_delta.items()
@@ -351,7 +349,7 @@ class Slider:
             removed_keys=self._last_removed_keys,
             graph=run.graph,
             plan=run.plan,
-            plan_cache_hit=run.replayed,
+            plan_cache_hit=run.recurring,
             dead_letters=(
                 self.dead_letters.drain()
                 if self.dead_letters is not None
@@ -383,8 +381,8 @@ class Slider:
         return self.lifecycle.collect_garbage()
 
     def close(self) -> None:
-        """End this engine's life: release the execution backend (worker
-        pool, shared segment) and let go of the window's state.
+        """End this engine's life: release the execution backend (its
+        worker pool) and let go of the window's state.
 
         Terminal and idempotent.  The planner, time simulator and
         lifecycle manager each hold the engine that holds them, so they

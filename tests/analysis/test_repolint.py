@@ -216,67 +216,6 @@ def test_slider_may_import_core_and_cluster(tmp_path):
     assert findings == []
 
 
-def test_planner_importing_compiler_fires(tmp_path):
-    # Planners emit plans; they must never see the compile layer, or plans
-    # stop being a planner-agnostic exchange format.
-    for module in ("core/base.py", "core/folding.py", "core/rotating.py"):
-        findings = lint_source(
-            tmp_path,
-            """
-            from repro.core.compile import compile_plan
-            """,
-            name=module,
-        )
-        assert rules_of(findings) == ["lint.layering"], module
-        assert "repro.core.compile" in findings[0].message
-
-
-def test_compiler_importing_executor_fires(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        """
-        from repro.core.execute import PlanExecutor
-        """,
-        name="core/compile/compiler.py",
-    )
-    assert rules_of(findings) == ["lint.layering"]
-    assert "repro.core.execute" in findings[0].message
-
-
-def test_compiler_importing_planners_or_slider_fires(tmp_path):
-    for source in (
-        "from repro.core.base import ContractionTree",
-        "from repro.slider.system import Slider",
-    ):
-        findings = lint_source(
-            tmp_path, source, name="core/compile/cache.py"
-        )
-        assert rules_of(findings) == ["lint.layering"], source
-
-
-def test_compiler_may_import_plan_ir_and_partitions(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        """
-        from repro.core.plan import Plan
-        from repro.core.partition import Partition
-        """,
-        name="core/compile/compiler.py",
-    )
-    assert findings == []
-
-
-def test_executor_may_import_compiler(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        """
-        from repro.core.compile import CompiledPlan
-        """,
-        name="core/execute.py",
-    )
-    assert findings == []
-
-
 def test_oversized_module_fires(tmp_path):
     source = "\n".join(f"x{i} = {i}" for i in range(501))
     findings = lint_source(tmp_path, source, name="core/big.py")

@@ -13,9 +13,8 @@ from repro.core.backends import (
     ProcessBackend,
     make_backend,
 )
-from repro.core.memo import DictMemoStore
+from repro.core.memo import DictMemoStore, MemoStats
 from repro.core.poison import PoisonPolicy
-from repro.core.sharedmem import SharedNamespace
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split
@@ -47,7 +46,8 @@ def _slider(job=None, **config_kw):
 
 
 def _warm(slider, advances=12):
-    """Initial run plus enough steady advances to replay compiled plans."""
+    """Initial run plus steady advances: the folding tree's structural
+    period over six splits is eight, so the ninth advance on dispatches."""
     slider.initial_run([_split(i) for i in range(6)])
     for i in range(advances):
         slider.advance([_split(20 + i)], 1)
@@ -135,12 +135,16 @@ class TestDispatchLadder:
             proc.close()
 
     def test_fresh_plans_stay_inprocess(self):
-        # Cache off -> no replay template -> every run falls back.
-        slider = _warm(_slider(plan_cache=False), advances=4)
+        # The first structural period: no advance starts from a state the
+        # engine has been in, so every run stays local.
+        slider = _warm(_slider(), advances=8)
         try:
             counters = slider.telemetry.counters
             assert counters.get("backend.dispatched_reducers", 0) == 0
-            assert counters.get("backend.inprocess_runs", 0) > 0
+            assert counters["backend.inprocess_runs"] == 8
+            assert slider.plan_cache.stats.misses == 8
+            slider.advance([_split(40)], 1)
+            assert counters["backend.dispatch_runs"] == 1
         finally:
             slider.close()
 
@@ -182,8 +186,7 @@ class TestDispatchLadder:
             cluster=Cluster(ClusterConfig(num_machines=4)),
         )
         try:
-            # The gate decides at tree construction: cluster trees get
-            # process-local dict stores, not shared namespaces.
+            # Every tree's memo table sits on a process-local dict store.
             for tree in slider.trees:
                 assert isinstance(tree.memo.entries, DictMemoStore)
             _warm(slider, advances=4)
@@ -191,14 +194,6 @@ class TestDispatchLadder:
                 slider.telemetry.counters.get("backend.dispatched_reducers", 0)
                 == 0
             )
-        finally:
-            slider.close()
-
-    def test_clusterless_trees_run_over_shared_namespaces(self):
-        slider = _slider()
-        try:
-            for tree in slider.trees:
-                assert isinstance(tree.memo.entries, SharedNamespace)
         finally:
             slider.close()
 
@@ -258,12 +253,12 @@ class TestDispatchLadder:
         and waited for: ``close()`` leaves no child running or zombie."""
         serve = parallel._worker_main
 
-        def stubborn(conn, store):
+        def stubborn(conn):
             # Runs in the forked child only: it serves payloads as usual
             # but no longer recognises the parent's shutdown message.
             signal.signal(signal.SIGTERM, signal.SIG_IGN)
             parallel._SHUTDOWN = b"\x00not the sentinel"
-            serve(conn, store)
+            serve(conn)
 
         monkeypatch.setattr(parallel, "_worker_main", stubborn)
         slider = _warm(_slider(workers=1), advances=10)
@@ -280,6 +275,76 @@ class TestDispatchLadder:
             # Reaped: the pid is no longer a child of this process at all.
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+
+#: hct, four reducers, a window of 40 and 120 one-split advances:
+#: (variant, mode) -> (runs in process, runs dispatched).  The first
+#: column is the variant's structural period (``None`` key: all of them).
+DISPATCH_DECISIONS = {
+    ("folding", WindowMode.VARIABLE): (64, 56),
+    ("rotating", WindowMode.FIXED): (40, 80),
+    ("coalescing", WindowMode.APPEND): (1, 119),
+    ("randomized", WindowMode.VARIABLE): (120, 0),
+    ("strawman", WindowMode.VARIABLE): (120, 0),
+}
+
+
+def _hct_stream(variant, mode, **config_kw):
+    """The engine after the 120 advances, and each advance's result."""
+    from repro.apps.registry import APP_REGISTRY
+
+    spec = APP_REGISTRY["hct"]
+    splits = spec.make_splits(160, 7, 0)
+    slider = _slider(spec.make_job(), mode=mode, tree=variant, **config_kw)
+    slider.initial_run(splits[:40])
+    removed = 0 if mode is WindowMode.APPEND else 1
+    return slider, [slider.advance([split], removed) for split in splits[40:]]
+
+
+class TestDispatchDecisions:
+    @pytest.mark.parametrize("variant,mode", DISPATCH_DECISIONS)
+    def test_which_advances_dispatch_and_what_the_memo_holds(self, variant, mode):
+        slider, _ = _hct_stream(variant, mode)
+        try:
+            counters = slider.telemetry.counters
+            local, dispatched = DISPATCH_DECISIONS[variant, mode]
+            assert counters.get("backend.inprocess_runs", 0) == local
+            assert counters.get("backend.dispatch_runs", 0) == dispatched
+            assert counters.get("backend.dispatched_reducers", 0) == 4 * dispatched
+            assert not [name for name in counters if name.endswith("_fallbacks")]
+            if dispatched:
+                # Node results live by position in the state that crosses:
+                # a dispatched run leaves the memo table as it found it.
+                for tree in slider.trees:
+                    assert len(tree.memo.entries) == 0
+                    assert tree.memo.stats == MemoStats()
+        finally:
+            slider.close()
+
+    def test_the_memoizing_variant_runs_as_its_inprocess_twin(self):
+        """The randomized tree is the one variant that reads and writes
+        its memo table, and it never dispatches: under the process
+        backend its tables sit on the same store and see the same
+        traffic as in process."""
+        mode = WindowMode.VARIABLE
+        proc, proc_results = _hct_stream("randomized", mode)
+        twin, twin_results = _hct_stream(
+            "randomized", mode, execution_backend="inprocess"
+        )
+        try:
+            for a, b in zip(proc_results, twin_results, strict=True):
+                assert a.outputs == b.outputs
+                assert a.report.work == b.report.work
+                assert a.report.breakdown == b.report.breakdown
+            for a, b in zip(proc.trees, twin.trees, strict=True):
+                assert type(a.memo.entries) is DictMemoStore
+                assert list(a.memo.entries) == list(b.memo.entries)
+                assert a.memo.stats == b.memo.stats
+                assert a.memo.stats.hits > 1000 and a.memo.stats.misses > 500
+            assert plain_counters(proc) == plain_counters(twin)
+        finally:
+            proc.close()
+            twin.close()
 
 
 class TestUnpicklableFallback:

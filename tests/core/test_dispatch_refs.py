@@ -20,7 +20,6 @@ from repro.core.parallel import HeldPartition, decode_refs, encode_refs
 from repro.core.partition import Partition
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
-from repro.core.sharedmem import SharedMemoStore
 from repro.core.strawman import StrawmanTree
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
@@ -396,8 +395,7 @@ class TestLostSync:
 
 class TestWorkerProtocol:
     def test_worker_reports_an_unknown_uid_as_an_error(self):
-        store = SharedMemoStore(namespaces=1)
-        pool = parallel.WorkerPool(1, store)
+        pool = parallel.WorkerPool(1)
         try:
             payload = {"reducer": 0, "coded": (({"_root": HeldPartition}, []), [7])}
             pool.submit(0, pickle.dumps(payload))
@@ -408,7 +406,6 @@ class TestWorkerProtocol:
             assert pool.receive(0)[0] == {}
         finally:
             pool.close()
-            store.close()
 
 
 class TestBounded:

@@ -6,6 +6,10 @@ engine whose graphs are read only when the schedule is over equals, node
 for node and field for field, the run of a twin whose recorder builds
 after *every* record — which is what recording did before it became a
 log, since both go through ``TaskGraph.add``.
+
+The plan is a log of the same shape, and the same harness holds it to
+the same bar: the late engine's plans are read only when the schedule is
+over, the twin's after every step.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.chaos import ChaosPlan, ChaosSchedule, CorruptionEvent
 from repro.core.partition import Partition
+from repro.core.plan import Plan
 from repro.core.taskgraph import GraphRecorder, TaskGraph
 from repro.mapreduce.types import Split
 from repro.metrics import Phase
@@ -66,6 +71,30 @@ for _name in _RECORDING:
     setattr(EagerRecorder, _name, _then_build(_name))
 
 
+class EagerPlan(Plan):
+    """Builds its steps after every record."""
+
+    def step(self, *args, **kwargs):
+        super().step(*args, **kwargs)
+        assert len(self.steps) == len(self.records)
+
+
+def _read_plans_after_every_step(executor) -> None:
+    begin = executor.begin_run
+
+    def begin_run(label="", recurring=False):
+        begin(label, recurring)
+        executor.plan = EagerPlan(label)
+        return executor.plan
+
+    executor.begin_run = begin_run
+
+
+def plan_fields(plan: Plan) -> list[tuple]:
+    """The label, then every field of every step.  Reading builds."""
+    return [plan.label] + [dataclasses.astuple(step) for step in plan.steps]
+
+
 def _split(i: int) -> Split:
     return Split.from_records(
         [f"k{(i * 5 + j) % 17}" for j in range(3 + i % 7)], label=f"s{i}"
@@ -73,7 +102,8 @@ def _split(i: int) -> Split:
 
 
 class _Pair:
-    """An engine whose graphs nobody reads yet, and its eager twin."""
+    """An engine whose graphs and plans nobody reads yet, and its eager
+    twin."""
 
     def __init__(self, case, chaos=None, witness=None, **config) -> None:
         variant, self.mode, split_mode = case
@@ -84,6 +114,7 @@ class _Pair:
             Slider(_job(), self.mode, config, chaos=chaos) for _ in range(2)
         ]
         self.eager.executor.recorder = EagerRecorder()
+        _read_plans_after_every_step(self.eager.executor)
         if witness is not None:  # a third engine, configured otherwise
             self.engines.append(
                 Slider(_job(), self.mode, dataclasses.replace(config, **witness))
@@ -92,6 +123,9 @@ class _Pair:
         self.kept: list[tuple[TaskGraph, list[tuple]]] = []
         #: The witness's graphs, likewise.
         self.witnessed: list[list[list[tuple]]] = []
+        #: (the late engine's plan, the twin's as its run finished, the
+        #: witness's if there is one)
+        self.plans: list[tuple[Plan, list[tuple], list[list[tuple]]]] = []
         self.next_split = 5
         self.run(lambda e: e.initial_run([_split(i) for i in range(5)]))
 
@@ -100,6 +134,11 @@ class _Pair:
         assert all(result.outputs == late.outputs for result in results)
         self.kept.append((late.graph, fields(eager.graph)))
         self.witnessed.append([fields(other.graph) for other in others])
+        self.plans.append((
+            late.plan,
+            plan_fields(eager.plan),
+            [plan_fields(other.plan) for other in others],
+        ))
 
     def advance(self, add: int = 1, remove: int = 1, repeat: bool = False) -> None:
         window = self.late.window
@@ -120,9 +159,12 @@ class _Pair:
             operation(engine)
 
     def read_everything(self) -> set[str]:
-        """Only now is any graph of the late engine read; returns the
-        node kinds seen."""
+        """Only now is any graph or plan of the late engine read; returns
+        the node kinds seen."""
         kinds: set[str] = set()
+        for plan, expected, _ in self.plans:
+            assert plan._steps == [] and len(plan) == len(expected) - 1
+            assert plan_fields(plan) == expected
         for graph, expected in self.kept:
             assert len(graph.records) == len(graph) == len(expected)
             assert fields(graph) == expected
@@ -220,7 +262,8 @@ def test_records_cross_the_process_seam_in_reducer_order(case):
     error while reducer 1's records come from its worker.  The twin
     dispatches too and builds at every merge; a third engine stays in
     process and differs only in the last bits of a combine's cost (a
-    meter delta, which a worker takes from a meter that starts at zero).
+    meter delta, which a worker takes from a meter that starts at zero);
+    its plans, which hold no cost, are equal exactly.
     """
     pair = _Pair(
         case,
@@ -266,6 +309,8 @@ def test_records_cross_the_process_seam_in_reducer_order(case):
             for node, other in zip(fields(graph), inprocess, strict=True):
                 assert node[:4] + node[5:] == other[:4] + other[5:]
                 assert node[4] == pytest.approx(other[4], rel=1e-9)
+        for plan, _, (inprocess,) in pair.plans:
+            assert plan_fields(plan) == inprocess
     finally:
         pair.close()
 

@@ -1,34 +1,32 @@
-"""The plan cache: steady-state hits, invalidation, and replay identity.
+"""The structural states an engine has seen: steady-state hits and misses.
 
-The cache's correctness contract: a replayed advance is *driven by the
-trees exactly like a fresh one* — same outputs, same work, same metered
-breakdown — only the step re-emission (replanning) is skipped.  Its
-safety contract: anything that could change the upcoming plan's shape
-(config, job, chaos, non-steady motion, data-dependent planners) must
-miss or bypass.
+What is left of the plan cache is a set of keys.  An advance from a
+state the engine has advanced from before is *recurring* — the process
+backend's first rung — and runs exactly like any other: its own plan,
+same outputs, same work, same metered breakdown.  The safety contract of
+the key: anything that could change the upcoming plan's shape (chaos,
+non-steady motion, data-dependent planners) must miss or go unkeyed.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.chaos import ChaosPlan, ChaosSchedule
-from repro.core.compile import PlanCache, compile_plan
-from repro.core.plan import Plan
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split
-from repro.metrics import Phase
+from repro.slider.planning import PlanCache
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 
 WINDOW = 8
 
 
-def count_job(num_reducers=2, name="counts"):
+def count_job():
     return MapReduceJob(
-        name=name,
+        name="counts",
         map_fn=lambda record: [(record, 1)],
         combiner=SumCombiner(),
-        num_reducers=num_reducers,
+        num_reducers=2,
     )
 
 
@@ -38,9 +36,9 @@ def split_of(i, spread=12, n=20):
     )
 
 
-def make_slider(variant="folding", mode=WindowMode.VARIABLE, job=None, **kw):
+def make_slider(variant="folding", mode=WindowMode.VARIABLE, **kw):
     config = SliderConfig(mode=mode, tree=variant, **kw)
-    return Slider(job or count_job(), mode, config=config)
+    return Slider(count_job(), mode, config=config)
 
 
 def warmed_slider(variant="folding", mode=WindowMode.VARIABLE, **kw):
@@ -77,28 +75,33 @@ class TestSteadyState:
         for k in range(8):
             assert slider.advance([split_of(11 + k)], 0).plan_cache_hit
 
-    def test_replay_serves_the_stored_plan_object(self):
+    def test_a_steady_advance_returns_its_own_plan(self):
         slider = warmed_slider("folding")
-        added = [split_of(100)]
-        stored = slider.plan_cache.lookup(slider.planner._plan_key(added, 1))
-        hit = slider.advance(added, 1)
-        assert hit.plan_cache_hit and hit.plan is stored.plan
-        # Replanning was skipped: the plan served is the one compiled
-        # when this motion was first seen, not a fresh emission.
-        assert hit.plan.label != f"incremental-{hit.run_index}"
+        added = split_of(100)
+        hit = slider.advance([added], 1)
+        assert hit.plan_cache_hit
+        # Not the plan of the run that first saw this state: this run's
+        # label, and the uid of the split this run added.
+        assert hit.plan.label == f"incremental-{hit.run_index}"
+        (map_step,) = [s for s in hit.plan.steps if s.op == "map"]
+        assert map_step.memo_uid == added.uid
+        assert map_step.label == f"map:{added.uid:#x}"
 
-    def test_replayed_outputs_and_work_match_uncached_twin(self):
-        cached = warmed_slider("folding")
-        plain = warmed_slider("folding", plan_cache=False)
+    def test_recurring_outputs_and_work_match_forgetful_twin(self):
+        """A twin whose set is emptied before every advance never has a
+        recurring run (under the process backend it never dispatches)."""
+        recurring = warmed_slider("folding")
+        forgetful = warmed_slider("folding")
         for k in range(6):
-            a = cached.advance([split_of(50 + k)], 1)
-            b = plain.advance([split_of(50 + k)], 1)
+            forgetful.plan_cache.clear()
+            a = recurring.advance([split_of(50 + k)], 1)
+            b = forgetful.advance([split_of(50 + k)], 1)
             assert a.plan_cache_hit and not b.plan_cache_hit
             assert a.outputs == b.outputs
             assert a.report.work == b.report.work
             assert a.report.breakdown == b.report.breakdown
-        assert plain.plan_cache.stats.hits == 0
-        assert plain.plan_cache.stats.misses == 0
+            assert a.plan.structural_signature() == b.plan.structural_signature()
+        assert forgetful.plan_cache.stats.hits == 0
 
     def test_uncacheable_variants_never_enter(self):
         for variant in ("randomized", "strawman"):
@@ -115,24 +118,6 @@ class TestSteadyState:
 class TestInvalidation:
     def key_of(self, slider, added=1, removed=1):
         return slider.planner._plan_key([split_of(90 + i) for i in range(added)], removed)
-
-    def test_any_config_change_misses(self):
-        base = warmed_slider("folding")
-        for change in (
-            dict(rebuild_factor=3),
-            dict(memo_budget=17),
-            dict(seed=99),
-            dict(memo_verify="off"),
-        ):
-            other = warmed_slider("folding", **change)
-            assert self.key_of(base) != self.key_of(other), change
-
-    def test_job_change_misses(self):
-        base = warmed_slider("folding")
-        renamed = warmed_slider("folding", job=count_job(name="other"))
-        fan_out = warmed_slider("folding", job=count_job(num_reducers=3))
-        assert self.key_of(base) != self.key_of(renamed)
-        assert self.key_of(base) != self.key_of(fan_out)
 
     def test_motion_shape_is_part_of_the_key(self):
         slider = warmed_slider("folding")
@@ -157,8 +142,8 @@ class TestInvalidation:
         assert emptied.outputs == {}
 
     def test_chaos_bypasses_the_cache(self):
-        # A schedule (even a calm one) means the compiled template cannot
-        # be trusted: every run under chaos is keyed None and bypassed.
+        # A schedule (even a calm one) may branch execution in ways the
+        # structure key cannot see: every run under chaos goes unkeyed.
         config = SliderConfig(mode=WindowMode.VARIABLE, tree="folding")
         slider = Slider(
             count_job(),
@@ -186,49 +171,32 @@ class TestInvalidation:
         assert False in hits
         assert slider.plan_cache.stats.bypasses == 1
 
-    def test_cache_disabled_by_config(self):
-        slider = warmed_slider("folding", plan_cache=False)
-        stats = slider.plan_cache.stats
-        assert stats.hits == 0 and stats.misses == 0 and len(slider.plan_cache) == 0
-
-    def test_capacity_validated(self):
-        try:
-            SliderConfig(plan_cache_capacity=0)
-        except ValueError as exc:
-            assert "plan_cache_capacity" in str(exc)
-        else:  # pragma: no cover - defends the assertion below
-            raise AssertionError("capacity 0 must be rejected")
-
 
 class TestPlanCacheMechanics:
-    def compiled(self, label):
-        plan = Plan(label=label)
-        plan.step("map", label=f"map:{label}", phase=Phase.MAP, n_inputs=1)
-        return compile_plan(plan)
-
     def test_lru_eviction(self):
         cache = PlanCache(capacity=2)
         for name in ("a", "b", "c"):
-            cache.store((name,), self.compiled(name))
+            cache.store((name,))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        assert cache.lookup(("a",)) is None  # oldest went first
-        assert cache.lookup(("c",)) is not None
+        assert cache.lookup(("a",)) is False  # oldest went first
+        assert cache.lookup(("c",)) is True
 
     def test_lookup_refreshes_recency(self):
         cache = PlanCache(capacity=2)
-        cache.store(("a",), self.compiled("a"))
-        cache.store(("b",), self.compiled("b"))
+        cache.store(("a",))
+        cache.store(("b",))
         cache.lookup(("a",))
-        cache.store(("c",), self.compiled("c"))
-        assert cache.lookup(("a",)) is not None
-        assert cache.lookup(("b",)) is None
+        cache.store(("c",))
+        assert cache.lookup(("a",))
+        assert not cache.lookup(("b",))
 
     def test_stats_snapshot(self):
         cache = PlanCache()
+        assert cache.capacity == 256
         assert cache.stats.hit_rate == 0.0
         cache.lookup(("missing",))
-        cache.store(("k",), self.compiled("k"))
+        cache.store(("k",))
         cache.lookup(("k",))
         snapshot = cache.stats.snapshot()
         assert snapshot["hits"] == 1 and snapshot["misses"] == 1
@@ -237,7 +205,7 @@ class TestPlanCacheMechanics:
         assert len(cache) == 0
 
 
-# -- the property: caching is invisible to results -------------------------
+# -- the property: having seen a state is invisible to results -------------
 
 motions = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=10
@@ -247,11 +215,12 @@ motions = st.lists(
 @settings(max_examples=25, deadline=None)
 @given(motions=motions, spread=st.integers(2, 12))
 def test_cached_and_fresh_plans_structurally_identical(motions, spread):
-    """Twin sliders over one random motion sequence: the cache-enabled
-    twin must produce the same outputs, the same metered work, and a
-    structurally identical plan on every run."""
+    """Twin sliders over one random motion sequence: the twin that
+    remembers the states it has seen must produce the same outputs, the
+    same metered work, and a structurally identical plan on every run as
+    the twin whose set is emptied before each advance."""
     cached = make_slider("folding")
-    plain = make_slider("folding", plan_cache=False)
+    plain = make_slider("folding")
     initial = [split_of(i, spread=spread) for i in range(4)]
     window = 4
     for slider in (cached, plain):
@@ -262,8 +231,10 @@ def test_cached_and_fresh_plans_structurally_identical(motions, spread):
         added = [
             split_of(20 + 5 * step + j, spread=spread) for j in range(add)
         ]
+        plain.plan_cache.clear()
         a = cached.advance(list(added), remove)
         b = plain.advance(list(added), remove)
+        assert not b.plan_cache_hit
         assert a.outputs == b.outputs
         assert a.report.work == b.report.work
         assert (
