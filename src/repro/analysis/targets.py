@@ -64,10 +64,12 @@ def check_target(
 def job_target(job: MapReduceJob) -> CheckTarget:
     """Everything a MapReduceJob exposes to the data plane."""
     combiner = job.combiner
+    split_fn = [("map_split", job.map_split_fn)] if job.map_split_fn else []
     return CheckTarget(
         name=f"job:{job.name}",
         functions=[
             ("map", job.map_fn),
+            *split_fn,
             ("reduce", job.reduce_fn),
             ("combiner.merge", combiner.merge),
             ("combiner.value_size", combiner.value_size),

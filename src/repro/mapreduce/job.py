@@ -7,8 +7,8 @@ change to the job itself — the paper's transparency requirement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.common.errors import CombinerContractError
 from repro.mapreduce.combiners import Combiner
@@ -18,6 +18,8 @@ from repro.mapreduce.combiners import Combiner
 MapFn = Callable[[Any], Iterable[tuple[Any, Any]]]
 # reduce_fn(key, combined_value) -> final output value for the key.
 ReduceFn = Callable[[Any, Any], Any]
+# map_split_fn(records) -> per record, in order, the pairs map_fn(record) yields.
+MapSplitFn = Callable[[Sequence[Any]], Sequence[Iterable[tuple[Any, Any]]]]
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,9 @@ class MapReduceJob:
     reduce_fn: ReduceFn = field(default=lambda key, value: value)
     num_reducers: int = 4
     costs: CostModel = field(default_factory=CostModel)
+    #: Optional accelerated *spelling* of ``map_fn`` over a whole split, never
+    #: a second definition: ``==`` to the per-record outputs is the contract.
+    map_split_fn: MapSplitFn | None = None
 
     def __post_init__(self) -> None:
         if self.num_reducers <= 0:
@@ -98,14 +103,7 @@ class MapReduceJob:
 
     def with_reducers(self, num_reducers: int) -> "MapReduceJob":
         """A copy of this job with a different reducer count."""
-        return MapReduceJob(
-            name=self.name,
-            map_fn=self.map_fn,
-            combiner=self.combiner,
-            reduce_fn=self.reduce_fn,
-            num_reducers=num_reducers,
-            costs=self.costs,
-        )
+        return replace(self, num_reducers=num_reducers)
 
 
 #: The user-facing name for a job's contract-bearing specification —

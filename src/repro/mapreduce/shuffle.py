@@ -52,6 +52,10 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
     as dict keys (``1``, ``1.0`` and ``True``) are one key to the task, as
     they are to every dict downstream, and go where the first of them went.
 
+    A job that declares ``map_split_fn`` has its whole split mapped in one
+    call — unless a poison policy is configured: quarantine is per record,
+    and lives only in the per-record loop.
+
     ``poison`` (when the engine configured a poison policy) quarantines
     records whose ``map_fn`` raises — in the call or, for a generator,
     while its pairs are drained; after the policy's bounded retries —
@@ -71,32 +75,45 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
         routed: dict[Any, list[Any]] = {}
         record_count = 0
         pair_count = 0
-        for record in records:
-            record_count += 1
-            try:
-                pairs = job.map_fn(record)
-                if poison is not None:
-                    # A generator's body runs when it is drained: do that
-                    # here, so a failed attempt emits nothing.
-                    pairs = list(pairs)
-            except Exception as exc:
-                if poison is None:
-                    raise
-                ok, pairs, attempts, last = poison.queue.retry(
-                    lambda: list(job.map_fn(record)), exc
-                )
-                if not ok:
-                    poison.queue.quarantine(
-                        "map", record, last, attempts, label or "map-task"
+        if job.map_split_fn is not None and poison is None:
+            # The split-at-a-time spelling of the loop below: same pairs in
+            # the same order, so routing and buffer order are the loop's.
+            for pairs in job.map_split_fn(records):
+                record_count += 1
+                for key, value in pairs:
+                    pair_count += 1
+                    values = routed.get(key)
+                    if values is None:
+                        buffer = buffers[partitioner.partition(key)]
+                        values = routed[key] = buffer[key] = []
+                    values.append(value)
+        else:
+            for record in records:
+                record_count += 1
+                try:
+                    pairs = job.map_fn(record)
+                    if poison is not None:
+                        # A generator's body runs when it is drained: do that
+                        # here, so a failed attempt emits nothing.
+                        pairs = list(pairs)
+                except Exception as exc:
+                    if poison is None:
+                        raise
+                    ok, pairs, attempts, last = poison.queue.retry(
+                        lambda: list(job.map_fn(record)), exc
                     )
-                    continue
-            for key, value in pairs:
-                pair_count += 1
-                values = routed.get(key)
-                if values is None:
-                    buffer = buffers[partitioner.partition(key)]
-                    values = routed[key] = buffer[key] = []
-                values.append(value)
+                    if not ok:
+                        poison.queue.quarantine(
+                            "map", record, last, attempts, label or "map-task"
+                        )
+                        continue
+                for key, value in pairs:
+                    pair_count += 1
+                    values = routed.get(key)
+                    if values is None:
+                        buffer = buffers[partitioner.partition(key)]
+                        values = routed[key] = buffer[key] = []
+                    values.append(value)
 
         if meter is not None:
             meter.charge(Phase.MAP, record_count * job.costs.map_cost_per_record)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis import analyze_callable, analyze_functions, is_trusted, trusted
 from repro.analysis.findings import INFO
+from repro.apps.registry import APP_REGISTRY
 
 from tests.analysis import purity_fixtures as fx
 
@@ -44,6 +45,8 @@ CLEAN = [
     fx.clean_sorted_set,
     fx.clean_local_mutation,
     fx.clean_seeded_numpy,
+    # The shipped split-at-a-time kernel, helper and scalar fallback included.
+    APP_REGISTRY["kmeans"].make_job().map_split_fn,
 ]
 
 

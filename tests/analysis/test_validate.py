@@ -3,8 +3,13 @@ tree constructors — errors carry the repo error type and name the job."""
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.analysis.targets import job_target
+from repro.apps.registry import APP_REGISTRY
 from repro.common.errors import CombinerContractError, ReproError
 from repro.core.coalescing import CoalescingTree
 from repro.core.folding import FoldingTree
@@ -61,6 +66,17 @@ def test_validate_passes_clean_job():
         check_laws=True, check_purity=True
     )
     assert report.ok
+
+
+def test_validate_analyses_a_split_at_a_time_map_too():
+    def impure_split(records):
+        return [[(random.random(), 1)] for _ in records]
+
+    job = dataclasses.replace(make_job(SumCombiner()), map_split_fn=impure_split)
+    with pytest.raises(CombinerContractError, match="random"):
+        job.validate(check_purity=True)
+    kmeans = APP_REGISTRY["kmeans"].make_job()
+    assert ("map_split", kmeans.map_split_fn) in job_target(kmeans).functions
 
 
 def test_validate_falsifies_mislabeled_combiner_naming_the_job():

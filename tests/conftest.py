@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -59,3 +60,24 @@ def graph_fields(graph) -> list[tuple]:
     phase, label, cost, data size, memo-hit, reducer, split uid, memo
     uid, deps.  Reading them builds the graph."""
     return [dataclasses.astuple(node) for node in graph.nodes]
+
+
+def profile_calls(thunk, watched=None) -> tuple:
+    """``thunk()``'s result, its ``call`` + ``c_call`` profile events, and
+    how many of the calls ran the code object ``watched``: interpreter
+    work as a count, not a clock."""
+    events = hits = 0
+
+    def on_event(frame, event, arg) -> None:
+        nonlocal events, hits
+        if event == "call" or event == "c_call":
+            events += 1
+            if event == "call" and frame.f_code is watched:
+                hits += 1
+
+    sys.setprofile(on_event)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(None)
+    return result, events, hits

@@ -1,5 +1,7 @@
 """Unit tests for splits, windows, partitioning, and map-task execution."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.registry import APP_REGISTRY
@@ -222,6 +224,29 @@ def test_distinct_nans_stay_distinct_keys_on_one_reducer():
     assert sum(map(len, outputs)) == 2
 
 
+def test_a_split_at_a_time_map_routes_orders_and_charges_as_the_loop_does():
+    loop_job = _keys_job()
+    split_job = dataclasses.replace(
+        loop_job,
+        map_split_fn=lambda records: [loop_job.map_fn(r) for r in records],
+    )
+    records = [(1, 1.0, True), (), (0.0, -0.0, "a"), ("a", True, "b", 2)]
+    seen = []
+    for job in (split_job, loop_job):
+        meter = WorkMeter()
+        outputs = run_map_task(job, records, HashPartitioner(5), meter, "t")
+        seen.append(
+            (
+                [[(k, type(k), v) for k, v in p.entries.items()] for p in outputs],
+                [p.uid for p in outputs],
+                dict(meter.by_phase),
+                [s.name for s in meter.telemetry.iter_spans()],
+            )
+        )
+    assert seen[0] == seen[1]
+    assert seen[0][2] == {Phase.MAP: 4.0, Phase.SHUFFLE: 10 * 0.05}
+
+
 def test_an_unhashable_key_is_a_type_error():
     with pytest.raises(TypeError, match="unhashable"):
         run_map_task(_keys_job(), [([1, 2],)], HashPartitioner(5))
@@ -274,8 +299,15 @@ def test_job_requires_associative_combiner():
 
 
 def test_with_reducers_copies_job():
-    job = word_job()
+    job = dataclasses.replace(
+        word_job(),
+        reduce_fn=lambda key, value: -value,
+        costs=CostModel(map_cost_per_record=7.0),
+        map_split_fn=lambda records: [[(r, 1)] for r in records],
+    )
     wider = job.with_reducers(8)
     assert wider.num_reducers == 8
-    assert wider.name == job.name
     assert job.num_reducers == 2
+    for field in dataclasses.fields(job):  # a hand copy drops the next one
+        if field.name != "num_reducers":
+            assert getattr(wider, field.name) is getattr(job, field.name), field.name
