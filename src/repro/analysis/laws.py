@@ -13,7 +13,10 @@ domain:
   produce identical, stably-hashable fingerprints (the memo table's
   content ids depend on this);
 * **cost sanity** — ``value_size``/``merge_cost`` are non-negative and
-  finite.
+  finite;
+* **exactness** (when claimed) — a combiner declaring ``exact`` merges
+  any re-bracketing (and, when commutative, any permutation) of the same
+  leaves to an ``==`` value, over the leaf domain the declaration covers.
 
 Values are generated as the *merge closure* of leaf values: a combiner's
 laws only need to hold on values the data plane can actually produce (a
@@ -22,11 +25,13 @@ a **leaf strategy** — via the registry here for the built-in combiners, or
 a ``law_leaves()`` method for app-defined ones — and the harness derives
 arbitrary combined values from it.
 
-Floating-point note: float addition is not bitwise associative, so value
-comparisons are tolerance-based, scaled by the magnitude of the operands.
-A mislabeled algebra (mean-of-means, subtraction, concatenation claimed
-commutative) produces operand-scale discrepancies that the tolerance never
-absorbs.
+Floating-point note: float addition is not bitwise associative, so the
+algebraic laws compare with a tolerance scaled by the magnitude of the
+operands (:mod:`repro.common.approx`).  A mislabeled algebra
+(mean-of-means, subtraction, concatenation claimed commutative) produces
+operand-scale discrepancies that the tolerance never absorbs.  The
+exactness law is the one that compares with ``==``: it is what licenses
+``Slider.verify_outputs`` to.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.findings import ERROR, Finding
+from repro.common.approx import approx_equal, magnitude
 from repro.common.hashing import stable_hash
 from repro.mapreduce.combiners import (
     Combiner,
@@ -56,9 +62,6 @@ from repro.mapreduce.combiners import (
 #: behave differently per key in a way that breaks the algebra anyway).
 LAW_KEY = "__law__"
 
-#: Relative tolerance for float comparisons, scaled by operand magnitude.
-REL_TOL = 1e-9
-
 
 class _LawFalsified(AssertionError):
     """Raised inside a hypothesis body; carries the counterexample text."""
@@ -67,18 +70,26 @@ class _LawFalsified(AssertionError):
 # ---------------------------------------------------------------------------
 # leaf strategies
 
-_LEAF_REGISTRY: dict[type, Callable[[Combiner], st.SearchStrategy]] = {}
+LeafFactory = Callable[[Combiner], st.SearchStrategy]
+
+#: combiner class -> (leaf factory, factory of the leaves ``exact`` covers)
+_LEAF_REGISTRY: dict[type, tuple[LeafFactory, LeafFactory]] = {}
 
 
 def register_leaf_strategy(
-    combiner_type: type, factory: Callable[[Combiner], st.SearchStrategy]
+    combiner_type: type,
+    factory: LeafFactory,
+    exact_leaves: LeafFactory | None = None,
 ) -> None:
     """Register the leaf-value strategy for a combiner class.
 
+    ``exact_leaves`` narrows the domain over which the class's ``exact``
+    declaration is claimed (and checked); by default it is every leaf.
     App combiners can instead define a ``law_leaves()`` method returning a
-    hypothesis strategy; the method wins over the registry.
+    hypothesis strategy (and ``law_exact_leaves()`` to narrow it); the
+    methods win over the registry.
     """
-    _LEAF_REGISTRY[combiner_type] = factory
+    _LEAF_REGISTRY[combiner_type] = (factory, exact_leaves or factory)
 
 
 def _numbers() -> st.SearchStrategy:
@@ -92,7 +103,10 @@ def _entry() -> st.SearchStrategy:
     return st.tuples(st.integers(-100, 100), st.integers(0, 100))
 
 
-register_leaf_strategy(SumCombiner, lambda c: _numbers())
+# Integer addition is exact; the float half re-associates.
+register_leaf_strategy(
+    SumCombiner, lambda c: _numbers(), lambda c: st.integers(-10_000, 10_000)
+)
 register_leaf_strategy(MinCombiner, lambda c: _numbers())
 register_leaf_strategy(MaxCombiner, lambda c: _numbers())
 register_leaf_strategy(
@@ -132,15 +146,20 @@ register_leaf_strategy(
 )
 
 
-def leaf_strategy_for(combiner: Combiner) -> st.SearchStrategy | None:
-    """The leaf-value strategy for ``combiner``, or None when unknown."""
+def leaf_strategy_for(
+    combiner: Combiner, exact: bool = False
+) -> st.SearchStrategy | None:
+    """The leaf-value strategy for ``combiner``, or None when unknown;
+    with ``exact``, the leaves its ``exact`` declaration covers."""
     law_leaves = getattr(combiner, "law_leaves", None)
     if callable(law_leaves):
+        if exact:
+            law_leaves = getattr(combiner, "law_exact_leaves", law_leaves)
         return law_leaves()
     for klass in type(combiner).__mro__:
-        factory = _LEAF_REGISTRY.get(klass)
-        if factory is not None:
-            return factory(combiner)
+        factories = _LEAF_REGISTRY.get(klass)
+        if factories is not None:
+            return factories[exact](combiner)
     return None
 
 
@@ -158,46 +177,30 @@ def value_strategy_for(combiner: Combiner) -> st.SearchStrategy | None:
     return st.lists(leaves, min_size=1, max_size=3).map(close)
 
 
-# ---------------------------------------------------------------------------
-# tolerant equality
+class _Bracket(list):
+    """An inner node of a re-bracketing (leaves may be lists themselves)."""
 
 
-def _magnitude(value: Any) -> float:
-    """The largest absolute float/int reachable inside ``value``."""
-    if isinstance(value, bool):
-        return 1.0
-    if isinstance(value, (int, float)):
-        return abs(float(value))
-    if isinstance(value, (tuple, list, set, frozenset)):
-        return max((_magnitude(v) for v in value), default=0.0)
-    if isinstance(value, dict):
-        return max(
-            (max(_magnitude(k), _magnitude(v)) for k, v in value.items()),
-            default=0.0,
-        )
-    return 0.0
+def rearranged_strategy_for(combiner: Combiner) -> st.SearchStrategy:
+    """``(leaves, the same leaves re-bracketed)`` over the domain the
+    combiner's ``exact`` declaration covers; permuted as well when it is
+    commutative."""
+    leaves = leaf_strategy_for(combiner, exact=True)
 
+    @st.composite
+    def rearranged(draw: Any) -> tuple[list, Any]:
+        flat = draw(st.lists(leaves, min_size=2, max_size=6))
+        order = draw(st.permutations(flat)) if combiner.commutative else flat
 
-def approx_equal(left: Any, right: Any, *, scale: float = 0.0) -> bool:
-    """Structural equality with magnitude-scaled float tolerance."""
-    if isinstance(left, bool) or isinstance(right, bool):
-        return left == right
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        tolerance = REL_TOL * (1.0 + max(scale, abs(left), abs(right)))
-        return math.isclose(left, right, rel_tol=REL_TOL, abs_tol=tolerance)
-    if type(left) is not type(right):
-        return False
-    if isinstance(left, (tuple, list)):
-        return len(left) == len(right) and all(
-            approx_equal(a, b, scale=scale) for a, b in zip(left, right)
-        )
-    if isinstance(left, (set, frozenset)):
-        return left == right
-    if isinstance(left, dict):
-        return left.keys() == right.keys() and all(
-            approx_equal(v, right[k], scale=scale) for k, v in left.items()
-        )
-    return left == right
+        def bracket(items: list) -> Any:
+            if len(items) == 1:
+                return items[0]
+            cut = draw(st.integers(1, len(items) - 1))
+            return _Bracket([bracket(items[:cut]), bracket(items[cut:])])
+
+        return flat, bracket(list(order))
+
+    return rearranged()
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +238,11 @@ def _check_law(
         ],
     )
 
-    # hypothesis rejects varargs test functions, so bind the exact arity.
-    if len(strategies) == 2:
-
-        def run2(a: Any, b: Any) -> None:
-            body(a, b)
-
-        run = configure(given(*strategies)(run2))
-    elif len(strategies) == 3:
-
-        def run3(a: Any, b: Any, c: Any) -> None:
-            body(a, b, c)
-
-        run = configure(given(*strategies)(run3))
-    else:
-        raise ValueError(f"laws take 2 or 3 values, got {len(strategies)}")
+    # hypothesis rejects varargs test functions: draw the values as one tuple.
+    @configure
+    @given(st.tuples(*strategies))
+    def run(values: tuple) -> None:
+        body(*values)
 
     try:
         run()
@@ -300,7 +293,7 @@ def check_combiner_laws(
     findings: list[Finding] = []
 
     def associativity(a: Any, b: Any, c: Any) -> None:
-        scale = max(_magnitude(a), _magnitude(b), _magnitude(c))
+        scale = max(magnitude(a), magnitude(b), magnitude(c))
         left = _merge(combiner, _merge(combiner, a, b), c)
         right = _merge(combiner, a, _merge(combiner, b, c))
         if not _fingerprints_match(combiner, left, right, scale):
@@ -311,7 +304,7 @@ def check_combiner_laws(
             )
 
     def commutativity(a: Any, b: Any) -> None:
-        scale = max(_magnitude(a), _magnitude(b))
+        scale = max(magnitude(a), magnitude(b))
         left = _merge(combiner, a, b)
         right = _merge(combiner, b, a)
         if not _fingerprints_match(combiner, left, right, scale):
@@ -321,7 +314,7 @@ def check_combiner_laws(
             )
 
     def consistency(a: Any, b: Any) -> None:
-        scale = max(_magnitude(a), _magnitude(b))
+        scale = max(magnitude(a), magnitude(b))
         first = _merge(combiner, a, b)
         second = _merge(combiner, a, b)
         if not _fingerprints_match(combiner, first, second, scale):
@@ -355,6 +348,20 @@ def check_combiner_laws(
                 f"for values {a!r}, {b!r}"
             )
 
+    def fold(node: Any) -> Any:
+        if type(node) is _Bracket:
+            return _merge(combiner, *map(fold, node))
+        return node
+
+    def exactness(rearranged: tuple[list, Any]) -> None:
+        flat, tree = rearranged
+        whole, nested = _merge(combiner, *flat), fold(tree)
+        if whole != nested:
+            raise _LawFalsified(
+                f"declared exact, but one merge of {flat!r} != the merge "
+                f"re-bracketed as {tree!r}: {whole!r} != {nested!r}"
+            )
+
     if combiner.associative:
         finding = _check_law(
             "associativity", label, (values, values, values), associativity,
@@ -378,4 +385,11 @@ def check_combiner_laws(
     )
     if finding:
         findings.append(finding)
+    if combiner.exact:
+        finding = _check_law(
+            "exactness", label, (rearranged_strategy_for(combiner),), exactness,
+            max_examples,
+        )
+        if finding:
+            findings.append(finding)
     return findings

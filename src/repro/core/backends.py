@@ -276,7 +276,8 @@ class ProcessBackend(ExecutionBackend):
         for op, kwargs in result["probe_events"]:
             executor.probe.on_step(op, **kwargs)
         tree.__dict__.update(state)
-        self._held[reducer] = kept
+        if not self.broken:  # an earlier reducer's failure ended dispatching
+            self._held[reducer] = kept
         moved["reply_bytes"] += size
         moved["partitions_by_ref"] += refs
         moved["partitions_by_value"] += values

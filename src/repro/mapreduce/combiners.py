@@ -30,6 +30,14 @@ class Combiner(ABC, Generic[V]):
     associative: bool = True
     #: Required by rotating contraction trees (bucket rotation reorders leaves).
     commutative: bool = True
+    #: Merging the same leaves in any bracketing (and, when commutative,
+    #: any order) gives an ``==`` value, so an incremental run's outputs
+    #: *equal* the from-scratch run's.  ``False`` on combiners whose merge
+    #: re-associates float addition: their outputs agree to the tolerance
+    #: of :mod:`repro.common.approx`, which is what
+    #: ``Slider.verify_outputs`` then checks.  Verified, like the two
+    #: above, by :mod:`repro.analysis.laws`.
+    exact: bool = True
 
     @abstractmethod
     def merge(self, key: Any, values: Sequence[V]) -> V:
@@ -49,7 +57,11 @@ class Combiner(ABC, Generic[V]):
 
 
 class SumCombiner(Combiner[float]):
-    """Adds numeric values; the workhorse for counting/aggregation jobs."""
+    """Adds numeric values; the workhorse for counting/aggregation jobs.
+
+    ``exact`` over integers (every shipped job that uses it counts); a
+    job that sums floats with it should subclass and say ``exact = False``.
+    """
 
     def merge(self, key: Any, values: Sequence[float]) -> float:
         return sum(values)
@@ -74,6 +86,8 @@ class MeanCombiner(Combiner[tuple]):
 
     Map emits ``(1, x)``; Reduce divides total by count.
     """
+
+    exact = False  # the totals are float sums
 
     def merge(self, key: Any, values: Sequence[tuple]) -> tuple:
         count = sum(v[0] for v in values)
@@ -158,6 +172,8 @@ class VectorSumCombiner(Combiner[tuple]):
     Vectors are plain tuples of floats so values stay immutable and stably
     hashable.
     """
+
+    exact = False  # the vectors are float sums
 
     def merge(self, key: Any, values: Sequence[tuple]) -> tuple:
         count = 0

@@ -21,14 +21,11 @@ contract in :mod:`repro.telemetry.spans`).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.telemetry.spans import Phase, Telemetry
 
 __all__ = ["Phase", "WorkMeter", "RunReport", "Speedup"]
-
-_UNSET = object()
 
 
 class WorkMeter:
@@ -45,19 +42,8 @@ class WorkMeter:
     """
 
     def __init__(
-        self,
-        telemetry: Telemetry | None = None,
-        track_tasks: bool = False,
-        _task_tracking: object = _UNSET,
+        self, telemetry: Telemetry | None = None, track_tasks: bool = False
     ) -> None:
-        if _task_tracking is not _UNSET:
-            warnings.warn(
-                "WorkMeter(_task_tracking=...) is deprecated; "
-                "use WorkMeter(track_tasks=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            track_tasks = bool(_task_tracking)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: When on, every charge is appended to :attr:`task_costs`.  Off
         #: by default: a long-lived Slider charges thousands of times per
@@ -69,11 +55,6 @@ class WorkMeter:
     def by_phase(self) -> dict[Phase, float]:
         """Per-phase totals, derived live from the telemetry span tree."""
         return self.telemetry.by_phase
-
-    @property
-    def _task_tracking(self) -> bool:
-        """Deprecated read alias for :attr:`track_tasks`."""
-        return self.track_tasks
 
     def charge(self, phase: Phase, amount: float) -> None:
         """Charge ``amount`` work units to ``phase``."""

@@ -143,6 +143,7 @@ class _TupleCombiner(Combiner):
     def __init__(self, combiners: list[Combiner]) -> None:
         self.combiners = combiners
         self.commutative = all(c.commutative for c in combiners)
+        self.exact = all(c.exact for c in combiners)
 
     def merge(self, key: Any, values):
         return tuple(
@@ -162,13 +163,16 @@ class _TupleCombiner(Combiner):
             for combiner, component in zip(self.combiners, value)
         )
 
-    def law_leaves(self):
+    def law_leaves(self, exact: bool = False):
         """Component-wise leaf strategy for the law harness."""
         from hypothesis import strategies as st
 
         from repro.analysis.laws import leaf_strategy_for
 
-        parts = [leaf_strategy_for(combiner) for combiner in self.combiners]
+        parts = [leaf_strategy_for(c, exact=exact) for c in self.combiners]
         if any(part is None for part in parts):
             return None
         return st.tuples(*parts)
+
+    def law_exact_leaves(self):
+        return self.law_leaves(exact=True)

@@ -17,9 +17,11 @@ self-healing:
 * :mod:`repro.recovery.repair` — corruption injection (the chaos layer's
   :class:`~repro.cluster.chaos.CorruptionEvent`) and the eager repair
   sweep that recomputes poisoned subtrees so corruption costs work but
-  never changes outputs;
-* :mod:`repro.recovery.sweep` — the kill-at-every-boundary restore sweep
-  behind ``python -m repro.recovery``, CI's crash-restart gate.
+  never changes outputs.
+
+That a restored engine continues bit for bit is held by the test oracle
+(``tests/oracle``), one arm of which is killed and restored before every
+rule of every walk.
 """
 
 from repro.recovery.checkpoint import (

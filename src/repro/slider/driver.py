@@ -18,6 +18,7 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split, make_splits
 from repro.slider.system import Slider, SliderConfig, SliderResult
 from repro.slider.window import WindowMode
+from repro.telemetry import ENGINE_KEEP_LAST
 
 #: Extracts the event time from a record.
 TimestampFn = Callable[[Any], float]
@@ -87,6 +88,8 @@ class StreamDriver:
         self._boundary_index: int | None = None
         self._slide_index = 0
         self._ran_initial = False
+        #: The newest ``ENGINE_KEEP_LAST`` results (``feed`` returns every
+        #: one to its caller; a stream may run indefinitely).
         self.results: list[SliderResult] = []
 
     @property
@@ -187,4 +190,5 @@ class StreamDriver:
             ) = saved
             raise
         self.results.append(result)
+        del self.results[:-ENGINE_KEEP_LAST]  # a ring, like the engine's spans
         return result

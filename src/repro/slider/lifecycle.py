@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.common.approx import same_value
 from repro.common.errors import ReproError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only facade reference
@@ -204,17 +205,22 @@ class LifecycleManager:
         """Invariant check: outputs equal a from-scratch batch run.
 
         Chaos only perturbs the *time* simulation and the storage layers;
-        the incremental computation must still produce exactly what a
-        fault-free batch execution over the current window produces.
-        Raises :class:`~repro.common.errors.ReproError` on any
-        divergence; returns the number of keys checked.
+        the incremental computation must still produce what a fault-free
+        batch execution over the current window produces: ``==`` when the
+        job's combiner declares itself ``exact``, equal to the float
+        tolerance of :func:`~repro.common.approx.same_value` when its
+        merge re-associates float sums (a tree brackets the window
+        differently from the batch run).  Raises
+        :class:`~repro.common.errors.ReproError` on any divergence;
+        returns the number of keys checked.
         """
         from repro.mapreduce.runtime import BatchRuntime
 
         engine = self.engine
+        exact = engine.job.combiner.exact
         expected = BatchRuntime(engine.job).run(list(engine.window)).outputs
         actual = outputs if outputs is not None else self.current_outputs()
-        if actual != expected:
+        if not same_value(actual, expected, exact=exact):
             missing = sorted(
                 str(k) for k in expected.keys() - actual.keys()
             )[:5]
@@ -222,7 +228,7 @@ class LifecycleManager:
             wrong = sorted(
                 str(k)
                 for k in expected.keys() & actual.keys()
-                if expected[k] != actual[k]
+                if not same_value(actual[k], expected[k], exact=exact)
             )[:5]
             raise ReproError(
                 "incremental outputs diverged from the batch run: "

@@ -12,37 +12,14 @@ from repro.cluster.chaos import ChaosSchedule, MachineCrash
 from repro.cluster.dagexec import execute_dag, vector_clocks
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.cluster.scheduler import HadoopScheduler, SimTask
-from repro.mapreduce.combiners import SumCombiner
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import Split
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-
-VARIANTS = [
-    ("folding", "variable"),
-    ("randomized", "variable"),
-    ("strawman", "variable"),
-    ("rotating", "fixed"),
-    ("coalescing", "append"),
-]
-
-MODES = {
-    "variable": WindowMode.VARIABLE,
-    "fixed": WindowMode.FIXED,
-    "append": WindowMode.APPEND,
-}
-
+from tests.oracle.fleet import VARIANTS, count_job, split_of
 
 def make_engine(variant, mode, **kwargs):
-    job = MapReduceJob(
-        name="dynamic-check",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=2,
-    )
-    window_mode = MODES[mode]
+    window_mode = WindowMode(mode)
     return Slider(
-        job,
+        count_job("dynamic-check"),
         mode=window_mode,
         config=SliderConfig(tree=variant, mode=window_mode),
         **kwargs,
@@ -53,12 +30,7 @@ def drive(engine, recorder, advances=3):
     """Run initial + advances with the recorder attached; returns the
     static race findings accumulated over every run's plan."""
     engine.executor.probe = recorder
-    splits = [
-        Split.from_records(
-            [f"w{(i * 5 + j) % 9}" for j in range(12)], label=f"s{i}"
-        )
-        for i in range(4 + advances)
-    ]
+    splits = [split_of(i, spread=9, n=12) for i in range(4 + advances)]
     removed = 0 if engine.mode is WindowMode.APPEND else 1
     results = [engine.initial_run(splits[:4])]
     for i in range(advances):
@@ -168,7 +140,9 @@ def test_to_findings_renders_severities():
 # -- the static-vs-dynamic contract on real engines --------------------------
 
 
-@pytest.mark.parametrize("variant,mode", VARIANTS)
+@pytest.mark.parametrize(
+    "variant,mode", [(variant, mode.value) for variant, mode in VARIANTS]
+)
 def test_static_pass_covers_execution(variant, mode):
     engine = make_engine(variant, mode)
     recorder = DynamicRaceRecorder()

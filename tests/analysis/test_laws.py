@@ -13,6 +13,7 @@ from repro.mapreduce.combiners import (
     MinCombiner,
     SumCombiner,
     TopKCombiner,
+    VectorSumCombiner,
 )
 
 
@@ -31,6 +32,19 @@ class BadMeanCombiner(SumCombiner):
 
     def merge(self, key, values):
         return sum(values) / len(values)
+
+
+class ExactVectorSum(VectorSumCombiner):
+    """Float vector sums, deliberately mislabeled as exact: a tree
+    brackets a window's leaves differently from a batch run."""
+
+    exact = True
+
+
+class ExactMean(MeanCombiner):
+    """The same mislabel over one float (quick to shrink)."""
+
+    exact = True
 
 
 class NotCommutativeConcat(ListConcatCombiner):
@@ -76,6 +90,22 @@ def test_nonassociative_combiner_is_falsified_with_counterexample():
     assert "merge(merge(a,b),c) != merge(a,merge(b,c))" in message
     assert "a=" in message and "b=" in message and "c=" in message
     assert associativity[0].severity == "error"
+
+
+@pytest.mark.parametrize(
+    "mislabeled",
+    # Shrinking a three-float counterexample takes eight seconds.
+    [ExactMean(), pytest.param(ExactVectorSum(), marks=pytest.mark.soak)],
+    ids=lambda c: type(c).__name__,
+)
+def test_float_sums_declared_exact_are_falsified(mislabeled):
+    findings = check_combiner_laws(mislabeled)
+    assert rules_of(findings) == {"laws.exactness"}
+    assert "declared exact, but one merge of" in findings[0].message
+    # The honest declaration passes, and so does the integer half of a
+    # sum: the declaration is checked over the domain it covers.
+    assert check_combiner_laws(VectorSumCombiner(), max_examples=25) == []
+    assert SumCombiner().exact and not VectorSumCombiner().exact
 
 
 def test_noncommutative_combiner_is_falsified():

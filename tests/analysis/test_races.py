@@ -14,6 +14,7 @@ from repro.analysis.races import (
 )
 from repro.core.plan import Plan, PlanStep
 from repro.metrics import Phase
+from tests.oracle.fleet import VARIANTS, count_job, split_of
 
 
 def error_rules(findings):
@@ -125,42 +126,19 @@ def test_find_races_returns_pairs():
 
 
 @pytest.mark.parametrize(
-    "variant,mode",
-    [
-        ("folding", "variable"),
-        ("randomized", "variable"),
-        ("strawman", "variable"),
-        ("rotating", "fixed"),
-        ("coalescing", "append"),
-    ],
+    "variant,mode", [(variant, mode.value) for variant, mode in VARIANTS]
 )
 def test_real_plans_are_race_free(variant, mode):
-    from repro.mapreduce.combiners import SumCombiner
-    from repro.mapreduce.job import MapReduceJob
-    from repro.mapreduce.types import Split
     from repro.slider.system import Slider, SliderConfig
     from repro.slider.window import WindowMode
 
-    job = MapReduceJob(
-        name="race-scan",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=2,
-    )
-    window_mode = {
-        "variable": WindowMode.VARIABLE,
-        "fixed": WindowMode.FIXED,
-        "append": WindowMode.APPEND,
-    }[mode]
+    window_mode = WindowMode(mode)
     engine = Slider(
-        job,
+        count_job("race-scan"),
         mode=window_mode,
         config=SliderConfig(tree=variant, mode=window_mode),
     )
-    splits = [
-        Split.from_records([f"w{(i * 3 + j) % 7}" for j in range(8)], label=f"s{i}")
-        for i in range(6)
-    ]
+    splits = [split_of(i, spread=7, n=8) for i in range(6)]
     results = [engine.initial_run(splits[:4])]
     removed = 0 if window_mode is WindowMode.APPEND else 1
     results.append(engine.advance([splits[4]], removed))

@@ -24,7 +24,7 @@ from repro.metrics import Phase, WorkMeter
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from tests.conftest import profile_calls
-from tests.slider.test_graph_unbuilt import VARIANTS
+from tests.oracle.fleet import VARIANTS
 
 SPEC = APP_REGISTRY["kmeans"]
 

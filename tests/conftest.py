@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 
 import pytest
@@ -42,24 +41,6 @@ def leaf_seq(values: list[int]) -> list[Partition]:
 def root_total(partition: Partition) -> int:
     """The summed 'total' key of a root built from leaf_seq leaves."""
     return partition.get("total", 0)
-
-
-def plain_counters(engine) -> dict:
-    """An engine's telemetry counters minus the ``backend.*`` dispatch
-    accounting, which legitimately differs between a backend that
-    dispatches and one that cannot; the rest must match bit for bit."""
-    return {
-        name: value
-        for name, value in engine.telemetry.counters.items()
-        if not name.startswith("backend.")
-    }
-
-
-def graph_fields(graph) -> list[tuple]:
-    """Every field of every node of a task graph, in order: uid, kind,
-    phase, label, cost, data size, memo-hit, reducer, split uid, memo
-    uid, deps.  Reading them builds the graph."""
-    return [dataclasses.astuple(node) for node in graph.nodes]
 
 
 def profile_calls(thunk, watched=None) -> tuple:

@@ -15,25 +15,19 @@ from repro.core.backends import (
 )
 from repro.core.memo import DictMemoStore, MemoStats
 from repro.core.poison import PoisonPolicy
-from repro.mapreduce.combiners import SumCombiner
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import Split
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-from tests.conftest import plain_counters
+from tests.oracle.fleet import Fleet, case_of, count, count_job, split_of
+
+TWINS = ("reference", "process")
 
 
 def _job(num_reducers=2):
-    return MapReduceJob(
-        name="backend-test",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=num_reducers,
-    )
+    return count_job("backend-test", num_reducers)
 
 
 def _split(i):
-    return Split.from_records([f"w{(i + j) % 9}" for j in range(12)], label=f"s{i}")
+    return split_of(i, spread=9, n=12)
 
 
 def _slider(job=None, **config_kw):
@@ -108,31 +102,13 @@ class TestDispatchLadder:
         from repro.apps.registry import APP_REGISTRY
 
         spec = APP_REGISTRY["knn"]
-        splits = spec.make_splits(34, 7, 0)
-        inproc = _slider(spec.make_job(), execution_backend="inprocess")
-        proc = _slider(spec.make_job())
-        try:
-            for slider in (inproc, proc):
-                slider.initial_run(splits[:6])
-                for split in splits[6:14]:  # one structural period
-                    slider.advance([split], 1)
-            before = proc.telemetry.counters.get("backend.dispatch_runs", 0)
-            for split in splits[14:]:
-                a = inproc.advance([split], 1)
-                b = proc.advance([split], 1)
-                assert b.outputs == a.outputs
-                assert b.report.work == a.report.work
-                assert b.report.breakdown == a.report.breakdown
-            counters = proc.telemetry.counters
-            assert counters["backend.dispatch_runs"] - before == 20
+        splits = spec.make_splits(48, 7, 0)
+        job = (spec.make_job, lambda i: splits[i])
+        with Fleet(case_of("folding"), job=job, arms=TWINS, first=6) as fleet:
+            fleet.steady(20)
+            fleet.check()
+            counters = fleet.engines["process"].telemetry.counters
             assert not [name for name in counters if name.endswith("_fallbacks")]
-            left, right = inproc.meter.by_phase, proc.meter.by_phase
-            assert {p: v.hex() for p, v in left.items()} == {
-                p: v.hex() for p, v in right.items()
-            }
-        finally:
-            inproc.close()
-            proc.close()
 
     def test_fresh_plans_stay_inprocess(self):
         # The first structural period: no advance starts from a state the
@@ -217,36 +193,17 @@ class TestDispatchLadder:
             slider.close()
 
     def test_worker_death_falls_back_with_correct_outputs(self):
-        inproc = _warm(_slider(execution_backend="inprocess"), advances=10)
-        proc = _warm(_slider(), advances=10)
-        try:
-            backend = proc.backend
-            assert backend._pool is not None
-            # Kill the pool's processes out from under the backend.
-            for worker_proc in backend._pool.procs:
-                worker_proc.terminate()
-                worker_proc.join()
-            a = proc.advance([_split(30)], 1)
-            b = inproc.advance([_split(30)], 1)
-            assert a.outputs == b.outputs
-            assert proc.telemetry.counters.get(
-                "backend.worker_fallbacks", 0
-            ) + proc.telemetry.counters.get("backend.inprocess_runs", 0) > 0
-            assert backend.broken
+        with Fleet(case_of("folding"), arms=TWINS) as fleet:
+            fleet.steady(2)
+            assert fleet.kill_worker(hard=True)
+            backend = fleet.engines["process"].backend
             # The reply that never came was not merged: the reducers it
             # was for hold nothing, and the parent's trees were complete
             # all along, so later advances keep working, permanently
             # local and bit for bit.
-            assert not backend._held
-            for i in range(20):
-                c = proc.advance([_split(31 + i)], 1)
-                d = inproc.advance([_split(31 + i)], 1)
-                assert c.outputs == d.outputs
-                assert c.report.work == d.report.work
-            assert plain_counters(proc) == plain_counters(inproc)
-        finally:
-            proc.close()
-            inproc.close()
+            assert backend.broken and not backend._held
+            fleet.steady(20)
+            fleet.check()
 
     def test_close_reaps_a_worker_that_ignores_shutdown(self, monkeypatch):
         """A worker deaf to the shutdown message and to SIGTERM is killed
@@ -325,62 +282,32 @@ class TestDispatchDecisions:
         """The randomized tree is the one variant that reads and writes
         its memo table, and it never dispatches: under the process
         backend its tables sit on the same store and see the same
-        traffic as in process."""
-        mode = WindowMode.VARIABLE
-        proc, proc_results = _hct_stream("randomized", mode)
-        twin, twin_results = _hct_stream(
-            "randomized", mode, execution_backend="inprocess"
-        )
-        try:
-            for a, b in zip(proc_results, twin_results, strict=True):
-                assert a.outputs == b.outputs
-                assert a.report.work == b.report.work
-                assert a.report.breakdown == b.report.breakdown
+        traffic as in process (the fleet holds their stats equal)."""
+        from repro.apps.registry import APP_REGISTRY
+
+        spec = APP_REGISTRY["hct"]
+        splits = spec.make_splits(160, 7, 0)
+        job = (spec.make_job, lambda i: splits[i])
+        with Fleet(case_of("randomized"), job=job, arms=TWINS, first=12) as fleet:
+            fleet.steady(148)
+            fleet.check()
+            proc, twin = (fleet.engines[arm] for arm in reversed(TWINS))
             for a, b in zip(proc.trees, twin.trees, strict=True):
                 assert type(a.memo.entries) is DictMemoStore
                 assert list(a.memo.entries) == list(b.memo.entries)
-                assert a.memo.stats == b.memo.stats
-                assert a.memo.stats.hits > 1000 and a.memo.stats.misses > 500
-            assert plain_counters(proc) == plain_counters(twin)
-        finally:
-            proc.close()
-            twin.close()
+                assert a.memo.stats.hits > 300 and a.memo.stats.misses > 300
 
 
 class TestUnpicklableFallback:
     def test_unpicklable_payload_falls_back_per_reducer(self):
-        lock_holder = []
-
-        def map_fn(record):
-            return [(record, 1)]
-
-        slider = Slider(
-            _job(),
-            WindowMode.VARIABLE,
-            config=SliderConfig(
-                mode=WindowMode.VARIABLE,
-                execution_backend="process",
-                workers=2,
-            ),
-        )
-        try:
-            _warm(slider, advances=10)
-            assert (
-                slider.telemetry.counters.get("backend.dispatched_reducers", 0)
-                > 0
-            )
-            # Poison one tree's state with an unpicklable object; its
-            # reducer must fall back while the rest still dispatch.
-            import threading
-
-            slider.trees[0]._unpicklable_probe = threading.Lock()
-            before = dict(slider.telemetry.counters)
-            result = slider.advance([_split(60)], 1)
-            after = slider.telemetry.counters
-            assert result.outputs
-            assert after.get("backend.unpicklable_fallbacks", 0) > before.get(
-                "backend.unpicklable_fallbacks", 0
-            )
-            del slider.trees[0].__dict__["_unpicklable_probe"]
-        finally:
-            slider.close()
+        """One tree's state holds an unpicklable object: its reducer runs
+        in process while the rest still dispatch."""
+        with Fleet(case_of("folding"), arms=TWINS) as fleet:
+            fleet.steady(2)
+            engine = fleet.engines["process"]
+            before = count(engine, "backend.dispatched_reducers")
+            assert fleet.unpicklable()
+            assert count(engine, "backend.unpicklable_fallbacks") == 1
+            assert count(engine, "backend.dispatched_reducers") > before
+            fleet.steady(2)
+            fleet.check()

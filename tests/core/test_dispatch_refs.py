@@ -22,13 +22,14 @@ from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
 from repro.mapreduce.combiners import SumCombiner
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import Split
-from repro.slider.system import Slider, SliderConfig
-from repro.slider.window import WindowMode
-from tests.conftest import plain_counters
-
-EMPTY = Partition.empty()
+from tests.oracle.fleet import (
+    Fleet,
+    case_of,
+    count,
+    count_job,
+    split_of,
+    tree_partitions,
+)
 
 
 def _leaf(tag: int) -> Partition:
@@ -43,18 +44,6 @@ def _state(tree) -> dict:
         for key, value in vars(tree).items()
         if key not in parallel._LOCAL_ATTRS and key != "combiner"
     }
-
-
-def _partitions(value) -> list[Partition]:
-    """Every partition nested in ``value``, found without the walker
-    under test."""
-    if isinstance(value, Partition):
-        return [value]
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        return [p for item in value for p in _partitions(item)]
-    return []
 
 
 def _assert_same(sent, got, path="state"):
@@ -134,7 +123,7 @@ class TestRoundTrip:
     def test_state_survives_the_seam(self, variant, advances, data):
         state = _state(BUILDERS[variant](advances))
         mine = {}
-        for partition in _partitions(state):
+        for partition in tree_partitions(state):
             mine.setdefault(partition.uid, partition)
         chosen = data.draw(st.sets(st.sampled_from(sorted(mine))), label="held")
         held = {uid: mine[uid] for uid in chosen}
@@ -146,9 +135,9 @@ class TestRoundTrip:
         sent = {}
         coded, refs, values = encode_refs(state, held, sent)
         assert sent == mine
-        assert refs + values == len(_partitions(state))
+        assert refs + values == len(tree_partitions(state))
         # Nothing the receiver holds is in the message in full.
-        assert not any(held.get(p.uid) is p for p in _partitions(coded))
+        assert not any(held.get(p.uid) is p for p in tree_partitions(coded))
         blob = pickle.dumps(coded, protocol=pickle.HIGHEST_PROTOCOL)
 
         received = {}
@@ -158,7 +147,7 @@ class TestRoundTrip:
         assert (refs_in, values_in) == (refs, values)
         _assert_same(state, decoded)
         assert set(received) == set(mine)
-        for partition in _partitions(decoded):
+        for partition in tree_partitions(decoded):
             if partition.uid in theirs:
                 assert partition is theirs[partition.uid]
             else:
@@ -203,7 +192,7 @@ class TestRoundTrip:
 class TestIdentityRule:
     def test_a_copy_with_the_same_uid_travels_in_full(self):
         tree = _folding(6)
-        held = {p.uid: p for p in _partitions(_state(tree))}
+        held = {p.uid: p for p in tree_partitions(_state(tree))}
         key, genuine = next(
             (k, v) for k, v in tree._cache.items() if v and held[v.uid] is v
         )
@@ -219,7 +208,7 @@ class TestIdentityRule:
         assert others
         assert all(value is HeldPartition for value in others)
         assert genuine.uid not in uids or any(
-            p is genuine for p in _partitions(_state(tree))
+            p is genuine for p in tree_partitions(_state(tree))
         )
 
     def test_a_missing_reference_raises(self):
@@ -228,169 +217,92 @@ class TestIdentityRule:
 
 
 # -- engines ------------------------------------------------------------------
+#
+# Scripted walks of the oracle's fleet (``tests/oracle``), which after
+# every dispatched run of every walk holds both sides' tables equal to
+# the tree's partitions (``Fleet._held_is_the_tree``).
+
+TWINS = ("reference", "process")
+#: Eight keys no other split has all of: every leaf's content, and with
+#: it every uid in a tree, is distinct, and neighbours share a key, so
+#: every node is a real merge.
+DISTINCT = (count_job, lambda i: split_of(i, spread=10**6, n=8))
 
 
-def _job():
-    return MapReduceJob(
-        name="dispatch-refs",
-        map_fn=lambda record: [record],
-        combiner=SumCombiner(),
-        num_reducers=2,
-    )
-
-
-def _split(i):
-    # The same nine keys in every split, so every node is a real merge,
-    # with a weight no other split has, so every leaf's content, and with
-    # it every uid in a tree, is distinct.
-    records = [(f"w{j}", 1000 + i) for j in range(9)]
-    return Split.from_records(records, label=f"s{i}")
-
-
-def _engine(backend, job=None):
-    config = SliderConfig(
-        mode=WindowMode.VARIABLE, execution_backend=backend, workers=2
-    )
-    return Slider(job or _job(), WindowMode.VARIABLE, config=config)
-
-
-def _count(engine, name):
-    return engine.telemetry.counters.get(name, 0)
-
-
-class _Twins:
-    """A process engine and an in-process one over the same schedule,
-    compared bit for bit after every advance."""
-
-    def __init__(self, job=None):
-        self.proc = _engine("process", job)
-        self.inproc = _engine("inprocess", job)
-        self.engines = [self.proc, self.inproc]
-        self.next_split = 6
-        for engine in self.engines:
-            engine.initial_run([_split(i) for i in range(6)])
-
-    def advance(self, count=1):
-        for _ in range(count):
-            added = [_split(self.next_split)]
-            self.next_split += 1
-            a, b = (engine.advance(list(added), 1) for engine in self.engines)
-            assert a.outputs == b.outputs
-            assert a.report.work == b.report.work
-            assert dict(a.report.breakdown) == dict(b.report.breakdown)
-        assert plain_counters(self.proc) == plain_counters(self.inproc)
-
-    def advance_until_dispatched(self, runs):
-        """Slide until ``runs`` more advances have crossed the seam."""
-        target = _count(self.proc, "backend.dispatch_runs") + runs
-        for _ in range(40 * runs + 40):
-            if _count(self.proc, "backend.dispatch_runs") >= target:
-                return
-            self.advance()
-        raise AssertionError("the process engine stopped dispatching")
-
-    def close(self):
-        for engine in self.engines:
-            engine.close()
-
-
-@pytest.fixture
-def twins():
-    pair = _Twins()
-    yield pair
-    pair.close()
-
-
-def _tree_partitions(tree):
-    return _partitions(_state(tree))
+def _fleet(first=6):
+    return Fleet(case_of("folding"), job=DISTINCT, arms=TWINS, first=first)
 
 
 class TestHeldOnce:
-    def test_window_leaves_are_the_map_memo_objects(self, twins):
-        twins.advance_until_dispatched(100)
-        engine = twins.proc
-        for reducer, tree in enumerate(engine.trees):
-            leaves = tree.window_leaves()
-            live = list(engine.window)
-            assert len(leaves) == len(live)
-            for leaf, split in zip(leaves, live):
-                assert leaf is engine.map_memo[split.uid][reducer]
-            reachable = _tree_partitions(tree)
-            assert len({id(p) for p in reachable}) == len(
-                {p.uid for p in reachable}
-            )
+    def test_window_leaves_are_the_map_memo_objects(self):
+        with _fleet() as fleet:
+            fleet.steady(50)
+            engine = fleet.engines["process"]
+            for reducer, tree in enumerate(engine.trees):
+                leaves = zip(tree.window_leaves(), engine.window, strict=True)
+                for leaf, split in leaves:
+                    assert leaf is engine.map_memo[split.uid][reducer]
+                reachable = tree_partitions(tree)
+                assert len({id(p) for p in reachable}) == len(
+                    {p.uid for p in reachable}
+                )
 
-    def test_references_engage_and_little_crosses_by_value(self, twins):
-        twins.advance_until_dispatched(20)
-        before = dict(twins.proc.telemetry.counters)
-        twins.advance_until_dispatched(10)
-        moved = {
-            name: _count(twins.proc, name) - before.get(name, 0)
-            for name in twins.proc.telemetry.counters
-            if name.startswith("backend.")
-        }
-        reducers = moved["backend.dispatched_reducers"]
-        assert moved["backend.partitions_by_ref"] > 0
-        assert moved["backend.payload_bytes"] > 0
-        assert moved["backend.reply_bytes"] > 0
-        # One new leaf out, two root paths of a height <= 4 tree back.
-        assert moved["backend.partitions_by_value"] <= reducers * (1 + 2 * 4 + 1)
+    def test_references_engage_and_little_crosses_by_value(self):
+        with _fleet() as fleet:
+            fleet.steady(20)
+            engine = fleet.engines["process"]
+            before = dict(engine.telemetry.counters)
+            fleet.steady(10)
+            moved = {
+                name: count(engine, name) - before.get(name, 0)
+                for name in engine.telemetry.counters
+                if name.startswith("backend.")
+            }
+            reducers = moved["backend.dispatched_reducers"]
+            assert moved["backend.partitions_by_ref"] > 0
+            assert moved["backend.payload_bytes"] > 0
+            assert moved["backend.reply_bytes"] > 0
+            # One new leaf out, two root paths of a height <= 4 tree back.
+            assert moved["backend.partitions_by_value"] <= reducers * (1 + 2 * 4 + 1)
 
 
 class TestLostSync:
-    def test_inprocess_run_between_two_dispatched_ones(self, twins):
-        twins.advance_until_dispatched(5)
-        for engine in twins.engines:
-            engine.plan_cache.clear()
-        local = _count(twins.proc, "backend.inprocess_runs")
-        twins.advance()
-        assert _count(twins.proc, "backend.inprocess_runs") == local + 1
-        twins.advance_until_dispatched(1)
-        twins.advance(20)
-        assert not twins.proc.backend.broken
-        assert _count(twins.proc, "backend.worker_fallbacks") == 0
+    def test_inprocess_run_between_two_dispatched_ones(self):
+        with _fleet() as fleet:
+            fleet.steady(5)
+            engine = fleet.engines["process"]
+            local = count(engine, "backend.inprocess_runs")
+            fleet.interlude()
+            fleet.advance()
+            assert count(engine, "backend.inprocess_runs") == local + 1
+            fleet.steady(20)
+            fleet.check()
+            assert not engine.backend.broken
 
-    def test_checkpoint_restore_then_dispatch(self, tmp_path):
-        job = _job()
-        twins = _Twins(job)
-        try:
-            twins.advance_until_dispatched(5)
-            for index, engine in enumerate(list(twins.engines)):
-                engine.checkpoint(tmp_path / f"ckpt{index}")
-                engine.close()
-                twins.engines[index] = Slider.restore(tmp_path / f"ckpt{index}", job)
-            twins.proc, twins.inproc = twins.engines
-            twins.advance_until_dispatched(2)
-            twins.advance(20)
-            assert not twins.proc.backend.broken
-            assert _count(twins.proc, "backend.worker_fallbacks") == 0
-        finally:
-            twins.close()
+    def test_checkpoint_restore_then_dispatch(self):
+        with _fleet() as fleet:
+            fleet.steady(5)
+            fleet.kill("process")
+            fleet.kill("reference")
+            fleet.steady(20)
+            fleet.check()
+            assert not fleet.engines["process"].backend.broken
 
-    def test_unresolvable_reference_falls_back_in_process(self, twins):
-        twins.advance_until_dispatched(5)
-        for engine in twins.engines:
-            engine.plan_cache.clear()
-        backend = twins.proc.backend
-        dispatches = _count(twins.proc, "backend.dispatch_runs")
-        while _count(twins.proc, "backend.dispatch_runs") == dispatches:
-            # The runs that refill the plan cache are in process and make
-            # nodes the workers never saw; wrongly believe worker 0 holds
-            # all of reducer 0's tree when the next dispatch comes.
-            backend._held[0] = {
-                p.uid: p for p in _tree_partitions(twins.proc.trees[0])
-            }
-            twins.advance()
-        assert _count(twins.proc, "backend.worker_fallbacks") == 1
-        assert backend.broken
-        assert 0 not in backend._held
-        failures = [
-            instant
-            for instant in twins.proc.telemetry.instants
-            if instant["name"] == "backend.worker_failed"
-        ]
-        assert "KeyError" in failures[-1]["args"]["error"]
-        twins.advance(20)
+    def test_unresolvable_reference_falls_back_in_process(self):
+        with _fleet() as fleet:
+            fleet.steady(5)
+            assert fleet.kill_worker(hard=False)
+            engine = fleet.engines["process"]
+            assert count(engine, "backend.worker_fallbacks") == 1
+            assert engine.backend.broken and not engine.backend._held
+            failures = [
+                instant
+                for instant in engine.telemetry.instants
+                if instant["name"] == "backend.worker_failed"
+            ]
+            assert "KeyError" in failures[-1]["args"]["error"]
+            fleet.steady(20)
+            fleet.check()
 
 
 class TestWorkerProtocol:
@@ -409,22 +321,8 @@ class TestWorkerProtocol:
 
 
 class TestBounded:
-    def test_tables_stay_the_size_of_the_tree_on_both_sides(self, twins):
-        engine, backend = twins.proc, twins.proc.backend
-        dispatched = 0
-        while dispatched < 300:
-            before = _count(engine, "backend.dispatch_runs")
-            twins.advance()
-            if _count(engine, "backend.dispatch_runs") == before:
-                continue
-            dispatched += 1
-            for reducer, tree in enumerate(engine.trees):
-                uids = {p.uid for p in _tree_partitions(tree)}
-                assert set(backend._held[reducer]) == uids | {EMPTY.uid}
-        pool = backend._pool
-        sizes = {}
-        for worker in range(len(pool)):
-            pool.submit(worker, parallel._HELD_SIZES)
-            sizes.update(pool.receive(worker)[0])
-        assert sizes == {r: len(t) for r, t in backend._held.items()}
-        assert sorted(sizes) == [0, 1]
+    def test_tables_stay_the_size_of_the_tree_on_both_sides(self):
+        with _fleet() as fleet:
+            fleet.steady(150)
+            fleet.check()
+            assert sorted(fleet.engines["process"].backend._held) == [0, 1]

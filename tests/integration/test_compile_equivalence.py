@@ -7,28 +7,11 @@ alone, and a gate that never opened would pass every equivalence test.
 """
 
 from repro.cluster.machine import Cluster, ClusterConfig
-from repro.mapreduce.combiners import SumCombiner
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import Split
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
+from tests.oracle.fleet import count_job, split_of
 
 WINDOW = 6
-
-
-def count_job():
-    return MapReduceJob(
-        name="counts",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=2,
-    )
-
-
-def split_of(i, n=18):
-    return Split.from_records(
-        [f"w{(i * 7 + j) % 11}" for j in range(n)], label=f"s{i}"
-    )
 
 
 def test_steady_state_hit_rate_exceeds_99_percent():

@@ -1,282 +1,76 @@
 """Process-backend equivalence: the seam is invisible, bit for bit.
 
-The golden equivalence scenarios run under a simulated cluster, whose
-runs the process backend refuses by design — so passing them under
-``REPRO_EXECUTION_BACKEND=process`` exercises only the fallback rung.
-These tests drive the seam for real: cluster-free twin engines, one per
-backend, over identical schedules, with the dispatch counter asserted so
-a silently-ineligible configuration cannot pass vacuously.
-
-Checked per run: outputs, metered work, per-phase breakdown, and the
-recorded task graph node for node.  Checked at the end: cumulative
-per-phase totals to the last bit (hex-compared floats), telemetry
-counters (minus the ``backend.*`` dispatch accounting, which legitimately
-differs between a backend that dispatches and one that cannot), memo
-stats, and retained space.
+The oracle (``tests/oracle``) holds a process arm to an in-process
+reference after every rule of every walk — outputs, work, breakdown,
+space, graph and plan node for node, cumulative per-phase totals to the
+last bit, counters minus ``backend.*`` — and fails a walk whose process
+arm did not dispatch.  The cases here are short scripted walks of that
+fleet, one per configuration this suite has always named, plus the
+dynamic race recorder over real workers.
 """
 
 import pytest
 
 from repro.core.backends import ProcessBackend
-from repro.mapreduce.combiners import SumCombiner
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import Split
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-
-VARIANTS = [
-    ("folding", WindowMode.VARIABLE),
-    ("randomized", WindowMode.VARIABLE),
-    ("strawman", WindowMode.VARIABLE),
-    ("rotating", WindowMode.FIXED),
-    ("coalescing", WindowMode.APPEND),
-]
-
-#: Variants whose planners emit structure-cacheable plans: their steady
-#: advances replay compiled templates, which is the dispatch precondition.
-#: randomized/strawman replan value-dependently and must never dispatch —
-#: their twin runs check that the fallback rung is itself bit-identical.
-CACHEABLE = {"folding", "rotating", "coalescing"}
-
-ADVANCES = 14
-
-
-def make_job():
-    return MapReduceJob(
-        name="process-equivalence",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=3,
-    )
-
-
-def make_split(i):
-    return Split.from_records(
-        [f"w{(i * 7 + j) % 11}" for j in range(15)], label=f"s{i}"
-    )
-
-
-def make_engine(variant, mode, backend, workers=2):
-    config = SliderConfig(
-        mode=mode,
-        tree=variant,
-        execution_backend=backend,
-        workers=workers,
-    )
-    return Slider(make_job(), mode, config=config)
-
-
-def graph_nodes(result):
-    if result.graph is None:
-        return None
-    return [
-        (node.uid, node.kind, node.deps, node.label)
-        for node in result.graph.nodes
-    ]
-
-
-def drive_twins(variant, mode, advances=ADVANCES):
-    """Run the same schedule on both backends; compare every run."""
-    inproc = make_engine(variant, mode, "inprocess")
-    proc = make_engine(variant, mode, "process")
-    try:
-        removed = 0 if mode is WindowMode.APPEND else 1
-        initial = [make_split(i) for i in range(5)]
-        a = inproc.initial_run(list(initial))
-        b = proc.initial_run(list(initial))
-        runs = [(a, b)]
-        for i in range(advances):
-            added = [make_split(30 + i)]
-            runs.append(
-                (inproc.advance(list(added), removed),
-                 proc.advance(list(added), removed))
-            )
-        for index, (x, y) in enumerate(runs):
-            assert y.outputs == x.outputs, (variant, index)
-            assert y.report.work == x.report.work, (variant, index)
-            assert dict(y.report.breakdown) == dict(x.report.breakdown), (
-                variant,
-                index,
-            )
-            assert y.report.space == x.report.space, (variant, index)
-            assert graph_nodes(y) == graph_nodes(x), (variant, index)
-
-        # Cumulative float totals are identical to the last bit.
-        left, right = inproc.meter.by_phase, proc.meter.by_phase
-        assert set(left) == set(right)
-        for phase in left:
-            assert left[phase].hex() == right[phase].hex(), (variant, phase)
-
-        def counters(engine):
-            return {
-                name: value
-                for name, value in engine.telemetry.counters.items()
-                if not name.startswith("backend.")
-            }
-
-        assert counters(proc) == counters(inproc), variant
-        for t_in, t_proc in zip(inproc.trees, proc.trees):
-            assert t_proc.memo.stats == t_in.memo.stats, variant
-            assert t_proc.memo.space() == t_in.memo.space(), variant
-        return inproc, proc
-    except BaseException:
-        inproc.close()
-        proc.close()
-        raise
-
-
-@pytest.mark.parametrize(
-    "variant,mode", VARIANTS, ids=[v for v, _ in VARIANTS]
+from tests.oracle.fleet import (
+    DISPATCHING,
+    JOBS,
+    VARIANTS,
+    Fleet,
+    case_of,
+    count,
+    count_job,
+    split_of,
 )
+
+TWINS = ("reference", "process")
+
+
+@pytest.mark.parametrize("variant,mode", VARIANTS, ids=[v for v, _ in VARIANTS])
 def test_backends_bit_identical(variant, mode):
-    inproc, proc = drive_twins(variant, mode)
-    try:
-        dispatched = proc.telemetry.counters.get(
-            "backend.dispatched_reducers", 0
-        )
-        if variant in CACHEABLE:
-            # Not vacuous: the process twin really crossed the seam.
-            assert dispatched > 0, f"{variant}: process backend never dispatched"
-            assert not proc.backend.broken
+    with Fleet(case_of(variant), arms=TWINS) as fleet:
+        fleet.steady(6)
+        fleet.advance(2, 1)
+        fleet.steady(6)
+        fleet.check()
+        process = fleet.engines["process"]
+        if variant in DISPATCHING:
+            assert not process.backend.broken
         else:
-            # Value-dependent planners never replay, so never dispatch.
-            assert dispatched == 0, variant
-    finally:
-        inproc.close()
-        proc.close()
+            # Value-dependent planners never recur, so never dispatch.
+            assert count(process, "backend.dispatched_reducers") == 0
 
 
 def test_dispatch_survives_many_reducers_round_robin():
     """More reducers than workers: round-robin keeps merge order correct."""
-    job = MapReduceJob(
-        name="round-robin",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=5,
-    )
-    config = dict(mode=WindowMode.VARIABLE, tree="folding")
-    inproc = Slider(
-        job, WindowMode.VARIABLE,
-        config=SliderConfig(**config, execution_backend="inprocess"),
-    )
-    proc = Slider(
-        job, WindowMode.VARIABLE,
-        config=SliderConfig(**config, execution_backend="process", workers=2),
-    )
-    try:
-        initial = [make_split(i) for i in range(5)]
-        inproc.initial_run(list(initial))
-        proc.initial_run(list(initial))
-        for i in range(12):
-            a = inproc.advance([make_split(40 + i)], 1)
-            b = proc.advance([make_split(40 + i)], 1)
-            assert b.outputs == a.outputs
-            assert b.report.work == a.report.work
-        assert proc.telemetry.counters.get("backend.dispatched_reducers", 0) > 0
-        assert len(proc.backend._pool) == 2  # capped below reducer count
-    finally:
-        inproc.close()
-        proc.close()
+    job = (lambda: count_job("round-robin", num_reducers=5), JOBS["counts"][1])
+    with Fleet(case_of("folding"), job=job, arms=TWINS) as fleet:
+        fleet.steady(4)
+        fleet.check()
+        assert len(fleet.engines["process"].backend._pool) == 2  # capped
 
 
 class TestCheckpointAcrossBackends:
-    def test_checkpoint_restore_under_process_backend(self, tmp_path):
-        """Checkpoint drains the shared segment; restore reattaches and
-        the resumed engine stays bit-identical to an uninterrupted one."""
-        job = make_job()
-        config = SliderConfig(
-            mode=WindowMode.VARIABLE,
-            tree="folding",
-            execution_backend="process",
-            workers=2,
-        )
-        engine = Slider(job, WindowMode.VARIABLE, config=config)
-        control = Slider(job, WindowMode.VARIABLE, config=config)
-        try:
-            initial = [make_split(i) for i in range(5)]
-            engine.initial_run(list(initial))
-            control.initial_run(list(initial))
-            for i in range(10):
-                engine.advance([make_split(50 + i)], 1)
-                control.advance([make_split(50 + i)], 1)
-            engine.checkpoint(tmp_path / "ckpt")
-            engine.close()
+    def test_checkpoint_restore_under_process_backend(self):
+        with Fleet(case_of("folding"), arms=TWINS) as fleet:
+            fleet.steady(2)
+            fleet.kill("process")
+            assert isinstance(fleet.engines["process"].backend, ProcessBackend)
+            fleet.steady(2)
+            fleet.check()
 
-            restored = Slider.restore(tmp_path / "ckpt", job)
-            try:
-                assert isinstance(restored.backend, ProcessBackend)
-                for i in range(6):
-                    a = restored.advance([make_split(70 + i)], 1)
-                    b = control.advance([make_split(70 + i)], 1)
-                    assert a.outputs == b.outputs, i
-                    assert a.report.work == b.report.work, i
-                assert restored.verify_outputs() == control.verify_outputs()
-            finally:
-                restored.close()
-        finally:
-            control.close()
-
-    def test_state_moves_between_backends(self, tmp_path):
-        """A checkpoint taken under one backend restores under the other:
-        capture drains shared namespaces into plain data and apply
-        reattaches through whatever store the new engine's backend built."""
-        from repro.recovery.state import (
-            apply_engine_state,
-            apply_telemetry,
-            capture_engine_state,
-            capture_telemetry,
-        )
-
-        job = make_job()
-        proc = Slider(
-            job,
-            WindowMode.VARIABLE,
-            config=SliderConfig(
-                mode=WindowMode.VARIABLE,
-                tree="folding",
-                execution_backend="process",
-                workers=2,
-            ),
-        )
-        inproc = Slider(
-            job,
-            WindowMode.VARIABLE,
-            config=SliderConfig(
-                mode=WindowMode.VARIABLE,
-                tree="folding",
-                execution_backend="inprocess",
-            ),
-        )
-        try:
-            proc.initial_run([make_split(i) for i in range(5)])
-            for i in range(10):
-                proc.advance([make_split(50 + i)], 1)
-            state = capture_engine_state(proc)
-            fresh = Slider(
-                job,
-                WindowMode.VARIABLE,
-                config=SliderConfig(
-                    mode=WindowMode.VARIABLE,
-                    tree="folding",
-                    execution_backend="inprocess",
-                ),
-            )
-            apply_engine_state(fresh, state)
-            # Replay cumulative telemetry too: per-run work is a delta
-            # of cumulative floats, so the starting totals must match
-            # bit for bit (the full checkpoint path does the same).
-            apply_telemetry(fresh.telemetry, capture_telemetry(proc.telemetry))
-            # Replay the same schedule on the plain twin for reference.
-            inproc.initial_run([make_split(i) for i in range(5)])
-            for i in range(10):
-                inproc.advance([make_split(50 + i)], 1)
-            a = fresh.advance([make_split(70)], 1)
-            b = inproc.advance([make_split(70)], 1)
-            assert a.outputs == b.outputs
-            assert a.report.work == b.report.work
-        finally:
-            proc.close()
-            inproc.close()
+    def test_state_moves_between_backends(self):
+        """A state captured under one backend applies under the other."""
+        with Fleet(case_of("folding"), arms=TWINS) as fleet:
+            fleet.steady(2)
+            fleet.move()
+            fleet.advance()
+            fleet.check()
+            fleet.move()
+            fleet.steady(2)
+            fleet.check()
 
 
 class TestDynamicRecorderOverWorkers:
@@ -289,21 +83,15 @@ class TestDynamicRecorderOverWorkers:
         from repro.analysis.races import analyze_plan
 
         recorder = DynamicRaceRecorder()
-        engine = make_engine("folding", WindowMode.VARIABLE, "process")
+        config = SliderConfig(execution_backend="process", workers=2)
+        engine = Slider(count_job(num_reducers=3), WindowMode.VARIABLE, config)
         try:
             engine.executor.probe = recorder
-            static = []
-            result = engine.initial_run([make_split(i) for i in range(5)])
-            if result.plan is not None:
-                static.extend(analyze_plan(result.plan))
+            results = [engine.initial_run([split_of(i) for i in range(5)])]
             for i in range(12):
-                result = engine.advance([make_split(30 + i)], 1)
-                if result.plan is not None:
-                    static.extend(analyze_plan(result.plan))
-            assert (
-                engine.telemetry.counters.get("backend.dispatched_reducers", 0)
-                > 0
-            )
+                results.append(engine.advance([split_of(30 + i)], 1))
+            static = [f for result in results for f in analyze_plan(result.plan)]
+            assert count(engine, "backend.dispatched_reducers") > 0
             assert recorder.events > 0
             assert recorder.unexplained(static) == []
         finally:

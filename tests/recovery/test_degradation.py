@@ -8,8 +8,8 @@ from repro.core.poison import PoisonPolicy
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split
-from repro.slider.equivalence import _scenario_job, _scenario_split
 from repro.slider.system import Slider, SliderConfig
+from tests.oracle.fleet import Fleet, case_of, count_job, split_of
 
 
 class _BoomCombiner(SumCombiner):
@@ -145,43 +145,40 @@ def test_dead_letters_reset_between_runs():
     assert second.outputs == {"a": 1, "c": 1}
 
 
+RANDOMIZED = case_of("randomized")  # the content-memoized variant
+
+
 def test_memo_budget_degrades_toward_recomputation():
-    # The randomized tree is the content-memoized variant; a zero budget
-    # degrades every one of its sub-computations to recomputation.
-    healthy = Slider(_scenario_job(), config=SliderConfig(tree="randomized"))
-    budgeted = Slider(
-        _scenario_job(), config=SliderConfig(tree="randomized", memo_budget=0)
-    )
-    for engine in (healthy, budgeted):
-        engine.initial_run([_scenario_split(i) for i in range(6)])
-    expected = healthy.advance([_scenario_split(10)], 2)
-    got = budgeted.advance([_scenario_split(10)], 2)
-    assert got.outputs == expected.outputs
-    skipped = sum(t.memo.stats.skipped_stores for t in budgeted.trees)
-    assert skipped > 0
-    assert budgeted.telemetry.counters["memo.skipped_stores"] == skipped
-    assert all(len(t.memo.entries) == 0 for t in budgeted.trees)
+    """A zero budget degrades every sub-computation to recomputation, on
+    every arm alike: outputs and numbers stay the fleet's."""
+    with Fleet(RANDOMIZED, arms=("reference", "paranoid"), memo_budget=0) as fleet:
+        fleet.advance(3, 0)
+        fleet.steady(4)
+        fleet.check()
+        engine = fleet.reference
+        skipped = sum(t.memo.stats.skipped_stores for t in engine.trees)
+        assert skipped > 0
+        assert engine.telemetry.counters["memo.skipped_stores"] == skipped
+        assert all(len(t.memo.entries) == 0 for t in engine.trees)
+
+
+def _outage():
+    """A randomized tree with a cluster arm whose cache refused writes
+    for one advance (a transient outage), and how many tables that
+    degraded; outputs stayed the healthy reference's."""
+    fleet = Fleet(RANDOMIZED, arms=("reference", "cluster"))
+    fleet.advance(3, 0)
+    assert fleet.fail_backing()
+    fleet.check()
+    engine = fleet.engines["cluster"]
+    return fleet, engine, sum(1 for t in engine.trees if t.memo.degraded)
 
 
 def test_backing_failure_degrades_to_local_only():
-    cluster = Cluster(ClusterConfig(num_machines=4, straggler_fraction=0.0))
-    config = SliderConfig(tree="randomized")
-    slider = Slider(_scenario_job(), config=config, cluster=cluster)
-    healthy = Slider(_scenario_job(), config=config)
-
-    def fail(*args, **kwargs):
-        raise OSError("cache backend unavailable")
-
-    slider.cache.put = fail
-    result = slider.initial_run([_scenario_split(i) for i in range(4)])
-    expected = healthy.initial_run([_scenario_split(i) for i in range(4)])
-    assert result.outputs == expected.outputs
-    assert any(t.memo.degraded for t in slider.trees)
-    assert slider.telemetry.counters["memo.degraded"] >= 1
-    # Degraded mode keeps working locally across further advances.
-    follow = slider.advance([_scenario_split(9)], 1)
-    follow_expected = healthy.advance([_scenario_split(9)], 1)
-    assert follow.outputs == follow_expected.outputs
+    fleet, engine, degraded = _outage()
+    with fleet:
+        assert degraded > 0
+        assert engine.telemetry.counters["memo.degraded"] == degraded
 
 
 def test_degraded_tables_rearm_at_next_run_start():
@@ -189,48 +186,29 @@ def test_degraded_tables_rearm_at_next_run_start():
     run's start re-arms it (the backing may have been repaired in
     between), counts ``memo.degraded_resets``, and emits a
     ``memo.degraded_reset`` telemetry instant."""
-    cluster = Cluster(ClusterConfig(num_machines=4, straggler_fraction=0.0))
-    slider = Slider(
-        _scenario_job(), config=SliderConfig(tree="randomized"), cluster=cluster
-    )
-    healthy = Slider(_scenario_job(), config=SliderConfig(tree="randomized"))
-
-    original_put = slider.cache.put
-
-    def fail(*args, **kwargs):
-        raise OSError("cache backend unavailable")
-
-    slider.cache.put = fail  # transient outage, this run only
-    result = slider.initial_run([_scenario_split(i) for i in range(4)])
-    expected = healthy.initial_run([_scenario_split(i) for i in range(4)])
-    assert result.outputs == expected.outputs
-    degraded = sum(1 for t in slider.trees if t.memo.degraded)
-    assert degraded > 0
-
-    slider.cache.put = original_put  # the backing "was repaired"
-    follow = slider.advance([_scenario_split(9)], 1)
-    follow_expected = healthy.advance([_scenario_split(9)], 1)
-    assert follow.outputs == follow_expected.outputs
-    # The run start re-armed every degraded table...
-    assert slider.telemetry.counters["memo.degraded_resets"] == degraded
-    assert any(
-        event["name"] == "memo.degraded_reset"
-        for event in slider.telemetry.instants
-    )
-    # ...and with the backing healthy again, nothing re-degraded.
-    assert not any(t.memo.degraded for t in slider.trees)
+    fleet, engine, degraded = _outage()
+    with fleet:
+        fleet.advance()  # the backing "was repaired"
+        fleet.check()
+        assert engine.telemetry.counters["memo.degraded_resets"] == degraded > 0
+        assert any(
+            event["name"] == "memo.degraded_reset"
+            for event in engine.telemetry.instants
+        )
+        # With the backing healthy again, nothing re-degraded.
+        assert not any(t.memo.degraded for t in engine.trees)
 
 
 def test_on_machine_failure_requires_a_cluster():
-    slider = Slider(_scenario_job())
-    slider.initial_run([_scenario_split(0)])
+    slider = Slider(count_job())
+    slider.initial_run([split_of(0)])
     with pytest.raises(SchedulingError, match="without a cluster"):
         slider.lifecycle.on_machine_failure(0)
 
 
 def test_on_machine_failure_rejects_unknown_machine():
     cluster = Cluster(ClusterConfig(num_machines=3, straggler_fraction=0.0))
-    slider = Slider(_scenario_job(), cluster=cluster)
-    slider.initial_run([_scenario_split(0)])
+    slider = Slider(count_job(), cluster=cluster)
+    slider.initial_run([split_of(0)])
     with pytest.raises(SchedulingError, match="unknown machine"):
         slider.lifecycle.on_machine_failure(99)

@@ -5,9 +5,7 @@ from repro.cluster.machine import Cluster, ClusterConfig
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.slider.driver import StreamDriver
-from repro.slider.equivalence import _run_record, _scenario_job, _scenario_split
-from repro.slider.system import Slider, SliderConfig
-from repro.slider.window import WindowMode
+from tests.oracle.fleet import Fleet, case_of, run_record as _run_record
 
 
 def count_job() -> MapReduceJob:
@@ -85,8 +83,9 @@ def test_driver_flush_after_restore(tmp_path):
     assert result.outputs["s2"] == 5  # the replayed tail, nothing else
 
 
-def _chaos_plan() -> ChaosPlan:
-    return ChaosPlan(
+def _crashes() -> dict:
+    """Every arm gets eight machines, two of which crash mid-run."""
+    plan = ChaosPlan(
         schedules={
             1: ChaosSchedule(
                 crashes=[MachineCrash(time=0.5, machine_id=2)], seed=3
@@ -97,43 +96,18 @@ def _chaos_plan() -> ChaosPlan:
             ),
         }
     )
+    cluster = Cluster(ClusterConfig(num_machines=8, straggler_fraction=0.0))
+    return {"cluster": cluster, "chaos": plan}
 
 
-def _chaos_slider() -> Slider:
-    return Slider(
-        _scenario_job(),
-        WindowMode.VARIABLE,
-        config=SliderConfig(tree="folding"),
-        cluster=Cluster(ClusterConfig(num_machines=8, straggler_fraction=0.0)),
-        chaos=_chaos_plan(),
-    )
-
-
-def test_chaos_and_restore_compose_bit_identically(tmp_path):
+def test_chaos_and_restore_compose_bit_identically():
     """Machines crash in the same runs the engine is killed/restored; the
-    resumed runs and their fault telemetry match the uninterrupted run."""
-    steps = [
-        [_scenario_split(i) for i in range(6)],
-        [_scenario_split(10), _scenario_split(11)],
-        [_scenario_split(12)],
-    ]
-    baseline = _chaos_slider()
-    expected = [_run_record(baseline.initial_run(steps[0]))]
-    expected.append(_run_record(baseline.advance(steps[1], 2)))
-    expected.append(_run_record(baseline.advance(steps[2], 1)))
-    baseline.verify_outputs()
-
-    victim = _chaos_slider()
-    got = [_run_record(victim.initial_run(steps[0]))]
-    got.append(_run_record(victim.advance(steps[1], 2)))
-    victim.checkpoint(tmp_path / "ckpt")
-    del victim
-
-    resumed = Slider.restore(tmp_path / "ckpt", _scenario_job())
-    got.append(_run_record(resumed.advance(steps[2], 1)))
-    resumed.verify_outputs()
-
-    assert got == expected
-    # Deterministic fault telemetry: the replayed-and-continued counter
-    # totals equal the uninterrupted run's, fault events included.
-    assert resumed.telemetry.counters == baseline.telemetry.counters
+    resumed runs and their fault telemetry (``report.recovery``, every
+    counter) match the uninterrupted run."""
+    arms = ("reference", "restored")
+    case = case_of("folding")
+    with Fleet(case, job="scenario", arms=arms, first=6, common=_crashes) as f:
+        first = f.advance(2, 2)["reference"]
+        second = f.advance(1, 1)["reference"]
+        f.check()
+        assert first.report.recovery and second.report.recovery

@@ -19,11 +19,10 @@ import statistics
 
 import pytest
 
-from repro.slider.equivalence import _scenario_job, _scenario_split as _split
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from tests.conftest import profile_calls
-from tests.slider.test_graph_unbuilt import VARIANTS
+from tests.oracle.fleet import VARIANTS, count_job, split_of
 
 #: Consecutive slides measured (after as many unmeasured): the median
 #: over them is the same at every phase of the tree's structural period.
@@ -35,13 +34,13 @@ def _events_and_steps(variant: str, mode: WindowMode, window: int) -> tuple:
     config = SliderConfig(
         mode=mode, tree=variant, execution_backend="inprocess", workers=1
     )
-    engine = Slider(_scenario_job(), mode, config)
-    engine.initial_run([_split(i) for i in range(window)])
+    engine = Slider(count_job(), mode, config)
+    engine.initial_run([split_of(i) for i in range(window)])
     events: list[int] = []
     steps: list[int] = []
     try:
         for i in range(window, window + 2 * SLIDES):
-            added = [_split(i)]
+            added = [split_of(i)]
             if i < window + SLIDES:
                 engine.advance(added, 1)
                 continue
@@ -94,14 +93,14 @@ def test_bulk_motion_costs_one_walk_not_k(variant, mode, window=64, k=8):
     removed = 0 if mode is WindowMode.APPEND else 1
     costs = {}
     for step in (1, k):
-        engine = Slider(_scenario_job(), mode, config)
-        engine.initial_run([_split(i) for i in range(window)])
+        engine = Slider(count_job(), mode, config)
+        engine.initial_run([split_of(i) for i in range(window)])
         rounds = []
         try:
             for start in range(window, window + 6 * k, k):
                 events = 0
                 for first in range(start, start + k, step):
-                    added = [_split(i) for i in range(first, first + step)]
+                    added = [split_of(i) for i in range(first, first + step)]
                     events += profile_calls(
                         lambda: engine.advance(added, removed * step)
                     )[1]

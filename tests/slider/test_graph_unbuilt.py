@@ -1,54 +1,44 @@
 """Nothing is built until read, and a kept result pins nothing.
 
 An advance logs its task graph as flat records; ``TaskNode`` values
-exist only once somebody reads ``result.graph``.  So: no advance makes a
-node, in the engine's process or in a worker; a result kept for a
-hundred advances still reads as the graph of its run; an unread result
-holds none of its run's partitions; and the one reader under ``src/``
-that prices a run from its graph (``time_model="dag"``) gets the floats
-it got when graphs were built as they were recorded.
+exist only once somebody reads ``result.graph``.  That no rule of any
+walk builds one — in the engine's process or, where constructing one
+raises, in a worker — is an invariant of the oracle (``tests/oracle``:
+``counted_builds`` around every rule).  Here: the long steady walks this
+suite has always named; a result kept for a hundred advances still reads
+as the graph of its run; an unread result holds none of its run's
+partitions; and the one reader under ``src/`` that prices a run from its
+graph (``time_model="dag"``) gets the floats it got when graphs were
+built as they were recorded.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import pickle
+from contextlib import contextmanager
 
 import pytest
 
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.core.parallel import WorkerPool
 from repro.core.partition import Partition
-from repro.core.taskgraph import TaskNode
-from repro.mapreduce.combiners import SumCombiner
-from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split
-from repro.slider.equivalence import _scenario_split as split_of
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-from tests.conftest import graph_fields as fields
+from tests.oracle.fleet import (
+    DISPATCHING as _DISPATCHING,
+    VARIANTS,
+    Fleet,
+    case_of,
+    count,
+    count_job,
+    graph_fields as fields,
+    split_of,
+)
 
-VARIANTS = [
-    ("folding", WindowMode.VARIABLE),
-    ("randomized", WindowMode.VARIABLE),
-    ("strawman", WindowMode.VARIABLE),
-    ("rotating", WindowMode.FIXED),
-    ("coalescing", WindowMode.APPEND),
-]
 #: The variants whose plans are cacheable, so that they dispatch.
-DISPATCHING = [VARIANTS[0], VARIANTS[3], VARIANTS[4]]
-
-
-def count_job():
-    # test_taskgraph_recording's job: its name places the dag model's
-    # reduce-side tasks, so the floats pinned below depend on it.
-    return MapReduceJob(
-        name="counts",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=2,
-    )
+DISPATCHING = [pair for pair in VARIANTS if pair[0] in _DISPATCHING]
 
 
 def make_slider(variant, mode, cluster=None, **config):
@@ -65,63 +55,61 @@ def steady(slider, mode, advances, first=6):
     return results
 
 
-@pytest.fixture
-def made(monkeypatch):
-    """The ``TaskNode`` constructions of this process, one entry each; in
-    any other process (a forked worker) constructing one raises, which
-    reaches the parent as a ``backend.worker_fallbacks`` count."""
-    made: list[str] = []
-    init, home = TaskNode.__init__, os.getpid()
-
-    def counting(self, *args, **kwargs):
-        if os.getpid() != home:
-            raise AssertionError("a worker built a TaskNode")
-        init(self, *args, **kwargs)
-        made.append(self.kind)
-
-    monkeypatch.setattr(TaskNode, "__init__", counting)
-    return made
+@contextmanager
+def unread(variant):
+    """The results of 64 uniform advances of an engine nobody reads, and
+    the list of what has been built since (nothing, yet)."""
+    with Fleet(case_of(variant), job="scenario", arms=("reference",), first=6) as fleet:
+        results = [fleet.advance()["reference"] for _ in range(64)]
+        fleet.background()
+        fleet.check()
+        assert fleet.built == []
+        yield results, fleet.built
 
 
-@pytest.mark.parametrize("variant,mode", VARIANTS)
-def test_an_advance_builds_no_node(variant, mode, made):
-    slider = make_slider(variant, mode)
-    results = steady(slider, mode, 64)
-    slider.background_preprocess()
-    slider.verify_outputs()
-    assert made == []
-    assert sum(len(result.graph) for result in results) > 64 * 10
-    assert made == []  # len does not build either
-    assert len(results[-1].graph.nodes) == len(made) > 10
-
-
-@pytest.mark.parametrize("variant,mode", DISPATCHING)
-def test_a_worker_builds_no_node_and_replies_with_records(
-    variant, mode, made, monkeypatch
-):
+@contextmanager
+def dispatched(variant, monkeypatch, field: str, built: bytes):
+    """The process arm's latest result after 65 dispatched advances, and
+    its workers' replies: each carries ``field`` as flat records and no
+    ``built`` (a worker that built one raises, and the fleet fails on the
+    fallback)."""
     replies = []
     receive = WorkerPool.receive
 
     def spy(self, worker):
         value, size = receive(self, worker)
-        replies.append(value)
+        if isinstance(value, dict) and field in value:
+            replies.append(value)
         return value, size
 
     monkeypatch.setattr(WorkerPool, "receive", spy)
-    slider = make_slider(variant, mode, execution_backend="process", workers=2)
-    try:
-        results = steady(slider, mode, 64)
-        counters = slider.telemetry.counters
-        assert counters["backend.dispatched_reducers"] == len(replies) > 64
-        assert counters.get("backend.worker_fallbacks", 0) == 0
-        assert made == []
+    arms = ("reference", "process")
+    with Fleet(case_of(variant), job="scenario", arms=arms, first=6) as fleet:
+        fleet.steady(64)
+        last = fleet.advance()["process"]
+        fleet.check()
+        engine = fleet.engines["process"]
+        assert last.plan_cache_hit
+        assert count(engine, "backend.dispatched_reducers") == len(replies) > 64
         for reply in replies:
-            assert type(reply["graph"]) is list and reply["graph"]
-            assert all(type(record) is tuple for record in reply["graph"])
-            assert b"TaskNode" not in pickle.dumps(reply)
-        assert len(results[-1].graph.nodes) == len(made) > 10
-    finally:
-        slider.close()
+            assert type(reply[field]) is list and reply[field]
+            assert all(type(record) is tuple for record in reply[field])
+            assert built not in pickle.dumps(reply)
+        yield last, replies
+
+
+@pytest.mark.parametrize("variant,mode", VARIANTS)
+def test_an_advance_builds_no_node(variant, mode):
+    with unread(variant) as (results, built):
+        assert sum(len(result.graph) for result in results) > 64 * 10
+        assert built == []  # len does not build either
+        assert len(results[-1].graph.nodes) == len(built) > 10
+
+
+@pytest.mark.parametrize("variant,mode", DISPATCHING)
+def test_a_worker_builds_no_node_and_replies_with_records(variant, mode, monkeypatch):
+    with dispatched(variant, monkeypatch, "graph", b"TaskNode"):
+        pass
 
 
 @pytest.mark.parametrize("variant,mode", VARIANTS)

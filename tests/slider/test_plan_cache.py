@@ -11,29 +11,12 @@ non-steady motion, data-dependent planners) must miss or go unkeyed.
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.chaos import ChaosPlan, ChaosSchedule
-from repro.mapreduce.combiners import SumCombiner
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import Split
 from repro.slider.planning import PlanCache
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
+from tests.oracle.fleet import count_job, split_of
 
 WINDOW = 8
-
-
-def count_job():
-    return MapReduceJob(
-        name="counts",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=2,
-    )
-
-
-def split_of(i, spread=12, n=20):
-    return Split.from_records(
-        [f"w{(i * 7 + j) % spread}" for j in range(n)], label=f"s{i}"
-    )
 
 
 def make_slider(variant="folding", mode=WindowMode.VARIABLE, **kw):

@@ -18,19 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapreduce.combiners import SumCombiner
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import Split
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-
-VARIANTS = [
-    ("folding", WindowMode.VARIABLE),
-    ("randomized", WindowMode.VARIABLE),
-    ("strawman", WindowMode.VARIABLE),
-    ("rotating", WindowMode.FIXED),
-    ("coalescing", WindowMode.APPEND),
-]
+from tests.oracle.fleet import VARIANTS, count_job, split_of
 
 #: Captured from the fixed scenario below: 6-split initial run, then
 #: advance by [s10, s11] removing 2 (0 in append mode).
@@ -106,21 +96,6 @@ GOLDEN_SHAPES = {
         },
     },
 }
-
-
-def count_job():
-    return MapReduceJob(
-        name="counts",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=2,
-    )
-
-
-def split_of(i, spread=12, n=20):
-    return Split.from_records(
-        [f"w{(i * 7 + j) % spread}" for j in range(n)], label=f"s{i}"
-    )
 
 
 def make_slider(variant, mode):

@@ -238,6 +238,47 @@ def test_current_outputs_matches_last_run():
     assert slider.current_outputs() == result.outputs
 
 
+def test_verify_outputs_holds_a_float_job_to_its_declared_tolerance():
+    """K-Means sums float vectors, so a tree's bracketing of the window
+    differs from the batch run's in the last bits: its combiner says so
+    (``exact = False``), and the invariant holds over a whole stream."""
+    from repro.apps.registry import APP_REGISTRY
+    from repro.mapreduce.runtime import BatchRuntime
+
+    spec = APP_REGISTRY["kmeans"]
+    assert not spec.make_job().combiner.exact
+    splits = spec.make_splits(48, 7, 0)
+    slider = Slider(spec.make_job(), WindowMode.VARIABLE)
+    slider.initial_run(splits[:8])
+    for split in splits[8:]:
+        result = slider.advance([split], 1)
+        assert slider.verify_outputs() == len(result.outputs)
+    expected = BatchRuntime(slider.job).run(list(slider.window)).outputs
+    assert result.outputs != expected  # == would have raised, as it used to
+
+
+@pytest.mark.parametrize("app", ["kmeans", "hct"])
+def test_verify_outputs_raises_on_a_corrupted_root(app):
+    """Whatever the comparison, exact (hct) or to a tolerance (kmeans)."""
+    from repro.apps.registry import APP_REGISTRY
+    from repro.core.partition import Partition
+
+    spec = APP_REGISTRY[app]
+    slider = Slider(spec.make_job(), WindowMode.FIXED)
+    slider.initial_run(spec.make_splits(6, 7, 0))
+    slider.verify_outputs()
+    tree = next(tree for tree in slider.trees if tree.root())
+    key, value = next(iter(tree.root().items()))
+    if app == "kmeans":  # one more point, a thousandth of a coordinate off
+        count, vector = value
+        wrong = (count, (vector[0] * 1.001,) + vector[1:])
+    else:
+        wrong = value + 1
+    tree._root = Partition({**tree.root().entries, key: wrong})
+    with pytest.raises(ReproError, match="diverged from the batch run"):
+        slider.verify_outputs()
+
+
 @pytest.mark.parametrize("mode", list(WindowMode))
 def test_closed_engine_is_freed_without_the_cycle_collector(mode, tmp_path):
     """``close()`` drops the collaborators that point back at the engine,

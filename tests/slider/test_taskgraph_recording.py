@@ -9,35 +9,11 @@ tree variant and every kind of window movement.
 import pytest
 
 from repro.cluster.machine import Cluster, ClusterConfig
-from repro.mapreduce.combiners import SumCombiner
-from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-
-VARIANTS = [
-    ("folding", WindowMode.VARIABLE),
-    ("randomized", WindowMode.VARIABLE),
-    ("strawman", WindowMode.VARIABLE),
-    ("rotating", WindowMode.FIXED),
-    ("coalescing", WindowMode.APPEND),
-]
-
-
-def count_job(num_reducers=2):
-    return MapReduceJob(
-        name="counts",
-        map_fn=lambda record: [(record, 1)],
-        combiner=SumCombiner(),
-        num_reducers=num_reducers,
-    )
-
-
-def split_of(i, spread=12, n=20):
-    return Split.from_records(
-        [f"w{(i * 7 + j) % spread}" for j in range(n)], label=f"s{i}"
-    )
+from tests.oracle.fleet import VARIANTS, count_job, split_of
 
 
 def make_slider(variant, mode, cluster=None, **config_kwargs):

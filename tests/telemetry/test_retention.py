@@ -11,7 +11,6 @@ import gc
 
 import pytest
 
-from repro.slider.equivalence import _scenario_job, _scenario_split as _split
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from repro.telemetry import (
@@ -23,6 +22,7 @@ from repro.telemetry import (
     to_chrome_trace,
     validate_trace_events,
 )
+from tests.oracle.fleet import count_job, split_of
 
 N = ENGINE_KEEP_LAST
 WINDOW = 8
@@ -39,13 +39,13 @@ def _run(telemetry: Telemetry | None, halfway=None) -> tuple:
     """10 * N slides; returns the engine's recorder and, per run, what a
     caller sees of it."""
     engine = Slider(
-        _scenario_job(), WindowMode.VARIABLE, SliderConfig(), telemetry=telemetry
+        count_job(), WindowMode.VARIABLE, SliderConfig(), telemetry=telemetry
     )
     seen = []
     try:
-        results = [engine.initial_run([_split(i) for i in range(WINDOW)])]
+        results = [engine.initial_run([split_of(i) for i in range(WINDOW)])]
         for i in range(WINDOW, WINDOW + 10 * N):
-            results.append(engine.advance([_split(i)], 1))
+            results.append(engine.advance([split_of(i)], 1))
             if halfway is not None and i == WINDOW + 5 * N - 1:
                 halfway(engine.telemetry)
         for result in results:

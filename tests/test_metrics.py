@@ -54,15 +54,6 @@ def test_task_costs_recorded_when_tracking_enabled():
     assert meter.task_costs == [(Phase.MAP, 1.0), (Phase.REDUCE, 2.0)]
 
 
-def test_task_tracking_keyword_deprecated():
-    with pytest.deprecated_call():
-        meter = WorkMeter(_task_tracking=True)
-    meter.charge(Phase.MAP, 1.0)
-    assert meter.task_costs == [(Phase.MAP, 1.0)]
-    # The private name survives as a read-only compatibility property.
-    assert meter._task_tracking is True
-
-
 def test_task_costs_off_by_default():
     meter = WorkMeter()
     meter.charge(Phase.MAP, 1.0)
