@@ -4,14 +4,19 @@ Python's builtin :func:`hash` is randomized per process for strings, which
 would make tree shapes and memo hits non-reproducible.  All identity used by
 memo tables and randomized tree coin flips goes through the helpers here,
 which are based on BLAKE2b and therefore stable across runs and platforms.
+
+What is hashed is a tagged encoding of the value -- uid encoding 2; DESIGN
+"Key design decisions" 3 has the table of tags and the rulings on floats.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Any, Callable
 
 _HASH_BYTES = 8
+_pack_double = struct.Struct("<d").pack
 
 
 def _encode(value: Any) -> bytes:
@@ -29,10 +34,12 @@ def _encode(value: Any) -> bytes:
     if isinstance(value, int):
         return b"i" + str(value).encode("ascii")
     if isinstance(value, float):
-        return b"f" + repr(value).encode("ascii")
+        return b"d" + _pack_double(value)  # its bits: -0.0, NaN payloads
     if value is None:
         return b"n"
     if isinstance(value, (tuple, list)):
+        if value and all(type(item) is float for item in value):
+            return b"D%d:" % len(value) + b"".join(map(_pack_double, value))
         return _encode_sequence(b"t", [_encode(item) for item in value])
     if isinstance(value, (frozenset, set)):
         # Canonicalize by sorting element encodings: set order must not
@@ -56,7 +63,9 @@ def _encode_fast(value: Any) -> bytes:
     Dispatches on ``type(value) is ...`` rather than an ``isinstance``
     ladder and frames sequence items as it goes.  Anything else -- ``bool``
     and every other subclass included, because ``_encode`` orders those
-    checks deliberately -- takes ``_encode`` itself.
+    checks deliberately -- takes ``_encode`` itself.  Only a sequence led
+    by an exact float is tried for the block (a str-led key pays one
+    comparison), and by exact type: ``struct`` would pack an int as a double.
     """
     kind = type(value)
     if kind is str:
@@ -64,8 +73,10 @@ def _encode_fast(value: Any) -> bytes:
     if kind is int:
         return b"i%d" % value
     if kind is float:
-        return b"f" + repr(value).encode("ascii")
+        return b"d" + _pack_double(value)
     if kind is tuple or kind is list:
+        if value and type(value[0]) is float and set(map(type, value)) == {float}:
+            return b"D%d:" % len(value) + struct.pack("<%dd" % len(value), *value)
         parts = [b"t%d" % len(value)]
         for item in value:
             encoded = _encode_fast(item)
@@ -104,8 +115,10 @@ def entry_hash(key: Any, value: Any, *, salt: str = "") -> int:
     """``stable_hash((key, value), salt=salt)``, without building the pair.
 
     Feeds the same bytes -- ``t2``, then key and value each framed by its
-    length -- from the two encodings directly.
+    length -- from the two encodings directly; two floats are a block.
     """
+    if type(key) is float and type(value) is float:
+        return stable_hash((key, value), salt=salt)
     key = _encode_fast(key)
     value = _encode_fast(value)
     state = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
@@ -120,8 +133,11 @@ def entry_hasher(key: Any, *, salt: str = "") -> Callable[[Any], int]:
     the value is, so the key is encoded and absorbed once, here, and each
     call finishes a copy of that state with the value's frame.  For the
     caller that hashes one key against several values; the state lives as
-    long as the returned function.
+    long as the returned function.  (A float key shares nothing: whether
+    the pair is a block depends on the value.)
     """
+    if type(key) is float:
+        return lambda value: stable_hash((key, value), salt=salt)
     key = _encode_fast(key)
     keyed = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
     keyed.update(b"t2%d:%b" % (len(key), key))

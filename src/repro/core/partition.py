@@ -122,7 +122,7 @@ def _fingerprint_entries(entries: Mapping[Any, Any]) -> int:
     # Key order must not matter: XOR per-entry hashes (stable, order-free).
     acc = stable_hash(len(entries), salt="pfp")
     for key, value in entries.items():
-        acc ^= entry_hash(key, _coerce(value), salt="pent")
+        acc ^= entry_hash(key, value, salt="pent")
     return acc
 
 
@@ -161,17 +161,10 @@ def combined_uid(
     for key, values in merged:
         hash_with_key = entry_hasher(key, salt="pent")
         for value in values:
-            acc ^= hash_with_key(_coerce(value))
+            acc ^= hash_with_key(value)
         if key in entries:
-            acc ^= hash_with_key(_coerce(entries[key]))
+            acc ^= hash_with_key(entries[key])
     return acc
-
-
-def _coerce(value: Any) -> Any:
-    """Best-effort stable projection of a combined value."""
-    if isinstance(value, frozenset):
-        return tuple(sorted(value, key=repr))
-    return value
 
 
 _EMPTY = Partition({}, uid=content_id("empty-partition"))

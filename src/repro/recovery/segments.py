@@ -30,7 +30,9 @@ from repro.common.errors import CheckpointError, CorruptionError
 from repro.common.hashing import fingerprint_bytes
 
 FORMAT_NAME = "slider-checkpoint"
-FORMAT_VERSION = 1
+#: 2: the uids inside are of uid encoding 2 (``repro.common.hashing``).  Memo
+#: keys are hashes of hashes, so version 1 is refused, not converted.
+FORMAT_VERSION = 2
 MANIFEST_FILE = "MANIFEST.json"
 #: Pinned so checkpoints written by one interpreter restore on another.
 PICKLE_PROTOCOL = 4
@@ -101,7 +103,9 @@ def read_manifest(path: str | Path) -> dict[str, Any]:
     if manifest.get("version") != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint version {manifest.get('version')!r} is not "
-            f"supported (this build reads version {FORMAT_VERSION})"
+            f"supported: this build reads version {FORMAT_VERSION} only (a "
+            "version 1 checkpoint holds fingerprints of uid encoding 1, which "
+            "nothing computes any more) -- re-run from the stream"
         )
     if not isinstance(manifest.get("segments"), dict):
         raise CheckpointError(f"{manifest_path} has no segment index")

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.partition as partition_module
+from repro.common.hashing import stable_hash
 from repro.core.partition import (
     Partition,
     _fingerprint_entries,
@@ -214,6 +215,25 @@ def test_both_kmeans_keys_always_merge_so_the_full_rehash_runs(monkeypatch):
     combined = combine_partitions(partitions, vector)
     assert calls == ["pfp", "pent", "pent"]
     assert combined.uid == _fingerprint_entries(combined.entries)
+
+
+def test_a_set_valued_delta_is_the_fresh_fingerprint(monkeypatch):
+    """A set-valued entry is hashed as the set it is -- the canonical ``F``
+    form, whatever order its members iterate in and whatever their ``repr``
+    -- on the delta path and the full one alike."""
+    left = {f"p{i}": frozenset({i, str(i)}) for i in range(20)}
+    right = {"m": frozenset({("u", 1), 2, "2", None})}
+    left["m"] = frozenset({2, ("u", 3), True})
+    digests, _ = _count_hashes(monkeypatch)
+    combined = combine_partitions(
+        [Partition(left), Partition(right)], SetUnionCombiner()
+    )
+    assert digests.count("pent") == 21 + 1 + 3  # two leaves, then the delta
+    assert combined.entries["m"] == left["m"] | right["m"]
+    by_hand = stable_hash(21, salt="pfp")
+    for key, members in combined.entries.items():
+        by_hand ^= stable_hash((key, set(members)), salt="pent")
+    assert combined.uid == by_hand == _fingerprint_entries(combined.entries)
 
 
 def test_a_stale_input_uid_fails_verification_downstream():

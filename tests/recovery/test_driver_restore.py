@@ -1,10 +1,17 @@
 """Driver resume and chaos-under-restore bit-identity."""
 
+import json
+
+import pytest
+
 from repro.cluster.chaos import ChaosPlan, ChaosSchedule, MachineCrash
 from repro.cluster.machine import Cluster, ClusterConfig
+from repro.common.errors import CheckpointError
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
+from repro.recovery.segments import MANIFEST_FILE
 from repro.slider.driver import StreamDriver
+from repro.slider.system import Slider
 from tests.oracle.fleet import Fleet, case_of, run_record as _run_record
 
 
@@ -56,6 +63,22 @@ def test_driver_restore_resumes_bit_identically(tmp_path):
     got = [_run_record(r) for r in prefix_results + tail_results]
     assert got == expected
     assert resumed.current_outputs() == baseline.current_outputs()
+
+
+def test_both_restores_refuse_a_version_1_checkpoint(tmp_path):
+    """Version 1 held uids of encoding 1; the engine's restore and the
+    driver's both say so instead of loading fingerprints that cannot verify."""
+    driver = make_driver()
+    driver.feed(stream(25))
+    driver.checkpoint(tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / MANIFEST_FILE
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="uid encoding 1"):
+        StreamDriver.restore(tmp_path / "ckpt", count_job(), lambda record: record[0])
+    with pytest.raises(CheckpointError, match="uid encoding 1"):
+        Slider.restore(tmp_path / "ckpt", count_job())
 
 
 def test_driver_restore_replays_pending_tail_exactly_once(tmp_path):

@@ -62,13 +62,24 @@ def test_missing_segment_raises_checkpoint_error(tmp_path):
         read_segment(tmp_path, manifest, "state")
 
 
+def _write_saying_version(path, version):
+    write_segments(path, {"state": 1}, meta={})
+    manifest = json.loads((path / MANIFEST_FILE).read_text())
+    assert manifest["version"] == 2
+    manifest["version"] = version
+    (path / MANIFEST_FILE).write_text(json.dumps(manifest))
+
+
 def test_version_skew_raises_checkpoint_error(tmp_path):
-    write_segments(tmp_path, {"state": 1}, meta={})
-    manifest_path = tmp_path / MANIFEST_FILE
-    manifest = json.loads(manifest_path.read_text())
-    manifest["version"] = 99
-    manifest_path.write_text(json.dumps(manifest))
+    _write_saying_version(tmp_path, 99)
     with pytest.raises(CheckpointError, match="version"):
+        read_manifest(tmp_path)
+
+
+def test_a_version_1_checkpoint_is_refused_with_the_encoding_message(tmp_path):
+    # Version 1 held uids of encoding 1; there is no reader for it.
+    _write_saying_version(tmp_path, 1)
+    with pytest.raises(CheckpointError, match="uid encoding 1.*re-run from the stream"):
         read_manifest(tmp_path)
 
 
