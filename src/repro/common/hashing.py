@@ -99,6 +99,27 @@ def _new_prototype(salt: str) -> Any:
     return prototype
 
 
+#: The bytes every hash of a key starts from: a map task makes them once
+#: and finishes both the key's route and its entry's hash from them.
+encode_key = _encode_fast
+
+
+def hash_encoded(encoded: bytes, *, salt: str = "") -> int:
+    """``stable_hash(value, salt=salt)`` from ``encode_key(value)``."""
+    state = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
+    state.update(encoded)
+    return int.from_bytes(state.digest(), "big")
+
+
+def entry_hash_encoded(key: bytes, value: Any, *, salt: str = "") -> int:
+    """``entry_hash`` from ``encode_key(key)``: ``t2``, then key and value each
+    framed by its length.  Not for a ``float`` key (a block, with a float)."""
+    value = _encode_fast(value)
+    state = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
+    state.update(b"t2%d:%b%d:%b" % (len(key), key, len(value), value))
+    return int.from_bytes(state.digest(), "big")
+
+
 def stable_hash(value: Any, *, salt: str = "") -> int:
     """Return a stable 64-bit hash of ``value``.
 
@@ -106,24 +127,15 @@ def stable_hash(value: Any, *, salt: str = "") -> int:
     input (used e.g. for per-level coin flips in the randomized folding
     tree).
     """
-    state = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
-    state.update(_encode_fast(value))
-    return int.from_bytes(state.digest(), "big")
+    return hash_encoded(_encode_fast(value), salt=salt)
 
 
 def entry_hash(key: Any, value: Any, *, salt: str = "") -> int:
-    """``stable_hash((key, value), salt=salt)``, without building the pair.
-
-    Feeds the same bytes -- ``t2``, then key and value each framed by its
-    length -- from the two encodings directly; two floats are a block.
-    """
+    """``stable_hash((key, value), salt=salt)``, without building the pair
+    (two floats are a block, and go the long way)."""
     if type(key) is float and type(value) is float:
         return stable_hash((key, value), salt=salt)
-    key = _encode_fast(key)
-    value = _encode_fast(value)
-    state = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
-    state.update(b"t2%d:%b%d:%b" % (len(key), key, len(value), value))
-    return int.from_bytes(state.digest(), "big")
+    return entry_hash_encoded(_encode_fast(key), value, salt=salt)
 
 
 def entry_hasher(key: Any, *, salt: str = "") -> Callable[[Any], int]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.common.hashing import content_id, entry_hash, entry_hasher, stable_hash
+from repro.common.hashing import content_id, entry_hash, entry_hash_encoded
+from repro.common.hashing import entry_hasher, stable_hash
 from repro.metrics import Phase, WorkMeter
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
@@ -44,33 +45,35 @@ class Partition:
         return _EMPTY
 
     @staticmethod
-    def from_value_lists(  # analysis: charge-in-caller-span (map-task span)
+    def from_value_lists(
         buffer: Mapping[Any, list[Any]],
         combiner: Combiner,
-        meter: WorkMeter | None = None,
-        phase: Phase = Phase.MAP,
         on_poison: PoisonHandler | None = None,
+        encoded: Mapping[Any, bytes] | None = None,
     ) -> "Partition":
-        """Build a partition from per-key value lists (a Map task's buffer)."""
+        """Build a partition from per-key value lists (a Map task's buffer);
+        ``encoded`` is key -> ``encode_key(key)`` where the caller made it (to
+        route the key): the entry's hash is finished from those bytes."""
         entries: dict[Any, Any] = {}
-        cost = 0.0
+        acc = 0
         for key, values in buffer.items():
             if len(values) == 1:
-                entries[key] = values[0]
+                value = values[0]
             else:
                 try:
-                    entries[key] = combiner.merge(key, values)
+                    value = combiner.merge(key, values)
                 except Exception as exc:
                     if on_poison is None:
                         raise
                     recovered, value = on_poison(key, values, exc)
                     if not recovered:
                         continue
-                    entries[key] = value
-                cost += combiner.merge_cost(key, values)
-        if meter is not None and cost:
-            meter.charge(phase, cost)
-        return Partition(entries)
+            entries[key] = value
+            if encoded is None or type(key) is float:
+                acc ^= entry_hash(key, value, salt="pent")
+            else:
+                acc ^= entry_hash_encoded(encoded[key], value, salt="pent")
+        return Partition(entries, uid=acc ^ stable_hash(len(entries), salt="pfp"))
 
     # -- protocol ----------------------------------------------------------
 

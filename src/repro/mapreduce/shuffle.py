@@ -11,7 +11,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Any, Iterable
 
-from repro.common.hashing import stable_hash
+from repro.common.hashing import encode_key, hash_encoded
 from repro.core.partition import Partition
 from repro.core.poison import PoisonContext
 from repro.mapreduce.job import MapReduceJob
@@ -29,8 +29,11 @@ class HashPartitioner:
             )
         self.num_partitions = num_partitions
 
-    def partition(self, key: Any) -> int:
-        return stable_hash(key, salt="part") % self.num_partitions
+    def partition(self, key: Any, encoded: bytes | None = None) -> int:
+        """``key``'s reducer (``encoded``: its ``encode_key``, if made)."""
+        if encoded is None:
+            encoded = encode_key(key)
+        return hash_encoded(encoded, salt="part") % self.num_partitions
 
 
 def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
@@ -51,6 +54,8 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
     The partitioner is asked once per distinct key, not per pair: keys equal
     as dict keys (``1``, ``1.0`` and ``True``) are one key to the task, as
     they are to every dict downstream, and go where the first of them went.
+    It is handed the key's encoding, from which the leaf's fingerprint is
+    finished too: a key is encoded once a task.
 
     A job that declares ``map_split_fn`` has its whole split mapped in one
     call — unless a poison policy is configured: quarantine is per record,
@@ -71,8 +76,10 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
         buffers: list[dict[Any, list[Any]]] = [
             {} for _ in range(partitioner.num_partitions)
         ]
-        # key -> that key's value list in its reducer's buffer.
+        # key -> that key's value list in its reducer's buffer, and key -> its
+        # encoding: made once, for the route and for the leaf's fingerprint.
         routed: dict[Any, list[Any]] = {}
+        encoded: dict[Any, bytes] = {}
         record_count = 0
         pair_count = 0
         if job.map_split_fn is not None and poison is None:
@@ -84,7 +91,8 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
                     pair_count += 1
                     values = routed.get(key)
                     if values is None:
-                        buffer = buffers[partitioner.partition(key)]
+                        code = encoded[key] = encode_key(key)
+                        buffer = buffers[partitioner.partition(key, code)]
                         values = routed[key] = buffer[key] = []
                     values.append(value)
         else:
@@ -111,7 +119,8 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
                     pair_count += 1
                     values = routed.get(key)
                     if values is None:
-                        buffer = buffers[partitioner.partition(key)]
+                        code = encoded[key] = encode_key(key)
+                        buffer = buffers[partitioner.partition(key, code)]
                         values = routed[key] = buffer[key] = []
                     values.append(value)
 
@@ -127,12 +136,12 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
                 Partition.from_value_lists(
                     buffer,
                     job.combiner,
-                    meter=None,
                     on_poison=(
                         poison.combine_handler(job.combiner)
                         if poison is not None
                         else None
                     ),
+                    encoded=encoded,
                 )
             )
         return outputs

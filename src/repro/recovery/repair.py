@@ -203,13 +203,16 @@ def verify_restored(engine: "Slider") -> int:
     Checkpoint segments are digest-verified byte-for-byte before this
     runs, so a failure here means in-memory corruption slipped into the
     checkpointed object graph itself; refusing loudly beats recomputing
-    silently in that case.  Returns the number of partitions checked.
+    silently in that case.  An object met again (a map-memo leaf is a
+    tree's leaf, a pass-through node the child it is) is verified where
+    first met.  Returns the number of distinct partitions checked.
     """
-    checked = 0
+    verified: set[int] = set()
 
     def check(partition: Partition, where: str) -> None:
-        nonlocal checked
-        checked += 1
+        if id(partition) in verified:
+            return
+        verified.add(id(partition))
         if not partition.verify_fingerprint():
             raise CorruptionError(
                 f"restored state failed fingerprint verification at "
@@ -240,4 +243,4 @@ def verify_restored(engine: "Slider") -> int:
             value = getattr(tree, name, None)
             if isinstance(value, Partition):
                 check(value, f"tree[{index}].{name}")
-    return checked
+    return len(verified)

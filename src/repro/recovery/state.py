@@ -155,6 +155,9 @@ def apply_engine_state(engine: "Slider", state: dict[str, Any]) -> None:
         engine.map_memo.keys() - engine.window.counts.keys()
     )
     engine.reduce_memo = state["reduce_memo"]
+    engine.reduce_outputs = {  # derived, not checkpointed
+        key: out for memo in engine.reduce_memo for key, (_, out) in memo.items()
+    }
     if len(state["trees"]) != len(engine.trees):
         raise CheckpointError(
             f"checkpoint holds {len(state['trees'])} reducer trees but the "

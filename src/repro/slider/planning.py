@@ -60,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only facade reference
 #: above the window under a constant slide; a period longer than this
 #: never recurs in the set, and such a stream never dispatches.
 PLAN_CACHE_CAPACITY = 256
+_ABSENT = object()
 
 
 @dataclass
@@ -338,21 +339,54 @@ class RunPlanner:
 
     # -- reduce plan ---------------------------------------------------------
 
+    def reduce_candidates(
+        self, added: Sequence[Split], departed: Sequence[Split]
+    ) -> list[dict] | None:
+        """Per reducer, the keys a slide can have moved: those its entering
+        leaves carry, in leaf order, then its leaving leaves'.  An ``exact``
+        combiner's root value is a function of the multiset of leaf values
+        for its key, however a tree brackets them, so every other key still
+        ``==`` its memoized value.  ``None`` (scan the root; the reason is
+        counted) when the combiner does not say so, a poison policy may drop
+        keys, a fault schedule covers the run, or a leaving row is not held.
+        """
+        engine = self.engine
+        rows = [engine.map_memo.get(split.uid) for split in (*added, *departed)]
+        if not engine.job.combiner.exact:
+            engine.telemetry.count("reduce.scan.inexact")
+        elif engine.executor.poison is not None:
+            engine.telemetry.count("reduce.scan.poison_policy")
+        elif self._chaos_active():
+            engine.telemetry.count("reduce.scan.chaos")
+        elif None in rows:
+            engine.telemetry.count("reduce.scan.departed_row")
+        else:
+            candidates: list[dict] = [{} for _ in engine.trees]
+            for row in rows:
+                for keys, leaf in zip(candidates, row):
+                    keys.update(leaf.entries)  # stored hashes; values unused
+            return candidates
+        return None
+
     def reduce_all(  # analysis: charge-in-caller-span (reduce phase span)
-        self, roots: list[Partition]
+        self, roots: list[Partition], candidates: list[dict] | None = None
     ) -> tuple[dict[Any, Any], frozenset, frozenset]:
         """Plan one ``reduce`` step per reducer and resolve it per key.
 
         Change propagation is per-key (Algorithm 1): a key whose combined
         value did not change between runs keeps its memoized Reduce output
         at only a memo-read cost; changed and new keys pay the full Reduce
-        cost.  Returns ``(outputs, changed_keys, removed_keys)``.
+        cost.  Visits ``candidates[reducer]`` (:meth:`reduce_candidates`) or,
+        given none, every root key and then every memoized key not in the
+        root, and patches the reduce memo and ``engine.reduce_outputs`` in
+        place.  Returns ``(a copy of those, changed_keys, removed_keys)``.
         """
         engine = self.engine
         executor = engine.executor
         recorder = executor.recorder
         meter = engine.meter
-        outputs: dict[Any, Any] = {}
+        outputs = engine.reduce_outputs
+        reduce_fn = engine.job.reduce_fn
         read_cost = engine.job.costs.memo_read_cost_per_key
         reduce_cost = engine.job.costs.reduce_cost_per_key
         changed_keys: set[Any] = set()
@@ -367,23 +401,29 @@ class RunPlanner:
             )
             with executor.reducer_scope(reducer_index):
                 memo = engine.reduce_memo[reducer_index]
-                fresh: dict[Any, tuple[Any, Any]] = {}
+                entries = root.entries
+                if candidates is None:
+                    keys = [*entries, *(key for key in memo if key not in entries)]
+                else:
+                    keys = candidates[reducer_index]
                 changed = 0
-                unchanged = 0
-                for key, value in root.items():
+                for key in keys:
                     cached = memo.get(key)
+                    value = entries.get(key, _ABSENT)
+                    if value is _ABSENT:
+                        if cached is not None:
+                            del memo[key]
+                            outputs.pop(key, None)
+                            removed_keys.add(key)
+                        continue
                     if cached is not None and cached[0] == value:
-                        output = cached[1]
-                        unchanged += 1
-                    else:
-                        output = engine.job.reduce_fn(key, value)
-                        changed += 1
-                        changed_keys.add(key)
-                        recorder.reduce_key(root, key, cost=reduce_cost)
-                    fresh[key] = (value, output)
-                    outputs[key] = output
-                removed_keys.update(key for key in memo if key not in fresh)
-                engine.reduce_memo[reducer_index] = fresh
+                        continue
+                    output = outputs[key] = reduce_fn(key, value)
+                    memo[key] = (value, output)
+                    changed += 1
+                    changed_keys.add(key)
+                    recorder.reduce_key(root, key, cost=reduce_cost)
+                unchanged = len(entries) - changed
                 if changed:
                     meter.charge(Phase.REDUCE, changed * reduce_cost)
                 if unchanged:
@@ -391,4 +431,4 @@ class RunPlanner:
                     recorder.reduce_reuse(
                         root, unchanged, cost=unchanged * read_cost
                     )
-        return outputs, frozenset(changed_keys), frozenset(removed_keys)
+        return dict(outputs), frozenset(changed_keys), frozenset(removed_keys)

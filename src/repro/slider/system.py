@@ -178,6 +178,9 @@ class Slider:
         self.reduce_memo: list[dict[Any, tuple[Any, Any]]] = [
             {} for _ in range(job.num_reducers)
         ]
+        #: key -> Reduce output, every reducer's: ``reduce_all`` patches it
+        #: beside the memo, and a result's ``outputs`` is a copy of it.
+        self.reduce_outputs: dict[Any, Any] = {}
         #: The structural states this engine has advanced from (keys
         #: only): what is left of the plan cache, and the process
         #: backend's first rung.
@@ -257,14 +260,14 @@ class Slider:
             )
             with self.telemetry.span("map", SpanKind.PHASE):
                 reused = self.planner.run_maps(added)
-            self.window.drop_front(removed)
+            departed = self.window.drop_front(removed)
             self.window.append(list(added))
-
+            candidates = self.planner.reduce_candidates(added, departed)
             per_reducer = self.planner.reducer_leaves(added)
             with self.telemetry.span("contraction", SpanKind.PHASE):
                 roots = self.backend.contract(self, per_reducer, removed)
             with self.telemetry.span("reduce", SpanKind.PHASE):
-                outputs = self._reduce(roots)
+                outputs = self._reduce(roots, candidates)
             result = self._finish_run(
                 phase_before,
                 outputs,
@@ -292,8 +295,8 @@ class Slider:
 
     # -- run assembly ---------------------------------------------------------
 
-    def _reduce(self, roots: list[Partition]) -> dict[Any, Any]:
-        outputs, changed, removed = self.planner.reduce_all(roots)
+    def _reduce(self, roots: list[Partition], candidates=None) -> dict[Any, Any]:
+        outputs, changed, removed = self.planner.reduce_all(roots, candidates)
         self._last_changed_keys = changed
         self._last_removed_keys = removed
         return outputs

@@ -24,11 +24,16 @@ from hypothesis import strategies as st
 from repro.common.hashing import (
     _encode,
     _encode_fast,
+    encode_key,
     entry_hash,
+    entry_hash_encoded,
     entry_hasher,
+    hash_encoded,
     stable_hash,
 )
 from repro.core.partition import Partition
+from repro.mapreduce.combiners import SumCombiner
+from repro.mapreduce.shuffle import HashPartitioner
 from repro.recovery.segments import PICKLE_PROTOCOL
 from tests.conftest import profile_calls
 
@@ -328,6 +333,33 @@ def test_pinned_pair_vector_through_both_entry_forms(pair, salt, expected):
     key, value = pair
     assert entry_hash(key, value, salt=salt) == expected
     assert entry_hasher(key, salt=salt)(value) == expected
+
+
+@pytest.mark.parametrize(
+    "value, salt, expected", VECTORS, ids=[f"v{i:02d}" for i in range(len(VECTORS))]
+)
+def test_pinned_vector_finished_from_its_encoding(value, salt, expected):
+    assert hash_encoded(encode_key(value), salt=salt) == expected
+    partitioner = HashPartitioner(7)
+    route = stable_hash(value, salt="part") % 7
+    assert partitioner.partition(value) == route
+    assert partitioner.partition(value, encode_key(value)) == route
+
+
+@pytest.mark.parametrize("pair, salt, expected", PAIR_VECTORS)
+def test_pinned_pair_vector_finished_from_the_keys_encoding(pair, salt, expected):
+    """What a map task does: one ``encode_key(key)``, the route and the
+    leaf's entry hash finished from it.  A float key's entry goes through
+    ``entry_hash`` (with a float value the pair is a block), inside
+    ``from_value_lists``; every other key's bytes finish directly."""
+    key, value = pair
+    encoded = encode_key(key)
+    if type(key) is not float:
+        assert entry_hash_encoded(encoded, value, salt=salt) == expected
+    leaf = Partition.from_value_lists({key: [value]}, SumCombiner(), encoded={key: encoded})
+    assert leaf.uid == stable_hash(1, salt="pfp") ^ stable_hash((key, value), salt="pent")
+    assert leaf.uid == Partition({key: value}).uid
+    assert leaf.verify_fingerprint()
 
 
 # ``values`` already draws bool, None, bytes, Celsius and numpy.float64.

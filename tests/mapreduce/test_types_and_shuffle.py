@@ -147,9 +147,9 @@ class _CountingPartitioner(HashPartitioner):
         super().__init__(num_partitions)
         self.asked = []
 
-    def partition(self, key):
+    def partition(self, key, encoded=None):
         self.asked.append(key)
-        return super().partition(key)
+        return super().partition(key, encoded)
 
 
 def _route_every_pair(job, records, partitioner):

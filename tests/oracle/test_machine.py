@@ -53,6 +53,10 @@ class OracleMachine(RuleBasedStateMachine):
     def collect(self):
         self.fleet.collect()
 
+    @rule()
+    def forget_row(self):
+        self.fleet.forget_row()
+
     @rule(arm=st.sampled_from(sorted(ARMS)))
     def kill(self, arm):
         self.fleet.kill(arm)

@@ -21,7 +21,9 @@ import pytest
 import repro
 from repro.core.plan import PLAN_OPS
 from repro.core.taskgraph import NODE_KINDS
-from tests.oracle.fleet import ARMS, ALL, CASES, DISPATCHING, Fleet, count
+from repro.core.poison import PoisonPolicy
+from repro.slider.window import WindowMode
+from tests.oracle.fleet import ARMS, ALL, CASES, DISPATCHING, Fleet, case_of, count
 
 #: Every step is followed by :meth:`Fleet.check`.
 SCRIPT = (
@@ -38,6 +40,7 @@ SCRIPT = (
     lambda f: f.advance(3, 0),  # a window wide enough to memoize groups
     lambda f: f.advance(3, 0),
     lambda f: f.steady(3),
+    lambda f: f.forget_row(),  # by now no split is in the window twice
     # Repaired copies (same uid, new object) then cross the seam in full.
     lambda f: f.corrupt(seed=3, victims=2),
     lambda f: f.steady(1),
@@ -71,7 +74,7 @@ SCRIPT = (
 SEAM_RULES = {"kill_worker", "pool_failure", "unpicklable"}
 RULES = SEAM_RULES | {
     "advance", "starved", "steady", "background", "collect", "kill", "move",
-    "interlude", "corrupt", "fail_backing", "fail_machine",
+    "interlude", "corrupt", "fail_backing", "fail_machine", "forget_row",
 }
 
 #: The fallback, degradation and repair signals: each fires in some case.
@@ -87,6 +90,9 @@ SIGNALS = {
     "plan_cache.uncacheable", "plan_cache.bypasses", "recovery.corruption",
     "recovery.corruptions_injected", "recovery.corruptions_repaired",
     "cache.fallback_reads",
+    # Why an advance's Reduce visited every root key, not the slide's keys.
+    "reduce.scan.inexact", "reduce.scan.poison_policy", "reduce.scan.chaos",
+    "reduce.scan.departed_row",
 }
 #: Named under ``src/`` and not an engine's to fire.
 NOT_AN_ENGINE_PATH = {
@@ -124,6 +130,8 @@ def walk(case: tuple) -> SimpleNamespace:
 def test_the_walk_holds_and_fires_every_rule(case):
     seen = walk(case)
     expected = RULES if case[0] in DISPATCHING else RULES - SEAM_RULES
+    if case[1] is WindowMode.APPEND:
+        expected = expected - {"forget_row"}  # nothing ever leaves
     assert set(seen.fired) == expected
     if case[0] in DISPATCHING:
         # Not vacuous: the process arm crossed the seam, and fell back
@@ -134,16 +142,42 @@ def test_the_walk_holds_and_fires_every_rule(case):
         assert seen.seam == {"dispatch_runs": 0, "worker_fallbacks": 0}
 
 
+@functools.cache
+def declared_scans() -> set[str]:
+    """What two short walks saw whose every Reduce scans by declaration:
+    a combiner that is not ``exact``, and a poison policy."""
+    signals: set[str] = set()
+    for job, config in (("kmeans", {}), ("counts", {"poison_policy": PoisonPolicy(1)})):
+        with Fleet(case_of("folding"), job=job, **config) as fleet:
+            for motion in ((1, 1), (2, 1), (0, 2)):
+                fleet.advance(*motion)
+                fleet.check()
+        signals |= fleet.signals
+    return signals
+
+
 def test_every_fallback_and_degradation_signal_fires():
-    fired = set().union(*(walk(case).signals for case in CASES))
+    fired = set().union(declared_scans(), *(walk(case).signals for case in CASES))
     assert SIGNALS - fired == set()
+
+
+def test_only_a_reason_to_scan_takes_reduce_off_the_candidate_path():
+    """The four clauses fire (above), and nothing else does: an exact job
+    with no policy scans in its fault runs and the row dropped by hand."""
+    for case in CASES:
+        seen = walk(case)
+        scans = {name for name in seen.signals if name.startswith("reduce.scan")}
+        assert "reduce.scan.chaos" in scans
+        assert scans <= {"reduce.scan.chaos", "reduce.scan.departed_row"}
+    assert "reduce.scan.inexact" in declared_scans()
+    assert "reduce.scan.poison_policy" in declared_scans()
 
 
 def test_every_signal_named_under_src_is_in_the_gate():
     named = set()
     pattern = re.compile(
         r'(?:count|instant)\(\s*'
-        r'"((?:backend|memo|plan_cache|recovery|cache\.fallback)[^"]*)"'
+        r'"((?:backend|memo|plan_cache|recovery|cache\.fallback|reduce\.scan)[^"]*)"'
     )
     for path in Path(repro.__file__).parent.rglob("*.py"):
         named.update(pattern.findall(path.read_text()))
