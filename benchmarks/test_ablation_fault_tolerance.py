@@ -112,7 +112,7 @@ def run_with_crash(crash_at: str) -> dict:
     calm_time = probe_result.report.time
     # Fault-free runs leave no recovery data; re-run the same delta under
     # an always-on executor to read the map-wave finish time.
-    from repro.cluster.executor import ExecutorConfig
+    from repro.cluster import ExecutorConfig
 
     shadow = build()
     shadow.executor_config = ExecutorConfig()

@@ -42,19 +42,14 @@ from typing import Any, Callable, Iterable
 from repro.analysis.effects import effect_findings
 from repro.analysis.findings import ERROR, Finding
 from repro.analysis.races import analyze_plan
+from repro.core.backends import CERTIFIED_PARALLEL_VARIANTS
+
+#: The five variants and the window mode each runs under: the process
+#: backend's own list, so what is certified is what may dispatch.
+CERTIFIED_VARIANTS = CERTIFIED_PARALLEL_VARIANTS
 
 #: Certificate schema identifier; bump on breaking format changes.
 CERTIFICATE_SCHEMA = "parallel-safety-certificate/v1"
-
-#: The five variants and the window mode each runs under (mirrors the
-#: equivalence scenario's pairings).
-CERTIFIED_VARIANTS = (
-    ("folding", "variable"),
-    ("randomized", "variable"),
-    ("strawman", "variable"),
-    ("rotating", "fixed"),
-    ("coalescing", "append"),
-)
 
 #: Object-graph walk bounds for the handle scan.
 _MAX_SCAN_NODES = 20_000

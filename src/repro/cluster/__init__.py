@@ -32,20 +32,15 @@ from repro.cluster.chaos import (
     StraggleEpisode,
     TransientFaults,
 )
-from repro.cluster.executor import (
+from repro.cluster.exec_types import (
     AttemptState,
-    DagExecutor,
     ExecutionReport,
     ExecutorConfig,
     ExecutorHooks,
     RecoveryStats,
     TaskAttempt,
-    WaveExecutor,
-    critical_path_priority,
-    execute_dag,
-    execute_two_waves,
-    execute_wave,
 )
+from repro.cluster.executor import execute_two_waves, execute_wave
 from repro.cluster.machine import Cluster, ClusterConfig, Machine
 from repro.cluster.scheduler import (
     HadoopScheduler,
@@ -53,10 +48,9 @@ from repro.cluster.scheduler import (
     MemoizationScheduler,
     Scheduler,
     SimTask,
-    simulate_wave,
-    simulate_two_waves,
 )
 from repro.cluster.simulation import EventQueue, SimClock
+from repro.cluster.waveexec import WaveExecutor
 
 __all__ = [
     "CacheConfig",
@@ -69,15 +63,12 @@ __all__ = [
     "StraggleEpisode",
     "TransientFaults",
     "AttemptState",
-    "DagExecutor",
     "ExecutionReport",
     "ExecutorConfig",
     "ExecutorHooks",
     "RecoveryStats",
     "TaskAttempt",
     "WaveExecutor",
-    "critical_path_priority",
-    "execute_dag",
     "execute_wave",
     "execute_two_waves",
     "Cluster",
@@ -88,8 +79,6 @@ __all__ = [
     "MemoizationScheduler",
     "Scheduler",
     "SimTask",
-    "simulate_wave",
-    "simulate_two_waves",
     "EventQueue",
     "SimClock",
 ]

@@ -1,7 +1,7 @@
-"""Shared types for the event-driven task-attempt executors (§6).
+"""Shared types for the event-driven task-attempt executor (§6).
 
 The config/record vocabulary of :mod:`repro.cluster.waveexec` and
-:mod:`repro.cluster.dagexec`: attempt lifecycle states, executor knobs,
+:mod:`repro.cluster.executor`: attempt lifecycle states, executor knobs,
 per-attempt records, recovery accounting, storage-layer fault hooks, and
 the report one execution returns.  Importable on its own so the storage
 and slider layers can type against hooks and reports without pulling in

@@ -1,43 +1,77 @@
-"""Compatibility facade over the executor package split.
+"""The two entry points that run waves on the simulated cluster.
 
-The event-driven executor used to live here as one module; it is now
-four, by concern:
-
-* :mod:`repro.cluster.exec_types` — config, attempt/report records, hooks;
-* :mod:`repro.cluster.waveexec` — the wave executor's planning and
-  attempt event loop (fault handlers in :mod:`repro.cluster.exec_faults`);
-* :mod:`repro.cluster.dagexec` — topological-readiness DAG execution;
-* :mod:`repro.cluster.exec_api` — one-call ``execute_*`` entry points.
-
-Every historical import path (``from repro.cluster.executor import ...``)
-keeps working through this module.
+Each constructs a :class:`~repro.cluster.waveexec.WaveExecutor`, drives
+it to completion, restores any still-open straggle episodes, and packages
+the result as an :class:`~repro.cluster.exec_types.ExecutionReport`.
+``execute_two_waves`` is the paper's time model — a map wave, a shuffle
+barrier, then a reduce wave — and ``execute_wave`` runs one wave alone.
 """
 
 from __future__ import annotations
 
-from repro.cluster.dagexec import DagExecutor, critical_path_priority, execute_dag
+from typing import TYPE_CHECKING, Sequence
+
 from repro.cluster.exec_types import (
-    AttemptState,
     ExecutionReport,
     ExecutorConfig,
     ExecutorHooks,
-    RecoveryStats,
-    TaskAttempt,
 )
-from repro.cluster.exec_api import execute_two_waves, execute_wave
+from repro.cluster.machine import Cluster
+from repro.cluster.scheduler import Scheduler, SimTask
 from repro.cluster.waveexec import WaveExecutor
+from repro.telemetry import Telemetry
 
-__all__ = [
-    "AttemptState",
-    "DagExecutor",
-    "ExecutionReport",
-    "ExecutorConfig",
-    "ExecutorHooks",
-    "RecoveryStats",
-    "TaskAttempt",
-    "WaveExecutor",
-    "critical_path_priority",
-    "execute_dag",
-    "execute_two_waves",
-    "execute_wave",
-]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.cluster.chaos import ChaosSchedule
+
+
+def execute_wave(
+    tasks: Sequence[SimTask],
+    cluster: Cluster,
+    scheduler: Scheduler,
+    config: ExecutorConfig | None = None,
+    chaos: "ChaosSchedule | None" = None,
+    hooks: ExecutorHooks | None = None,
+    telemetry: Telemetry | None = None,
+) -> ExecutionReport:
+    """Execute a single wave to completion."""
+    executor = WaveExecutor(cluster, scheduler, config=config, chaos=chaos,
+                            hooks=hooks, telemetry=telemetry)
+    try:
+        finish, assignments = executor.run(tasks)
+    finally:
+        executor.restore_straggles()
+    return ExecutionReport(
+        makespan=finish,
+        map_finish=finish,
+        assignments=assignments,
+        attempts=executor.attempt_log,
+        stats=executor.stats,
+    )
+
+
+def execute_two_waves(
+    map_tasks: Sequence[SimTask],
+    reduce_tasks: Sequence[SimTask],
+    cluster: Cluster,
+    scheduler: Scheduler,
+    config: ExecutorConfig | None = None,
+    chaos: "ChaosSchedule | None" = None,
+    hooks: ExecutorHooks | None = None,
+    telemetry: Telemetry | None = None,
+) -> ExecutionReport:
+    """Maps, a shuffle barrier, then reduces — one MapReduce job's time."""
+    executor = WaveExecutor(cluster, scheduler, config=config, chaos=chaos,
+                            hooks=hooks, telemetry=telemetry)
+    try:
+        map_finish, map_log = executor.run(map_tasks)
+        reduce_finish, reduce_log = executor.run(reduce_tasks)
+    finally:
+        executor.restore_straggles()
+    return ExecutionReport(
+        makespan=reduce_finish,
+        map_finish=map_finish,
+        assignments=map_log + reduce_log,
+        attempts=executor.attempt_log,
+        stats=executor.stats,
+    )

@@ -1,6 +1,6 @@
-"""Task scheduling policies and the wave simulator.
+"""Task scheduling policies (§6).
 
-Three policies from §6:
+Three policies:
 
 * :class:`HadoopScheduler` — the vanilla policy: Map tasks respect input
   locality; Reduce tasks take the first available slot anywhere, paying a
@@ -12,18 +12,19 @@ Three policies from §6:
   location, but migrate (paying the fetch) when that machine is detected to
   be slow or backed up.
 
-The simulator performs greedy list scheduling over slot-free events and
-returns the wave makespan — the *time* metric of the evaluation.
+Each policy answers one question — which slot takes this task — against
+a projected free-time matrix; :class:`~repro.cluster.waveexec.WaveExecutor`
+asks it for every task of a wave and runs the result, and
+:mod:`repro.cluster.executor` returns the makespan, the *time* metric of
+the evaluation.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.cluster.machine import Cluster
-from repro.cluster.simulation import EventQueue
 
 
 @dataclass
@@ -194,45 +195,6 @@ class HybridScheduler(Scheduler):
         return best[1], best[2]
 
 
-def simulate_wave(
-    tasks: Sequence[SimTask],
-    cluster: Cluster,
-    scheduler: Scheduler,
-    start_time: float = 0.0,
-) -> tuple[float, list[Assignment]]:
-    """One fault-free task wave; returns (makespan, log).
-
-    Thin wrapper over the event-driven executor
-    (:mod:`repro.cluster.executor`) with an empty fault schedule, which
-    reproduces the greedy list-scheduling plan exactly: tasks are
-    considered in longest-processing-time order and each policy's
-    ``choose()`` sees the same projected free-time matrix the greedy
-    planner used.
-    """
-    from repro.cluster.executor import WaveExecutor
-
-    executor = WaveExecutor(cluster, scheduler, start_time=start_time)
-    return executor.run(tasks)
-
-
-def simulate_two_waves(
-    map_tasks: Sequence[SimTask],
-    reduce_tasks: Sequence[SimTask],
-    cluster: Cluster,
-    scheduler: Scheduler,
-) -> tuple[float, list[Assignment]]:
-    """Maps, a shuffle barrier, then reduces — one MapReduce job's time."""
-    from repro.cluster.executor import WaveExecutor
-
-    executor = WaveExecutor(cluster, scheduler)
-    map_finish, map_log = executor.run(map_tasks)
-    reduce_finish, reduce_log = executor.run(reduce_tasks)
-    return reduce_finish, map_log + reduce_log
-
-
-# The EventQueue/SimClock pair is driven by repro.cluster.executor, which
-# turns these policies' plans into fault-tolerant attempt execution
-# (mid-wave crashes, retries, speculation); re-exported for convenience.
 __all__ = [
     "SimTask",
     "Assignment",
@@ -240,7 +202,4 @@ __all__ = [
     "HadoopScheduler",
     "MemoizationScheduler",
     "HybridScheduler",
-    "simulate_wave",
-    "simulate_two_waves",
-    "EventQueue",
 ]

@@ -16,23 +16,21 @@ straggle-episode, and heartbeat (speculation) events:
 * slow attempts past a LATE-style progress threshold spawn speculative
   backups with first-finish-wins semantics (the loser is killed).
 
-Execution separates *planning* from *running*.  Planning is the exact
-greedy list-scheduling pass the old ``simulate_wave`` performed — tasks
-in longest-processing-time order, each policy's ``choose()`` against the
-evolving projected free-time matrix — producing per-slot queues of
-committed attempts.  Running turns each commitment into timed events.
-Any fault (transient failure, crash detection, recovery, straggle
-episode, a speculative win) cancels every not-yet-started commitment and
-replans it against the post-fault cluster.  Fault-free (no chaos,
-speculation off) nothing ever invalidates the plan, so start times,
-placements, and the makespan are *identical* to the greedy planner —
-``simulate_wave`` is now a thin wrapper over this executor and existing
-figures/tables are unchanged.
+Execution separates *planning* from *running*.  Planning is greedy list
+scheduling — tasks in longest-processing-time order, each policy's
+``choose()`` against the evolving projected free-time matrix — producing
+per-slot queues of committed attempts.  Running turns each commitment
+into timed events.  Any fault (transient failure, crash detection,
+recovery, straggle episode, a speculative win) cancels every
+not-yet-started commitment and replans it against the post-fault
+cluster.  Fault-free (no chaos, speculation off) nothing ever invalidates
+the plan, so start times, placements, and the makespan are *identical*
+to the greedy list schedule, and the paper's figures and tables are that
+schedule's makespans.
 
 The fault/speculation handlers live in :mod:`repro.cluster.exec_faults`;
-the DAG-readiness variant in :mod:`repro.cluster.dagexec`; one-call
-wrappers (``execute_wave``/``execute_two_waves``) in
-:mod:`repro.cluster.exec_api`.
+the two entry points (``execute_wave`` / ``execute_two_waves``) in
+:mod:`repro.cluster.executor`.
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ class WaveExecutor(FaultMachineryMixin):
         config: ExecutorConfig | None = None,
         chaos: "ChaosSchedule | None" = None,
         hooks: ExecutorHooks | None = None,
-        start_time: float = 0.0,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.cluster = cluster
@@ -87,8 +84,6 @@ class WaveExecutor(FaultMachineryMixin):
         #: ``None`` keeps the executor silent (standalone/unit-test use).
         self.telemetry = telemetry
         self.clock = SimClock()
-        if start_time:
-            self.clock.advance_to(start_time)
         self.events = EventQueue()
         self.stats = RecoveryStats()
         self.attempt_log: list[TaskAttempt] = []
@@ -146,12 +141,6 @@ class WaveExecutor(FaultMachineryMixin):
         ]
         self._pending = list(states)
         self._unfinished = set(states)
-        return self._drive(states)
-
-    def _drive(
-        self, states: list[_TaskState]
-    ) -> tuple[float, list[Assignment]]:
-        """Process events until every task in ``states`` has finished."""
         start = self.clock.now
         if self.config.speculation and states:
             self._schedule_heartbeat()
@@ -172,10 +161,6 @@ class WaveExecutor(FaultMachineryMixin):
         )
         ordered = [s.winner for s in states if s.winner is not None]
         return finish, ordered
-
-    def _task_completed(self, state: _TaskState) -> None:
-        """Hook fired when a task's winning attempt finishes; the DAG
-        executor overrides it to release dependents."""
 
     def restore_straggles(self) -> None:
         """Undo straggle episodes still open when execution ended."""
@@ -216,10 +201,9 @@ class WaveExecutor(FaultMachineryMixin):
     def _plan(self) -> None:
         """Greedy list scheduling of pending tasks onto slot queues.
 
-        This is exactly the old ``simulate_wave`` loop: tasks in LPT
-        order, each policy's ``choose()`` against the evolving free-time
-        matrix — except commitments become timed start events instead of
-        immediately final assignments.
+        Tasks in LPT order, each policy's ``choose()`` against the
+        evolving free-time matrix; a commitment becomes a timed start
+        event, not an immediately final assignment.
         """
         if not self._pending:
             return
@@ -464,4 +448,3 @@ class WaveExecutor(FaultMachineryMixin):
             killed = True
         if killed:
             self._replan()
-        self._task_completed(state)

@@ -58,19 +58,16 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
 EXECUTION_BACKENDS = ("inprocess", "process")
 
 #: (tree variant, window mode) pairs holding a green
-#: ``parallel-safety-certificate/v1``.  Frozen copy of
-#: ``repro.analysis.shared.CERTIFIED_VARIANTS`` — duplicated because the
-#: core layer must not import the analysis layer; a blocking test asserts
-#: the two stay equal AND that certification still passes, so a variant
+#: ``parallel-safety-certificate/v1``: the list
+#: :mod:`repro.analysis.shared` certifies and this backend dispatches.  A
+#: blocking test asserts certification still passes for each, so a variant
 #: losing its certificate fails CI before this backend can dispatch it.
-CERTIFIED_PARALLEL_VARIANTS = frozenset(
-    (
-        ("folding", "variable"),
-        ("randomized", "variable"),
-        ("strawman", "variable"),
-        ("rotating", "fixed"),
-        ("coalescing", "append"),
-    )
+CERTIFIED_PARALLEL_VARIANTS = (
+    ("folding", "variable"),
+    ("randomized", "variable"),
+    ("strawman", "variable"),
+    ("rotating", "fixed"),
+    ("coalescing", "append"),
 )
 
 

@@ -19,9 +19,10 @@ the semantics of the seed path bit-identical — planners may branch on the
 plan artifact stays a pure description: step emission always precedes
 resolution, so the plan never depends on what the cache held.
 
-The executor also measures what the slider layer's time models consume:
-per-reducer work (via :meth:`PlanExecutor.reducer_scope`) and the per-run
-plan/graph pair (via :meth:`PlanExecutor.begin_run`/:meth:`end_run`).
+The executor also measures what the slider layer's time model consumes —
+per-reducer work (via :meth:`PlanExecutor.reducer_scope`) — and closes
+the per-run plan/graph pair (via :meth:`PlanExecutor.begin_run` /
+:meth:`end_run`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
 
 @dataclass
 class RunExecution:
-    """Everything one executed run produced, for reports and time models."""
+    """Everything one executed run produced, for reports and the time model."""
 
     plan: Plan
     graph: TaskGraph | None

@@ -18,10 +18,9 @@ the recorder appends one flat :data:`Record` a node to a log, and the
 :class:`TaskGraph` builds its nodes, edges and producer table from the
 log the first time somebody reads them.
 
-The cluster layer replays the graph at sub-computation granularity
-(:func:`repro.cluster.executor.execute_dag`): topological readiness instead
-of the coarse two-wave barrier, so the makespan tracks the critical path
-rather than the per-reducer work sum.
+Nothing under ``src/`` reads a graph: its readers are the equivalence
+oracle (``tests/oracle``, node by node across engines), the seed golden
+(``graph_nodes`` / ``graph_kinds``) and the tests.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class TaskNode:
     ``deps`` reference earlier nodes by uid (the graph is built append-only,
     so edges always point backwards and the graph is acyclic by
     construction).  ``data_size`` is the abstract size of the node's output
-    (keys produced), the quantity a replay charges for network fetches.
+    (keys produced).
     """
 
     uid: int
@@ -213,48 +212,6 @@ class TaskGraph:
         for node in self.nodes:
             counts[node.kind] = counts.get(node.kind, 0) + 1
         return counts
-
-    def dependents(self) -> dict[int, list[int]]:
-        """Inverse edges: node uid -> uids that depend on it."""
-        children: dict[int, list[int]] = {node.uid: [] for node in self.nodes}
-        for node in self.nodes:
-            for dep in node.deps:
-                children[dep].append(node.uid)
-        return children
-
-    def topological_order(self) -> list[int]:
-        """Node uids in dependency order.
-
-        Append-only construction guarantees ``deps`` point backwards, so
-        the natural order is already topological; this validates it.
-        """
-        for node in self.nodes:
-            for dep in node.deps:
-                if dep >= node.uid:
-                    raise ValueError(
-                        f"node {node.uid} depends on later node {dep}"
-                    )
-        return [node.uid for node in self.nodes]
-
-    def critical_path_costs(self) -> dict[int, float]:
-        """For each node, the heaviest cost chain from it to any sink
-        (inclusive of the node itself) — the priority a critical-path-first
-        replay schedules by."""
-        downstream: dict[int, float] = {}
-        children = self.dependents()
-        for node in reversed(self.nodes):
-            best_child = max(
-                (downstream[c] for c in children[node.uid]), default=0.0
-            )
-            downstream[node.uid] = node.cost + best_child
-        return downstream
-
-    def critical_path_length(self) -> float:
-        """The longest cost chain — a lower bound on any replay's makespan
-        (before fetch penalties), however many machines are available."""
-        if not self.nodes:
-            return 0.0
-        return max(self.critical_path_costs().values())
 
 
 class GraphRecorder:

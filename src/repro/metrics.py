@@ -9,8 +9,8 @@ The paper evaluates two measures (§7.1):
 In this reproduction, *work* is accumulated by a :class:`WorkMeter` that every
 task and combiner invocation charges, in abstract cost units proportional to
 the records it touches (scaled by the application's compute intensity).
-*Time* is the makespan of replaying the same task graph on the simulated
-cluster (:mod:`repro.cluster`).
+*Time* is the makespan of the run's map wave, a shuffle barrier, then its
+reduce wave on the simulated cluster (:mod:`repro.cluster`).
 
 Since the telemetry refactor, :class:`WorkMeter` is a thin compatibility
 view over :class:`repro.telemetry.Telemetry`: charges flow into the span
@@ -41,15 +41,8 @@ class WorkMeter:
     private tree.
     """
 
-    def __init__(
-        self, telemetry: Telemetry | None = None, track_tasks: bool = False
-    ) -> None:
+    def __init__(self, telemetry: Telemetry | None = None) -> None:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        #: When on, every charge is appended to :attr:`task_costs`.  Off
-        #: by default: a long-lived Slider charges thousands of times per
-        #: run and the log would grow without bound.
-        self.track_tasks = track_tasks
-        self.task_costs: list[tuple[Phase, float]] = []
 
     @property
     def by_phase(self) -> dict[Phase, float]:
@@ -59,8 +52,6 @@ class WorkMeter:
     def charge(self, phase: Phase, amount: float) -> None:
         """Charge ``amount`` work units to ``phase``."""
         self.telemetry.charge(phase, amount)
-        if self.track_tasks:
-            self.task_costs.append((phase, amount))
 
     def total(self) -> float:
         """Total work across all phases."""
@@ -75,19 +66,9 @@ class WorkMeter:
         """Work excluding background pre-processing."""
         return self.total() - self.by_phase.get(Phase.BACKGROUND, 0.0)
 
-    def merge(self, other: "WorkMeter") -> None:  # analysis: charge-in-caller-span
-        """Fold another meter's counters into this one."""
-        for phase, amount in other.by_phase.items():
-            self.telemetry.charge(phase, amount)
-        self.task_costs.extend(other.task_costs)
-
     def snapshot(self) -> dict[str, float]:
         """A plain-dict view, keyed by phase value, for reports."""
         return {phase.value: amount for phase, amount in self.by_phase.items()}
-
-    def reset(self) -> None:
-        self.telemetry.reset()
-        self.task_costs.clear()
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.cluster.machine import Cluster
-from repro.cluster.scheduler import (
-    HadoopScheduler,
-    Scheduler,
-    SimTask,
-    simulate_two_waves,
-)
+from repro.cluster.scheduler import HadoopScheduler, Scheduler, SimTask
 from repro.common.errors import WindowError
 from repro.common.hashing import stable_hash
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import BatchRuntime
 from repro.mapreduce.types import Split, SplitWindow
 from repro.metrics import RunReport
+from repro.slider.execution import calm_two_waves
 from repro.slider.system import SliderResult
 from repro.slider.window import WindowDelta, WindowMode
 from repro.telemetry import ENGINE_KEEP_LAST, SpanKind, Telemetry
@@ -131,17 +127,7 @@ class VanillaRunner:
                 kind=record.kind,
             )
             (map_tasks if record.kind == "map" else reduce_tasks).append(task)
-        makespan, assignments = simulate_two_waves(
-            map_tasks, reduce_tasks, self.cluster, self.scheduler
+        return calm_two_waves(
+            map_tasks, reduce_tasks, self.cluster, self.scheduler,
+            self.telemetry,
         )
-        for a in assignments:
-            self.telemetry.record_span(
-                a.task.label,
-                SpanKind.ATTEMPT,
-                start=a.start,
-                end=a.finish,
-                thread=f"m{a.machine_id}",
-                task_kind=a.task.kind,
-                fetched=a.fetched,
-            )
-        return makespan

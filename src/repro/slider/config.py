@@ -1,4 +1,4 @@
-"""Slider configuration: tree variant, window mode, and time model."""
+"""Slider configuration: tree variant, window mode, and execution knobs."""
 
 from __future__ import annotations
 
@@ -24,12 +24,6 @@ def _default_backend() -> str:
 def _default_workers() -> int:
     return int(os.environ.get("REPRO_WORKERS", "2"))
 
-#: Time-simulation models accepted by SliderConfig.time_model: "waves"
-#: evaluates the legacy coarse two-wave cost model over the executed plan
-#: (bit-identical to every historical figure); "dag" replays the run's
-#: task graph at sub-computation granularity with topological readiness.
-TIME_MODELS = ("waves", "dag")
-
 #: Memo fingerprint-verification modes accepted by SliderConfig.memo_verify.
 MEMO_VERIFY_MODES = ("off", "tainted", "paranoid")
 
@@ -51,8 +45,6 @@ class SliderConfig:
     seed: int = 0
     #: Garbage-collect memoized state that fell out of the window.
     auto_gc: bool = True
-    #: How the time simulation replays a run's tasks on the cluster.
-    time_model: str = "waves"
     #: Quarantine poison records/keys under this retry policy instead of
     #: failing the run; ``None`` propagates user-code exceptions unchanged.
     poison_policy: PoisonPolicy | None = None
@@ -73,8 +65,6 @@ class SliderConfig:
     workers: int = field(default_factory=_default_workers)
 
     def __post_init__(self) -> None:
-        if self.time_model not in TIME_MODELS:
-            raise ValueError(f"unknown time model {self.time_model!r}")
         if self.memo_verify not in MEMO_VERIFY_MODES:
             raise ValueError(
                 f"unknown memo_verify mode {self.memo_verify!r} "

@@ -1,44 +1,62 @@
-"""Time models: evaluate one executed run's cost on the simulated cluster.
+"""The time model: price one executed run on the simulated cluster.
 
 The :class:`TimeSimulator` consumes what the unified executor measured
 for a run (a :class:`~repro.core.execute.RunExecution`: per-split map
-costs, per-reducer work, the executed task graph) and prices it under
-the configured time model:
+costs and per-reducer work) and prices it as the paper's Hadoop job: one
+map wave with a barrier, then one reduce wave, with per-task locality
+preferences.  Evaluated over the executed plan, it reproduces every
+historical figure bit-for-bit.
 
-* ``"waves"`` — the legacy coarse cost model: one map wave with a
-  barrier, then one reduce wave, with per-task locality preferences.
-  Evaluated over the same executed plan, it reproduces every historical
-  figure bit-for-bit.
-* ``"dag"`` — replays the run's task graph at sub-computation
-  granularity with topological readiness, so the makespan tracks the
-  graph's critical path.  The one place under ``src/`` that reads a
-  run's nodes, and so the one that makes the graph build them.
-
-Chaos schedules route either model through the fault-tolerant executor,
+Chaos schedules route the wave pair through the fault-tolerant executor,
 with the engine's lifecycle manager healing the storage layers via
-:class:`~repro.cluster.executor.ExecutorHooks`.
+:class:`~repro.cluster.exec_types.ExecutorHooks`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
-from repro.cluster.executor import ExecutorHooks, execute_dag, execute_two_waves
-from repro.cluster.scheduler import SimTask, simulate_two_waves
-from repro.common.errors import ReproError
+from repro.cluster.exec_types import ExecutorHooks
+from repro.cluster.executor import execute_two_waves
+from repro.cluster.machine import Cluster
+from repro.cluster.scheduler import Scheduler, SimTask
 from repro.common.hashing import stable_hash
 from repro.core.execute import RunExecution
-from repro.core.taskgraph import TaskGraph, TaskNode
 from repro.metrics import Phase
-from repro.telemetry import SpanKind
+from repro.telemetry import SpanKind, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only facade reference
     from repro.cluster.chaos import ChaosSchedule
     from repro.slider.system import Slider
 
 
+def calm_two_waves(
+    map_tasks: Sequence[SimTask],
+    reduce_tasks: Sequence[SimTask],
+    cluster: Cluster,
+    scheduler: Scheduler,
+    telemetry: Telemetry,
+) -> float:
+    """Run the wave pair on a calm cluster and return its makespan; each
+    task's placement is mirrored into the span tree on its machine's trace
+    lane with simulated-clock timestamps (the executor itself stays
+    silent, so a calm run counts no ``executor.*`` attempts)."""
+    report = execute_two_waves(map_tasks, reduce_tasks, cluster, scheduler)
+    for a in report.assignments:
+        telemetry.record_span(
+            a.task.label,
+            SpanKind.ATTEMPT,
+            start=a.start,
+            end=a.finish,
+            thread=f"m{a.machine_id}",
+            task_kind=a.task.kind,
+            fetched=a.fetched,
+        )
+    return report.makespan
+
+
 class TimeSimulator:
-    """Prices an executed run on the cluster under the configured model."""
+    """Prices an executed run on the cluster as two waves."""
 
     def __init__(self, engine: "Slider") -> None:
         self.engine = engine
@@ -55,11 +73,7 @@ class TimeSimulator:
         )
         if engine.cluster is None:
             return foreground
-        if engine.config.time_model == "dag":
-            return self._replay_dag(run.graph)
         return self._wave_cost_model(foreground, run)
-
-    # -- the coarse two-wave cost model --------------------------------------
 
     def _wave_cost_model(self, foreground: float, run: RunExecution) -> float:
         engine = self.engine
@@ -109,119 +123,13 @@ class TimeSimulator:
             )
         schedule = self._chaos_schedule()
         if schedule is None and engine.executor_config is None:
-            # Calm run on the default executor knobs: the plain wrapper,
-            # bit-identical to the historical greedy figures.
-            makespan, assignments = simulate_two_waves(
-                map_tasks, reduce_tasks, engine.cluster, engine.scheduler
+            # Calm run on the default executor knobs: bit-identical to the
+            # historical greedy figures.
+            return calm_two_waves(
+                map_tasks, reduce_tasks, engine.cluster, engine.scheduler,
+                engine.telemetry,
             )
-            self._record_attempts(assignments)
-            return makespan
         return self._execute_under_chaos(map_tasks, reduce_tasks, schedule)
-
-    def _record_attempts(self, assignments) -> None:
-        """Mirror a calm wave's task placements into the span tree, on each
-        machine's trace lane with simulated-clock timestamps."""
-        for a in assignments:
-            self.engine.telemetry.record_span(
-                a.task.label,
-                SpanKind.ATTEMPT,
-                start=a.start,
-                end=a.finish,
-                thread=f"m{a.machine_id}",
-                task_kind=a.task.kind,
-                fetched=a.fetched,
-            )
-
-    # -- the dag replay model -------------------------------------------------
-
-    def _replay_dag(self, graph: TaskGraph | None) -> float:
-        """Replay the run's task graph at sub-computation granularity.
-
-        Every recorded node becomes one schedulable task with its own
-        locality preference; dependency edges gate readiness, so the
-        makespan tracks the graph's critical path instead of the coarse
-        map-barrier-then-per-reducer-sum of the two-wave model.
-        """
-        engine = self.engine
-        if graph is None:
-            raise ReproError(
-                'time_model="dag" needs a recorded task graph for the run'
-            )
-        tasks, deps = self._dag_tasks(graph)
-        schedule = self._chaos_schedule()
-        if schedule is None:
-            report = execute_dag(
-                tasks,
-                deps,
-                engine.cluster,
-                engine.scheduler,
-                config=engine.executor_config,
-                telemetry=engine.telemetry,
-            )
-            return report.makespan
-        repair_bytes_before = (
-            engine.cache.stats.repair_bytes if engine.cache is not None else 0.0
-        )
-        block_traffic_before = (
-            engine.blocks.repair_traffic if engine.blocks is not None else 0.0
-        )
-        hooks = ExecutorHooks(
-            on_crash=engine.lifecycle.on_chaos_crash,
-            on_detect=engine.lifecycle.on_chaos_detect,
-        )
-        report = execute_dag(
-            tasks,
-            deps,
-            engine.cluster,
-            engine.scheduler,
-            config=engine.executor_config,
-            chaos=schedule,
-            hooks=hooks,
-            telemetry=engine.telemetry,
-        )
-        self._note_recovery(report, repair_bytes_before, block_traffic_before)
-        return report.makespan
-
-    def _dag_tasks(
-        self, graph: TaskGraph
-    ) -> tuple[list[SimTask], dict[str, list[str]]]:
-        """Lower graph nodes to SimTasks with locality and dependency maps."""
-        labels = [f"n{node.uid}:{node.kind}" for node in graph.nodes]
-        tasks: list[SimTask] = []
-        deps: dict[str, list[str]] = {}
-        for node in graph.nodes:
-            tasks.append(
-                SimTask(
-                    label=labels[node.uid],
-                    cost=node.cost,
-                    preferred_machine=self._dag_preferred(node),
-                    fetch_bytes=node.data_size,
-                    kind=node.kind,
-                )
-            )
-            deps[labels[node.uid]] = [labels[dep] for dep in node.deps]
-        return tasks, deps
-
-    def _dag_preferred(self, node: TaskNode) -> int | None:
-        """Locality score: block-store placement for split-bound nodes,
-        distributed-cache ownership for memoized state, and the reducer's
-        memo home for the rest of its tree."""
-        engine = self.engine
-        if node.split_uid is not None:
-            if engine.blocks is not None:
-                return engine.blocks.preferred_machine(node.split_uid)
-            return stable_hash(node.split_uid, salt="splitloc") % len(
-                engine.cluster
-            )
-        if node.memo_uid is not None and engine.cache is not None:
-            owner = engine.cache.owner_of(node.memo_uid)
-            if owner is not None and engine.cluster.machine(owner).alive:
-                return owner
-        if node.reducer is not None:
-            return stable_hash(
-                (engine.job.name, node.reducer), salt="memoloc"
-            ) % len(engine.cluster)
-        return None
 
     # -- chaos wiring ---------------------------------------------------------
 
@@ -264,13 +172,6 @@ class TimeSimulator:
             hooks=hooks,
             telemetry=engine.telemetry,
         )
-        self._note_recovery(report, repair_bytes_before, block_traffic_before)
-        return report.makespan
-
-    def _note_recovery(
-        self, report, repair_bytes_before: float, block_traffic_before: float
-    ) -> None:
-        engine = self.engine
         recovery = report.stats.as_dict()
         recovery["map_finish"] = report.map_finish
         if engine.cache is not None:
@@ -287,3 +188,4 @@ class TimeSimulator:
             engine.last_recovery[key] = (
                 engine.last_recovery.get(key, 0.0) + value
             )
+        return report.makespan

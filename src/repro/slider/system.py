@@ -8,10 +8,10 @@ collaborators, one per concern:
   (map steps, contraction-tree steps, reduce steps) and drives it;
 * :class:`~repro.core.execute.PlanExecutor` — the single execution
   substrate: resolves every planned step (memo lookup, combine, charge,
-  record) and measures what the time models consume;
+  record) and measures what the time model consumes;
 * :class:`~repro.slider.execution.TimeSimulator` — prices the executed
-  run on the simulated cluster (``"waves"`` cost model or ``"dag"``
-  replay, calm or under chaos);
+  run on the simulated cluster as a map wave then a reduce wave, calm or
+  under chaos;
 * :class:`~repro.slider.lifecycle.LifecycleManager` — cross-run state:
   failure healing, garbage collection, space, output verification.
 
@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from repro.cluster.cache import CacheConfig, DistributedMemoCache, GarbageCollector
 from repro.cluster.chaos import ChaosPlan, ChaosSchedule
-from repro.cluster.executor import ExecutorConfig
+from repro.cluster.exec_types import ExecutorConfig
 from repro.cluster.machine import Cluster
 from repro.cluster.scheduler import HybridScheduler, Scheduler
 from repro.common.errors import ReproError, WindowError
@@ -43,7 +43,7 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.shuffle import HashPartitioner
 from repro.mapreduce.types import Split, SplitWindow
 from repro.metrics import Phase, RunReport, WorkMeter
-from repro.slider.config import TIME_MODELS, TREE_VARIANTS, SliderConfig
+from repro.slider.config import TREE_VARIANTS, SliderConfig
 from repro.slider.execution import TimeSimulator
 from repro.slider.lifecycle import LifecycleManager
 from repro.slider.planning import PlanCache, RunPlanner
@@ -54,7 +54,6 @@ __all__ = [
     "Slider",
     "SliderConfig",
     "SliderResult",
-    "TIME_MODELS",
     "TREE_VARIANTS",
 ]
 

@@ -1,6 +1,6 @@
-"""The dynamic vector-clock cross-check: recorder semantics, the DAG
-schedule validator, and the static-vs-dynamic contract on real engines
-across calm, chaos, and compile-replay runs."""
+"""The dynamic vector-clock cross-check: recorder semantics, the
+static-vs-dynamic contract on real engines across calm, chaos, and
+compile-replay runs, and the wave barrier every executed schedule keeps."""
 
 from __future__ import annotations
 
@@ -8,10 +8,16 @@ import pytest
 
 from repro.analysis.dynamic import DynamicRaceRecorder, clock_leq
 from repro.analysis.races import analyze_plan
-from repro.cluster.chaos import ChaosSchedule, MachineCrash
-from repro.cluster.dagexec import execute_dag, vector_clocks
-from repro.cluster.machine import Cluster, ClusterConfig
-from repro.cluster.scheduler import HadoopScheduler, SimTask
+from repro.cluster import (
+    ChaosSchedule,
+    Cluster,
+    ClusterConfig,
+    HadoopScheduler,
+    MachineCrash,
+    SimTask,
+    TaskAttempt,
+    execute_two_waves,
+)
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import VARIANTS, count_job, split_of
@@ -179,7 +185,7 @@ def test_static_pass_covers_chaos_runs():
     assert recorder.unexplained(static) == []
 
 
-# -- DAG schedule vector clocks ----------------------------------------------
+# -- the wave barrier in executed schedules -----------------------------------
 
 
 def quiet_cluster(n=4, slots=2):
@@ -190,47 +196,49 @@ def quiet_cluster(n=4, slots=2):
     )
 
 
+def barrier_violations(assignments, map_finish):
+    """Every reduce that started before the map wave finished."""
+    return [
+        a.task.label
+        for a in assignments
+        if a.task.kind == "reduce" and a.start < map_finish - 1e-9
+    ]
+
+
+def waves(maps, reduces, **kwargs):
+    return execute_two_waves(
+        [SimTask(label=f"m{i}", cost=c, kind="map") for i, c in enumerate(maps)],
+        [SimTask(label=f"r{i}", cost=c, kind="reduce") for i, c in enumerate(reduces)],
+        kwargs.pop("cluster", quiet_cluster()), HadoopScheduler(), **kwargs,
+    )
+
+
 def test_schedule_clocks_respect_dependencies():
-    tasks = [SimTask(label=f"t{i}", cost=1.0, kind="map") for i in range(4)]
-    deps = {"t2": ["t0", "t1"], "t3": ["t2"]}
-    report = execute_dag(tasks, deps, quiet_cluster(), HadoopScheduler())
-    clocks, violations = vector_clocks(report.assignments, deps)
-    assert violations == []
-    assert set(clocks) == {"t0", "t1", "t2", "t3"}
-    for child, parent_labels in deps.items():
-        for parent in parent_labels:
-            assert clock_leq(clocks[parent], clocks[child])
-            assert clocks[parent] != clocks[child]
+    report = waves([1.0, 1.0, 3.0], [1.0, 2.0])
+    assert report.map_finish == 3.0
+    assert barrier_violations(report.assignments, report.map_finish) == []
 
 
 def test_schedule_clocks_under_chaos():
-    tasks = [SimTask(label=f"t{i}", cost=1.0, kind="map") for i in range(6)]
-    deps = {"t4": ["t0", "t1"], "t5": ["t2", "t3", "t4"]}
     chaos = ChaosSchedule(crashes=(MachineCrash(machine_id=0, time=1.0),))
-    report = execute_dag(
-        tasks, deps, quiet_cluster(3, 1), HadoopScheduler(), chaos=chaos
+    report = waves(
+        [1.0] * 4, [1.0, 1.0], cluster=quiet_cluster(3, 1), chaos=chaos
     )
-    clocks, violations = vector_clocks(report.assignments, deps)
-    assert violations == []
-    for child, parent_labels in deps.items():
-        for parent in parent_labels:
-            assert clock_leq(clocks[parent], clocks[child])
+    assert report.stats.crashes == 1
+    assert barrier_violations(report.assignments, report.map_finish) == []
 
 
 def test_broken_schedule_is_flagged():
-    from repro.cluster.exec_types import TaskAttempt
-
     t0 = SimTask(label="t0", cost=5.0, kind="map")
-    t1 = SimTask(label="t1", cost=1.0, kind="map")
+    t1 = SimTask(label="t1", cost=1.0, kind="reduce")
     assignments = [
         TaskAttempt(
             task=t0, number=0, machine_id=0, slot_index=0, epoch=0,
             start=0.0, expected_finish=5.0, finish=5.0,
         ),
-        TaskAttempt(  # starts before its parent finishes
+        TaskAttempt(  # starts before the map wave finishes
             task=t1, number=0, machine_id=1, slot_index=0, epoch=0,
             start=1.0, expected_finish=2.0, finish=2.0,
         ),
     ]
-    clocks, violations = vector_clocks(assignments, {"t1": ["t0"]})
-    assert violations and "before parent" in violations[0]
+    assert barrier_violations(assignments, map_finish=5.0) == ["t1"]

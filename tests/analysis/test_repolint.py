@@ -209,7 +209,7 @@ def test_slider_may_import_core_and_cluster(tmp_path):
         tmp_path,
         """
         from repro.core.plan import Plan
-        from repro.cluster.executor import execute_dag
+        from repro.cluster.executor import execute_two_waves
         """,
         name="slider/execution.py",
     )

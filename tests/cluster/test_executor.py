@@ -2,26 +2,22 @@
 
 import pytest
 
-from repro.cluster.chaos import (
-    ChaosSchedule,
-    MachineCrash,
-    StraggleEpisode,
-    TransientFaults,
-)
-from repro.cluster.executor import (
+from repro.cluster import (
     AttemptState,
+    ChaosSchedule,
+    Cluster,
+    ClusterConfig,
     ExecutorConfig,
     ExecutorHooks,
-    execute_two_waves,
-    execute_wave,
-)
-from repro.cluster.machine import Cluster, ClusterConfig
-from repro.cluster.scheduler import (
     HadoopScheduler,
     HybridScheduler,
+    MachineCrash,
     MemoizationScheduler,
     SimTask,
-    simulate_wave,
+    StraggleEpisode,
+    TransientFaults,
+    execute_two_waves,
+    execute_wave,
 )
 from repro.common.errors import SchedulingError, TaskFailedError
 from repro.common.rng import RngStream
@@ -107,11 +103,11 @@ def test_fault_free_execution_matches_greedy_plan(case, policy):
     expected_makespan, expected_log = greedy_reference(
         tasks, cluster, scheduler
     )
-    makespan, log = simulate_wave(tasks, cluster, scheduler)
-    assert makespan == expected_makespan
+    report = execute_wave(tasks, cluster, scheduler)
+    assert report.makespan == expected_makespan
     assert [
         (a.task.label, a.machine_id, a.start, a.finish, a.fetched)
-        for a in log
+        for a in report.assignments
     ] == expected_log
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -46,7 +47,9 @@ def root_total(partition: Partition) -> int:
 def profile_calls(thunk, watched=None) -> tuple:
     """``thunk()``'s result, its ``call`` + ``c_call`` profile events, and
     how many of the calls ran the code object ``watched``: interpreter
-    work as a count, not a clock."""
+    work as a count, not a clock.  The collector is held off meanwhile: a
+    collection mid-thunk would run finalizers of earlier tests' garbage
+    and count their calls too."""
     events = hits = 0
 
     def on_event(frame, event, arg) -> None:
@@ -56,9 +59,14 @@ def profile_calls(thunk, watched=None) -> tuple:
             if event == "call" and frame.f_code is watched:
                 hits += 1
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(on_event)
     try:
         result = thunk()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return result, events, hits

@@ -72,7 +72,7 @@ class TestCertificationTie:
     def test_frozen_allowlist_matches_analysis_layer(self):
         from repro.analysis.shared import CERTIFIED_VARIANTS
 
-        assert CERTIFIED_PARALLEL_VARIANTS == frozenset(CERTIFIED_VARIANTS)
+        assert CERTIFIED_PARALLEL_VARIANTS is CERTIFIED_VARIANTS
 
     def test_every_allowlisted_variant_still_certifies_green(self):
         from repro.analysis.shared import certify_all

@@ -65,26 +65,26 @@ class TestTaskGraph:
         a = graph.add("map", Phase.MAP)
         b = graph.add("shuffle", Phase.SHUFFLE, deps=(a.uid,))
         graph.add("combine", Phase.CONTRACTION, deps=(b.uid,))
-        assert graph.topological_order() == [0, 1, 2]
+        assert [node.uid for node in graph.nodes] == [0, 1, 2]
+        assert all(dep < node.uid for node in graph.nodes for dep in node.deps)
 
     def test_critical_path_follows_heaviest_chain(self):
-        # Diamond: a(1) -> {b(10), c(2)} -> d(3).
+        # Diamond: a(1) -> {b(10), c(2)} -> d(3); every branch is work.
         graph = TaskGraph()
         a = graph.add("map", Phase.MAP, cost=1.0)
         b = graph.add("combine", Phase.CONTRACTION, cost=10.0, deps=(a.uid,))
         c = graph.add("combine", Phase.CONTRACTION, cost=2.0, deps=(a.uid,))
         d = graph.add(
-            "reduce", Phase.REDUCE, cost=3.0, deps=(b.uid, c.uid)
+            "reduce", Phase.REDUCE, cost=3.0, deps=(c.uid, b.uid)
         )
-        downstream = graph.critical_path_costs()
-        assert downstream[d.uid] == 3.0
-        assert downstream[b.uid] == 13.0
-        assert downstream[c.uid] == 5.0
-        assert downstream[a.uid] == 14.0
-        assert graph.critical_path_length() == 14.0
+        assert d.deps == (b.uid, c.uid)
+        assert graph.work_by_phase()[Phase.CONTRACTION] == 12.0
+        assert graph.total_work() == 16.0
 
     def test_critical_path_of_empty_graph(self):
-        assert TaskGraph().critical_path_length() == 0.0
+        graph = TaskGraph()
+        assert len(graph) == 0 and graph.total_work() == 0.0
+        assert graph.work_by_phase() == {} and graph.counts_by_kind() == {}
 
 
 class TestGraphRecorder:

@@ -170,7 +170,7 @@ class TestLog:
         graph = recorder.begin_run()
         recorder.map_task(7, [part([("a", 1)])], map_cost=2.0, shuffle_cost=1.0)
         node = graph.add("reduce", Phase.REDUCE, deps=(1,))
-        assert node.uid == 2 and graph.topological_order() == [0, 1, 2]
+        assert node.uid == 2 and [n.uid for n in graph.nodes] == [0, 1, 2]
 
     def test_pass_through_whose_result_is_its_input(self):
         recorders = late, eager = _recorders()

@@ -9,7 +9,8 @@ on the surviving machines.
 from repro.cluster.cache import CacheConfig, DistributedMemoCache
 from repro.cluster.faults import FaultInjector, FaultPlan
 from repro.cluster.machine import Cluster, ClusterConfig
-from repro.cluster.scheduler import HybridScheduler, SimTask, simulate_wave
+from repro.cluster.executor import execute_wave
+from repro.cluster.scheduler import HybridScheduler, SimTask
 from repro.core.memo import MemoTable
 from repro.core.randomized import RandomizedFoldingTree
 from repro.mapreduce.combiners import SumCombiner
@@ -102,9 +103,9 @@ def test_scheduling_continues_on_survivors():
     cluster.kill(0)
     cluster.kill(1)
     tasks = [SimTask(f"t{i}", cost=4.0, preferred_machine=0) for i in range(4)]
-    makespan, log = simulate_wave(tasks, cluster, HybridScheduler())
-    assert all(a.machine_id == 2 for a in log)
-    assert makespan == 4 * (4.0 / 1.0) / cluster.machine(2).slots
+    report = execute_wave(tasks, cluster, HybridScheduler())
+    assert all(a.machine_id == 2 for a in report.assignments)
+    assert report.makespan == 4 * (4.0 / 1.0) / cluster.machine(2).slots
 
 
 def test_without_replication_crash_forces_recomputation():

@@ -7,9 +7,9 @@ raises, in a worker — is an invariant of the oracle (``tests/oracle``:
 ``counted_builds`` around every rule).  Here: the long steady walks this
 suite has always named; a result kept for a hundred advances still reads
 as the graph of its run; an unread result holds none of its run's
-partitions; and the one reader under ``src/`` that prices a run from its
-graph (``time_model="dag"``) gets the floats it got when graphs were
-built as they were recorded.
+partitions; and what a run costs on a cluster (two waves, priced from
+measured work, not from the graph) is pinned to the bit, calm and on the
+event executor.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.cluster.machine import Cluster, ClusterConfig
+from repro.cluster import Cluster, ClusterConfig, ExecutorConfig
 from repro.core.parallel import WorkerPool
 from repro.core.partition import Partition
 from repro.mapreduce.types import Split
@@ -150,25 +150,30 @@ def test_an_unread_result_pins_no_partition_of_its_run(variant, mode):
     assert results[0].graph.counts_by_kind()["map"] == 6
 
 
-#: ``report.time`` under ``time_model="dag"`` of test_taskgraph_recording's
-#: ``test_dag_replay_property`` scenario (eight calm machines; an initial
-#: run over six splits, then two slides), as the commit before the log
-#: computed them.
-DAG_TIMES = {
-    "folding": (82.99999999999999, 65.8, 82.07),
-    "randomized": (92.0, 72.0, 78.07),
-    "strawman": (83.0, 63.0, 62.07),
-    "rotating": (85.81800000000001, 85.80000000000003, 84.86999999999999),
-    "coalescing": (79.0, 45.8, 45.8),
+#: ``report.time`` of an initial run over six splits, then two slides,
+#: on eight calm machines, as ``float.hex``: the same floats with and
+#: without ``executor_config`` (the calm path and the event executor).
+WAVE_TIMES = {
+    "folding": ("0x1.0999999999999p+7", "0x1.66a3d70a3d70cp+6", "0x1.577ae147ae146p+6"),
+    "randomized": ("0x1.dc51eb851eb84p+6", "0x1.c48f5c28f5c2bp+6", "0x1.3c5c28f5c28f8p+6"),
+    "strawman": ("0x1.0400000000000p+7", "0x1.f03d70a3d70a5p+6", "0x1.ec47ae147ae15p+6"),
+    "rotating": ("0x1.2b33333333334p+7", "0x1.5b70a3d70a3dcp+6", "0x1.577ae147ae14cp+6"),
+    "coalescing": ("0x1.5800000000000p+6", "0x1.a666666666665p+5", "0x1.a666666666661p+5"),
 }
 
 
 @pytest.mark.parametrize("variant,mode", VARIANTS)
 def test_the_dag_time_model_prices_a_run_as_before(variant, mode):
-    cluster = Cluster(ClusterConfig(num_machines=8, straggler_fraction=0.0))
-    slider = make_slider(variant, mode, cluster=cluster, time_model="dag")
     removed = 0 if mode is WindowMode.APPEND else 1
-    times = [slider.initial_run([split_of(i) for i in range(6)]).report.time]
-    times.append(slider.advance([split_of(10)], removed).report.time)
-    times.append(slider.advance([split_of(11)], removed).report.time)
-    assert tuple(times) == DAG_TIMES[variant]
+    for executor_config in (None, ExecutorConfig()):
+        cluster = Cluster(ClusterConfig(num_machines=8, straggler_fraction=0.0))
+        slider = Slider(
+            count_job(), mode, config=SliderConfig(mode=mode, tree=variant),
+            cluster=cluster, executor_config=executor_config,
+        )
+        results = [slider.initial_run([split_of(i) for i in range(6)])]
+        results.append(slider.advance([split_of(10)], removed))
+        results.append(slider.advance([split_of(11)], removed))
+        times = tuple(result.report.time.hex() for result in results)
+        assert times == WAVE_TIMES[variant], executor_config
+        assert all(bool(r.report.recovery) == bool(executor_config) for r in results)

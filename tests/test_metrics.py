@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metrics import Phase, RunReport, Speedup, WorkMeter
+from repro.telemetry import Telemetry
 
 
 def test_charge_accumulates_per_phase():
@@ -29,11 +30,12 @@ def test_foreground_excludes_background():
 
 
 def test_merge_folds_counters():
-    a, b = WorkMeter(), WorkMeter()
+    """Meters sharing one telemetry fold into one tree (what ``merge`` did)."""
+    shared = Telemetry(label="shared")
+    a, b = WorkMeter(shared), WorkMeter(shared)
     a.charge(Phase.MAP, 1.0)
     b.charge(Phase.MAP, 2.0)
     b.charge(Phase.SHUFFLE, 3.0)
-    a.merge(b)
     assert a.by_phase[Phase.MAP] == 3.0
     assert a.by_phase[Phase.SHUFFLE] == 3.0
 
@@ -41,24 +43,25 @@ def test_merge_folds_counters():
 def test_snapshot_and_reset():
     meter = WorkMeter()
     meter.charge(Phase.CONTRACTION, 2.5)
-    assert meter.snapshot() == {"contraction": 2.5}
-    meter.reset()
-    assert meter.total() == 0.0
-    assert meter.task_costs == []
+    snapshot = meter.snapshot()
+    assert snapshot == {"contraction": 2.5}
+    meter.charge(Phase.CONTRACTION, 1.0)
+    assert snapshot == {"contraction": 2.5}  # a copy, not a live view
+    assert not hasattr(meter, "reset")
 
 
 def test_task_costs_recorded_when_tracking_enabled():
-    meter = WorkMeter(track_tasks=True)
-    meter.charge(Phase.MAP, 1.0)
-    meter.charge(Phase.REDUCE, 2.0)
-    assert meter.task_costs == [(Phase.MAP, 1.0), (Phase.REDUCE, 2.0)]
+    """The per-charge log is gone: charges live in the span tree only."""
+    with pytest.raises(TypeError, match="track_tasks"):
+        WorkMeter(track_tasks=True)
 
 
 def test_task_costs_off_by_default():
     meter = WorkMeter()
     meter.charge(Phase.MAP, 1.0)
     meter.charge(Phase.REDUCE, 2.0)
-    assert meter.task_costs == []
+    assert meter.telemetry.by_phase == {Phase.MAP: 1.0, Phase.REDUCE: 2.0}
+    assert not hasattr(meter, "task_costs")
     assert meter.total() == 3.0
 
 
