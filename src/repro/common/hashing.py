@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 _HASH_BYTES = 8
 _pack_double = struct.Struct("<d").pack
@@ -136,6 +136,63 @@ def entry_hash(key: Any, value: Any, *, salt: str = "") -> int:
     if type(key) is float and type(value) is float:
         return stable_hash((key, value), salt=salt)
     return entry_hash_encoded(_encode_fast(key), value, salt=salt)
+
+
+def xor_entry_hashes(
+    entries: Mapping[Any, Any],
+    *,
+    salt: str,
+    memo: dict[tuple[int, int], int] | None = None,
+) -> int:
+    """The XOR of ``entry_hash(key, value, salt=salt)`` over ``entries``.
+
+    The one loop that fingerprints a whole mapping.  Keys of exact ``str``,
+    ``int`` or ``tuple`` type and values of exact ``int`` or ``float`` type
+    are encoded and framed here, into the bytes ``entry_hash`` makes; any
+    other key (a ``float`` one, ``bool`` and every subclass) goes through
+    ``entry_hash`` itself, and any other value through ``_encode_fast``.
+
+    ``memo`` belongs to the caller: it maps ``(id(key), id(value))`` of a
+    tuple-keyed entry to that entry's hash, read before hashing and written
+    after.  It is sound only while every key and value it has seen stays
+    alive and unmodified, so that an id names one content; a str or int
+    key is cheaper to encode again than to look up, and is never memoized.
+    """
+    copy = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy
+    acc = 0
+    for key, value in entries.items():
+        kind = type(key)
+        if kind is str:
+            key_bytes = b"s" + key.encode("utf-8")
+        elif kind is int:
+            key_bytes = b"i%d" % key
+        elif kind is tuple:
+            if memo is not None:
+                pair = (id(key), id(value))
+                known = memo.get(pair)
+                if known is not None:
+                    acc ^= known
+                    continue
+            key_bytes = _encode_fast(key)
+        else:
+            acc ^= entry_hash(key, value, salt=salt)
+            continue
+        value_kind = type(value)
+        if value_kind is int:
+            value_bytes = b"i%d" % value
+        elif value_kind is float:
+            value_bytes = b"d" + _pack_double(value)
+        else:
+            value_bytes = _encode_fast(value)
+        state = copy()
+        state.update(
+            b"t2%d:%b%d:%b" % (len(key_bytes), key_bytes, len(value_bytes), value_bytes)
+        )
+        hashed = int.from_bytes(state.digest(), "big")
+        acc ^= hashed
+        if kind is tuple and memo is not None:
+            memo[pair] = hashed
+    return acc
 
 
 def entry_hasher(key: Any, *, salt: str = "") -> Callable[[Any], int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.common.hashing import content_id, entry_hash, entry_hash_encoded
-from repro.common.hashing import entry_hasher, stable_hash
+from repro.common.hashing import entry_hasher, stable_hash, xor_entry_hashes
 from repro.metrics import Phase, WorkMeter
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
@@ -107,26 +107,31 @@ class Partition:
         """Total abstract size of the partition, in combiner size units."""
         return sum(combiner.value_size(v) for v in self.entries.values())
 
-    def verify_fingerprint(self) -> bool:
+    def verify_fingerprint(
+        self, memo: dict[tuple[int, int], int] | None = None
+    ) -> bool:
         """Check that ``entries`` still hash to the recorded ``uid``.
 
         The uid assigned at construction doubles as a content fingerprint:
         any later mutation of the entries (bit rot, a chaos
         ``CorruptionEvent``) makes the recomputed fingerprint diverge.  The
         shared empty partition carries a symbolic uid rather than a
-        computed one, so it is matched by identity of that uid.
+        computed one, so it is matched by identity of that uid.  ``memo``
+        is ``xor_entry_hashes``' identity memo, for a caller that verifies
+        many partitions sharing entry objects and keeps them all alive.
         """
         if not self.entries:
             return self.uid in (_EMPTY.uid, _fingerprint_entries(self.entries))
-        return self.uid == _fingerprint_entries(self.entries)
+        return self.uid == _fingerprint_entries(self.entries, memo)
 
 
-def _fingerprint_entries(entries: Mapping[Any, Any]) -> int:
+def _fingerprint_entries(
+    entries: Mapping[Any, Any], memo: dict[tuple[int, int], int] | None = None
+) -> int:
     # Key order must not matter: XOR per-entry hashes (stable, order-free).
-    acc = stable_hash(len(entries), salt="pfp")
-    for key, value in entries.items():
-        acc ^= entry_hash(key, value, salt="pent")
-    return acc
+    return stable_hash(len(entries), salt="pfp") ^ xor_entry_hashes(
+        entries, salt="pent", memo=memo
+    )
 
 
 def combined_uid(

@@ -205,25 +205,32 @@ def verify_restored(engine: "Slider") -> int:
     checkpointed object graph itself; refusing loudly beats recomputing
     silently in that case.  An object met again (a map-memo leaf is a
     tree's leaf, a pass-through node the child it is) is verified where
-    first met.  Returns the number of distinct partitions checked.
+    first met, and so is an entry: the walk goes reducer by reducer, its
+    map-memo row then its tree, with one identity memo a reducer (a key
+    routes to one reducer), so a (key, value) pair of objects that several
+    partitions hold is hashed once.  Every object is alive and unmodified
+    for the whole walk, which is what makes an id name one content.
+    Returns the number of distinct partitions checked.
     """
     verified: set[int] = set()
+    memo: dict[tuple[int, int], int] = {}
 
     def check(partition: Partition, where: str) -> None:
         if id(partition) in verified:
             return
         verified.add(id(partition))
-        if not partition.verify_fingerprint():
+        if not partition.verify_fingerprint(memo):
             raise CorruptionError(
                 f"restored state failed fingerprint verification at "
                 f"{where}: entries diverged from recorded uid "
                 f"{partition.uid:#x} — the checkpoint holds corrupt state"
             )
 
-    for uid in sorted(engine.map_memo):
-        for reducer, partition in enumerate(engine.map_memo[uid]):
-            check(partition, f"map_memo[{uid:#x}][{reducer}]")
+    map_memo_uids = sorted(engine.map_memo)
     for index, tree in enumerate(engine.trees):
+        memo.clear()
+        for uid in map_memo_uids:
+            check(engine.map_memo[uid][index], f"map_memo[{uid:#x}][{index}]")
         for uid in sorted(tree.memo.entries):
             check(tree.memo.entries[uid], f"tree[{index}].memo[{uid:#x}]")
         cache = getattr(tree, "_cache", None)

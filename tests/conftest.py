@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro.common import hashing
 from repro.common.rng import RngStream
 from repro.core.partition import Partition
 from repro.mapreduce.combiners import SumCombiner
@@ -42,6 +43,48 @@ def leaf_seq(values: list[int]) -> list[Partition]:
 def root_total(partition: Partition) -> int:
     """The summed 'total' key of a root built from leaf_seq leaves."""
     return partition.get("total", 0)
+
+
+class _CountedState:
+    """A BLAKE2b state that logs what is made of it: its salt at every
+    ``digest`` and, at an ``update`` that opens a pair's encoding
+    (``t2``, then the key's framed bytes), the key's bytes.  Its copies
+    log too, so a keyed hasher's finishes count as digests."""
+
+    def __init__(self, state, salt: str, digests: list, keyings: list) -> None:
+        self._state, self._salt = state, salt
+        self._digests, self._keyings = digests, keyings
+
+    def copy(self) -> "_CountedState":
+        return _CountedState(
+            self._state.copy(), self._salt, self._digests, self._keyings
+        )
+
+    def update(self, data: bytes) -> None:
+        if data.startswith(b"t2"):
+            length, _, rest = data[2:].partition(b":")
+            self._keyings.append(rest[: int(length)])
+        self._state.update(data)
+
+    def digest(self) -> bytes:
+        self._digests.append(self._salt)
+        return self._state.digest()
+
+
+def count_digests(monkeypatch) -> tuple[list, list]:
+    """Count fingerprint hashing at the bottom, whatever spelling made it:
+    ``digests`` gets the salt of every length (``"pfp"``) and entry
+    (``"pent"``) digest made, and ``keyings`` the encoded key of every pair
+    encoding begun -- once a flat entry hash, once a keyed hasher however
+    many values it then finishes.  Wraps the two salts' prototype states,
+    which every digest starts from a copy of."""
+    digests: list[str] = []
+    keyings: list[bytes] = []
+    for salt in ("pfp", "pent"):
+        real = hashing._PROTOTYPES.get(salt) or hashing._new_prototype(salt)
+        counted = _CountedState(real, salt, digests, keyings)
+        monkeypatch.setitem(hashing._PROTOTYPES, salt, counted)
+    return digests, keyings
 
 
 def profile_calls(thunk, watched=None) -> tuple:

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import repro.core.partition as partition_module
-from repro.common.hashing import stable_hash
+from repro.common.hashing import encode_key, stable_hash
 from repro.core.partition import (
     Partition,
     _fingerprint_entries,
@@ -25,6 +24,7 @@ from repro.mapreduce.combiners import (
     SumCombiner,
     VectorSumCombiner,
 )
+from tests.conftest import count_digests
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -85,42 +85,6 @@ def merges(draw, kinds=tuple(COMBINERS)):
     return kind, partitions
 
 
-def _count_hashes(monkeypatch):
-    """Count what ``repro.core.partition`` hashes, through the three names
-    it hashes with: ``digests`` gets the salt of every digest made and
-    ``keyings`` every entry key encoded (once a flat entry hash, once a
-    keyed hasher however many values it then finishes).  ``stable_hash``
-    is the name the benchmark's traced pass wraps."""
-    digests, keyings = [], []
-    real_hash = partition_module.stable_hash
-    real_entry_hash = partition_module.entry_hash
-    real_entry_hasher = partition_module.entry_hasher
-
-    def stable_hash(value, *, salt=""):
-        digests.append(salt)
-        return real_hash(value, salt=salt)
-
-    def entry_hash(key, value, *, salt=""):
-        digests.append(salt)
-        keyings.append(key)
-        return real_entry_hash(key, value, salt=salt)
-
-    def entry_hasher(key, *, salt=""):
-        keyings.append(key)
-        finish = real_entry_hasher(key, salt=salt)
-
-        def counted_finish(value):
-            digests.append(salt)
-            return finish(value)
-
-        return counted_finish
-
-    monkeypatch.setattr(partition_module, "stable_hash", stable_hash)
-    monkeypatch.setattr(partition_module, "entry_hash", entry_hash)
-    monkeypatch.setattr(partition_module, "entry_hasher", entry_hasher)
-    return digests, keyings
-
-
 @settings(max_examples=200, deadline=None)
 @given(merge=merges())
 def test_combined_uid_is_the_fingerprint_of_the_entries(merge):
@@ -177,7 +141,7 @@ def test_the_cheaper_of_delta_and_full_rehash_runs(monkeypatch, passing):
     loss), 9 is the first delta, and either way the uid is the same."""
     merged = 2
     partitions = _two_inputs(merged, passing)
-    calls, _ = _count_hashes(monkeypatch)
+    calls, _ = count_digests(monkeypatch)
     combined = combine_partitions(partitions, SumCombiner())
     spent, entry_hashes = len(calls), calls.count("pent")
     assert len(combined) == merged + passing
@@ -197,11 +161,11 @@ def test_each_merged_key_is_encoded_once(monkeypatch, merged):
     for each input's value, one in for the merged value -- from one
     encoding of that key; the 30 keys passing through are never touched."""
     partitions = _two_inputs(merged, passing=30)
-    digests, keyings = _count_hashes(monkeypatch)
+    digests, keyings = count_digests(monkeypatch)
     combined = combine_partitions(partitions, SumCombiner())
     assert digests.count("pent") == 3 * merged
     assert digests.count("pfp") == len(partitions) + 1
-    assert sorted(keyings) == sorted(f"m{i}" for i in range(merged))
+    assert sorted(keyings) == sorted(encode_key(f"m{i}") for i in range(merged))
     assert combined.uid == _fingerprint_entries(combined.entries)
 
 
@@ -211,7 +175,7 @@ def test_both_kmeans_keys_always_merge_so_the_full_rehash_runs(monkeypatch):
         Partition({"c0": (3, (0.5, 1.5)), "c1": (2, (1.0, -1.0))}),
         Partition({"c0": (1, (2.5, 0.5)), "c1": (4, (0.0, 8.0))}),
     ]
-    calls, _ = _count_hashes(monkeypatch)
+    calls, _ = count_digests(monkeypatch)
     combined = combine_partitions(partitions, vector)
     assert calls == ["pfp", "pent", "pent"]
     assert combined.uid == _fingerprint_entries(combined.entries)
@@ -224,7 +188,7 @@ def test_a_set_valued_delta_is_the_fresh_fingerprint(monkeypatch):
     left = {f"p{i}": frozenset({i, str(i)}) for i in range(20)}
     right = {"m": frozenset({("u", 1), 2, "2", None})}
     left["m"] = frozenset({2, ("u", 3), True})
-    digests, _ = _count_hashes(monkeypatch)
+    digests, _ = count_digests(monkeypatch)
     combined = combine_partitions(
         [Partition(left), Partition(right)], SetUnionCombiner()
     )
