@@ -2,11 +2,11 @@
 
 The static race pass (:mod:`repro.analysis.races`) reasons over the plan
 IR; this module validates its verdicts against *execution*.  A
-:class:`DynamicRaceRecorder` attaches to a
-:class:`~repro.core.execute.PlanExecutor` as its (duck-typed, test-only)
-``probe`` and observes every resolved step — including memo hit/miss,
-which the static pass must over-approximate — across calm, chaos, and
-dispatched runs alike.
+:class:`DynamicRaceRecorder` reads a finished run's log
+(:meth:`DynamicRaceRecorder.read`) and observes every resolved step —
+including memo hit/miss, which the static pass must over-approximate:
+the log says which node each step executed first — across calm, chaos,
+and dispatched runs alike.
 
 Each observed step gets a **vector clock** under the same lane model the
 static pass uses (per-map lanes in the map phase, per-reducer lanes after
@@ -18,14 +18,13 @@ monotonically, so the latest access dominates the earlier ones) and
 records every concurrent conflicting pair as an
 :class:`ObservedConflict`.
 
-The recorder also sees steps that executed in *worker processes*: the
-process execution backend captures each worker's probe events (the
-worker's executor runs a recording shim) and replays them through the
-parent executor's probe during the deterministic reducer-order merge, at
-exactly the position the in-process run would have fired them.  The
-vector clocks therefore describe the logical lane structure of what the
-workers really did — one lane per reducer — not merely a single-process
-simulation of it.
+The recorder also sees steps that executed in *worker processes*: a
+worker replies with its run's log records, and the process execution
+backend takes them into the parent's log during the deterministic
+reducer-order merge, at exactly the position the in-process run would
+have logged them.  The vector clocks therefore describe the logical lane
+structure of what the workers really did — one lane per reducer — not
+merely a single-process simulation of it.
 
 The contract with the static pass is one-sided soundness:
 :meth:`DynamicRaceRecorder.unexplained` returns any observed non-benign
@@ -41,6 +40,7 @@ from typing import Iterable
 
 from repro.analysis.findings import ERROR, INFO, Finding
 from repro.analysis.races import ENGINE_LANE, IDEMPOTENT_PREFIXES
+from repro.core.taskgraph import REDUCER, STEP, RunLog
 
 _VectorClock = dict[str, int]  # lane -> counter
 #: Per-lane access state: [latest read, latest write], each (clock, op).
@@ -69,7 +69,7 @@ class ObservedConflict:
 
 
 class DynamicRaceRecorder:
-    """The executor probe: builds vector clocks from executed steps."""
+    """Builds vector clocks from executed steps."""
 
     def __init__(self) -> None:
         #: lane -> that lane's latest vector clock (current run).
@@ -85,7 +85,18 @@ class DynamicRaceRecorder:
         self.runs = 0
         self._map_seq = 0
 
-    # -- executor probe interface (duck-typed) ------------------------------
+    # -- observing ------------------------------------------------------------
+
+    def read(self, log: RunLog) -> None:
+        """Observe one finished run: a run boundary, then each step its
+        log opened, in log order — a hit when the step's first node is a
+        ``memo_read``."""
+        self.on_begin_run(log.label)
+        for record in log.records:
+            if record[STEP] is not None:
+                op, _, _, _, memo_uid, _ = record[STEP]
+                hit = record[0] == "memo_read"
+                self.on_step(op, reducer=record[REDUCER], memo_uid=memo_uid, hit=hit)
 
     def on_begin_run(self, label: str = "") -> None:
         """A run boundary is a full barrier: merge every lane into the base."""
@@ -105,7 +116,6 @@ class DynamicRaceRecorder:
         reducer: int | None = None,
         memo_uid: int | None = None,
         hit: bool | None = None,
-        label: str = "",
     ) -> None:
         if op == "map":
             lane = f"run{self.runs}:map#{self._map_seq}"

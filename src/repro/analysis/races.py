@@ -1,10 +1,12 @@
 """Plan-level race detection: happens-before over the Plan IR.
 
-The future multi-process executor will run one worker lane per reducer
-(plus parallel Map tasks), so the correctness question is: *which pairs of
-plan steps may execute concurrently, and do any of them touch the same
-state with at least one write?*  This module answers it statically, over
-the plan IR alone — no execution required.
+The process execution backend (:mod:`repro.core.backends`) runs one
+worker lane per reducer, and Map tasks are independent, so the
+correctness question is: *which pairs of plan steps may execute
+concurrently, and do any of them touch the same state with at least one
+write?*  This module answers it statically, over the plan IR alone — a
+run's :class:`~repro.core.plan.Plan` or any sequence of
+:class:`~repro.core.plan.PlanStep` — no execution required.
 
 **The happens-before model.**  Each step is assigned a *lane* and an
 *epoch*:
@@ -41,10 +43,10 @@ severity, not as errors.  Everything else is a hard finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.findings import ERROR, INFO, Finding
-from repro.core.plan import Plan, PlanStep
+from repro.core.plan import PlanStep
 
 #: The conservative lane for steps with no reducer attribution.
 ENGINE_LANE = "engine"
@@ -133,8 +135,10 @@ def step_footprint(step: PlanStep) -> Footprint:
     )
 
 
-def plan_footprints(plan: Plan) -> list[Footprint]:
-    return [step_footprint(step) for step in plan.steps]
+def plan_footprints(plan: Iterable[PlanStep]) -> list[Footprint]:
+    """The footprint of every step of ``plan`` (a
+    :class:`~repro.core.plan.Plan` or any sequence of steps), in order."""
+    return [step_footprint(step) for step in plan]
 
 
 def happens_before(a: Footprint, b: Footprint) -> bool:
@@ -176,7 +180,7 @@ def find_races(footprints: Sequence[Footprint]) -> list[RacePair]:
     ]
 
 
-def analyze_plan(plan: Plan, where: str = "plan") -> list[Finding]:
+def analyze_plan(plan: Iterable[PlanStep], where: str = "plan") -> list[Finding]:
     """Race findings for one plan: errors for real races, info for benign
     idempotent (content-addressed) conflicts."""
     findings: list[Finding] = []

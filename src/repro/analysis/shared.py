@@ -2,10 +2,11 @@
 
 Running the PlanExecutor across worker processes moves state across
 process boundaries: tree state and combiner instances to workers, memo
-values and plan records back, checkpoint segments to disk and back.  This module audits everything that would cross, and emits one
+values and log records back, checkpoint segments to disk and back.  This
+module audits everything that would cross, and emits one
 machine-readable **parallel-safety certificate** per tree variant — the
-artifact the future multi-process executor will consume before admitting
-a (job, variant) pair to parallel execution.
+verdict the process execution backend's allowlist is tied to before it
+admits a (variant, window mode) pair to parallel execution.
 
 Three audit rules per value:
 
@@ -26,7 +27,7 @@ Three audit rules per value:
 then combines three verdicts into the certificate: effect inference over
 the job plane (:mod:`repro.analysis.effects`), plan-level race detection
 over every executed run (:mod:`repro.analysis.races`), and the shared-
-state audit over memo values, combiner state, plan records, and
+state audit over memo values, combiner state, log records, and
 checkpoint segments.  The verdict is ``parallel-safe`` iff no
 error-severity finding was recorded anywhere.
 """
@@ -403,7 +404,7 @@ def certify_variant(
         audit(dict(_sample(memo.items())), f"{variant}:reduce_memo:{reducer}")
     last = results[-1]
     if last.plan is not None:
-        audit(last.plan.records, f"{variant}:plan-records")
+        audit(last.plan.log.records, f"{variant}:log-records")
     # Checkpoint segments: the exact payloads write_checkpoint pickles.
     audit(capture_engine_state(engine), f"{variant}:checkpoint:state")
     cert.checks["shared"] = {

@@ -25,14 +25,13 @@ from repro.core.partition import Partition, combine_partitions
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
-from repro.core.taskgraph import GraphRecorder, TaskGraph, TaskNode
+from repro.core.taskgraph import TaskGraph, TaskNode
 
 __all__ = [
     "ContractionTree",
     "TreeStats",
     "CoalescingTree",
     "FoldingTree",
-    "GraphRecorder",
     "MemoTable",
     "Partition",
     "combine_partitions",

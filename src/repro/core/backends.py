@@ -10,7 +10,7 @@ each reducer's contraction:
 * :class:`ProcessBackend` — dispatches each reducer's certified
   contraction pass to a persistent forked worker
   (:mod:`repro.core.parallel`), then merges the results back in reducer
-  order so outputs, work breakdowns, span trees, plans, task graphs and
+  order so outputs, work breakdowns, span trees, the run's log and
   counters are bit-identical to the in-process run.
 
 Dispatch is gated, not assumed — the parallel-safety analysis (PR 9)
@@ -173,7 +173,6 @@ class ProcessBackend(ExecutionBackend):
         submitted: dict[int, int] = {}
         # Each payload is submitted as soon as it is pickled: its worker
         # runs while the next reducer's payload is being built.
-        probe = engine.executor.probe is not None
         for reducer, tree in enumerate(engine.trees):
             payload = build_payload(
                 tree,
@@ -181,7 +180,6 @@ class ProcessBackend(ExecutionBackend):
                 per_reducer[reducer],
                 removed,
                 label=f"reducer:{reducer}",
-                probe=probe,
             )
             sent[reducer] = held_table()
             payload["coded"], refs, values = encode_refs(
@@ -263,15 +261,11 @@ class ProcessBackend(ExecutionBackend):
             engine.telemetry.count("backend.worker_fallbacks")
             self._worker_failed(engine, worker=worker, error=str(exc))
             return None
-        executor = engine.executor
         telemetry = engine.telemetry
         offset = telemetry.now()
         replay_events(telemetry, result["events"])
         graft_spans(telemetry, result["spans"], offset)
-        executor.plan.records.extend(result["plan"])
-        executor.recorder.extend(result["graph"])
-        for op, kwargs in result["probe_events"]:
-            executor.probe.on_step(op, **kwargs)
+        engine.executor.log.extend(result["log"])
         tree.__dict__.update(state)
         if not self.broken:  # an earlier reducer's failure ended dispatching
             self._held[reducer] = kept

@@ -8,10 +8,9 @@ propagates the change, and returns the new root partition to feed the
 Reduce function.
 
 Trees are *planners*: every sub-computation flows through
-:meth:`ContractionTree._combine`, which emits a plan step and hands it to
-the shared :class:`~repro.core.execute.PlanExecutor` — the single place
-where memo resolution, combiner execution, work charging, and task-graph
-transcription happen.
+:meth:`ContractionTree._combine`, which opens a plan step on the shared
+:class:`~repro.core.execute.PlanExecutor` — the single place where memo
+resolution, combiner execution, work charging, and logging happen.
 """
 
 from __future__ import annotations
@@ -211,9 +210,8 @@ class ContractionTree(ABC):
     ) -> Partition:
         """Plan one (possibly memoized) combiner invocation over ``parts``.
 
-        The step is emitted into the run's plan and resolved by the
-        unified executor (memo lookup, combine, charge, record) — the
-        tree itself never computes.
+        The step is opened on and resolved by the unified executor (memo
+        lookup, combine, charge, log) — the tree itself never computes.
 
         ``cost_scale`` discounts the charged cost when the merge piggybacks
         on work another task performs anyway (e.g. the Reduce task's own
@@ -221,7 +219,7 @@ class ContractionTree(ABC):
 
         ``node`` names this sub-computation's position in the tree's own
         level structure; it labels both the plan step and the task-graph
-        node the executor records.
+        node the executor logs.
         """
         return self.executor.combine(
             self,

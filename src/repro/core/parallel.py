@@ -10,13 +10,12 @@ What crosses the seam.  A payload (:func:`build_payload`) is the tree's
 ``__dict__`` minus its process-local collaborators (meter, memo table,
 executor) and the slide's new leaves; a reply is the advanced state, the
 root and what the worker's run logged — the charges, counters and spans
-its :class:`~repro.telemetry.merge.CaptureTelemetry` captured, its plan
-records, its task-graph records and, when the engine has a probe
-attached, its probe events, each in order, for the parent to take into
-its own run, which keeps the merged run bit-identical to an in-process
-one (see :mod:`repro.telemetry.merge`).  A worker runs the advance the
-way the engine would have: it emits its own plan steps.  Containers and
-scalars are always sent; one of the scalars is the tree's count
+its :class:`~repro.telemetry.merge.CaptureTelemetry` captured and the one
+list of its run's log records, each in order, for the parent to take
+into its own run, which keeps the merged run bit-identical to an
+in-process one (see :mod:`repro.telemetry.merge`).  A worker runs the
+advance the way the engine would have: it opens its own plan steps.
+Containers and scalars are always sent; one of the scalars is the tree's count
 of the keys its node cache holds (``_cache_keys``), so whichever process
 ran the advance kept it, and the cache itself stays a plain ``dict`` the
 walker below recognises.  A partition is sent only when the
@@ -153,36 +152,14 @@ def decode_refs(coded: Any, held: Held, received: Held) -> tuple[Any, int, int]:
     return _map_partitions(marked, leaf), len(uids), values
 
 
-class _ProbeCapture:
-    """Worker-side stand-in for the executor's dynamic-analysis probe.
-
-    Records ``on_step`` events in execution order so the parent can
-    replay them into its real probe — this is how the vector-clock
-    cross-check observes real worker processes.  Attached only when the
-    engine's executor has a probe.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[tuple[str, dict[str, Any]]] = []
-
-    def on_begin_run(self, label: str) -> None:
-        # The parent's probe already saw the run begin; don't replay it.
-        pass
-
-    def on_step(self, op: str, **kwargs: Any) -> None:
-        self.events.append((op, kwargs))
-
-
 def build_payload(
     tree: "ContractionTree",
     reducer: int,
     leaves: "list[Partition]",
     removed: int,
     label: str,
-    probe: bool,
 ) -> dict[str, Any]:
-    """Everything one worker needs to run ``tree.advance`` remotely;
-    ``probe`` asks for the run's probe events in the reply."""
+    """Everything one worker needs to run ``tree.advance`` remotely."""
     state = {
         key: value
         for key, value in tree.__dict__.items()
@@ -195,7 +172,6 @@ def build_payload(
         "leaves": leaves,
         "removed": removed,
         "label": label,
-        "probe": probe,
     }
 
 
@@ -217,13 +193,9 @@ def _execute_payload(
     tree.memo = MemoTable()
 
     executor.begin_run(payload["label"])
-    # Attach the probe only after begin_run: the parent's probe already
-    # observed this run's begin event.
-    probe = executor.probe = _ProbeCapture() if payload["probe"] else None
-
-    # Records and probe events carry the reducer, as they do in process.
-    with executor.recorder.reducer_context(payload["reducer"]):
-        root = tree.advance(leaves, payload["removed"])
+    # Records carry the reducer, as they do in process.
+    executor.reducer = payload["reducer"]
+    root = tree.advance(leaves, payload["removed"])
     run = executor.end_run()
 
     state = {
@@ -237,9 +209,7 @@ def _execute_payload(
         "coded": coded,
         "events": telemetry.events,
         "spans": telemetry.root.children,
-        "plan": run.plan.records,
-        "graph": run.graph.records,
-        "probe_events": probe.events if probe is not None else [],
+        "log": run.log.records,
     }, returned
 
 

@@ -1,22 +1,23 @@
 """The per-run plan IR: what a window update *will* compute.
 
 The contraction trees are *planners*: walking their level structure, they
-emit one step per sub-computation a window update needs — Map tasks,
+open one step per sub-computation a window update needs — Map tasks,
 combiner invocations at tree positions, strawman node visits, and
-per-reducer Reduce passes.  Emitting appends one flat record to the
-:class:`Plan`'s log; the :class:`PlanStep` values are made when somebody
-reads them.  The unified executor
-(:mod:`repro.core.execute`) resolves each step as it is emitted: a step
+per-reducer Reduce passes.  The unified executor
+(:mod:`repro.core.execute`) resolves each step as it is opened: a step
 carrying a ``memo_uid`` is a **plan-level cache edge** — the plan says
 "this position is memoizable under that id", and only execution decides
 whether the edge is served from cache (a ``memo_read`` node in the
 executed :class:`~repro.core.taskgraph.TaskGraph`) or recomputed
 (``combine`` + ``memo_write`` nodes).
 
-The split keeps two artifacts apart:
+A step is not logged on its own: its atoms ride the first node it
+executes, in the run's one :class:`~repro.core.taskgraph.RunLog`, and a
+:class:`Plan` is the view of that log which makes a :class:`PlanStep` of
+each record that opens a step.  The two views keep two artifacts apart:
 
 * the **plan** (this module) is independent of memo-cache state — two
-  runs over the same window movement emit identical step sequences
+  runs over the same window movement open identical step sequences
   whether their caches are cold or warm (property-tested per variant);
 * the **executed task graph** (:mod:`repro.core.taskgraph`) records what
   actually ran, with costs, and therefore *does* depend on cache state.
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
+from repro.core.taskgraph import REDUCER, STEP, RunLog
 from repro.metrics import Phase
 
 #: Step kinds a plan is assembled from.
@@ -111,57 +114,51 @@ class PlanStep:
         )
 
 
-#: One planned step as a run logs it: the :class:`PlanStep` fields in
-#: order, minus the uid (its position).  Atoms only.
-Record = tuple
-
-
 class Plan:
-    """The ordered step sequence of one Slider run, built on first read.
+    """The ordered step sequence of one Slider run: a view of its log.
 
-    A run *appends* to ``records`` — :meth:`step` logs one flat tuple a
-    step — and a read of ``steps`` (or of a view over it) makes the
-    :class:`PlanStep` values for what was logged since the last read; a
-    plan nobody reads never builds one, and ``len`` does not build.  The
-    log stays whole: it is what crosses the process seam (a worker's
-    reply carries its ``records`` and the parent appends them to the
-    run's own).  Like :class:`~repro.core.taskgraph.TaskGraph`, plans
-    carry no generated equality; compare :meth:`signature`.
+    A read of ``steps`` (or of a view over it) makes the
+    :class:`PlanStep` values for the steps logged since the last read; a
+    plan nobody reads never builds one, and ``len`` does not build.  A
+    step's reducer is its record's.  Like
+    :class:`~repro.core.taskgraph.TaskGraph`, plans carry no generated
+    equality; compare :meth:`signature`.
     """
 
-    def __init__(self, label: str = "") -> None:
-        self.label = label
-        #: Every step emitted, in order (:data:`Record` tuples).
-        self.records: list[Record] = []
+    def __init__(self, log: RunLog) -> None:
+        self.log = log
         self._steps: list[PlanStep] = []
+        #: How many of the log's records have been read.
+        self._read = 0
 
-    def step(
-        self,
-        op: str,
-        label: str = "",
-        phase: Phase | None = None,
-        n_inputs: int = 0,
-        memo_uid: int | None = None,
-        reducer: int | None = None,
-        cost_scale: float = 1.0,
-    ) -> None:
-        if op not in PLAN_OPS:
-            raise ValueError(f"unknown plan op {op!r}")
-        self.records.append(
-            (op, label, phase, n_inputs, memo_uid, reducer, cost_scale)
-        )
+    @property
+    def label(self) -> str:
+        return self.log.label
 
     @property
     def steps(self) -> list[PlanStep]:
-        built = self._steps
-        for record in self.records[len(built):]:
-            built.append(PlanStep(len(built), *record))
+        records, built = self.log.records, self._steps
+        for index in range(self._read, len(records)):
+            record = records[index]
+            step = record[STEP]
+            if step is not None:
+                op, label, phase, n_inputs, memo_uid, cost_scale = step
+                if op not in PLAN_OPS:
+                    raise ValueError(f"unknown plan op {op!r}")
+                built.append(PlanStep(
+                    len(built), op, label, phase, n_inputs, memo_uid,
+                    record[REDUCER], cost_scale,
+                ))
+        self._read = len(records)
         return built
 
     # -- derived views -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.log.steps
+
+    def __iter__(self) -> Iterator[PlanStep]:
+        return iter(self.steps)
 
     def counts_by_op(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -3,9 +3,8 @@
 The :class:`RunPlanner` drives one window update's planning passes.  It
 owns no cross-run state — that lives on the :class:`~repro.slider.system.
 Slider` facade — and it never computes a value itself: every step it (or
-a tree it drives) assembles is emitted into the run's
-:class:`~repro.core.plan.Plan` and resolved by the engine's shared
-:class:`~repro.core.execute.PlanExecutor`.
+a tree it drives) assembles is opened on, resolved by and logged by the
+engine's shared :class:`~repro.core.execute.PlanExecutor`.
 
 The planner is also the front end of the one thing left of the
 plan-compile layer, the set of structural states the engine has advanced
@@ -28,7 +27,8 @@ is ``None``.
   delta needs, inside that reducer's attribution scope.
 * **Reduce plan** — one ``reduce`` step per reducer; execution applies
   per-key change propagation (Algorithm 1), reducing changed keys and
-  serving unchanged ones from the reduce memo.
+  serving unchanged ones from the reduce memo.  A reducer whose root is
+  empty executes no node, and its step is logged plan-only.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.core.partition import Partition
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
+from repro.core.taskgraph import content_uids
 from repro.mapreduce.shuffle import run_map_task
 from repro.mapreduce.types import Split
 from repro.metrics import Phase
@@ -261,49 +262,56 @@ class RunPlanner:
         """
         engine = self.engine
         executor = engine.executor
-        recorder = executor.recorder
         meter = engine.meter
         if engine.blocks is not None:
             engine.blocks.store_all(splits)
         reused = sum(1 for s in splits if s.uid in engine.map_memo)
         for split in splits:
-            executor.plan_step(
-                "map",
-                label=f"map:{split.uid:#x}",
-                phase=Phase.MAP,
-                n_inputs=1,
-                memo_uid=split.uid,
-            )
-            if split.uid in engine.map_memo:
+            uid = split.uid
+            label = f"map:{uid:#x}"
+            executor.open_step("map", label, Phase.MAP, memo_uid=uid)
+            if uid in engine.map_memo:
                 read_cost = engine.job.costs.memo_read_cost_per_key * max(
                     1, len(split)
                 )
                 meter.charge(Phase.MEMO_READ, read_cost)
-                recorder.map_reuse(
-                    split.uid, engine.map_memo[split.uid], cost=read_cost
+                outputs = engine.map_memo[uid]
+                executor.log_node(
+                    "memo_read", Phase.MEMO_READ, f"map-memo:{uid:#x}",
+                    read_cost, float(sum(len(p) for p in outputs)), True, uid,
+                    produced=content_uids(outputs),
                 )
-                executor.record_map_cost(split.uid, 0.0)
+                executor.record_map_cost(uid, 0.0)
                 continue
             before = meter.total()
             map_before = meter.by_phase.get(Phase.MAP, 0.0)
             shuffle_before = meter.by_phase.get(Phase.SHUFFLE, 0.0)
-            outputs = engine.map_memo[split.uid] = run_map_task(
+            outputs = engine.map_memo[uid] = run_map_task(
                 engine.job,
                 split.records,
                 engine.partitioner,
                 meter,
-                label=f"map:{split.uid:#x}",
+                label=label,
                 poison=executor.poison,
             )
-            engine.map_keys += sum(len(p) for p in outputs)
-            executor.record_map_cost(split.uid, meter.total() - before)
-            recorder.map_task(
-                split.uid,
-                outputs,
-                map_cost=meter.by_phase.get(Phase.MAP, 0.0) - map_before,
-                shuffle_cost=meter.by_phase.get(Phase.SHUFFLE, 0.0)
-                - shuffle_before,
+            keys = sum(len(p) for p in outputs)
+            engine.map_keys += keys
+            executor.record_map_cost(uid, meter.total() - before)
+            # A map node, then the shuffle that routed its emissions: the
+            # per-reducer outputs are produced by the chain's tail.
+            produced = content_uids(outputs)
+            shuffle_cost = meter.by_phase.get(Phase.SHUFFLE, 0.0) - shuffle_before
+            chained = shuffle_cost > 0
+            executor.log_node(
+                "map", Phase.MAP, label,
+                meter.by_phase.get(Phase.MAP, 0.0) - map_before, float(keys),
+                False, uid, produced=() if chained else produced,
             )
+            if chained:
+                executor.log_node(
+                    "shuffle", Phase.SHUFFLE, f"shuffle:{uid:#x}", shuffle_cost,
+                    float(keys), False, uid, produced=produced, follows=True,
+                )
         return reused
 
     def reducer_leaves(
@@ -383,7 +391,7 @@ class RunPlanner:
         """
         engine = self.engine
         executor = engine.executor
-        recorder = executor.recorder
+        log_node = executor.log_node
         meter = engine.meter
         outputs = engine.reduce_outputs
         reduce_fn = engine.job.reduce_fn
@@ -392,14 +400,11 @@ class RunPlanner:
         changed_keys: set[Any] = set()
         removed_keys: set[Any] = set()
         for reducer_index, root in enumerate(roots):
-            executor.plan_step(
-                "reduce",
-                label=f"reduce:{reducer_index}",
-                phase=Phase.REDUCE,
-                n_inputs=1,
-                reducer=reducer_index,
-            )
             with executor.reducer_scope(reducer_index):
+                executor.open_step(
+                    "reduce", f"reduce:{reducer_index}", Phase.REDUCE
+                )
+                consumed = (root.uid,) if root else ()
                 memo = engine.reduce_memo[reducer_index]
                 entries = root.entries
                 if candidates is None:
@@ -422,13 +427,22 @@ class RunPlanner:
                     memo[key] = (value, output)
                     changed += 1
                     changed_keys.add(key)
-                    recorder.reduce_key(root, key, cost=reduce_cost)
+                    # One a changed key, so the hottest record: the label
+                    # slot holds the key itself.
+                    log_node(
+                        "reduce", Phase.REDUCE, key, reduce_cost, 1.0, False,
+                        None, None, consumed,
+                    )
                 unchanged = len(entries) - changed
                 if changed:
                     meter.charge(Phase.REDUCE, changed * reduce_cost)
                 if unchanged:
                     meter.charge(Phase.MEMO_READ, unchanged * read_cost)
-                    recorder.reduce_reuse(
-                        root, unchanged, cost=unchanged * read_cost
+                    log_node(
+                        "memo_read", Phase.MEMO_READ,
+                        f"reduce-memo:{reducer_index}:{unchanged}keys",
+                        unchanged * read_cost, float(unchanged), True, None,
+                        None, consumed,
                     )
+                executor.close_step()
         return dict(outputs), frozenset(changed_keys), frozenset(removed_keys)

@@ -15,10 +15,11 @@ collaborators, one per concern:
 * :class:`~repro.slider.lifecycle.LifecycleManager` — cross-run state:
   failure healing, garbage collection, space, output verification.
 
-Each run reifies into a :class:`~repro.core.plan.Plan` (memo-independent
-description of the window update) plus an executed
-:class:`~repro.core.taskgraph.TaskGraph` (what actually ran, with
-costs), both returned on the :class:`SliderResult`.
+Each run logs one record an executed node, and the
+:class:`SliderResult` returns two views of that log: a
+:class:`~repro.core.plan.Plan` (memo-independent description of the
+window update) and an executed :class:`~repro.core.taskgraph.TaskGraph`
+(what actually ran, with costs).
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ class SliderResult:
     new_map_tasks: int = 0
     changed_keys: frozenset = frozenset()
     removed_keys: frozenset = frozenset()
-    #: The run's executed task-graph IR: always recorded, built on first
-    #: read (reading is O(nodes) once; ``len`` does not build).  Unread,
-    #: it is a log of atoms and pins none of the run's partitions.
+    #: The run's executed task-graph IR: a view of the run's one log,
+    #: built on first read (reading is O(nodes) once; ``len`` does not
+    #: build).  Unread, the log is atoms and pins none of the run's
+    #: partitions.
     graph: TaskGraph | None = None
     #: The run's own plan: the memo-independent step sequence that was
-    #: executed, logged flat and built on first read (``len`` does not).
+    #: executed, the other view of the same log (``len`` does not build).
     plan: Plan | None = None
     #: Never set.  Kept only because ``benchmarks/e2e/e2ebench/session.py``
     #: reads it (and treats ``None`` as "no batched steps").
@@ -135,7 +137,7 @@ class Slider:
         self.window = SplitWindow()
         #: The unified plan executor: every sub-computation of every run —
         #: the engine's map/reduce passes and all tree combines — resolves
-        #: here, and each run reifies into its plan/graph pair.
+        #: here, and each run is logged here.
         self.executor = PlanExecutor(meter=self.meter)
         #: Dead-letter channel for poison records/keys (graceful
         #: degradation); None unless the config sets a poison policy.
@@ -349,8 +351,8 @@ class Slider:
             new_map_tasks=sum(1 for cost in run.map_costs.values() if cost > 0),
             changed_keys=self._last_changed_keys,
             removed_keys=self._last_removed_keys,
-            graph=run.graph,
-            plan=run.plan,
+            graph=TaskGraph(run.log),
+            plan=Plan(run.log),
             plan_cache_hit=run.recurring,
             dead_letters=(
                 self.dead_letters.drain()

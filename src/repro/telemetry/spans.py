@@ -400,9 +400,8 @@ class _SpanContext:
     def __enter__(self) -> Span:
         return self._span
 
-    def __exit__(self, *exc: Any) -> bool:
+    def __exit__(self, *exc: Any) -> None:
         self._telemetry.close_span(self._span)
-        return False
 
 
 class _NullSpanContext:

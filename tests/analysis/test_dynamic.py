@@ -1,6 +1,7 @@
 """The dynamic vector-clock cross-check: recorder semantics, the
 static-vs-dynamic contract on real engines across calm, chaos, and
-compile-replay runs, and the wave barrier every executed schedule keeps."""
+recurring runs, each read off its log, and the wave barrier every
+executed schedule keeps."""
 
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from repro.cluster import (
     TaskAttempt,
     execute_two_waves,
 )
+from repro.core.plan import PlanStep
+from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import VARIANTS, count_job, split_of
@@ -33,9 +36,8 @@ def make_engine(variant, mode, **kwargs):
 
 
 def drive(engine, recorder, advances=3):
-    """Run initial + advances with the recorder attached; returns the
-    static race findings accumulated over every run's plan."""
-    engine.executor.probe = recorder
+    """Run initial + advances and have the recorder read each run's log;
+    returns the static race findings accumulated over every run's plan."""
     splits = [split_of(i, spread=9, n=12) for i in range(4 + advances)]
     removed = 0 if engine.mode is WindowMode.APPEND else 1
     results = [engine.initial_run(splits[:4])]
@@ -43,8 +45,8 @@ def drive(engine, recorder, advances=3):
         results.append(engine.advance([splits[4 + i]], removed))
     static = []
     for result in results:
-        if result.plan is not None:
-            static.extend(analyze_plan(result.plan))
+        recorder.read(result.plan.log)
+        static.extend(analyze_plan(result.plan))
     return results, static
 
 
@@ -122,13 +124,9 @@ def test_unexplained_flags_conflicts_missing_from_static():
 
 
 def _duplicate_map_plan():
-    from repro.core.plan import Plan
-    from repro.metrics import Phase
-
-    plan = Plan()
-    plan.step("map", label="m", phase=Phase.MAP, memo_uid=0x9)
-    plan.step("map", label="m", phase=Phase.MAP, memo_uid=0x9)
-    return plan
+    return [
+        PlanStep(uid, "map", "m", Phase.MAP, memo_uid=0x9) for uid in (0, 1)
+    ]
 
 
 def test_to_findings_renders_severities():
@@ -162,8 +160,8 @@ def test_static_pass_covers_compile_replay():
     engine = make_engine("folding", "variable")
     recorder = DynamicRaceRecorder()
     results, static = drive(engine, recorder, advances=6)
-    # Steady-state advances replay the compiled template; the probe must
-    # still observe every step (plan_step fires in replay mode too).
+    # Steady-state advances start from a structural state the engine has
+    # been in; each run's log still holds every step it executed.
     assert any(r.plan_cache_hit for r in results)
     assert recorder.unexplained(static) == []
 

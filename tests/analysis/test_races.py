@@ -12,7 +12,7 @@ from repro.analysis.races import (
     plan_footprints,
     step_footprint,
 )
-from repro.core.plan import Plan, PlanStep
+from repro.core.plan import PlanStep
 from repro.metrics import Phase
 from tests.oracle.fleet import VARIANTS, count_job, split_of
 
@@ -24,35 +24,40 @@ def error_rules(findings):
 # -- the happens-before model ------------------------------------------------
 
 
+def plan(*steps: dict) -> list[PlanStep]:
+    """A hand-built plan: one ``PlanStep`` a dict of its fields."""
+    return [PlanStep(uid, **fields) for uid, fields in enumerate(steps)]
+
+
+def mapped(uid: int) -> dict:
+    return dict(op="map", label=f"map:{uid:#x}", phase=Phase.MAP, memo_uid=uid)
+
+
+def combined(label: str, **fields) -> dict:
+    return dict(op="combine", label=label, phase=Phase.CONTRACTION, **fields)
+
+
 def test_map_steps_are_concurrent():
-    plan = Plan()
-    plan.step("map", label="map:0x1", phase=Phase.MAP, memo_uid=0x1)
-    plan.step("map", label="map:0x2", phase=Phase.MAP, memo_uid=0x2)
-    a, b = plan_footprints(plan)
+    a, b = plan_footprints(plan(mapped(0x1), mapped(0x2)))
     assert not happens_before(a, b) and not happens_before(b, a)
 
 
 def test_map_barrier_orders_map_before_combine():
-    plan = Plan()
-    plan.step("map", label="map:0x1", phase=Phase.MAP, memo_uid=0x1)
-    plan.step("combine", label="c:L0.0", phase=Phase.CONTRACTION, reducer=0)
-    a, b = plan_footprints(plan)
+    a, b = plan_footprints(plan(mapped(0x1), combined("c:L0.0", reducer=0)))
     assert happens_before(a, b)
 
 
 def test_same_lane_steps_are_ordered():
-    plan = Plan()
-    plan.step("combine", label="c1", phase=Phase.CONTRACTION, reducer=0)
-    plan.step("combine", label="c2", phase=Phase.CONTRACTION, reducer=0)
-    a, b = plan_footprints(plan)
+    a, b = plan_footprints(
+        plan(combined("c1", reducer=0), combined("c2", reducer=0))
+    )
     assert happens_before(a, b) and not happens_before(b, a)
 
 
 def test_cross_reducer_steps_are_concurrent():
-    plan = Plan()
-    plan.step("combine", label="c1", phase=Phase.CONTRACTION, reducer=0)
-    plan.step("combine", label="c2", phase=Phase.CONTRACTION, reducer=1)
-    a, b = plan_footprints(plan)
+    a, b = plan_footprints(
+        plan(combined("c1", reducer=0), combined("c2", reducer=1))
+    )
     assert not happens_before(a, b) and not happens_before(b, a)
 
 
@@ -60,49 +65,38 @@ def test_cross_reducer_steps_are_concurrent():
 
 
 def test_duplicate_map_memo_uid_is_a_race():
-    plan = Plan()
-    plan.step("map", label="map:0x9", phase=Phase.MAP, memo_uid=0x9)
-    plan.step("map", label="map:0x9", phase=Phase.MAP, memo_uid=0x9)
-    findings = analyze_plan(plan)
+    findings = analyze_plan(plan(mapped(0x9), mapped(0x9)))
     assert error_rules(findings) == ["races.plan-conflict"]
 
 
 def test_cross_lane_memo_sharing_is_benign_idempotent():
-    plan = Plan()
-    plan.step(
-        "combine", label="c:L0.0", phase=Phase.CONTRACTION,
-        reducer=0, memo_uid=0xAB,
+    findings = analyze_plan(
+        plan(
+            combined("c:L0.0", reducer=0, memo_uid=0xAB),
+            combined("c:L0.1", reducer=1, memo_uid=0xAB),
+        )
     )
-    plan.step(
-        "combine", label="c:L0.1", phase=Phase.CONTRACTION,
-        reducer=1, memo_uid=0xAB,
-    )
-    findings = analyze_plan(plan)
     assert error_rules(findings) == []
     assert [f.rule for f in findings] == ["races.idempotent-write"]
 
 
 def test_disjoint_reducers_have_no_findings():
-    plan = Plan()
-    plan.step("map", label="map:0x1", phase=Phase.MAP, memo_uid=0x1)
-    plan.step(
-        "combine", label="c:L0.0", phase=Phase.CONTRACTION,
-        reducer=0, memo_uid=0x10,
+    reduces = [
+        dict(op="reduce", label=f"reduce:{r}", phase=Phase.REDUCE, reducer=r)
+        for r in (0, 1)
+    ]
+    steps = plan(
+        mapped(0x1),
+        combined("c:L0.0", reducer=0, memo_uid=0x10),
+        combined("c:L0.1", reducer=1, memo_uid=0x20),
+        *reduces,
     )
-    plan.step(
-        "combine", label="c:L0.1", phase=Phase.CONTRACTION,
-        reducer=1, memo_uid=0x20,
-    )
-    plan.step("reduce", label="reduce:0", phase=Phase.REDUCE, reducer=0)
-    plan.step("reduce", label="reduce:1", phase=Phase.REDUCE, reducer=1)
-    assert analyze_plan(plan) == []
+    assert analyze_plan(steps) == []
 
 
 def test_engine_lane_serializes_unattributed_steps():
-    plan = Plan()
-    plan.step("combine", label="c1", phase=Phase.CONTRACTION, memo_uid=0x5)
-    plan.step("combine", label="c2", phase=Phase.CONTRACTION, memo_uid=0x5)
-    assert analyze_plan(plan) == []  # same engine lane: ordered
+    steps = plan(combined("c1", memo_uid=0x5), combined("c2", memo_uid=0x5))
+    assert analyze_plan(steps) == []  # same engine lane: ordered
 
 
 def test_footprint_shapes():
@@ -113,10 +107,7 @@ def test_footprint_shapes():
 
 
 def test_find_races_returns_pairs():
-    plan = Plan()
-    plan.step("map", label="m", phase=Phase.MAP, memo_uid=0x7)
-    plan.step("map", label="m", phase=Phase.MAP, memo_uid=0x7)
-    races = find_races(plan_footprints(plan))
+    races = find_races(plan_footprints(plan(mapped(0x7), mapped(0x7))))
     assert len(races) == 1
     assert races[0].resources == frozenset({"map_memo:0x7"})
     assert not races[0].benign

@@ -1,52 +1,47 @@
 """The built graph is the graph.
 
-A run appends one flat record a node and ``TaskGraph`` makes the nodes
-when somebody reads them; a plan is a log of the same shape.  That a
+A run appends one flat record a node to its one log, and ``TaskGraph``
+and ``Plan`` make their nodes and steps when somebody reads them.  That a
 graph or plan read late is the one read at once is an invariant of every
 walk of the oracle (``tests/oracle``): the reference's are read only
 when the walk is over (``Fleet.read_late``), every other arm's as its run
 finishes, under generated motion, collections, corruption runs and
-dispatch.  Here: the walks this suite has always named, and the unit
-cases of the log itself, whose twin recorder builds after *every*
-record — which is what recording did before it became a log, since both
-go through ``TaskGraph.add``.
+dispatch.  Here: the walks this suite has always named, that a run
+appends exactly once a node, and the unit cases of the log itself,
+whose twin executor builds both views after *every* record.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.execute import PlanExecutor
 from repro.core.partition import Partition
-from repro.core.taskgraph import GraphRecorder
+from repro.core.plan import Plan
+from repro.core.strawman import StrawmanTree
+from repro.core.taskgraph import TaskGraph, content_uids
+from repro.mapreduce.combiners import SumCombiner
 from repro.metrics import Phase
-from tests.oracle.fleet import ALL, CASES, Fleet, case_of, count
+from repro.slider.system import Slider, SliderConfig
+from tests.oracle.fleet import ALL, CASES, Fleet, case_of, count, count_job
 from tests.oracle.fleet import graph_fields as fields
+from tests.oracle.fleet import plan_fields, split_of
 from tests.oracle.test_walk import walk
 
-_RECORDING = (
-    "map_task", "map_reuse", "memo_read", "combine", "memo_write",
-    "reduce_key", "reduce_reuse", "extend",
-)
 
+class EagerExecutor(PlanExecutor):
+    """Builds the open run's graph and plan after every record."""
 
-class EagerRecorder(GraphRecorder):
-    """Builds the open graph after every record."""
+    def begin_run(self, label="", recurring=False):
+        log = super().begin_run(label, recurring)
+        self.graph, self.plan = TaskGraph(log), Plan(log)
+        return log
 
-
-def _then_build(name):
-    record = getattr(GraphRecorder, name)
-
-    def method(self, *args, **kwargs):
-        record(self, *args, **kwargs)
-        if self.graph is not None:
-            len(self.graph.nodes)
-            assert not self.graph.records
-
-    return method
-
-
-for _name in _RECORDING:
-    setattr(EagerRecorder, _name, _then_build(_name))
+    def log_node(self, *args, **kwargs):
+        super().log_node(*args, **kwargs)
+        if self.log is not None:
+            assert len(self.graph.nodes) == len(self.graph)
+            assert len(self.plan.steps) == len(self.plan)
 
 
 def test_a_graph_read_late_is_the_graph_built_eagerly():
@@ -63,6 +58,46 @@ def test_a_graph_read_late_is_the_graph_built_eagerly():
             assert len(fleet.late) == 5
             fleet.read_late()
             assert fleet.late == []
+
+
+def _idle_reduces(result) -> int:
+    """Reduce steps that executed no node, read off the graph: a reducer
+    whose pass left neither a ``reduce`` node nor a reduce-memo read."""
+    reducing = {
+        node.reducer
+        for node in result.graph.nodes
+        if node.kind == "reduce" or node.label.startswith("reduce-memo")
+    }
+    return sum(
+        step.op == "reduce" and step.reducer not in reducing
+        for step in result.plan.steps
+    )
+
+
+def test_a_run_appends_once_a_node(monkeypatch):
+    """Every record goes through ``PlanExecutor.log_node``: a run's
+    appends are its executed nodes plus its reduce steps that executed
+    none, the window-emptying eviction among them."""
+    appends: list = []
+    log_node = PlanExecutor.log_node
+
+    def counting(self, *args, **kwargs):
+        if self.log is not None:
+            appends.append(args[0])
+        log_node(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanExecutor, "log_node", counting)
+    idle = 0
+    for case in CASES:
+        with Fleet(case, arms=("reference",)) as fleet:
+            for motion in ((1, 1), (2, 0), (0, ALL), (2, 1)):
+                appends.clear()
+                result = fleet.advance(*motion)["reference"]
+                empty = _idle_reduces(result)
+                assert len(appends) == len(result.graph.nodes) + empty
+                assert appends.count(None) == empty
+                idle += empty
+    assert idle > 0
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case[0]}-{case[2]}")
@@ -115,39 +150,70 @@ def part(items):
     return Partition(dict(items))
 
 
-def _recorders():
-    late, eager = GraphRecorder(), EagerRecorder()
+def _executors():
+    late, eager = PlanExecutor(), EagerExecutor()
     late.begin_run("unit")
     eager.begin_run("unit")
     return late, eager
 
 
-def _to_both(recorders, name, *args, **kwargs):
-    for recorder in recorders:
-        getattr(recorder, name)(*args, **kwargs)
+def _to_both(executors, name, *args, **kwargs):
+    for executor in executors:
+        getattr(executor, name)(*args, **kwargs)
+
+
+def _same_as_eager(late, eager):
+    """``late``'s views, read once, are ``eager``'s, read a record at a
+    time."""
+    log = late.end_run().log
+    eager.end_run()
+    graph = TaskGraph(log)
+    assert fields(graph) == fields(eager.graph)
+    assert plan_fields(Plan(log)) == plan_fields(eager.plan)
+    return graph
 
 
 class TestLog:
     def test_a_read_in_mid_run_then_more_records(self):
-        recorders = late, eager = _recorders()
+        executors = late, eager = _executors()
+        graph = TaskGraph(late.log)
         left, right = part([("a", 1)]), part([("b", 2)])
         merged = part([("a", 1), ("b", 2)])
-        _to_both(recorders, "map_task", 1, [left], map_cost=1.0, shuffle_cost=0.5)
-        _to_both(recorders, "map_reuse", 2, [right], cost=0.1)
-        assert [node.kind for node in late.graph.nodes] == [
+        _to_both(executors, "open_step", "map", "map:0x1", Phase.MAP, memo_uid=1)
+        _to_both(executors, "log_node", "map", Phase.MAP, "map:0x1", 1.0, 1.0)
+        _to_both(
+            executors, "log_node", "shuffle", Phase.SHUFFLE, "shuffle:0x1",
+            0.5, 1.0, produced=(left.uid,), follows=True,
+        )
+        _to_both(executors, "open_step", "map", "map:0x2", Phase.MAP, memo_uid=2)
+        _to_both(
+            executors, "log_node", "memo_read", Phase.MEMO_READ, "map-memo:0x2",
+            0.1, 1.0, True, produced=(right.uid,),
+        )
+        assert [node.kind for node in graph.nodes] == [
             "map", "shuffle", "memo_read",
         ]
-        assert late.graph.producer_of(left) == 1
-        with late.reducer_context(1), eager.reducer_context(1):
+        assert graph.producer_of(left) == 1
+        with late.reducer_scope(1), eager.reducer_scope(1):
             _to_both(
-                recorders, "combine", [left, right], merged,
-                Phase.CONTRACTION, cost=2.0, label="n", memo_uid=9,
+                executors, "open_step", "combine", "n", Phase.CONTRACTION, 2, 9
             )
-            _to_both(recorders, "memo_write", merged, cost=0.5, memo_uid=9)
-            assert len(late.graph.records) == 2  # the later read goes on
-            _to_both(recorders, "reduce_key", merged, ("a", 0), cost=1.0)
-        graph = late.end_run()
-        assert fields(graph) == fields(eager.end_run())
+            _to_both(
+                executors, "log_node", "combine", Phase.CONTRACTION, "n", 2.0,
+                2.0, memo_uid=9, consumed=(left.uid, right.uid),
+                produced=(merged.uid,),
+            )
+            _to_both(
+                executors, "log_node", "memo_write", Phase.MEMO_WRITE,
+                "memo-write:0x9", 0.5, 2.0, memo_uid=9, follows=True,
+            )
+            assert len(late.log.records) == len(graph._nodes) + 2  # goes on
+            _to_both(executors, "open_step", "reduce", "reduce:1", Phase.REDUCE)
+            _to_both(
+                executors, "log_node", "reduce", Phase.REDUCE, ("a", 0), 1.0,
+                1.0, consumed=(merged.uid,),
+            )
+        assert fields(graph) == fields(_same_as_eager(late, eager))
         combine, write, reduce = graph.nodes[3:]
         assert combine.deps == (1, 2)
         assert write.deps == (combine.uid,)
@@ -155,69 +221,69 @@ class TestLog:
         assert reduce.label == "reduce:1:('a', 0)"
 
     def test_len_and_end_run_do_not_build(self):
-        recorder = GraphRecorder()
-        graph = recorder.begin_run()
-        recorder.map_task(7, [part([("a", 1)])], map_cost=2.0, shuffle_cost=1.0)
-        recorder.reduce_reuse(part([("a", 1)]), 3, cost=0.3)
-        assert len(graph) == 3
-        assert recorder.end_run() is graph
-        assert len(graph) == len(graph.records) == 3
+        executor = PlanExecutor()
+        log = executor.begin_run()
+        graph, plan = TaskGraph(log), Plan(log)
+        executor.open_step("map", "map:0x7", Phase.MAP, memo_uid=7)
+        executor.log_node("map", Phase.MAP, "map:0x7", 2.0, 1.0)
+        executor.log_node(
+            "shuffle", Phase.SHUFFLE, "shuffle:0x7", 1.0, 1.0, follows=True
+        )
+        with executor.reducer_scope(0):
+            executor.open_step("reduce", "reduce:0", Phase.REDUCE)
+            executor.log_node(
+                "memo_read", Phase.MEMO_READ, "reduce-memo:0:3keys", 0.3, 3.0, True
+            )
+            executor.close_step()  # the step executed a node: nothing to log
+        with executor.reducer_scope(1):
+            executor.open_step("reduce", "reduce:1", Phase.REDUCE)
+            executor.close_step()  # an empty root: a plan-only record
+        assert (len(graph), len(plan), len(log.records)) == (3, 3, 4)
+        assert executor.end_run().log is log
+        assert graph._nodes == [] and plan._steps == []
         assert graph.counts_by_kind() == {"map": 1, "shuffle": 1, "memo_read": 1}
-        assert len(graph) == 3 and not graph.records
-
-    def test_add_by_hand_comes_after_what_is_pending(self):
-        recorder = GraphRecorder()
-        graph = recorder.begin_run()
-        recorder.map_task(7, [part([("a", 1)])], map_cost=2.0, shuffle_cost=1.0)
-        node = graph.add("reduce", Phase.REDUCE, deps=(1,))
-        assert node.uid == 2 and [n.uid for n in graph.nodes] == [0, 1, 2]
+        assert [(step.op, step.reducer) for step in plan.steps] == [
+            ("map", None), ("reduce", 0), ("reduce", 1),
+        ]
+        assert len(graph) == len(graph.nodes) == 3
 
     def test_pass_through_whose_result_is_its_input(self):
-        recorders = late, eager = _recorders()
+        executors = late, eager = _executors()
         value = part([("a", 1)])
-        _to_both(recorders, "map_task", 1, [value], map_cost=1.0, shuffle_cost=0.0)
-        _to_both(
-            recorders, "combine", [value, Partition.empty()], value,
-            Phase.CONTRACTION, cost=0.5, pass_through=True,
-        )
-        _to_both(recorders, "reduce_key", value, "a", cost=1.0)
-        graph = late.end_run()
-        assert fields(graph) == fields(eager.end_run())
+        _to_both(executors, "log_node", "map", Phase.MAP, "", 1.0, 1.0,
+                 produced=(value.uid,))
+        for executor in executors:
+            tree = StrawmanTree(SumCombiner(), executor=executor)
+            assert executor.combine(tree, [value, Partition.empty()]) is value
+        _to_both(executors, "log_node", "reduce", Phase.REDUCE, "a", 1.0, 1.0,
+                 consumed=(value.uid,))
+        graph = _same_as_eager(late, eager)
         source, forward, reduce = graph.nodes
         assert forward.kind == "pass_through" and forward.deps == (source.uid,)
         assert reduce.deps == (forward.uid,)
         assert graph.producer_of(value) == forward.uid
 
     def test_an_empty_partition_is_never_registered(self):
-        recorder = GraphRecorder()
-        recorder.begin_run()
+        executor = PlanExecutor()
+        log = executor.begin_run()
+        tree = StrawmanTree(SumCombiner(), executor=executor)
         unshared = Partition({})  # empty, without the shared empty's uid
         # A Map task that emitted nothing for either of its reducers.
-        recorder.map_task(
-            1, [Partition.empty(), unshared], map_cost=1.0, shuffle_cost=1.0
+        executor.log_node(
+            "map", Phase.MAP, "", 1.0, 0.0,
+            produced=content_uids([Partition.empty(), unshared]),
         )
-        recorder.map_reuse(2, [Partition.empty(), unshared], cost=0.1)
-        for empty in (Partition.empty(), unshared):
-            recorder.combine([], empty, Phase.CONTRACTION, cost=1.0)
-            recorder.memo_read(empty, cost=0.1)
-            recorder.combine([empty], part([("a", 1)]), Phase.CONTRACTION, cost=1.0)
-            recorder.reduce_key(empty, "a", cost=1.0)
-        graph = recorder.end_run()
-        assert all(node.deps == () for node in graph.nodes[2:])
+        for index, empty in enumerate((Partition.empty(), unshared)):
+            executor.combine(tree, [empty, empty])
+            executor.memo_visit(empty, 0.1)
+            executor.combine(tree, [empty, part([(f"a{index}", 1)])])
+        executor.end_run()
+        graph = TaskGraph(log)
+        assert all(node.deps == () for node in graph.nodes)
         assert graph.producer_of(Partition.empty()) is None
         assert graph.producer_of(unshared) is None
 
     def test_a_record_holds_no_partition(self):
-        recorder = GraphRecorder()
-        graph = recorder.begin_run()
-        value = part([("a", 1)])
-        recorder.map_task(1, [value], map_cost=1.0, shuffle_cost=1.0)
-        recorder.map_reuse(2, [value], cost=0.1)
-        recorder.memo_read(value, cost=0.1, label="m", memo_uid=3)
-        recorder.combine([value, value], value, Phase.CONTRACTION, cost=1.0)
-        recorder.memo_write(value, cost=0.1, memo_uid=3)
-        recorder.reduce_key(value, ("a", 1), cost=1.0)
-        recorder.reduce_reuse(value, 2, cost=0.2)
         atoms = (int, float, str, bool, type(None), Phase)
 
         def flat(item):
@@ -225,5 +291,17 @@ class TestLog:
                 return all(flat(inner) for inner in item)
             return isinstance(item, atoms)
 
-        assert len(graph.records) == 8
-        assert all(flat(record) for record in graph.records)
+        kinds = set()
+        for variant in ("randomized", "strawman", "folding"):
+            slider = Slider(count_job(), config=SliderConfig(tree=variant))
+            results = [slider.initial_run([split_of(i) for i in range(4)])]
+            results.append(slider.advance([split_of(4), split_of(0)], 1))
+            for result in results:
+                records = result.plan.log.records
+                assert all(type(record) is tuple for record in records)
+                assert all(flat(record) for record in records)
+                kinds.update(record[0] for record in records)
+        assert kinds == {
+            "map", "shuffle", "combine", "pass_through", "memo_read",
+            "memo_write", "reduce",
+        }

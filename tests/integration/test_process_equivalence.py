@@ -76,9 +76,9 @@ class TestCheckpointAcrossBackends:
 class TestDynamicRecorderOverWorkers:
     def test_recorder_observes_worker_steps_without_unexplained_races(self):
         """The vector-clock cross-check holds over real worker processes:
-        worker probe events replay through the parent probe, so the
-        recorder sees every remotely executed step — and finds no
-        conflict the static pass did not flag."""
+        worker log records take their place in the parent's log, so the
+        recorder reading it sees every remotely executed step — and finds
+        no conflict the static pass did not flag."""
         from repro.analysis.dynamic import DynamicRaceRecorder
         from repro.analysis.races import analyze_plan
 
@@ -86,10 +86,11 @@ class TestDynamicRecorderOverWorkers:
         config = SliderConfig(execution_backend="process", workers=2)
         engine = Slider(count_job(num_reducers=3), WindowMode.VARIABLE, config)
         try:
-            engine.executor.probe = recorder
             results = [engine.initial_run([split_of(i) for i in range(5)])]
             for i in range(12):
                 results.append(engine.advance([split_of(30 + i)], 1))
+            for result in results:
+                recorder.read(result.plan.log)
             static = [f for result in results for f in analyze_plan(result.plan)]
             assert count(engine, "backend.dispatched_reducers") > 0
             assert recorder.events > 0

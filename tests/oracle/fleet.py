@@ -43,7 +43,7 @@ from repro.core import backends, parallel
 from repro.core.backends import ProcessBackend
 from repro.core.partition import Partition
 from repro.core.plan import Plan, PlanStep
-from repro.core.taskgraph import TaskGraph, TaskNode
+from repro.core.taskgraph import STEP, TaskGraph, TaskNode
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import BatchRuntime
@@ -153,6 +153,18 @@ def graph_fields(graph: TaskGraph) -> list[tuple]:
 def plan_fields(plan: Plan) -> list[tuple]:
     """The label, then every field of every step.  Reading builds."""
     return [plan.label] + [_step_fields(step) for step in plan.steps]
+
+
+def assert_one_log(result: SliderResult) -> None:
+    """The plan and the graph are views of one log: a record a node, plus
+    a plan-only record for each ``reduce`` step that executed none."""
+    log = result.plan.log
+    assert result.graph.log is log
+    heads = [record for record in log.records if record[0] is None]
+    assert len(log.records) == len(result.graph.nodes) + len(heads)
+    assert {record[STEP][0] for record in heads} <= {"reduce"}
+    opened = [record for record in log.records if record[STEP] is not None]
+    assert len(result.plan) == len(opened) == len(result.plan.steps)
 
 
 def run_record(result: SliderResult) -> dict[str, Any]:
@@ -503,10 +515,11 @@ class Fleet:
         late, self.late = self.late, []
         for result, name, graph, plan in late:
             assert result.plan._steps == [] and len(result.plan) == len(plan) - 1
-            assert len(result.graph.records) == len(result.graph) == len(graph)
+            assert result.graph._nodes == [] and len(result.graph) == len(graph)
             assert plan_fields(result.plan) == plan
             self._same_graph(graph_fields(result.graph), graph, "reference", name)
-            assert not result.graph.records and len(result.graph) == len(graph)
+            assert len(result.graph.nodes) == len(result.graph) == len(graph)
+            assert_one_log(result)
 
     def _held_is_the_tree(self, engine: Slider) -> None:
         """After a dispatch: each side's table is the tree's partitions."""

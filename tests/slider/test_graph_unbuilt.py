@@ -1,6 +1,6 @@
 """Nothing is built until read, and a kept result pins nothing.
 
-An advance logs its task graph as flat records; ``TaskNode`` values
+An advance logs its nodes as flat records; ``TaskNode`` values
 exist only once somebody reads ``result.graph``.  That no rule of any
 walk builds one — in the engine's process or, where constructing one
 raises, in a worker — is an invariant of the oracle (``tests/oracle``:
@@ -24,6 +24,7 @@ from repro.cluster import Cluster, ClusterConfig, ExecutorConfig
 from repro.core.parallel import WorkerPool
 from repro.core.partition import Partition
 from repro.mapreduce.types import Split
+from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import (
@@ -68,21 +69,28 @@ def unread(variant):
 
 
 @contextmanager
-def dispatched(variant, monkeypatch, field: str, built: bytes):
+def dispatched(variant, monkeypatch):
     """The process arm's latest result after 65 dispatched advances, and
-    its workers' replies: each carries ``field`` as flat records and no
-    ``built`` (a worker that built one raises, and the fleet fails on the
-    fallback)."""
-    replies = []
-    receive = WorkerPool.receive
+    its workers' replies: each carries its run's log as one list of flat
+    records, beside its state, root and telemetry, and nothing built (a
+    worker that built a ``PlanStep`` or a ``TaskNode`` raises, and the
+    fleet fails on the fallback).  No payload asks for more."""
+    replies, payloads = [], []
+    receive, submit = WorkerPool.receive, WorkerPool.submit
 
-    def spy(self, worker):
+    def spy_receive(self, worker):
         value, size = receive(self, worker)
-        if isinstance(value, dict) and field in value:
+        if isinstance(value, dict) and "coded" in value:
             replies.append(value)
         return value, size
 
-    monkeypatch.setattr(WorkerPool, "receive", spy)
+    def spy_submit(self, worker, blob):
+        if blob.startswith(pickle.PROTO):
+            payloads.append(pickle.loads(blob))
+        submit(self, worker, blob)
+
+    monkeypatch.setattr(WorkerPool, "receive", spy_receive)
+    monkeypatch.setattr(WorkerPool, "submit", spy_submit)
     arms = ("reference", "process")
     with Fleet(case_of(variant), job="scenario", arms=arms, first=6) as fleet:
         fleet.steady(64)
@@ -91,11 +99,23 @@ def dispatched(variant, monkeypatch, field: str, built: bytes):
         engine = fleet.engines["process"]
         assert last.plan_cache_hit
         assert count(engine, "backend.dispatched_reducers") == len(replies) > 64
+        assert len(payloads) == len(replies)
+        for payload in payloads:
+            assert set(payload) == {"tree_class", "reducer", "removed", "label", "coded"}
         for reply in replies:
-            assert type(reply[field]) is list and reply[field]
-            assert all(type(record) is tuple for record in reply[field])
-            assert built not in pickle.dumps(reply)
+            assert set(reply) == {"coded", "events", "spans", "log"}
+            assert type(reply["log"]) is list and reply["log"]
+            assert all(flat(record) for record in reply["log"])
+            assert b"PlanStep" not in pickle.dumps(reply)
+            assert b"TaskNode" not in pickle.dumps(reply)
         yield last, replies
+
+
+def flat(record) -> bool:
+    """A tuple of atoms and tuples of atoms."""
+    if type(record) is tuple:
+        return all(flat(item) for item in record)
+    return record is None or type(record) in (int, float, str, bool, Phase)
 
 
 @pytest.mark.parametrize("variant,mode", VARIANTS)
@@ -108,7 +128,7 @@ def test_an_advance_builds_no_node(variant, mode):
 
 @pytest.mark.parametrize("variant,mode", DISPATCHING)
 def test_a_worker_builds_no_node_and_replies_with_records(variant, mode, monkeypatch):
-    with dispatched(variant, monkeypatch, "graph", b"TaskNode"):
+    with dispatched(variant, monkeypatch):
         pass
 
 

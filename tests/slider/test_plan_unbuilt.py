@@ -1,15 +1,16 @@
 """A plan nobody reads is never built.
 
-An advance logs its plan as flat records; ``PlanStep`` values exist only
-once somebody reads ``result.plan.steps``.  So no advance makes one, in
-the engine's process or in a worker, and a worker's reply carries
-records.  The walks are ``test_graph_unbuilt``'s.
+An advance logs its steps in its one log of flat records; ``PlanStep``
+values exist only once somebody reads ``result.plan.steps``.  So no
+advance makes one, in the engine's process or in a worker, and a
+worker's reply carries records.  The walks are ``test_graph_unbuilt``'s.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.taskgraph import STEP
 from tests.slider.test_graph_unbuilt import (
     DISPATCHING,
     VARIANTS,
@@ -30,10 +31,21 @@ def test_an_advance_builds_no_step(variant, mode):
 
 @pytest.mark.parametrize("variant,mode", DISPATCHING)
 def test_a_worker_builds_no_step_and_replies_with_records(variant, mode, monkeypatch):
-    with dispatched(variant, monkeypatch, "plan", b"PlanStep") as (last, replies):
-        # The reducers' records sit in the run's plan between the
-        # engine's own map and reduce steps, reducer by reducer.
-        records = [record for reply in replies[-2:] for record in reply["plan"]]
-        assert last.plan.records[1:-2] == records
-        reducers = [step.reducer for step in last.plan.steps[1:-2]]
+    with dispatched(variant, monkeypatch) as (last, replies):
+        # The reducers' records sit in the run's log between the engine's
+        # own map and reduce records, reducer by reducer, and the plan
+        # reads its steps from them.
+        records = [record for reply in replies[-2:] for record in reply["log"]]
+        log = last.plan.log.records
+        start = next(
+            index
+            for index, record in enumerate(log)
+            if record[STEP] is not None and record[STEP][0] != "map"
+        )
+        assert log[start : start + len(records)] == records
+        assert {record[STEP][0] for record in log[start + len(records) :]
+                if record[STEP] is not None} == {"reduce"}
+        steps = last.plan.steps[1:-2]
+        assert len(steps) == sum(record[STEP] is not None for record in records)
+        reducers = [step.reducer for step in steps]
         assert reducers == sorted(reducers)
