@@ -5,8 +5,8 @@ wall-clock is part of the contract: a parallel-safety pass nobody can
 afford to run is a pass nobody runs.  This bench times the gate three
 ways and records the numbers in ``BENCH_analysis.json`` at the repo root:
 
-* *full self pass* — lint + purity + laws + effects + trust audit +
-  per-variant certification (races + shared-state), certificates and
+* *full self pass* — lint + purity + laws + trust audit +
+  per-variant certification (purity + races + shared-state), certificates and
   SARIF written to a scratch dir: exactly what CI runs;
 * *lint only* — the AST half with every dynamic pass gated off, the
   floor the full pass builds on;
@@ -36,10 +36,9 @@ _REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_analysis.json"
 BUDGET_SECONDS = 120.0
 
 _LINT_ONLY = [
-    "--self", "--no-laws", "--no-purity", "--no-effects",
-    "--no-races", "--no-shared",
+    "--self", "--no-laws", "--no-purity", "--no-races", "--no-shared",
 ]
-_CERTIFY_ONLY = ["--self", "--no-lint", "--no-purity", "--no-laws", "--no-effects"]
+_CERTIFY_ONLY = ["--self", "--no-lint", "--no-purity", "--no-laws"]
 
 
 def _timed_self(argv: list[str]) -> float:

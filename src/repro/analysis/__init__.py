@@ -6,20 +6,20 @@ Reduce functions, and contraction trees are legal only for **associative**
 (rotating trees: also **commutative**) combiners.  This package verifies
 those contracts instead of trusting them:
 
-* :mod:`repro.analysis.purity` — an AST walker flagging nondeterminism
-  (unseeded randomness, clocks, ``id()``/``hash()``, set iteration order)
-  and impurity (global writes, argument mutation, I/O) in job functions,
-  with the :func:`trusted` escape hatch for human-audited code;
+* :mod:`repro.analysis.purity` — the one AST walk over job functions,
+  flagging nondeterminism (unseeded randomness, clocks, ``id()``/
+  ``hash()``, set iteration order) and impurity (global writes, argument
+  or global mutation, direct memo access, I/O), with the :func:`trusted`
+  escape hatch for human-audited code;
 * :mod:`repro.analysis.laws` — hypothesis-driven falsification of each
   combiner's declared algebra (associativity, commutativity, merge
   determinism, cost sanity);
 * :mod:`repro.analysis.repolint` — repo-internal telemetry hygiene rules;
-* :mod:`repro.analysis.effects` — interprocedural read/write-set
-  inference over job functions (the parallel-safety effect summaries);
 * :mod:`repro.analysis.races` — happens-before race detection over the
   plan IR;
 * :mod:`repro.analysis.shared` — the serializability audit and the
-  per-variant parallel-safety certificates;
+  per-variant parallel-safety certificates
+  (``parallel-safety-certificate/v2``);
 * :mod:`repro.analysis.dynamic` — the vector-clock cross-check that
   validates the static race verdicts against actual execution;
 * :mod:`repro.analysis.trustaudit` — the stale-trust audit over every
@@ -31,12 +31,6 @@ those contracts instead of trusting them:
 """
 
 from repro.analysis.dynamic import DynamicRaceRecorder
-from repro.analysis.effects import (
-    EffectSummary,
-    effect_findings,
-    infer_effects,
-    summarize_functions,
-)
 from repro.analysis.findings import AnalysisReport, Finding, finalize
 from repro.analysis.races import analyze_plan
 from repro.analysis.sarif import to_sarif, write_sarif
@@ -68,7 +62,6 @@ from repro.analysis.targets import (
 __all__ = [
     "AnalysisReport",
     "DynamicRaceRecorder",
-    "EffectSummary",
     "Finding",
     "ParallelSafetyCertificate",
     "TrustEntry",
@@ -77,10 +70,7 @@ __all__ = [
     "audit_value",
     "certify_all",
     "certify_variant",
-    "effect_findings",
     "finalize",
-    "infer_effects",
-    "summarize_functions",
     "to_sarif",
     "write_sarif",
     "check_combiner_laws",

@@ -3,11 +3,11 @@
 Modes:
 
 * ``--self`` — check the repo itself: repo-internal lint rules over
-  ``src/repro``, then purity + algebraic laws + effect inference over
-  the shipped corpus (micro-benchmarks, case studies, query aggregates),
-  the stale-trust audit, and the parallel-safety certification of all
-  five tree variants (race detection + shared-state audit).  This is the
-  blocking CI gate.
+  ``src/repro``, then purity + algebraic laws over the shipped corpus
+  (micro-benchmarks, case studies, query aggregates), the stale-trust
+  audit, and the parallel-safety certification of all five tree
+  variants (job-plane purity + race detection + shared-state audit).
+  This is the blocking CI gate.
 * ``MODULE ...`` — import each named module and check every job,
   combiner, and aggregation found in it — the entry point for user
   workloads before handing them to a long-lived Slider.
@@ -27,7 +27,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.effects import effect_findings
 from repro.analysis.findings import AnalysisReport
 from repro.analysis.repolint import lint_package
 from repro.analysis.targets import (
@@ -37,10 +36,6 @@ from repro.analysis.targets import (
     registry_targets,
 )
 
-#: Resources the shipped job plane may legitimately touch: memo tables
-#: (the executor's job) and telemetry (commutative counters/charges).
-_ALLOWED_EFFECTS = frozenset({"memo", "telemetry"})
-
 
 def _check_targets(
     targets: list[CheckTarget],
@@ -48,7 +43,6 @@ def _check_targets(
     *,
     run_purity: bool,
     run_laws: bool,
-    run_effects: bool,
     max_examples: int,
 ) -> None:
     for target in targets:
@@ -59,10 +53,6 @@ def _check_targets(
             check_laws=run_laws,
             max_examples=max_examples,
         )
-        if run_effects:
-            report.extend(
-                effect_findings(target.functions, allowed=_ALLOWED_EFFECTS)
-            )
 
 
 def _certify(
@@ -143,11 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-lint", action="store_true", help="skip repo lint rules (--self)"
     )
     parser.add_argument(
-        "--no-effects",
-        action="store_true",
-        help="skip effect inference over job functions",
-    )
-    parser.add_argument(
         "--no-races",
         action="store_true",
         help="skip plan-level race detection (part of certification)",
@@ -180,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
     report = AnalysisReport()
     run_purity = not args.no_purity
     run_laws = not args.no_laws
-    run_effects = not args.no_effects
 
     if args.check_self:
         if not args.no_lint:
@@ -193,7 +177,6 @@ def main(argv: list[str] | None = None) -> int:
             report,
             run_purity=run_purity,
             run_laws=run_laws,
-            run_effects=run_effects,
             max_examples=args.max_examples,
         )
         _audit_trust(report)
@@ -219,7 +202,6 @@ def main(argv: list[str] | None = None) -> int:
             report,
             run_purity=run_purity,
             run_laws=run_laws,
-            run_effects=run_effects,
             max_examples=args.max_examples,
         )
 

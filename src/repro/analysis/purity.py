@@ -15,9 +15,12 @@ nondeterminism
     ``popitem()``, ordering a bare set literal/constructor).
 
 impurity
-    ``global``/``nonlocal`` writes, mutation of input arguments (attribute
-    or subscript stores, known mutating methods), and I/O (``open``,
-    ``print``, ``input``, ``os``/``subprocess``/``socket``/... calls).
+    ``global``/``nonlocal`` writes, mutation of input arguments or of
+    state reached through a module global or closure cell (attribute or
+    subscript stores, ``del``, known mutating methods), direct memo-table
+    access (``lookup``/``store``/... on a receiver naming a memo or cache),
+    and I/O (``open``, ``print``, ``input``,
+    ``os``/``subprocess``/``socket``/... calls).
 
 Two escape hatches keep the checker usable:
 
@@ -49,10 +52,11 @@ import types
 from typing import Any, Callable, Iterable
 
 from repro.analysis.findings import INFO, Finding
-from repro.analysis.purity_rules import _ALLOWED_MODULE_PREFIXES, PurityVisitor
-
-#: Backwards-compatible alias for the pre-split private name.
-_PurityVisitor = PurityVisitor
+from repro.analysis.purity_rules import (
+    _ALLOWED_MODULE_PREFIXES,
+    PurityVisitor,
+    _local_names,
+)
 
 #: Attribute set by the @trusted decorator.
 TRUSTED_ATTR = "__repro_trusted__"
@@ -230,6 +234,7 @@ def analyze_callable(
         params=_param_names(node),
         env=_environment(fn),
         line_offset=offset,
+        local_names=_local_names(node),
     )
     body = node.body if isinstance(node.body, list) else [node.body]
     for statement in body:

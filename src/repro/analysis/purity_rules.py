@@ -85,6 +85,17 @@ _MUTATING_METHODS = {
     "symmetric_difference_update",
 }
 
+#: Method names that read or write memo-table state.
+_MEMO_METHODS = frozenset(
+    {
+        "lookup", "get", "__contains__", "space",
+        "store", "discard", "taint", "retain_only", "put", "delete",
+        "get_or_compute", "setdefault", "pop",
+    }
+)
+#: Receiver-name fragments that identify a memo/cache table.
+_MEMO_RECEIVER_HINTS = ("memo", "cache")
+
 #: Modules considered part of the trusted deterministic substrate: calls
 #: into them are not followed (their own hygiene is covered by --self).
 _ALLOWED_MODULE_PREFIXES = ("repro.common.rng", "repro.common.hashing")
@@ -140,6 +151,37 @@ def _root_param(node: ast.expr) -> str | None:
     return None
 
 
+def _names_memo(node: ast.expr) -> bool:
+    """Heuristic: the receiver lexically names a memo table or cache."""
+    names: list[str] = []
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        names.append(node.id)
+    return any(
+        hint in name.lower() for name in names for hint in _MEMO_RECEIVER_HINTS
+    )
+
+
+def _local_names(node: ast.AST) -> set[str]:
+    """Names bound locally (assignments, for targets, with-as, walrus)."""
+    names: set[str] = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+            names.add(child.id)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(child.name)
+        elif isinstance(child, ast.Import):
+            for alias in child.names:
+                names.add((alias.asname or alias.name).split(".")[0])
+        elif isinstance(child, ast.ImportFrom):
+            for alias in child.names:
+                names.add(alias.asname or alias.name)
+    return names
+
+
 def _is_set_expr(node: ast.expr) -> bool:
     """Syntactically a set: a set literal/comprehension or set()/frozenset()."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -160,11 +202,13 @@ class PurityVisitor(ast.NodeVisitor):
         params: set[str],
         env: dict[str, Any],
         line_offset: int,
+        local_names: set[str],
     ) -> None:
         self.where = where
         self.params = params
         self.env = env
         self.line_offset = line_offset
+        self.locals = local_names
         self.findings: list[Finding] = []
         #: Plain-Python helpers called by this function, for recursion.
         self.helpers: list[types.FunctionType] = []
@@ -182,6 +226,14 @@ class PurityVisitor(ast.NodeVisitor):
                 severity=ERROR,
             )
         )
+
+    def _shared_root(self, node: ast.expr) -> str | None:
+        """The free name ``node`` is reached through — a module global or a
+        closure-captured object; None for parameters, locals, unbound names."""
+        root = _root_param(node)
+        if root is None or root in self.params or root in self.locals:
+            return None
+        return root if root in self.env else None
 
     # -- statements ------------------------------------------------------
 
@@ -214,6 +266,13 @@ class PurityVisitor(ast.NodeVisitor):
                     "purity.impurity.arg-mutation",
                     f"stores into argument {root!r} — job functions must "
                     "treat inputs as immutable (memoized values are shared)",
+                )
+            elif self._shared_root(target) is not None:
+                self._flag(
+                    target,
+                    "purity.impurity.global-mutation",
+                    f"stores into {root!r}, a module global or captured "
+                    "object — state shared across invocations",
                 )
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -269,10 +328,19 @@ class PurityVisitor(ast.NodeVisitor):
 
         value, chain = _resolve_chain(node.func, self.env)
 
-        # Method-style heuristics on unresolvable receivers.
+        # Method-style heuristics on the receiver.
         if isinstance(node.func, ast.Attribute):
             method = node.func.attr
-            root = _root_param(node.func.value)
+            receiver = node.func.value
+            root = _root_param(receiver)
+            if method in _MEMO_METHODS and _names_memo(receiver):
+                self._flag(
+                    node,
+                    "purity.impurity.memo-access",
+                    f"calls .{method}() on a memo table — memo access is the "
+                    "executor's job; a job function doing its own caching "
+                    "keeps state the memo cannot see",
+                )
             if method == "popitem" and value is None:
                 self._flag(
                     node,
@@ -295,6 +363,19 @@ class PurityVisitor(ast.NodeVisitor):
                         f"calls mutating method .{method}() on argument "
                         f"{root!r}",
                     )
+            elif (
+                method in _MUTATING_METHODS
+                and self._shared_root(receiver) is not None
+                # A chain that resolves through modules or classes names a
+                # function (os.remove, dict.update), not a method of the root.
+                and value is self.env[root]
+            ):
+                self._flag(
+                    node,
+                    "purity.impurity.global-mutation",
+                    f"calls mutating method .{method}() on {root!r}, a module "
+                    "global or captured object",
+                )
 
         if value is None:
             return

@@ -24,8 +24,8 @@ Three audit rules per value:
     uid a partition crosses the seam under would name other content).
 
 :func:`certify_variant` runs a small canonical scenario for one variant,
-then combines three verdicts into the certificate: effect inference over
-the job plane (:mod:`repro.analysis.effects`), plan-level race detection
+then combines three verdicts into the certificate: the purity walk over
+the job plane (:mod:`repro.analysis.purity`), plan-level race detection
 over every executed run (:mod:`repro.analysis.races`), and the shared-
 state audit over memo values, combiner state, log records, and
 checkpoint segments.  The verdict is ``parallel-safe`` iff no
@@ -40,8 +40,8 @@ import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.analysis.effects import effect_findings
 from repro.analysis.findings import ERROR, Finding
+from repro.analysis.purity import analyze_functions
 from repro.analysis.races import analyze_plan
 from repro.core.backends import CERTIFIED_PARALLEL_VARIANTS
 
@@ -50,7 +50,7 @@ from repro.core.backends import CERTIFIED_PARALLEL_VARIANTS
 CERTIFIED_VARIANTS = CERTIFIED_PARALLEL_VARIANTS
 
 #: Certificate schema identifier; bump on breaking format changes.
-CERTIFICATE_SCHEMA = "parallel-safety-certificate/v1"
+CERTIFICATE_SCHEMA = "parallel-safety-certificate/v2"
 
 #: Object-graph walk bounds for the handle scan.
 _MAX_SCAN_NODES = 20_000
@@ -322,16 +322,17 @@ def certify_variant(
     for i in range(advances):
         results.append(engine.advance([splits[4 + i]], removed))
 
-    # 1. effect inference over the job plane.
+    # 1. the purity walk over the job plane.
     from repro.analysis.targets import job_target
 
-    target = job_target(engine.job)
-    effects = effect_findings(target.functions)
-    effect_errors = [f for f in effects if f.severity == ERROR]
-    cert.findings.extend(effect_errors)
-    cert.checks["effects"] = {
-        "functions": len(target.functions),
-        "errors": len(effect_errors),
+    functions = job_target(engine.job).functions
+    purity_errors = [
+        f for f in analyze_functions(functions) if f.severity == ERROR
+    ]
+    cert.findings.extend(purity_errors)
+    cert.checks["purity"] = {
+        "functions": len(functions),
+        "errors": len(purity_errors),
     }
 
     # 2. race detection over every executed run.

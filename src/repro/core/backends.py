@@ -22,7 +22,7 @@ or the reducer, with a telemetry trace of why:
    opened ``recurring``: a first visit, a chaos run and a variant whose
    structure depends on window content stay local);
 2. the (variant, window-mode) pair holds a green
-   ``parallel-safety-certificate/v1`` (the frozen allowlist below is
+   ``parallel-safety-certificate/v2`` (the frozen allowlist below is
    tied to the live ``repro.analysis.shared`` certification by test);
 3. no poison policy (quarantine bookkeeping is engine-local) and no
    cluster simulation (its cache layer is a process-local handle);
@@ -58,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
 EXECUTION_BACKENDS = ("inprocess", "process")
 
 #: (tree variant, window mode) pairs holding a green
-#: ``parallel-safety-certificate/v1``: the list
+#: ``parallel-safety-certificate/v2``: the list
 #: :mod:`repro.analysis.shared` certifies and this backend dispatches.  A
 #: blocking test asserts certification still passes for each, so a variant
 #: losing its certificate fails CI before this backend can dispatch it.

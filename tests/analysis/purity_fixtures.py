@@ -186,3 +186,34 @@ def clean_seeded_numpy(record):
 def trusted_escape_hatch(record):
     """@trusted suppresses analysis (but leaves an INFO breadcrumb)."""
     yield (hash(record), random.random())
+
+
+# -- shared state reached through a free name -------------------------------
+
+SEEN: set = set()
+CENTROIDS = [0.0, 5.0, 10.0]
+
+
+def mutates_global(record):
+    """purity.impurity.global-mutation — .add on a module-level set."""
+    SEEN.add(record)
+    yield (record, 1)
+
+
+def reads_memo(record, memo):
+    """purity.impurity.memo-access — a job function doing its own caching."""
+    return memo.lookup(record)
+
+
+def clean_local_dict(records):
+    """Mutating a dict the function built itself is pure."""
+    counts = {}
+    for record in records:
+        counts[record] = counts.get(record, 0) + 1
+    return counts
+
+
+def clean_reads_mutable_global(record):
+    """Reading (never writing) a module-level list: the kmeans / knn shape."""
+    nearest = min(range(len(CENTROIDS)), key=lambda i: abs(CENTROIDS[i] - record))
+    yield (nearest, record)

@@ -102,8 +102,7 @@ def test_no_arguments_is_a_usage_error():
 
 
 LINT_ONLY = [
-    "--self", "--no-laws", "--no-purity", "--no-effects",
-    "--no-races", "--no-shared",
+    "--self", "--no-laws", "--no-purity", "--no-races", "--no-shared",
 ]
 
 
@@ -118,7 +117,7 @@ def test_self_lint_only_passes(capsys):
 def test_self_certification_flags(capsys, tmp_path):
     cert_dir = tmp_path / "certs"
     args = [
-        "--self", "--no-laws", "--no-purity", "--no-effects", "--no-lint",
+        "--self", "--no-laws", "--no-purity", "--no-lint",
         "--certificates", str(cert_dir),
     ]
     assert main(args) == 0

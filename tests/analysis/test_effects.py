@@ -1,17 +1,17 @@
-"""Effect inference: read/write sets, propagation, and findings."""
+"""Side effects a job function may not have, as the purity walk sees them:
+each write draws an error from ``analyze_callable`` on its own line, and
+reads, locals and trusted code draw none."""
 
 from __future__ import annotations
 
-from repro.analysis.effects import (
-    EffectSummary,
-    effect_findings,
-    infer_effects,
-    summarize_functions,
-)
-from repro.analysis import trusted
+import inspect
+
+from repro.analysis import analyze_callable, analyze_functions, trusted
+from repro.analysis.findings import ERROR, INFO
 
 _COUNTER = {"n": 0}
-_LIMIT = 10  # immutable global: reads are effect-free
+_LIMIT = 10
+_CACHE: dict = {}
 
 
 def _writes_global(record):
@@ -53,9 +53,8 @@ def _touches_memo(memo, key):
     return found
 
 
-def _charges_telemetry(meter, amount):
-    meter.charge("map", amount)
-    return amount
+def _reads_global_cache(key):
+    return _CACHE.get(key)
 
 
 def _does_io(record):
@@ -69,123 +68,100 @@ def _trusted_writer(record):
     return record
 
 
-def rules_of(findings):
-    return sorted(f.rule for f in findings if f.severity == "error")
+def errors_of(findings):
+    return sorted((f.rule, f.line) for f in findings if f.severity == ERROR)
+
+
+def line_of(fn, text):
+    """The file line of ``fn``'s first source line containing ``text``."""
+    lines, start = inspect.getsourcelines(fn)
+    return next(start + i for i, line in enumerate(lines) if text in line)
 
 
 def test_pure_function_is_effect_free():
-    summary = infer_effects(_pure)
-    assert summary.effect_free
-    assert summary.reads == frozenset()
-    assert summary.writes == frozenset()
+    assert analyze_callable(_pure) == []
 
 
 def test_global_write_detected():
-    summary = infer_effects(_writes_global)
-    assert any(r.startswith("global:") and "_COUNTER" in r for r in summary.writes)
-    assert not summary.effect_free
+    assert errors_of(analyze_callable(_writes_global)) == [
+        ("purity.impurity.global-mutation", line_of(_writes_global, "+= 1")),
+    ]
 
 
 def test_global_statement_detected():
-    summary = infer_effects(_global_stmt)
-    assert any("_LIMIT" in r for r in summary.writes)
-
-
-def test_mutable_global_read_detected():
-    summary = infer_effects(_reads_mutable_global)
-    assert any("_COUNTER" in r for r in summary.reads)
-    assert summary.effect_free  # reads alone carry no write
+    assert errors_of(analyze_callable(_global_stmt)) == [
+        ("purity.impurity.global-write", line_of(_global_stmt, "global _LIMIT")),
+    ]
 
 
 def test_immutable_global_read_is_effect_free():
-    summary = infer_effects(_reads_immutable_global)
-    assert summary.reads == frozenset()
+    assert analyze_callable(_reads_immutable_global) == []
 
 
 def test_argument_mutation_detected():
-    summary = infer_effects(_mutates_argument)
-    assert "arg:values" in summary.writes
+    assert errors_of(analyze_callable(_mutates_argument)) == [
+        ("purity.impurity.arg-mutation", line_of(_mutates_argument, ".append")),
+    ]
 
 
 def test_helper_effects_propagate():
-    summary = infer_effects(_calls_helper)
-    assert any("_COUNTER" in r for r in summary.writes)
+    findings = analyze_callable(_calls_helper)
+    assert errors_of(findings) == [
+        ("purity.impurity.global-mutation", line_of(_writes_global, "+= 1")),
+    ]
+    assert "helper of _calls_helper" in findings[0].where
 
 
 def test_memo_access_detected():
-    summary = infer_effects(_touches_memo)
-    assert "memo" in summary.reads
-    assert "memo" in summary.writes
-
-
-def test_telemetry_write_detected():
-    summary = infer_effects(_charges_telemetry)
-    assert "telemetry" in summary.writes
+    assert errors_of(analyze_callable(_touches_memo)) == [
+        ("purity.impurity.memo-access", line_of(_touches_memo, ".lookup")),
+        ("purity.impurity.memo-access", line_of(_touches_memo, ".store")),
+    ]
 
 
 def test_trusted_function_summarizes_effect_free():
-    summary = infer_effects(_trusted_writer)
-    assert summary.trusted == "audited for the effects test"
-    assert summary.effect_free
-
-
-def test_conflicts_between_summaries():
-    writer = infer_effects(_writes_global)
-    reader = infer_effects(_reads_mutable_global)
-    pure = infer_effects(_pure)
-    assert writer.conflicts_with(reader)
-    assert not pure.conflicts_with(reader)
-    assert writer.conflicts_with(writer)  # write/write on the same global
+    assert errors_of(analyze_callable(_trusted_writer)) == []
+    # analyzed through the mark, the write is still there
+    through = analyze_callable(_trusted_writer, ignore_trust=True)
+    assert errors_of(through) == [
+        ("purity.impurity.global-mutation", line_of(_trusted_writer, "+= 1")),
+    ]
 
 
 def test_findings_flag_shared_writes():
-    findings = effect_findings([("map", _writes_global)])
-    assert rules_of(findings) == ["effects.shared-write"]
+    findings = analyze_functions([("map", _writes_global)])
+    assert [f.rule for f in findings] == ["purity.impurity.global-mutation"]
+    assert findings[0].where.endswith("_writes_global [map]")
 
 
 def test_findings_flag_io():
-    findings = effect_findings([("map", _does_io)])
-    assert "effects.shared-write" in rules_of(findings)
+    # one finding per call: print is I/O, reported once
+    assert errors_of(analyze_functions([("map", _does_io)])) == [
+        ("purity.impurity.io", line_of(_does_io, "print(")),
+    ]
 
 
 def test_findings_flag_memo_access():
-    findings = effect_findings([("map", _touches_memo)])
-    assert "effects.memo-access" in rules_of(findings)
-
-
-def test_findings_allow_exempted_resources():
-    findings = effect_findings(
-        [("kernel", _touches_memo)], allowed=frozenset({"memo"})
-    )
-    assert rules_of(findings) == []
+    # a module-level cache is a memo table too; no receiver is exempt
+    assert errors_of(analyze_functions([("map", _reads_global_cache)])) == [
+        ("purity.impurity.memo-access", line_of(_reads_global_cache, ".get")),
+    ]
 
 
 def test_findings_clean_on_pure_function():
-    findings = effect_findings([("map", _pure)])
-    assert findings == []
+    # reading a mutable global is not a write
+    assert analyze_functions([("map", _pure), ("map", _reads_mutable_global)]) == []
 
 
 def test_trusted_yields_info_note():
-    findings = effect_findings([("map", _trusted_writer)])
-    assert [f.rule for f in findings] == ["effects.trusted"]
-    assert findings[0].severity == "info"
-
-
-def test_summarize_functions_batch():
-    summaries = summarize_functions(
-        [("map", _pure), ("reduce", _writes_global)]
-    )
-    assert summaries["map"].effect_free
-    assert not summaries["reduce"].effect_free
-    assert isinstance(summaries["map"], EffectSummary)
+    findings = analyze_functions([("map", _trusted_writer)])
+    assert [f.rule for f in findings] == ["purity.trusted"]
+    assert findings[0].severity == INFO
 
 
 def test_shipped_corpus_is_effect_clean():
     from repro.analysis.targets import registry_targets
 
     for target in registry_targets():
-        findings = effect_findings(
-            target.functions, allowed=frozenset({"memo", "telemetry"})
-        )
-        errors = [f for f in findings if f.severity == "error"]
-        assert errors == [], f"{target.name}: {[f.render() for f in errors]}"
+        errors = errors_of(analyze_functions(target.functions))
+        assert errors == [], f"{target.name}: {errors}"

@@ -36,6 +36,8 @@ VIOLATIONS = [
     (fx.shells_out, "purity.impurity.io"),
     (fx.closure_nonlocal_write, "purity.impurity.global-write"),
     (fx.violation_in_helper, "purity.nondeterminism.random"),
+    (fx.mutates_global, "purity.impurity.global-mutation"),
+    (fx.reads_memo, "purity.impurity.memo-access"),
 ]
 
 CLEAN = [
@@ -45,6 +47,8 @@ CLEAN = [
     fx.clean_sorted_set,
     fx.clean_local_mutation,
     fx.clean_seeded_numpy,
+    fx.clean_local_dict,
+    fx.clean_reads_mutable_global,
     # The shipped split-at-a-time kernel, helper and scalar fallback included.
     APP_REGISTRY["kmeans"].make_job().map_split_fn,
 ]

@@ -104,7 +104,7 @@ def test_variant_certifies_parallel_safe(variant, mode):
     assert cert.runs == 3
     assert cert.steps_analyzed > 0
     assert cert.values_audited > 0
-    assert cert.checks["effects"]["errors"] == 0
+    assert cert.checks["purity"]["errors"] == 0
     assert cert.checks["races"]["errors"] == 0
     assert cert.checks["shared"]["errors"] == 0
 
@@ -112,9 +112,9 @@ def test_variant_certifies_parallel_safe(variant, mode):
 def test_certificate_dict_is_machine_readable():
     cert = certify_variant("folding", "variable", advances=1)
     payload = cert.to_dict()
-    assert payload["schema"].startswith("parallel-safety-certificate/")
+    assert payload["schema"] == "parallel-safety-certificate/v2"
     assert payload["verdict"] == "parallel-safe"
-    assert set(payload["checks"]) == {"effects", "races", "shared"}
+    assert set(payload["checks"]) == {"purity", "races", "shared"}
     # the certificate itself must cross a process boundary
     assert pickle.loads(pickle.dumps(payload)) == payload
     import json

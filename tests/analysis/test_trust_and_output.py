@@ -105,7 +105,7 @@ def test_other_decorators_ignored(tmp_path):
 
 # -- stale-trust audit -------------------------------------------------------
 
-_STATE = {"n": 0}
+_SEEN: set = set()
 
 
 @trusted(reason="debug print kept on purpose in this fixture")
@@ -119,6 +119,12 @@ def _stale_mark(record):
     return record * 2  # now pure: the mark suppresses nothing
 
 
+@trusted(reason="dedup set kept on purpose in this fixture")
+def _global_add_mark(record):
+    _SEEN.add(record)  # the mark suppresses a module-global mutation
+    return record
+
+
 def _unmarked(record):
     return record
 
@@ -128,6 +134,13 @@ def test_active_mark_reported_with_suppressed_rules():
     assert len(entries) == 1
     assert entries[0].status == "active"
     assert entries[0].suppressed
+    assert findings == []
+
+
+def test_mark_over_global_mutation_is_active():
+    entries, findings = audit_trusted([("map", _global_add_mark)])
+    assert entries[0].status == "active"
+    assert entries[0].suppressed == ("purity.impurity.global-mutation",)
     assert findings == []
 
 

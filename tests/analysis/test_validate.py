@@ -79,6 +79,25 @@ def test_validate_analyses_a_split_at_a_time_map_too():
     assert ("map_split", kmeans.map_split_fn) in job_target(kmeans).functions
 
 
+COUNT = {"n": 0}
+SEEN: set = set()
+
+
+def _counting_map(line):
+    COUNT["n"] += 1
+    SEEN.add(line)
+    yield (line, 1)
+
+
+def test_validate_rejects_module_state_mutation_naming_the_job():
+    job = make_job(SumCombiner(), name="line-counter")
+    job = dataclasses.replace(job, map_fn=_counting_map)
+    with pytest.raises(CombinerContractError, match="'line-counter'") as excinfo:
+        job.validate(check_purity=True)
+    message = str(excinfo.value)
+    assert "'COUNT'" in message and "'SEEN'" in message
+
+
 def test_validate_falsifies_mislabeled_combiner_naming_the_job():
     job = make_job(BadMeanCombiner(), name="mean-of-means")
     with pytest.raises(CombinerContractError, match="'mean-of-means'") as excinfo:
