@@ -20,8 +20,6 @@ those contracts instead of trusting them:
 * :mod:`repro.analysis.shared` — the serializability audit and the
   per-variant parallel-safety certificates
   (``parallel-safety-certificate/v2``);
-* :mod:`repro.analysis.dynamic` — the vector-clock cross-check that
-  validates the static race verdicts against actual execution;
 * :mod:`repro.analysis.trustaudit` — the stale-trust audit over every
   ``@trusted`` mark;
 * :mod:`repro.analysis.sarif` — deterministic SARIF 2.1.0 export;
@@ -30,7 +28,6 @@ those contracts instead of trusting them:
   modules before a Slider accepts their jobs.
 """
 
-from repro.analysis.dynamic import DynamicRaceRecorder
 from repro.analysis.findings import AnalysisReport, Finding, finalize
 from repro.analysis.races import analyze_plan
 from repro.analysis.sarif import to_sarif, write_sarif
@@ -61,7 +58,6 @@ from repro.analysis.targets import (
 
 __all__ = [
     "AnalysisReport",
-    "DynamicRaceRecorder",
     "Finding",
     "ParallelSafetyCertificate",
     "TrustEntry",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from repro.cluster.machine import Cluster
 from repro.common.errors import CacheMissError
 from repro.common.hashing import stable_hash
-from repro.core.memo import MemoBacking
 from repro.core.partition import Partition
 from repro.telemetry import Telemetry
 
@@ -75,11 +74,11 @@ class ReadStats:
 CacheStats = ReadStats
 
 
-class DistributedMemoCache(MemoBacking):
+class DistributedMemoCache:
     """Cluster-wide memoization store with master index and replicas.
 
-    Implements :class:`~repro.core.memo.MemoBacking`, so a tree's
-    MemoTable can be backed by it transparently: local tree misses fall
+    A tree's :class:`~repro.core.memo.MemoTable` is backed by it through
+    :meth:`fetch` / :meth:`put` / :meth:`delete`: local tree misses fall
     through to this layer, and stores write through to it.
     """
 
@@ -126,7 +125,7 @@ class DistributedMemoCache(MemoBacking):
             cursor += 1
         return replicas
 
-    # -- MemoBacking interface ----------------------------------------------
+    # -- what a MemoTable calls --------------------------------------------
 
     def put(self, uid: int, value: Partition) -> None:
         owner = self._place(uid)

@@ -54,12 +54,10 @@ class CacheMissError(ReproError):
 
 
 class MemoStoreFull(ReproError):
-    """A memo store cannot accept another entry.
+    """The shared-memory store's fixed segment cannot take another entry.
 
-    Raised by bounded stores (e.g. the shared-memory store's fixed
-    segment) when a put would exceed their capacity.  ``MemoTable.store``
-    treats it exactly like budget exhaustion: the store is skipped and
-    the result recomputed next time — degradation, never failure.
+    Raised by :meth:`~repro.core.sharedmem.SharedMemoStore.put` when an
+    entry does not fit even after compaction.
     """
 
 

@@ -3,26 +3,22 @@
 Every contraction-tree node result is memoized under a stable content id
 derived from its inputs.  A hit means the Combiner invocation is skipped
 entirely (only a small memo-read cost is charged); a miss runs the combiner
-and stores the result.  The cluster layer wraps this table with the
+and stores the result.  A table's entries live in process, in a
+:class:`DictMemoStore`; the cluster layer backs the table with the
 distributed in-memory cache and its fault-tolerant replicas (§6).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from dataclasses import dataclass, field
+from typing import Any, Mapping
 
-from repro.common.errors import MemoStoreFull
 from repro.core.partition import Partition
-from repro.metrics import Phase, WorkMeter
 from repro.telemetry import Telemetry
 
 __all__ = [
     "DictMemoStore",
-    "MemoBacking",
     "MemoStats",
-    "MemoStore",
-    "MemoStoreFull",
     "MemoTable",
 ]
 
@@ -43,79 +39,16 @@ class MemoStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def absorb(self, other: "MemoStats") -> "MemoStats":
-        """Add another stats record into this one (cross-process merge).
-
-        Every field is an integer count, so the merge is exact,
-        associative, and order-independent — worker deltas can fold into
-        the parent's table in any grouping and land on the same totals.
-        """
-        for spec in fields(self):
-            setattr(
-                self,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
-        return self
-
-    @classmethod
-    def merge(cls, parts: Iterable["MemoStats"]) -> "MemoStats":
-        """A fresh record holding the sum of ``parts``."""
-        merged = cls()
-        for part in parts:
-            merged.absorb(part)
-        return merged
-
-
-@runtime_checkable
-class MemoStore(Protocol):
-    """The storage seam under a :class:`MemoTable`.
-
-    A store is a mutable uid -> :class:`Partition` mapping plus an O(1)
-    :meth:`space` summary.  Two implementations ship: the in-process
-    :class:`DictMemoStore` (the default, bit-identical to the historical
-    plain dict) and the cross-process
-    :class:`~repro.core.sharedmem.SharedMemoStore` namespace view, which
-    no engine sits on any more (see that module).  A bounded store signals
-    exhaustion by raising
-    :class:`~repro.common.errors.MemoStoreFull` from ``__setitem__`` —
-    the table degrades to recomputation instead of failing.
-    """
-
-    def __getitem__(self, uid: int) -> Partition: ...
-
-    def __setitem__(self, uid: int, value: Partition) -> None: ...
-
-    def __delitem__(self, uid: int) -> None: ...
-
-    def __iter__(self) -> Iterator[int]: ...
-
-    def __len__(self) -> int: ...
-
-    def __contains__(self, uid: object) -> bool: ...
-
-    def get(self, uid: int, default: "Partition | None" = None) -> "Partition | None": ...
-
-    def pop(self, uid: int, default: "Partition | None" = None) -> "Partition | None": ...
-
-    def items(self) -> Iterable[tuple[int, Partition]]: ...
-
-    def values(self) -> Iterable[Partition]: ...
-
-    def clear(self) -> None: ...
-
-    def space(self) -> float: ...
-
 
 class DictMemoStore(dict):
-    """The default in-process store: a plain dict plus the store protocol.
+    """A memo table's entries: a plain dict that keeps its own size.
 
     Subclassing ``dict`` keeps reads and iteration exactly as fast and
-    as ordered as the seed's bare dict.  The four mutating verbs of the
-    protocol (``store[uid] = p``, ``del store[uid]``, ``pop``, ``clear``)
+    as ordered as the seed's bare dict.  The four mutating verbs a table
+    uses (``store[uid] = p``, ``del store[uid]``, ``pop``, ``clear``)
     also keep the sum :meth:`space` returns, so it never walks the
     entries; ``update`` / ``setdefault`` / ``popitem`` would bypass the
-    sum and are not part of the protocol.
+    sum and are never called on one.
     """
 
     #: Keys retained over all stored partitions.
@@ -158,12 +91,14 @@ class MemoTable:
 
     ``backing`` (when set by the cluster layer) is consulted on local miss
     and written through on store, letting one table transparently span the
-    in-memory distributed cache and the persistent replicated layer.
+    in-memory distributed cache and the persistent replicated layer.  It is
+    anything with ``fetch(uid)`` / ``put(uid, value)`` / ``delete(uid)``:
+    :class:`~repro.cluster.cache.DistributedMemoCache` in an engine.
     """
 
-    entries: MemoStore = field(default_factory=DictMemoStore)
+    entries: DictMemoStore = field(default_factory=DictMemoStore)
     stats: MemoStats = field(default_factory=MemoStats)
-    backing: "MemoBacking | None" = None
+    backing: Any = None
     #: Telemetry backbone to mirror hit/miss/eviction counters into.
     telemetry: "Telemetry | None" = None
     #: Fingerprint checks on read: "off", "tainted" (only uids marked by
@@ -181,8 +116,9 @@ class MemoTable:
     def lookup(self, uid: int) -> Partition | None:
         found = self.entries.get(uid)
         if found is not None and not self._verified(uid, found):
+            # Only the local copy is known bad: the uid stays marked, so the
+            # replica is verified too, and deleted only if it is bad as well.
             self.entries.pop(uid, None)
-            self._backing_delete(uid)
             found = None
         if found is None and self.backing is not None and not self.degraded:
             found = self._backing_fetch(uid)
@@ -192,6 +128,8 @@ class MemoTable:
             if found is not None:
                 self.entries[uid] = found
         if found is None:
+            # What is stored under the uid next is computed afresh.
+            self._tainted.discard(uid)
             self.stats.misses += 1
             if self.telemetry is not None:
                 self.telemetry.count("memo.misses")
@@ -215,20 +153,7 @@ class MemoTable:
                         "memo.budget_exhausted", capacity=self.capacity
                     )
             return
-        try:
-            self.entries[uid] = value
-        except MemoStoreFull:
-            # A bounded store (e.g. the shared-memory segment) is full:
-            # same degradation ladder as budget exhaustion — recompute
-            # next time instead of failing the run.
-            self.stats.skipped_stores += 1
-            if self.telemetry is not None:
-                self.telemetry.count("memo.skipped_stores")
-                if self.stats.skipped_stores == 1:
-                    self.telemetry.instant(
-                        "memo.store_full", capacity=self.capacity
-                    )
-            return
+        self.entries[uid] = value
         if self.backing is not None and not self.degraded:
             try:
                 self.backing.put(uid, value)
@@ -265,7 +190,6 @@ class MemoTable:
         if value.verify_fingerprint():
             self._tainted.discard(uid)
             return True
-        self._tainted.discard(uid)
         self.stats.corruptions += 1
         if self.telemetry is not None:
             self.telemetry.count("memo.corruptions")
@@ -311,30 +235,6 @@ class MemoTable:
         except Exception as exc:
             self._degrade(exc)
 
-    def get_or_compute(  # analysis: charge-in-caller-span (tree task span)
-        self,
-        uid: int,
-        compute: Callable[[], Partition],
-        meter: WorkMeter | None = None,
-        read_cost: float = 0.0,
-        write_cost: float = 0.0,
-    ) -> Partition:
-        """Return the memoized value for ``uid`` or compute and store it.
-
-        ``compute`` is expected to charge its own combiner work to the
-        meter; this helper only charges memo I/O.
-        """
-        found = self.lookup(uid)
-        if found is not None:
-            if meter is not None and read_cost:
-                meter.charge(Phase.MEMO_READ, read_cost)
-            return found
-        value = compute()
-        self.store(uid, value)
-        if meter is not None and write_cost:
-            meter.charge(Phase.MEMO_WRITE, write_cost)
-        return value
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -345,10 +245,8 @@ class MemoTable:
     def replace_entries(self, mapping: Mapping[int, Partition]) -> None:
         """Reattach a drained entry snapshot onto this table's store.
 
-        The recovery layer checkpoints entries as a plain dict (drained
-        from whatever store backed the table when the checkpoint was
-        written) and restores them through here, so a checkpoint taken
-        under one execution backend reattaches cleanly under another.
+        The recovery layer checkpoints entries as a plain dict and
+        restores them through here, which re-derives the store's size.
         Bypasses capacity/stat accounting: this is state transfer, not
         computation.
         """
@@ -363,15 +261,3 @@ class MemoTable:
             self.discard(uid)
         return len(dead)
 
-
-class MemoBacking:
-    """Interface the cluster cache layer implements to back a MemoTable."""
-
-    def fetch(self, uid: int) -> Partition | None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def put(self, uid: int, value: Partition) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def delete(self, uid: int) -> None:  # pragma: no cover
-        raise NotImplementedError

@@ -1,25 +1,19 @@
-"""A cross-process memo store over one shared-memory segment.
+"""A cross-process store of partitions over one shared-memory segment.
 
-**Nothing under ``src/`` imports this module.**  It was the store under
-the process backend's memo tables until no run that can dispatch turned
-out to read or write it (the trees that dispatch keep node results by
-position; the one variant that memoizes never dispatches and paid a
-pickle, a lock and a CRC an access, in the parent alone).  It stays, with
-``tests/core/test_sharedmem.py``, only because the end-to-end benchmark
-(``benchmarks/e2e/e2ebench/probes.py``, which a code PR may not edit)
-imports :class:`SharedMemoStore` for its ``sharedmem.put_us`` /
-``get_us`` probes; a ``benchmark`` PR that drops those probes deletes
-this file, the :class:`~repro.core.memo.MemoStore` protocol and
-``MemoTable``'s ``MemoStoreFull`` branch with it.
+**Nothing under ``src/`` imports this module**, and no memo table sits on
+it: a table's entries are always a :class:`~repro.core.memo.DictMemoStore`
+(the trees that dispatch keep node results by position; the one variant
+that memoizes never dispatches).  It is kept only for the probe's put /
+get: the end-to-end benchmark (``benchmarks/e2e/e2ebench/probes.py``)
+times :meth:`SharedMemoStore.put` and :meth:`SharedMemoStore.get` as its
+``sharedmem.put_us`` / ``get_us`` metrics.  A ``benchmark`` PR that drops
+those probes deletes this file and ``tests/core/test_sharedmem.py``.
 
 What it is: a :class:`SharedMemoStore` owns a single
 ``multiprocessing.shared_memory`` segment — created *before* a worker
 pool forks, so every process addresses the same mapping without any
-name-attach or ``Manager`` proxy traffic — and exposes per-reducer
-:class:`SharedNamespace` views that satisfy the
-:class:`~repro.core.memo.MemoStore` protocol, so a
-:class:`~repro.core.memo.MemoTable` runs over shared memory without
-knowing it.
+name-attach or ``Manager`` proxy traffic — holding one or more
+namespaces of ``uid -> Partition`` entries.
 
 Layout (all integers little-endian)::
 
@@ -27,7 +21,8 @@ Layout (all integers little-endian)::
 
 * **header** — magic/version, the data-region bump pointer, live-byte
   and used-slot counters, and per-namespace ``(live entries, key count)``
-  pairs so ``len()`` and ``space()`` are O(1) and, being integer sums,
+  pairs so :meth:`~SharedMemoStore.count` and
+  :meth:`~SharedMemoStore.key_count` are O(1) and, being integer sums,
   independent of insertion order across processes.
 * **slot index** — open-addressed (linear probing) ``(key hash, blob
   offset)`` pairs.  Offset 0 means never used (probe stops), offset 1 a
@@ -35,16 +30,15 @@ Layout (all integers little-endian)::
 * **data region** — append-only length-prefixed blobs:
   ``[ns, key, key_count, payload length, payload CRC32, payload]`` with
   the payload a pickled :class:`~repro.core.partition.Partition`.  A
-  CRC mismatch on read is treated as a missing entry (the table's
-  content-fingerprint machinery then recomputes) — bit rot costs work,
-  never correctness, mirroring the recovery layer's contract.
+  CRC mismatch on read is treated as a missing entry (the caller
+  recomputes) — bit rot costs work, never correctness, mirroring the
+  recovery layer's contract.
 
 Overwrites and deletes leave dead bytes behind; when an insert would not
 fit (or the index runs out of fresh slots) the store first **compacts**
 — rewrites live blobs densely and rebuilds the index under the lock —
 and only raises :class:`~repro.common.errors.MemoStoreFull` when even
-the compacted segment cannot take the entry.  ``MemoTable.store`` maps
-that to a skipped store: the degradation ladder's recompute end.
+the compacted segment cannot take the entry.
 
 One ``multiprocessing.Lock`` (fork-inherited, like the segment) guards
 every multi-step operation; entries are immutable once written, so a
@@ -58,10 +52,9 @@ import pickle
 import struct
 import weakref
 import zlib
-from collections.abc import MutableMapping
 from multiprocessing import get_context
 from multiprocessing import shared_memory
-from typing import Any, Iterator
+from typing import Any
 
 from repro.common.errors import MemoStoreFull
 from repro.core.partition import Partition
@@ -376,9 +369,6 @@ class SharedMemoStore:
         with self._lock:
             return self._get(base + 8)
 
-    def namespace(self, ns: int) -> "SharedNamespace":
-        return SharedNamespace(self, ns)
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -402,49 +392,3 @@ def _release(shm: shared_memory.SharedMemory) -> None:
     except Exception:
         pass
 
-
-class SharedNamespace(MutableMapping):
-    """One reducer's :class:`~repro.core.memo.MemoStore` view of the store.
-
-    Satisfies the mapping protocol a :class:`~repro.core.memo.MemoTable`
-    (and the lifecycle/recovery layers above it) drive, so the table is
-    oblivious to which side of a process boundary its entries live on.
-    """
-
-    __slots__ = ("store", "ns")
-
-    def __init__(self, store: SharedMemoStore, ns: int) -> None:
-        self.store = store
-        self.ns = ns
-
-    def __getitem__(self, key: int) -> Partition:
-        value = self.store.get(self.ns, key)
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def __setitem__(self, key: int, value: Partition) -> None:
-        self.store.put(self.ns, key, value)
-
-    def __delitem__(self, key: int) -> None:
-        if not self.store.delete(self.ns, key):
-            raise KeyError(key)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.store.keys(self.ns))
-
-    def __len__(self) -> int:
-        return self.store.count(self.ns)
-
-    def clear(self) -> None:
-        self.store.clear(self.ns)
-
-    def space(self) -> float:
-        """O(1): the namespace's key-count sum is maintained at put/delete."""
-        return float(self.store.key_count(self.ns))
-
-    def __reduce__(self):  # pragma: no cover - defensive
-        raise TypeError(
-            "SharedNamespace views must not be pickled; workers reach the "
-            "store through the fork-inherited handle"
-        )

@@ -21,7 +21,6 @@ from repro.telemetry.spans import (
 from repro.telemetry.merge import (
     CaptureTelemetry,
     graft_spans,
-    merge_counters,
     replay_events,
 )
 from repro.telemetry.export import (
@@ -42,7 +41,6 @@ __all__ = [
     "ENGINE_KEEP_LAST",
     "CaptureTelemetry",
     "graft_spans",
-    "merge_counters",
     "replay_events",
     "NullTelemetry",
     "Phase",

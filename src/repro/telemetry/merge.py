@@ -17,21 +17,19 @@ this subtle: addition order matters.  The contract here is:
   span sees the exact float-addition sequence of an in-process run,
   while the worker's own spans (grafted by :func:`graft_spans` with
   their cursor timestamps shifted to the parent clock) keep the
-  self-work.
-* Counters are pure sums, so :func:`merge_counters` is associative and
-  order-independent — the property the cross-process tests pin down.
+  self-work.  Counters come back the same way, as replayed ``count``
+  events.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.telemetry.spans import NullTelemetry, Phase, Span, Telemetry
 
 __all__ = [
     "CaptureTelemetry",
     "graft_spans",
-    "merge_counters",
     "replay_events",
 ]
 
@@ -129,18 +127,3 @@ def graft_spans(
         _shift(span, offset)
         telemetry.attach(span)
 
-
-def merge_counters(
-    parts: Iterable[Mapping[str, float]],
-) -> dict[str, float]:
-    """Sum counter dicts; associative and order-independent by construction.
-
-    Integer-valued counters merge exactly; float-valued counters are
-    order-independent only up to float associativity, which is why the
-    substrate's cross-process counters are all integer counts.
-    """
-    merged: dict[str, float] = {}
-    for part in parts:
-        for name, value in part.items():
-            merged[name] = merged.get(name, 0) + value
-    return merged

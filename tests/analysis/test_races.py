@@ -1,5 +1,6 @@
 """Plan-level race detection: the happens-before model and conflicts — on
-hand-built violating plans and on the real planners' output."""
+hand-built violating plans and on the real planners' output, calm, under a
+machine crash, from recurring states and executed by worker processes."""
 
 from __future__ import annotations
 
@@ -12,9 +13,12 @@ from repro.analysis.races import (
     plan_footprints,
     step_footprint,
 )
+from repro.cluster import ChaosSchedule, Cluster, ClusterConfig, MachineCrash
 from repro.core.plan import PlanStep
 from repro.metrics import Phase
-from tests.oracle.fleet import VARIANTS, count_job, split_of
+from repro.slider.system import Slider, SliderConfig
+from repro.slider.window import WindowMode
+from tests.oracle.fleet import VARIANTS, count, count_job, split_of
 
 
 def error_rules(findings):
@@ -116,24 +120,58 @@ def test_find_races_returns_pairs():
 # -- real planner output -----------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "variant,mode", [(variant, mode.value) for variant, mode in VARIANTS]
+#: (variant, window mode, how it runs): every variant calm, then the
+#: folding tree under a machine crash mid-wave, over six advances (so that
+#: it advances from structural states seen before), and on two workers.
+REAL_RUNS = (
+    *((variant, mode, "calm") for variant, mode in VARIANTS),
+    ("folding", WindowMode.VARIABLE, "chaos"),
+    ("folding", WindowMode.VARIABLE, "recurring"),
+    ("folding", WindowMode.VARIABLE, "process"),
 )
-def test_real_plans_are_race_free(variant, mode):
-    from repro.slider.system import Slider, SliderConfig
-    from repro.slider.window import WindowMode
 
-    window_mode = WindowMode(mode)
+
+@pytest.mark.parametrize(
+    "variant,mode,setting",
+    REAL_RUNS,
+    ids=[f"{v}-{s if s != 'calm' else m.value}" for v, m, s in REAL_RUNS],
+)
+def test_real_plans_are_race_free(variant, mode, setting):
+    """Every run's plan is race free, whoever executed its steps: a
+    worker's steps are in the parent's log, where the in-process run
+    would have logged them."""
+    advances, config, extras = 2, {}, {}
+    if setting == "chaos":
+        extras = dict(
+            cluster=Cluster(
+                ClusterConfig(
+                    num_machines=4, slots_per_machine=2, straggler_fraction=0.0
+                )
+            ),
+            chaos=ChaosSchedule(crashes=(MachineCrash(machine_id=1, time=2.0),)),
+        )
+    elif setting == "recurring":
+        advances = 6
+    elif setting == "process":
+        advances, config = 12, {"execution_backend": "process", "workers": 2}
     engine = Slider(
         count_job("race-scan"),
-        mode=window_mode,
-        config=SliderConfig(tree=variant, mode=window_mode),
+        mode=mode,
+        config=SliderConfig(tree=variant, mode=mode, **config),
+        **extras,
     )
-    splits = [split_of(i, spread=7, n=8) for i in range(6)]
-    results = [engine.initial_run(splits[:4])]
-    removed = 0 if window_mode is WindowMode.APPEND else 1
-    results.append(engine.advance([splits[4]], removed))
-    results.append(engine.advance([splits[5]], removed))
-    for result in results:
-        findings = analyze_plan(result.plan, where=f"{variant}:{result.run_index}")
-        assert error_rules(findings) == [], [f.render() for f in findings]
+    try:
+        splits = [split_of(i, spread=7, n=8) for i in range(4 + advances)]
+        removed = 0 if mode is WindowMode.APPEND else 1
+        results = [engine.initial_run(splits[:4])]
+        results += [engine.advance([split], removed) for split in splits[4:]]
+        for result in results:
+            assert len(result.plan) > 0
+            findings = analyze_plan(result.plan, where=f"{variant}:{result.run_index}")
+            assert error_rules(findings) == [], [f.render() for f in findings]
+        if setting == "recurring":
+            assert any(result.plan_cache_hit for result in results)
+        if setting == "process":
+            assert count(engine, "backend.dispatched_reducers") > 0
+    finally:
+        engine.close()

@@ -15,6 +15,7 @@ from repro.cluster import (
     MemoizationScheduler,
     SimTask,
     StraggleEpisode,
+    TaskAttempt,
     TransientFaults,
     execute_two_waves,
     execute_wave,
@@ -309,3 +310,54 @@ def test_same_chaos_seed_reproduces_recovery_trace():
         )
 
     assert run() == run()
+
+
+# -- the wave barrier in executed schedules -----------------------------------
+
+
+def barrier_violations(assignments, map_finish):
+    """Every reduce that started before the map wave finished."""
+    return [
+        a.task.label
+        for a in assignments
+        if a.task.kind == "reduce" and a.start < map_finish - 1e-9
+    ]
+
+
+def waves(maps, reduces, **kwargs):
+    return execute_two_waves(
+        [SimTask(label=f"m{i}", cost=c, kind="map") for i, c in enumerate(maps)],
+        [SimTask(label=f"r{i}", cost=c, kind="reduce") for i, c in enumerate(reduces)],
+        kwargs.pop("cluster", quiet_cluster()), HadoopScheduler(), **kwargs,
+    )
+
+
+def test_schedule_clocks_respect_dependencies():
+    report = waves([1.0, 1.0, 3.0], [1.0, 2.0])
+    assert report.map_finish == 3.0
+    assert barrier_violations(report.assignments, report.map_finish) == []
+
+
+def test_schedule_clocks_under_chaos():
+    chaos = ChaosSchedule(crashes=(MachineCrash(machine_id=0, time=1.0),))
+    report = waves(
+        [1.0] * 4, [1.0, 1.0], cluster=quiet_cluster(3, 1), chaos=chaos
+    )
+    assert report.stats.crashes == 1
+    assert barrier_violations(report.assignments, report.map_finish) == []
+
+
+def test_broken_schedule_is_flagged():
+    t0 = SimTask(label="t0", cost=5.0, kind="map")
+    t1 = SimTask(label="t1", cost=1.0, kind="reduce")
+    assignments = [
+        TaskAttempt(
+            task=t0, number=0, machine_id=0, slot_index=0, epoch=0,
+            start=0.0, expected_finish=5.0, finish=5.0,
+        ),
+        TaskAttempt(  # starts before the map wave finishes
+            task=t1, number=0, machine_id=1, slot_index=0, epoch=0,
+            start=1.0, expected_finish=2.0, finish=2.0,
+        ),
+    ]
+    assert barrier_violations(assignments, map_finish=5.0) == ["t1"]

@@ -1,8 +1,9 @@
 """Unit tests for the memo table."""
 
+from repro.cluster import Cluster, ClusterConfig, DistributedMemoCache
 from repro.core.memo import MemoTable
 from repro.core.partition import Partition
-from repro.metrics import Phase, WorkMeter
+from repro.recovery.repair import _corrupt_copy
 
 
 def test_lookup_miss_then_hit():
@@ -12,33 +13,6 @@ def test_lookup_miss_then_hit():
     table.store(1, Partition({"k": 1}))
     assert table.lookup(1) == Partition({"k": 1})
     assert table.stats.hits == 1
-
-
-def test_get_or_compute_runs_once():
-    table = MemoTable()
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return Partition({"k": 2})
-
-    first = table.get_or_compute(7, compute)
-    second = table.get_or_compute(7, compute)
-    assert first == second
-    assert len(calls) == 1
-
-
-def test_get_or_compute_charges_costs():
-    table = MemoTable()
-    meter = WorkMeter()
-    table.get_or_compute(
-        1, lambda: Partition({"k": 1}), meter=meter, write_cost=0.5
-    )
-    assert meter.by_phase[Phase.MEMO_WRITE] == 0.5
-    table.get_or_compute(
-        1, lambda: Partition({"k": 1}), meter=meter, read_cost=0.25
-    )
-    assert meter.by_phase[Phase.MEMO_READ] == 0.25
 
 
 def test_discard_counts_evictions():
@@ -114,6 +88,41 @@ def test_taint_clears_on_successful_verify():
     assert table.lookup(7) is not None
     assert 7 not in table._tainted
     assert table.stats.corruptions == 0
+
+
+def test_a_corrupt_local_copy_is_healed_from_its_replica():
+    """Only the local copy is bad: the backing's replica is verified, then
+    served and taken back in, and the cache still holds it."""
+    cache = DistributedMemoCache(
+        Cluster(ClusterConfig(num_machines=4, straggler_fraction=0.0))
+    )
+    table = MemoTable(backing=cache)
+    good = Partition({"k": 1, "j": 2})
+    table.store(7, good)
+    table.entries[7] = _corrupt_copy(good, 7)
+    table.taint({7})
+    assert table.lookup(7) == good
+    assert table.entries[7].verify_fingerprint()
+    assert table.stats.corruptions == 1 and table.stats.hits == 1
+    assert cache.stats.misses == 0 and cache.total_objects() == 1
+    assert 7 not in table._tainted
+
+
+def test_a_corrupt_replica_is_verified_and_deleted_too():
+    cache = DistributedMemoCache(
+        Cluster(ClusterConfig(num_machines=4, straggler_fraction=0.0))
+    )
+    table = MemoTable(backing=cache)
+    good = Partition({"k": 1})
+    table.store(7, good)
+    bad = _corrupt_copy(good, 7)
+    table.entries[7] = bad
+    cache.fetch = lambda uid: bad  # every copy rotted
+    table.taint({7})
+    assert table.lookup(7) is None
+    assert table.stats.corruptions == 2 and table.stats.misses == 1
+    assert cache.total_objects() == 0
+    assert 7 not in table.entries and 7 not in table._tainted
 
 
 def test_verify_off_serves_anything():

@@ -1,13 +1,12 @@
-"""Unit tests for the shared-memory memo store."""
+"""Unit tests for the shared-memory partition store (the e2e probe's)."""
 
 import pickle
 
 import pytest
 
 from repro.common.errors import MemoStoreFull
-from repro.core.memo import MemoStore, MemoTable
 from repro.core.partition import Partition
-from repro.core.sharedmem import SharedMemoStore, SharedNamespace
+from repro.core.sharedmem import SharedMemoStore
 
 
 @pytest.fixture
@@ -82,8 +81,6 @@ class TestStoreBasics:
     def test_handles_are_never_picklable(self, store):
         with pytest.raises(TypeError):
             pickle.dumps(store)
-        with pytest.raises(TypeError):
-            pickle.dumps(store.namespace(0))
 
     def test_segment_must_fit_header_and_index(self):
         with pytest.raises(ValueError):
@@ -158,51 +155,3 @@ class TestCompactionAndFull:
         assert store.get(0, 5) == part(6)
         assert store._get(8) > head
 
-
-class TestSharedNamespace:
-    def test_satisfies_memo_store_protocol(self, store):
-        ns = store.namespace(0)
-        assert isinstance(ns, MemoStore)
-
-    def test_mapping_semantics(self, store):
-        ns = store.namespace(0)
-        ns[1] = part(1)
-        assert ns[1] == part(1)
-        assert 1 in ns and 2 not in ns
-        with pytest.raises(KeyError):
-            ns[2]
-        with pytest.raises(KeyError):
-            del ns[2]
-        ns[2] = part(2)
-        assert len(ns) == 2
-        assert list(ns) == [1, 2]
-        assert ns.get(3) is None
-        del ns[1]
-        assert len(ns) == 1
-        ns.clear()
-        assert len(ns) == 0
-
-    def test_space_is_key_count(self, store):
-        ns = store.namespace(0)
-        ns[1] = part(1, keys=4)
-        ns[2] = part(2, keys=3)
-        assert ns.space() == 7.0
-
-    def test_memo_table_runs_over_shared_namespace(self, store):
-        table = MemoTable(entries=store.namespace(0))
-        table.store(1, part(1))
-        assert table.lookup(1) == part(1)
-        assert table.lookup(2) is None
-        assert table.space() == 1.0
-        assert len(table) == 1
-
-    def test_memo_table_store_full_degrades_not_raises(self):
-        store = SharedMemoStore(namespaces=1, segment_bytes=1 << 14, slots=16)
-        try:
-            table = MemoTable(entries=store.namespace(0))
-            huge = Partition({f"key-{i}": float(i) for i in range(2000)})
-            table.store(1, huge)  # silently skipped, counted
-            assert table.lookup(1) is None
-            assert table.stats.skipped_stores == 1
-        finally:
-            store.close()

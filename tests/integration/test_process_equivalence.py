@@ -5,15 +5,12 @@ reference after every rule of every walk — outputs, work, breakdown,
 space, graph and plan node for node, cumulative per-phase totals to the
 last bit, counters minus ``backend.*`` — and fails a walk whose process
 arm did not dispatch.  The cases here are short scripted walks of that
-fleet, one per configuration this suite has always named, plus the
-dynamic race recorder over real workers.
+fleet, one per configuration this suite has always named.
 """
 
 import pytest
 
 from repro.core.backends import ProcessBackend
-from repro.slider.system import Slider, SliderConfig
-from repro.slider.window import WindowMode
 from tests.oracle.fleet import (
     DISPATCHING,
     JOBS,
@@ -22,7 +19,6 @@ from tests.oracle.fleet import (
     case_of,
     count,
     count_job,
-    split_of,
 )
 
 TWINS = ("reference", "process")
@@ -72,28 +68,3 @@ class TestCheckpointAcrossBackends:
             fleet.steady(2)
             fleet.check()
 
-
-class TestDynamicRecorderOverWorkers:
-    def test_recorder_observes_worker_steps_without_unexplained_races(self):
-        """The vector-clock cross-check holds over real worker processes:
-        worker log records take their place in the parent's log, so the
-        recorder reading it sees every remotely executed step — and finds
-        no conflict the static pass did not flag."""
-        from repro.analysis.dynamic import DynamicRaceRecorder
-        from repro.analysis.races import analyze_plan
-
-        recorder = DynamicRaceRecorder()
-        config = SliderConfig(execution_backend="process", workers=2)
-        engine = Slider(count_job(num_reducers=3), WindowMode.VARIABLE, config)
-        try:
-            results = [engine.initial_run([split_of(i) for i in range(5)])]
-            for i in range(12):
-                results.append(engine.advance([split_of(30 + i)], 1))
-            for result in results:
-                recorder.read(result.plan.log)
-            static = [f for result in results for f in analyze_plan(result.plan)]
-            assert count(engine, "backend.dispatched_reducers") > 0
-            assert recorder.events > 0
-            assert recorder.unexplained(static) == []
-        finally:
-            engine.close()

@@ -392,6 +392,9 @@ class Fleet:
         self.late: list[tuple[SliderResult, str, list, list]] = []
         #: ``backend.worker_fallbacks`` the rules so far account for.
         self.fallbacks = 0
+        #: Memo reads the cluster arm's backing served in corrupt rules,
+        #: where the reference recomputed.
+        self.replica_reads = 0
         #: A fault rule is in flight: the process arm may fail a dispatch.
         self.sabotaged = False
         self.collected = self.config.auto_gc
@@ -723,15 +726,31 @@ class Fleet:
 
     def corrupt(self, seed: int = 1, victims: int = 2) -> None:
         """A chaos corruption run: stored copies are swapped for corrupt
-        ones of the same uid at the start of one advance, and repaired."""
+        ones of the same uid at the start of one advance, and repaired.
+        A memo table drops only its corrupt copy, so the cluster arm of a
+        variant that memoizes reads the intact replica where the
+        reference recomputes."""
         self.fired["corrupt"] += 1
         flips = [CorruptionEvent(count=victims)]
         schedule = ChaosSchedule(corruptions=flips, seed=seed)
         for engine in self.engines.values():
             engine.set_chaos(ChaosPlan(schedules={engine.run_index: schedule}))
+        cluster = self.engines.get("cluster")
+        memoizes = cluster is not None and any(t.memo.entries for t in cluster.trees)
+        if memoizes:
+            self.differs["cluster"].update(LOST_MEMORY)
+
+        def extra_hits() -> float:
+            """The cluster arm's memo hits beyond the reference's."""
+            if not memoizes:
+                return 0.0
+            return count(cluster, "memo.hits") - count(self.reference, "memo.hits")
+
+        before = extra_hits()
         self.advance()
         for engine in self.engines.values():
             engine.set_chaos(None)
+        self.replica_reads += extra_hits() - before
 
     def _live_backend(self) -> "ProcessBackend | None":
         """The process arm's backend, while it may still dispatch."""

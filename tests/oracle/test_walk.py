@@ -94,12 +94,6 @@ SIGNALS = {
     "reduce.scan.inexact", "reduce.scan.poison_policy", "reduce.scan.chaos",
     "reduce.scan.departed_row",
 }
-#: Named under ``src/`` and not an engine's to fire.
-NOT_AN_ENGINE_PATH = {
-    # No engine sits on a bounded store; the branch and its unit test go
-    # with ``core/sharedmem.py`` (ROADMAP item 1).
-    "memo.store_full",
-}
 
 
 @functools.cache
@@ -123,6 +117,7 @@ def walk(case: tuple) -> SimpleNamespace:
         kinds=fleet.kinds,
         ops=fleet.ops,
         seam=seam,
+        replica_reads=fleet.replica_reads,
     )
 
 
@@ -140,6 +135,9 @@ def test_the_walk_holds_and_fires_every_rule(case):
         assert seen.seam["worker_fallbacks"] == 1
     else:
         assert seen.seam == {"dispatch_runs": 0, "worker_fallbacks": 0}
+    # The variant that memoizes: its cluster arm healed a corrupt copy
+    # from the intact replica, where the reference recomputed it.
+    assert (seen.replica_reads > 0) == (case[0] == "randomized")
 
 
 @functools.cache
@@ -181,7 +179,7 @@ def test_every_signal_named_under_src_is_in_the_gate():
     )
     for path in Path(repro.__file__).parent.rglob("*.py"):
         named.update(pattern.findall(path.read_text()))
-    assert named - SIGNALS == NOT_AN_ENGINE_PATH
+    assert named - SIGNALS == set()
 
 
 def test_every_kind_of_node_and_every_plan_op_is_compared():

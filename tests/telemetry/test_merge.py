@@ -1,102 +1,28 @@
-"""Cross-process merge properties: stats, counters, and span forests.
+"""Cross-process merge properties: span forests and their replay.
 
-The process backend's bit-identity claim rests on three merge laws:
-
-* :meth:`MemoStats.absorb` / :meth:`MemoStats.merge` — integer sums, so
-  associative and order-independent;
-* :func:`merge_counters` — same, for telemetry counters;
-* event replay — a parent that replays each worker's ordered charge log
-  (worker by worker) performs *exactly* the float additions a single
-  process interleaving the same charges would, so per-phase totals are
-  bit-identical, not merely close.  The hypothesis test drives that over
-  random span forests with adversarial float amounts.
+The process backend's bit-identity claim rests on event replay: a parent
+that replays each worker's ordered charge log (worker by worker) performs
+*exactly* the float additions a single process interleaving the same
+charges would, so per-phase totals are bit-identical, not merely close.
+Counters ride the same log as ``count`` events.  The hypothesis test
+drives that over random span forests with adversarial float amounts.
 """
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.memo import MemoStats
 from repro.metrics import Phase
 from repro.telemetry import (
     CaptureTelemetry,
     SpanKind,
     Telemetry,
     graft_spans,
-    merge_counters,
     replay_events,
 )
 from repro.telemetry.export import TraceValidationError, to_chrome_trace
-
-# -- MemoStats ---------------------------------------------------------------
-
-stats_records = st.builds(
-    MemoStats,
-    hits=st.integers(0, 1000),
-    misses=st.integers(0, 1000),
-    evictions=st.integers(0, 100),
-    corruptions=st.integers(0, 10),
-    skipped_stores=st.integers(0, 10),
-)
-
-
-@given(st.lists(stats_records, min_size=0, max_size=6))
-def test_memo_stats_merge_is_order_independent(parts):
-    merged = MemoStats.merge(parts)
-    shuffled = list(parts)
-    random.Random(7).shuffle(shuffled)
-    assert MemoStats.merge(shuffled) == merged
-
-
-@given(a=stats_records, b=stats_records, c=stats_records)
-def test_memo_stats_merge_is_associative(a, b, c):
-    import copy
-
-    left = MemoStats.merge(
-        [MemoStats.merge([copy.copy(a), copy.copy(b)]), copy.copy(c)]
-    )
-    right = MemoStats.merge(
-        [copy.copy(a), MemoStats.merge([copy.copy(b), copy.copy(c)])]
-    )
-    assert left == right
-
-
-def test_memo_stats_absorb_returns_self_and_sums():
-    a = MemoStats(hits=2, misses=3)
-    out = a.absorb(MemoStats(hits=5, evictions=1))
-    assert out is a
-    assert a == MemoStats(hits=7, misses=3, evictions=1)
-
-
-# -- merge_counters ----------------------------------------------------------
-
-counter_dicts = st.dictionaries(
-    st.sampled_from(["memo.hits", "backend.dispatch_runs", "gc.dropped"]),
-    st.integers(0, 10_000).map(float),
-    max_size=3,
-)
-
-
-@given(st.lists(counter_dicts, min_size=0, max_size=6))
-def test_merge_counters_order_independent(parts):
-    merged = merge_counters(parts)
-    shuffled = list(parts)
-    random.Random(11).shuffle(shuffled)
-    assert merge_counters(shuffled) == merged
-    # Totals are plain sums per name.
-    for name, value in merged.items():
-        assert value == sum(part.get(name, 0) for part in parts)
-
-
-@given(a=counter_dicts, b=counter_dicts, c=counter_dicts)
-def test_merge_counters_associative(a, b, c):
-    assert merge_counters([merge_counters([a, b]), c]) == merge_counters(
-        [a, merge_counters([b, c])]
-    )
-
 
 # -- span-forest replay ------------------------------------------------------
 
