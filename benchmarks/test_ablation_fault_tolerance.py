@@ -41,10 +41,10 @@ def rerun_cost_after_wipe(replicas: int) -> tuple[float, int]:
         cache.on_machine_failure(machine.machine_id)
     tree.memo.entries.clear()
 
-    before = tree.meter.total()
+    before = tree.executor.telemetry.total()
     root = tree.advance([], 0)
     assert root.get("total") == sum(range(WINDOW))
-    return tree.meter.total() - before, cache.stats.fallback_reads
+    return tree.executor.telemetry.total() - before, cache.stats.fallback_reads
 
 
 def test_ablation_fault_tolerance(benchmark):

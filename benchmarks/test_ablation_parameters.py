@@ -76,10 +76,10 @@ def test_ablation_rebuild_factor(benchmark):
         tree = FoldingTree(SumCombiner(), rebuild_factor=rebuild_factor)
         tree.initial_run(_leaves(range(128)))
         tree.advance(_leaves([1], tag=1), removed=120)  # drastic shrink
-        before = tree.meter.total()
+        before = tree.executor.telemetry.total()
         for step in range(10):
             tree.advance(_leaves([step], tag=2 + step), removed=1)
-        per_slide = (tree.meter.total() - before) / 10
+        per_slide = (tree.executor.telemetry.total() - before) / 10
         return per_slide, tree.height
 
     plain_cost, plain_height = steady_state_cost(None)

@@ -52,11 +52,11 @@ def _leaves(values, tag=0):
 def tree_scenario_work(tree, remove_count: int) -> float:
     """Work of the shrink update plus follow-up slides on a bare tree."""
     tree.initial_run(_leaves(range(WINDOW)))
-    start = tree.meter.total()
+    start = tree.executor.telemetry.total()
     tree.advance(_leaves([1], tag=1), remove_count)
     for step in range(FOLLOW_UP_SLIDES):
         tree.advance(_leaves([step], tag=2 + step), 1)
-    return tree.meter.total() - start
+    return tree.executor.telemetry.total() - start
 
 
 def tree_level_speedup(remove_percent: int) -> tuple[float, float, float]:

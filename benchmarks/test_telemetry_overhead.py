@@ -35,7 +35,7 @@ def _drive(spec, telemetry) -> tuple[dict, float]:
         slider.advance(spec.make_splits(2, 17, offset), 2)
         offset += 2
     elapsed = time.perf_counter() - started
-    return dict(slider.meter.by_phase), elapsed
+    return dict(slider.telemetry.by_phase), elapsed
 
 
 def test_telemetry_overhead(apps, benchmark):

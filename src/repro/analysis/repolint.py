@@ -14,10 +14,10 @@ Four invariants are mechanical enough to lint:
 
 ``lint.bare-telemetry``
     ``Telemetry()`` constructed with no label creates an anonymous span
-    tree that cannot be told apart in traces; only designated entry-point
-    modules (the WorkMeter fallback and the telemetry package itself) may
-    do that.  Everything else must pass a label or accept an injected
-    backbone.
+    tree that cannot be told apart in traces; only the telemetry package
+    itself may do that.  Everything else — a standalone executor's or a
+    batch run's own recorder included — must pass a label or accept an
+    injected backbone.
 
 ``lint.layering``
     ``repro.core`` is the substrate every layer builds on: trees, memo
@@ -44,10 +44,7 @@ CALLER_SPAN_MARKER = "analysis: charge-in-caller-span"
 
 #: Module paths (relative to the package root) allowed to build Telemetry()
 #: without a label.
-BARE_TELEMETRY_ENTRY_POINTS = (
-    "metrics.py",
-    "telemetry/",
-)
+BARE_TELEMETRY_ENTRY_POINTS = ("telemetry/",)
 
 #: Functions implementing the charge verb itself are exempt from the rule.
 _CHARGE_IMPLEMENTATIONS = {"charge"}

@@ -23,8 +23,7 @@ from repro.common.errors import CombinerContractError
 from repro.core.execute import PlanExecutor
 from repro.core.memo import MemoTable
 from repro.core.partition import Partition, combine_partitions
-from repro.metrics import Phase, WorkMeter
-from repro.telemetry import SpanKind
+from repro.telemetry import Phase, SpanKind
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
     from repro.mapreduce.combiners import Combiner
@@ -48,7 +47,7 @@ class ContractionTree(ABC):
     """Base class: a per-reducer incremental combiner tree.
 
     Subclasses implement ``initial_run`` and ``advance``.  All combiner
-    work must flow through :meth:`_combine` so that work metering, memo
+    work must flow through :meth:`_combine` so that work accounting, memo
     I/O costs, and the invocation counters stay consistent across
     variants.
     """
@@ -64,10 +63,13 @@ class ContractionTree(ABC):
     #: child through (relative to a real merge's per-record cost of ~1).
     PASS_THROUGH_WEIGHT = 0.2
 
+    #: The process-local collaborators a tree is handed.  Every other
+    #: attribute is its :meth:`state`.
+    COLLABORATORS = ("executor", "memo")
+
     def __init__(
         self,
         combiner: Combiner,
-        meter: WorkMeter | None = None,
         memo: MemoTable | None = None,
         combine_cost_factor: float = 1.0,
         memo_read_cost: float = 0.01,
@@ -80,7 +82,6 @@ class ContractionTree(ABC):
                 "contraction trees require an associative combiner"
             )
         self.combiner = combiner
-        self.meter = meter if meter is not None else WorkMeter()
         self.memo = memo if memo is not None else MemoTable()
         self.combine_cost_factor = combine_cost_factor
         self.memo_read_cost = memo_read_cost
@@ -101,12 +102,10 @@ class ContractionTree(ABC):
         #: Keys held over all of ``_cache``: a plain int in the tree's own
         #: state, so it crosses the process seam and comes back with it.
         self._cache_keys = 0
-        #: The unified plan executor every sub-computation flows through.
-        #: The engine injects its shared executor; a standalone tree runs
-        #: on a private one over its own meter.
-        self.executor = (
-            executor if executor is not None else PlanExecutor(meter=self.meter)
-        )
+        #: The unified plan executor every sub-computation flows through,
+        #: and whose telemetry it charges.  The engine injects its shared
+        #: executor; a standalone tree runs on a private one.
+        self.executor = executor if executor is not None else PlanExecutor()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -144,6 +143,15 @@ class ContractionTree(ABC):
         uncacheable.
         """
         return None
+
+    def state(self) -> dict[str, Any]:
+        """The tree's own attributes, without its ``COLLABORATORS``:
+        what the process seam ships and the restore sweep verifies."""
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in self.COLLABORATORS
+        }
 
     # -- retained space ------------------------------------------------------
 
@@ -196,7 +204,7 @@ class ContractionTree(ABC):
         The per-level work table (:mod:`repro.telemetry.worktable`)
         aggregates these spans to check the asymptotic-analysis bounds.
         """
-        return self.meter.telemetry.span(
+        return self.executor.telemetry.span(
             f"{tree}:L{level}", SpanKind.TREE_LEVEL, tree=tree, level=level
         )
 
@@ -250,4 +258,4 @@ class ContractionTree(ABC):
         Charges no work; used by tests and invariant checks to confirm
         that incremental maintenance matches batch recomputation.
         """
-        return combine_partitions(self.window_leaves(), self.combiner, meter=None)
+        return combine_partitions(self.window_leaves(), self.combiner)

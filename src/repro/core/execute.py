@@ -9,7 +9,8 @@ there is, in the engine and in a worker:
 * consult the planner's memo table (plan-level cache edges become
   ``memo_read`` nodes on hit, ``combine`` + ``memo_write`` on miss);
 * run the combiner over the live inputs (or forward a pass-through);
-* charge the work meter, inside the step's telemetry task span;
+* charge the work to the executor's telemetry, inside the step's task
+  span;
 * log each executed node as one record of the run's
   :class:`~repro.core.taskgraph.RunLog` (:meth:`PlanExecutor.log_node`,
   the one place a run is recorded), the first one carrying the step.
@@ -35,8 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.partition import Partition, combine_partitions
 from repro.core.poison import PoisonContext
 from repro.core.taskgraph import RunLog, content_uids
-from repro.metrics import Phase, WorkMeter
-from repro.telemetry import SpanKind
+from repro.telemetry import Phase, SpanKind, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
     from repro.core.base import ContractionTree
@@ -69,8 +69,12 @@ class PlanExecutor:
     execute without being logged, exactly as the seed path behaved.
     """
 
-    def __init__(self, meter: WorkMeter | None = None) -> None:
-        self.meter = meter if meter is not None else WorkMeter()
+    def __init__(self, telemetry: Telemetry | None = None) -> None:
+        #: Where every step charges and opens its task span: the engine's
+        #: recorder, or a private one for a standalone tree.
+        self.telemetry = (
+            telemetry if telemetry is not None else Telemetry(label="executor")
+        )
         #: The open run's log (None outside a run).
         self.log: RunLog | None = None
         #: The reducer the nodes logged now are attributed to.
@@ -125,12 +129,12 @@ class PlanExecutor:
     def reducer_scope(self, reducer: int):
         """Attribute the enclosed work (and logged nodes) to ``reducer``.
 
-        The measured meter delta accumulates across scopes for the same
+        The measured work delta accumulates across scopes for the same
         reducer — a run opens one scope for the contraction pass and a
         second for the reduce pass — feeding the wave time model's
         per-reduce-task imbalance.
         """
-        before = self.meter.total()
+        before = self.telemetry.total()
         previous, self.reducer = self.reducer, reducer
         try:
             yield
@@ -138,7 +142,7 @@ class PlanExecutor:
             self.reducer = previous
             self._reducer_costs[reducer] = self._reducer_costs.get(
                 reducer, 0.0
-            ) + (self.meter.total() - before)
+            ) + (self.telemetry.total() - before)
 
     def record_map_cost(self, split_uid: int, cost: float) -> None:
         """Record the charged cost of one Map step's resolution."""
@@ -217,14 +221,14 @@ class PlanExecutor:
         """
         self.open_step("combine", node, phase, len(parts), memo_uid, cost_scale)
         recording = self.log is not None
-        meter = self.meter
-        with meter.telemetry.span(node or "combine", SpanKind.TASK):
+        telemetry = self.telemetry
+        with telemetry.span(node or "combine", SpanKind.TASK):
             if memo_uid is not None:
                 cached = tree.memo.lookup(memo_uid)
                 if cached is not None:
                     tree.stats.combiner_reuses += 1
                     if tree.memo_read_cost:
-                        meter.charge(Phase.MEMO_READ, tree.memo_read_cost)
+                        telemetry.charge(Phase.MEMO_READ, tree.memo_read_cost)
                     if recording:
                         self.log_node(
                             "memo_read", Phase.MEMO_READ,
@@ -245,18 +249,18 @@ class PlanExecutor:
                     0.5 * tree.invocation_overhead
                     + tree.PASS_THROUGH_WEIGHT * value.record_weight(tree.combiner)
                 )
-                meter.charge(phase, charge)
+                telemetry.charge(phase, charge)
                 if recording:
                     self.log_node(
                         "pass_through", phase, node, charge, float(len(value)),
                         consumed=content_uids(parts), produced=(value.uid,),
                     )
                 return value
-            before = meter.by_phase.get(phase, 0.0) if recording else 0.0
+            before = telemetry.by_phase.get(phase, 0.0) if recording else 0.0
             result = combine_partitions(
                 parts,
                 tree.combiner,
-                meter=meter,
+                telemetry=telemetry,
                 phase=phase,
                 cost_factor=tree.combine_cost_factor * cost_scale,
                 invocation_overhead=tree.invocation_overhead * cost_scale,
@@ -269,14 +273,14 @@ class PlanExecutor:
             if recording:
                 self.log_node(
                     "combine", phase, node,
-                    meter.by_phase.get(phase, 0.0) - before, float(len(result)),
+                    telemetry.by_phase.get(phase, 0.0) - before, float(len(result)),
                     memo_uid=memo_uid, consumed=content_uids(parts),
                     produced=(result.uid,) if result else (),
                 )
             if memo_uid is not None:
                 tree.memo.store(memo_uid, result)
                 if tree.memo_write_cost:
-                    meter.charge(Phase.MEMO_WRITE, tree.memo_write_cost)
+                    telemetry.charge(Phase.MEMO_WRITE, tree.memo_write_cost)
                     if recording:
                         self.log_node(
                             "memo_write", Phase.MEMO_WRITE,
@@ -291,8 +295,8 @@ class PlanExecutor:
         """Plan and charge a memoized result moving through the tree —
         the strawman's per-node visit cost on positional reuse."""
         self.open_step("visit", node, Phase.MEMO_READ)
-        with self.meter.telemetry.span(node or "memo-visit", SpanKind.TASK):
-            self.meter.charge(Phase.MEMO_READ, cost)
+        with self.telemetry.span(node or "memo-visit", SpanKind.TASK):
+            self.telemetry.charge(Phase.MEMO_READ, cost)
             if self.log is not None:
                 self.log_node(
                     "memo_read", Phase.MEMO_READ, node, cost,

@@ -7,10 +7,11 @@ backend's reducer-ordered merge loop gives a deterministic receive order
 without any sequencing metadata.
 
 What crosses the seam.  A payload (:func:`build_payload`) is the tree's
-``__dict__`` minus its process-local collaborators (meter, memo table,
-executor) and the slide's new leaves; a reply is the advanced state, the
-root and what the worker's run logged — the charges, counters and spans
-its :class:`~repro.telemetry.merge.CaptureTelemetry` captured and the one
+:meth:`~repro.core.base.ContractionTree.state` — everything but its two
+process-local collaborators, ``memo`` and ``executor`` — and the slide's
+new leaves; a reply is the advanced state, the root and what the worker's
+run logged — the charges, counters and spans its
+:class:`~repro.telemetry.merge.CaptureTelemetry` captured and the one
 list of its run's log records, each in order, for the parent to take
 into its own run, which keeps the merged run bit-identical to an
 in-process one (see :mod:`repro.telemetry.merge`).  A worker runs the
@@ -18,8 +19,9 @@ advance the way the engine would have: it opens its own plan steps.
 Containers and scalars are always sent; one of the scalars is the tree's count
 of the keys its node cache holds (``_cache_keys``), so whichever process
 ran the advance kept it, and the cache itself stays a plain ``dict`` the
-walker below recognises.  A partition is sent only when the
-receiver does not hold it: each worker keeps, per reducer it serves, a
+walker (:func:`~repro.core.partition.map_partitions`, the restore sweep's
+too) recognises.  A partition is sent only when the receiver does not
+hold it: each worker keeps, per reducer it serves, a
 ``uid -> Partition`` table of exactly the partitions in the state it
 last returned, the parent keeps the matching table, and
 :func:`encode_refs` marks the place of a partition that *is* the
@@ -48,8 +50,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.execute import PlanExecutor
 from repro.core.memo import MemoTable
-from repro.core.partition import Partition
-from repro.metrics import WorkMeter
+from repro.core.partition import Partition, map_partitions
 from repro.telemetry.merge import CaptureTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
@@ -58,11 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
 _SHUTDOWN = b"\x00shutdown\x00"
 #: Asks a worker how many partitions it holds per reducer (tests only).
 _HELD_SIZES = b"\x00held\x00"
-
-#: Tree attributes that are process-local collaborators, rebuilt worker-
-#: side, never shipped.  ``combiner`` ships out (the worker needs it) but
-#: never back (the parent keeps its own instance).
-_LOCAL_ATTRS = ("meter", "memo", "executor")
 
 
 class HeldPartition:
@@ -84,27 +80,6 @@ def held_table() -> Held:
     """A new table: every process holds the shared empty partition."""
     empty = Partition.empty()
     return {empty.uid: empty}
-
-
-def _map_partitions(value: Any, leaf: Any) -> Any:
-    """A copy of ``value`` with ``leaf`` applied to each partition (or
-    mark) in it, in a fixed order.
-
-    Tree state nests partitions in ``list`` / ``tuple`` / ``dict`` values
-    (``_bucket_leaves``, ``_pending``, the strawman's cache triples) next
-    to ints and ``None``; anything else is returned as it is, and so
-    crosses by value.
-    """
-    kind = type(value)
-    if kind is Partition or value is HeldPartition:
-        return leaf(value)
-    if kind is list:
-        return [_map_partitions(item, leaf) for item in value]
-    if kind is tuple:
-        return tuple(_map_partitions(item, leaf) for item in value)
-    if kind is dict:
-        return {key: _map_partitions(item, leaf) for key, item in value.items()}
-    return value
 
 
 def encode_refs(value: Any, held: Held, sent: Held) -> tuple[Any, int, int]:
@@ -130,7 +105,7 @@ def encode_refs(value: Any, held: Held, sent: Held) -> tuple[Any, int, int]:
         values += 1
         return partition
 
-    return (_map_partitions(value, leaf), uids), len(uids), values
+    return (map_partitions(value, leaf), uids), len(uids), values
 
 
 def decode_refs(coded: Any, held: Held, received: Held) -> tuple[Any, int, int]:
@@ -149,7 +124,7 @@ def decode_refs(coded: Any, held: Held, received: Held) -> tuple[Any, int, int]:
         received.setdefault(item.uid, item)
         return item
 
-    return _map_partitions(marked, leaf), len(uids), values
+    return map_partitions(marked, leaf, HeldPartition), len(uids), values
 
 
 def build_payload(
@@ -160,14 +135,9 @@ def build_payload(
     label: str,
 ) -> dict[str, Any]:
     """Everything one worker needs to run ``tree.advance`` remotely."""
-    state = {
-        key: value
-        for key, value in tree.__dict__.items()
-        if key not in _LOCAL_ATTRS
-    }
     return {
         "tree_class": type(tree),
-        "state": state,
+        "state": tree.state(),
         "reducer": reducer,
         "leaves": leaves,
         "removed": removed,
@@ -183,12 +153,10 @@ def _execute_payload(
     received = held_table()
     (tree_state, leaves), _, _ = decode_refs(payload["coded"], held, received)
     telemetry = CaptureTelemetry(label=payload["label"])
-    meter = WorkMeter(telemetry=telemetry)
-    executor = PlanExecutor(meter=meter)
+    executor = PlanExecutor(telemetry)
 
     tree: "ContractionTree" = object.__new__(payload["tree_class"])
     tree.__dict__.update(tree_state)
-    tree.meter = meter
     tree.executor = executor
     tree.memo = MemoTable()
 
@@ -198,11 +166,10 @@ def _execute_payload(
     root = tree.advance(leaves, payload["removed"])
     run = executor.end_run()
 
-    state = {
-        key: value
-        for key, value in tree.__dict__.items()
-        if key not in _LOCAL_ATTRS and key != "combiner"
-    }
+    # ``combiner`` ships out (the worker needs it) but never back (the
+    # parent keeps its own instance).
+    state = tree.state()
+    del state["combiner"]
     returned = held_table()
     coded, _, _ = encode_refs((state, root), received, returned)
     return {

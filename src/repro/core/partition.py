@@ -2,11 +2,12 @@
 
 A Partition maps keys to combined values.  Combining two partitions applies
 the job's Combiner per key; the work charged is the combiner's declared merge
-cost, scaled by the job's combine cost factor.  Charges go through the
-meter's :class:`~repro.telemetry.Telemetry` backbone, so they attribute to
-every open span (run, window update, phase, tree level, task) at once.
-Partitions carry a stable content id so identical results share memo
-entries.
+cost, scaled by the job's combine cost factor.  Charges go to the caller's
+:class:`~repro.telemetry.Telemetry`, so they attribute to every open span
+(run, window update, phase, tree level, task) at once.  Partitions carry a
+stable content id so identical results share memo entries.
+:func:`map_partitions` is the one walk over the partitions a tree's state
+nests, for the process seam and the restore sweep alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.common.hashing import content_id, entry_hash, entry_hash_encoded
 from repro.common.hashing import entry_hasher, stable_hash, xor_entry_hashes
-from repro.metrics import Phase, WorkMeter
+from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
     from repro.mapreduce.combiners import Combiner
@@ -178,10 +179,38 @@ def combined_uid(
 _EMPTY = Partition({}, uid=content_id("empty-partition"))
 
 
+_NO_MARK = object()
+
+
+def map_partitions(
+    value: Any, leaf: Callable[[Any], Any], mark: Any = _NO_MARK
+) -> Any:
+    """A copy of ``value`` with ``leaf`` applied to each partition (or
+    ``mark``) in it, in a fixed order.
+
+    Tree state nests partitions in ``list`` / ``tuple`` / ``dict`` values
+    (``_bucket_leaves``, ``_pending``, the strawman's cache triples) next
+    to ints and ``None``; anything else is returned as it is.  ``mark`` is
+    the process seam's stand-in for a partition the receiver holds.
+    """
+    kind = type(value)
+    if kind is Partition or value is mark:
+        return leaf(value)
+    if kind is list:
+        return [map_partitions(item, leaf, mark) for item in value]
+    if kind is tuple:
+        return tuple(map_partitions(item, leaf, mark) for item in value)
+    if kind is dict:
+        return {
+            key: map_partitions(item, leaf, mark) for key, item in value.items()
+        }
+    return value
+
+
 def combine_partitions(  # analysis: charge-in-caller-span (tree task span)
     partitions: Sequence[Partition],
     combiner: Combiner,
-    meter: WorkMeter | None = None,
+    telemetry: Telemetry | None = None,
     phase: Phase = Phase.CONTRACTION,
     cost_factor: float = 1.0,
     invocation_overhead: float = 0.0,
@@ -225,6 +254,6 @@ def combine_partitions(  # analysis: charge-in-caller-span (tree task span)
                     continue
                 entries[key] = value
             cost += combiner.merge_cost(key, values)
-    if meter is not None:
-        meter.charge(phase, cost * cost_factor + invocation_overhead)
+    if telemetry is not None:
+        telemetry.charge(phase, cost * cost_factor + invocation_overhead)
     return Partition(entries, uid=combined_uid(non_empty, merged_lists, entries))

@@ -10,9 +10,9 @@ carries that step's plan atoms.  The log is the run's only recording;
 the :class:`TaskGraph` (here) and the :class:`~repro.core.plan.Plan` are
 two read-only views of it, each built the first time somebody reads it.
 
-The graph is a pure *observation*: it charges nothing to the
-:class:`~repro.metrics.WorkMeter`, and its per-phase totals are asserted
-(in tests) to equal the metering.  Its edges are wired through the
+The graph is a pure *observation*: it charges nothing to the run's
+:class:`~repro.telemetry.Telemetry`, and its per-phase totals are asserted
+(in tests) to equal what was charged there.  Its edges are wired through the
 content ids of the :class:`~repro.core.partition.Partition` values that
 flow between nodes.  Nothing under ``src/`` reads a graph: its readers
 are the equivalence oracle (``tests/oracle``, node by node across
@@ -180,7 +180,7 @@ class TaskGraph:
         return len(self.log.records) - self.log.heads
 
     def work_by_phase(self) -> dict[Phase, float]:
-        """Per-phase work totals derived from the graph (the WorkMeter view)."""
+        """Per-phase work totals derived from the graph (``by_phase``'s view)."""
         totals: dict[Phase, float] = {}
         for node in self.nodes:
             totals[node.phase] = totals.get(node.phase, 0.0) + node.cost

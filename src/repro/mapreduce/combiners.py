@@ -4,9 +4,9 @@ A :class:`Combiner` merges the values emitted for a single key.  Contraction
 trees (§2.2) are built from recursive Combiner applications, which requires
 **associativity**; rotating trees (§4.1) additionally require
 **commutativity**.  Every combiner declares its properties so trees can
-validate jobs up front, and exposes a cost hook so the WorkMeter — a view
-over the :mod:`repro.telemetry` backbone — charges realistic per-merge work
-to every span open at the merge site.
+validate jobs up front, and exposes a cost hook so realistic per-merge work
+is charged to the caller's :mod:`repro.telemetry` recorder, on every span
+open at the merge site.
 
 Values flow in *combined form* end to end: the Map function emits values of
 the same type the combiner produces (e.g. a count of ``1``), so a leaf value

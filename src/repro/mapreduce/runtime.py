@@ -15,8 +15,7 @@ from repro.core.partition import Partition, combine_partitions
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.shuffle import HashPartitioner, run_map_task, shuffle_map_outputs
 from repro.mapreduce.types import Split
-from repro.metrics import Phase, WorkMeter
-from repro.telemetry import SpanKind, Telemetry
+from repro.telemetry import Phase, SpanKind, Telemetry
 
 
 @dataclass
@@ -37,12 +36,13 @@ class JobResult:
     """Everything a job run produces: outputs, metrics, and the task graph."""
 
     outputs: dict[Any, Any]
-    meter: WorkMeter
+    #: The run's own recorder: every charge of the run, and its spans.
+    telemetry: Telemetry
     tasks: list[TaskRecord] = field(default_factory=list)
 
     @property
     def work(self) -> float:
-        return self.meter.total()
+        return self.telemetry.total()
 
 
 class BatchRuntime:
@@ -54,27 +54,26 @@ class BatchRuntime:
         self.job = job
         self.partitioner = HashPartitioner(job.num_reducers)
         #: Long-lived telemetry backbone to graft each run's span tree
-        #: into.  Every ``run`` still accounts into its own fresh meter —
-        #: the seed behaviour, and what keeps its totals bit-identical —
+        #: into.  Every ``run`` still accounts into its own fresh recorder
+        #: — the seed behaviour, and what keeps its totals bit-identical —
         #: and the finished tree is adopted here for the combined trace.
         self.telemetry = telemetry
 
     def run(self, splits: Sequence[Split], label: str = "batch") -> JobResult:
         """Execute the full job over ``splits`` from scratch."""
-        meter = WorkMeter()
-        scope = meter.telemetry
+        scope = Telemetry(label=label)
         tasks: list[TaskRecord] = []
 
         with scope.span(label, SpanKind.WINDOW_UPDATE):
             map_outputs: list[list[Partition]] = []
             with scope.span("map", SpanKind.PHASE):
                 for split in splits:
-                    before = meter.total()
+                    before = scope.total()
                     partitions = run_map_task(
                         self.job,
                         split.records,
                         self.partitioner,
-                        meter,
+                        scope,
                         label=f"map:{split.label or split.uid}",
                     )
                     map_outputs.append(partitions)
@@ -82,7 +81,7 @@ class BatchRuntime:
                         TaskRecord(
                             kind="map",
                             label=f"map:{split.label or split.uid}",
-                            cost=meter.total() - before,
+                            cost=scope.total() - before,
                             input_bytes=float(len(split)),
                             split_uid=split.uid,
                         )
@@ -92,39 +91,39 @@ class BatchRuntime:
             outputs: dict[Any, Any] = {}
             with scope.span("reduce", SpanKind.PHASE):
                 for reducer_index, leaf_partitions in enumerate(per_reducer):
-                    before = meter.total()
+                    before = scope.total()
                     with scope.span(f"reduce:{reducer_index}", SpanKind.TASK):
                         merged = combine_partitions(
                             leaf_partitions,
                             self.job.combiner,
-                            meter=meter,
+                            telemetry=scope,
                             phase=Phase.REDUCE,
                             cost_factor=self.job.costs.combine_cost_factor,
                         )
-                        reduced = reduce_partition(self.job, merged, meter)
+                        reduced = reduce_partition(self.job, merged, scope)
                     outputs.update(reduced)
                     tasks.append(
                         TaskRecord(
                             kind="reduce",
                             label=f"reduce:{reducer_index}",
-                            cost=meter.total() - before,
+                            cost=scope.total() - before,
                             input_bytes=float(
                                 sum(len(p) for p in leaf_partitions)
                             ),
                         )
                     )
         if self.telemetry is not None:
-            self.telemetry.adopt(scope, name=label)
-        return JobResult(outputs=outputs, meter=meter, tasks=tasks)
+            self.telemetry.adopt(scope)
+        return JobResult(outputs=outputs, telemetry=scope, tasks=tasks)
 
 
 def reduce_partition(  # analysis: charge-in-caller-span (reduce-task span)
-    job: MapReduceJob, partition: Partition, meter: WorkMeter | None = None
+    job: MapReduceJob, partition: Partition, telemetry: Telemetry | None = None
 ) -> dict[Any, Any]:
     """Apply the Reduce function to every key of a combined partition."""
     outputs = {
         key: job.reduce_fn(key, value) for key, value in partition.items()
     }
-    if meter is not None:
-        meter.charge(Phase.REDUCE, len(partition) * job.costs.reduce_cost_per_key)
+    if telemetry is not None:
+        telemetry.charge(Phase.REDUCE, len(partition) * job.costs.reduce_cost_per_key)
     return outputs

@@ -15,8 +15,7 @@ from repro.common.hashing import encode_key, hash_encoded
 from repro.core.partition import Partition
 from repro.core.poison import PoisonContext
 from repro.mapreduce.job import MapReduceJob
-from repro.metrics import Phase, WorkMeter
-from repro.telemetry import SpanKind
+from repro.telemetry import Phase, SpanKind, Telemetry
 
 
 class HashPartitioner:
@@ -40,7 +39,7 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
     job: MapReduceJob,
     records: Iterable[Any],
     partitioner: HashPartitioner,
-    meter: WorkMeter | None = None,
+    telemetry: Telemetry | None = None,
     label: str = "",
     poison: PoisonContext | None = None,
 ) -> list[Partition]:
@@ -48,8 +47,8 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
 
     Returns one Partition per reducer (possibly empty).  Charges map work
     (per record, at the job's compute intensity) and shuffle work (per
-    emitted pair).  When metered, the whole task is wrapped in a TASK span
-    (named ``label`` if given) so its map/shuffle charges are attributed.
+    emitted pair) to ``telemetry``, if given, inside one TASK span around
+    the whole task (named ``label`` if given).
 
     The partitioner is asked once per distinct key, not per pair: keys equal
     as dict keys (``1``, ``1.0`` and ``True``) are one key to the task, as
@@ -68,8 +67,8 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
     records emit nothing but still pay their map cost (the attempts ran).
     """
     scope = (
-        meter.telemetry.span(label or "map-task", SpanKind.TASK)
-        if meter is not None
+        telemetry.span(label or "map-task", SpanKind.TASK)
+        if telemetry is not None
         else nullcontext()
     )
     with scope:
@@ -124,9 +123,9 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
                         values = routed[key] = buffer[key] = []
                     values.append(value)
 
-        if meter is not None:
-            meter.charge(Phase.MAP, record_count * job.costs.map_cost_per_record)
-            meter.charge(
+        if telemetry is not None:
+            telemetry.charge(Phase.MAP, record_count * job.costs.map_cost_per_record)
+            telemetry.charge(
                 Phase.SHUFFLE, pair_count * job.costs.shuffle_cost_per_pair
             )
 

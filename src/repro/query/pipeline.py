@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.common.hashing import stable_hash
+from repro.core.execute import PlanExecutor
 from repro.core.partition import Partition
 from repro.core.strawman import StrawmanTree
 from repro.mapreduce.runtime import BatchRuntime, reduce_partition
 from repro.mapreduce.shuffle import HashPartitioner, run_map_task
 from repro.mapreduce.types import Split
-from repro.metrics import Phase, RunReport, WorkMeter
+from repro.metrics import Phase, RunReport
 from repro.query.compiler import CompiledPlan, CompiledStage, compile_plan
 from repro.query.plan import Query, Row
 from repro.slider.system import Slider, SliderConfig
@@ -51,14 +52,17 @@ class StrawmanStageRunner:
             raise ValueError("num_buckets must be positive")
         self.stage = stage
         self.num_buckets = num_buckets
-        self.meter = WorkMeter()
+        #: The stage's own long-lived recorder (see
+        #: :class:`IncrementalQueryPipeline`), shared by its trees.
+        self.telemetry = Telemetry(label=f"stage{stage.index}")
         self.partitioner = HashPartitioner(stage.job.num_reducers)
         self._map_memo: dict[int, list[Partition]] = {}
+        executor = PlanExecutor(self.telemetry)
         self.trees: list[StrawmanTree] = [
             StrawmanTree(
                 stage.job.combiner,
-                meter=self.meter,
                 combine_cost_factor=stage.job.costs.combine_cost_factor,
+                executor=executor,
             )
             for _ in range(stage.job.num_reducers)
         ]
@@ -68,7 +72,7 @@ class StrawmanStageRunner:
     def run(self, rows: Sequence[Row]) -> tuple[dict[Any, Any], float]:
         """Execute the stage over the full current ``rows``; returns
         (outputs, work charged this run)."""
-        before = self.meter.total()
+        before = self.telemetry.total()
         splits = self._bucketize(rows)
         per_reducer = self._run_maps(splits)
 
@@ -79,11 +83,11 @@ class StrawmanStageRunner:
                 root = tree.initial_run(leaves)
             else:
                 root = tree.advance(leaves, removed=self._leaf_count)
-            outputs.update(reduce_partition(self.stage.job, root, self.meter))
+            outputs.update(reduce_partition(self.stage.job, root, self.telemetry))
         self._ran = True
         self._leaf_count = len(splits)
         self._collect_garbage(splits)
-        return outputs, self.meter.total() - before
+        return outputs, self.telemetry.total() - before
 
     def _bucketize(self, rows: Sequence[Row]) -> list[Split]:
         buckets: list[list[Row]] = [[] for _ in range(self.num_buckets)]
@@ -109,11 +113,11 @@ class StrawmanStageRunner:
             cached = self._map_memo.get(split.uid)
             if cached is None:
                 cached = run_map_task(
-                    self.stage.job, split.records, self.partitioner, self.meter
+                    self.stage.job, split.records, self.partitioner, self.telemetry
                 )
                 self._map_memo[split.uid] = cached
             else:
-                self.meter.charge(
+                self.telemetry.charge(
                     Phase.MEMO_READ,
                     self.stage.job.costs.memo_read_cost_per_key
                     * max(1, len(split)),
@@ -145,7 +149,7 @@ class IncrementalQueryPipeline:
         first_job = self.compiled.stages[0].job
         self.mode = mode
         #: The shared backbone: stage 1 (the Slider) accounts directly into
-        #: it, while later stages keep their own long-lived meters — their
+        #: it, while later stages keep their own long-lived recorders — their
         #: memo state spans runs, so folding their charges into the shared
         #: root would reorder float additions.  Instead each stage run is
         #: summarised as a closed PHASE span on a pipeline clock lane.

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import CorruptionError
 from repro.core.folding import FoldingTree
-from repro.core.partition import Partition
+from repro.core.partition import Partition, map_partitions
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
@@ -128,7 +128,7 @@ def inject_and_repair(
     if not victims:
         return {}
 
-    work_before = engine.meter.total()
+    work_before = engine.telemetry.total()
     with engine.telemetry.span(
         "repair", SpanKind.PHASE, reason="corruption", victims=len(victims)
     ):
@@ -144,7 +144,7 @@ def inject_and_repair(
     return {
         "corruptions_injected": float(len(victims)),
         "corruptions_repaired": float(repaired),
-        "corruption_repair_work": engine.meter.total() - work_before,
+        "corruption_repair_work": engine.telemetry.total() - work_before,
     }
 
 
@@ -210,16 +210,22 @@ def verify_restored(engine: "Slider") -> int:
     routes to one reducer), so a (key, value) pair of objects that several
     partitions hold is hashed once.  Every object is alive and unmodified
     for the whole walk, which is what makes an id name one content.
+    A tree's part is its whole
+    :meth:`~repro.core.base.ContractionTree.state`, walked by
+    the process seam's own :func:`~repro.core.partition.map_partitions`:
+    a field that holds a partition anywhere is verified, however nested.
     Returns the number of distinct partitions checked.
     """
     verified: set[int] = set()
     memo: dict[tuple[int, int], int] = {}
 
-    def check(partition: Partition, where: str) -> None:
+    def check(partition: Partition, where: str, slot: Any = None) -> None:
         if id(partition) in verified:
             return
         verified.add(id(partition))
         if not partition.verify_fingerprint(memo):
+            if slot is not None:
+                where = f"{where}[{slot}]"
             raise CorruptionError(
                 f"restored state failed fingerprint verification at "
                 f"{where}: entries diverged from recorded uid "
@@ -233,21 +239,15 @@ def verify_restored(engine: "Slider") -> int:
             check(engine.map_memo[uid][index], f"map_memo[{uid:#x}][{index}]")
         for uid in sorted(tree.memo.entries):
             check(tree.memo.entries[uid], f"tree[{index}].memo[{uid:#x}]")
-        cache = getattr(tree, "_cache", None)
-        if isinstance(cache, dict):
-            for position in sorted(cache):
-                value = cache[position]
-                if isinstance(value, tuple):  # strawman (l, r, value) triple
-                    value = value[2]
-                check(value, f"tree[{index}].cache[{position}]")
-        for name in ("_buckets", "_leaves", "_slots"):
-            values = getattr(tree, name, None)
-            if isinstance(values, list):
-                for slot, value in enumerate(values):
-                    if isinstance(value, Partition):
-                        check(value, f"tree[{index}].{name}[{slot}]")
-        for name in ("_root", "_reduce_input", "_intermediate", "_pending_delta"):
-            value = getattr(tree, name, None)
-            if isinstance(value, Partition):
-                check(value, f"tree[{index}].{name}")
+        for name, value in tree.state().items():
+            # The position cache is reported as ``cache``, as it always was.
+            where = f"tree[{index}].{'cache' if name == '_cache' else name}"
+            if type(value) is dict:
+                slots: Any = [(key, value[key]) for key in sorted(value)]
+            elif type(value) is list:
+                slots = enumerate(value)
+            else:
+                slots = [(None, value)]
+            for slot, item in slots:
+                map_partitions(item, lambda p: check(p, where, slot))
     return len(verified)

@@ -14,7 +14,7 @@ Telemetry is captured separately (it is plain floats, not aliased): the
 root span's per-phase work dict is recorded as an *ordered* list and
 replayed one lump charge per phase in original insertion order.  Dict
 insertion order drives downstream float summation
-(``WorkMeter.total()``), so both the values and the order must survive —
+(``Telemetry.total()``), so both the values and the order must survive —
 a lump charge of the exact prior total reproduces both.
 """
 

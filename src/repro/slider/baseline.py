@@ -93,7 +93,10 @@ class VanillaRunner:
             work=work,
             time=time,
             space=0.0,
-            breakdown=job_result.meter.snapshot(),
+            breakdown={
+                phase.value: amount
+                for phase, amount in job_result.telemetry.by_phase.items()
+            },
         )
         result = SliderResult(
             outputs=job_result.outputs,

@@ -206,7 +206,6 @@ class RunPlanner:
             capacity=engine.config.memo_budget,
         )
         common = dict(
-            meter=engine.meter,
             memo=memo,
             combine_cost_factor=engine.job.costs.combine_cost_factor,
             memo_read_cost=engine.job.costs.memo_read_cost_per_key,
@@ -262,7 +261,7 @@ class RunPlanner:
         """
         engine = self.engine
         executor = engine.executor
-        meter = engine.meter
+        telemetry = engine.telemetry
         if engine.blocks is not None:
             engine.blocks.store_all(splits)
         reused = sum(1 for s in splits if s.uid in engine.map_memo)
@@ -274,7 +273,7 @@ class RunPlanner:
                 read_cost = engine.job.costs.memo_read_cost_per_key * max(
                     1, len(split)
                 )
-                meter.charge(Phase.MEMO_READ, read_cost)
+                telemetry.charge(Phase.MEMO_READ, read_cost)
                 outputs = engine.map_memo[uid]
                 executor.log_node(
                     "memo_read", Phase.MEMO_READ, f"map-memo:{uid:#x}",
@@ -283,28 +282,28 @@ class RunPlanner:
                 )
                 executor.record_map_cost(uid, 0.0)
                 continue
-            before = meter.total()
-            map_before = meter.by_phase.get(Phase.MAP, 0.0)
-            shuffle_before = meter.by_phase.get(Phase.SHUFFLE, 0.0)
+            before = telemetry.total()
+            map_before = telemetry.by_phase.get(Phase.MAP, 0.0)
+            shuffle_before = telemetry.by_phase.get(Phase.SHUFFLE, 0.0)
             outputs = engine.map_memo[uid] = run_map_task(
                 engine.job,
                 split.records,
                 engine.partitioner,
-                meter,
+                telemetry,
                 label=label,
                 poison=executor.poison,
             )
             keys = sum(len(p) for p in outputs)
             engine.map_keys += keys
-            executor.record_map_cost(uid, meter.total() - before)
+            executor.record_map_cost(uid, telemetry.total() - before)
             # A map node, then the shuffle that routed its emissions: the
             # per-reducer outputs are produced by the chain's tail.
             produced = content_uids(outputs)
-            shuffle_cost = meter.by_phase.get(Phase.SHUFFLE, 0.0) - shuffle_before
+            shuffle_cost = telemetry.by_phase.get(Phase.SHUFFLE, 0.0) - shuffle_before
             chained = shuffle_cost > 0
             executor.log_node(
                 "map", Phase.MAP, label,
-                meter.by_phase.get(Phase.MAP, 0.0) - map_before, float(keys),
+                telemetry.by_phase.get(Phase.MAP, 0.0) - map_before, float(keys),
                 False, uid, produced=() if chained else produced,
             )
             if chained:
@@ -392,7 +391,7 @@ class RunPlanner:
         engine = self.engine
         executor = engine.executor
         log_node = executor.log_node
-        meter = engine.meter
+        telemetry = engine.telemetry
         outputs = engine.reduce_outputs
         reduce_fn = engine.job.reduce_fn
         read_cost = engine.job.costs.memo_read_cost_per_key
@@ -435,9 +434,9 @@ class RunPlanner:
                     )
                 unchanged = len(entries) - changed
                 if changed:
-                    meter.charge(Phase.REDUCE, changed * reduce_cost)
+                    telemetry.charge(Phase.REDUCE, changed * reduce_cost)
                 if unchanged:
-                    meter.charge(Phase.MEMO_READ, unchanged * read_cost)
+                    telemetry.charge(Phase.MEMO_READ, unchanged * read_cost)
                     log_node(
                         "memo_read", Phase.MEMO_READ,
                         f"reduce-memo:{reducer_index}:{unchanged}keys",

@@ -43,7 +43,7 @@ from repro.core.taskgraph import TaskGraph
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.shuffle import HashPartitioner
 from repro.mapreduce.types import Split, SplitWindow
-from repro.metrics import Phase, RunReport, WorkMeter
+from repro.metrics import Phase, RunReport
 from repro.slider.config import TREE_VARIANTS, SliderConfig
 from repro.slider.execution import TimeSimulator
 from repro.slider.lifecycle import LifecycleManager
@@ -133,12 +133,11 @@ class Slider:
             if telemetry is not None
             else Telemetry(label=f"slider:{job.name}", keep_last=ENGINE_KEEP_LAST)
         )
-        self.meter = WorkMeter(telemetry=self.telemetry)
         self.window = SplitWindow()
         #: The unified plan executor: every sub-computation of every run —
         #: the engine's map/reduce passes and all tree combines — resolves
         #: here, and each run is logged here.
-        self.executor = PlanExecutor(meter=self.meter)
+        self.executor = PlanExecutor(self.telemetry)
         #: Dead-letter channel for poison records/keys (graceful
         #: degradation); None unless the config sets a poison policy.
         self.dead_letters: DeadLetterQueue | None = None
@@ -286,13 +285,13 @@ class Slider:
         split-processing mode.
         """
         self._check_open()
-        before = self.meter.by_phase.get(Phase.BACKGROUND, 0.0)
+        before = self.telemetry.by_phase.get(Phase.BACKGROUND, 0.0)
         with self.telemetry.span("background", SpanKind.PHASE):
             for tree in self.trees:
                 preprocess = getattr(tree, "background_preprocess", None)
                 if preprocess is not None:
                     preprocess()
-        return self.meter.by_phase.get(Phase.BACKGROUND, 0.0) - before
+        return self.telemetry.by_phase.get(Phase.BACKGROUND, 0.0) - before
 
     # -- run assembly ---------------------------------------------------------
 

@@ -2,14 +2,15 @@
 
 The paper's evaluation rests on two measures — *work* (sum of task active
 times, §7.1) and *time* (simulated makespan) — which this repo previously
-computed in three disconnected subsystems: ``WorkMeter`` phase charges, the
+computed in three disconnected subsystems: a flat per-phase accumulator, the
 task-graph IR's node costs, and the executor's attempt timeline.  This
 module unifies them: every run grows a single hierarchical span tree
 
     run → window-update → phase → tree-level → task / attempt
 
-and all accounting flows through it.  ``WorkMeter`` survives as a thin
-compatibility view over :attr:`Telemetry.by_phase`.
+and all accounting flows through it: a caller charges, opens spans on and
+reads :attr:`Telemetry.by_phase` / :meth:`Telemetry.total` off the one
+:class:`Telemetry` it holds.
 
 Bit-identity contract
 ---------------------
@@ -237,7 +238,7 @@ class Telemetry:
         """Graft another telemetry's finished tree under the current span.
 
         Lets a scoped accounting domain (e.g. one ``BatchRuntime.run``,
-        which must keep its own fresh meter for bit-identity) contribute
+        which must keep its own fresh recorder for bit-identity) contribute
         its spans to a long-lived trace without re-charging its work into
         this tree's totals.
         """
@@ -322,8 +323,12 @@ class Telemetry:
 
     @property
     def by_phase(self) -> dict[Phase, float]:
-        """Inclusive per-phase totals — the seed ``WorkMeter.by_phase``."""
+        """Inclusive per-phase totals — the seed's flat accumulator."""
         return self.root.work
+
+    def total(self) -> float:
+        """Total work across all phases (the sum of :attr:`by_phase`)."""
+        return sum(self.root.work.values())
 
     # -- counters and events ---------------------------------------------
     def count(self, name: str, delta: float = 1.0, ts: float | None = None) -> None:
@@ -422,8 +427,8 @@ _NULL_SPAN = _NullSpanContext()
 class NullTelemetry(Telemetry):
     """No-op recorder: seed-exact accounting, zero tracing.
 
-    Keeps only the flat root ``work`` dict (the seed ``WorkMeter``
-    behaviour); spans, counters, and events are discarded.  Used as the
+    Keeps only the flat root ``work`` dict (the seed's flat per-phase
+    accumulator); spans, counters, and events are discarded.  Used as the
     baseline in the telemetry-overhead benchmark and as an independent
     reference in the bit-identity equivalence tests.
     """

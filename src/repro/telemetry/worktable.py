@@ -1,8 +1,8 @@
 """Per-level work table: observe the asymptotic-analysis bounds directly.
 
 The *Asymptotic Analysis of Self-Adjusting Contraction Trees* report
-(PAPERS.md) proves per-level bounds that the flat ``WorkMeter`` could
-never witness: charges lost their tree-level structure the moment they
+(PAPERS.md) proves per-level bounds that a flat per-phase accumulator
+could never witness: charges lost their tree-level structure the moment they
 hit ``by_phase``.  The telemetry backbone keeps that structure — tree
 variants open a ``TREE_LEVEL`` span around each level's contraction
 sweep — and this module aggregates those spans into a compact table:

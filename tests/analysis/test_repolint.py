@@ -123,14 +123,17 @@ def test_labeled_telemetry_is_clean(tmp_path):
 
 
 def test_entry_point_may_build_bare_telemetry(tmp_path):
+    """Only the telemetry package itself: a standalone executor's and a
+    batch run's own recorders carry labels."""
     source = """
         from repro.telemetry import Telemetry
 
         def fallback():
             return Telemetry()
         """
-    assert lint_source(tmp_path, source, name="metrics.py") == []
     assert lint_source(tmp_path, source, name="telemetry/core.py") == []
+    findings = lint_source(tmp_path, source, name="metrics.py")
+    assert rules_of(findings) == ["lint.bare-telemetry"]
 
 
 def test_core_importing_slider_fires(tmp_path):

@@ -20,9 +20,10 @@ from repro.apps.registry import APP_REGISTRY
 from repro.core.poison import DeadLetterQueue, PoisonContext, PoisonPolicy
 from repro.datagen.points import PointGenerator
 from repro.mapreduce.shuffle import HashPartitioner, run_map_task
-from repro.metrics import Phase, WorkMeter
+from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
+from repro.telemetry import Telemetry
 from tests.conftest import profile_calls
 from tests.oracle.fleet import VARIANTS
 
@@ -140,12 +141,12 @@ def test_ragged_centroids_are_rejected():
 
 
 def map_task(job, records, poison=None):
-    meter = WorkMeter()
+    telemetry = Telemetry(label="twin")
     partitions = run_map_task(
-        job, records, HashPartitioner(job.num_reducers), meter, "twin", poison
+        job, records, HashPartitioner(job.num_reducers), telemetry, "twin", poison
     )
-    spans = [(span.name, span.kind) for span in meter.telemetry.iter_spans()]
-    return partitions, dict(meter.by_phase), spans
+    spans = [(span.name, span.kind) for span in telemetry.iter_spans()]
+    return partitions, dict(telemetry.by_phase), spans
 
 
 def test_run_map_task_twins_on_the_registry_stream():
@@ -170,7 +171,7 @@ def test_slider_twins(variant, mode):
         runs.append(
             (
                 [(r.outputs, r.report.work, r.report.breakdown) for r in results],
-                {p: w.hex() for p, w in slider.meter.by_phase.items()},
+                {p: w.hex() for p, w in slider.telemetry.by_phase.items()},
                 [[p.uid for p in slider.map_memo[s.uid]] for s in slider.window],
             )
         )
@@ -232,13 +233,13 @@ def test_a_separated_split_never_reaches_the_scalar_fallback():
     records = tuple(PointGenerator(seed=3, dimensions=50, clusters=8).points(200))
     partitioner = HashPartitioner(job.num_reducers)
     events, scalar = profile_events(
-        lambda: run_map_task(job, records, partitioner, WorkMeter(), "gate")
+        lambda: run_map_task(job, records, partitioner, Telemetry(), "gate")
     )
     assert scalar == 0
     assert events <= 20 * len(records), events / len(records)
 
     loop_events, loop_scalar = profile_events(
-        lambda: run_map_task(stripped(job), records, partitioner, WorkMeter(), "gate")
+        lambda: run_map_task(stripped(job), records, partitioner, Telemetry(), "gate")
     )
     assert loop_scalar == len(records)
     assert loop_events >= 400 * len(records)

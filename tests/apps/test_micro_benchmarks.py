@@ -9,6 +9,7 @@ from repro.apps.matrix import matrix_job
 from repro.apps.registry import APP_REGISTRY, micro_benchmark_apps
 from repro.apps.substr import substr_job
 from repro.mapreduce.runtime import BatchRuntime
+from repro.metrics import Phase
 from repro.slider.system import Slider
 from repro.slider.window import WindowMode
 
@@ -124,8 +125,8 @@ def test_kmeans_map_dominates_work():
     spec = APP_REGISTRY["kmeans"]
     job = spec.make_job()
     result = BatchRuntime(job).run(spec.make_splits(4, 3, 0))
-    breakdown = result.meter.snapshot()
-    assert breakdown["map"] > 0.9 * result.work
+    breakdown = result.telemetry.by_phase
+    assert breakdown[Phase.MAP] > 0.9 * result.work
 
 
 def test_hct_reduce_side_is_substantial():
@@ -133,5 +134,5 @@ def test_hct_reduce_side_is_substantial():
     spec = APP_REGISTRY["hct"]
     job = spec.make_job()
     result = BatchRuntime(job).run(spec.make_splits(6, 3, 0))
-    breakdown = result.meter.snapshot()
-    assert breakdown["map"] < 0.7 * result.work
+    breakdown = result.telemetry.by_phase
+    assert breakdown[Phase.MAP] < 0.7 * result.work

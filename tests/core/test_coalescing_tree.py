@@ -52,9 +52,10 @@ def test_split_mode_defers_root_combine_to_background():
     tree.initial_run(leaf_seq([1, 2, 3]))
     root = tree.advance(leaf_seq([10]), 0)
     assert root_total(root) == 16
-    assert tree.meter.by_phase.get(Phase.BACKGROUND, 0.0) == 0.0
+    by_phase = tree.executor.telemetry.by_phase
+    assert by_phase.get(Phase.BACKGROUND, 0.0) == 0.0
     tree.background_preprocess()
-    assert tree.meter.by_phase.get(Phase.BACKGROUND, 0.0) > 0
+    assert by_phase.get(Phase.BACKGROUND, 0.0) > 0
 
 
 def test_split_mode_correct_without_background():

@@ -39,11 +39,9 @@ def _leaf(tag: int) -> Partition:
 def _state(tree) -> dict:
     """What a payload carries of a tree (the combiner is left out: it
     has no value equality)."""
-    return {
-        key: value
-        for key, value in vars(tree).items()
-        if key not in parallel._LOCAL_ATTRS and key != "combiner"
-    }
+    state = tree.state()
+    del state["combiner"]
+    return state
 
 
 def _assert_same(sent, got, path="state"):

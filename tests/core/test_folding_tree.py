@@ -147,11 +147,11 @@ def test_incremental_work_less_than_rebuild_for_small_delta():
     big = [Partition({"total": v}) for v in range(256)]
     tree = make_tree()
     tree.initial_run(big)
-    initial_work = tree.meter.total()
+    initial_work = tree.executor.telemetry.total()
 
-    before = tree.meter.total()
+    before = tree.executor.telemetry.total()
     tree.advance([Partition({"total": 999})], removed=1)
-    delta_work = tree.meter.total() - before
+    delta_work = tree.executor.telemetry.total() - before
     # One slide should cost a tiny fraction of building the whole tree.
     assert delta_work < initial_work / 8
 

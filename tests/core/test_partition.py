@@ -8,7 +8,8 @@ from repro.mapreduce.combiners import (
     SetUnionCombiner,
     SumCombiner,
 )
-from repro.metrics import Phase, WorkMeter
+from repro.metrics import Phase
+from repro.telemetry import Telemetry
 
 
 def test_empty_partition_is_falsy():
@@ -60,19 +61,19 @@ def test_combine_of_nothing_is_empty():
 
 
 def test_combine_charges_meter():
-    meter = WorkMeter()
+    telemetry = Telemetry(label="t")
     a = Partition({"x": 1, "y": 1})
     b = Partition({"x": 1})
-    combine_partitions([a, b], SumCombiner(), meter=meter)
-    assert meter.by_phase[Phase.CONTRACTION] > 0
+    combine_partitions([a, b], SumCombiner(), telemetry=telemetry)
+    assert telemetry.by_phase[Phase.CONTRACTION] > 0
 
 
 def test_combine_cost_factor_scales_work():
     a = Partition({"x": 1})
     b = Partition({"x": 2})
-    plain, scaled = WorkMeter(), WorkMeter()
-    combine_partitions([a, b], SumCombiner(), meter=plain)
-    combine_partitions([a, b], SumCombiner(), meter=scaled, cost_factor=3.0)
+    plain, scaled = Telemetry(label="plain"), Telemetry(label="scaled")
+    combine_partitions([a, b], SumCombiner(), telemetry=plain)
+    combine_partitions([a, b], SumCombiner(), telemetry=scaled, cost_factor=3.0)
     assert scaled.total() == pytest.approx(3.0 * plain.total())
 
 

@@ -91,20 +91,22 @@ def test_split_mode_foreground_uses_precomputed_intermediate():
     tree = make_tree(bucket_size=2, split_mode=True)
     tree.initial_run(leaf_seq([1, 2, 3, 4, 5, 6, 7, 8]))
     tree.background_preprocess()
-    bg_work = tree.meter.by_phase.get(Phase.BACKGROUND, 0.0)
+    telemetry = tree.executor.telemetry
+    bg_work = telemetry.by_phase.get(Phase.BACKGROUND, 0.0)
     assert bg_work > 0
 
-    fg_before = tree.meter.foreground_total()
+    fg_before = telemetry.total()
     root = tree.advance(leaf_seq([10, 20]), removed=2)
-    fg_work = tree.meter.foreground_total() - fg_before
+    fg_work = telemetry.total() - fg_before
+    assert telemetry.by_phase[Phase.BACKGROUND] == bg_work
     assert root_total(root) == 3 + 4 + 5 + 6 + 7 + 8 + 10 + 20
 
     # Foreground with split processing beats the unsplit update path.
     unsplit = make_tree(bucket_size=2)
     unsplit.initial_run(leaf_seq([1, 2, 3, 4, 5, 6, 7, 8]))
-    base_before = unsplit.meter.total()
+    base_before = unsplit.executor.telemetry.total()
     unsplit.advance(leaf_seq([10, 20]), removed=2)
-    unsplit_work = unsplit.meter.total() - base_before
+    unsplit_work = unsplit.executor.telemetry.total() - base_before
     assert fg_work < unsplit_work
 
 

@@ -124,8 +124,8 @@ def test_records_cross_the_process_seam_in_reducer_order(case):
     and a run in which reducer 0 falls back in-process after a worker
     error while reducer 1's records come from its worker.  The reference
     stays in process and differs only in the last bits of a combine's
-    cost (a meter delta, which a worker takes from a meter that starts at
-    zero); its plans, which hold no cost, are equal exactly.
+    cost (a work delta, which a worker takes from a recorder that starts
+    at zero); its plans, which hold no cost, are equal exactly.
     """
     with Fleet(case, arms=("reference", "process")) as fleet:
         engine = fleet.engines["process"]

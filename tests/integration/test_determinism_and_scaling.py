@@ -61,9 +61,9 @@ def test_folding_update_cost_grows_sublinearly():
     for size in (64, 256, 1024):
         tree = FoldingTree(SumCombiner())
         tree.initial_run(_aggregating_leaves(size))
-        before = tree.meter.total()
+        before = tree.executor.telemetry.total()
         tree.advance([Partition({"total": size + 1})], removed=1)
-        costs[size] = tree.meter.total() - before
+        costs[size] = tree.executor.telemetry.total() - before
     # 16x window -> far less than 16x cost (log-ish growth).
     assert costs[1024] < 4.0 * costs[64]
 
@@ -73,9 +73,9 @@ def test_rotating_update_cost_grows_sublinearly():
     for size in (64, 256, 1024):
         tree = RotatingTree(SumCombiner(), bucket_size=1)
         tree.initial_run(_aggregating_leaves(size))
-        before = tree.meter.total()
+        before = tree.executor.telemetry.total()
         tree.advance([Partition({"total": size + 1})], removed=1)
-        costs[size] = tree.meter.total() - before
+        costs[size] = tree.executor.telemetry.total() - before
     assert costs[1024] < 4.0 * costs[64]
 
 

@@ -1,7 +1,7 @@
 """Bit-identity: span-recording telemetry never perturbs the accounting.
 
-:class:`~repro.telemetry.NullTelemetry`'s ``charge`` is exactly the seed
-``WorkMeter`` update, and the oracle's ``null`` arm runs on one: every
+:class:`~repro.telemetry.NullTelemetry`'s ``charge`` is exactly the seed's
+flat per-phase update, and the oracle's ``null`` arm runs on one: every
 walk holds its per-phase totals *equal as floats* to the recording
 reference's.  Here, the schedule this suite has always pinned — every
 tree variant, with the split-processing modes, whose pre-processing
@@ -24,9 +24,9 @@ def test_by_phase_bit_identical_to_null_recorder(case):
             fleet.advance(2, 2)
         fleet.check()
         recorded, null = (fleet.engines[arm] for arm in ("reference", "null"))
-        assert dict(recorded.meter.by_phase) == dict(null.meter.by_phase)
+        assert dict(recorded.telemetry.by_phase) == dict(null.telemetry.by_phase)
         if case[2]:
-            assert recorded.meter.by_phase.get(Phase.BACKGROUND, 0.0) > 0.0
+            assert recorded.telemetry.by_phase.get(Phase.BACKGROUND, 0.0) > 0.0
         # The recording run additionally grew a closed span tree.
         assert recorded.telemetry.span_count() > 1
         assert null.telemetry.span_count() == 1

@@ -4,6 +4,7 @@ from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import CostModel, MapReduceJob
 from repro.mapreduce.runtime import BatchRuntime
 from repro.mapreduce.types import make_splits
+from repro.metrics import Phase
 
 
 def word_job(**cost_kwargs):
@@ -68,4 +69,5 @@ def test_map_cost_model_respected():
     pricey = BatchRuntime(word_job(map_cost_per_record=50.0)).run(
         make_splits(["a"] * 10, 1)
     )
-    assert pricey.meter.snapshot()["map"] == 50 * cheap.meter.snapshot()["map"]
+    map_work = [r.telemetry.by_phase[Phase.MAP] for r in (pricey, cheap)]
+    assert map_work[0] == 50 * map_work[1]

@@ -15,7 +15,8 @@ from repro.mapreduce.shuffle import (
     shuffle_map_outputs,
 )
 from repro.mapreduce.types import Split, SplitWindow, make_splits
-from repro.metrics import Phase, WorkMeter
+from repro.metrics import Phase
+from repro.telemetry import Telemetry
 from repro.slider.system import Slider
 
 
@@ -116,10 +117,10 @@ def test_run_map_task_partitions_by_key():
 
 def test_run_map_task_charges_meter():
     job = word_job()
-    meter = WorkMeter()
-    run_map_task(job, ["a b", "c d"], HashPartitioner(2), meter)
-    assert meter.by_phase[Phase.MAP] == 4.0  # 2 records x cost 2
-    assert meter.by_phase[Phase.SHUFFLE] > 0
+    telemetry = Telemetry(label="t")
+    run_map_task(job, ["a b", "c d"], HashPartitioner(2), telemetry)
+    assert telemetry.by_phase[Phase.MAP] == 4.0  # 2 records x cost 2
+    assert telemetry.by_phase[Phase.SHUFFLE] > 0
 
 
 def test_shuffle_transposes_outputs():
@@ -233,14 +234,14 @@ def test_a_split_at_a_time_map_routes_orders_and_charges_as_the_loop_does():
     records = [(1, 1.0, True), (), (0.0, -0.0, "a"), ("a", True, "b", 2)]
     seen = []
     for job in (split_job, loop_job):
-        meter = WorkMeter()
-        outputs = run_map_task(job, records, HashPartitioner(5), meter, "t")
+        telemetry = Telemetry(label="t")
+        outputs = run_map_task(job, records, HashPartitioner(5), telemetry, "t")
         seen.append(
             (
                 [[(k, type(k), v) for k, v in p.entries.items()] for p in outputs],
                 [p.uid for p in outputs],
-                dict(meter.by_phase),
-                [s.name for s in meter.telemetry.iter_spans()],
+                dict(telemetry.by_phase),
+                [s.name for s in telemetry.iter_spans()],
             )
         )
     assert seen[0] == seen[1]

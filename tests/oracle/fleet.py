@@ -192,11 +192,7 @@ def tree_partitions(value: Any) -> list[Partition]:
     if isinstance(value, Partition):
         return [value]
     if hasattr(value, "window_leaves"):  # a tree: what a payload carries
-        value = [
-            item
-            for key, item in vars(value).items()
-            if key not in parallel._LOCAL_ATTRS and key != "combiner"
-        ]
+        value = list(value.state().values())
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):
@@ -286,8 +282,8 @@ class Arm:
     #: boundary of every walk is a kill point.
     restore_first: bool = False
     #: What may differ from the reference: result / report field names,
-    #: counter-name prefixes, and ``cost`` (a graph node's cost, a meter
-    #: delta a worker takes from a meter that starts at zero, is then
+    #: counter-name prefixes, and ``cost`` (a graph node's cost, a work
+    #: delta a worker takes from a recorder that starts at zero, is then
     #: held to 1e-9 instead of to the bit), and ``reduce_order`` (one
     #: reducer's ``reduce`` nodes are then compared as a multiset).
     differs: tuple[str, ...] = ()
@@ -554,8 +550,8 @@ class Fleet:
                 set(tree.root().keys()) for tree in engine.trees
             ], name
             if "work" not in differs:
-                assert bits(list(engine.meter.by_phase.items())) == bits(
-                    list(ref.meter.by_phase.items())
+                assert bits(list(engine.telemetry.by_phase.items())) == bits(
+                    list(ref.telemetry.by_phase.items())
                 ), name
                 if "now" not in differs:  # the span clock: every charge, in order
                     clocks = engine.telemetry.now(), ref.telemetry.now()

@@ -79,7 +79,7 @@ def test_eager_repair_is_charged_as_work():
     assert recovery["corruption_repair_work"] > 0
     # Corruption costs work, not correctness: total charged work strictly
     # exceeds the clean run's.
-    assert engine.meter.total() > clean_engine.meter.total()
+    assert engine.telemetry.total() > clean_engine.telemetry.total()
 
 
 def test_repair_telemetry_is_deterministic():
@@ -283,6 +283,25 @@ def test_a_flipped_memo_entry_checkpointed_live_is_refused_at_restore(tmp_path):
     memo.entries[uid] = _corrupt_copy(memo.entries[uid], salt=9)
     engine.checkpoint(tmp_path / "ckpt")
     with pytest.raises(CorruptionError, match=rf"at tree\[0\]\.memo\[{uid:#x}\]"):
+        Slider.restore(tmp_path / "ckpt", count_job())
+
+
+@pytest.mark.parametrize("field", ["_buckets", "_bucket_leaves"])
+def test_a_rotating_trees_bucket_leaves_are_swept_at_restore(field, tmp_path):
+    """A bucket's retained leaf chunk is what its repair recombines, so a
+    corrupt copy there is refused at restore as one in the bucket is: the
+    sweep walks every field of the tree's state, lists of lists too."""
+    mode = WindowMode.FIXED
+    engine = Slider(count_job(), mode, config=SliderConfig(mode=mode, bucket_size=2))
+    engine.initial_run([split_of(i) for i in range(8)])
+    engine.advance([split_of(8), split_of(9)], 2)
+    tree = engine.trees[0]
+    # The first bucket itself, or the first leaf of the chunk it combines.
+    holder = tree._buckets if field == "_buckets" else tree._bucket_leaves[0]
+    assert holder[0]
+    holder[0] = _corrupt_copy(holder[0], salt=7)
+    engine.checkpoint(tmp_path / "ckpt")
+    with pytest.raises(CorruptionError, match=rf"at tree\[0\]\.{field}\[0\]"):
         Slider.restore(tmp_path / "ckpt", count_job())
 
 

@@ -1,9 +1,9 @@
-"""The task-graph IR recorded per run, and its equivalence to the meter.
+"""The task-graph IR recorded per run, and its equivalence to the charges.
 
-The core invariant of the refactor: the WorkMeter totals are a *derived
-view* of the task graph — per-phase work summed over graph nodes equals
-what the legacy metering charged (up to float summation order), for every
-tree variant and every kind of window movement.
+The core invariant of the refactor: the per-phase work charged to the
+engine's telemetry is a *derived view* of the task graph — per-phase work
+summed over graph nodes equals what was charged (up to float summation
+order), for every tree variant and every kind of window movement.
 """
 
 import dataclasses

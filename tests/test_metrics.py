@@ -1,68 +1,61 @@
-"""Unit tests for work metering and run reports."""
+"""Unit tests for work accounting on Telemetry and for run reports."""
 
 import pytest
 
-from repro.metrics import Phase, RunReport, Speedup, WorkMeter
+from repro.core.execute import PlanExecutor
+from repro.core.partition import Partition
+from repro.metrics import Phase, RunReport, Speedup
 from repro.telemetry import Telemetry
 
 
 def test_charge_accumulates_per_phase():
-    meter = WorkMeter()
-    meter.charge(Phase.MAP, 3.0)
-    meter.charge(Phase.MAP, 2.0)
-    meter.charge(Phase.REDUCE, 1.0)
-    assert meter.by_phase[Phase.MAP] == 5.0
-    assert meter.total() == 6.0
-    assert meter.phase_total(Phase.MAP, Phase.REDUCE) == 6.0
+    telemetry = Telemetry(label="t")
+    telemetry.charge(Phase.MAP, 3.0)
+    telemetry.charge(Phase.MAP, 2.0)
+    telemetry.charge(Phase.REDUCE, 1.0)
+    assert telemetry.by_phase[Phase.MAP] == 5.0
+    assert telemetry.total() == 6.0
+    assert telemetry.by_phase == {Phase.MAP: 5.0, Phase.REDUCE: 1.0}
 
 
 def test_negative_charge_rejected():
     with pytest.raises(ValueError):
-        WorkMeter().charge(Phase.MAP, -1.0)
-
-
-def test_foreground_excludes_background():
-    meter = WorkMeter()
-    meter.charge(Phase.MAP, 4.0)
-    meter.charge(Phase.BACKGROUND, 10.0)
-    assert meter.foreground_total() == 4.0
-    assert meter.total() == 14.0
+        Telemetry(label="t").charge(Phase.MAP, -1.0)
 
 
 def test_merge_folds_counters():
-    """Meters sharing one telemetry fold into one tree (what ``merge`` did)."""
+    """Two executors handed one telemetry charge one tree (what ``merge``
+    did)."""
     shared = Telemetry(label="shared")
-    a, b = WorkMeter(shared), WorkMeter(shared)
-    a.charge(Phase.MAP, 1.0)
-    b.charge(Phase.MAP, 2.0)
-    b.charge(Phase.SHUFFLE, 3.0)
-    assert a.by_phase[Phase.MAP] == 3.0
-    assert a.by_phase[Phase.SHUFFLE] == 3.0
+    a, b = PlanExecutor(shared), PlanExecutor(shared)
+    leaf = Partition({"k": 1})
+    a.memo_visit(leaf, 1.0)
+    b.memo_visit(leaf, 2.0)
+    shared.charge(Phase.SHUFFLE, 3.0)
+    assert a.telemetry.by_phase == {Phase.MEMO_READ: 3.0, Phase.SHUFFLE: 3.0}
+    assert a.telemetry.total() == b.telemetry.total() == 6.0
+    assert [span.name for span in shared.root.children] == ["memo-visit"] * 2
 
 
 def test_snapshot_and_reset():
-    meter = WorkMeter()
-    meter.charge(Phase.CONTRACTION, 2.5)
-    snapshot = meter.snapshot()
-    assert snapshot == {"contraction": 2.5}
-    meter.charge(Phase.CONTRACTION, 1.0)
-    assert snapshot == {"contraction": 2.5}  # a copy, not a live view
-    assert not hasattr(meter, "reset")
-
-
-def test_task_costs_recorded_when_tracking_enabled():
-    """The per-charge log is gone: charges live in the span tree only."""
-    with pytest.raises(TypeError, match="track_tasks"):
-        WorkMeter(track_tasks=True)
+    telemetry = Telemetry(label="t")
+    telemetry.charge(Phase.CONTRACTION, 2.5)
+    snapshot = telemetry.snapshot()
+    assert snapshot.by_phase == {"contraction": 2.5}
+    telemetry.charge(Phase.CONTRACTION, 1.0)
+    assert snapshot.by_phase == {"contraction": 2.5}  # a copy, not a live view
+    telemetry.reset()
+    assert telemetry.by_phase == {} and telemetry.total() == 0.0
+    assert snapshot.total() == 2.5
 
 
 def test_task_costs_off_by_default():
-    meter = WorkMeter()
-    meter.charge(Phase.MAP, 1.0)
-    meter.charge(Phase.REDUCE, 2.0)
-    assert meter.telemetry.by_phase == {Phase.MAP: 1.0, Phase.REDUCE: 2.0}
-    assert not hasattr(meter, "task_costs")
-    assert meter.total() == 3.0
+    telemetry = Telemetry(label="t")
+    telemetry.charge(Phase.MAP, 1.0)
+    telemetry.charge(Phase.REDUCE, 2.0)
+    assert telemetry.by_phase == {Phase.MAP: 1.0, Phase.REDUCE: 2.0}
+    assert not hasattr(telemetry, "task_costs")
+    assert telemetry.total() == 3.0
 
 
 def test_speedup_over():
