@@ -7,7 +7,9 @@ wall-clock time.  The two runs must produce *exactly* equal per-phase
 work totals (the bit-identity invariant: span recording is pure
 observation), and the recording overhead should stay small — the design
 target is <5 % on a realistic run; CI asserts a generous envelope since
-shared-runner timings are noisy.
+shared-runner timings are noisy.  The input stream is generated once,
+before any timer: ``make_splits`` at an offset re-generates everything
+before it, so inside the timer it would be most of what is timed.
 """
 
 from __future__ import annotations
@@ -21,35 +23,39 @@ from repro.slider.window import WindowMode
 from repro.telemetry import NullTelemetry, Telemetry
 
 
-def _drive(spec, telemetry) -> tuple[dict, float]:
-    """One fixed schedule under the given recorder: (by_phase, seconds)."""
+#: Slides a schedule makes after its first window, two splits each.
+SLIDES = 3
+
+
+def _drive(spec, telemetry, stream) -> tuple[dict, float]:
+    """One fixed schedule over ``stream`` under the given recorder:
+    (by_phase, seconds)."""
     job = spec.make_job()
     config = SliderConfig(mode=WindowMode.VARIABLE)
     slider = Slider(
         job, WindowMode.VARIABLE, config=config, telemetry=telemetry
     )
     started = time.perf_counter()
-    slider.initial_run(spec.make_splits(WINDOW_SPLITS, 17, 0))
-    offset = WINDOW_SPLITS
-    for _ in range(3):
-        slider.advance(spec.make_splits(2, 17, offset), 2)
-        offset += 2
+    slider.initial_run(stream[:WINDOW_SPLITS])
+    for offset in range(WINDOW_SPLITS, WINDOW_SPLITS + 2 * SLIDES, 2):
+        slider.advance(stream[offset : offset + 2], 2)
     elapsed = time.perf_counter() - started
     return dict(slider.telemetry.by_phase), elapsed
 
 
 def test_telemetry_overhead(apps, benchmark):
     spec = apps[0]
+    stream = spec.make_splits(WINDOW_SPLITS + 2 * SLIDES, 17, 0)
 
     # Warm both paths once so import/JIT-ish costs don't skew either side.
-    _drive(spec, NullTelemetry(label="warmup"))
-    _drive(spec, Telemetry(label="warmup"))
+    _drive(spec, NullTelemetry(label="warmup"), stream)
+    _drive(spec, Telemetry(label="warmup"), stream)
 
     rows = []
     overheads = []
     for _ in range(3):
-        null_phase, null_seconds = _drive(spec, NullTelemetry(label="off"))
-        full_phase, full_seconds = _drive(spec, Telemetry(label="on"))
+        null_phase, null_seconds = _drive(spec, NullTelemetry(label="off"), stream)
+        full_phase, full_seconds = _drive(spec, Telemetry(label="on"), stream)
         # The backbone is pure observation: identical float-by-float totals.
         assert full_phase == null_phase
         overheads.append(100.0 * (full_seconds / null_seconds - 1.0))
@@ -71,6 +77,6 @@ def test_telemetry_overhead(apps, benchmark):
     assert best < 60.0, overheads
 
     def replay():
-        return _drive(spec, Telemetry(label="bench"))
+        return _drive(spec, Telemetry(label="bench"), stream)
 
     benchmark.pedantic(replay, rounds=1, iterations=1)

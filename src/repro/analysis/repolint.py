@@ -6,11 +6,11 @@ Four invariants are mechanical enough to lint:
     Every ``*.charge(...)`` call must be lexically inside a ``with
     ...span(...)`` block, so charged work is always attributed to an open
     span.  Helpers that deliberately charge into *their caller's* span
-    (e.g. :func:`repro.core.partition.combine_partitions`, which runs
-    under the tree's task span) declare so with a trailing marker comment
-    ``# analysis: charge-in-caller-span`` on their ``def`` line — the
-    contract is then documented at the definition site instead of being
-    implicit.
+    (e.g. :func:`repro.core.partition.combine_charged`, which runs under
+    the tree-level span its tree opened) declare so with a trailing
+    marker comment ``# analysis: charge-in-caller-span`` on their ``def``
+    line — the contract is then documented at the definition site
+    instead of being implicit.
 
 ``lint.bare-telemetry``
     ``Telemetry()`` constructed with no label creates an anonymous span

@@ -79,7 +79,15 @@ def _encode_fast(value: Any) -> bytes:
             return b"D%d:" % len(value) + struct.pack("<%dd" % len(value), *value)
         parts = [b"t%d" % len(value)]
         for item in value:
-            encoded = _encode_fast(item)
+            # The exact str and int items of a key are encoded here, as
+            # above, rather than by a call apiece.
+            item_kind = type(item)
+            if item_kind is str:
+                encoded = b"s" + item.encode("utf-8")
+            elif item_kind is int:
+                encoded = b"i%d" % item
+            else:
+                encoded = _encode_fast(item)
             parts.append(b"%d:" % len(encoded))
             parts.append(encoded)
         return b"".join(parts)

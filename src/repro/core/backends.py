@@ -263,9 +263,10 @@ class ProcessBackend(ExecutionBackend):
             return None
         telemetry = engine.telemetry
         offset = telemetry.now()
+        log = engine.executor.log
         replay_events(telemetry, result["events"])
-        graft_spans(telemetry, result["spans"], offset)
-        engine.executor.log.extend(result["log"])
+        graft_spans(telemetry, result["spans"], offset, log, len(log.records))
+        log.extend(result["log"])
         tree.__dict__.update(state)
         if not self.broken:  # an earlier reducer's failure ended dispatching
             self._held[reducer] = kept

@@ -201,11 +201,15 @@ class ContractionTree(ABC):
     def _level_span(self, tree: str, level: int):
         """Open a TREE_LEVEL span around one level's contraction sweep.
 
-        The per-level work table (:mod:`repro.telemetry.worktable`)
-        aggregates these spans to check the asymptotic-analysis bounds.
+        The span covers the records the sweep appends to the open log (a
+        run's, or background's), its nodes; the per-level work table
+        (:mod:`repro.telemetry.worktable`) aggregates these spans and
+        their records to check the asymptotic-analysis bounds.
         """
-        return self.executor.telemetry.span(
-            f"{tree}:L{level}", SpanKind.TREE_LEVEL, tree=tree, level=level
+        executor = self.executor
+        return executor.telemetry.span(
+            f"{tree}:L{level}", SpanKind.TREE_LEVEL, log=executor.log,
+            tree=tree, level=level,
         )
 
     def _combine(

@@ -9,11 +9,16 @@ there is, in the engine and in a worker:
 * consult the planner's memo table (plan-level cache edges become
   ``memo_read`` nodes on hit, ``combine`` + ``memo_write`` on miss);
 * run the combiner over the live inputs (or forward a pass-through);
-* charge the work to the executor's telemetry, inside the step's task
-  span;
+* charge the work to the executor's telemetry, into whatever span is
+  open — a node opens none;
 * log each executed node as one record of the run's
   :class:`~repro.core.taskgraph.RunLog` (:meth:`PlanExecutor.log_node`,
-  the one place a run is recorded), the first one carrying the step.
+  the one place a node is recorded), the first one carrying the step and
+  each carrying the very amount it charged.
+
+A tree-level span, opened on the open log, keeps the range of records
+its sweep appended; the per-level table and the Chrome trace read a
+level's tasks there (:meth:`~repro.core.taskgraph.RunLog.tasks`).
 
 Executing while planning (instead of batching the whole plan first) keeps
 the semantics of the seed path bit-identical — planners may branch on the
@@ -33,10 +38,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.partition import Partition, combine_partitions
+from repro.core.partition import Partition, combine_charged
 from repro.core.poison import PoisonContext
 from repro.core.taskgraph import RunLog, content_uids
-from repro.telemetry import Phase, SpanKind, Telemetry
+from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
     from repro.core.base import ContractionTree
@@ -64,18 +69,18 @@ class PlanExecutor:
 
     One executor is shared by an engine and all of its per-reducer trees;
     a standalone tree builds a private one.  Between :meth:`begin_run` and
-    :meth:`end_run` the run's log collects one record an executed node;
-    outside a run (e.g. background pre-processing between windows) steps
-    execute without being logged, exactly as the seed path behaved.
+    :meth:`end_run` the run's log collects one record an executed node,
+    and inside :meth:`background` (pre-processing between windows) a log
+    of its own does; otherwise steps execute without being logged.
     """
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
-        #: Where every step charges and opens its task span: the engine's
-        #: recorder, or a private one for a standalone tree.
+        #: Where every step charges and opens its level spans: the
+        #: engine's recorder, or a private one for a standalone tree.
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry(label="executor")
         )
-        #: The open run's log (None outside a run).
+        #: The open run's log, or background's (None otherwise).
         self.log: RunLog | None = None
         #: The reducer the nodes logged now are attributed to.
         self.reducer: int | None = None
@@ -124,6 +129,18 @@ class PlanExecutor:
             reducer_costs=self._reducer_costs,
             recurring=recurring,
         )
+
+    @contextmanager
+    def background(self):
+        """Log the enclosed steps — background pre-processing, between
+        runs — to a log of their own, which no run's plan or graph reads
+        and only the level spans they open keep.  On exit no log is open:
+        :attr:`active` is False again, as it was."""
+        self.log = RunLog("background")
+        try:
+            yield
+        finally:
+            self.log = self._step = None
 
     @contextmanager
     def reducer_scope(self, reducer: int):
@@ -202,7 +219,7 @@ class PlanExecutor:
 
     # -- sub-computation execution ------------------------------------------
 
-    def combine(
+    def combine(  # analysis: charge-in-caller-span (the tree-level span)
         self,
         tree: "ContractionTree",
         parts: Sequence[Partition],
@@ -222,84 +239,80 @@ class PlanExecutor:
         self.open_step("combine", node, phase, len(parts), memo_uid, cost_scale)
         recording = self.log is not None
         telemetry = self.telemetry
-        with telemetry.span(node or "combine", SpanKind.TASK):
-            if memo_uid is not None:
-                cached = tree.memo.lookup(memo_uid)
-                if cached is not None:
-                    tree.stats.combiner_reuses += 1
-                    if tree.memo_read_cost:
-                        telemetry.charge(Phase.MEMO_READ, tree.memo_read_cost)
-                    if recording:
-                        self.log_node(
-                            "memo_read", Phase.MEMO_READ,
-                            node or f"memo:{memo_uid:#x}", tree.memo_read_cost,
-                            float(len(cached)), True, memo_uid=memo_uid,
-                            produced=(cached.uid,) if cached else (),
-                        )
-                    return cached
-            tree.stats.combiner_invocations += 1
-            non_empty = sum(1 for p in parts if p)
-            if non_empty == 1:
-                # A pass-through node (single live child): no merge runs, but
-                # the child's data still moves through the tree position — on a
-                # real cluster every tree node spills and copies its input, so
-                # an overly tall tree is not free even where siblings are void.
-                value = next(p for p in parts if p)
-                charge = cost_scale * (
-                    0.5 * tree.invocation_overhead
-                    + tree.PASS_THROUGH_WEIGHT * value.record_weight(tree.combiner)
-                )
-                telemetry.charge(phase, charge)
+        if memo_uid is not None:
+            cached = tree.memo.lookup(memo_uid)
+            if cached is not None:
+                tree.stats.combiner_reuses += 1
+                if tree.memo_read_cost:
+                    telemetry.charge(Phase.MEMO_READ, tree.memo_read_cost)
                 if recording:
                     self.log_node(
-                        "pass_through", phase, node, charge, float(len(value)),
-                        consumed=content_uids(parts), produced=(value.uid,),
+                        "memo_read", Phase.MEMO_READ,
+                        node or f"memo:{memo_uid:#x}", tree.memo_read_cost,
+                        float(len(cached)), True, memo_uid=memo_uid,
+                        produced=(cached.uid,) if cached else (),
                     )
-                return value
-            before = telemetry.by_phase.get(phase, 0.0) if recording else 0.0
-            result = combine_partitions(
-                parts,
-                tree.combiner,
-                telemetry=telemetry,
-                phase=phase,
-                cost_factor=tree.combine_cost_factor * cost_scale,
-                invocation_overhead=tree.invocation_overhead * cost_scale,
-                on_poison=(
-                    self.poison.combine_handler(tree.combiner)
-                    if self.poison is not None
-                    else None
-                ),
+                return cached
+        tree.stats.combiner_invocations += 1
+        non_empty = sum(1 for p in parts if p)
+        if non_empty == 1:
+            # A pass-through node (single live child): no merge runs, but
+            # the child's data still moves through the tree position — on a
+            # real cluster every tree node spills and copies its input, so
+            # an overly tall tree is not free even where siblings are void.
+            value = next(p for p in parts if p)
+            charge = cost_scale * (
+                0.5 * tree.invocation_overhead
+                + tree.PASS_THROUGH_WEIGHT * value.record_weight(tree.combiner)
             )
+            telemetry.charge(phase, charge)
             if recording:
                 self.log_node(
-                    "combine", phase, node,
-                    telemetry.by_phase.get(phase, 0.0) - before, float(len(result)),
-                    memo_uid=memo_uid, consumed=content_uids(parts),
-                    produced=(result.uid,) if result else (),
+                    "pass_through", phase, node, charge, float(len(value)),
+                    consumed=content_uids(parts), produced=(value.uid,),
                 )
-            if memo_uid is not None:
-                tree.memo.store(memo_uid, result)
-                if tree.memo_write_cost:
-                    telemetry.charge(Phase.MEMO_WRITE, tree.memo_write_cost)
-                    if recording:
-                        self.log_node(
-                            "memo_write", Phase.MEMO_WRITE,
-                            f"memo-write:{memo_uid:#x}", tree.memo_write_cost,
-                            float(len(result)), memo_uid=memo_uid, follows=True,
-                        )
-            return result
+            return value
+        result, charge = combine_charged(
+            parts,
+            tree.combiner,
+            telemetry=telemetry,
+            phase=phase,
+            cost_factor=tree.combine_cost_factor * cost_scale,
+            invocation_overhead=tree.invocation_overhead * cost_scale,
+            on_poison=(
+                self.poison.combine_handler(tree.combiner)
+                if self.poison is not None
+                else None
+            ),
+        )
+        if recording:
+            self.log_node(
+                "combine", phase, node, charge, float(len(result)),
+                memo_uid=memo_uid, consumed=content_uids(parts),
+                produced=(result.uid,) if result else (),
+            )
+        if memo_uid is not None:
+            tree.memo.store(memo_uid, result)
+            if tree.memo_write_cost:
+                telemetry.charge(Phase.MEMO_WRITE, tree.memo_write_cost)
+                if recording:
+                    self.log_node(
+                        "memo_write", Phase.MEMO_WRITE,
+                        f"memo-write:{memo_uid:#x}", tree.memo_write_cost,
+                        float(len(result)), memo_uid=memo_uid, follows=True,
+                    )
+        return result
 
-    def memo_visit(
+    def memo_visit(  # analysis: charge-in-caller-span (the tree-level span)
         self, value: Partition, cost: float, node: str = ""
     ) -> None:
         """Plan and charge a memoized result moving through the tree —
         the strawman's per-node visit cost on positional reuse."""
         self.open_step("visit", node, Phase.MEMO_READ)
-        with self.telemetry.span(node or "memo-visit", SpanKind.TASK):
-            self.telemetry.charge(Phase.MEMO_READ, cost)
-            if self.log is not None:
-                self.log_node(
-                    "memo_read", Phase.MEMO_READ, node, cost,
-                    float(len(value)), True,
-                    produced=(value.uid,) if value else (),
-                )
+        self.telemetry.charge(Phase.MEMO_READ, cost)
+        if self.log is not None:
+            self.log_node(
+                "memo_read", Phase.MEMO_READ, node, cost,
+                float(len(value)), True,
+                produced=(value.uid,) if value else (),
+            )

@@ -207,7 +207,7 @@ def map_partitions(
     return value
 
 
-def combine_partitions(  # analysis: charge-in-caller-span (tree task span)
+def combine_partitions(
     partitions: Sequence[Partition],
     combiner: Combiner,
     telemetry: Telemetry | None = None,
@@ -226,11 +226,29 @@ def combine_partitions(  # analysis: charge-in-caller-span (tree task span)
     non-empty inputs), modelling the task-launch and data-movement cost a
     combiner invocation has on a real cluster; pass-throughs are free.
     """
+    return combine_charged(
+        partitions, combiner, telemetry, phase, cost_factor,
+        invocation_overhead, on_poison,
+    )[0]
+
+
+def combine_charged(  # analysis: charge-in-caller-span (the tree-level span)
+    partitions: Sequence[Partition],
+    combiner: Combiner,
+    telemetry: Telemetry | None = None,
+    phase: Phase = Phase.CONTRACTION,
+    cost_factor: float = 1.0,
+    invocation_overhead: float = 0.0,
+    on_poison: PoisonHandler | None = None,
+) -> tuple[Partition, float]:
+    """:func:`combine_partitions`, and what its merge costs: the very
+    float charged to ``telemetry`` (``0.0`` when no merge runs), which
+    the executor logs as the node's cost."""
     non_empty = [p for p in partitions if p]
     if not non_empty:
-        return Partition.empty()
+        return Partition.empty(), 0.0
     if len(non_empty) == 1:
-        return non_empty[0]
+        return non_empty[0], 0.0
 
     merged_lists: dict[Any, list[Any]] = {}
     for partition in non_empty:
@@ -254,6 +272,10 @@ def combine_partitions(  # analysis: charge-in-caller-span (tree task span)
                     continue
                 entries[key] = value
             cost += combiner.merge_cost(key, values)
+    charged = cost * cost_factor + invocation_overhead
     if telemetry is not None:
-        telemetry.charge(phase, cost * cost_factor + invocation_overhead)
-    return Partition(entries, uid=combined_uid(non_empty, merged_lists, entries))
+        telemetry.charge(phase, charged)
+    return (
+        Partition(entries, uid=combined_uid(non_empty, merged_lists, entries)),
+        charged,
+    )

@@ -51,8 +51,8 @@ NODE_KINDS = (
 #: atoms ride a *plan-only* record whose kind is ``None``: the one record
 #: that is not a node.  Atoms and tuples of atoms only.
 Record = tuple
-#: Where a record keeps its reducer and its step atoms.
-REDUCER, STEP = 6, 12
+#: Where a record keeps its reducer, memo uid, consumed uids and step atoms.
+REDUCER, MEMO_UID, CONSUMED, STEP = 6, 8, 9, 12
 
 
 def content_uids(parts: Iterable[Partition]) -> tuple[int, ...]:
@@ -86,6 +86,26 @@ class RunLog:
             if record[STEP] is not None:
                 self.steps += 1
                 self.heads += record[0] is None
+
+    def tasks(self, first: int, last: int) -> list[tuple[str, dict[Phase, float]]]:
+        """The tasks of ``records[first:last]`` — a tree level's nodes —
+        as the per-level table and the trace show them: a name, and the
+        work charged by phase in charge order.  A ``memo_write`` folds
+        into the ``combine`` it follows.  Two nodes log 0.0 having charged
+        nothing: a memo hit that costs nothing, and a combine whose inputs
+        were all empty."""
+        tasks: list[tuple[str, dict[Phase, float]]] = []
+        for record in self.records[first:last]:
+            kind, phase, label, cost = record[:4]
+            if kind == "memo_write":
+                tasks[-1][1][phase] = cost
+            elif kind is not None:
+                if kind == "memo_read":
+                    name, idle = label or "memo-visit", record[MEMO_UID] is not None
+                else:
+                    name, idle = label or "combine", not record[CONSUMED]
+                tasks.append((name, {} if idle and not cost else {phase: cost}))
+        return tasks
 
 
 @dataclass(frozen=True)

@@ -282,11 +282,15 @@ class Slider:
         """Run the best-effort background phase on every tree (§4).
 
         Returns the background work charged.  No-op for trees without a
-        split-processing mode.
+        split-processing mode.  Its nodes are logged apart from any run,
+        for the tree-level spans they fall in.
         """
         self._check_open()
         before = self.telemetry.by_phase.get(Phase.BACKGROUND, 0.0)
-        with self.telemetry.span("background", SpanKind.PHASE):
+        with (
+            self.telemetry.span("background", SpanKind.PHASE),
+            self.executor.background(),
+        ):
             for tree in self.trees:
                 preprocess = getattr(tree, "background_preprocess", None)
                 if preprocess is not None:

@@ -4,7 +4,9 @@ Writes a :class:`~repro.telemetry.spans.Telemetry` tree as Trace Event
 Format JSON (the ``chrome://tracing`` / Perfetto ``traceEvents`` array):
 
 * every span becomes a complete event (``ph: "X"``) with ``ts``/``dur``
-  and per-phase work totals in ``args``;
+  and per-phase work totals in ``args``, and so does every node a tree
+  level covers — a record of the run's log, not a span (``cat: "task"``,
+  laid end to end from the level's start in charge order);
 * engine spans share one lane per nesting context, cluster spans land on
   their machine/slot lane (``span.thread``), named via ``M`` metadata;
 * instant events become ``ph: "i"`` and counter samples ``ph: "C"``, so
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.telemetry.spans import Span, SpanKind, Telemetry
+from repro.telemetry.spans import Telemetry
 
 #: Microseconds per abstract time unit: one work/sim unit reads as 1 s.
 TIME_SCALE = 1_000_000.0
@@ -92,28 +94,40 @@ def to_chrome_trace(telemetry: Telemetry, pid: int = 1) -> dict[str, Any]:
         }
     )
 
-    def span_event(span: Span) -> dict[str, Any]:
-        end = span.end if span.end is not None else telemetry.now()
-        args: dict[str, Any] = {
-            k: v for k, v in span.attrs.items() if _jsonable(v)
-        }
-        if span.work:
-            args["work"] = {p.value: v for p, v in span.work.items()}
-        if span.self_work:
-            args["self_work"] = {p.value: v for p, v in span.self_work.items()}
-        return {
-            "name": span.name,
-            "cat": span.kind.value,
+    def complete(
+        name: str, cat: str, start: float, end: float, thread: str | None,
+        args: dict[str, Any], work: dict, self_work: dict,
+    ) -> None:
+        if work:
+            args["work"] = {p.value: v for p, v in work.items()}
+        if self_work:
+            args["self_work"] = {p.value: v for p, v in self_work.items()}
+        events.append({
+            "name": name,
+            "cat": cat,
             "ph": "X",
-            "ts": span.start * TIME_SCALE,
-            "dur": (end - span.start) * TIME_SCALE,
+            "ts": start * TIME_SCALE,
+            "dur": (end - start) * TIME_SCALE,
             "pid": pid,
-            "tid": tid_for(span.thread or _ENGINE_THREAD),
+            "tid": tid_for(thread or _ENGINE_THREAD),
             "args": args,
-        }
+        })
 
     for span in telemetry.iter_spans():
-        events.append(span_event(span))
+        attrs = {k: v for k, v in span.attrs.items() if _jsonable(v)}
+        end = span.end if span.end is not None else telemetry.now()
+        # A tree level's work is all its nodes': each node is an event of
+        # its own, laid end to end from the level's start in charge order.
+        own = span.self_work if span.log is None else {}
+        complete(span.name, span.kind.value, span.start, end, span.thread,
+                 attrs, span.work, own)
+        if span.log is not None:
+            cursor = span.start
+            for name, work in span.log.tasks(span.first, span.last):
+                start = cursor
+                for amount in work.values():
+                    cursor += amount
+                complete(name, "task", start, cursor, span.thread, {}, work, work)
 
     for instant in telemetry.instants:
         events.append(
@@ -205,8 +219,8 @@ def export_micro_benchmark_trace(
     """Run one micro-benchmark window slide on a cluster and export it.
 
     Produces the acceptance-criteria trace: map/contraction/reduce phase
-    spans, tree-level and combiner task spans, executor attempt events on
-    machine lanes, and cache counters, all in one file.
+    spans, tree-level spans and their combiner tasks, executor attempt
+    events on machine lanes, and cache counters, all in one file.
     """
     # Imported lazily: the telemetry package must stay import-light so
     # every layer can depend on it without cycles.

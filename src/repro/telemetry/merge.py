@@ -96,16 +96,24 @@ def replay_events(telemetry: Telemetry, events: Iterable[TelemetryEvent]) -> Non
             raise ValueError(f"unknown telemetry event verb {verb!r}")
 
 
-def _shift(span: Span, offset: float) -> None:
+def _shift(span: Span, offset: float, log: Any, base: int) -> None:
     span.start += offset
     if span.end is not None:
         span.end += offset
+    if span.log is not None:
+        span.log = log
+        span.first += base
+        span.last += base
     for child in span.children:
-        _shift(child, offset)
+        _shift(child, offset, log, base)
 
 
 def graft_spans(
-    telemetry: Telemetry, spans: Iterable[Span], offset: float
+    telemetry: Telemetry,
+    spans: Iterable[Span],
+    offset: float,
+    log: Any = None,
+    base: int = 0,
 ) -> None:
     """Attach worker spans under the current span, shifted to parent time.
 
@@ -114,7 +122,9 @@ def graft_spans(
     when the merge began, so after shifting, the grafted spans occupy
     exactly the interval the replayed charges advance the parent cursor
     through — the same coordinates an in-process run would have given
-    them.  The spans are adopted in place (the parent owns the
+    them.  Likewise a tree-level span's records move into ``log``, the
+    parent's, which held ``base`` records before the worker's were
+    appended.  The spans are adopted in place (the parent owns the
     unpickled copies), not duplicated.
 
     A null recorder discards span structure by contract, so grafting
@@ -124,6 +134,6 @@ def graft_spans(
     if isinstance(telemetry, NullTelemetry):
         return
     for span in spans:
-        _shift(span, offset)
+        _shift(span, offset, log, base)
         telemetry.attach(span)
 

@@ -6,11 +6,16 @@ computed in three disconnected subsystems: a flat per-phase accumulator, the
 task-graph IR's node costs, and the executor's attempt timeline.  This
 module unifies them: every run grows a single hierarchical span tree
 
-    run → window-update → phase → tree-level → task / attempt
+    run → window-update → phase → task (map task, reducer) → tree-level
+                                → attempt
 
 and all accounting flows through it: a caller charges, opens spans on and
 reads :attr:`Telemetry.by_phase` / :meth:`Telemetry.total` off the one
-:class:`Telemetry` it holds.
+:class:`Telemetry` it holds.  A tree's nodes (combines, pass-throughs,
+memo reads, visits) open no span: each is one record of the run's log,
+and a tree-level span keeps the range of records its sweep appended
+(:attr:`Span.log`, ``first``, ``last``), which the per-level table and the
+Chrome trace read as the level's tasks.
 
 Bit-identity contract
 ---------------------
@@ -25,7 +30,7 @@ table (:mod:`repro.telemetry.worktable`) exact rather than approximate.
 
 Timestamps
 ----------
-Engine spans (map/contraction/reduce, tree levels, combiner tasks) use the
+Engine spans (map/contraction/reduce, reducers, tree levels) use the
 cumulative work counter as a pseudo-clock: a span's duration is the work
 charged while it was open.  Cluster spans (executor attempts, replication
 events) instead carry simulated-cluster-clock timestamps and are recorded
@@ -93,6 +98,13 @@ class Span:
     children: list["Span"] = field(default_factory=list)
     self_work: dict[Phase, float] = field(default_factory=dict)
     work: dict[Phase, float] = field(default_factory=dict)
+    #: A tree-level span's nodes: ``log.records[first:last]``, what its
+    #: sweep appended to the run's log (a ``repro.core.taskgraph.RunLog``,
+    #: read through its ``tasks`` method); ``None`` on a span opened
+    #: without a log.
+    log: Any = None
+    first: int = 0
+    last: int = 0
 
     @property
     def is_open(self) -> bool:
@@ -190,8 +202,15 @@ class Telemetry:
     def current(self) -> Span:
         return self._stack[-1]
 
-    def open_span(self, name: str, kind: SpanKind, **attrs: Any) -> Span:
+    def open_span(
+        self, name: str, kind: SpanKind, log: Any = None, **attrs: Any
+    ) -> Span:
+        """Open a child span of the current span.  Given a ``log`` (a
+        run's, with a ``records`` list), the span covers the records the
+        log gains until it closes."""
         span = Span(name=name, kind=kind, start=self._work_cursor, attrs=attrs)
+        if log is not None:
+            span.log, span.first = log, len(log.records)
         self._add_child(span)
         self._stack.append(span)
         return span
@@ -204,13 +223,16 @@ class Telemetry:
             )
         self._stack.pop()
         span.end = self._work_cursor
+        if span.log is not None:
+            span.last = len(span.log.records)
 
     def span(
         self, name: str, kind: SpanKind = SpanKind.TASK, **attrs: Any
     ) -> "_SpanContext":
         """Open a child span of the current span for a ``with`` body:
-        ``with telemetry.span(...) as span``.  The span opens here and
-        closes when the body exits, however it exits."""
+        ``with telemetry.span(...) as span``.  The span opens here (a
+        ``log`` keyword reaches :meth:`open_span`) and closes when the
+        body exits, however it exits."""
         return _SpanContext(self, self.open_span(name, kind, **attrs))
 
     def record_span(

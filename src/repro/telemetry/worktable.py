@@ -9,8 +9,10 @@ sweep — and this module aggregates those spans into a compact table:
 
     level | spans | tasks | work
 
-``tasks`` counts combiner invocations (``TASK`` spans) under each level,
-which is the quantity the analysis bounds:
+``tasks`` counts the nodes each level executed — combines, pass-throughs,
+memo reads and visits, a memo write counted with the combine it follows —
+read as the run's log records the level span covers (a level swept with
+no log open covers none), which is the quantity the analysis bounds:
 
 * initial run over ``n`` leaves: level *i* touches at most
   ``ceil(n / 2**i)`` nodes (each level halves the frontier);
@@ -71,10 +73,7 @@ def per_level_table(
     for level in sorted(buckets):
         spans = buckets[level]
         tasks = sum(
-            1
-            for s in spans
-            for child in s.iter()
-            if child.kind is SpanKind.TASK
+            len(s.log.tasks(s.first, s.last)) for s in spans if s.log is not None
         )
         by_phase: dict[Phase, float] = {}
         for s in spans:

@@ -74,7 +74,10 @@ def test_variant_matches_seed_golden(variant, mode):
 
 #: sha256 of ``repr`` of the ``plan_fields`` and of the ``graph_fields``
 #: of every run of :func:`logged`, captured while plan and graph were still
-#: logged separately: the one log reproduces both, field for field.
+#: logged separately: the one log reproduces both, field for field.  Once
+#: re-pinned since, for one field: a combine's cost is the float it
+#: charged, no longer a difference of the running total (only the
+#: rotating tree's graph held such a difference here).
 LOG_DIGESTS = {
     "folding": (
         "c5daf84ae6b61f6edefb2e13ffff27b5d82d31a5f92a9c15eaeed2401bf157d9",
@@ -90,7 +93,7 @@ LOG_DIGESTS = {
     ),
     "rotating": (
         "20012a993dd4d6441af36f76bff96d5bb6bb4270955d07d6eb1d61346aaf9353",
-        "ba0b059bb740ddc9f39d82105a334e27d2cf566863c7239165f43a895309cfa7",
+        "203b4c280f23bff432ef2b0d3e38ab1f6eaf60e411a2d6f8d123150666601d79",
     ),
     "coalescing": (
         "1a39e90fed4a7bf0a81f1c9857a4a251563a1e2b619b46f4d2702a8db93a4df2",

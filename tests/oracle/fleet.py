@@ -282,10 +282,10 @@ class Arm:
     #: boundary of every walk is a kill point.
     restore_first: bool = False
     #: What may differ from the reference: result / report field names,
-    #: counter-name prefixes, and ``cost`` (a graph node's cost, a work
-    #: delta a worker takes from a recorder that starts at zero, is then
-    #: held to 1e-9 instead of to the bit), and ``reduce_order`` (one
-    #: reducer's ``reduce`` nodes are then compared as a multiset).
+    #: counter-name prefixes, and ``reduce_order`` (one reducer's
+    #: ``reduce`` nodes are then compared as a multiset).  A graph node's
+    #: cost is the float it charged, so a worker's nodes are held to the
+    #: bit like any other arm's.
     differs: tuple[str, ...] = ()
 
 
@@ -317,9 +317,7 @@ ARMS: dict[str, Arm] = {
         differs=("time", "recovery", "cache.", "storage.", "executor."),
     ),
     "restored": Arm(restore_first=True, differs=RESTORED),
-    "process": Arm(
-        config={"execution_backend": "process", "workers": 2}, differs=("cost",)
-    ),
+    "process": Arm(config={"execution_backend": "process", "workers": 2}),
 }
 
 _REPORT = ("label", "work", "time", "space", "breakdown", "recovery")
@@ -500,13 +498,8 @@ class Fleet:
         differs = self.differs[name] | self.differs[other_name]
         if "reduce_order" in differs:
             graph, other = order_free_reduces(graph), order_free_reduces(other)
-        if "cost" not in differs:
-            assert graph == other, (name, "graph")
-            assert bits([n[4] for n in graph]) == bits([n[4] for n in other]), name
-            return
-        for node, twin in zip(graph, other, strict=True):
-            assert node[:4] + node[5:] == twin[:4] + twin[5:], (name, node, twin)
-            assert node[4] == pytest.approx(twin[4], rel=1e-9), (name, node, twin)
+        assert graph == other, (name, "graph")
+        assert bits([n[4] for n in graph]) == bits([n[4] for n in other]), name
 
     def read_late(self) -> None:
         """Only now is any graph or plan of the reference read: each is

@@ -1,6 +1,8 @@
 """Per-level work table: asymptotic bounds observed on real runs."""
 
 from repro.apps.registry import micro_benchmark_apps
+from repro.core.execute import PlanExecutor
+from repro.core.partition import Partition
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from repro.telemetry import (
@@ -83,10 +85,12 @@ def test_format_level_table_renders_totals():
 
 def test_synthetic_bound_violation_is_reported():
     t = Telemetry(label="synthetic")
-    with t.span("lvl", SpanKind.TREE_LEVEL, tree="fold", level=3):
+    executor = PlanExecutor(t)
+    executor.begin_run("synthetic")
+    with t.span("lvl", SpanKind.TREE_LEVEL, log=executor.log, tree="fold", level=3):
         for i in range(9):
-            with t.span(f"task{i}", SpanKind.TASK):
-                t.charge(Phase.CONTRACTION, 1.0)
+            executor.memo_visit(Partition({f"k{i}": 1}), 1.0, node=f"task{i}")
+    executor.end_run()
     rows = per_level_table(t, tree="fold")
     assert rows[0].tasks == 9
     assert check_initial_run_bounds(rows, 8, trees=1)  # 9 > ceil(8/8)=1
