@@ -146,11 +146,16 @@ class ContractionTree(ABC):
 
     def state(self) -> dict[str, Any]:
         """The tree's own attributes, without its ``COLLABORATORS``:
-        what the process seam ships and the restore sweep verifies."""
+        what the process seam ships, a checkpoint captures and the
+        restore sweep verifies.  An instance attribute that shadows one
+        of the class's methods (a profiler's wrapper) is behaviour, not
+        state, and is left out too."""
+        klass = type(self)
         return {
             key: value
             for key, value in self.__dict__.items()
             if key not in self.COLLABORATORS
+            and not callable(getattr(klass, key, None))
         }
 
     # -- retained space ------------------------------------------------------

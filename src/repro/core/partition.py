@@ -92,6 +92,11 @@ class Partition:
     def __hash__(self) -> int:
         return self.uid
 
+    def __reduce__(self) -> tuple:
+        # Two fields, not the default slot-state dict: a checkpoint and
+        # the process seam pickle every partition through here.
+        return (_unpickle_partition, (self.entries, self.uid))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Partition({len(self.entries)} keys, uid={self.uid:#x})"
 
@@ -124,6 +129,16 @@ class Partition:
         if not self.entries:
             return self.uid in (_EMPTY.uid, _fingerprint_entries(self.entries))
         return self.uid == _fingerprint_entries(self.entries, memo)
+
+
+def _unpickle_partition(entries: dict[Any, Any], uid: int) -> Partition:
+    """A partition around the very objects the unpickler made: no copy of
+    ``entries`` and no fingerprint (the uid is carried as written, and a
+    restore re-proves it in its sweep)."""
+    partition = object.__new__(Partition)
+    partition.entries = entries
+    partition.uid = uid
+    return partition
 
 
 def _fingerprint_entries(

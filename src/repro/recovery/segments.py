@@ -32,7 +32,17 @@ from repro.common.hashing import fingerprint_bytes
 FORMAT_NAME = "slider-checkpoint"
 #: 2: the uids inside are of uid encoding 2 (``repro.common.hashing``).  Memo
 #: keys are hashes of hashes, so version 1 is refused, not converted.
-FORMAT_VERSION = 2
+#: 3: a partition pickles as its two fields through
+#: ``repro.core.partition._unpickle_partition``, and a tree as its
+#: ``state()``.  Uids are those of version 2.  No older version is read.
+FORMAT_VERSION = 3
+#: Why each older version is refused, for the skew message.
+_REFUSED = {
+    1: "a version 1 checkpoint holds fingerprints of uid encoding 1, which "
+    "nothing computes any more",
+    2: "a version 2 checkpoint pickled its partitions as slot state, without "
+    "the two-field constructor, and no older version has a reader",
+}
 MANIFEST_FILE = "MANIFEST.json"
 #: Pinned so checkpoints written by one interpreter restore on another.
 PICKLE_PROTOCOL = 4
@@ -100,12 +110,13 @@ def read_manifest(path: str | Path) -> dict[str, Any]:
             f"{manifest_path} is not a {FORMAT_NAME} "
             f"(format={manifest.get('format')!r})"
         )
-    if manifest.get("version") != FORMAT_VERSION:
+    version = manifest.get("version")
+    if version != FORMAT_VERSION:
+        reason = _REFUSED.get(version, "it was written by another build")
         raise CheckpointError(
-            f"checkpoint version {manifest.get('version')!r} is not "
-            f"supported: this build reads version {FORMAT_VERSION} only (a "
-            "version 1 checkpoint holds fingerprints of uid encoding 1, which "
-            "nothing computes any more) -- re-run from the stream"
+            f"checkpoint version {version!r} is not supported: this build "
+            f"reads version {FORMAT_VERSION} only ({reason}) -- re-run from "
+            "the stream"
         )
     if not isinstance(manifest.get("segments"), dict):
         raise CheckpointError(f"{manifest_path} has no segment index")

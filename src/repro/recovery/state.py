@@ -24,11 +24,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import CheckpointError
 from repro.core.base import ContractionTree
-from repro.core.coalescing import CoalescingTree
-from repro.core.folding import FoldingTree
-from repro.core.randomized import RandomizedFoldingTree
-from repro.core.rotating import RotatingTree
-from repro.core.strawman import StrawmanTree
 from repro.mapreduce.types import SplitWindow
 from repro.metrics import Phase
 from repro.telemetry import SpanKind, Telemetry
@@ -36,41 +31,15 @@ from repro.telemetry import SpanKind, Telemetry
 if TYPE_CHECKING:  # pragma: no cover - type-only facade reference
     from repro.slider.system import Slider
 
-#: Per-variant instance fields that constitute a tree's restorable state.
-_TREE_FIELDS: dict[type, tuple[str, ...]] = {
-    FoldingTree: ("_slots", "_start", "_end", "_height", "_cache"),
-    RotatingTree: (
-        "_buckets",
-        "_bucket_leaves",
-        "_oldest",
-        "_height",
-        "_cache",
-        "_root",
-        "_intermediate",
-        "_intermediate_slot",
-        "_pending",
-    ),
-    CoalescingTree: ("_leaves", "_root", "_reduce_input", "_pending_delta"),
-    RandomizedFoldingTree: ("_leaves", "_root"),
-    StrawmanTree: ("_cache", "_leaves", "_root"),
-}
-
-
-def _tree_fields(tree: ContractionTree) -> tuple[str, ...]:
-    for klass, fields in _TREE_FIELDS.items():
-        if isinstance(tree, klass):
-            return fields
-    raise CheckpointError(
-        f"cannot checkpoint unknown tree variant {type(tree).__name__}"
-    )
-
 
 def capture_tree(tree: ContractionTree) -> dict[str, Any]:
+    # ``combiner`` is left out, as on the process seam's reply: the job
+    # re-supplied at restore builds the engine's own.
+    state = tree.state()
+    del state["combiner"]
     return {
         "class": type(tree).__name__,
-        "ran_initial": tree._ran_initial,
-        "stats": tree.stats,
-        "fields": {name: getattr(tree, name) for name in _tree_fields(tree)},
+        "state": state,
         "memo": {
             # A plain dict, whatever store the table sits on.
             "entries": dict(tree.memo.entries.items()),
@@ -88,10 +57,7 @@ def apply_tree(tree: ContractionTree, state: dict[str, Any]) -> None:
             f"built a {type(tree).__name__} — the SliderConfig in the "
             "checkpoint must produce the same variant"
         )
-    tree._ran_initial = state["ran_initial"]
-    tree.stats = state["stats"]
-    for name, value in state["fields"].items():
-        setattr(tree, name, value)
+    tree.__dict__.update(state["state"])
     # Reattach through the table's own store.
     tree.memo.replace_entries(state["memo"]["entries"])
     tree.memo.stats = state["memo"]["stats"]

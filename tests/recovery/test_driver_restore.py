@@ -13,6 +13,7 @@ from repro.recovery.segments import MANIFEST_FILE
 from repro.slider.driver import StreamDriver
 from repro.slider.system import Slider
 from tests.oracle.fleet import Fleet, case_of, run_record as _run_record
+from tests.recovery.test_segments import OLD_VERSIONS
 
 
 def count_job() -> MapReduceJob:
@@ -65,19 +66,21 @@ def test_driver_restore_resumes_bit_identically(tmp_path):
     assert resumed.current_outputs() == baseline.current_outputs()
 
 
-def test_both_restores_refuse_a_version_1_checkpoint(tmp_path):
-    """Version 1 held uids of encoding 1; the engine's restore and the
-    driver's both say so instead of loading fingerprints that cannot verify."""
+@OLD_VERSIONS
+def test_both_restores_refuse_an_old_checkpoint(tmp_path, version, reason):
+    """Version 1 held uids of encoding 1, version 2 partitions pickled
+    without the two-field constructor; the engine's restore and the
+    driver's both say why instead of loading state they cannot read."""
     driver = make_driver()
     driver.feed(stream(25))
     driver.checkpoint(tmp_path / "ckpt")
     manifest_path = tmp_path / "ckpt" / MANIFEST_FILE
     manifest = json.loads(manifest_path.read_text())
-    manifest["version"] = 1
+    manifest["version"] = version
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match="uid encoding 1"):
+    with pytest.raises(CheckpointError, match=reason):
         StreamDriver.restore(tmp_path / "ckpt", count_job(), lambda record: record[0])
-    with pytest.raises(CheckpointError, match="uid encoding 1"):
+    with pytest.raises(CheckpointError, match=reason):
         Slider.restore(tmp_path / "ckpt", count_job())
 
 

@@ -65,7 +65,7 @@ def test_missing_segment_raises_checkpoint_error(tmp_path):
 def _write_saying_version(path, version):
     write_segments(path, {"state": 1}, meta={})
     manifest = json.loads((path / MANIFEST_FILE).read_text())
-    assert manifest["version"] == 2
+    assert manifest["version"] == 3
     manifest["version"] = version
     (path / MANIFEST_FILE).write_text(json.dumps(manifest))
 
@@ -76,10 +76,20 @@ def test_version_skew_raises_checkpoint_error(tmp_path):
         read_manifest(tmp_path)
 
 
-def test_a_version_1_checkpoint_is_refused_with_the_encoding_message(tmp_path):
-    # Version 1 held uids of encoding 1; there is no reader for it.
-    _write_saying_version(tmp_path, 1)
-    with pytest.raises(CheckpointError, match="uid encoding 1.*re-run from the stream"):
+#: Each older version, and the reason its refusal gives.
+OLD_VERSIONS = pytest.mark.parametrize(
+    "version,reason",
+    [(1, "uid encoding 1"), (2, "without the two-field constructor")],
+    ids=["1", "2"],
+)
+
+
+@OLD_VERSIONS
+def test_an_old_checkpoint_is_refused_with_its_reason(tmp_path, version, reason):
+    # Version 1 held uids of encoding 1, version 2 partitions pickled as
+    # slot state; there is no reader for either.
+    _write_saying_version(tmp_path, version)
+    with pytest.raises(CheckpointError, match=f"{reason}.*re-run from the stream"):
         read_manifest(tmp_path)
 
 
