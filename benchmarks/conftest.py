@@ -1,12 +1,13 @@
 """Shared helpers for the per-figure/per-table benchmarks.
 
-Every file in this directory regenerates one table or figure from the
-paper's evaluation (§7-§8): it prints the same rows/series the paper
-reports, asserts the qualitative *shape* (who wins, roughly by how much,
-where trends point), and times one representative incremental run via
-pytest-benchmark.
+Each ``test_fig*``, ``test_table*`` and ``test_ablation*`` file here
+regenerates one table or figure from the paper's evaluation (§7-§8): it
+prints the same rows/series the paper reports and asserts the qualitative
+*shape* (who wins, roughly by how much, where trends point).  Their
+numbers are modeled work and simulated time, never a clock; wall-clock
+figures come from ``benchmarks/e2e``.
 
-Run with:  pytest benchmarks/ --benchmark-only
+Run with:  python -m repro.bench.report
 """
 
 from __future__ import annotations
@@ -36,8 +37,3 @@ MODE_LABELS = {
 def apps():
     """The five micro-benchmark applications."""
     return micro_benchmark_apps()
-
-
-def run_once(callable_):
-    """Adapter: pytest-benchmark pedantic single-shot execution."""
-    return {"rounds": 1, "iterations": 1, "warmup_rounds": 0}

@@ -47,7 +47,7 @@ def rerun_cost_after_wipe(replicas: int) -> tuple[float, int]:
     return tree.executor.telemetry.total() - before, cache.stats.fallback_reads
 
 
-def test_ablation_fault_tolerance(benchmark):
+def test_ablation_fault_tolerance():
     with_replicas, fallback_with = rerun_cost_after_wipe(replicas=2)
     without_replicas, fallback_without = rerun_cost_after_wipe(replicas=0)
 
@@ -67,10 +67,6 @@ def test_ablation_fault_tolerance(benchmark):
     assert fallback_with > 0
     assert fallback_without == 0
     assert with_replicas < without_replicas / 5
-
-    benchmark.pedantic(
-        lambda: rerun_cost_after_wipe(replicas=2), rounds=1, iterations=1
-    )
 
 
 # -- crash-timing sweep -------------------------------------------------------
@@ -156,7 +152,7 @@ def run_with_crash(crash_at: str) -> dict:
     }
 
 
-def test_crash_timing_sweep(benchmark):
+def test_crash_timing_sweep():
     """Mid-map vs mid-reduce vs between-runs crash cost (§6).
 
     Outputs stay identical in every scenario; what varies is the recovery
@@ -181,7 +177,3 @@ def test_crash_timing_sweep(benchmark):
     for timing in ("mid-map", "mid-reduce"):
         assert by_name[timing]["re-executed"] >= 0
         assert by_name[timing]["time"] >= by_name["none"]["time"] - 1e-9
-
-    benchmark.pedantic(
-        lambda: run_with_crash("mid-map"), rounds=1, iterations=1
-    )

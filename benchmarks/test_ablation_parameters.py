@@ -24,7 +24,7 @@ WINDOW = 32
 SLIDE = 4  # splits per slide
 
 
-def test_ablation_bucket_size(benchmark):
+def test_ablation_bucket_size():
     spec = APP_REGISTRY["substr"]
     schedule = SlideSchedule(
         window_splits=WINDOW, slides=((SLIDE, SLIDE),) * 3
@@ -58,17 +58,12 @@ def test_ablation_bucket_size(benchmark):
     # One bucket per slide (w = slide) is the cheapest configuration.
     assert works[4] <= works[2] <= works[1] * 1.05
 
-    def best_bucket():
-        return works[4]
-
-    benchmark.pedantic(best_bucket, rounds=1, iterations=1)
-
 
 def _leaves(values, tag=0):
     return [Partition({"total": v, ("u", tag, i): 1}) for i, v in enumerate(values)]
 
 
-def test_ablation_rebuild_factor(benchmark):
+def test_ablation_rebuild_factor():
     """After a 15/16 shrink, the rebuilding tree amortizes its one-time
     rebuild within a few slides of the shorter tree."""
 
@@ -99,5 +94,3 @@ def test_ablation_rebuild_factor(benchmark):
     # The rebuilt tree is shorter and its slides are at most as expensive.
     assert rebuilt_height <= plain_height
     assert rebuilt_cost <= plain_cost * 1.05
-
-    benchmark.pedantic(lambda: steady_state_cost(4), rounds=1, iterations=1)

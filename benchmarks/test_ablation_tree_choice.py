@@ -38,7 +38,7 @@ def measure(spec, mode, tree):
     return experiment.mean_incremental_work()
 
 
-def test_ablation_tree_choice(benchmark):
+def test_ablation_tree_choice():
     spec = APP_REGISTRY["hct"]
     rows = []
     results: dict[WindowMode, dict[str, float]] = {}
@@ -66,8 +66,3 @@ def test_ablation_tree_choice(benchmark):
         assert by_tree[choice] <= 1.1 * best, (mode, by_tree)
         # And each specialized tree clearly beats the strawman.
         assert by_tree[choice] < by_tree["strawman"], (mode, by_tree)
-
-    def one_cell():
-        return measure(spec, WindowMode.FIXED, "rotating")
-
-    benchmark.pedantic(one_cell, rounds=1, iterations=1)

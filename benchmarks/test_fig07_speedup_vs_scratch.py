@@ -13,11 +13,11 @@ import pytest
 
 from conftest import CHANGE_PERCENTS, MODE_LABELS, MODES, WINDOW_SPLITS
 from repro.bench.format import format_series
-from repro.bench.harness import SlideSchedule, make_cluster, run_change_sweep, run_experiment
+from repro.bench.harness import run_change_sweep
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-def test_fig07_speedups(mode, apps, benchmark):
+def test_fig07_speedups(mode, apps):
     work_series: dict[str, list[float]] = {}
     time_series: dict[str, list[float]] = {}
     for spec in apps:
@@ -56,14 +56,3 @@ def test_fig07_speedups(mode, apps, benchmark):
         assert all(s > 1.0 for s in speedups), app
     # Compute-intensive apps gain the most in work terms at 5 % change.
     assert work_series["kmeans"][0] > work_series["hct"][0] * 0.8
-
-    # Time one representative incremental run (kmeans at 5 % change).
-    spec = next(s for s in apps if s.name == "kmeans")
-    schedule = SlideSchedule.for_change(mode, WINDOW_SPLITS, 5)
-
-    def incremental_run():
-        return run_experiment(
-            spec, mode, schedule, variant="slider", cluster=make_cluster()
-        ).mean_incremental_work()
-
-    benchmark.pedantic(incremental_run, rounds=1, iterations=1)

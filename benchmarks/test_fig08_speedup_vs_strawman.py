@@ -12,16 +12,11 @@ import pytest
 
 from conftest import CHANGE_PERCENTS, MODE_LABELS, MODES, WINDOW_SPLITS
 from repro.bench.format import format_series
-from repro.bench.harness import (
-    SlideSchedule,
-    make_cluster,
-    run_change_sweep,
-    run_experiment,
-)
+from repro.bench.harness import run_change_sweep
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-def test_fig08_speedups(mode, apps, benchmark):
+def test_fig08_speedups(mode, apps):
     work_series: dict[str, list[float]] = {}
     time_series: dict[str, list[float]] = {}
     scratch_work: dict[str, list[float]] = {}
@@ -71,13 +66,3 @@ def test_fig08_speedups(mode, apps, benchmark):
         # dominates (the strawman's whole advantage is Map reuse).
         if app in compute_intensive:
             assert speedups[0] < scratch_work[app][0], app
-
-    spec = next(s for s in apps if s.name == "matrix")
-    schedule = SlideSchedule.for_change(mode, WINDOW_SPLITS, 5)
-
-    def strawman_run():
-        return run_experiment(
-            spec, mode, schedule, variant="strawman", cluster=make_cluster()
-        ).mean_incremental_work()
-
-    benchmark.pedantic(strawman_run, rounds=1, iterations=1)

@@ -26,7 +26,7 @@ def phase_sum(breakdown: dict, phases) -> float:
 
 
 @pytest.mark.parametrize("change", [5, 25])
-def test_fig09_breakdown(change, apps, benchmark):
+def test_fig09_breakdown(change, apps):
     rows = []
     checks = {}
     for spec in apps:
@@ -79,11 +79,3 @@ def test_fig09_breakdown(change, apps, benchmark):
             assert map_pct > 0.0
             # The reduce side is reduced but less change-sensitive.
             assert reduce_pct < 100.0, (app, label, reduce_pct)
-
-    spec = apps[0]
-    schedule = SlideSchedule.for_change(WindowMode.VARIABLE, WINDOW_SPLITS, change)
-
-    def one_cell():
-        return run_experiment(spec, WindowMode.VARIABLE, schedule, "slider")
-
-    benchmark.pedantic(one_cell, rounds=1, iterations=1)

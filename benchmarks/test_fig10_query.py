@@ -49,7 +49,7 @@ def run_query_suite(mode: WindowMode) -> tuple[float, float, list]:
 
 
 @pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
-def test_fig10_query_processing(mode, benchmark):
+def test_fig10_query_processing(mode):
     mean_work, mean_time, rows = run_query_suite(mode)
     print()
     print(
@@ -64,14 +64,3 @@ def test_fig10_query_processing(mode, benchmark):
     assert mean_work > 2.0
     assert mean_time > 1.0
     assert mean_work >= mean_time
-
-    generator = PigMixDataGenerator(seed=33)
-    plan = pigmix_query("L3_revenue_band_histogram", generator)
-    splits = generator.splits(count=WINDOW_SPLITS + 2, rows_per_split=25)
-
-    def one_incremental_query():
-        pipeline = IncrementalQueryPipeline(plan, WindowMode.VARIABLE)
-        pipeline.initial_run(splits[:WINDOW_SPLITS])
-        return pipeline.advance(splits[WINDOW_SPLITS:], 2)
-
-    benchmark.pedantic(one_incremental_query, rounds=1, iterations=1)

@@ -47,7 +47,7 @@ def measure_split_processing(spec, mode):
     [WindowMode.APPEND, WindowMode.FIXED],
     ids=lambda m: m.value,
 )
-def test_fig11_split_processing(mode, apps, benchmark):
+def test_fig11_split_processing(mode, apps):
     rows = []
     results = {}
     for spec in apps:
@@ -72,14 +72,3 @@ def test_fig11_split_processing(mode, apps, benchmark):
         assert background > 0.0, app
         # The split costs an extra merge: fg+bg exceeds the unsplit total.
         assert foreground + background > 0.95, (app, foreground, background)
-
-    spec = apps[0]
-    schedule = SlideSchedule.for_change(mode, WINDOW_SPLITS, CHANGE_PERCENT)
-
-    def split_run():
-        return run_experiment(
-            spec, mode, schedule, "slider",
-            split_mode=True, background_each_round=True,
-        )
-
-    benchmark.pedantic(split_run, rounds=1, iterations=1)

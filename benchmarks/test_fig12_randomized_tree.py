@@ -94,7 +94,7 @@ def app_level_speedup(spec, remove_percent: int) -> float:
     return folding / randomized
 
 
-def test_fig12_randomized_folding_tree(benchmark):
+def test_fig12_randomized_folding_tree():
     speedup_25, f25, r25 = tree_level_speedup(25)
     speedup_50, f50, r50 = tree_level_speedup(50)
     app_rows = [
@@ -141,10 +141,3 @@ def test_fig12_randomized_folding_tree(benchmark):
         randomized_heights.append(randomized.height)
     assert folding.height == 7
     assert statistics.mean(randomized_heights) < folding.height
-
-    def randomized_scenario():
-        return tree_scenario_work(
-            RandomizedFoldingTree(SumCombiner(), seed=0), WINDOW // 2
-        )
-
-    benchmark.pedantic(randomized_scenario, rounds=1, iterations=1)

@@ -24,7 +24,7 @@ MODE_LABEL = {
 }
 
 
-def test_fig13_overheads(apps, benchmark):
+def test_fig13_overheads(apps):
     work_rows, time_rows, space_rows = [], [], []
     work_overheads: dict[tuple[str, str], float] = {}
     space_factors: dict[tuple[str, str], float] = {}
@@ -109,11 +109,3 @@ def test_fig13_overheads(apps, benchmark):
     )
     assert space_factors[("kmeans", "variable")] < 1.0
     assert space_factors[("knn", "variable")] < 1.0
-
-    spec = apps[0]
-    schedule = SlideSchedule.for_change(WindowMode.VARIABLE, WINDOW_SPLITS, 5)
-
-    def initial_run():
-        return run_experiment(spec, WindowMode.VARIABLE, schedule, "slider").initial
-
-    benchmark.pedantic(initial_run, rounds=1, iterations=1)

@@ -55,7 +55,7 @@ def normalized_runtime(spec) -> float:
     return statistics.mean(ratios)
 
 
-def test_table1_scheduler(apps, benchmark):
+def test_table1_scheduler(apps):
     rows = []
     ratios = {}
     for spec in apps:
@@ -81,10 +81,3 @@ def test_table1_scheduler(apps, benchmark):
         assert ratio > 0.4, (name, ratio)
     # Data-intensive apps (bigger memoized state to fetch) save more.
     assert statistics.mean(data_ratios) < statistics.mean(compute_ratios)
-
-    spec = apps[0]
-
-    def hybrid_run():
-        return normalized_runtime(spec)
-
-    benchmark.pedantic(hybrid_run, rounds=1, iterations=1)

@@ -91,7 +91,7 @@ def read_time_reduction(spec) -> tuple[float, float]:
     return 100.0 * (1.0 - times[True] / times[False]), hit_rate
 
 
-def test_table2_cache(apps, benchmark):
+def test_table2_cache(apps):
     rows = []
     reductions = {}
     for spec in apps:
@@ -130,10 +130,3 @@ def test_table2_cache(apps, benchmark):
         assert 25.0 < reduction < 80.0, (name, reduction)
     # Bigger memoized objects (matrix n-gram/pair state) benefit most.
     assert reductions["matrix"] > reductions["kmeans"]
-
-    spec = apps[0]
-
-    def replay():
-        return read_time_reduction(spec)
-
-    benchmark.pedantic(replay, rounds=1, iterations=1)

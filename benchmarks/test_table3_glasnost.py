@@ -30,7 +30,7 @@ PAPER_WINDOW_TOTALS = [4033, 4862, 5627, 5358, 4715, 4325, 4384, 4777, 6536]
 PAPER_CHANGE_PERCENT = [100.0, 40.65, 34.50, 26.89, 28.27, 35.86, 34.22, 36.13, 50.64]
 
 
-def test_table3_glasnost(benchmark):
+def test_table3_glasnost():
     generator = GlasnostTraceGenerator(seed=11)
     month_splits = [
         make_glasnost_splits(
@@ -87,11 +87,3 @@ def test_table3_glasnost(benchmark):
     smallest = min(speedups, key=lambda cs: cs[0])
     largest = max(speedups, key=lambda cs: cs[0])
     assert smallest[1].work > largest[1].work
-
-    def one_window_slide():
-        job = glasnost_job()
-        s = Slider(job, WindowMode.VARIABLE)
-        s.initial_run(month_splits[0] + month_splits[1] + month_splits[2])
-        return s.advance(month_splits[3], len(month_splits[0]))
-
-    benchmark.pedantic(one_window_slide, rounds=1, iterations=1)

@@ -22,7 +22,7 @@ WEEKLY_TWEETS = 1_000  # ~5% of the initial interval
 TWEETS_PER_SPLIT = 250
 
 
-def test_table4_twitter(benchmark):
+def test_table4_twitter():
     graph = TwitterGraph(num_users=800, seed=5)
     generator = TweetGenerator(graph, num_urls=300, seed=5)
     initial = make_tweet_splits(generator.tweets(INITIAL_TWEETS), TWEETS_PER_SPLIT)
@@ -75,11 +75,3 @@ def test_table4_twitter(benchmark):
     assert max(works) / min(works) < 1.6
     # One-time initial overhead is modest (paper: 22%).
     assert initial_overhead < 80.0
-
-    def one_append():
-        job2 = propagation_tree_job()
-        s = Slider(job2, WindowMode.APPEND)
-        s.initial_run(initial)
-        return s.advance(weeks[0], 0)
-
-    benchmark.pedantic(one_append, rounds=1, iterations=1)

@@ -50,7 +50,7 @@ def measure_fraction(fraction: float) -> tuple[float, float]:
     return speedup.time, speedup.work
 
 
-def test_table5_netsession(benchmark):
+def test_table5_netsession():
     rows = []
     results = {}
     for fraction in UPLOAD_FRACTIONS:
@@ -76,8 +76,3 @@ def test_table5_netsession(benchmark):
         assert work_speedup < 12.0
     # Fewer uploads = smaller delta = larger speedup (the paper's trend).
     assert results[0.75][1] > results[1.0][1]
-
-    def one_audit_run():
-        return measure_fraction(0.85)
-
-    benchmark.pedantic(one_audit_run, rounds=1, iterations=1)

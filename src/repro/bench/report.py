@@ -1,8 +1,9 @@
 """Regenerate the full experimental report from the benchmark suite.
 
-Runs every benchmark in ``benchmarks/`` (each of which prints the rows or
-series of one paper table/figure) and collects the printed tables into a
-single text report::
+Runs the paper benches in ``benchmarks/`` (the ``test_fig*``,
+``test_table*`` and ``test_ablation*`` files, each of which prints the
+rows or series of one paper table/figure) as plain pytest and collects the
+printed tables into a single text report::
 
     python -m repro.bench.report -o report.txt
 
@@ -18,13 +19,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: Lines that are pytest/benchmark noise rather than experiment output.
+#: The files that regenerate a paper table or figure.  ``test_parallel.py``
+#: (a wall-clock sweep) and ``e2e/`` are not paper benches.
+PAPER_BENCH_GLOBS = ("test_fig*.py", "test_table*.py", "test_ablation*.py")
+
+#: Lines that are pytest noise rather than experiment output.
 _NOISE_RE = re.compile(
-    r"^(=+ |platform |rootdir|plugins|collecting|collected|\.|-+ benchmark"
-    r"|Name \(time|test_|Legend:|  Outliers|  OPS|PASSED|warnings summary)"
+    r"^(=+ |platform |rootdir|plugins|collecting|collected|\.|test_|PASSED"
+    r"|warnings summary)"
 )
 
-_TABLE_START_RE = re.compile(r"^(Figure|Table|Context)")
+#: ``format_table`` writes a rule of ``=`` under every title.
+_TITLE_RULE_RE = re.compile(r"^=+$")
 
 
 def extract_tables(raw_output: str) -> str:
@@ -32,8 +38,8 @@ def extract_tables(raw_output: str) -> str:
     lines = raw_output.splitlines()
     kept: list[str] = []
     inside_table = False
-    for line in lines:
-        if _TABLE_START_RE.match(line):
+    for line, next_line in zip(lines, lines[1:] + [""]):
+        if line.strip() and _TITLE_RULE_RE.match(next_line):
             inside_table = True
             if kept and kept[-1] != "":
                 kept.append("")
@@ -45,21 +51,24 @@ def extract_tables(raw_output: str) -> str:
     return "\n".join(kept) + "\n"
 
 
+def pytest_command(
+    benchmark_dir: str, extra_args: list[str] | None = None
+) -> list[str]:
+    """The pytest command line that runs the paper benches in ``benchmark_dir``."""
+    root = Path(benchmark_dir)
+    files = sorted(str(path) for glob in PAPER_BENCH_GLOBS for path in root.glob(glob))
+    if not files:
+        raise RuntimeError(f"no paper benches in {root}: {PAPER_BENCH_GLOBS}")
+    return [sys.executable, "-m", "pytest", *files, "-q", "-s"] + (extra_args or [])
+
+
 def run_benchmarks(benchmark_dir: str, extra_args: list[str] | None = None) -> str:
-    """Execute the benchmark suite, returning its raw stdout.
+    """Execute the paper benches, returning their raw stdout.
 
     Raises ``RuntimeError`` if any benchmark (i.e. any shape assertion)
     fails.
     """
-    command = [
-        sys.executable,
-        "-m",
-        "pytest",
-        benchmark_dir,
-        "--benchmark-only",
-        "-q",
-        "-s",
-    ] + (extra_args or [])
+    command = pytest_command(benchmark_dir, extra_args)
     completed = subprocess.run(command, capture_output=True, text=True)
     if completed.returncode != 0:
         raise RuntimeError(
@@ -89,19 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="only run benchmarks matching this pytest -k expression",
     )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="also export one micro-benchmark run as Chrome trace JSON",
-    )
     args = parser.parse_args(argv)
-
-    if args.trace:
-        from repro.telemetry.export import export_micro_benchmark_trace
-
-        trace = export_micro_benchmark_trace(args.trace)
-        print(f"wrote {args.trace}: {len(trace['traceEvents'])} trace events")
 
     extra = ["-k", args.k] if args.k else None
     raw = run_benchmarks(args.benchmarks, extra)

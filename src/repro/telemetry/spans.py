@@ -450,9 +450,9 @@ class NullTelemetry(Telemetry):
     """No-op recorder: seed-exact accounting, zero tracing.
 
     Keeps only the flat root ``work`` dict (the seed's flat per-phase
-    accumulator); spans, counters, and events are discarded.  Used as the
-    baseline in the telemetry-overhead benchmark and as an independent
-    reference in the bit-identity equivalence tests.
+    accumulator); spans, counters, and events are discarded.  It is the
+    equivalence oracle's ``null`` arm and the independent reference of the
+    bit-identity test in ``tests/integration/test_telemetry_equivalence.py``.
     """
 
     def open_span(self, name: str, kind: SpanKind, **attrs: Any) -> Span:

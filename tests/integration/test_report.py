@@ -1,12 +1,17 @@
-"""Tests for the report generator's table extraction."""
+"""Tests for the report generator's table extraction and bench selection."""
+
+from pathlib import Path
 
 import pytest
 
-from repro.bench.report import extract_tables
+from repro.bench.format import format_table
+from repro.bench.report import extract_tables, pytest_command, run_benchmarks
+
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
 FAKE_OUTPUT = """\
 ===== test session starts =====
-collected 2 items
+collected 3 items
 
 Figure 7 (work) — Append-only (A): speedup vs recompute
 =======================================================
@@ -19,12 +24,17 @@ Table 1 — normalized run-time
 app     normalized run-time
 ------  -------------------
 kmeans  0.80
-
------ benchmark: 2 tests -----
-Name (time in ms)   Min
-test_fig07          1.0
-===== 2 passed in 1.0s =====
-"""
+.
+{ablation}
+.
+===== 3 passed in 1.0s =====
+""".format(
+    # Built by format_table: the extractor keys on the rule of ``=`` it
+    # writes under a title, whatever the title's first word.
+    ablation=format_table(
+        "Ablation — rebuild factor", ["variant", "work"], [["none", 3.0]]
+    )
+)
 
 
 def test_extract_tables_keeps_experiment_rows():
@@ -33,32 +43,46 @@ def test_extract_tables_keeps_experiment_rows():
     assert "kmeans   21.24" in report
     assert "Table 1" in report
     assert "kmeans  0.80" in report
+    assert "Ablation — rebuild factor" in report
+    assert "none     3.00" in report
 
 
 def test_extract_tables_drops_pytest_noise():
     report = extract_tables(FAKE_OUTPUT)
     assert "collected" not in report
-    assert "benchmark:" not in report
     assert "passed" not in report
-    assert "test_fig07" not in report
+    assert "\n.\n" not in report
 
 
 def test_extract_tables_separates_sections():
     report = extract_tables(FAKE_OUTPUT)
     sections = [s for s in report.split("\n\n") if s.strip()]
-    assert len(sections) == 2
+    assert len(sections) == 3
+
+
+def test_report_runs_only_the_paper_benches():
+    command = pytest_command(str(BENCHMARKS))
+    files = [Path(arg) for arg in command if arg.endswith(".py")]
+    names = {path.name for path in files}
+    assert "test_fig07_speedup_vs_scratch.py" in names
+    assert "test_table1_scheduler.py" in names
+    assert "test_ablation_tree_choice.py" in names
+    assert "test_parallel.py" not in names
+    # Files only, all of them directly under benchmarks/: neither the
+    # directory (which would recurse into e2e/) nor anything inside e2e/.
+    assert all(path.parent == BENCHMARKS for path in files)
+    assert str(BENCHMARKS) not in command
+    assert str(BENCHMARKS / "e2e") not in command
 
 
 def test_run_benchmarks_raises_on_failure(tmp_path):
-    from repro.bench.report import run_benchmarks
+    bad = tmp_path / "test_fig99_fail.py"
+    bad.write_text("def test_shape():\n    assert False, 'shape did not hold'\n")
+    with pytest.raises(RuntimeError):
+        run_benchmarks(str(tmp_path))
 
-    bad = tmp_path / "test_fail.py"
-    # --benchmark-only skips plain failing tests, so use a benchmark whose
-    # shape assertion fails.
-    bad.write_text(
-        "def test_shape(benchmark):\n"
-        "    benchmark.pedantic(lambda: None, rounds=1, iterations=1)\n"
-        "    assert False, 'shape did not hold'\n"
-    )
+
+def test_run_benchmarks_refuses_a_directory_without_paper_benches(tmp_path):
+    (tmp_path / "test_other.py").write_text("def test_ok():\n    pass\n")
     with pytest.raises(RuntimeError):
         run_benchmarks(str(tmp_path))
