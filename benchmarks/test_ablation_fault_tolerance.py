@@ -76,8 +76,8 @@ def run_with_crash(crash_at: str) -> dict:
     """One incremental run with a machine crash at a chosen moment.
 
     ``crash_at``: "none" (fault-free), "mid-map" (during the map wave),
-    "mid-reduce" (after the shuffle barrier), or "between-runs" (the
-    legacy FaultInjector moment, before the run starts).
+    "mid-reduce" (after the shuffle barrier), or "between-runs" (before
+    the run starts: ``cluster.kill`` plus ``Slider.on_machine_failure``).
     Returns time/recovery numbers for the incremental run.
     """
     from repro.cluster.chaos import ChaosPlan, ChaosSchedule, MachineCrash
@@ -85,6 +85,7 @@ def run_with_crash(crash_at: str) -> dict:
     from repro.mapreduce.types import make_splits
     from repro.slider.system import Slider
     from repro.slider.window import WindowMode
+    from repro.telemetry import SpanKind
 
     def build(chaos=None):
         job = MapReduceJob(
@@ -101,19 +102,17 @@ def run_with_crash(crash_at: str) -> dict:
     corpus = [f"w{i % 17} w{i % 7} w{i % 3}" for i in range(240)]
     splits = make_splits(corpus, 2)
 
-    # Probe run to learn where the map/reduce boundary falls in sim time.
+    # Probe run to learn where the map/reduce boundary falls in sim time:
+    # the last map attempt's end on the incremental run's trace lanes.
     probe = build()
     probe.initial_run(splits[:80])
     probe_result = probe.advance(splits[80:96], 12)
     calm_time = probe_result.report.time
-    # Fault-free runs leave no recovery data; re-run the same delta under
-    # an always-on executor to read the map-wave finish time.
-    from repro.cluster import ExecutorConfig
-
-    shadow = build()
-    shadow.executor_config = ExecutorConfig()
-    shadow.initial_run(splits[:80])
-    map_finish = shadow.advance(splits[80:96], 12).report.recovery["map_finish"]
+    map_finish = max(
+        span.end
+        for span in probe.telemetry.root.children[-1].iter()
+        if span.kind is SpanKind.ATTEMPT and span.attrs["task_kind"] == "map"
+    )
 
     when = {
         "none": None,
@@ -122,22 +121,18 @@ def run_with_crash(crash_at: str) -> dict:
         "between-runs": None,
     }[crash_at]
 
-    slider = build()
+    chaos = None
+    if when is not None:
+        chaos = ChaosPlan(
+            schedules={1: ChaosSchedule(
+                crashes=[MachineCrash(time=when, machine_id=2)]
+            )}
+        )
+    slider = build(chaos)
+    slider.initial_run(splits[:80])
     if crash_at == "between-runs":
-        slider.initial_run(splits[:80])
         slider.cluster.kill(2)
         slider.on_machine_failure(2)
-        slider.set_chaos(None, ExecutorConfig())
-    else:
-        chaos = None
-        if when is not None:
-            chaos = ChaosPlan(
-                schedules={1: ChaosSchedule(
-                    crashes=[MachineCrash(time=when, machine_id=2)]
-                )}
-            )
-        slider.set_chaos(chaos, ExecutorConfig())
-        slider.initial_run(splits[:80])
     result = slider.advance(splits[80:96], 12)
     assert result.outputs == probe_result.outputs
     recovery = result.report.recovery

@@ -12,7 +12,6 @@ Run:  python examples/fault_tolerant_cluster.py
 """
 
 from repro import MapReduceJob, Slider, SliderConfig, SumCombiner, WindowMode
-from repro.cluster.faults import FaultInjector, FaultPlan
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.cluster.scheduler import HybridScheduler
 from repro.datagen.text import TextCorpusGenerator
@@ -41,11 +40,8 @@ def main() -> None:
         cluster=cluster,
         scheduler=HybridScheduler(),
     )
-    injector = FaultInjector(
-        cluster,
-        slider=slider,
-        plan=FaultPlan(crashes={1: [3], 3: [11]}),
-    )
+    # The machine that crashes before each run; it rejoins before the next.
+    crashes = {1: 3, 3: 11}
 
     generator = TextCorpusGenerator(seed=12, vocabulary_size=1500)
     splits = make_splits(generator.lines(1300), split_size=10)
@@ -57,8 +53,14 @@ def main() -> None:
 
     offset = 120
     print("run  crashed  time    memo fallback reads   outputs exact?")
+    downed = None
     for run_index in range(5):
-        victims = injector.before_run(run_index)
+        if downed is not None:
+            cluster.revive(downed)
+        downed = crashes.get(run_index)
+        if downed is not None:
+            cluster.kill(downed)
+            slider.on_machine_failure(downed)
         added = splits[offset : offset + 4]
         offset += 4
         window = window[4:] + list(added)
@@ -67,7 +69,7 @@ def main() -> None:
         expected = BatchRuntime(job).run(window).outputs
         exact = result.outputs == expected
         fallbacks = slider.cache.stats.fallback_reads
-        crashed = f"m{victims[0]}" if victims else "-"
+        crashed = f"m{downed}" if downed is not None else "-"
         print(f"{run_index + 1:>3}  {crashed:>7}  {result.report.time:6.1f}  "
               f"{fallbacks:>19}   {exact}")
         assert exact

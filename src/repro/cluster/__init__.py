@@ -8,15 +8,16 @@ architecture adds or depends on:
 * schedulers — the vanilla Hadoop scheduler, a strict memoization-aware
   scheduler, and Slider's hybrid scheduler with straggler migration;
 * an event-driven task-attempt executor with mid-wave fault tolerance:
-  heartbeat-based crash detection, retries with exponential backoff, and
-  LATE-style speculative execution;
+  heartbeat-based crash detection and retries with exponential backoff;
 * a chaos layer of declarative, seeded fault schedules (crashes,
   transient attempt failures, straggle episodes);
 * the in-memory distributed memoization cache with its master index,
   fault-tolerant replicated persistence, shim I/O layer, and replica
   repair after crashes;
-* a garbage collector bounding memoization storage;
-* fault injection (machine crashes) to exercise the fault-tolerance path.
+* a garbage collector dropping memoized state the window no longer uses.
+
+A crash between runs is ``cluster.kill(m)`` followed by
+``Slider.on_machine_failure(m)``.
 """
 
 from repro.cluster.cache import (
@@ -33,9 +34,10 @@ from repro.cluster.chaos import (
     TransientFaults,
 )
 from repro.cluster.exec_types import (
+    HEARTBEAT_TIMEOUT,
+    MAX_ATTEMPTS,
     AttemptState,
     ExecutionReport,
-    ExecutorConfig,
     ExecutorHooks,
     RecoveryStats,
     TaskAttempt,
@@ -62,9 +64,10 @@ __all__ = [
     "MachineCrash",
     "StraggleEpisode",
     "TransientFaults",
+    "HEARTBEAT_TIMEOUT",
+    "MAX_ATTEMPTS",
     "AttemptState",
     "ExecutionReport",
-    "ExecutorConfig",
     "ExecutorHooks",
     "RecoveryStats",
     "TaskAttempt",

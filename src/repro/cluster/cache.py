@@ -11,12 +11,12 @@ Three cooperating pieces, mirroring Figure 6:
   fall back to a persistent replica, accumulating the read-time statistics
   that Table 2 reports;
 * a **garbage collector** at the master that drops objects that fell out of
-  the current window (or enforces a user-defined budget).
+  the current window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.machine import Cluster
 from repro.common.errors import CacheMissError
@@ -270,19 +270,11 @@ class GarbageCollector:
     """Master-side GC over a DistributedMemoCache (§6).
 
     ``collect(live)`` drops everything outside the live set — the default
-    policy of freeing objects that fell out of the current window.  An
-    optional ``budget`` caps how many objects may be retained; when
-    exceeded, the oldest-inserted objects are evicted first (a simple,
-    deterministic user-defined policy).
+    policy of freeing objects that fell out of the current window.
     """
 
     cache: DistributedMemoCache
-    budget: int | None = None
     collected: int = 0
-    _insertion_order: list[int] = field(default_factory=list)
-
-    def note_insertions(self, uids: list[int]) -> None:
-        self._insertion_order.extend(uids)
 
     def collect(self, live_uids: set[int]) -> int:
         """Drop all objects not in ``live_uids``; returns how many."""
@@ -292,23 +284,4 @@ class GarbageCollector:
         self.collected += len(dead)
         if self.cache.telemetry is not None and dead:
             self.cache.telemetry.count("cache.evictions", delta=len(dead))
-        self._insertion_order = [
-            uid for uid in self._insertion_order if uid in live_uids
-        ]
         return len(dead)
-
-    def enforce_budget(self) -> int:
-        if self.budget is None:
-            return 0
-        excess = self.cache.total_objects() - self.budget
-        dropped = 0
-        while excess > 0 and self._insertion_order:
-            uid = self._insertion_order.pop(0)
-            if self.cache.owner_of(uid) is not None:
-                self.cache.delete(uid)
-                dropped += 1
-                excess -= 1
-        self.collected += dropped
-        if self.cache.telemetry is not None and dropped:
-            self.cache.telemetry.count("cache.evictions", delta=dropped)
-        return dropped

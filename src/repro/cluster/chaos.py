@@ -7,11 +7,11 @@ transient straggle episodes.  Random schedules are drawn from seeded
 :class:`~repro.common.rng.RngStream`\\ s, so the same seed always yields
 the same fault pattern and therefore the same recovery trace.
 
-A :class:`ChaosPlan` maps incremental run indices to schedules, the
-chaos-era analogue of :class:`~repro.cluster.faults.FaultPlan`: feed it
+A :class:`ChaosPlan` maps incremental run indices to schedules: feed it
 to :class:`~repro.slider.system.Slider` and every run's time simulation
 executes under that run's faults, while outputs stay bit-identical to
-the fault-free run.
+the fault-free run.  A machine a schedule crashed is revived before the
+next run.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ class ChaosSchedule:
     #: lifecycle layer still injects (and repairs) the flipped entries.
     corruptions: list[CorruptionEvent] = field(default_factory=list)
     seed: int = 0
-    #: Revive chaos-crashed machines before the next incremental run
-    #: (mirrors FaultInjector's ``heal``).
-    heal: bool = True
 
     def for_run(self, run_index: int) -> "ChaosSchedule | None":
         """A plain schedule applies identically to every run."""
@@ -190,7 +187,6 @@ class ChaosPlan:
     """Per-incremental-run chaos: run index -> schedule (None = calm run)."""
 
     schedules: dict[int, ChaosSchedule] = field(default_factory=dict)
-    heal: bool = True
 
     def for_run(self, run_index: int) -> ChaosSchedule | None:
         return self.schedules.get(run_index)

@@ -1,23 +1,28 @@
-"""Fault and speculation machinery for the wave executor.
+"""Fault machinery for the wave executor.
 
 A mixin over :class:`~repro.cluster.waveexec.WaveExecutor`'s event loop:
 transient-failure retries with exponential backoff, machine-crash
 detection via missed heartbeats (reaping zombies and ghosts), recovery,
-straggle episodes, and LATE-style speculative backup attempts.  Split out
-of :mod:`repro.cluster.waveexec` so the happy-path planning/attempt loop
-reads on its own; every handler here runs inside the same event queue.
+and straggle episodes.  Split out of :mod:`repro.cluster.waveexec` so the
+happy-path planning/attempt loop reads on its own; every handler here
+runs inside the same event queue.
 """
 
 from __future__ import annotations
 
-from repro.cluster.exec_types import AttemptState, TaskAttempt, _TaskState
-from repro.cluster.scheduler import SimTask
+from repro.cluster.exec_types import (
+    BACKOFF_BASE,
+    HEARTBEAT_TIMEOUT,
+    MAX_ATTEMPTS,
+    AttemptState,
+    TaskAttempt,
+    _TaskState,
+)
 from repro.common.errors import TaskFailedError
-from repro.common.hashing import stable_hash
 
 
 class FaultMachineryMixin:
-    """Failure, detection, recovery, and speculation event handlers."""
+    """Failure, detection, recovery, and straggle event handlers."""
 
     def _on_fail(self, attempt: TaskAttempt) -> None:
         if self._attempt_event_is_stale(attempt):
@@ -38,20 +43,16 @@ class FaultMachineryMixin:
         state.failures += 1
         if state.done:
             return
-        if state.has_live_attempt():
-            return  # a sibling (speculative backup) may still win
-        if state.failures >= self.config.max_attempts:
+        if state.failures >= MAX_ATTEMPTS:
             raise TaskFailedError(state.task.label, state.failures)
-        delay = self.config.backoff_base * (
-            self.config.backoff_factor ** (state.failures - 1)
-        )
+        delay = BACKOFF_BASE * 2.0 ** (state.failures - 1)
         self.stats.backoff_delay += delay
         state.cooling = True
         self.events.push(self.clock.now + delay, ("retry", state))
 
     def _on_retry(self, state: _TaskState) -> None:
         state.cooling = False
-        if state.done or state.has_live_attempt():
+        if state.done:
             return
         if state not in self._pending:
             self._pending.append(state)
@@ -70,7 +71,7 @@ class FaultMachineryMixin:
             )
             self.telemetry.count("executor.crashes", ts=self.clock.now)
         self.events.push(
-            self.clock.now + self.config.heartbeat_timeout,
+            self.clock.now + HEARTBEAT_TIMEOUT,
             ("detect", machine_id, self.clock.now),
         )
         if self.hooks.on_crash is not None:
@@ -161,90 +162,3 @@ class FaultMachineryMixin:
                 "executor.straggle_off", ts=self.clock.now, machine=machine_id
             )
         self._replan()
-
-    # -- speculation --------------------------------------------------------
-
-    def _schedule_heartbeat(self) -> None:
-        if not self._heartbeat_pending:
-            self._heartbeat_pending = True
-            self.events.push(
-                self.clock.now + self.config.heartbeat_interval,
-                ("heartbeat",),
-            )
-
-    def _on_heartbeat(self) -> None:
-        self._heartbeat_pending = False
-        if self.config.speculation:
-            self._speculate()
-        anything_running = any(
-            attempt is not None
-            for slots in self._running
-            for attempt in slots
-        )
-        if self._unfinished and (self.events or anything_running):
-            self._schedule_heartbeat()
-
-    def _speculate(self) -> None:
-        """Spawn backups for attempts a base-speed machine would beat."""
-        now = self.clock.now
-        base_speed = self.cluster.config.base_speed
-        for state in sorted(self._unfinished, key=lambda s: s.order):
-            running = [
-                a for a in state.attempts if a.state is AttemptState.RUNNING
-            ]
-            if len(running) != 1:
-                continue  # nothing running yet, or a backup already exists
-            attempt = running[0]
-            if now - attempt.start < self.config.speculation_min_elapsed:
-                continue
-            fresh = state.task.cost / base_speed
-            expected_total = attempt.expected_finish - attempt.start
-            remaining = attempt.expected_finish - now
-            if (
-                expected_total <= self.config.speculation_slowdown * fresh
-                or remaining <= fresh
-            ):
-                continue
-            placement = self._best_idle_slot(state.task, attempt.machine_id)
-            if placement is not None:
-                machine_id, slot_index = placement
-                fetched = (
-                    state.task.preferred_machine is not None
-                    and state.task.preferred_machine != machine_id
-                )
-                self._begin_attempt(
-                    state, machine_id, slot_index, fetched, speculative=True
-                )
-
-    def _best_idle_slot(
-        self, task: SimTask, avoid_machine: int
-    ) -> tuple[int, int] | None:
-        """The fastest currently-idle, un-queued slot off ``avoid_machine``."""
-        best: tuple[float, int, int, int] | None = None
-        for machine in self.cluster.machines:
-            machine_id = machine.machine_id
-            if (
-                machine_id == avoid_machine
-                or not self._visible[machine_id]
-                or not machine.alive
-            ):
-                continue
-            for slot_index in range(machine.slots):
-                if self._running[machine_id][slot_index] is not None:
-                    continue
-                if self._queues[machine_id][slot_index]:
-                    continue
-                fetched = (
-                    task.preferred_machine is not None
-                    and task.preferred_machine != machine_id
-                )
-                duration = self._duration_on(machine, task, fetched)
-                tiebreak = stable_hash(
-                    (task.label, machine_id, slot_index), salt="speculate"
-                )
-                key = (duration, tiebreak, machine_id, slot_index)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return None
-        return best[2], best[3]

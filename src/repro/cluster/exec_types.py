@@ -1,11 +1,11 @@
 """Shared types for the event-driven task-attempt executor (§6).
 
-The config/record vocabulary of :mod:`repro.cluster.waveexec` and
-:mod:`repro.cluster.executor`: attempt lifecycle states, executor knobs,
-per-attempt records, recovery accounting, storage-layer fault hooks, and
-the report one execution returns.  Importable on its own so the storage
-and slider layers can type against hooks and reports without pulling in
-the executor machinery.
+The record vocabulary of :mod:`repro.cluster.waveexec` and
+:mod:`repro.cluster.executor`: the crash-handling constants, attempt
+lifecycle states, per-attempt records, recovery accounting, storage-layer
+fault hooks, and the report one execution returns.  Importable on its
+own so the storage and slider layers can type against hooks and reports
+without pulling in the executor machinery.
 """
 
 from __future__ import annotations
@@ -15,6 +15,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cluster.scheduler import Assignment, SimTask
+
+#: Seconds of missed heartbeats before a crashed machine's attempts are
+#: declared lost and rescheduled (the detection delay).
+HEARTBEAT_TIMEOUT = 3.0
+#: Failed/lost attempts allowed per task before TaskFailedError.
+MAX_ATTEMPTS = 4
+#: The first retry waits this long; each later one waits twice as long.
+BACKOFF_BASE = 0.5
 
 
 class AttemptState(enum.Enum):
@@ -26,31 +34,6 @@ class AttemptState(enum.Enum):
     FAILED = "failed"
     #: Was on a machine that crashed; reaped at detection time.
     LOST = "lost"
-    #: Killed because a sibling attempt finished first.
-    KILLED = "killed"
-
-
-@dataclass(frozen=True)
-class ExecutorConfig:
-    """Knobs for attempt execution, detection, retry, and speculation."""
-
-    #: Seconds between master heartbeat scans (speculation cadence).
-    heartbeat_interval: float = 1.0
-    #: Seconds of missed heartbeats before a crashed machine's attempts
-    #: are declared lost and rescheduled (the detection delay).
-    heartbeat_timeout: float = 3.0
-    #: Failed/lost attempts allowed per task before TaskFailedError.
-    max_attempts: int = 4
-    #: First retry waits this long; later retries back off exponentially.
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    #: Enable LATE-style speculative backup attempts.
-    speculation: bool = False
-    #: An attempt is "late" when its machine runs the task this many
-    #: times slower than a base-speed machine would.
-    speculation_slowdown: float = 1.8
-    #: Do not speculate before an attempt has run at least this long.
-    speculation_min_elapsed: float = 0.5
 
 
 @dataclass(eq=False)
@@ -65,7 +48,6 @@ class TaskAttempt:
     expected_finish: float
     epoch: int
     fetched: bool = False
-    speculative: bool = False
     #: Dispatched to a crashed machine before the master noticed: it
     #: exists only in the master's imagination and can never finish.
     ghost: bool = False
@@ -90,10 +72,6 @@ class RecoveryStats:
     backoff_delay: float = 0.0
     #: Simulated seconds of execution thrown away by failures/crashes.
     wasted_work: float = 0.0
-    speculative_attempts: int = 0
-    speculative_wins: int = 0
-    #: Runtime of attempts killed because a sibling won the race.
-    speculative_waste: float = 0.0
 
     def re_executed_attempts(self) -> int:
         return self.transient_failures + self.lost_attempts
@@ -111,9 +89,6 @@ class RecoveryStats:
             "detection_delay": self.detection_delay,
             "backoff_delay": self.backoff_delay,
             "wasted_work": self.wasted_work,
-            "speculative_attempts": float(self.speculative_attempts),
-            "speculative_wins": float(self.speculative_wins),
-            "speculative_waste": self.speculative_waste,
         }
 
 

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.cluster.exec_types import (
-    ExecutionReport,
-    ExecutorConfig,
-    ExecutorHooks,
-)
+from repro.cluster.exec_types import ExecutionReport, ExecutorHooks
 from repro.cluster.machine import Cluster
 from repro.cluster.scheduler import Scheduler, SimTask
 from repro.cluster.waveexec import WaveExecutor
@@ -29,14 +25,13 @@ def execute_wave(
     tasks: Sequence[SimTask],
     cluster: Cluster,
     scheduler: Scheduler,
-    config: ExecutorConfig | None = None,
     chaos: "ChaosSchedule | None" = None,
     hooks: ExecutorHooks | None = None,
     telemetry: Telemetry | None = None,
 ) -> ExecutionReport:
     """Execute a single wave to completion."""
-    executor = WaveExecutor(cluster, scheduler, config=config, chaos=chaos,
-                            hooks=hooks, telemetry=telemetry)
+    executor = WaveExecutor(cluster, scheduler, chaos=chaos, hooks=hooks,
+                            telemetry=telemetry)
     try:
         finish, assignments = executor.run(tasks)
     finally:
@@ -55,14 +50,13 @@ def execute_two_waves(
     reduce_tasks: Sequence[SimTask],
     cluster: Cluster,
     scheduler: Scheduler,
-    config: ExecutorConfig | None = None,
     chaos: "ChaosSchedule | None" = None,
     hooks: ExecutorHooks | None = None,
     telemetry: Telemetry | None = None,
 ) -> ExecutionReport:
     """Maps, a shuffle barrier, then reduces — one MapReduce job's time."""
-    executor = WaveExecutor(cluster, scheduler, config=config, chaos=chaos,
-                            hooks=hooks, telemetry=telemetry)
+    executor = WaveExecutor(cluster, scheduler, chaos=chaos, hooks=hooks,
+                            telemetry=telemetry)
     try:
         map_finish, map_log = executor.run(map_tasks)
         reduce_finish, reduce_log = executor.run(reduce_tasks)

@@ -5,31 +5,32 @@ as if nothing ever fails.  This module *executes* waves: each task becomes
 a sequence of **attempts** driven through the shared
 :class:`~repro.cluster.simulation.EventQueue`/:class:`~repro.cluster.simulation.SimClock`.
 The executor processes attempt-start, task-finish, transient-failure,
-machine-crash, heartbeat-timeout (crash detection), machine-recover,
-straggle-episode, and heartbeat (speculation) events:
+machine-crash, heartbeat-timeout (crash detection), machine-recover, and
+straggle-episode events:
 
 * attempts on a crashed machine keep "running" as zombies until the
-  master misses heartbeats for ``heartbeat_timeout`` seconds, then they
+  master misses heartbeats for ``HEARTBEAT_TIMEOUT`` seconds, then they
   are reaped and rescheduled with exponential backoff;
-* a task whose attempts fail ``max_attempts`` times surfaces a typed
-  :class:`~repro.common.errors.TaskFailedError`;
-* slow attempts past a LATE-style progress threshold spawn speculative
-  backups with first-finish-wins semantics (the loser is killed).
+* a task whose attempts fail ``MAX_ATTEMPTS`` times surfaces a typed
+  :class:`~repro.common.errors.TaskFailedError`.
+
+Stragglers are the scheduler's business, not the executor's: the
+:class:`~repro.cluster.scheduler.HybridScheduler` migrates work off slow
+machines when it plans (the paper's answer, Table 1).
 
 Execution separates *planning* from *running*.  Planning is greedy list
 scheduling — tasks in longest-processing-time order, each policy's
 ``choose()`` against the evolving projected free-time matrix — producing
 per-slot queues of committed attempts.  Running turns each commitment
 into timed events.  Any fault (transient failure, crash detection,
-recovery, straggle episode, a speculative win) cancels every
-not-yet-started commitment and replans it against the post-fault
-cluster.  Fault-free (no chaos, speculation off) nothing ever invalidates
-the plan, so start times, placements, and the makespan are *identical*
-to the greedy list schedule, and the paper's figures and tables are that
-schedule's makespans.
+recovery, straggle episode) cancels every not-yet-started commitment and
+replans it against the post-fault cluster.  Fault-free (no chaos) nothing
+ever invalidates the plan, so start times, placements, and the makespan
+are *identical* to the greedy list schedule, and the paper's figures and
+tables are that schedule's makespans.
 
-The fault/speculation handlers live in :mod:`repro.cluster.exec_faults`;
-the two entry points (``execute_wave`` / ``execute_two_waves``) in
+The fault handlers live in :mod:`repro.cluster.exec_faults`; the two
+entry points (``execute_wave`` / ``execute_two_waves``) in
 :mod:`repro.cluster.executor`.
 """
 
@@ -40,7 +41,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.cluster.exec_faults import FaultMachineryMixin
 from repro.cluster.exec_types import (
     AttemptState,
-    ExecutorConfig,
     ExecutorHooks,
     RecoveryStats,
     TaskAttempt,
@@ -70,14 +70,12 @@ class WaveExecutor(FaultMachineryMixin):
         self,
         cluster: Cluster,
         scheduler: Scheduler,
-        config: ExecutorConfig | None = None,
         chaos: "ChaosSchedule | None" = None,
         hooks: ExecutorHooks | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.cluster = cluster
         self.scheduler = scheduler
-        self.config = config or ExecutorConfig()
         self.chaos = chaos
         self.hooks = hooks or ExecutorHooks()
         #: Telemetry backbone to emit attempt spans and fault events into;
@@ -109,7 +107,6 @@ class WaveExecutor(FaultMachineryMixin):
         self._owner: dict[TaskAttempt, _TaskState] = {}
         self._pending: list[_TaskState] = []
         self._unfinished: set[_TaskState] = set()
-        self._heartbeat_pending = False
         self._straggle_originals: dict[int, float] = {}
         if chaos is not None:
             for crash in chaos.crashes:
@@ -142,8 +139,6 @@ class WaveExecutor(FaultMachineryMixin):
         self._pending = list(states)
         self._unfinished = set(states)
         start = self.clock.now
-        if self.config.speculation and states:
-            self._schedule_heartbeat()
         self._plan()
 
         while self._unfinished:
@@ -281,7 +276,6 @@ class WaveExecutor(FaultMachineryMixin):
         machine_id: int,
         slot_index: int,
         fetched: bool,
-        speculative: bool = False,
     ) -> TaskAttempt:
         machine = self.cluster.machine(machine_id)
         now = self.clock.now
@@ -295,15 +289,12 @@ class WaveExecutor(FaultMachineryMixin):
             expected_finish=now + duration,
             epoch=self._epoch[machine_id],
             fetched=fetched,
-            speculative=speculative,
             ghost=not machine.alive,
         )
         state.attempts.append(attempt)
         self._owner[attempt] = state
         self.attempt_log.append(attempt)
         self.stats.attempts_started += 1
-        if speculative:
-            self.stats.speculative_attempts += 1
         if attempt.ghost:
             # Started into the void: no events will ever fire for it; the
             # detection sweep reaps it along with the machine's zombies.
@@ -337,8 +328,6 @@ class WaveExecutor(FaultMachineryMixin):
             self._on_detect(payload[1], payload[2])
         elif kind == "recover":
             self._on_recover(payload[1])
-        elif kind == "heartbeat":
-            self._on_heartbeat()
         elif kind == "straggle_on":
             self._on_straggle_on(payload[1], payload[2])
         elif kind == "straggle_off":
@@ -403,7 +392,6 @@ class WaveExecutor(FaultMachineryMixin):
             thread=f"m{attempt.machine_id}.s{attempt.slot_index}",
             task_kind=attempt.task.kind,
             state=attempt.state.value,
-            speculative=attempt.speculative,
             ghost=attempt.ghost,
         )
         self.telemetry.count(
@@ -424,8 +412,6 @@ class WaveExecutor(FaultMachineryMixin):
             return
         state.done = True
         self._unfinished.discard(state)
-        if attempt.speculative:
-            self.stats.speculative_wins += 1
         state.winner = Assignment(
             task=state.task,
             machine_id=attempt.machine_id,
@@ -433,18 +419,3 @@ class WaveExecutor(FaultMachineryMixin):
             finish=now,
             fetched=attempt.fetched,
         )
-        # First finish wins: kill the losing sibling attempts and hand
-        # their slots to whoever the planner now prefers.
-        killed = False
-        for sibling in state.attempts:
-            if sibling is attempt or sibling.state is not AttemptState.RUNNING:
-                continue
-            sibling.state = AttemptState.KILLED
-            sibling.finish = now
-            self._record_attempt(sibling)
-            if not sibling.ghost:
-                self._release_slot(sibling)
-            self.stats.speculative_waste += max(0.0, now - sibling.start)
-            killed = True
-        if killed:
-            self._replan()

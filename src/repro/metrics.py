@@ -43,9 +43,10 @@ class RunReport:
     time: float
     space: float = 0.0
     breakdown: dict[str, float] = field(default_factory=dict)
-    #: Fault-tolerance cost of the run, populated when executing under a
-    #: chaos schedule: re-executed attempts, detection delay, speculative
-    #: waste (see RecoveryStats.as_dict) plus re-replication traffic.
+    #: Fault-tolerance cost of the run: when its chaos schedule is
+    #: non-empty, re-executed attempts, detection delay, wasted work (see
+    #: RecoveryStats.as_dict), the map wave's finish and re-replication
+    #: traffic; a schedule's memo corruption adds its repair counts.
     recovery: dict[str, float] = field(default_factory=dict)
 
     def speedup_over(self, baseline: "RunReport") -> "Speedup":

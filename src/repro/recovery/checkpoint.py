@@ -81,7 +81,6 @@ def write_checkpoint(
             ),
             "chaos": engine.chaos,
             "scheduler": engine.scheduler,
-            "executor_config": engine.executor_config,
         },
         "state": capture_engine_state(engine),
         "telemetry": capture_telemetry(engine.telemetry),
@@ -129,7 +128,6 @@ def restore_slider(path: str | Path, job: "MapReduceJob") -> "Slider":
         scheduler=config["scheduler"],
         cache_config=config["cache_config"],
         chaos=config["chaos"],
-        executor_config=config["executor_config"],
     )
     if engine.blocks is not None and config["blocks_replication"] is not None:
         engine.blocks.replication = config["blocks_replication"]

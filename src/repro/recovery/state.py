@@ -96,11 +96,7 @@ def capture_engine_state(engine: "Slider") -> dict[str, Any]:
             "stats": engine.cache.stats,
         }
     if engine.gc is not None:
-        state["gc"] = {
-            "budget": engine.gc.budget,
-            "collected": engine.gc.collected,
-            "insertion_order": list(engine.gc._insertion_order),
-        }
+        state["gc"] = {"collected": engine.gc.collected}
     if engine.blocks is not None:
         state["blocks"] = {
             "blocks": engine.blocks._blocks,
@@ -152,9 +148,7 @@ def apply_engine_state(engine: "Slider", state: dict[str, Any]) -> None:
         engine.cache._index = state["cache"]["index"]
         engine.cache.stats = state["cache"]["stats"]
     if state["gc"] is not None and engine.gc is not None:
-        engine.gc.budget = state["gc"]["budget"]
         engine.gc.collected = state["gc"]["collected"]
-        engine.gc._insertion_order = list(state["gc"]["insertion_order"])
     if state["blocks"] is not None and engine.blocks is not None:
         engine.blocks._blocks = state["blocks"]["blocks"]
         engine.blocks.repair_traffic = state["blocks"]["repair_traffic"]

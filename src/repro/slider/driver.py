@@ -53,7 +53,6 @@ class StreamDriver:
         slider_config: SliderConfig | None = None,
         cluster=None,
         chaos=None,
-        executor_config=None,
     ) -> None:
         if slide <= 0:
             raise WindowError(f"slide must be positive, got {slide}")
@@ -75,7 +74,6 @@ class StreamDriver:
             config=slider_config,
             cluster=cluster,
             chaos=chaos,
-            executor_config=executor_config,
         )
         #: Slide intervals currently inside the window, oldest first.
         self._live_batches: list[_SlideBatch] = []

@@ -7,8 +7,9 @@ map wave with a barrier, then one reduce wave, with per-task locality
 preferences.  Evaluated over the executed plan, it reproduces every
 historical figure bit-for-bit.
 
-Chaos schedules route the wave pair through the fault-tolerant executor,
-with the engine's lifecycle manager healing the storage layers via
+A run whose chaos schedule is non-empty routes the wave pair through the
+fault-tolerant executor (any other run is calm), with the engine's
+lifecycle manager healing the storage layers via
 :class:`~repro.cluster.exec_types.ExecutorHooks`.
 """
 
@@ -122,9 +123,8 @@ class TimeSimulator:
                 )
             )
         schedule = self._chaos_schedule()
-        if schedule is None and engine.executor_config is None:
-            # Calm run on the default executor knobs: bit-identical to the
-            # historical greedy figures.
+        if schedule is None:
+            # Calm run: bit-identical to the historical greedy figures.
             return calm_two_waves(
                 map_tasks, reduce_tasks, engine.cluster, engine.scheduler,
                 engine.telemetry,
@@ -146,7 +146,7 @@ class TimeSimulator:
         self,
         map_tasks: list[SimTask],
         reduce_tasks: list[SimTask],
-        schedule: "ChaosSchedule | None",
+        schedule: "ChaosSchedule",
     ) -> float:
         """Run the wave pair on the fault-tolerant executor, reacting to
         crashes with cache/block-store re-replication, and record the
@@ -167,7 +167,6 @@ class TimeSimulator:
             reduce_tasks,
             engine.cluster,
             engine.scheduler,
-            config=engine.executor_config,
             chaos=schedule,
             hooks=hooks,
             telemetry=engine.telemetry,

@@ -27,16 +27,12 @@ class LifecycleManager:
     # -- failure handling ----------------------------------------------------
 
     def heal_chaos(self) -> None:
-        """Revive chaos-crashed machines before the next run when the
-        schedule heals (mirrors FaultInjector's ``heal``)."""
+        """Revive chaos-crashed machines before the next run."""
         engine = self.engine
-        if not engine.chaos_downed:
-            return
-        if engine.chaos is None or getattr(engine.chaos, "heal", True):
-            for machine_id in engine.chaos_downed:
-                if not engine.cluster.machine(machine_id).alive:
-                    engine.cluster.revive(machine_id)
-        engine.chaos_downed = []
+        for machine_id in engine.chaos_downed:
+            if not engine.cluster.machine(machine_id).alive:
+                engine.cluster.revive(machine_id)
+        engine.chaos_downed.clear()
 
     def reset_degradation(self) -> int:
         """Re-arm degraded memo tables at the start of a fresh run.

@@ -29,7 +29,6 @@ from typing import Any, Sequence
 
 from repro.cluster.cache import CacheConfig, DistributedMemoCache, GarbageCollector
 from repro.cluster.chaos import ChaosPlan, ChaosSchedule
-from repro.cluster.exec_types import ExecutorConfig
 from repro.cluster.machine import Cluster
 from repro.cluster.scheduler import HybridScheduler, Scheduler
 from repro.common.errors import ReproError, WindowError
@@ -115,7 +114,6 @@ class Slider:
         scheduler: Scheduler | None = None,
         cache_config: CacheConfig | None = None,
         chaos: ChaosSchedule | ChaosPlan | None = None,
-        executor_config: ExecutorConfig | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         if config is not None and config.mode is not mode:
@@ -160,11 +158,11 @@ class Slider:
             self.gc = GarbageCollector(self.cache)
             self.blocks = BlockStore(cluster, telemetry=self.telemetry)
         #: Fault schedule(s) the time simulation executes under; outputs
-        #: are unaffected (the invariant `verify_outputs` checks).
+        #: are unaffected (the invariant `verify_outputs` checks).  A run
+        #: whose schedule is non-empty is priced on the event executor.
         self.chaos = chaos
-        self.executor_config = executor_config
         #: Machines chaos crashed during the latest simulated execution;
-        #: healed at the start of the next run when the schedule says so.
+        #: healed at the start of the next run.
         self.chaos_downed: list[int] = []
         self.last_recovery: dict[str, float] = {}
         #: split uid -> per-reducer map-output partitions.
@@ -368,16 +366,10 @@ class Slider:
 
     # -- delegated maintenance ------------------------------------------------
 
-    def set_chaos(
-        self,
-        chaos: ChaosSchedule | ChaosPlan | None,
-        executor_config: ExecutorConfig | None = None,
-    ) -> None:
-        """Swap the fault schedule (and optionally executor knobs) between
-        runs; pass ``None`` to go back to calm execution."""
+    def set_chaos(self, chaos: ChaosSchedule | ChaosPlan | None) -> None:
+        """Swap the fault schedule between runs; pass ``None`` to go back
+        to calm execution."""
         self.chaos = chaos
-        if executor_config is not None:
-            self.executor_config = executor_config
 
     def on_machine_failure(self, machine_id: int) -> int:
         """React to a worker crash (§6); see LifecycleManager."""

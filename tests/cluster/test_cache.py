@@ -42,6 +42,23 @@ def test_machine_failure_falls_back_to_replica():
     assert cache.stats.fallback_reads == 1
 
 
+def test_machine_failure_counts_lost_objects():
+    cluster, cache = make_cache(n=3)
+    # Place objects until some land on machine 0.
+    uids_on_0 = []
+    for uid in range(30):
+        cache.put(uid, Partition({"k": uid}))
+        if cache.owner_of(uid) == 0:
+            uids_on_0.append(uid)
+    assert uids_on_0, "placement should spread over machines"
+
+    cluster.kill(0)
+    assert cache.on_machine_failure(0) == len(uids_on_0)
+    # Fault-tolerant layer still serves the lost objects.
+    for uid in uids_on_0:
+        assert cache.fetch(uid) is not None
+
+
 def test_fallback_promotes_back_to_memory():
     cluster, cache = make_cache()
     part = Partition({"k": 3})
@@ -106,19 +123,6 @@ def test_gc_collect_drops_dead_objects():
     assert dropped == 7
     assert cache.total_objects() == 3
     assert cache.fetch(5) is None
-
-
-def test_gc_budget_evicts_oldest_first():
-    _, cache = make_cache()
-    gc = GarbageCollector(cache, budget=3)
-    for uid in range(5):
-        cache.put(uid, Partition({"k": uid}))
-        gc.note_insertions([uid])
-    dropped = gc.enforce_budget()
-    assert dropped == 2
-    assert cache.fetch(0) is None
-    assert cache.fetch(1) is None
-    assert cache.fetch(4) is not None
 
 
 def test_replicas_survive_any_single_failure():

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.cluster import (
+    HEARTBEAT_TIMEOUT,
+    MAX_ATTEMPTS,
     AttemptState,
     ChaosSchedule,
     Cluster,
     ClusterConfig,
-    ExecutorConfig,
     ExecutorHooks,
     HadoopScheduler,
     HybridScheduler,
@@ -137,21 +138,21 @@ def test_mid_wave_crash_completes_all_tasks(policy):
     # the dead machine hosts nothing after detection
     for attempt in report.attempts:
         if attempt.machine_id == 1 and attempt.state is AttemptState.FINISHED:
-            assert attempt.finish <= 4.0 + ExecutorConfig().heartbeat_timeout
+            assert attempt.finish <= 4.0 + HEARTBEAT_TIMEOUT
 
 
 def test_crash_detection_waits_for_heartbeat_timeout():
-    config = ExecutorConfig(heartbeat_timeout=5.0)
     cluster = quiet_cluster(n=2, slots=1)
     tasks = [SimTask("a", cost=20.0, preferred_machine=0), SimTask("b", 20.0)]
     chaos = ChaosSchedule(crashes=[MachineCrash(time=2.0, machine_id=0)])
-    report = execute_wave(tasks, cluster, MemoizationScheduler(),
-                          config=config, chaos=chaos)
+    report = execute_wave(tasks, cluster, MemoizationScheduler(), chaos=chaos)
     assert report.stats.lost_attempts == 1
-    # detection happened exactly heartbeat_timeout after the crash
-    assert report.stats.detection_delay == pytest.approx(5.0)
+    # detection happened exactly HEARTBEAT_TIMEOUT after the crash
+    assert report.stats.detection_delay == pytest.approx(HEARTBEAT_TIMEOUT)
     lost = [a for a in report.attempts if a.state is AttemptState.LOST]
-    assert lost and all(a.finish == pytest.approx(7.0) for a in lost)
+    assert lost and all(
+        a.finish == pytest.approx(2.0 + HEARTBEAT_TIMEOUT) for a in lost
+    )
 
 
 def test_transient_failures_retry_with_backoff():
@@ -173,40 +174,11 @@ def test_exhausted_attempts_raise_typed_error():
             [SimTask("doomed", cost=4.0)],
             cluster,
             HadoopScheduler(),
-            config=ExecutorConfig(max_attempts=3),
             chaos=chaos,
         )
     assert excinfo.value.label == "doomed"
-    assert excinfo.value.attempts == 3
+    assert excinfo.value.attempts == MAX_ATTEMPTS
     assert isinstance(excinfo.value, SchedulingError)
-
-
-def test_speculation_cuts_makespan_on_straggler_heavy_cluster():
-    """LATE-style backups rescue tasks stuck on a crawling machine."""
-    def straggler_cluster():
-        cluster = quiet_cluster(n=6, slots=2)
-        cluster.machines[0].straggle = 0.1
-        return cluster
-
-    tasks = [
-        SimTask(f"s{i}", cost=8.0, preferred_machine=0 if i < 2 else 2 + i % 4)
-        for i in range(8)
-    ]
-    off = execute_wave(
-        tasks, straggler_cluster(), MemoizationScheduler(),
-        config=ExecutorConfig(speculation=False),
-    )
-    on = execute_wave(
-        tasks, straggler_cluster(), MemoizationScheduler(),
-        config=ExecutorConfig(speculation=True),
-    )
-    assert on.makespan < off.makespan / 2
-    assert on.stats.speculative_attempts >= 1
-    assert on.stats.speculative_wins >= 1
-    # losers were killed, and their runtime is accounted as waste
-    killed = [a for a in on.attempts if a.state is AttemptState.KILLED]
-    assert killed
-    assert on.stats.speculative_waste > 0
 
 
 def test_recovered_machine_takes_new_work():
@@ -280,7 +252,7 @@ def test_hooks_fire_in_crash_detect_order():
     kinds = [e[0] for e in events]
     assert kinds == ["crash", "detect", "recover"]
     assert events[0][2] == pytest.approx(3.0)
-    assert events[1][2] == pytest.approx(3.0 + ExecutorConfig().heartbeat_timeout)
+    assert events[1][2] == pytest.approx(3.0 + HEARTBEAT_TIMEOUT)
     assert events[2][2] == pytest.approx(9.0)
 
 

@@ -7,7 +7,6 @@ on the surviving machines.
 """
 
 from repro.cluster.cache import CacheConfig, DistributedMemoCache
-from repro.cluster.faults import FaultInjector, FaultPlan
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.cluster.executor import execute_wave
 from repro.cluster.scheduler import HybridScheduler, SimTask
@@ -34,18 +33,14 @@ def quiet_cluster(n=6):
 
 
 def test_slider_outputs_survive_crashes():
-    """Crash a machine before every incremental run; outputs stay exact."""
+    """Crash a machine before every incremental run (the previous one
+    rejoins); outputs stay exact."""
     cluster = quiet_cluster()
     slider = Slider(
         word_job(),
         WindowMode.VARIABLE,
         config=SliderConfig(mode=WindowMode.VARIABLE, tree="strawman"),
         cluster=cluster,
-    )
-    injector = FaultInjector(
-        cluster,
-        cache=slider.cache,
-        plan=FaultPlan(crashes={0: [1], 1: [3], 2: [0]}),
     )
 
     corpus = [f"word{i % 7} word{i % 3}" for i in range(40)]
@@ -55,10 +50,15 @@ def test_slider_outputs_survive_crashes():
     from repro.mapreduce.runtime import BatchRuntime
 
     window = list(splits[:30])
-    for run_index, (added, removed) in enumerate(
-        [(splits[30:32], 2), (splits[32:35], 1), (splits[35:38], 4)]
+    downed = None
+    for victim, (added, removed) in zip(
+        [1, 3, 0], [(splits[30:32], 2), (splits[32:35], 1), (splits[35:38], 4)]
     ):
-        injector.before_run(run_index)
+        if downed is not None:
+            cluster.revive(downed)
+        cluster.kill(victim)
+        slider.cache.on_machine_failure(victim)
+        downed = victim
         window = window[removed:] + list(added)
         result = slider.advance(added, removed)
         expected = BatchRuntime(word_job()).run(window).outputs
@@ -150,14 +150,12 @@ def test_slider_on_machine_failure_invalidates_local_views():
         config=SliderConfig(mode=WindowMode.VARIABLE, tree="randomized"),
         cluster=cluster,
     )
-    injector = FaultInjector(
-        cluster, slider=slider, plan=FaultPlan(crashes={0: [2]})
-    )
     corpus = [f"word{i % 7} word{i % 3}" for i in range(40)]
     splits = make_splits(corpus, 1)
     slider.initial_run(splits[:30])
 
-    injector.before_run(0)
+    cluster.kill(2)
+    slider.on_machine_failure(2)
     result = slider.advance(splits[30:32], 2)
 
     from repro.mapreduce.runtime import BatchRuntime

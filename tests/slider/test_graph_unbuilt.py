@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, ExecutorConfig
+from repro.cluster import ChaosSchedule, Cluster, ClusterConfig, MachineCrash
 from repro.core.parallel import WorkerPool
 from repro.core.partition import Partition
 from repro.mapreduce.types import Split
@@ -171,8 +171,9 @@ def test_an_unread_result_pins_no_partition_of_its_run(variant, mode):
 
 
 #: ``report.time`` of an initial run over six splits, then two slides,
-#: on eight calm machines, as ``float.hex``: the same floats with and
-#: without ``executor_config`` (the calm path and the event executor).
+#: on eight calm machines, as ``float.hex``: the same floats with no
+#: schedule and with one whose only crash falls after every makespan (the
+#: calm path and the event executor).
 WAVE_TIMES = {
     "folding": ("0x1.0999999999999p+7", "0x1.66a3d70a3d70cp+6", "0x1.577ae147ae146p+6"),
     "randomized": ("0x1.dc51eb851eb84p+6", "0x1.c48f5c28f5c2bp+6", "0x1.3c5c28f5c28f8p+6"),
@@ -185,15 +186,16 @@ WAVE_TIMES = {
 @pytest.mark.parametrize("variant,mode", VARIANTS)
 def test_the_dag_time_model_prices_a_run_as_before(variant, mode):
     removed = 0 if mode is WindowMode.APPEND else 1
-    for executor_config in (None, ExecutorConfig()):
+    late_crash = ChaosSchedule(crashes=[MachineCrash(time=1e9, machine_id=0)])
+    for chaos in (None, late_crash):
         cluster = Cluster(ClusterConfig(num_machines=8, straggler_fraction=0.0))
         slider = Slider(
             count_job(), mode, config=SliderConfig(mode=mode, tree=variant),
-            cluster=cluster, executor_config=executor_config,
+            cluster=cluster, chaos=chaos,
         )
         results = [slider.initial_run([split_of(i) for i in range(6)])]
         results.append(slider.advance([split_of(10)], removed))
         results.append(slider.advance([split_of(11)], removed))
         times = tuple(result.report.time.hex() for result in results)
-        assert times == WAVE_TIMES[variant], executor_config
-        assert all(bool(r.report.recovery) == bool(executor_config) for r in results)
+        assert times == WAVE_TIMES[variant], chaos
+        assert all(bool(r.report.recovery) == (chaos is not None) for r in results)

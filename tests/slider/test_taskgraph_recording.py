@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, ExecutorConfig
+from repro.cluster import ChaosSchedule, Cluster, ClusterConfig, MachineCrash
 from repro.mapreduce.types import Split
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
@@ -153,9 +153,12 @@ class TestDagTimeModel:
 
     @pytest.mark.parametrize("variant,mode", VARIANTS)
     def test_dag_replay_property(self, variant, mode):
-        slider = Slider(  # the event executor reports map_finish
+        # A schedule whose one crash falls after every makespan: the runs
+        # take the event executor, which reports map_finish.
+        late_crash = ChaosSchedule(crashes=[MachineCrash(time=1e9, machine_id=0)])
+        slider = Slider(
             count_job(), mode, config=SliderConfig(mode=mode, tree=variant),
-            cluster=self.quiet_cluster(), executor_config=ExecutorConfig(),
+            cluster=self.quiet_cluster(), chaos=late_crash,
         )
         results = [slider.initial_run([split_of(i) for i in range(6)])]
         removed = 0 if mode is WindowMode.APPEND else 1
