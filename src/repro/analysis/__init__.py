@@ -9,8 +9,7 @@ those contracts instead of trusting them:
 * :mod:`repro.analysis.purity` — the one AST walk over job functions,
   flagging nondeterminism (unseeded randomness, clocks, ``id()``/
   ``hash()``, set iteration order) and impurity (global writes, argument
-  or global mutation, direct memo access, I/O), with the :func:`trusted`
-  escape hatch for human-audited code;
+  or global mutation, direct memo access, I/O);
 * :mod:`repro.analysis.laws` — hypothesis-driven falsification of each
   combiner's declared algebra (associativity, commutativity, merge
   determinism, cost sanity);
@@ -20,8 +19,6 @@ those contracts instead of trusting them:
 * :mod:`repro.analysis.shared` — the serializability audit and the
   per-variant parallel-safety certificates
   (``parallel-safety-certificate/v2``);
-* :mod:`repro.analysis.trustaudit` — the stale-trust audit over every
-  ``@trusted`` mark;
 * ``python -m repro.analysis`` — the CLI gluing all of it together, run
   as a blocking CI gate over the repo (``--self``) and available for user
   modules before a Slider accepts their jobs.
@@ -35,14 +32,13 @@ from repro.analysis.shared import (
     certify_all,
     certify_variant,
 )
-from repro.analysis.trustaudit import TrustEntry, audit_trusted
 from repro.analysis.laws import (
     check_combiner_laws,
     leaf_strategy_for,
     register_leaf_strategy,
     value_strategy_for,
 )
-from repro.analysis.purity import analyze_callable, analyze_functions, is_trusted, trusted
+from repro.analysis.purity import analyze_callable, analyze_functions
 from repro.analysis.repolint import lint_file, lint_package
 from repro.analysis.targets import (
     CheckTarget,
@@ -50,7 +46,6 @@ from repro.analysis.targets import (
     check_target,
     job_target,
     module_targets,
-    plan_targets,
     registry_targets,
 )
 
@@ -58,9 +53,7 @@ __all__ = [
     "AnalysisReport",
     "Finding",
     "ParallelSafetyCertificate",
-    "TrustEntry",
     "analyze_plan",
-    "audit_trusted",
     "audit_value",
     "certify_all",
     "certify_variant",
@@ -71,8 +64,6 @@ __all__ = [
     "value_strategy_for",
     "analyze_callable",
     "analyze_functions",
-    "is_trusted",
-    "trusted",
     "lint_file",
     "lint_package",
     "CheckTarget",
@@ -80,6 +71,5 @@ __all__ = [
     "check_target",
     "job_target",
     "module_targets",
-    "plan_targets",
     "registry_targets",
 ]

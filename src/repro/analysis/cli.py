@@ -4,9 +4,9 @@ Modes:
 
 * ``--self`` — check the repo itself: repo-internal lint rules over
   ``src/repro``, then purity + algebraic laws over the shipped corpus
-  (micro-benchmarks, case studies, query aggregates), the stale-trust
-  audit, and the parallel-safety certification of all five tree
-  variants (job-plane purity + race detection + shared-state audit).
+  (micro-benchmarks, case studies, query aggregates), then the
+  parallel-safety certification of all five tree variants (job-plane
+  purity + race detection + shared-state audit).
   Every check runs on every invocation: this is the blocking CI gate,
   and there is no switch that turns part of it off.
 * ``MODULE ...`` — import each named module and check every job,
@@ -70,20 +70,6 @@ def _certify(report: AnalysisReport, out_dir: str | None) -> None:
             )
 
 
-def _audit_trust(report: AnalysisReport) -> None:
-    """Audit every @trusted mark in the shipped corpus; print the table."""
-    from repro.analysis.trustaudit import audit_trusted, render_table
-
-    functions = [
-        (f"{target.name}:{role}", fn)
-        for target in registry_targets()
-        for role, fn in target.functions
-    ]
-    entries, findings = audit_trusted(functions)
-    report.extend(findings)
-    print(render_table(entries))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -99,8 +85,8 @@ def main(argv: list[str] | None = None) -> int:
         "--self",
         dest="check_self",
         action="store_true",
-        help="check the repo: lint rules, the shipped app corpus, the "
-        "trust audit and the parallel-safety certificates",
+        help="check the repo: lint rules, the shipped app corpus and the "
+        "parallel-safety certificates",
     )
     parser.add_argument(
         "--max-examples",
@@ -121,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.check_self and not args.modules:
         parser.error("nothing to check: pass --self and/or module names")
+    if args.max_examples < 1:
+        parser.error(f"--max-examples must be at least 1, got {args.max_examples}")
 
     report = AnalysisReport()
 
@@ -129,7 +117,6 @@ def main(argv: list[str] | None = None) -> int:
 
         report.extend(lint_package(Path(repro.__file__).resolve().parent))
         _check_targets(registry_targets(), report, args.max_examples)
-        _audit_trust(report)
         _certify(report, args.certificates)
 
     for module_name in args.modules:

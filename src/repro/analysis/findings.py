@@ -6,7 +6,7 @@ and decides the exit status.  Severities:
 
 * ``error`` — a contract violation; the CLI exits nonzero.
 * ``warning`` — suspicious but not provably wrong.
-* ``info`` — notes (trusted annotations, unanalyzable sources).
+* ``info`` — notes (unanalyzable sources).
 """
 
 from __future__ import annotations

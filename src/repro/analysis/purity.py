@@ -22,12 +22,9 @@ impurity
     and I/O (``open``, ``print``, ``input``,
     ``os``/``subprocess``/``socket``/... calls).
 
-Two escape hatches keep the checker usable:
-
-* :func:`repro.analysis.trusted` marks a function as audited by a human
-  (the checker records an ``info`` note and moves on);
-* streams from :mod:`repro.common.rng` are allowlisted — they are seeded
-  and named, so their use *is* deterministic.
+Streams from :mod:`repro.common.rng` are allowlisted: they are seeded
+and named, so their use *is* deterministic.  There is no way to mark a
+function as exempt; an impure job function gets fixed.
 
 The checker is deliberately conservative-but-shallow: it resolves names
 through the function's globals and closure cells (so ``random.random()``
@@ -38,7 +35,7 @@ contract dynamically.
 
 What counts as a violation — the rule tables and the AST visitor that
 applies them — lives in :mod:`repro.analysis.purity_rules`; this module
-owns the trust marks, source extraction, and bounded helper recursion.
+owns source extraction and bounded helper recursion.
 """
 
 from __future__ import annotations
@@ -58,41 +55,8 @@ from repro.analysis.purity_rules import (
     _local_names,
 )
 
-#: Attribute set by the @trusted decorator.
-TRUSTED_ATTR = "__repro_trusted__"
-
 #: How many levels of plain-Python helper calls to follow.
 MAX_HELPER_DEPTH = 3
-
-
-def trusted(reason: str) -> Callable:
-    """Mark a function as manually audited for purity/determinism.
-
-    The checker skips trusted functions, recording an ``info`` note with
-    the reason — the escape hatch for code that *looks* nondeterministic
-    but is not (or whose nondeterminism is understood and accepted)::
-
-        @trusted(reason="reads a seeded module-level RngStream")
-        def map_sample(record): ...
-    """
-    if not isinstance(reason, str) or not reason.strip():
-        raise ValueError("@trusted requires a non-empty reason string")
-
-    def mark(fn: Callable) -> Callable:
-        setattr(fn, TRUSTED_ATTR, reason)
-        return fn
-
-    return mark
-
-
-def is_trusted(fn: Any) -> str | None:
-    """The trust reason for ``fn`` (unwrapping methods/partials), if any."""
-    for candidate in (fn, getattr(fn, "__func__", None), getattr(fn, "func", None)):
-        if candidate is not None:
-            reason = getattr(candidate, TRUSTED_ATTR, None)
-            if reason is not None:
-                return str(reason)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +133,6 @@ def analyze_callable(
     fn: Callable,
     *,
     role: str = "function",
-    ignore_trust: bool = False,
     _depth: int = 0,
     _seen: set[int] | None = None,
 ) -> list[Finding]:
@@ -177,26 +140,13 @@ def analyze_callable(
 
     ``role`` labels the finding location (``map``, ``reduce``,
     ``combiner.merge``, ...).  Returns the findings; an empty list means
-    the function passed every rule.  ``ignore_trust`` analyzes through a
-    ``@trusted`` mark — the stale-trust audit uses it to re-derive what
-    the mark is suppressing.
+    the function passed every rule.
     """
     seen = _seen if _seen is not None else set()
     fn = _unwrap(fn)
     where = f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', fn)}"
     if role != "function":
         where = f"{where} [{role}]"
-
-    reason = is_trusted(fn)
-    if reason is not None and not ignore_trust:
-        return [
-            Finding(
-                rule="purity.trusted",
-                message=f"trusted: {reason}",
-                where=where,
-                severity=INFO,
-            )
-        ]
 
     if not isinstance(fn, types.FunctionType):
         # Builtins / C extensions: nothing to parse; call sites of known-bad

@@ -4,8 +4,8 @@ The detection half of :mod:`repro.analysis.purity`: what counts as a
 nondeterminism or impurity source (the module/attr/builtin tables), how
 attribute chains resolve through a function's environment, and the
 :class:`PurityVisitor` that walks one function body flagging violations.
-The orchestration half — trust marks, source extraction, bounded helper
-recursion — stays in :mod:`repro.analysis.purity`.
+The orchestration half — source extraction and bounded helper recursion —
+stays in :mod:`repro.analysis.purity`.
 """
 
 from __future__ import annotations

@@ -118,55 +118,11 @@ class _ModuleLinter(ast.NodeVisitor):
     # -- structure tracking ---------------------------------------------
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_trusted_decorators(node)
         self._function_stack.append(node)
         self.generic_visit(node)
         self._function_stack.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def _check_trusted_decorators(self, node: ast.FunctionDef) -> None:
-        """``lint.trusted-reason``: every @trusted mark must carry a
-        non-empty reason, statically — the audit trail for the escape
-        hatch lives at the decoration site."""
-        for decorator in node.decorator_list:
-            callee = decorator.func if isinstance(decorator, ast.Call) else decorator
-            name = None
-            if isinstance(callee, ast.Attribute):
-                name = callee.attr
-            elif isinstance(callee, ast.Name):
-                name = callee.id
-            if name != "trusted":
-                continue
-            problem = None
-            if not isinstance(decorator, ast.Call):
-                problem = "@trusted used without arguments"
-            else:
-                args = list(decorator.args)
-                reason = next(
-                    (kw.value for kw in decorator.keywords if kw.arg == "reason"),
-                    args[0] if args else None,
-                )
-                if reason is None:
-                    problem = "@trusted(...) is missing its reason"
-                elif isinstance(reason, ast.Constant) and (
-                    not isinstance(reason.value, str)
-                    or not reason.value.strip()
-                ):
-                    problem = "@trusted reason must be a non-empty string"
-            if problem is not None:
-                self.findings.append(
-                    Finding(
-                        rule="lint.trusted-reason",
-                        message=(
-                            f"{problem} — state what was audited and why "
-                            "the checker may stand down"
-                        ),
-                        where=self.relative,
-                        line=decorator.lineno,
-                        severity=ERROR,
-                    )
-                )
 
     def visit_With(self, node: ast.With) -> None:
         opens_span = any(_is_span_context(item) for item in node.items)

@@ -1,4 +1,4 @@
-"""Resolving *what* to check: jobs, registries, plans, user modules.
+"""Resolving *what* to check: jobs, registries, user modules.
 
 A :class:`CheckTarget` bundles the callables the purity checker should walk
 and the combiners the law harness should falsify, for one named unit (a
@@ -10,9 +10,8 @@ repo builds jobs:
   three case-study job factories;
 * the aggregates of :mod:`repro.query.aggregates` (as compiled into GROUP
   BY stages);
-* a compiled query plan's stages;
-* an arbitrary imported module, scanned for jobs, combiners, aggregations,
-  and app specs — the CLI's entry point for user workloads.
+* an arbitrary imported module, scanned for jobs, combiners, aggregations
+  and job factories — the CLI's entry point for user workloads.
 """
 
 from __future__ import annotations
@@ -40,25 +39,21 @@ def check_target(
     target: CheckTarget,
     report: Any,
     *,
-    check_purity: bool = True,
-    check_laws: bool = True,
     max_examples: int = 60,
 ) -> None:
-    """Run the enabled checks over one target, extending ``report``."""
+    """Run purity and the laws over one target, extending ``report``."""
     from repro.analysis.laws import check_combiner_laws
     from repro.analysis.purity import analyze_functions
 
-    if check_purity:
-        report.extend(analyze_functions(target.functions))
-    if check_laws:
-        for label, combiner in target.combiners:
-            report.extend(
-                check_combiner_laws(
-                    combiner,
-                    where=f"{target.name} ({label})",
-                    max_examples=max_examples,
-                )
+    report.extend(analyze_functions(target.functions))
+    for label, combiner in target.combiners:
+        report.extend(
+            check_combiner_laws(
+                combiner,
+                where=f"{target.name} ({label})",
+                max_examples=max_examples,
             )
+        )
 
 
 def job_target(job: MapReduceJob) -> CheckTarget:
@@ -93,16 +88,6 @@ def aggregation_target(name: str, aggregation: Any) -> CheckTarget:
         ],
         combiners=[(f"aggregate:{name}", combiner)],
     )
-
-
-def plan_targets(plan: Any) -> list[CheckTarget]:
-    """The jobs of a compiled query plan (``CompiledPlan`` duck-typed)."""
-    targets = []
-    for stage in getattr(plan, "stages", []):
-        target = job_target(stage.job)
-        target.name = f"stage{stage.index}:{stage.job.name}"
-        targets.append(target)
-    return targets
 
 
 def registry_targets() -> list[CheckTarget]:
@@ -145,31 +130,28 @@ def registry_targets() -> list[CheckTarget]:
 def module_targets(module: types.ModuleType) -> list[CheckTarget]:
     """Scan an imported module for checkable objects.
 
-    Picks up MapReduceJob instances, Combiner instances, Aggregation
-    instances, AppSpec registries, and zero-argument ``*_job`` factories.
+    Picks up MapReduceJob, Combiner and Aggregation instances (whatever
+    module their class comes from) and the module's own zero-argument
+    ``*_job`` factories.
     """
     from repro.query.aggregates import Aggregation
 
     targets: list[CheckTarget] = []
     seen: set[int] = set()
-
-    def add(target: CheckTarget) -> None:
-        targets.append(target)
-
     for name, value in sorted(vars(module).items()):
         if name.startswith("__"):
             continue
         if getattr(value, "__module__", module.__name__) != module.__name__ and not (
-            isinstance(value, (MapReduceJob, Combiner))
+            isinstance(value, (MapReduceJob, Combiner, Aggregation))
         ):
             continue
         if id(value) in seen:
             continue
         seen.add(id(value))
         if isinstance(value, MapReduceJob):
-            add(job_target(value))
+            targets.append(job_target(value))
         elif isinstance(value, Combiner):
-            add(
+            targets.append(
                 CheckTarget(
                     name=f"combiner:{name}",
                     functions=[
@@ -180,7 +162,7 @@ def module_targets(module: types.ModuleType) -> list[CheckTarget]:
                 )
             )
         elif isinstance(value, Aggregation):
-            add(aggregation_target(name, value))
+            targets.append(aggregation_target(name, value))
         elif callable(value) and name.endswith("_job"):
             try:
                 job = value()
@@ -189,5 +171,5 @@ def module_targets(module: types.ModuleType) -> list[CheckTarget]:
             if isinstance(job, MapReduceJob):
                 target = job_target(job)
                 target.name = f"{name}()"
-                add(target)
+                targets.append(target)
     return targets

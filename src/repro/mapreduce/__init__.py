@@ -19,7 +19,7 @@ from repro.mapreduce.combiners import (
     ListConcatCombiner,
     VectorSumCombiner,
 )
-from repro.mapreduce.job import CostModel, JobSpec, MapReduceJob
+from repro.mapreduce.job import CostModel, MapReduceJob
 from repro.mapreduce.runtime import BatchRuntime, JobResult
 from repro.mapreduce.shuffle import HashPartitioner, shuffle_map_outputs
 from repro.mapreduce.types import Record, Split, make_splits
@@ -37,7 +37,6 @@ __all__ = [
     "ListConcatCombiner",
     "VectorSumCombiner",
     "MapReduceJob",
-    "JobSpec",
     "CostModel",
     "BatchRuntime",
     "JobResult",

@@ -62,22 +62,17 @@ class MapReduceJob:
                 f"job {self.name!r}: contraction requires an associative combiner"
             )
 
-    def validate(
-        self,
-        *,
-        check_laws: bool = False,
-        check_purity: bool = False,
-        max_examples: int = 60,
-    ):
+    def validate(self, *, max_examples: int = 60):
         """Check this job's contracts beyond the constructor's cheap flags.
 
-        With ``check_laws=True``, property-tests the combiner's declared
-        algebra (associativity, commutativity if claimed, merge and
-        fingerprint consistency) on generated values.  With
-        ``check_purity=True``, statically analyzes the Map/Combine/Reduce
-        functions for nondeterminism and impurity.  Both are opt-in: they
-        import :mod:`repro.analysis` lazily and cost real time, so they
-        belong in tests and CI rather than on the hot construction path.
+        Statically analyzes the Map/Combine/Reduce functions for
+        nondeterminism and impurity, then property-tests the combiner's
+        declared algebra (associativity, commutativity if claimed, merge
+        and fingerprint consistency) with ``max_examples`` generated
+        examples per law: the pair ``python -m repro.analysis MODULE``
+        runs.  It imports :mod:`repro.analysis` lazily and costs real
+        time, so it belongs in tests and CI rather than on the hot
+        construction path.
 
         Returns the :class:`repro.analysis.AnalysisReport`; raises
         :class:`~repro.common.errors.CombinerContractError` if any check
@@ -87,13 +82,7 @@ class MapReduceJob:
         from repro.analysis.targets import job_target
 
         report = AnalysisReport()
-        check_target(
-            job_target(self),
-            report,
-            check_purity=check_purity,
-            check_laws=check_laws,
-            max_examples=max_examples,
-        )
+        check_target(job_target(self), report, max_examples=max_examples)
         if not report.ok:
             summary = "; ".join(f.message for f in report.errors())
             raise CombinerContractError(
@@ -104,8 +93,3 @@ class MapReduceJob:
     def with_reducers(self, num_reducers: int) -> "MapReduceJob":
         """A copy of this job with a different reducer count."""
         return replace(self, num_reducers=num_reducers)
-
-
-#: The user-facing name for a job's contract-bearing specification —
-#: ``JobSpec.validate(check_laws=True)`` reads as intended at call sites.
-JobSpec = MapReduceJob

@@ -17,7 +17,6 @@ import uuid
 
 import numpy as np
 
-from repro.analysis import trusted
 from repro.common.hashing import stable_hash
 from repro.common.rng import RngStream
 
@@ -180,12 +179,6 @@ def clean_seeded_numpy(record):
     """Explicitly seeded numpy generators are allowed."""
     generator = np.random.default_rng(1234)
     return generator.normal()
-
-
-@trusted("audited 2026-08: wraps a C extension the AST walker cannot see")
-def trusted_escape_hatch(record):
-    """@trusted suppresses analysis (but leaves an INFO breadcrumb)."""
-    yield (hash(record), random.random())
 
 
 # -- shared state reached through a free name -------------------------------

@@ -30,29 +30,29 @@ def user_module(tmp_path, monkeypatch):
 
 
 CLEAN_MODULE = """
-    from repro.mapreduce import JobSpec, SumCombiner
+    from repro.mapreduce import MapReduceJob, SumCombiner
 
     def _map(record):
         yield (record % 4, 1)
 
     def wordcount_job():
-        return JobSpec(name="wc", map_fn=_map, combiner=SumCombiner())
+        return MapReduceJob(name="wc", map_fn=_map, combiner=SumCombiner())
 """
 
 DIRTY_MODULE = """
     import random
 
-    from repro.mapreduce import JobSpec, SumCombiner
+    from repro.mapreduce import MapReduceJob, SumCombiner
 
     def _map(record):
         yield (record, random.random())
 
     def sampling_job():
-        return JobSpec(name="sampler", map_fn=_map, combiner=SumCombiner())
+        return MapReduceJob(name="sampler", map_fn=_map, combiner=SumCombiner())
 """
 
 MISLABELED_MODULE = """
-    from repro.mapreduce import JobSpec, SumCombiner
+    from repro.mapreduce import MapReduceJob, SumCombiner
 
     class BadMean(SumCombiner):
         def merge(self, key, values):
@@ -62,7 +62,7 @@ MISLABELED_MODULE = """
         yield (0, float(record))
 
     def mean_job():
-        return JobSpec(name="bad-mean", map_fn=_map, combiner=BadMean())
+        return MapReduceJob(name="bad-mean", map_fn=_map, combiner=BadMean())
 """
 
 
@@ -111,6 +111,14 @@ def test_no_arguments_is_a_usage_error():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_max_examples_must_be_a_positive_count(user_module, count):
+    name = user_module("clean_counted_mod", CLEAN_MODULE)
+    with pytest.raises(SystemExit) as excinfo:
+        main([name, "--max-examples", count])
+    assert excinfo.value.code == 2
+
+
 @pytest.fixture(scope="module")
 def self_run(tmp_path_factory):
     """One ``--self`` run, exactly as CI runs it: (exit code, what it
@@ -137,10 +145,6 @@ def test_self_certification_flags(self_run):
     ]
 
 
-def test_trust_audit_table_printed(self_run):
-    assert "trusted marks" in self_run[1]
-
-
 def test_module_scan_finds_job_factories(user_module):
     import importlib
 
@@ -150,3 +154,23 @@ def test_module_scan_finds_job_factories(user_module):
     assert [t.name for t in targets] == ["wordcount_job()"]
     roles = [role for role, _fn in targets[0].functions]
     assert "map" in roles and "combiner.merge" in roles
+
+
+AGGREGATES_MODULE = """
+    from repro.mapreduce import SumCombiner
+    from repro.query.aggregates import Count, Mean
+
+    count = Count()
+    mean = Mean(0)
+    comb = SumCombiner()
+"""
+
+
+def test_module_scan_finds_imported_aggregations(user_module):
+    import importlib
+
+    name = user_module("aggregates_fixture_mod", AGGREGATES_MODULE)
+    module = importlib.import_module(name)
+    assert [t.name for t in module_targets(module)] == [
+        "combiner:comb", "aggregate:count", "aggregate:mean",
+    ]

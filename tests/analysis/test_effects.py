@@ -1,13 +1,13 @@
 """Side effects a job function may not have, as the purity walk sees them:
 each write draws an error from ``analyze_callable`` on its own line, and
-reads, locals and trusted code draw none."""
+reads and locals draw none."""
 
 from __future__ import annotations
 
 import inspect
 
-from repro.analysis import analyze_callable, analyze_functions, trusted
-from repro.analysis.findings import ERROR, INFO
+from repro.analysis import analyze_callable, analyze_functions
+from repro.analysis.findings import ERROR
 
 _COUNTER = {"n": 0}
 _LIMIT = 10
@@ -62,12 +62,6 @@ def _does_io(record):
     return record
 
 
-@trusted(reason="audited for the effects test")
-def _trusted_writer(record):
-    _COUNTER["n"] += 1
-    return record
-
-
 def errors_of(findings):
     return sorted((f.rule, f.line) for f in findings if f.severity == ERROR)
 
@@ -119,15 +113,6 @@ def test_memo_access_detected():
     ]
 
 
-def test_trusted_function_summarizes_effect_free():
-    assert errors_of(analyze_callable(_trusted_writer)) == []
-    # analyzed through the mark, the write is still there
-    through = analyze_callable(_trusted_writer, ignore_trust=True)
-    assert errors_of(through) == [
-        ("purity.impurity.global-mutation", line_of(_trusted_writer, "+= 1")),
-    ]
-
-
 def test_findings_flag_shared_writes():
     findings = analyze_functions([("map", _writes_global)])
     assert [f.rule for f in findings] == ["purity.impurity.global-mutation"]
@@ -151,12 +136,6 @@ def test_findings_flag_memo_access():
 def test_findings_clean_on_pure_function():
     # reading a mutable global is not a write
     assert analyze_functions([("map", _pure), ("map", _reads_mutable_global)]) == []
-
-
-def test_trusted_yields_info_note():
-    findings = analyze_functions([("map", _trusted_writer)])
-    assert [f.rule for f in findings] == ["purity.trusted"]
-    assert findings[0].severity == INFO
 
 
 def test_shipped_corpus_is_effect_clean():

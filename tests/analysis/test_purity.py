@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import analyze_callable, analyze_functions, is_trusted, trusted
-from repro.analysis.findings import INFO
+from repro.analysis import analyze_callable, analyze_functions
 from repro.apps.registry import APP_REGISTRY
 
 from tests.analysis import purity_fixtures as fx
@@ -76,21 +75,6 @@ def test_findings_carry_location():
     assert finding.where.endswith("unseeded_random")
     assert "purity_fixtures" in finding.location()
     assert finding.line > 0
-
-
-def test_trusted_suppresses_with_breadcrumb():
-    assert is_trusted(fx.trusted_escape_hatch)
-    findings = analyze_callable(fx.trusted_escape_hatch)
-    assert len(findings) == 1
-    assert findings[0].severity == INFO
-    assert "audited 2026-08" in findings[0].message
-
-
-def test_trusted_requires_reason():
-    with pytest.raises(ValueError):
-        trusted("")
-    with pytest.raises(ValueError):
-        trusted("   ")
 
 
 def test_analyze_functions_batches_roles():

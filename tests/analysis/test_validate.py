@@ -1,4 +1,4 @@
-"""JobSpec.validate() and negative-path contract rejection across the
+"""MapReduceJob.validate() and negative-path contract rejection across the
 tree constructors — errors carry the repo error type and name the job."""
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from repro.core.folding import FoldingTree
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
-from repro.mapreduce import JobSpec, ListConcatCombiner, SumCombiner
-from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce import ListConcatCombiner, MapReduceJob, SumCombiner
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 
@@ -38,14 +37,10 @@ def _map(record):
 
 
 def make_job(combiner, name="fixture-job"):
-    return JobSpec(name=name, map_fn=_map, combiner=combiner)
+    return MapReduceJob(name=name, map_fn=_map, combiner=combiner)
 
 
-# -- JobSpec surface --------------------------------------------------------
-
-
-def test_jobspec_is_the_mapreducejob():
-    assert JobSpec is MapReduceJob
+# -- MapReduceJob surface ---------------------------------------------------
 
 
 def test_constructor_rejects_nonassociative_naming_the_job():
@@ -62,9 +57,7 @@ def test_contract_error_is_a_valueerror():
 
 
 def test_validate_passes_clean_job():
-    report = make_job(SumCombiner()).validate(
-        check_laws=True, check_purity=True
-    )
+    report = make_job(SumCombiner()).validate()
     assert report.ok
 
 
@@ -74,7 +67,7 @@ def test_validate_analyses_a_split_at_a_time_map_too():
 
     job = dataclasses.replace(make_job(SumCombiner()), map_split_fn=impure_split)
     with pytest.raises(CombinerContractError, match="random"):
-        job.validate(check_purity=True)
+        job.validate()
     kmeans = APP_REGISTRY["kmeans"].make_job()
     assert ("map_split", kmeans.map_split_fn) in job_target(kmeans).functions
 
@@ -93,7 +86,7 @@ def test_validate_rejects_module_state_mutation_naming_the_job():
     job = make_job(SumCombiner(), name="line-counter")
     job = dataclasses.replace(job, map_fn=_counting_map)
     with pytest.raises(CombinerContractError, match="'line-counter'") as excinfo:
-        job.validate(check_purity=True)
+        job.validate()
     message = str(excinfo.value)
     assert "'COUNT'" in message and "'SEEN'" in message
 
@@ -101,14 +94,8 @@ def test_validate_rejects_module_state_mutation_naming_the_job():
 def test_validate_falsifies_mislabeled_combiner_naming_the_job():
     job = make_job(BadMeanCombiner(), name="mean-of-means")
     with pytest.raises(CombinerContractError, match="'mean-of-means'") as excinfo:
-        job.validate(check_laws=True)
+        job.validate()
     assert "associative" in str(excinfo.value)
-
-
-def test_validate_is_lazy_by_default():
-    # without opt-in flags validate is a cheap no-op pass
-    report = make_job(SumCombiner()).validate()
-    assert report.ok and not report.findings
 
 
 # -- every tree constructor rejects a non-associative combiner --------------

@@ -142,9 +142,9 @@ def _float_split(i: int) -> Split:
 
 def test_a_float_sum_that_claims_exact_is_flagged_and_an_honest_one_scans():
     with pytest.raises(CombinerContractError, match="declared exact"):
-        _float_job(FloatSum()).validate(check_laws=True, max_examples=200)
+        _float_job(FloatSum()).validate(max_examples=200)
     job = _float_job(HonestFloatSum())
-    assert job.validate(check_laws=True).ok
+    assert job.validate().ok
     engine = Slider(job, WindowMode.VARIABLE, SliderConfig(tree="randomized"))
     engine.initial_run([_float_split(i) for i in range(9)])
     for i in range(9, 15):
