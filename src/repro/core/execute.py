@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.partition import Partition, combine_charged
 from repro.core.poison import PoisonContext
-from repro.core.taskgraph import RunLog, content_uids
+from repro.core.taskgraph import RunLog
 from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
@@ -254,13 +254,13 @@ class PlanExecutor:
                     )
                 return cached
         tree.stats.combiner_invocations += 1
-        non_empty = sum(1 for p in parts if p)
-        if non_empty == 1:
+        live = [p for p in parts if p]
+        if len(live) == 1:
             # A pass-through node (single live child): no merge runs, but
             # the child's data still moves through the tree position — on a
             # real cluster every tree node spills and copies its input, so
             # an overly tall tree is not free even where siblings are void.
-            value = next(p for p in parts if p)
+            value = live[0]
             charge = cost_scale * (
                 0.5 * tree.invocation_overhead
                 + tree.PASS_THROUGH_WEIGHT * value.record_weight(tree.combiner)
@@ -269,11 +269,11 @@ class PlanExecutor:
             if recording:
                 self.log_node(
                     "pass_through", phase, node, charge, float(len(value)),
-                    consumed=content_uids(parts), produced=(value.uid,),
+                    consumed=(value.uid,), produced=(value.uid,),
                 )
             return value
         result, charge = combine_charged(
-            parts,
+            live,
             tree.combiner,
             telemetry=telemetry,
             phase=phase,
@@ -288,7 +288,7 @@ class PlanExecutor:
         if recording:
             self.log_node(
                 "combine", phase, node, charge, float(len(result)),
-                memo_uid=memo_uid, consumed=content_uids(parts),
+                memo_uid=memo_uid, consumed=tuple([p.uid for p in live]),
                 produced=(result.uid,) if result else (),
             )
         if memo_uid is not None:

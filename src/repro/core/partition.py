@@ -74,7 +74,7 @@ class Partition:
                 acc ^= entry_hash(key, value, salt="pent")
             else:
                 acc ^= entry_hash_encoded(encoded[key], value, salt="pent")
-        return Partition(entries, uid=acc ^ stable_hash(len(entries), salt="pfp"))
+        return Partition(entries, uid=acc ^ _length_term(len(entries)))
 
     # -- protocol ----------------------------------------------------------
 
@@ -110,7 +110,11 @@ class Partition:
         return self.entries.items()
 
     def record_weight(self, combiner: Combiner) -> float:
-        """Total abstract size of the partition, in combiner size units."""
+        """Total abstract size of the partition, in combiner size units:
+        its length, as a float, under a combiner that prices every value
+        at 1.0 (:func:`_priced_by_count`)."""
+        if _priced_by_count(combiner):
+            return float(len(self.entries))
         return sum(combiner.value_size(v) for v in self.entries.values())
 
     def verify_fingerprint(
@@ -141,32 +145,74 @@ def _unpickle_partition(entries: dict[Any, Any], uid: int) -> Partition:
     return partition
 
 
+#: ``stable_hash(n, salt="pfp")`` by ``n``: the length term of every
+#: fingerprint, as many as the distinct partition lengths built so far.
+_LENGTH_TERMS: dict[int, int] = {}
+
+
+def _length_term(n: int) -> int:
+    term = _LENGTH_TERMS.get(n)
+    if term is None:
+        # Through the module global, so a counter wrapped round
+        # ``repro.core.partition.stable_hash`` sees every miss.
+        term = _LENGTH_TERMS[n] = stable_hash(n, salt="pfp")
+    return term
+
+
 def _fingerprint_entries(
     entries: Mapping[Any, Any], memo: dict[tuple[int, int], int] | None = None
 ) -> int:
     # Key order must not matter: XOR per-entry hashes (stable, order-free).
-    return stable_hash(len(entries), salt="pfp") ^ xor_entry_hashes(
+    return _length_term(len(entries)) ^ xor_entry_hashes(
         entries, salt="pent", memo=memo
+    )
+
+
+#: ``Combiner``'s own ``value_size`` and ``merge_cost``, bound on first use
+#: (``repro.mapreduce`` imports this module).
+_UNIT_HOOKS: tuple[Any, ...] = ()
+
+
+def _priced_by_count(combiner: Combiner) -> bool:
+    """Whether ``combiner`` keeps ``Combiner``'s pricing, overridden
+    neither on its class nor on the instance: every value is 1.0, so a
+    merge of ``m`` values costs ``float(m)`` (the default ``merge_cost``'s
+    sum of ``m`` ones, to the bit) and a copy-through ``0.1``."""
+    global _UNIT_HOOKS
+    if not _UNIT_HOOKS:
+        from repro.mapreduce.combiners import Combiner
+
+        _UNIT_HOOKS = (Combiner.value_size, Combiner.merge_cost)
+    kind = type(combiner)
+    own = getattr(combiner, "__dict__", ())
+    return (
+        (kind.value_size, kind.merge_cost) == _UNIT_HOOKS
+        and "value_size" not in own
+        and "merge_cost" not in own
     )
 
 
 def combined_uid(
     inputs: Sequence["Partition"],
-    merged_lists: Mapping[Any, list[Any]],
+    merged: Sequence[tuple[Any, list[Any]]],
+    delta_digests: int,
     entries: Mapping[Any, Any],
 ) -> int:
     """``_fingerprint_entries(entries)`` for the result of combining ``inputs``.
 
-    ``merged_lists`` is the gather the combine just made (key -> the value
-    each input held for it) and ``entries`` what it produced from that.  A
-    fingerprint is an XOR of per-entry hashes, so the result's equals the
-    XOR of the inputs' with the length terms swapped and, for each key more
-    than one input held, those inputs' entries taken out and the merged
-    entry (none, if a poison handler dropped the key) put in.  Keys one
-    input held pass through unhashed.  That is ``m + 1`` digests per key
-    ``m`` inputs held -- all finished from one encoding of the key -- plus
-    one per input; when it would not be fewer than hashing ``entries``
-    afresh, they are hashed afresh.
+    ``merged`` is what the combine's merge loop collected on its way
+    through the key gather: each key more than one input held, with the
+    value each of those inputs held for it, in gather order; ``entries``
+    is what the combine produced.  A fingerprint is an XOR of per-entry
+    hashes, so the result's equals the XOR of the inputs' with the length
+    terms swapped and, for each merged key, those inputs' entries taken
+    out and the merged entry (none, if a poison handler dropped the key)
+    put in.  Keys one input held pass through unhashed.  That is ``m + 1``
+    digests per key ``m`` inputs held -- all finished from one encoding
+    of the key -- plus one per input: ``delta_digests``, which the merge
+    loop counted too.  When it would not be fewer than hashing ``entries``
+    afresh, they are hashed afresh.  (The rule counts a length term as a
+    digest, cached or not.)
 
     Precondition: every input's ``uid`` is the fingerprint of its entries.
     Everything the engine builds satisfies it, and ``inject_and_repair``
@@ -175,13 +221,11 @@ def combined_uid(
     ``verify_fingerprint`` too (hashing afresh would fingerprint the
     corrupt content as valid); the entries are the same either way.
     """
-    merged = [item for item in merged_lists.items() if len(item[1]) > 1]
-    delta_hashes = sum(len(values) + 1 for _, values in merged) + len(inputs)
-    if delta_hashes >= len(entries):
+    if delta_digests >= len(entries):
         return _fingerprint_entries(entries)
-    acc = stable_hash(len(entries), salt="pfp")
+    acc = _length_term(len(entries))
     for partition in inputs:
-        acc ^= partition.uid ^ stable_hash(len(partition.entries), salt="pfp")
+        acc ^= partition.uid ^ _length_term(len(partition.entries))
     for key, values in merged:
         hash_with_key = entry_hasher(key, salt="pent")
         for value in values:
@@ -258,7 +302,15 @@ def combine_charged(  # analysis: charge-in-caller-span (the tree-level span)
 ) -> tuple[Partition, float]:
     """:func:`combine_partitions`, and what its merge costs: the very
     float charged to ``telemetry`` (``0.0`` when no merge runs), which
-    the executor logs as the node's cost."""
+    the executor logs as the node's cost.
+
+    One pass over the key gather builds the result, sums its cost in key
+    order and collects what :func:`combined_uid` needs (the merged keys
+    and the delta's digest count).  The cost is ``combiner.merge_cost``
+    a merged key plus ``combiner.value_size(value) * 0.1`` a key copied
+    through; a combiner :func:`_priced_by_count` is charged the same
+    floats, ``float(len(values))`` and ``0.1``, without a call, so it is
+    called per key only where keys merge."""
     non_empty = [p for p in partitions if p]
     if not non_empty:
         return Partition.empty(), 0.0
@@ -270,27 +322,30 @@ def combine_charged(  # analysis: charge-in-caller-span (the tree-level span)
         for key, value in partition.entries.items():
             merged_lists.setdefault(key, []).append(value)
 
+    by_count = _priced_by_count(combiner)
     entries: dict[Any, Any] = {}
+    merged: list[tuple[Any, list[Any]]] = []
+    delta_digests = len(non_empty)
     cost = 0.0
     for key, values in merged_lists.items():
         if len(values) == 1:
-            entries[key] = values[0]
-            cost += combiner.value_size(values[0]) * 0.1  # copy-through cost
-        else:
-            try:
-                entries[key] = combiner.merge(key, values)
-            except Exception as exc:
-                if on_poison is None:
-                    raise
-                recovered, value = on_poison(key, values, exc)
-                if not recovered:
-                    continue
-                entries[key] = value
-            cost += combiner.merge_cost(key, values)
+            entries[key] = values[0]  # copied through
+            cost += 0.1 if by_count else combiner.value_size(values[0]) * 0.1
+            continue
+        merged.append((key, values))
+        delta_digests += len(values) + 1
+        try:
+            entries[key] = combiner.merge(key, values)
+        except Exception as exc:
+            if on_poison is None:
+                raise
+            recovered, value = on_poison(key, values, exc)
+            if not recovered:
+                continue
+            entries[key] = value
+        cost += float(len(values)) if by_count else combiner.merge_cost(key, values)
     charged = cost * cost_factor + invocation_overhead
     if telemetry is not None:
         telemetry.charge(phase, charged)
-    return (
-        Partition(entries, uid=combined_uid(non_empty, merged_lists, entries)),
-        charged,
-    )
+    uid = combined_uid(non_empty, merged, delta_digests, entries)
+    return Partition(entries, uid=uid), charged

@@ -49,6 +49,10 @@ from typing import Any, Iterator
 #: handed none: enough top-level spans for a trace of what just happened.
 ENGINE_KEEP_LAST = 32
 
+#: A charge must be below this and at least 0.0: finite, so one NaN or
+#: infinite cost cannot turn every open span's work into one.
+_INF = float("inf")
+
 
 class Phase(enum.Enum):
     """The phase a unit of work is charged to."""
@@ -311,15 +315,17 @@ class Telemetry:
 
     # -- accounting ------------------------------------------------------
     def charge(self, phase: Phase, amount: float) -> None:
-        """Charge work to every open span, root first.
+        """Charge work to every open span, root first.  ``amount`` must be
+        finite and non-negative (``ValueError`` otherwise).
 
         The root-first order is load-bearing: it makes the root's
         inclusive totals float-identical to the seed's flat accumulator.
         """
-        if amount < 0:
+        if not 0.0 <= amount < _INF:  # NaN fails both comparisons too
             raise ValueError(f"work must be non-negative, got {amount}")
         for span in self._stack:
-            span.work[phase] = span.work.get(phase, 0.0) + amount
+            work = span.work
+            work[phase] = work.get(phase, 0.0) + amount
         current = self._stack[-1]
         current.self_work[phase] = current.self_work.get(phase, 0.0) + amount
         self._work_cursor += amount
@@ -337,10 +343,11 @@ class Telemetry:
         that a span's inclusive work equals the sum of self-work over
         its subtree.
         """
-        if amount < 0:
+        if not 0.0 <= amount < _INF:
             raise ValueError(f"work must be non-negative, got {amount}")
         for span in self._stack:
-            span.work[phase] = span.work.get(phase, 0.0) + amount
+            work = span.work
+            work[phase] = work.get(phase, 0.0) + amount
         self._work_cursor += amount
 
     @property
@@ -474,7 +481,7 @@ class NullTelemetry(Telemetry):
         pass
 
     def charge(self, phase: Phase, amount: float) -> None:
-        if amount < 0:
+        if not 0.0 <= amount < _INF:
             raise ValueError(f"work must be non-negative, got {amount}")
         work = self.root.work
         work[phase] = work.get(phase, 0.0) + amount

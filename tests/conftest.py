@@ -9,6 +9,7 @@ import pytest
 
 from repro.common import hashing
 from repro.common.rng import RngStream
+from repro.core import partition as partition_module
 from repro.core.partition import Partition
 from repro.mapreduce.combiners import SumCombiner
 
@@ -85,6 +86,17 @@ def count_digests(monkeypatch) -> tuple[list, list]:
         counted = _CountedState(real, salt, digests, keyings)
         monkeypatch.setitem(hashing._PROTOTYPES, salt, counted)
     return digests, keyings
+
+
+@pytest.fixture
+def length_terms(monkeypatch) -> dict:
+    """An empty cache of fingerprint length terms for the test, restored
+    after it: a ``"pfp"`` digest is then made once a length, at the first
+    fingerprint of that length -- a cache miss.  Clear it to start
+    counting misses afresh."""
+    terms: dict[int, int] = {}
+    monkeypatch.setattr(partition_module, "_LENGTH_TERMS", terms)
+    return terms
 
 
 def profile_calls(thunk, watched=None) -> tuple:

@@ -134,11 +134,14 @@ def _two_inputs(merged, passing):
 
 
 @pytest.mark.parametrize("passing", [0, 5, 6, 7, 30])
-def test_the_cheaper_of_delta_and_full_rehash_runs(monkeypatch, passing):
+def test_the_cheaper_of_delta_and_full_rehash_runs(monkeypatch, length_terms, passing):
     """Two merged keys of two inputs cost the delta 2 * (2 + 1) entry
     hashes and one length hash an input: 8, against one entry hash a
     result key.  So 8 result keys is the threshold (full re-hash, at no
-    loss), 9 is the first delta, and either way the uid is the same."""
+    loss), 9 is the first delta, and either way the uid is the same.  The
+    rule counts a length term as a digest; the cache makes one only for a
+    length not met before -- the inputs' were met when they were built,
+    the result's is a miss unless an input has its length."""
     merged = 2
     partitions = _two_inputs(merged, passing)
     calls, _ = count_digests(monkeypatch)
@@ -146,38 +149,47 @@ def test_the_cheaper_of_delta_and_full_rehash_runs(monkeypatch, passing):
     spent, entry_hashes = len(calls), calls.count("pent")
     assert len(combined) == merged + passing
     assert combined.uid == _fingerprint_entries(combined.entries)
+    misses = int(len(combined) not in {len(p) for p in partitions})
+    assert calls.count("pfp") == misses
     full = len(combined) + 1
     delta = merged * 3 + len(partitions) + 1
-    assert spent == min(full, delta)
     if len(combined) > 8:
-        assert spent == delta < full and entry_hashes == merged * 3
+        assert delta < full and entry_hashes == merged * 3
     else:
-        assert spent == full and entry_hashes == len(combined)
+        assert delta >= full and entry_hashes == len(combined)
+    assert spent == entry_hashes + misses
 
 
 @pytest.mark.parametrize("merged", [1, 6, 13])
-def test_each_merged_key_is_encoded_once(monkeypatch, merged):
+def test_each_merged_key_is_encoded_once(monkeypatch, length_terms, merged):
     """The delta makes three entry digests a key two inputs held -- one out
     for each input's value, one in for the merged value -- from one
-    encoding of that key; the 30 keys passing through are never touched."""
+    encoding of that key; the 30 keys passing through are never touched.
+    Of the three length terms only the result's is a cache miss: the
+    inputs' were made when they were built."""
     partitions = _two_inputs(merged, passing=30)
     digests, keyings = count_digests(monkeypatch)
     combined = combine_partitions(partitions, SumCombiner())
     assert digests.count("pent") == 3 * merged
-    assert digests.count("pfp") == len(partitions) + 1
+    assert digests.count("pfp") == 1
     assert sorted(keyings) == sorted(encode_key(f"m{i}") for i in range(merged))
     assert combined.uid == _fingerprint_entries(combined.entries)
 
 
-def test_both_kmeans_keys_always_merge_so_the_full_rehash_runs(monkeypatch):
+def test_both_kmeans_keys_always_merge_so_the_full_rehash_runs(
+    monkeypatch, length_terms
+):
+    """Two entry digests and no length digest: the inputs' length, 2, is
+    the result's, and was a miss when they were built."""
     vector = VectorSumCombiner()
     partitions = [
         Partition({"c0": (3, (0.5, 1.5)), "c1": (2, (1.0, -1.0))}),
         Partition({"c0": (1, (2.5, 0.5)), "c1": (4, (0.0, 8.0))}),
     ]
+    assert list(length_terms) == [2]
     calls, _ = count_digests(monkeypatch)
     combined = combine_partitions(partitions, vector)
-    assert calls == ["pfp", "pent", "pent"]
+    assert calls == ["pent", "pent"]
     assert combined.uid == _fingerprint_entries(combined.entries)
 
 

@@ -132,19 +132,24 @@ def _held_by_reducer(engine) -> list[list[Partition]]:
 
 
 @pytest.mark.parametrize("variant", [variant for variant, _ in VARIANTS])
-def test_verify_restored_hashes_each_distinct_partition_once(variant, monkeypatch):
+def test_verify_restored_hashes_each_distinct_partition_once(
+    variant, monkeypatch, length_terms
+):
     """A map-memo leaf is also a tree's leaf and a pass-through node is the
     child it is: the sweep met 12 032 slots over 7 997 objects on
-    ``hct_var_w1000`` and fingerprinted every slot.  One length digest a
-    distinct partition; and the keys are strs, never memoized, so one
-    entry digest an entry those partitions hold."""
+    ``hct_var_w1000`` and fingerprinted every slot.  One length term a
+    distinct partition, a digest for each length the emptied cache misses;
+    and the keys are strs, never memoized, so one entry digest an entry
+    those partitions hold."""
     mode = dict(VARIANTS)[variant]
     engine = Slider(count_job(), mode, config=SliderConfig(mode=mode, tree=variant))
     engine.initial_run([split_of(i) for i in range(9)])
     engine.advance([split_of(9)], 0 if mode is WindowMode.APPEND else 1)
     held = [p for walk in _held_by_reducer(engine) for p in walk]
+    length_terms.clear()
     digests, _ = count_digests(monkeypatch)
-    assert verify_restored(engine) == len(held) == digests.count("pfp")
+    assert verify_restored(engine) == len(held)
+    assert digests.count("pfp") == len(set(map(len, held))) == len(length_terms)
     assert digests.count("pent") == sum(map(len, held))
     # A failure is reported where the object was first met: as map output.
     split = engine.window.splits[-1]
@@ -172,13 +177,16 @@ def _restored(app: str, tmp_path) -> Slider:
 
 
 @pytest.mark.parametrize("app", ["matrix", "hct"])
-def test_verify_restored_hashes_each_distinct_entry_once(app, tmp_path, monkeypatch):
+def test_verify_restored_hashes_each_distinct_entry_once(
+    app, tmp_path, monkeypatch, length_terms
+):
     """A pass-through holds its child's very key and value objects, so a
     restored matrix engine's 128 partitions hold each tuple-keyed (key,
     value) pair of objects about three times: the sweep digests each once
     a reducer, every other entry each time, and one length term a
-    partition.  About 0.3 of the entries on the benchmark's matrix shape;
-    str keys are never memoized, so on hct it digests every entry."""
+    partition (a digest for each length the emptied cache misses).  About
+    0.3 of the entries on the benchmark's matrix shape; str keys are never
+    memoized, so on hct it digests every entry."""
     engine = _restored(app, tmp_path)
     walks = _held_by_reducer(engine)
     entries = sum(len(p) for walk in walks for p in walk)
@@ -192,8 +200,11 @@ def test_verify_restored_hashes_each_distinct_entry_once(app, tmp_path, monkeypa
         }
         others = sum(type(key) is not tuple for p in walk for key in p.keys())
         expected += len(pairs) + others
+    lengths = {len(p) for walk in walks for p in walk}
+    length_terms.clear()
     digests, _ = count_digests(monkeypatch)
-    assert verify_restored(engine) == sum(map(len, walks)) == digests.count("pfp")
+    assert verify_restored(engine) == sum(map(len, walks))
+    assert digests.count("pfp") == len(lengths) == len(length_terms)
     assert digests.count("pent") == expected
     if app == "matrix":
         assert digests.count("pent") <= 0.5 * entries

@@ -162,3 +162,28 @@ def test_window_emptied_and_refilled():
     refilled = slider.advance(splits[4:8], 0)
     expected = BatchRuntime(job).run(splits[4:8]).outputs
     assert refilled.outputs == expected
+
+
+class _NanPricedSum(SumCombiner):
+    """Prices merges at NaN once ``armed``."""
+
+    armed = False
+
+    def merge_cost(self, key, values):
+        return float("nan") if self.armed else super().merge_cost(key, values)
+
+
+def test_an_advance_whose_merge_cost_is_nan_raises():
+    combiner = _NanPricedSum()
+    job = MapReduceJob(
+        name="nan-cost",
+        map_fn=lambda line: [(w, 1) for w in line.split()],
+        combiner=combiner,
+        num_reducers=2,
+    )
+    splits = make_splits(CORPUS, 2)
+    slider = Slider(job, WindowMode.VARIABLE)
+    slider.initial_run(splits[:10])
+    combiner.armed = True
+    with pytest.raises(ValueError, match="work must be non-negative, got nan"):
+        slider.advance(splits[10:12], 2)

@@ -66,14 +66,16 @@ def test_reduce_follows_the_slides_keys_not_the_roots():
     assert scanned[1] > 5 * scanned[0] and scanned[0] > small
 
 
-def test_a_map_task_encodes_each_distinct_key_once():
+def test_a_map_task_encodes_each_distinct_key_once(length_terms):
     """One top-level ``_encode_fast`` a distinct key (the route and the
-    leaf's entry hash are finished from it), one a value, one a leaf's
-    length term; a key used to be encoded for each of its two hashes."""
+    leaf's entry hash are finished from it), one a value, one a length
+    term the cache misses (a leaf length no earlier leaf had); a key used
+    to be encoded for each of its two hashes."""
     spec = APP_REGISTRY["matrix"]
     job = spec.make_job()
     watched = _encode_fast.__code__
     for split in spec.make_splits(2, 5):
+        known = set(length_terms)
         outputs, _, hits = profile_calls(
             lambda: run_map_task(job, split.records, HashPartitioner(job.num_reducers)),
             watched,
@@ -85,8 +87,10 @@ def test_a_map_task_encodes_each_distinct_key_once():
             return profile_calls(lambda: [encode_key(v) for v in values], watched)[2]
 
         keys, values = zip(*entries)
+        missed = {len(leaf) for leaf in outputs} - known
+        assert set(length_terms) == known | missed
         lengths = profile_calls(
-            lambda: [stable_hash(len(leaf), salt="pfp") for leaf in outputs], watched
+            lambda: [stable_hash(n, salt="pfp") for n in missed], watched
         )[2]
         assert hits == once(keys) + once(values) + lengths
         assert hits < 2 * once(keys) + once(values)

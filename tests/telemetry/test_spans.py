@@ -69,6 +69,20 @@ def test_negative_charge_rejected():
         Telemetry(label="x").charge(Phase.MAP, -0.1)
 
 
+@pytest.mark.parametrize("amount", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("method", ["charge", "absorb_charge", "null-charge"])
+def test_a_charge_that_is_not_finite_is_rejected(method, amount):
+    """One NaN or infinite charge would make every open span's work and
+    ``total()`` NaN or infinite for the rest of the run."""
+    t = NullTelemetry() if method == "null-charge" else Telemetry(label="x")
+    charge = t.charge if method == "null-charge" else getattr(t, method)
+    charge(Phase.MAP, 2.0)
+    with pytest.raises(ValueError, match="work must be non-negative"):
+        charge(Phase.MAP, amount)
+    assert t.by_phase == {Phase.MAP: 2.0} and t.total() == 2.0
+    assert t.now() == 2.0
+
+
 def test_record_span_is_preclosed_on_named_thread():
     t = Telemetry(label="x")
     span = t.record_span(
