@@ -24,8 +24,7 @@ or the reducer, with a telemetry trace of why:
 2. the (variant, window-mode) pair holds a green
    ``parallel-safety-certificate/v2`` (the frozen allowlist below is
    tied to the live ``repro.analysis.shared`` certification by test);
-3. no poison policy (quarantine bookkeeping is engine-local) and no
-   cluster simulation (its cache layer is a process-local handle);
+3. no cluster simulation (its cache layer is a process-local handle);
 4. per reducer: the payload pickles.
 
 This module lives in ``repro.core`` and therefore never imports the
@@ -135,8 +134,6 @@ class ProcessBackend(ExecutionBackend):
         if self.broken or self.workers < 1:
             return False
         if engine.cluster is not None or engine.cache is not None:
-            return False
-        if engine.executor.poison is not None:
             return False
         pair = (engine.config.tree_variant(), engine.mode.value)
         return pair in CERTIFIED_PARALLEL_VARIANTS

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.partition import Partition, combine_charged
-from repro.core.poison import PoisonContext
 from repro.core.taskgraph import RunLog
 from repro.telemetry import Phase, Telemetry
 
@@ -86,9 +85,6 @@ class PlanExecutor:
         self.reducer: int | None = None
         #: The open step's atoms, until its first node carries them.
         self._step: tuple | None = None
-        #: When set (engine configured a poison policy), combiner failures
-        #: are retried and then quarantined instead of aborting the run.
-        self.poison: PoisonContext | None = None
         self._map_costs: dict[int, float] = {}
         self._reducer_costs: dict[int, float] = {}
         #: The open run's ``recurring`` verdict (False outside a run).
@@ -279,11 +275,6 @@ class PlanExecutor:
             phase=phase,
             cost_factor=tree.combine_cost_factor * cost_scale,
             invocation_overhead=tree.invocation_overhead * cost_scale,
-            on_poison=(
-                self.poison.combine_handler(tree.combiner)
-                if self.poison is not None
-                else None
-            ),
         )
         if recording:
             self.log_node(

@@ -30,8 +30,6 @@ class MemoStats:
     evictions: int = 0
     #: Entries that failed fingerprint verification and were dropped.
     corruptions: int = 0
-    #: Stores skipped because the memo budget was exhausted.
-    skipped_stores: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -101,13 +99,6 @@ class MemoTable:
     backing: Any = None
     #: Telemetry backbone to mirror hit/miss/eviction counters into.
     telemetry: "Telemetry | None" = None
-    #: Fingerprint checks on read: "off", "tainted" (only uids marked by
-    #: :meth:`taint`, each verified once), or "paranoid" (every read).
-    verify_mode: str = "tainted"
-    #: Max retained entries; ``None`` is unbounded.  When the budget is
-    #: exhausted new results are recomputed instead of memoized — the
-    #: degradation ladder's strawman end.
-    capacity: int | None = None
     #: True once the backing store failed; the table then runs local-only
     #: instead of failing the run.
     degraded: bool = False
@@ -140,19 +131,6 @@ class MemoTable:
         return found
 
     def store(self, uid: int, value: Partition) -> None:
-        if (
-            self.capacity is not None
-            and uid not in self.entries
-            and len(self.entries) >= self.capacity
-        ):
-            self.stats.skipped_stores += 1
-            if self.telemetry is not None:
-                self.telemetry.count("memo.skipped_stores")
-                if self.stats.skipped_stores == 1:
-                    self.telemetry.instant(
-                        "memo.budget_exhausted", capacity=self.capacity
-                    )
-            return
         self.entries[uid] = value
         if self.backing is not None and not self.degraded:
             try:
@@ -183,9 +161,10 @@ class MemoTable:
             self._tainted.update(uids)
 
     def _verified(self, uid: int, value: Partition) -> bool:
-        if self.verify_mode == "off":
-            return True
-        if self.verify_mode != "paranoid" and uid not in self._tainted:
+        """An entry marked by :meth:`taint` is verified once, on its next
+        read; a corrupt one is counted in ``memo.corruptions`` and the
+        caller drops it."""
+        if uid not in self._tainted:
             return True
         if value.verify_fingerprint():
             self._tainted.discard(uid)
@@ -247,7 +226,7 @@ class MemoTable:
 
         The recovery layer checkpoints entries as a plain dict and
         restores them through here, which re-derives the store's size.
-        Bypasses capacity/stat accounting: this is state transfer, not
+        Bypasses stat accounting: this is state transfer, not
         computation.
         """
         self.entries.clear()

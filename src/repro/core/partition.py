@@ -21,13 +21,6 @@ from repro.telemetry import Phase, Telemetry
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
     from repro.mapreduce.combiners import Combiner
 
-#: Called when a combiner raises for one key: ``(key, values, exc)``.
-#: Returns ``(recovered, value)`` — recovered True splices ``value`` in as
-#: the merge result (a retry succeeded), False drops the key (quarantined).
-#: An absent handler re-raises the original exception.
-PoisonHandler = Callable[[Any, list[Any], BaseException], "tuple[bool, Any]"]
-
-
 class Partition:
     """An immutable key -> combined-value mapping with a content id."""
 
@@ -49,7 +42,6 @@ class Partition:
     def from_value_lists(
         buffer: Mapping[Any, list[Any]],
         combiner: Combiner,
-        on_poison: PoisonHandler | None = None,
         encoded: Mapping[Any, bytes] | None = None,
     ) -> "Partition":
         """Build a partition from per-key value lists (a Map task's buffer);
@@ -58,17 +50,7 @@ class Partition:
         entries: dict[Any, Any] = {}
         acc = 0
         for key, values in buffer.items():
-            if len(values) == 1:
-                value = values[0]
-            else:
-                try:
-                    value = combiner.merge(key, values)
-                except Exception as exc:
-                    if on_poison is None:
-                        raise
-                    recovered, value = on_poison(key, values, exc)
-                    if not recovered:
-                        continue
+            value = values[0] if len(values) == 1 else combiner.merge(key, values)
             entries[key] = value
             if encoded is None or type(key) is float:
                 acc ^= entry_hash(key, value, salt="pent")
@@ -205,14 +187,14 @@ def combined_uid(
     value each of those inputs held for it, in gather order; ``entries``
     is what the combine produced.  A fingerprint is an XOR of per-entry
     hashes, so the result's equals the XOR of the inputs' with the length
-    terms swapped and, for each merged key, those inputs' entries taken
-    out and the merged entry (none, if a poison handler dropped the key)
-    put in.  Keys one input held pass through unhashed.  That is ``m + 1``
-    digests per key ``m`` inputs held -- all finished from one encoding
-    of the key -- plus one per input: ``delta_digests``, which the merge
-    loop counted too.  When it would not be fewer than hashing ``entries``
-    afresh, they are hashed afresh.  (The rule counts a length term as a
-    digest, cached or not.)
+    terms swapped and, for each merged key (every one is in ``entries``),
+    those inputs' entries taken out and the merged entry put in.  Keys one
+    input held pass through unhashed.  That is ``m + 1`` digests per key
+    ``m`` inputs held -- all finished from one encoding of the key -- plus
+    one per input: ``delta_digests``, which the merge loop counted too.
+    When it would not be fewer than hashing ``entries`` afresh, they are
+    hashed afresh.  (The rule counts a length term as a digest, cached or
+    not.)
 
     Precondition: every input's ``uid`` is the fingerprint of its entries.
     Everything the engine builds satisfies it, and ``inject_and_repair``
@@ -230,8 +212,7 @@ def combined_uid(
         hash_with_key = entry_hasher(key, salt="pent")
         for value in values:
             acc ^= hash_with_key(value)
-        if key in entries:
-            acc ^= hash_with_key(entries[key])
+        acc ^= hash_with_key(entries[key])
     return acc
 
 
@@ -273,7 +254,6 @@ def combine_partitions(
     phase: Phase = Phase.CONTRACTION,
     cost_factor: float = 1.0,
     invocation_overhead: float = 0.0,
-    on_poison: PoisonHandler | None = None,
 ) -> Partition:
     """Combine several partitions into one, charging per-key merge cost.
 
@@ -286,8 +266,7 @@ def combine_partitions(
     combiner invocation has on a real cluster; pass-throughs are free.
     """
     return combine_charged(
-        partitions, combiner, telemetry, phase, cost_factor,
-        invocation_overhead, on_poison,
+        partitions, combiner, telemetry, phase, cost_factor, invocation_overhead
     )[0]
 
 
@@ -298,7 +277,6 @@ def combine_charged(  # analysis: charge-in-caller-span (the tree-level span)
     phase: Phase = Phase.CONTRACTION,
     cost_factor: float = 1.0,
     invocation_overhead: float = 0.0,
-    on_poison: PoisonHandler | None = None,
 ) -> tuple[Partition, float]:
     """:func:`combine_partitions`, and what its merge costs: the very
     float charged to ``telemetry`` (``0.0`` when no merge runs), which
@@ -334,15 +312,7 @@ def combine_charged(  # analysis: charge-in-caller-span (the tree-level span)
             continue
         merged.append((key, values))
         delta_digests += len(values) + 1
-        try:
-            entries[key] = combiner.merge(key, values)
-        except Exception as exc:
-            if on_poison is None:
-                raise
-            recovered, value = on_poison(key, values, exc)
-            if not recovered:
-                continue
-            entries[key] = value
+        entries[key] = combiner.merge(key, values)
         cost += float(len(values)) if by_count else combiner.merge_cost(key, values)
     charged = cost * cost_factor + invocation_overhead
     if telemetry is not None:

@@ -13,7 +13,6 @@ from typing import Any, Iterable
 
 from repro.common.hashing import encode_key, hash_encoded
 from repro.core.partition import Partition
-from repro.core.poison import PoisonContext
 from repro.mapreduce.job import MapReduceJob
 from repro.telemetry import Phase, SpanKind, Telemetry
 
@@ -41,7 +40,6 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
     partitioner: HashPartitioner,
     telemetry: Telemetry | None = None,
     label: str = "",
-    poison: PoisonContext | None = None,
 ) -> list[Partition]:
     """Run the Map function over a split and locally combine per reducer.
 
@@ -57,14 +55,9 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
     finished too: a key is encoded once a task.
 
     A job that declares ``map_split_fn`` has its whole split mapped in one
-    call — unless a poison policy is configured: quarantine is per record,
-    and lives only in the per-record loop.
-
-    ``poison`` (when the engine configured a poison policy) quarantines
-    records whose ``map_fn`` raises — in the call or, for a generator,
-    while its pairs are drained; after the policy's bounded retries —
-    to the dead-letter channel instead of aborting the task; quarantined
-    records emit nothing but still pay their map cost (the attempts ran).
+    call; it yields, per record and in order, the pairs ``map_fn`` would,
+    so both spellings feed the one loop below.  An exception ``map_fn``
+    or ``map_split_fn`` raises propagates unchanged.
     """
     scope = (
         telemetry.span(label or "map-task", SpanKind.TASK)
@@ -81,47 +74,20 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
         encoded: dict[Any, bytes] = {}
         record_count = 0
         pair_count = 0
-        if job.map_split_fn is not None and poison is None:
-            # The split-at-a-time spelling of the loop below: same pairs in
-            # the same order, so routing and buffer order are the loop's.
-            for pairs in job.map_split_fn(records):
-                record_count += 1
-                for key, value in pairs:
-                    pair_count += 1
-                    values = routed.get(key)
-                    if values is None:
-                        code = encoded[key] = encode_key(key)
-                        buffer = buffers[partitioner.partition(key, code)]
-                        values = routed[key] = buffer[key] = []
-                    values.append(value)
+        if job.map_split_fn is not None:
+            per_record = job.map_split_fn(records)
         else:
-            for record in records:
-                record_count += 1
-                try:
-                    pairs = job.map_fn(record)
-                    if poison is not None:
-                        # A generator's body runs when it is drained: do that
-                        # here, so a failed attempt emits nothing.
-                        pairs = list(pairs)
-                except Exception as exc:
-                    if poison is None:
-                        raise
-                    ok, pairs, attempts, last = poison.queue.retry(
-                        lambda: list(job.map_fn(record)), exc
-                    )
-                    if not ok:
-                        poison.queue.quarantine(
-                            "map", record, last, attempts, label or "map-task"
-                        )
-                        continue
-                for key, value in pairs:
-                    pair_count += 1
-                    values = routed.get(key)
-                    if values is None:
-                        code = encoded[key] = encode_key(key)
-                        buffer = buffers[partitioner.partition(key, code)]
-                        values = routed[key] = buffer[key] = []
-                    values.append(value)
+            per_record = map(job.map_fn, records)
+        for pairs in per_record:
+            record_count += 1
+            for key, value in pairs:
+                pair_count += 1
+                values = routed.get(key)
+                if values is None:
+                    code = encoded[key] = encode_key(key)
+                    buffer = buffers[partitioner.partition(key, code)]
+                    values = routed[key] = buffer[key] = []
+                values.append(value)
 
         if telemetry is not None:
             telemetry.charge(Phase.MAP, record_count * job.costs.map_cost_per_record)
@@ -129,21 +95,10 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
                 Phase.SHUFFLE, pair_count * job.costs.shuffle_cost_per_pair
             )
 
-        outputs = []
-        for buffer in buffers:
-            outputs.append(
-                Partition.from_value_lists(
-                    buffer,
-                    job.combiner,
-                    on_poison=(
-                        poison.combine_handler(job.combiner)
-                        if poison is not None
-                        else None
-                    ),
-                    encoded=encoded,
-                )
-            )
-        return outputs
+        return [
+            Partition.from_value_lists(buffer, job.combiner, encoded=encoded)
+            for buffer in buffers
+        ]
 
 
 def shuffle_map_outputs(

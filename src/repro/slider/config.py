@@ -7,7 +7,6 @@ import os
 from dataclasses import dataclass, field
 
 from repro.core.backends import EXECUTION_BACKENDS
-from repro.core.poison import PoisonPolicy
 from repro.slider.window import WindowMode
 
 #: Tree-variant names accepted by SliderConfig.tree.
@@ -23,9 +22,6 @@ def _default_backend() -> str:
 
 def _default_workers() -> int:
     return int(os.environ.get("REPRO_WORKERS", "2"))
-
-#: Memo fingerprint-verification modes accepted by SliderConfig.memo_verify.
-MEMO_VERIFY_MODES = ("off", "tainted", "paranoid")
 
 
 @dataclass(frozen=True)
@@ -45,15 +41,6 @@ class SliderConfig:
     seed: int = 0
     #: Garbage-collect memoized state that fell out of the window.
     auto_gc: bool = True
-    #: Quarantine poison records/keys under this retry policy instead of
-    #: failing the run; ``None`` propagates user-code exceptions unchanged.
-    poison_policy: PoisonPolicy | None = None
-    #: Max entries each tree memo table retains; exhausting the budget
-    #: degrades new sub-computations toward strawman recomputation.
-    memo_budget: int | None = None
-    #: Memo fingerprint verification on read: "off", "tainted" (only
-    #: entries marked suspect, each verified once), or "paranoid".
-    memo_verify: str = "tainted"
     #: Where certified contraction work executes: "inprocess" (default,
     #: bit-identical single-process path) or "process" (persistent forked
     #: worker pool; ineligible runs fall back per the backend's dispatch
@@ -65,14 +52,14 @@ class SliderConfig:
     workers: int = field(default_factory=_default_workers)
 
     def __post_init__(self) -> None:
-        if self.memo_verify not in MEMO_VERIFY_MODES:
+        if not isinstance(self.mode, WindowMode):
             raise ValueError(
-                f"unknown memo_verify mode {self.memo_verify!r} "
-                f"(choose from {MEMO_VERIFY_MODES})"
+                f"unknown window mode {self.mode!r} "
+                f"(choose from {tuple(str(m) for m in WindowMode)})"
             )
-        if self.memo_budget is not None and self.memo_budget < 0:
+        if self.tree not in TREE_VARIANTS:
             raise ValueError(
-                f"memo_budget must be non-negative, got {self.memo_budget}"
+                f"unknown tree variant {self.tree!r} (choose from {TREE_VARIANTS})"
             )
         if self.execution_backend not in EXECUTION_BACKENDS:
             raise ValueError(
@@ -84,8 +71,6 @@ class SliderConfig:
 
     def tree_variant(self) -> str:
         if self.tree != "auto":
-            if self.tree not in TREE_VARIANTS:
-                raise ValueError(f"unknown tree variant {self.tree!r}")
             return self.tree
         return {
             WindowMode.APPEND: "coalescing",

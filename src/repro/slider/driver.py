@@ -142,8 +142,8 @@ class StreamDriver:
     # -- internals ---------------------------------------------------------
 
     def _close_slide(self) -> SliderResult | None:
-        # Atomic per slide: any failure inside the engine (a poison record
-        # with no quarantine policy, an injected fault, ...) must leave the
+        # Atomic per slide: any failure inside the engine (user code that
+        # raises, an injected fault, ...) must leave the
         # stream cursor exactly as it was, so the caller can checkpoint or
         # retry without half a slide folded into the buffers.
         saved = (

@@ -199,12 +199,7 @@ class RunPlanner:
 
     def make_tree(self) -> ContractionTree:
         engine = self.engine
-        memo = MemoTable(
-            backing=engine.cache,
-            telemetry=engine.telemetry,
-            verify_mode=engine.config.memo_verify,
-            capacity=engine.config.memo_budget,
-        )
+        memo = MemoTable(backing=engine.cache, telemetry=engine.telemetry)
         common = dict(
             memo=memo,
             combine_cost_factor=engine.job.costs.combine_cost_factor,
@@ -291,7 +286,6 @@ class RunPlanner:
                 engine.partitioner,
                 telemetry,
                 label=label,
-                poison=executor.poison,
             )
             keys = sum(len(p) for p in outputs)
             engine.map_keys += keys
@@ -354,15 +348,13 @@ class RunPlanner:
         combiner's root value is a function of the multiset of leaf values
         for its key, however a tree brackets them, so every other key still
         ``==`` its memoized value.  ``None`` (scan the root; the reason is
-        counted) when the combiner does not say so, a poison policy may drop
-        keys, a fault schedule covers the run, or a leaving row is not held.
+        counted) when the combiner does not say so, a fault schedule covers
+        the run, or a leaving row is not held.
         """
         engine = self.engine
         rows = [engine.map_memo.get(split.uid) for split in (*added, *departed)]
         if not engine.job.combiner.exact:
             engine.telemetry.count("reduce.scan.inexact")
-        elif engine.executor.poison is not None:
-            engine.telemetry.count("reduce.scan.poison_policy")
         elif self._chaos_active():
             engine.telemetry.count("reduce.scan.chaos")
         elif None in rows:

@@ -36,7 +36,6 @@ from repro.core.backends import ExecutionBackend, make_backend
 from repro.core.base import ContractionTree
 from repro.core.execute import PlanExecutor, RunExecution
 from repro.core.partition import Partition
-from repro.core.poison import DeadLetterQueue, PoisonContext
 from repro.core.plan import Plan
 from repro.core.taskgraph import TaskGraph
 from repro.mapreduce.job import MapReduceJob
@@ -97,9 +96,6 @@ class SliderResult:
     #: before — the one run a process backend may dispatch.  The run
     #: itself executed as any other does.
     plan_cache_hit: bool = False
-    #: Poison records/keys quarantined during this run (empty unless the
-    #: engine was configured with a poison policy and user code raised).
-    dead_letters: tuple = ()
 
 
 class Slider:
@@ -108,7 +104,7 @@ class Slider:
     def __init__(
         self,
         job: MapReduceJob,
-        mode: WindowMode = WindowMode.VARIABLE,
+        mode: WindowMode | None = None,
         config: SliderConfig | None = None,
         cluster: Cluster | None = None,
         scheduler: Scheduler | None = None,
@@ -116,11 +112,16 @@ class Slider:
         chaos: ChaosSchedule | ChaosPlan | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        if config is not None and config.mode is not mode:
+        # An explicit ``mode`` wins over the config's; with neither, VARIABLE.
+        if config is None:
+            config = SliderConfig(
+                mode=WindowMode.VARIABLE if mode is None else mode
+            )
+        elif mode is not None and config.mode is not mode:
             config = replace(config, mode=mode)
         self.job = job
-        self.config = config or SliderConfig(mode=mode)
-        self.mode = mode
+        self.config = config
+        self.mode = config.mode
         self.partitioner = HashPartitioner(job.num_reducers)
         #: The telemetry backbone: one span tree shared by the engine, the
         #: trees, the distributed cache, the block store, and the executor.
@@ -136,14 +137,6 @@ class Slider:
         #: the engine's map/reduce passes and all tree combines — resolves
         #: here, and each run is logged here.
         self.executor = PlanExecutor(self.telemetry)
-        #: Dead-letter channel for poison records/keys (graceful
-        #: degradation); None unless the config sets a poison policy.
-        self.dead_letters: DeadLetterQueue | None = None
-        if self.config.poison_policy is not None:
-            self.dead_letters = DeadLetterQueue(
-                policy=self.config.poison_policy, telemetry=self.telemetry
-            )
-            self.executor.poison = PoisonContext(queue=self.dead_letters)
         self.cluster = cluster
         self.scheduler = scheduler or HybridScheduler()
         self.cache: DistributedMemoCache | None = None
@@ -214,8 +207,6 @@ class Slider:
             "initial", SpanKind.WINDOW_UPDATE, run_index=self.run_index
         ):
             self.lifecycle.inject_corruption()
-            if self.executor.poison is not None:
-                self.executor.poison.context = "initial"
             self.executor.begin_run("initial")
             with self.telemetry.span("map", SpanKind.PHASE):
                 self.planner.run_maps(splits)
@@ -250,8 +241,6 @@ class Slider:
             removed=removed,
         ):
             self.lifecycle.inject_corruption()
-            if self.executor.poison is not None:
-                self.executor.poison.context = f"incremental-{self.run_index}"
             # Keys the advance off pre-mutation tree structure.
             self.planner.begin_run(
                 f"incremental-{self.run_index}", added, removed
@@ -355,11 +344,6 @@ class Slider:
             graph=TaskGraph(run.log),
             plan=Plan(run.log),
             plan_cache_hit=run.recurring,
-            dead_letters=(
-                self.dead_letters.drain()
-                if self.dead_letters is not None
-                else ()
-            ),
         )
         self.run_index += 1
         return result

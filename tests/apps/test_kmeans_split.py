@@ -1,8 +1,8 @@
 """K-Means' split-at-a-time Map is a spelling of ``map_fn``, not a second
 definition: ``==`` to the per-record outputs on blocks aimed at the
 kernel's certificate, the same partitions, charges and spans through
-``run_map_task`` and ``Slider``, the per-record loop whenever a poison
-policy is set, and — counted, not timed — no silent slide back into the
+``run_map_task`` and ``Slider``, the same exception when a record cannot
+be mapped, and — counted, not timed — no silent slide back into the
 scalar fallback."""
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from repro.apps import kmeans
 from repro.apps.registry import APP_REGISTRY
-from repro.core.poison import DeadLetterQueue, PoisonContext, PoisonPolicy
 from repro.datagen.points import PointGenerator
 from repro.mapreduce.shuffle import HashPartitioner, run_map_task
+from repro.mapreduce.types import Split
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
@@ -140,10 +140,10 @@ def test_ragged_centroids_are_rejected():
 # -- run_map_task and Slider twins -------------------------------------------
 
 
-def map_task(job, records, poison=None):
+def map_task(job, records):
     telemetry = Telemetry(label="twin")
     partitions = run_map_task(
-        job, records, HashPartitioner(job.num_reducers), telemetry, "twin", poison
+        job, records, HashPartitioner(job.num_reducers), telemetry, "twin"
     )
     spans = [(span.name, span.kind) for span in telemetry.iter_spans()]
     return partitions, dict(telemetry.by_phase), spans
@@ -193,26 +193,44 @@ def counting(job):
     return dataclasses.replace(job, map_split_fn=kernel), calls
 
 
-def test_a_poison_policy_takes_the_per_record_loop():
+def test_a_record_the_kernel_cannot_map_raises_as_map_fn_does():
     records = list(SPEC.make_splits(1, 29, 0)[0].records)
     records[3:3] = [None, ("x",) * 50]  # map_assign raises TypeError on both
     job, calls = counting(SPEC.make_job())
-    seen = []
-    for twin in (job, stripped(job)):
-        queue = DeadLetterQueue(PoisonPolicy(max_retries=2))
-        partitions, charged, spans = map_task(twin, records, PoisonContext(queue))
-        seen.append((partitions, charged, spans, queue.letters))
-    assert seen[0] == seen[1]
-    assert calls == []
-    assert [(l.unit, l.attempts) for l in seen[0][3]] == [(None, 3), (("x",) * 50, 3)]
-
-    # No policy: the kernel runs, and what it cannot map raises as map_fn does.
     with pytest.raises(TypeError) as of_kernel:
         map_task(job, records)
     with pytest.raises(TypeError) as of_loop:
         map_task(stripped(job), records)
     assert calls == [len(records)]
     assert str(of_kernel.value) == str(of_loop.value)
+
+
+def test_a_raising_kernel_propagates_from_advance_and_leaves_the_window():
+    """What ``map_split_fn`` raises on a split leaves ``Slider.advance``
+    as it was raised, and the window is the one before the advance: the
+    state ``StreamDriver``'s per-slide rollback relies on."""
+    splits = SPEC.make_splits(5, 31, 0)
+    boom = RuntimeError("kernel failure")
+    job = SPEC.make_job()
+    kernel = job.map_split_fn
+
+    def raising(records):
+        if records is doomed.records:
+            raise boom
+        return kernel(records)
+
+    doomed = Split.from_records(list(splits[4].records), label="doomed")
+    slider = Slider(dataclasses.replace(job, map_split_fn=raising))
+    slider.initial_run(splits[:3])
+    slider.advance([splits[3]], 1)
+    window = [split.uid for split in slider.window]
+    outputs = slider.current_outputs()
+    with pytest.raises(RuntimeError) as raised:
+        slider.advance([doomed], 1)
+    assert raised.value is boom
+    assert [split.uid for split in slider.window] == window
+    assert slider.current_outputs() == outputs
+    slider.close()
 
 
 # -- the counting gate -----------------------------------------------------------

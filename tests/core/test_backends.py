@@ -14,7 +14,6 @@ from repro.core.backends import (
     make_backend,
 )
 from repro.core.memo import DictMemoStore, MemoStats
-from repro.core.poison import PoisonPolicy
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import Fleet, case_of, count, count_job, split_of
@@ -121,18 +120,6 @@ class TestDispatchLadder:
             assert slider.plan_cache.stats.misses == 8
             slider.advance([_split(40)], 1)
             assert counters["backend.dispatch_runs"] == 1
-        finally:
-            slider.close()
-
-    def test_poison_policy_stays_inprocess(self):
-        slider = _warm(
-            _slider(poison_policy=PoisonPolicy(max_retries=1)), advances=4
-        )
-        try:
-            assert (
-                slider.telemetry.counters.get("backend.dispatched_reducers", 0)
-                == 0
-            )
         finally:
             slider.close()
 

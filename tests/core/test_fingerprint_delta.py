@@ -61,11 +61,11 @@ COMBINERS = {
 
 
 @st.composite
-def merges(draw, kinds=tuple(COMBINERS)):
+def merges(draw):
     """2-5 partitions: some keys held by several of them (merged), some by
     one (passed through), in any proportion from all-merged to none."""
     make_key = KEY_FAMILIES[draw(st.sampled_from(sorted(KEY_FAMILIES)))]
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(sorted(COMBINERS)))
     values = _values(kind, dim=draw(st.integers(1, 4)))
     arity = draw(st.integers(2, 5))
     holders = {}
@@ -93,34 +93,6 @@ def test_combined_uid_is_the_fingerprint_of_the_entries(merge):
     assert combined.uid == _fingerprint_entries(combined.entries)
     assert combined.verify_fingerprint()
     assert combined == Partition(combined.entries)
-
-
-class _Unlucky(SumCombiner):
-    """Refuses every key whose values sum to a multiple of three."""
-
-    def merge(self, key, values):
-        total = sum(values)
-        if total % 3 == 0:
-            raise ValueError(f"poison at {key!r}")
-        return total
-
-
-def _drop_or_recover(key, values, exc):
-    # Keys with an even number of values are recovered (to a value no
-    # merge produces), the rest are dropped from the result.
-    return len(values) % 2 == 0, -(10**6)
-
-
-@settings(max_examples=150, deadline=None)
-@given(merge=merges(kinds=("int",)))
-def test_combined_uid_when_a_poison_handler_drops_or_recovers_keys(merge):
-    _, partitions = merge
-    combined = combine_partitions(
-        partitions, _Unlucky(), on_poison=_drop_or_recover
-    )
-    assert combined.uid == _fingerprint_entries(combined.entries)
-    if not combined.entries:  # every key dropped: still a computed uid
-        assert combined.uid == Partition({}).uid
 
 
 def _two_inputs(merged, passing):
@@ -214,7 +186,7 @@ def test_a_set_valued_delta_is_the_fresh_fingerprint(monkeypatch):
 
 def test_a_stale_input_uid_fails_verification_downstream():
     """The delta trusts its inputs' uids.  An input whose entries diverged
-    from its uid (a flipped slot read with ``memo_verify="off"``) yields
+    from its uid (a flipped slot read before anything tainted it) yields
     the same entries as ever, under a uid that no longer verifies -- where
     the full re-hash fingerprints the corrupt content as valid."""
     clean, other = _two_inputs(merged=2, passing=30)

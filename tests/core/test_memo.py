@@ -59,18 +59,8 @@ def _corrupted(value: Partition) -> Partition:
     return Partition(entries, uid=value.uid)
 
 
-def test_paranoid_verify_drops_corrupt_entry():
-    table = MemoTable(verify_mode="paranoid")
-    good = Partition({"k": 1})
-    table.store(7, good)
-    table.entries[7] = _corrupted(good)
-    assert table.lookup(7) is None
-    assert table.stats.corruptions == 1
-    assert 7 not in table.entries
-
-
 def test_tainted_mode_verifies_once_after_taint():
-    table = MemoTable()  # default verify_mode="tainted"
+    table = MemoTable()
     good = Partition({"k": 1})
     table.store(7, good)
     table.entries[7] = _corrupted(good)
@@ -79,6 +69,7 @@ def test_tainted_mode_verifies_once_after_taint():
     table.taint({7})
     assert table.lookup(7) is None
     assert table.stats.corruptions == 1
+    assert 7 not in table.entries
 
 
 def test_taint_clears_on_successful_verify():
@@ -123,26 +114,6 @@ def test_a_corrupt_replica_is_verified_and_deleted_too():
     assert table.stats.corruptions == 2 and table.stats.misses == 1
     assert cache.total_objects() == 0
     assert 7 not in table.entries and 7 not in table._tainted
-
-
-def test_verify_off_serves_anything():
-    table = MemoTable(verify_mode="off")
-    good = Partition({"k": 1})
-    table.store(7, good)
-    table.entries[7] = _corrupted(good)
-    table.taint({7})
-    assert table.lookup(7) is not None
-    assert table.stats.corruptions == 0
-
-
-def test_capacity_budget_skips_stores():
-    table = MemoTable(capacity=1)
-    table.store(1, Partition({"a": 1}))
-    table.store(2, Partition({"b": 2}))  # over budget: skipped
-    table.store(1, Partition({"a": 3}))  # replacing a held uid is fine
-    assert len(table) == 1
-    assert table.stats.skipped_stores == 1
-    assert table.lookup(2) is None
 
 
 class _FailingBacking:

@@ -306,7 +306,6 @@ ARMS: dict[str, Arm] = {
     "null": Arm(
         extras=lambda: {"telemetry": NullTelemetry(label="off")}, differs=("",)
     ),
-    "paranoid": Arm(config={"memo_verify": "paranoid"}),
     "recount": Arm(adopt=_space_is_recount),
     # Reduce visits every root key, not the keys the slide's leaves carry.
     "rescan": Arm(adopt=_always_scans, differs=("reduce_order",)),
@@ -323,7 +322,7 @@ ARMS: dict[str, Arm] = {
 _REPORT = ("label", "work", "time", "space", "breakdown", "recovery")
 _RESULT = (
     "outputs", "run_index", "reused_map_tasks", "new_map_tasks", "changed_keys",
-    "removed_keys", "plan_cache_hit", "dead_letters",
+    "removed_keys", "plan_cache_hit",
 )
 
 
@@ -584,24 +583,15 @@ class Fleet:
         remove: int = 1,
         repeat: bool = False,
         back: bool = False,
-        starved: bool = False,
     ) -> dict:
         """0-3 splits in, 0-3 or all out; the first a ``repeat`` of the
-        window's newest, the last one that had left coming ``back``;
-        ``starved``, with no memo budget left (stores are skipped)."""
-        self.fired["starved" if starved else "advance"] += 1
+        window's newest, the last one that had left coming ``back``."""
+        self.fired["advance"] += 1
         add, remove = self._clamp(add, remove)
-
-        def operation(engine: Slider, added: list[Split]) -> SliderResult:
-            for tree in engine.trees if starved else ():
-                tree.memo.capacity = len(tree.memo.entries)
-            try:
-                return engine.advance(added, remove)
-            finally:
-                for tree in engine.trees:
-                    tree.memo.capacity = self.config.memo_budget
-
-        results = self._run(operation, add, remove, repeat, back)
+        results = self._run(
+            lambda engine, added: engine.advance(added, remove),
+            add, remove, repeat, back,
+        )
         self.collected = self.config.auto_gc
         return results
 

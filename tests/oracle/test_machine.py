@@ -36,10 +36,9 @@ class OracleMachine(RuleBasedStateMachine):
         remove=st.sampled_from([0, 0, 1, 1, 2, 3, ALL]),
         repeat=st.booleans(),  # first added split repeats the window's newest
         back=st.booleans(),  # last added split is the newest that had left
-        starved=st.sampled_from([False, False, False, True]),
     )
-    def advance(self, add, remove, repeat, back, starved):
-        self.fleet.advance(add, remove, repeat, back, starved)
+    def advance(self, add, remove, repeat, back):
+        self.fleet.advance(add, remove, repeat, back)
 
     @rule(n=st.integers(1, 3))
     def steady(self, n):

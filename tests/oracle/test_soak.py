@@ -16,7 +16,6 @@ import statistics
 
 import pytest
 
-from repro.core.poison import PoisonPolicy
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split
@@ -31,18 +30,14 @@ PER_SLIDE = 8
 
 
 def _map(record):
-    if record[1] == "poison":
-        raise ValueError("poison record")
     return [(record[1], 1)]
 
 
-def _slide(i: int, poison_every: int) -> list[tuple[float, str]]:
+def _slide(i: int) -> list[tuple[float, str]]:
     """The records of slide ``i``: words out of 40, so that every slide
     meets its neighbours in some key and a key leaves the window now and
     then."""
     words = [f"w{(i * 7 + j * j) % 40}" for j in range(PER_SLIDE)]
-    if poison_every and i % poison_every == 0:
-        words[3] = "poison"
     return [(i + j / PER_SLIDE, word) for j, word in enumerate(words)]
 
 
@@ -51,32 +46,31 @@ def _live_objects() -> int:
     return len(gc.get_objects())
 
 
-#: name -> (SliderConfig fields, a poison record every n slides)
+#: name -> SliderConfig fields
 PROFILES = {
-    "folding": ({"tree": "folding"}, 0),
-    "randomized": ({"tree": "randomized"}, 0),
+    "folding": {"tree": "folding"},
+    "randomized": {"tree": "randomized"},
     # A fixed window cannot be filled a slide at a time, which is how a
     # driver starts: this one profile drives its engine directly.
-    "rotating": ({"tree": "rotating", "mode": WindowMode.FIXED}, 0),
-    # What a stream's age could grow besides the trees: the dead-letter
-    # queue, and the process backend's held tables on both sides.
-    "folding-poison": ({"tree": "folding", "poison_policy": PoisonPolicy(1)}, 50),
-    "folding-process": (
-        {"tree": "folding", "execution_backend": "process", "workers": 2},
-        0,
-    ),
+    "rotating": {"tree": "rotating", "mode": WindowMode.FIXED},
+    # What a stream's age could grow besides the trees: the process
+    # backend's held tables on both sides.
+    "folding-process": {
+        "tree": "folding", "execution_backend": "process", "workers": 2
+    },
 }
 
 
 @pytest.mark.soak
 @pytest.mark.parametrize("profile", PROFILES)
 def test_ten_thousand_advances_stay_flat(profile):
-    fields, poison_every = PROFILES[profile]
-    config = SliderConfig(**{"execution_backend": "inprocess", **fields})
+    config = SliderConfig(
+        **{"execution_backend": "inprocess", **PROFILES[profile]}
+    )
     job = MapReduceJob(
         name="soak", map_fn=_map, combiner=SumCombiner(), num_reducers=2
     )
-    slides = (_slide(i, poison_every) for i in itertools.count())
+    slides = (_slide(i) for i in itertools.count())
     if config.mode is WindowMode.FIXED:
         split = lambda: Split.from_records(next(slides))  # noqa: E731
         engine = Slider(job, config.mode, config)
@@ -120,8 +114,6 @@ def test_ten_thousand_advances_stay_flat(profile):
         if profile == "folding-process":
             assert counters["backend.dispatch_runs"] > 0.99 * ADVANCES
             assert counters.get("backend.worker_fallbacks", 0) == 0
-        if poison_every:
-            assert counters["poison.dead_letters"] >= ADVANCES // poison_every
     finally:
         engine.close()
     assert late_events <= 1.05 * early_events, (

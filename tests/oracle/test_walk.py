@@ -21,7 +21,6 @@ import pytest
 import repro
 from repro.core.plan import PLAN_OPS
 from repro.core.taskgraph import NODE_KINDS
-from repro.core.poison import PoisonPolicy
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import ARMS, ALL, CASES, DISPATCHING, Fleet, case_of, count
 
@@ -44,7 +43,7 @@ SCRIPT = (
     # Repaired copies (same uid, new object) then cross the seam in full.
     lambda f: f.corrupt(seed=3, victims=2),
     lambda f: f.steady(1),
-    lambda f: f.advance(2, 1, starved=True),
+    lambda f: f.advance(2, 1),
     lambda f: f.fail_backing(),
     lambda f: f.advance(),
     *(lambda f, machine=machine: f.fail_machine(machine) for machine in range(4)),
@@ -73,7 +72,7 @@ SCRIPT = (
 #: Rules only a variant that dispatches can fire.
 SEAM_RULES = {"kill_worker", "pool_failure", "unpicklable"}
 RULES = SEAM_RULES | {
-    "advance", "starved", "steady", "background", "collect", "kill", "move",
+    "advance", "steady", "background", "collect", "kill", "move",
     "interlude", "corrupt", "fail_backing", "fail_machine", "forget_row",
 }
 
@@ -83,16 +82,15 @@ SIGNALS = {
     "backend.payload_bytes", "backend.reply_bytes", "backend.partitions_by_ref",
     "backend.partitions_by_value", "backend.unpicklable_fallbacks",
     "backend.worker_fallbacks", "backend.worker_failed", "backend.pool_failed",
-    "memo.hits", "memo.misses", "memo.evictions", "memo.skipped_stores",
-    "memo.budget_exhausted", "memo.corruptions", "memo.corruption_dropped",
+    "memo.hits", "memo.misses", "memo.evictions",
+    "memo.corruptions", "memo.corruption_dropped",
     "memo.degraded", "memo.backing_degraded", "memo.degraded_resets",
     "memo.degraded_reset", "plan_cache.hits", "plan_cache.misses",
     "plan_cache.uncacheable", "plan_cache.bypasses", "recovery.corruption",
     "recovery.corruptions_injected", "recovery.corruptions_repaired",
     "cache.fallback_reads",
     # Why an advance's Reduce visited every root key, not the slide's keys.
-    "reduce.scan.inexact", "reduce.scan.poison_policy", "reduce.scan.chaos",
-    "reduce.scan.departed_row",
+    "reduce.scan.inexact", "reduce.scan.chaos", "reduce.scan.departed_row",
 }
 
 
@@ -142,16 +140,13 @@ def test_the_walk_holds_and_fires_every_rule(case):
 
 @functools.cache
 def declared_scans() -> set[str]:
-    """What two short walks saw whose every Reduce scans by declaration:
-    a combiner that is not ``exact``, and a poison policy."""
-    signals: set[str] = set()
-    for job, config in (("kmeans", {}), ("counts", {"poison_policy": PoisonPolicy(1)})):
-        with Fleet(case_of("folding"), job=job, **config) as fleet:
-            for motion in ((1, 1), (2, 1), (0, 2)):
-                fleet.advance(*motion)
-                fleet.check()
-        signals |= fleet.signals
-    return signals
+    """What a short walk saw whose every Reduce scans by declaration: a
+    combiner that is not ``exact``."""
+    with Fleet(case_of("folding"), job="kmeans") as fleet:
+        for motion in ((1, 1), (2, 1), (0, 2)):
+            fleet.advance(*motion)
+            fleet.check()
+    return fleet.signals
 
 
 def test_every_fallback_and_degradation_signal_fires():
@@ -160,15 +155,14 @@ def test_every_fallback_and_degradation_signal_fires():
 
 
 def test_only_a_reason_to_scan_takes_reduce_off_the_candidate_path():
-    """The four clauses fire (above), and nothing else does: an exact job
-    with no policy scans in its fault runs and the row dropped by hand."""
+    """The three clauses fire (above), and nothing else does: an exact job
+    scans in its fault runs and the row dropped by hand."""
     for case in CASES:
         seen = walk(case)
         scans = {name for name in seen.signals if name.startswith("reduce.scan")}
         assert "reduce.scan.chaos" in scans
         assert scans <= {"reduce.scan.chaos", "reduce.scan.departed_row"}
     assert "reduce.scan.inexact" in declared_scans()
-    assert "reduce.scan.poison_policy" in declared_scans()
 
 
 def test_every_signal_named_under_src_is_in_the_gate():

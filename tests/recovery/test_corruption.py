@@ -280,13 +280,13 @@ def test_an_empty_partition_passes_only_under_an_empty_uid():
 
 
 def test_a_flipped_memo_entry_checkpointed_live_is_refused_at_restore(tmp_path):
-    """What the segment digest cannot see: a memo entry flipped under
-    ``memo_verify="off"`` is written as it is held, its bytes verify on
+    """What the segment digest cannot see: a memo entry flipped while
+    nothing tainted it is written as it is held, its bytes verify on
     read, and only the sweep finds that the graph written was unsound."""
     engine = Slider(
         count_job(),
         WindowMode.VARIABLE,
-        config=SliderConfig(tree="randomized", memo_verify="off"),
+        config=SliderConfig(tree="randomized"),
     )
     engine.initial_run([split_of(i) for i in range(6)])
     memo = engine.trees[0].memo

@@ -1,14 +1,13 @@
-"""Graceful degradation: poison quarantine, memo budgets, backing loss."""
+"""Graceful degradation: backing loss, and user-code failures propagate."""
 
 import pytest
 
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.common.errors import SchedulingError
-from repro.core.poison import PoisonPolicy
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.types import Split
-from repro.slider.system import Slider, SliderConfig
+from repro.slider.system import Slider
 from tests.oracle.fleet import Fleet, case_of, count_job, split_of
 
 
@@ -33,27 +32,6 @@ def _poison_job(combiner=None) -> MapReduceJob:
         combiner=combiner or SumCombiner(),
         num_reducers=2,
     )
-
-
-def test_poison_record_quarantined_to_dead_letters():
-    slider = Slider(
-        _poison_job(),
-        config=SliderConfig(poison_policy=PoisonPolicy(max_retries=2)),
-    )
-    result = slider.initial_run(
-        [Split.from_records(["a", "boom", "b"], label="s0")]
-    )
-    assert result.outputs == {"a": 1, "b": 1}
-    assert len(result.dead_letters) == 1
-    letter = result.dead_letters[0]
-    assert letter.stage == "map"
-    assert letter.unit == "boom"
-    assert letter.attempts == 3  # original + two retries
-    assert letter.backoff == pytest.approx(
-        PoisonPolicy(max_retries=2).total_backoff(3)
-    )
-    assert "ValueError" in letter.error
-    assert slider.telemetry.counters["poison.dead_letters"] == 1
 
 
 def test_poison_without_policy_propagates():
@@ -87,79 +65,30 @@ def _generator_job(map_fn) -> MapReduceJob:
 
 
 @pytest.mark.parametrize("map_fn", GENERATOR_MAP_FNS)
-def test_poison_record_of_a_generator_map_fn_is_quarantined(map_fn):
-    """A generator's body runs when its pairs are drained, not when
-    ``map_fn`` is called: the policy covers that too, and a record that
-    fails after a ``yield`` leaves nothing of itself in the partition."""
-    slider = Slider(
-        _generator_job(map_fn),
-        config=SliderConfig(poison_policy=PoisonPolicy(max_retries=2)),
-    )
-    result = slider.initial_run(
-        [Split.from_records(["a", "boom", "b"], label="s0")]
-    )
-    assert result.outputs == {"a": 1, "b": 1}
-    assert [(l.stage, l.unit, l.attempts) for l in result.dead_letters] == [
-        ("map", "boom", 3)
-    ]
-    # The attempts ran: the quarantined record still pays its map cost,
-    # and emitted no pair to pay shuffle cost for.
-    costs = slider.job.costs
-    assert result.report.breakdown["map"] == 3 * costs.map_cost_per_record
-    assert result.report.breakdown["shuffle"] == 2 * costs.shuffle_cost_per_pair
-
-
-@pytest.mark.parametrize("map_fn", GENERATOR_MAP_FNS)
 def test_poison_generator_without_policy_propagates(map_fn):
     slider = Slider(_generator_job(map_fn))
     with pytest.raises(ValueError, match="poison record"):
         slider.initial_run([Split.from_records(["a", "boom"], label="s0")])
 
 
-def test_poison_key_dropped_from_combine():
-    slider = Slider(
-        _poison_job(combiner=_BoomCombiner()),
-        config=SliderConfig(poison_policy=PoisonPolicy(max_retries=1)),
-    )
-    result = slider.initial_run(
-        [Split.from_records(["a", "bad", "bad", "b"], label="s0")]
-    )
-    assert result.outputs == {"a": 1, "b": 1}
-    assert any(
-        letter.stage == "combine" and letter.unit == "bad"
-        for letter in result.dead_letters
-    )
-
-
-def test_dead_letters_reset_between_runs():
-    slider = Slider(
-        _poison_job(),
-        config=SliderConfig(poison_policy=PoisonPolicy(max_retries=0)),
-    )
-    first = slider.initial_run(
-        [Split.from_records(["a", "boom"], label="s0")]
-    )
-    assert len(first.dead_letters) == 1
-    second = slider.advance([Split.from_records(["c"], label="s1")], 0)
-    assert second.dead_letters == ()
-    assert second.outputs == {"a": 1, "c": 1}
+@pytest.mark.parametrize(
+    "records,kernel",
+    [
+        # Two ``bad`` in one split: the Map task's local combine merges.
+        ([["a", "bad", "bad"]], "from_value_lists"),
+        # One ``bad`` in each of two splits: the tree's combine merges.
+        ([["a", "bad"], ["bad", "b"]], "combine_charged"),
+    ],
+)
+def test_a_raising_merge_propagates(records, kernel):
+    slider = Slider(_poison_job(combiner=_BoomCombiner()))
+    splits = [Split.from_records(r, label=f"s{i}") for i, r in enumerate(records)]
+    with pytest.raises(RuntimeError, match="poisoned key") as raised:
+        slider.initial_run(splits)
+    assert raised.traceback[-2].name == kernel
 
 
 RANDOMIZED = case_of("randomized")  # the content-memoized variant
-
-
-def test_memo_budget_degrades_toward_recomputation():
-    """A zero budget degrades every sub-computation to recomputation, on
-    every arm alike: outputs and numbers stay the fleet's."""
-    with Fleet(RANDOMIZED, arms=("reference", "paranoid"), memo_budget=0) as fleet:
-        fleet.advance(3, 0)
-        fleet.steady(4)
-        fleet.check()
-        engine = fleet.reference
-        skipped = sum(t.memo.stats.skipped_stores for t in engine.trees)
-        assert skipped > 0
-        assert engine.telemetry.counters["memo.skipped_stores"] == skipped
-        assert all(len(t.memo.entries) == 0 for t in engine.trees)
 
 
 def _outage():

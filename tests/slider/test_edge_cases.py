@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.rotating import RotatingTree
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import BatchRuntime
@@ -138,10 +139,36 @@ def test_config_mode_mismatch_is_reconciled():
     assert slider.config.tree_variant() == "rotating"
 
 
+def test_a_mode_set_only_in_the_config_is_the_engines():
+    slider = Slider(word_job(), config=SliderConfig(mode=WindowMode.FIXED))
+    assert slider.mode is WindowMode.FIXED
+    assert all(isinstance(tree, RotatingTree) for tree in slider.trees)
+    assert Slider(word_job()).mode is WindowMode.VARIABLE
+
+
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        ({"mode": "variable"}, "WindowMode.VARIABLE"),
+        ({"mode": None}, "WindowMode.FIXED"),
+        ({"tree": "bogus"}, "'rotating'"),
+        ({"tree": "Folding"}, "'folding'"),
+    ],
+)
+def test_config_rejects_an_unknown_mode_or_tree_when_built(fields, named):
+    with pytest.raises(ValueError, match="choose from") as raised:
+        SliderConfig(**fields)
+    assert named in str(raised.value)
+
+
+def test_an_engine_given_an_unknown_mode_rejects_it():
+    with pytest.raises(ValueError, match="unknown window mode"):
+        Slider(word_job(), "variable")
+
+
 def test_unknown_tree_variant_rejected():
-    config = SliderConfig(mode=WindowMode.VARIABLE, tree="btree")
     with pytest.raises(ValueError):
-        Slider(word_job(), WindowMode.VARIABLE, config=config)
+        SliderConfig(mode=WindowMode.VARIABLE, tree="btree")
 
 
 def test_background_preprocess_noop_for_variable_mode():
