@@ -150,7 +150,7 @@ def xor_entry_hashes(
     entries: Mapping[Any, Any],
     *,
     salt: str,
-    memo: dict[tuple[int, int], int] | None = None,
+    memo: dict[tuple[Any, Any], int] | None = None,
 ) -> int:
     """The XOR of ``entry_hash(key, value, salt=salt)`` over ``entries``.
 
@@ -160,17 +160,32 @@ def xor_entry_hashes(
     other key (a ``float`` one, ``bool`` and every subclass) goes through
     ``entry_hash`` itself, and any other value through ``_encode_fast``.
 
-    ``memo`` belongs to the caller: it maps ``(id(key), id(value))`` of a
-    tuple-keyed entry to that entry's hash, read before hashing and written
-    after.  It is sound only while every key and value it has seen stays
-    alive and unmodified, so that an id names one content; a str or int
-    key is cheaper to encode again than to look up, and is never memoized.
+    ``memo`` belongs to the caller, maps an entry to its hash, and is read
+    before hashing and written after, for two kinds of entry:
+
+    - an exact ``str`` key with an exact ``int`` value, by value:
+      ``(key, value)``.  Equal objects of these two types encode to the
+      same ``s...`` / ``i...`` bytes, so a hit is the hash the entry's own
+      bytes give, whatever objects hold them.  A ``bool`` or other
+      subclass, a float (``-0.0 == 0.0``) and every other key stay off.
+    - a ``tuple`` key, by identity: ``(id(key), id(value))``.  That is
+      sound only while every key and value it has seen stays alive and
+      unmodified, so that an id names one content.
+
+    The two never collide (a str never equals an int).  Any other entry
+    is hashed every time.
     """
     copy = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy
     acc = 0
     for key, value in entries.items():
         kind = type(key)
         if kind is str:
+            if memo is not None and type(value) is int:
+                pair: tuple[Any, Any] = (key, value)
+                known = memo.get(pair)
+                if known is not None:
+                    acc ^= known
+                    continue
             key_bytes = b"s" + key.encode("utf-8")
         elif kind is int:
             key_bytes = b"i%d" % key
@@ -198,7 +213,10 @@ def xor_entry_hashes(
         )
         hashed = int.from_bytes(state.digest(), "big")
         acc ^= hashed
-        if kind is tuple and memo is not None:
+        # ``memo`` first: the one test an entry pays when there is none.
+        if memo is not None and (
+            kind is tuple or (kind is str and value_kind is int)
+        ):
             memo[pair] = hashed
     return acc
 

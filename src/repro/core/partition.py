@@ -100,7 +100,7 @@ class Partition:
         return sum(combiner.value_size(v) for v in self.entries.values())
 
     def verify_fingerprint(
-        self, memo: dict[tuple[int, int], int] | None = None
+        self, memo: dict[tuple[Any, Any], int] | None = None
     ) -> bool:
         """Check that ``entries`` still hash to the recorded ``uid``.
 
@@ -109,8 +109,10 @@ class Partition:
         ``CorruptionEvent``) makes the recomputed fingerprint diverge.  The
         shared empty partition carries a symbolic uid rather than a
         computed one, so it is matched by identity of that uid.  ``memo``
-        is ``xor_entry_hashes``' identity memo, for a caller that verifies
-        many partitions sharing entry objects and keeps them all alive.
+        is ``xor_entry_hashes``' entry memo (str-keyed int entries by
+        value, tuple-keyed ones by object identity), for a caller that
+        verifies many partitions sharing entries and keeps them all alive;
+        every entry still counts, so a hit changes no verdict.
         """
         if not self.entries:
             return self.uid in (_EMPTY.uid, _fingerprint_entries(self.entries))
@@ -142,7 +144,7 @@ def _length_term(n: int) -> int:
 
 
 def _fingerprint_entries(
-    entries: Mapping[Any, Any], memo: dict[tuple[int, int], int] | None = None
+    entries: Mapping[Any, Any], memo: dict[tuple[Any, Any], int] | None = None
 ) -> int:
     # Key order must not matter: XOR per-entry hashes (stable, order-free).
     return _length_term(len(entries)) ^ xor_entry_hashes(

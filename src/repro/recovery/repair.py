@@ -206,10 +206,13 @@ def verify_restored(engine: "Slider") -> int:
     silently in that case.  An object met again (a map-memo leaf is a
     tree's leaf, a pass-through node the child it is) is verified where
     first met, and so is an entry: the walk goes reducer by reducer, its
-    map-memo row then its tree, with one identity memo a reducer (a key
-    routes to one reducer), so a (key, value) pair of objects that several
-    partitions hold is hashed once.  Every object is alive and unmodified
-    for the whole walk, which is what makes an id name one content.
+    map-memo row then its tree, with one entry memo a reducer (a key
+    routes to one reducer).  A str-keyed int entry is hashed once a
+    reducer for each distinct (key, value) it holds, by value; a
+    tuple-keyed (key, value) pair of objects that several partitions hold
+    is hashed once, by identity, which is sound because every object is
+    alive and unmodified for the whole walk.  A slot's name is formatted
+    only when its partition fails.
     A tree's part is its whole
     :meth:`~repro.core.base.ContractionTree.state`, walked by
     the process seam's own :func:`~repro.core.partition.map_partitions`:
@@ -217,18 +220,16 @@ def verify_restored(engine: "Slider") -> int:
     Returns the number of distinct partitions checked.
     """
     verified: set[int] = set()
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[Any, Any], int] = {}
 
-    def check(partition: Partition, where: str, slot: Any = None) -> None:
-        if id(partition) in verified:
-            return
+    def check(partition: Partition, where: str, *parts: Any) -> None:
+        """Verify a partition not met before; ``where.format(*parts)``
+        names its slot in the error."""
         verified.add(id(partition))
         if not partition.verify_fingerprint(memo):
-            if slot is not None:
-                where = f"{where}[{slot}]"
             raise CorruptionError(
                 f"restored state failed fingerprint verification at "
-                f"{where}: entries diverged from recorded uid "
+                f"{where.format(*parts)}: entries diverged from recorded uid "
                 f"{partition.uid:#x} — the checkpoint holds corrupt state"
             )
 
@@ -236,12 +237,16 @@ def verify_restored(engine: "Slider") -> int:
     for index, tree in enumerate(engine.trees):
         memo.clear()
         for uid in map_memo_uids:
-            check(engine.map_memo[uid][index], f"map_memo[{uid:#x}][{index}]")
+            partition = engine.map_memo[uid][index]
+            if id(partition) not in verified:
+                check(partition, "map_memo[{:#x}][{}]", uid, index)
         for uid in sorted(tree.memo.entries):
-            check(tree.memo.entries[uid], f"tree[{index}].memo[{uid:#x}]")
+            partition = tree.memo.entries[uid]
+            if id(partition) not in verified:
+                check(partition, "tree[{}].memo[{:#x}]", index, uid)
         for name, value in tree.state().items():
             # The position cache is reported as ``cache``, as it always was.
-            where = f"tree[{index}].{'cache' if name == '_cache' else name}"
+            field = "cache" if name == "_cache" else name
             if type(value) is dict:
                 slots: Any = [(key, value[key]) for key in sorted(value)]
             elif type(value) is list:
@@ -249,5 +254,15 @@ def verify_restored(engine: "Slider") -> int:
             else:
                 slots = [(None, value)]
             for slot, item in slots:
-                map_partitions(item, lambda p: check(p, where, slot))
+                # A whole field has no slot; ``str.format`` ignores the
+                # ``None`` passed for it.  The lambda is called by
+                # ``map_partitions`` before the loop moves on, so ``where``
+                # and ``slot`` are this slot's.
+                where = "tree[{}].{}" if slot is None else "tree[{}].{}[{}]"
+                map_partitions(
+                    item,
+                    lambda p: None
+                    if id(p) in verified
+                    else check(p, where, index, field, slot),
+                )
     return len(verified)

@@ -1,16 +1,18 @@
 """``xor_entry_hashes`` is the XOR of ``entry_hash`` over a mapping.
 
 The kernel encodes and frames the exact-type cases itself and keeps an
-optional identity memo for tuple-keyed entries; neither may change a bit
-of what it returns.  Every case here is checked against ``entry_hash``,
-which ``tests/common/test_hashing_vectors.py`` holds to ``stable_hash``
-of the pair and to the pinned vectors.
+optional memo -- str-keyed int entries by value, tuple-keyed ones by
+object identity; neither may change a bit of what it returns.  Every
+case here is checked against ``entry_hash``, which
+``tests/common/test_hashing_vectors.py`` holds to ``stable_hash`` of the
+pair and to the pinned vectors.
 """
 
 import struct
 from functools import reduce
 from operator import xor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,10 @@ from repro.common.hashing import entry_hash, xor_entry_hashes
 
 class Count(int):
     """An int subclass: off the kernel's exact-type path."""
+
+
+class StrSub(str):
+    """A str subclass: off the kernel's exact-type path."""
 
 
 def _float_from_bits(bits: int) -> float:
@@ -73,8 +79,13 @@ def test_the_kernel_is_the_xor_of_entry_hashes(entries, salt):
     assert xor_entry_hashes(entries, salt=salt) == expected
     memo: dict = {}
     assert xor_entry_hashes(entries, salt=salt, memo=memo) == expected
-    # The memo holds tuple-keyed entries only, and a second pass reads it.
-    assert len(memo) == sum(type(key) is tuple for key in entries)
+    # The memo holds tuple-keyed entries and the (key, value) of each
+    # exact-str / exact-int entry (distinct: a mapping's keys are), and a
+    # second pass reads it.
+    assert len(memo) == sum(
+        type(key) is tuple or (type(key) is str and type(value) is int)
+        for key, value in entries.items()
+    )
     assert xor_entry_hashes(entries, salt=salt, memo=memo) == expected
 
 
@@ -101,3 +112,42 @@ def test_one_memo_over_two_mappings_that_share_objects(first, extra, salt, data)
     memo: dict = {}
     assert xor_entry_hashes(first, salt=salt, memo=memo) == by_entry_hash(first, salt)
     assert xor_entry_hashes(second, salt=salt, memo=memo) == by_entry_hash(second, salt)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_the_value_memo_keys_only_exact_str_int_entries(order):
+    """Equal is not the same bytes off the exact types: ``True == 1`` is
+    ``o1``, ``Count(1)`` and ``StrSub("k")`` go the long way, and ``-0.0
+    == 0.0`` differ in a bit.  One memo over all of them, either way
+    round, keeps each result its own; only the exact str / int entries
+    are stored, and an equal but new big int object is a hit."""
+    big = 2**70
+    cases = [
+        {"k": 1},
+        {"k": True},
+        {"k": Count(1)},
+        {StrSub("k"): 1},
+        {"k": 1.0},
+        {"k": -0.0},
+        {"k": 0.0},
+        {"k": big},
+        {"k": int(str(big))},
+    ]
+    assert cases[-1]["k"] is not big
+    if order == "reversed":
+        cases.reverse()
+    memo: dict = {}
+    stored: set = set()
+    for entries in cases:
+        expected = by_entry_hash(entries, "pent")
+        assert xor_entry_hashes(entries, salt="pent", memo=memo) == expected
+        stored.update(
+            (key, value)
+            for key, value in entries.items()
+            if type(key) is str and type(value) is int
+        )
+        assert len(memo) == len(stored)
+    assert memo == {
+        ("k", 1): entry_hash("k", 1, salt="pent"),
+        ("k", big): entry_hash("k", big, salt="pent"),
+    }
