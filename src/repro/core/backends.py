@@ -7,11 +7,15 @@ each reducer's contraction:
 
 * :class:`InProcessBackend` — the default: every reducer advances in the
   engine's process, exactly the historical path, bit for bit.
-* :class:`ProcessBackend` — dispatches each reducer's certified
-  contraction pass to a persistent forked worker
+* :class:`ProcessBackend` — advances the lowest-numbered
+  :func:`parent_share` of the reducers itself and dispatches each other
+  reducer's certified contraction pass to a persistent forked worker,
+  which keeps that reducer's tree between dispatches
   (:mod:`repro.core.parallel`), then merges the results back in reducer
   order so outputs, work breakdowns, span trees, the run's log and
-  counters are bit-identical to the in-process run.
+  counters are bit-identical to the in-process run.  The parent's own
+  trees stay complete mirrors: a steady dispatch sends the slide and
+  takes back the state delta.
 
 Dispatch is gated, not assumed — the parallel-safety analysis (PR 9)
 becomes a *runtime* precondition here.  A run dispatches only when every
@@ -39,12 +43,13 @@ from collections import Counter
 from typing import TYPE_CHECKING, Any
 
 from repro.core.parallel import (
-    Held,
     WorkerPool,
-    build_payload,
+    apply_delta,
     decode_refs,
     encode_refs,
-    held_table,
+    places_of,
+    snapshot,
+    tree_fields,
 )
 from repro.telemetry import SpanKind
 from repro.telemetry.merge import graft_spans, replay_events
@@ -110,6 +115,12 @@ class InProcessBackend(ExecutionBackend):
         return _advance_inprocess(engine, per_reducer, removed)
 
 
+def parent_share(reducers: int, workers: int) -> int:
+    """How many reducers, the lowest-numbered, the parent advances itself
+    in a dispatched run: ``ceil(R / (P + 1))``, and never all of them."""
+    return min(-(-reducers // (workers + 1)), reducers - 1)
+
+
 class ProcessBackend(ExecutionBackend):
     """Dispatch certified contraction passes to forked workers."""
 
@@ -121,10 +132,10 @@ class ProcessBackend(ExecutionBackend):
         #: Set on the first worker failure: the pool is not trusted again
         #: and every later run stays in-process (degradation, not error).
         self.broken = False
-        #: Per reducer, the partitions of the state last merged, which its
-        #: worker holds too (:mod:`repro.core.parallel`).  Popped at
-        #: dispatch, stored at merge: no merged reply, nothing held.
-        self._held: dict[int, Held] = {}
+        #: Per dispatched reducer, the :func:`snapshot` of its tree taken
+        #: at the last merge: what its worker holds.  While the tree still
+        #: equals it, a dispatch sends only the slide.
+        self._synced: dict[int, dict[str, Any]] = {}
 
     # -- dispatch ------------------------------------------------------------
 
@@ -138,9 +149,8 @@ class ProcessBackend(ExecutionBackend):
         pair = (engine.config.tree_variant(), engine.mode.value)
         return pair in CERTIFIED_PARALLEL_VARIANTS
 
-    def _ensure_pool(self, engine: Any) -> WorkerPool | None:
+    def _ensure_pool(self, engine: Any, size: int) -> WorkerPool | None:
         if self._pool is None and not self.broken:
-            size = min(self.workers, engine.job.num_reducers)
             try:
                 self._pool = WorkerPool(size)
             except Exception:
@@ -149,9 +159,9 @@ class ProcessBackend(ExecutionBackend):
         return None if self.broken else self._pool
 
     def _worker_failed(self, engine: Any, **what: Any) -> None:
-        """The pool is never dispatched to again, so nothing is held."""
+        """The pool is never dispatched to again, so nothing is synced."""
         self.broken = True
-        self._held.clear()
+        self._synced.clear()
         engine.telemetry.instant("backend.worker_failed", **what)
 
     def contract(
@@ -163,46 +173,55 @@ class ProcessBackend(ExecutionBackend):
         if not self._eligible(engine):
             engine.telemetry.count("backend.inprocess_runs")
             return _advance_inprocess(engine, per_reducer, removed)
-        sent: dict[int, Held] = {}
+        trees = engine.trees
+        share = parent_share(len(trees), self.workers)
         #: What this dispatch moves (partitions: both directions summed).
         moved: Counter[str] = Counter()
         pool: WorkerPool | None = None
         submitted: dict[int, int] = {}
         # Each payload is submitted as soon as it is pickled: its worker
-        # runs while the next reducer's payload is being built.
-        for reducer, tree in enumerate(engine.trees):
-            payload = build_payload(
-                tree,
-                reducer,
-                per_reducer[reducer],
-                removed,
-                label=f"reducer:{reducer}",
-            )
-            sent[reducer] = held_table()
-            payload["coded"], refs, values = encode_refs(
-                (payload.pop("state"), payload.pop("leaves")),
-                self._held.pop(reducer, None) or held_table(),
-                sent[reducer],
-            )
+        # runs while the next payload is built and the parent advances
+        # its own share.
+        for reducer in range(share, len(trees)):
+            tree = trees[reducer]
+            leaves = per_reducer[reducer]
+            payload: dict[str, Any] = {
+                "reducer": reducer,
+                "leaves": leaves,
+                "removed": removed,
+                "label": f"reducer:{reducer}",
+            }
+            synced = self._synced.get(reducer)
+            if synced is None or synced != tree_fields(tree):
+                coded, refs, values = encode_refs(
+                    tree.state(), places_of(synced or {})
+                )
+                payload["seed"] = (type(tree), coded)
+            else:
+                refs = values = 0
             try:
                 blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             except Exception:
                 engine.telemetry.count("backend.unpicklable_fallbacks")
                 continue
             if pool is None:
-                pool = self._ensure_pool(engine)
+                pool = self._ensure_pool(
+                    engine, min(self.workers, len(trees) - share)
+                )
             if pool is None:
                 break
-            worker = reducer % len(pool)
+            worker = (reducer - share) % len(pool)
             try:
                 pool.submit(worker, blob)
             except RuntimeError:
                 self._worker_failed(engine, worker=worker)
                 break
             submitted[reducer] = worker
+            if "seed" in payload:
+                moved["reseeds"] += 1
             moved["payload_bytes"] += len(blob)
             moved["partitions_by_ref"] += refs
-            moved["partitions_by_value"] += values
+            moved["partitions_by_value"] += values + len(leaves)
         if submitted:
             engine.telemetry.count("backend.dispatch_runs")
             engine.telemetry.count(
@@ -213,8 +232,10 @@ class ProcessBackend(ExecutionBackend):
         # Merge strictly in reducer order under the same span/scope
         # structure as the in-process path — this ordering is what makes
         # the float additions, span positions, and graph uids identical.
+        # The parent's share comes first, advanced here while the workers
+        # run theirs.
         roots: "list[Partition]" = []
-        for reducer, tree in enumerate(engine.trees):
+        for reducer, tree in enumerate(trees):
             with engine.telemetry.span(
                 f"reducer:{reducer}", SpanKind.TASK, reducer=reducer
             ):
@@ -223,7 +244,7 @@ class ProcessBackend(ExecutionBackend):
                     if reducer in submitted:
                         root = self._merge_one(
                             engine, reducer, tree, pool,
-                            submitted[reducer], sent[reducer], moved,
+                            submitted[reducer], per_reducer[reducer], moved,
                         )
                     if root is None:
                         root = tree.advance(per_reducer[reducer], removed)
@@ -240,21 +261,22 @@ class ProcessBackend(ExecutionBackend):
         tree: "ContractionTree",
         pool: WorkerPool | None,
         worker: int,
-        sent: Held,
+        leaves: "list[Partition]",
         moved: Counter[str],
     ) -> "Partition | None":
         """Receive one worker result and fold it in; None → run locally.
 
         The in-process fallback after a worker failure is safe because
         the parent's tree is a complete mirror that nothing has touched:
-        the worker advanced a copy.
+        the worker advanced its own.
         """
         assert pool is not None
-        kept = held_table()
         try:
             result, size = pool.receive(worker)
-            (state, root), refs, values = decode_refs(result["coded"], sent, kept)
-        except (RuntimeError, KeyError) as exc:
+            (root, delta), refs, values = decode_refs(
+                result["coded"], vars(tree), leaves
+            )
+        except (RuntimeError, LookupError) as exc:
             engine.telemetry.count("backend.worker_fallbacks")
             self._worker_failed(engine, worker=worker, error=str(exc))
             return None
@@ -264,16 +286,16 @@ class ProcessBackend(ExecutionBackend):
         replay_events(telemetry, result["events"])
         graft_spans(telemetry, result["spans"], offset, log, len(log.records))
         log.extend(result["log"])
-        tree.__dict__.update(state)
+        apply_delta(tree.__dict__, delta)
         if not self.broken:  # an earlier reducer's failure ended dispatching
-            self._held[reducer] = kept
+            self._synced[reducer] = snapshot(tree_fields(tree))
         moved["reply_bytes"] += size
         moved["partitions_by_ref"] += refs
         moved["partitions_by_value"] += values
         return root
 
     def close(self) -> None:
-        self._held.clear()
+        self._synced.clear()
         if self._pool is not None:
             self._pool.close()
             self._pool = None

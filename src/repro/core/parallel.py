@@ -6,43 +6,46 @@ results come back over the same pipe, so per-worker FIFO plus the
 backend's reducer-ordered merge loop gives a deterministic receive order
 without any sequencing metadata.
 
-What crosses the seam.  A payload (:func:`build_payload`) is the tree's
-:meth:`~repro.core.base.ContractionTree.state` — everything but its two
-process-local collaborators, ``memo`` and ``executor`` — and the slide's
-new leaves; a reply is the advanced state, the root and what the worker's
-run logged — the charges, counters and spans its
+Resident trees.  A worker keeps each reducer's tree it serves from one
+dispatch to the next, and the parent's own tree of that reducer is its
+*mirror*: the backend snapshots it (:func:`snapshot`) at each merge, and
+while the mirror still equals that snapshot the payload is only the
+slide's new leaves, ``removed`` and the label.  Any other dispatch
+*re-seeds* the worker: the payload also carries the tree's class and
+whole :meth:`~repro.core.base.ContractionTree.state`, the combiner
+included.  A worker runs the advance the way the engine would have (it
+opens its own plan steps) and replies with the root, what its run logged
+(the charges, counters and spans its
 :class:`~repro.telemetry.merge.CaptureTelemetry` captured and the one
 list of its run's log records, each in order, for the parent to take
 into its own run, which keeps the merged run bit-identical to an
-in-process one (see :mod:`repro.telemetry.merge`).  A worker runs the
-advance the way the engine would have: it opens its own plan steps.
-Containers and scalars are always sent; one of the scalars is the tree's count
-of the keys its node cache holds (``_cache_keys``), so whichever process
-ran the advance kept it, and the cache itself stays a plain ``dict`` the
-walker (:func:`~repro.core.partition.map_partitions`, the restore sweep's
-too) recognises.  A partition is sent only when the receiver does not
-hold it: each worker keeps, per reducer it serves, a
-``uid -> Partition`` table of exactly the partitions in the state it
-last returned, the parent keeps the matching table, and
-:func:`encode_refs` marks the place of a partition that *is* the
-sender's table entry and sends its uid (:func:`decode_refs` puts the
-receiver's own object there).  A steady slide so sends the new leaves
-one way and the nodes the advance combined the other.  Each message's
-coding also builds the table the next one is coded against, so tables
-are replaced, never appended to, and a first dispatch, or one after a
-table was dropped, is the same code over an empty table.  The worker's
-tree gets a fresh, empty memo table: the trees that dispatch keep their
-node results by position, in the state that crosses, and never consult
-it.
+in-process one; see :mod:`repro.telemetry.merge`) and the *state delta*
+(:func:`state_delta`): the fields the run changed and, for a list or dict
+field it changed in place, only the changed slots.
+
+One by-reference mechanism codes both directions (:func:`encode_refs`,
+:func:`decode_refs`).  A partition the receiver already holds travels as
+its *place* there: an index into the message's new leaves, ``None`` for
+the shared empty partition, or a path of field names, list indexes and
+dict keys into the tree the receiver held before the message
+(:func:`places_of`).  A reply so sends by value only the partitions the
+run produced; the new leaves and the nodes a fold only moved come back as
+the parent's own objects, and a re-seed is coded against the tree the
+worker still holds.  The worker's tree keeps a memo table of its own: the
+trees that dispatch keep their node results by position, in their state,
+and never consult it.
 
 Failure ladder: a worker that dies or errors costs nothing but work —
 the parent's trees are complete mirrors, so it falls back to executing
 that reducer in-process and marks the pool broken so later runs stop
-dispatching.
+dispatching.  A worker drops a reducer's tree when a run of it raises, so
+a later steady payload for it raises too (``KeyError``) and takes the
+same path.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 import weakref
 from multiprocessing import get_context
@@ -57,134 +60,234 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.core.base import ContractionTree
 
 _SHUTDOWN = b"\x00shutdown\x00"
-#: Asks a worker how many partitions it holds per reducer (tests only).
-_HELD_SIZES = b"\x00held\x00"
+#: Asks a worker for the fields of every tree it holds (tests only).
+_RESIDENT = b"\x00resident\x00"
+_MISSING = object()
 
 
 class HeldPartition:
     """In a coded message, the place of a partition the receiver holds.
 
     The class itself is the mark: pickle writes a class by name, in C,
-    where an instance for each of a message's ~100 references costs a
-    Python call apiece on both sides.  The uids of the marked places
-    travel beside the message, in walk order.  A type of its own because
-    tree state keeps ``int`` fields next to its partitions.
+    where an instance for each reference costs a Python call apiece on
+    both sides.  The places of the marks travel beside the message, in
+    walk order.  A type of its own because tree state keeps ``int``
+    fields next to its partitions.
     """
 
 
-#: uid -> partition: what one side holds of one reducer's tree.
-Held = dict[int, Partition]
+def tree_fields(tree: "ContractionTree") -> dict[str, Any]:
+    """What a run changes of ``tree``: its state without the combiner,
+    which the worker holds from its seed and never sends back."""
+    state = tree.state()
+    del state["combiner"]
+    return state
 
 
-def held_table() -> Held:
-    """A new table: every process holds the shared empty partition."""
-    empty = Partition.empty()
-    return {empty.uid: empty}
+def snapshot(fields: dict[str, Any]) -> dict[str, Any]:
+    """``fields`` as they stand, ``==`` to them until one changes: list
+    and dict fields are copied one level deep and an object with a
+    ``__dict__`` (``TreeStats``) is copied.  Nested containers are
+    compared by their items, so every variant replaces, never mutates in
+    place, a list or tuple it keeps inside another."""
+    frozen = {}
+    for name, value in fields.items():
+        kind = type(value)
+        if kind is list or kind is dict:
+            frozen[name] = kind(value)
+        elif hasattr(value, "__dict__"):
+            frozen[name] = copy.copy(value)
+        else:
+            frozen[name] = value
+    return frozen
 
 
-def encode_refs(value: Any, held: Held, sent: Held) -> tuple[Any, int, int]:
-    """``value`` as it crosses the seam — ``(marked copy, uids of the
+def state_delta(
+    held: dict[str, Any], before: dict[str, Any], after: dict[str, Any]
+) -> tuple:
+    """What a run that began on the fields ``held`` (``before`` is their
+    :func:`snapshot`) changed to leave ``after``: ``(whole, lists,
+    dicts)``.  ``whole`` maps a replaced or new field to its value;
+    ``lists`` a list field changed in place to ``(length, {index:
+    item})`` and ``dicts`` a dict field to ``({key: item}, [removed
+    keys])``, each of only the slots whose item is another object.  No
+    variant's run deletes a field."""
+    whole: dict[str, Any] = {}
+    lists: dict[str, tuple] = {}
+    dicts: dict[str, tuple] = {}
+    for name, value in after.items():
+        old = before.get(name, _MISSING)
+        kind = type(value)
+        if value is held.get(name) and (kind is list or kind is dict):
+            if kind is list:
+                slots = {
+                    index: item
+                    for index, item in enumerate(value)
+                    if index >= len(old) or item is not old[index]
+                }
+                if slots or len(value) != len(old):
+                    lists[name] = (len(value), slots)
+            else:
+                changed = {
+                    key: item
+                    for key, item in value.items()
+                    if old.get(key, _MISSING) is not item
+                }
+                removed = [key for key in old if key not in value]
+                if changed or removed:
+                    dicts[name] = (changed, removed)
+        elif value is not old and (kind is Partition or old != value):
+            whole[name] = value
+    return whole, lists, dicts
+
+
+def apply_delta(fields: dict[str, Any], delta: tuple) -> None:
+    """Bring ``fields`` (a tree's ``__dict__``), which held what the run
+    began on, to where the run left its own: the inverse of
+    :func:`state_delta`."""
+    whole, lists, dicts = delta
+    fields.update(whole)
+    for name, (length, slots) in lists.items():
+        items = fields[name]
+        del items[length:]
+        items.extend([None] * (length - len(items)))
+        for index, item in slots.items():
+            items[index] = item
+    for name, (changed, removed) in dicts.items():
+        items = fields[name]
+        for key in removed:
+            del items[key]
+        items.update(changed)
+
+
+def places_of(
+    fields: dict[str, Any], leaves: "list[Partition]" = ()
+) -> dict[int, Any]:
+    """Where the receiver of a message holds each partition the sender
+    can send by reference: ``id`` -> the path to it in ``fields``, then
+    ``None`` for the shared empty partition, then its index in
+    ``leaves``.  The objects must outlive the coding (``fields`` holds
+    them)."""
+    places: dict[int, Any] = {}
+
+    def walk(value: Any, path: tuple) -> None:
+        kind = type(value)
+        if kind is dict:
+            items: Any = value.items()
+        elif kind is list or kind is tuple:
+            items = enumerate(value)
+        else:
+            return
+        for key, item in items:
+            kind = type(item)
+            if kind is Partition:
+                places[id(item)] = path + (key,)
+            elif kind is list or kind is tuple or kind is dict:
+                walk(item, path + (key,))
+
+    walk(fields, ())
+    places[id(Partition.empty())] = None
+    places.update((id(leaf), index) for index, leaf in enumerate(leaves))
+    return places
+
+
+def encode_refs(value: Any, places: dict[int, Any]) -> tuple[Any, int, int]:
+    """``value`` as it crosses the seam — ``(marked copy, places of the
     marks)`` — and how many partitions went by reference and by value.
 
-    By reference only when the partition *is* ``held``'s entry for its
-    uid: a copy with the same uid and other entries (what
-    :mod:`repro.recovery.repair` injects) travels in full, as it always
-    did.  ``sent`` collects every partition met: what the receiver holds
-    once it has decoded the message.
+    By reference only when ``places`` has the very object: a copy with
+    the same uid and other entries (what :mod:`repro.recovery.repair`
+    injects) travels in full.
     """
-    uids: list[int] = []
+    where: list[Any] = []
     values = 0
 
     def leaf(partition: Partition) -> Any:
         nonlocal values
-        uid = partition.uid
-        sent.setdefault(uid, partition)
-        if held.get(uid) is partition:
-            uids.append(uid)
-            return HeldPartition
-        values += 1
-        return partition
+        place = places.get(id(partition), _MISSING)
+        if place is _MISSING:
+            values += 1
+            return partition
+        where.append(place)
+        return HeldPartition
 
-    return (map_partitions(value, leaf), uids), len(uids), values
+    return (map_partitions(value, leaf), where), len(where), values
 
 
-def decode_refs(coded: Any, held: Held, received: Held) -> tuple[Any, int, int]:
-    """The inverse: each mark becomes ``held``'s own object (``KeyError``
-    if it holds none); ``received`` collects like ``sent``."""
-    marked, uids = coded
-    next_uid = iter(uids).__next__
+def decode_refs(
+    coded: Any, fields: dict[str, Any], leaves: "list[Partition]" = ()
+) -> tuple[Any, int, int]:
+    """The inverse: each mark becomes the receiver's own partition at its
+    place in ``fields`` or ``leaves`` (``LookupError`` if it holds none
+    there)."""
+    marked, where = coded
+    next_place = iter(where).__next__
     values = 0
 
     def leaf(item: Any) -> Partition:
         nonlocal values
-        if item is HeldPartition:
-            item = held[next_uid()]
-        else:
+        if item is not HeldPartition:
             values += 1
-        received.setdefault(item.uid, item)
-        return item
+            return item
+        place = next_place()
+        if place is None:
+            return Partition.empty()
+        if type(place) is int:
+            return leaves[place]
+        held: Any = fields
+        for key in place:
+            held = held[key]
+        if type(held) is not Partition:
+            raise LookupError(f"no partition at {place!r}")
+        return held
 
-    return map_partitions(marked, leaf, HeldPartition), len(uids), values
-
-
-def build_payload(
-    tree: "ContractionTree",
-    reducer: int,
-    leaves: "list[Partition]",
-    removed: int,
-    label: str,
-) -> dict[str, Any]:
-    """Everything one worker needs to run ``tree.advance`` remotely."""
-    return {
-        "tree_class": type(tree),
-        "state": tree.state(),
-        "reducer": reducer,
-        "leaves": leaves,
-        "removed": removed,
-        "label": label,
-    }
+    return map_partitions(marked, leaf, HeldPartition), len(where), values
 
 
 def _execute_payload(
-    payload: dict[str, Any], held: Held
-) -> tuple[dict[str, Any], Held]:
-    """Rebuild the tree around worker-local collaborators and advance it;
-    returns the reply and what this worker then holds for the reducer."""
-    received = held_table()
-    (tree_state, leaves), _, _ = decode_refs(payload["coded"], held, received)
+    payload: dict[str, Any], tree: "ContractionTree | None"
+) -> tuple[dict[str, Any], "ContractionTree"]:
+    """Advance the reducer's resident tree (first re-seeded, if the
+    payload carries a seed) around a fresh executor; returns the reply
+    and the tree this worker then holds."""
+    reducer = payload["reducer"]
+    seed = payload.get("seed")
+    if seed is not None:
+        tree_class, coded = seed
+        state, _, _ = decode_refs(coded, vars(tree) if tree is not None else {})
+        tree = object.__new__(tree_class)
+        tree.__dict__.update(state)
+        tree.memo = MemoTable()
+    elif tree is None:
+        raise KeyError(f"no tree held for reducer {reducer}")
     telemetry = CaptureTelemetry(label=payload["label"])
     executor = PlanExecutor(telemetry)
-
-    tree: "ContractionTree" = object.__new__(payload["tree_class"])
-    tree.__dict__.update(tree_state)
     tree.executor = executor
-    tree.memo = MemoTable()
+    held = tree_fields(tree)
+    before = snapshot(held)
 
     executor.begin_run(payload["label"])
     # Records carry the reducer, as they do in process.
-    executor.reducer = payload["reducer"]
+    executor.reducer = reducer
+    leaves = payload["leaves"]
     root = tree.advance(leaves, payload["removed"])
     run = executor.end_run()
 
-    # ``combiner`` ships out (the worker needs it) but never back (the
-    # parent keeps its own instance).
-    state = tree.state()
-    del state["combiner"]
-    returned = held_table()
-    coded, _, _ = encode_refs((state, root), received, returned)
+    delta = state_delta(held, before, tree_fields(tree))
+    coded, _, _ = encode_refs((root, delta), places_of(before, leaves))
     return {
         "coded": coded,
         "events": telemetry.events,
         "spans": telemetry.root.children,
         "log": run.log.records,
-    }, returned
+    }, tree
 
 
 def _worker_main(conn: Any) -> None:
     """The worker process loop: recv payload, execute, send result."""
-    #: Per reducer, the partitions of the state last returned.  Popped
-    #: for the run: a reducer whose run raised holds nothing.
-    held: dict[int, Held] = {}
+    #: Per reducer, the tree this worker keeps.  Popped for the run: a
+    #: reducer whose run raised holds nothing.
+    trees: dict[int, "ContractionTree"] = {}
     while True:
         try:
             blob = conn.recv_bytes()
@@ -193,13 +296,13 @@ def _worker_main(conn: Any) -> None:
         if blob == _SHUTDOWN:
             break
         try:
-            if blob == _HELD_SIZES:
-                reply_value: Any = {r: len(t) for r, t in held.items()}
+            if blob == _RESIDENT:
+                reply_value: Any = {r: tree_fields(t) for r, t in trees.items()}
             else:
                 payload = pickle.loads(blob)
                 reducer = payload["reducer"]
-                reply_value, held[reducer] = _execute_payload(
-                    payload, held.pop(reducer, None) or held_table()
+                reply_value, trees[reducer] = _execute_payload(
+                    payload, trees.pop(reducer, None)
                 )
             result: tuple[str, Any] = ("ok", reply_value)
         except Exception as exc:  # noqa: BLE001 - errors travel to the parent
@@ -228,18 +331,26 @@ class WorkerPool:
         ctx = get_context("fork")
         self.pipes = []
         self.procs = []
-        for index in range(workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn,),
-                daemon=True,
-                name=f"repro-worker-{index}",
-            )
-            proc.start()
-            child_conn.close()
-            self.pipes.append(parent_conn)
-            self.procs.append(proc)
+        try:
+            for index in range(workers):
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                self.pipes.append(parent_conn)
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(child_conn,),
+                    daemon=True,
+                    name=f"repro-worker-{index}",
+                )
+                try:
+                    proc.start()
+                finally:
+                    child_conn.close()
+                self.procs.append(proc)
+        except BaseException:
+            # A worker already started holds, from the fork, the parent's
+            # end of its own pipe, so it would never see EOF.
+            _shutdown(self.pipes, self.procs)
+            raise
         self._finalizer = weakref.finalize(
             self, _shutdown, list(self.pipes), list(self.procs)
         )

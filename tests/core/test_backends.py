@@ -1,5 +1,6 @@
 """The execution-backend seam: dispatch ladder, fallback, certification tie."""
 
+import multiprocessing
 import os
 import signal
 
@@ -12,6 +13,7 @@ from repro.core.backends import (
     InProcessBackend,
     ProcessBackend,
     make_backend,
+    parent_share,
 )
 from repro.core.memo import DictMemoStore, MemoStats
 from repro.slider.system import Slider, SliderConfig
@@ -188,7 +190,7 @@ class TestDispatchLadder:
             # was for hold nothing, and the parent's trees were complete
             # all along, so later advances keep working, permanently
             # local and bit for bit.
-            assert backend.broken and not backend._held
+            assert backend.broken and not backend._synced
             fleet.steady(20)
             fleet.check()
 
@@ -245,6 +247,59 @@ def _hct_stream(variant, mode, **config_kw):
     return slider, [slider.advance([split], removed) for split in splits[40:]]
 
 
+class TestParentShare:
+    @pytest.mark.parametrize(
+        "reducers,workers,share",
+        [(4, 2, 2), (2, 2, 1), (2, 1, 1), (3, 1, 2), (8, 3, 2), (1, 1, 0), (1, 4, 0)],
+    )
+    def test_the_parent_keeps_the_lowest_reducers_but_never_all(
+        self, reducers, workers, share
+    ):
+        assert parent_share(reducers, workers) == share
+
+    @pytest.mark.parametrize("reducers,forked", [(2, 1), (4, 2)])
+    def test_the_pool_forks_only_the_workers_that_get_a_reducer(
+        self, reducers, forked
+    ):
+        slider = _warm(_slider(_job(reducers), workers=2))
+        try:
+            counters = slider.telemetry.counters
+            runs = counters["backend.dispatch_runs"]
+            assert runs > 0
+            assert counters["backend.dispatched_reducers"] == (reducers // 2) * runs
+            assert len(slider.backend._pool) == forked
+        finally:
+            slider.close()
+
+
+class TestWorkerPool:
+    def test_a_failed_start_shuts_down_the_workers_already_started(
+        self, monkeypatch
+    ):
+        """Fork fails for the second worker: the first, which holds the
+        parent's end of its own pipe from the fork and so would never see
+        EOF, is shut down before the error propagates."""
+        fork = multiprocessing.get_context("fork")
+        started = []
+
+        class SecondStartFails(fork.Process):
+            def start(self):
+                started.append(self)
+                if len(started) == 2:
+                    raise OSError("fork: resource temporarily unavailable")
+                super().start()
+
+        class Context:
+            Pipe = staticmethod(fork.Pipe)
+            Process = SecondStartFails
+
+        monkeypatch.setattr(parallel, "get_context", lambda method: Context)
+        with pytest.raises(OSError, match="fork"):
+            parallel.WorkerPool(2)
+        assert [proc.name for proc in started] == ["repro-worker-0", "repro-worker-1"]
+        assert started[0] not in multiprocessing.active_children()
+
+
 class TestDispatchDecisions:
     @pytest.mark.parametrize("variant,mode", DISPATCH_DECISIONS)
     def test_which_advances_dispatch_and_what_the_memo_holds(self, variant, mode):
@@ -254,7 +309,9 @@ class TestDispatchDecisions:
             local, dispatched = DISPATCH_DECISIONS[variant, mode]
             assert counters.get("backend.inprocess_runs", 0) == local
             assert counters.get("backend.dispatch_runs", 0) == dispatched
-            assert counters.get("backend.dispatched_reducers", 0) == 4 * dispatched
+            # The parent advances reducers 0 and 1 itself (four reducers,
+            # two workers): two a run cross the seam.
+            assert counters.get("backend.dispatched_reducers", 0) == 2 * dispatched
             assert not [name for name in counters if name.endswith("_fallbacks")]
             if dispatched:
                 # Node results live by position in the state that crosses:
@@ -288,8 +345,10 @@ class TestDispatchDecisions:
 class TestUnpicklableFallback:
     def test_unpicklable_payload_falls_back_per_reducer(self):
         """One tree's state holds an unpicklable object: its reducer runs
-        in process while the rest still dispatch."""
-        with Fleet(case_of("folding"), arms=TWINS) as fleet:
+        in process while the rest still dispatch (four reducers: the
+        parent keeps two, and the last one's payload fails)."""
+        job = (lambda: count_job(num_reducers=4), split_of)
+        with Fleet(case_of("folding"), job=job, arms=TWINS) as fleet:
             fleet.steady(2)
             engine = fleet.engines["process"]
             before = count(engine, "backend.dispatched_reducers")

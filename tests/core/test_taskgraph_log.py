@@ -23,7 +23,7 @@ from repro.core.taskgraph import TaskGraph, content_uids
 from repro.mapreduce.combiners import SumCombiner
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
-from tests.oracle.fleet import ALL, CASES, Fleet, case_of, count, count_job
+from tests.oracle.fleet import ALL, CASES, JOBS, Fleet, case_of, count, count_job
 from tests.oracle.fleet import graph_fields as fields
 from tests.oracle.fleet import plan_fields, split_of
 from tests.oracle.test_walk import walk
@@ -121,12 +121,14 @@ def test_every_kind_of_node_is_compared(case):
 def test_records_cross_the_process_seam_in_reducer_order(case):
     """Workers return records and the parent takes them into its own log
     where it merges their spans: dispatched runs, an in-process interlude
-    and a run in which reducer 0 falls back in-process after a worker
-    error while reducer 1's records come from its worker.  The reference
-    stays in process; plans and graphs are equal exactly, costs to the
-    bit, since a combine logs the float it charged.
+    and a run in which reducer 2 falls back in-process after a worker
+    error while reducer 3's records come from its worker (four reducers:
+    the parent advances 0 and 1 itself).  The reference stays in process;
+    plans and graphs are equal exactly, costs to the bit, since a combine
+    logs the float it charged.
     """
-    with Fleet(case, arms=("reference", "process")) as fleet:
+    job = (lambda: count_job(num_reducers=4), JOBS["counts"][1])
+    with Fleet(case, job=job, arms=("reference", "process")) as fleet:
         engine = fleet.engines["process"]
         fleet.steady(5)
         fleet.interlude()
@@ -137,7 +139,7 @@ def test_records_cross_the_process_seam_in_reducer_order(case):
         assert count(engine, "backend.worker_fallbacks") == 0
         assert fleet.kill_worker(hard=False)
         assert count(engine, "backend.worker_fallbacks") == 1
-        # The failed run still merged reducer 1 from its worker.
+        # The failed run still merged reducer 3 from its worker.
         assert count(engine, "backend.dispatched_reducers") % 2 == 0
         fleet.advance()
 

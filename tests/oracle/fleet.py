@@ -40,7 +40,7 @@ from repro.cluster.machine import Cluster, ClusterConfig
 from repro.common.approx import same_value
 from repro.common.hashing import stable_hash
 from repro.core import backends, parallel
-from repro.core.backends import ProcessBackend
+from repro.core.backends import ProcessBackend, parent_share
 from repro.core.partition import Partition
 from repro.core.plan import Plan, PlanStep
 from repro.core.taskgraph import STEP, TaskGraph, TaskNode
@@ -198,6 +198,19 @@ def tree_partitions(value: Any) -> list[Partition]:
     if isinstance(value, (list, tuple)):
         return [p for item in value for p in tree_partitions(item)]
     return []
+
+
+def by_place(value: Any) -> Any:
+    """``value`` with each partition as its uid, found without the
+    seam's own walker: two trees whose fields are equal this way hold
+    the same partitions in the same places."""
+    if isinstance(value, Partition):
+        return ("partition", value.uid)
+    if isinstance(value, dict):
+        return {key: by_place(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [by_place(item) for item in value])
+    return value
 
 
 def bits(value: Any) -> Any:
@@ -459,7 +472,7 @@ class Fleet:
                 "the process arm dispatches exactly its recurring runs"
             )
             if hit:
-                self._held_is_the_tree(process)
+                self._resident_is_the_mirror(process)
         return results
 
     def _compare_runs(self, results: dict[str, SliderResult]) -> None:
@@ -512,17 +525,23 @@ class Fleet:
             assert len(result.graph.nodes) == len(result.graph) == len(graph)
             assert_one_log(result)
 
-    def _held_is_the_tree(self, engine: Slider) -> None:
-        """After a dispatch: each side's table is the tree's partitions."""
-        backend, sizes = engine.backend, {}
-        for reducer, tree in enumerate(engine.trees):
-            uids = {p.uid for p in tree_partitions(tree)}
-            assert set(backend._held[reducer]) == uids | {Partition.empty().uid}
+    def _resident_is_the_mirror(self, engine: Slider) -> None:
+        """After a dispatch: the workers hold a tree for exactly the
+        reducers beyond the parent's share, each with the parent's
+        fields and the same partitions, by uid, in the same places, and
+        the parent's snapshot of each is its tree as it stands."""
+        backend, resident = engine.backend, {}
         pool = backend._pool
         for worker in range(len(pool)):
-            pool.submit(worker, parallel._HELD_SIZES)
-            sizes.update(pool.receive(worker)[0])
-        assert sizes == {r: len(t) for r, t in backend._held.items()}
+            pool.submit(worker, parallel._RESIDENT)
+            resident.update(pool.receive(worker)[0])
+        share = parent_share(len(engine.trees), backend.workers)
+        assert set(resident) == set(backend._synced)
+        assert set(resident) == set(range(share, len(engine.trees)))
+        for reducer, fields in resident.items():
+            mirror = parallel.tree_fields(engine.trees[reducer])
+            assert backend._synced[reducer] == mirror, reducer
+            assert by_place(fields) == by_place(mirror), reducer
 
     def check(self) -> None:
         """The invariants of an idle fleet."""
@@ -751,18 +770,18 @@ class Fleet:
 
     def _breaks(self, backend: ProcessBackend) -> None:
         self._sabotaged_until(lambda results: backend.broken, "failed dispatch")
-        assert not backend._held
+        assert not backend._synced
 
     def kill_worker(self, hard: bool = True) -> bool:
-        """A worker dies (``hard``), or comes to hold nothing of what the
-        parent believes it does.  The next dispatch that needs the worker
-        fails: that reducer runs in process, and the arm stays in process
-        from then on.  (A worker that lost its table is not needed by a
-        dispatch that sends no reference — every partition of the tree
-        was made in process since — and that dispatch puts the two sides
-        back in step.)"""
+        """A worker dies (``hard``), or loses the tree it keeps for a
+        reducer (a run of it raised).  The next dispatch that needs the
+        worker fails: that reducer runs in process, and the arm stays in
+        process from then on.  (A worker that lost its tree is not needed
+        by a re-seed that sends no reference — every partition of the
+        tree was made in process since — and that dispatch puts the two
+        sides back in step.)"""
         backend = self._live_backend()
-        if backend is None or backend._pool is None or 0 not in backend._held:
+        if backend is None or backend._pool is None or not backend._synced:
             return False  # no pool yet, or nothing the parent believes held
         self.fired["kill_worker"] += 1
         pool = backend._pool
@@ -772,10 +791,13 @@ class Fleet:
             self._breaks(backend)
             return True
         # A run that raises leaves its worker holding nothing.
-        lost = {"reducer": 0, "coded": (({"_root": parallel.HeldPartition}, []), [7])}
-        pool.submit(0, pickle.dumps(lost))
-        with pytest.raises(RuntimeError, match="KeyError"):
-            pool.receive(0)
+        reducer = min(backend._synced)
+        share = parent_share(len(self.reference.trees), backend.workers)
+        worker = (reducer - share) % len(pool)
+        lost = {"reducer": reducer, "leaves": [], "removed": -1, "label": "lost"}
+        pool.submit(worker, pickle.dumps(lost))
+        with pytest.raises(RuntimeError, match="failed"):
+            pool.receive(worker)
         process = self.engines["process"]
         before = count(process, "backend.dispatch_runs")
         self._sabotaged_until(
@@ -784,7 +806,7 @@ class Fleet:
         )
         if backend.broken:
             self.fallbacks += 1
-            assert not backend._held
+            assert not backend._synced
         return backend.broken
 
     def pool_failure(self) -> bool:
@@ -803,21 +825,22 @@ class Fleet:
         return True
 
     def unpicklable(self) -> bool:
-        """One reducer's payload does not pickle: it alone runs in
-        process, in a run the others dispatch."""
+        """The last reducer's payload does not pickle: it alone runs in
+        process, beside the parent's share and any reducer that still
+        dispatches."""
         if self._live_backend() is None:
             return False
         self.fired["unpicklable"] += 1
         process = self.engines["process"]
         before = count(process, "backend.unpicklable_fallbacks")
-        process.trees[0]._unpicklable_probe = threading.Lock()
+        process.trees[-1]._unpicklable_probe = threading.Lock()
         try:
             self._sabotaged_until(
                 lambda _: count(process, "backend.unpicklable_fallbacks") > before,
                 "unpicklable fallback",
             )
         finally:
-            del process.trees[0].__dict__["_unpicklable_probe"]
+            del process.trees[-1].__dict__["_unpicklable_probe"]
         return True
 
     def fail_backing(self) -> bool:

@@ -72,9 +72,11 @@ def unread(variant):
 def dispatched(variant, monkeypatch):
     """The process arm's latest result after 65 dispatched advances, and
     its workers' replies: each carries its run's log as one list of flat
-    records, beside its state, root and telemetry, and nothing built (a
-    worker that built a ``PlanStep`` or a ``TaskNode`` raises, and the
-    fleet fails on the fallback).  No payload asks for more."""
+    records, beside its root, state delta and telemetry, and nothing
+    built (a worker that built a ``PlanStep`` or a ``TaskNode`` raises,
+    and the fleet fails on the fallback).  No payload asks for more, and
+    once a worker holds its tree none carries it.  Four reducers: the
+    parent advances 0 and 1 itself, the workers 2 and 3."""
     replies, payloads = [], []
     receive, submit = WorkerPool.receive, WorkerPool.submit
 
@@ -92,7 +94,8 @@ def dispatched(variant, monkeypatch):
     monkeypatch.setattr(WorkerPool, "receive", spy_receive)
     monkeypatch.setattr(WorkerPool, "submit", spy_submit)
     arms = ("reference", "process")
-    with Fleet(case_of(variant), job="scenario", arms=arms, first=6) as fleet:
+    job = (lambda: count_job(num_reducers=4), split_of)
+    with Fleet(case_of(variant), job=job, arms=arms, first=6) as fleet:
         fleet.steady(64)
         last = fleet.advance()["process"]
         fleet.check()
@@ -100,8 +103,10 @@ def dispatched(variant, monkeypatch):
         assert last.plan_cache_hit
         assert count(engine, "backend.dispatched_reducers") == len(replies) > 64
         assert len(payloads) == len(replies)
+        slide = {"reducer", "leaves", "removed", "label"}
         for payload in payloads:
-            assert set(payload) == {"tree_class", "reducer", "removed", "label", "coded"}
+            assert set(payload) in (slide, slide | {"seed"})
+        assert sum("seed" in payload for payload in payloads) < len(payloads) / 4
         for reply in replies:
             assert set(reply) == {"coded", "events", "spans", "log"}
             assert type(reply["log"]) is list and reply["log"]

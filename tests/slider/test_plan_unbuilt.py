@@ -32,20 +32,20 @@ def test_an_advance_builds_no_step(variant, mode):
 @pytest.mark.parametrize("variant,mode", DISPATCHING)
 def test_a_worker_builds_no_step_and_replies_with_records(variant, mode, monkeypatch):
     with dispatched(variant, monkeypatch) as (last, replies):
-        # The reducers' records sit in the run's log between the engine's
-        # own map and reduce records, reducer by reducer, and the plan
-        # reads its steps from them.
+        # The workers' records sit in the run's log after the parent's
+        # share and before the reduce records, reducer by reducer, and the
+        # plan reads its steps from them.
         records = [record for reply in replies[-2:] for record in reply["log"]]
         log = last.plan.log.records
-        start = next(
+        end = next(
             index
             for index, record in enumerate(log)
-            if record[STEP] is not None and record[STEP][0] != "map"
+            if record[STEP] is not None and record[STEP][0] == "reduce"
         )
-        assert log[start : start + len(records)] == records
-        assert {record[STEP][0] for record in log[start + len(records) :]
-                if record[STEP] is not None} == {"reduce"}
-        steps = last.plan.steps[1:-2]
-        assert len(steps) == sum(record[STEP] is not None for record in records)
+        assert log[end - len(records) : end] == records
+        steps = [step for step in last.plan.steps if step.op not in ("map", "reduce")]
         reducers = [step.reducer for step in steps]
-        assert reducers == sorted(reducers)
+        assert reducers == sorted(reducers) and set(reducers) == {0, 1, 2, 3}
+        assert reducers.count(2) + reducers.count(3) == sum(
+            record[STEP] is not None for record in records
+        )
