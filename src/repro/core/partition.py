@@ -12,7 +12,10 @@ nests, for the process seam and the restore sweep alike.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from repro.common.hashing import content_id, entry_hash, entry_hash_encoded
 from repro.common.hashing import entry_hasher, stable_hash, xor_entry_hashes
@@ -272,6 +275,12 @@ def combine_partitions(
     )[0]
 
 
+#: Fewest keys two inputs hold between them for a count-priced combine to
+#: take the pair path (:func:`_merge_pair`): below it numpy's fixed cost
+#: per call outweighs the per-key loop it replaces.
+_PAIR_PATH_MIN_KEYS = 64
+
+
 def combine_charged(  # analysis: charge-in-caller-span (the tree-level span)
     partitions: Sequence[Partition],
     combiner: Combiner,
@@ -284,40 +293,89 @@ def combine_charged(  # analysis: charge-in-caller-span (the tree-level span)
     float charged to ``telemetry`` (``0.0`` when no merge runs), which
     the executor logs as the node's cost.
 
-    One pass over the key gather builds the result, sums its cost in key
-    order and collects what :func:`combined_uid` needs (the merged keys
-    and the delta's digest count).  The cost is ``combiner.merge_cost``
-    a merged key plus ``combiner.value_size(value) * 0.1`` a key copied
-    through; a combiner :func:`_priced_by_count` is charged the same
-    floats, ``float(len(values))`` and ``0.1``, without a call, so it is
-    called per key only where keys merge."""
+    The cost is ``combiner.merge_cost`` a merged key plus
+    ``combiner.value_size(value) * 0.1`` a key copied through, summed in
+    the order of the key gather (every input's keys in turn, each key
+    where it is first seen); a combiner :func:`_priced_by_count` is
+    charged the same floats, ``float(len(values))`` and ``0.1``, without
+    a call, so it is called per key only where keys merge.  The result's
+    entries are in gather order too, and :func:`combined_uid` makes its
+    uid from the merged keys and the delta's digest count.
+
+    Two ways build the result, to the same entries, uid and float.  Two
+    non-empty inputs of such a combiner holding at least
+    ``_PAIR_PATH_MIN_KEYS`` keys between them take :func:`_merge_pair`,
+    whose per-key work is all at C level except at the merged keys; any
+    other combine gathers each key's values, then makes one pass that
+    merges, prices and collects.
+    """
     non_empty = [p for p in partitions if p]
     if not non_empty:
         return Partition.empty(), 0.0
     if len(non_empty) == 1:
         return non_empty[0], 0.0
 
-    merged_lists: dict[Any, list[Any]] = {}
-    for partition in non_empty:
-        for key, value in partition.entries.items():
-            merged_lists.setdefault(key, []).append(value)
-
     by_count = _priced_by_count(combiner)
-    entries: dict[Any, Any] = {}
-    merged: list[tuple[Any, list[Any]]] = []
-    delta_digests = len(non_empty)
-    cost = 0.0
-    for key, values in merged_lists.items():
-        if len(values) == 1:
-            entries[key] = values[0]  # copied through
-            cost += 0.1 if by_count else combiner.value_size(values[0]) * 0.1
-            continue
-        merged.append((key, values))
-        delta_digests += len(values) + 1
-        entries[key] = combiner.merge(key, values)
-        cost += float(len(values)) if by_count else combiner.merge_cost(key, values)
+    if (
+        by_count
+        and len(non_empty) == 2
+        and len(non_empty[0].entries) + len(non_empty[1].entries)
+        >= _PAIR_PATH_MIN_KEYS
+    ):
+        entries, merged, cost = _merge_pair(
+            non_empty[0].entries, non_empty[1].entries, combiner
+        )
+        delta_digests = 2 + 3 * len(merged)
+    else:
+        merged_lists: dict[Any, list[Any]] = {}
+        for partition in non_empty:
+            for key, value in partition.entries.items():
+                merged_lists.setdefault(key, []).append(value)
+
+        entries = {}
+        merged = []
+        delta_digests = len(non_empty)
+        cost = 0.0
+        for key, values in merged_lists.items():
+            if len(values) == 1:
+                entries[key] = values[0]  # copied through
+                cost += 0.1 if by_count else combiner.value_size(values[0]) * 0.1
+                continue
+            merged.append((key, values))
+            delta_digests += len(values) + 1
+            entries[key] = combiner.merge(key, values)
+            cost += (
+                float(len(values)) if by_count else combiner.merge_cost(key, values)
+            )
     charged = cost * cost_factor + invocation_overhead
     if telemetry is not None:
         telemetry.charge(phase, charged)
     uid = combined_uid(non_empty, merged, delta_digests, entries)
     return Partition(entries, uid=uid), charged
+
+
+def _merge_pair(
+    first: dict[Any, Any], second: dict[Any, Any], combiner: Combiner
+) -> tuple[dict[Any, Any], list[tuple[Any, list[Any]]], float]:
+    """Two inputs of a count-priced combiner, merged per merged key only.
+
+    ``dict(first)`` updated by ``second`` is the gather order: ``first``'s
+    keys, then ``second``'s new ones, and a key both hold keeps
+    ``first``'s place (and key object).  The membership mask marks
+    ``first``'s keys ``second`` holds; ``merge`` runs at those, in gather
+    order, on ``[first[key], second[key]]``.  The cost is the loop's sum
+    of ``2.0`` a merged key and ``0.1`` a copied one in gather order, and
+    ``numpy.cumsum`` adds in that order as the loop does, so its last
+    element is the loop's float to the bit (``numpy.sum`` sums pairwise,
+    and the builtin ``sum`` compensates floats from Python 3.12)."""
+    entries = dict(first)
+    entries.update(second)
+    mask = np.fromiter(map(second.__contains__, first), bool, len(first))
+    merged: list[tuple[Any, list[Any]]] = []
+    for key in compress(first, mask):
+        values = [first[key], second[key]]
+        merged.append((key, values))
+        entries[key] = combiner.merge(key, values)
+    costs = np.full(len(entries), 0.1)
+    costs[: len(first)][mask] = 2.0
+    return entries, merged, float(np.cumsum(costs)[-1])

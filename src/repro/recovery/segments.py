@@ -101,10 +101,15 @@ def read_manifest(path: str | Path) -> dict[str, Any]:
         )
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
         raise CheckpointError(
             f"unreadable checkpoint manifest {manifest_path}: {exc}"
         ) from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(
+            f"{manifest_path} is not a {FORMAT_NAME} manifest "
+            f"(a JSON {type(manifest).__name__}, not an object)"
+        )
     if manifest.get("format") != FORMAT_NAME:
         raise CheckpointError(
             f"{manifest_path} is not a {FORMAT_NAME} "
@@ -120,6 +125,8 @@ def read_manifest(path: str | Path) -> dict[str, Any]:
         )
     if not isinstance(manifest.get("segments"), dict):
         raise CheckpointError(f"{manifest_path} has no segment index")
+    if not isinstance(manifest.get("meta"), dict):
+        raise CheckpointError(f"{manifest_path} has no meta object")
     return manifest
 
 
@@ -133,6 +140,16 @@ def read_segment(
         raise CheckpointError(
             f"checkpoint {root} has no segment {name!r} "
             f"(has: {sorted(manifest['segments'])})"
+        )
+    if not (
+        isinstance(entry, dict)
+        and isinstance(entry.get("file"), str)
+        and isinstance(entry.get("digest"), str)
+    ):
+        raise CheckpointError(
+            f"checkpoint {root} has a malformed index entry for segment "
+            f"{name!r} (a file and a digest, both strings, expected; "
+            f"got {entry!r})"
         )
     segment_path = root / entry["file"]
     if not segment_path.exists():

@@ -7,15 +7,26 @@ tests hold its entries, uid and charged float to a reference that calls
 the cost hooks on every key, as every combine did before, over combiners
 that override nothing, one hook, a hook on the instance, and the shipped
 ones; and they count that a steady histogram advance calls neither hook.
+Two inputs of such a combiner holding ``_PAIR_PATH_MIN_KEYS`` keys or
+more take the pair path; it is held to the same reference on both sides
+of that gate, and counted to make its per-key calls at merged keys only.
 """
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.registry import APP_REGISTRY
-from repro.core.partition import Partition, _fingerprint_entries, combine_charged
+from repro.core.partition import (
+    _PAIR_PATH_MIN_KEYS,
+    Partition,
+    _fingerprint_entries,
+    _merge_pair,
+    combine_charged,
+)
 from repro.mapreduce.combiners import (
     Combiner,
     CountCombiner,
@@ -202,3 +213,120 @@ def test_a_steady_histogram_advance_prices_by_count_and_hashes_no_length(
         engine.verify_outputs()
     finally:
         engine.close()
+
+
+class _Recording(SumCombiner):
+    """Keeps ``Combiner``'s pricing and records every ``merge`` call."""
+
+    def __init__(self) -> None:
+        self.calls: list = []
+
+    def merge(self, key, values):
+        self.calls.append((key, list(values)))
+        return super().merge(key, values)
+
+
+#: name -> (combiner class, value drawn from a ``random.Random``)
+PAIR_COMBINERS = {
+    "sum": (SumCombiner, lambda rng: rng.randint(-50, 50)),
+    "count": (CountCombiner, lambda rng: rng.randint(1, 9)),
+    "mean": (MeanCombiner, lambda rng: (rng.randint(1, 4), rng.uniform(-9, 9))),
+    "min": (MinCombiner, lambda rng: rng.randint(-50, 50)),
+    "recording": (_Recording, lambda rng: rng.randint(-50, 50)),
+}
+
+
+@st.composite
+def pair_combines(draw):
+    """Two inputs of a count-priced combiner, 0-300 keys a side, with the
+    shared keys laid out as ``layout`` says: anywhere, at the first and
+    last of the first input's places, all of them, or none."""
+    name = draw(st.sampled_from(sorted(PAIR_COMBINERS)))
+    value = PAIR_COMBINERS[name][1]
+    size = st.one_of(st.integers(0, 300), st.integers(20, 44))  # near the gate
+    n_first, n_new = draw(size), draw(size)
+    layout = draw(st.sampled_from(["random", "ends", "all", "disjoint"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    first_keys = [f"a{i}" for i in range(n_first)]
+    if layout == "random":
+        share = draw(st.floats(0.0, 1.0))
+        shared = [key for key in first_keys if rng.random() < share]
+    elif layout == "ends":
+        shared = sorted({*first_keys[:1], *first_keys[-1:]})
+    elif layout == "all":
+        shared = list(first_keys)
+    else:
+        shared = []
+    second_keys = shared + [f"b{i}" for i in range(n_new)]
+    rng.shuffle(second_keys)
+    partitions = [
+        Partition({key: value(rng) for key in first_keys}),
+        Partition({key: value(rng) for key in second_keys}),
+    ]
+    cost_factor = draw(st.sampled_from([1.0, 0.37, 2.5]))
+    overhead = draw(st.sampled_from([0.0, 1.25]))
+    return name, partitions, cost_factor, overhead
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pair_combines())
+def test_the_pair_path_is_the_per_key_reference_to_the_bit(case):
+    name, partitions, cost_factor, overhead = case
+    kind = PAIR_COMBINERS[name][0]
+    combiner, reference = kind(), kind()
+    (result, charged), _, pair_calls = profile_calls(
+        lambda: combine_charged(
+            partitions,
+            combiner,
+            cost_factor=cost_factor,
+            invocation_overhead=overhead,
+        ),
+        _merge_pair.__code__,
+    )
+    expected, expected_charge = _reference(
+        partitions, reference, cost_factor, overhead
+    )
+    assert result.entries == expected.entries
+    assert list(result.entries) == list(expected.entries)  # gather order
+    assert [type(v) for v in result.entries.values()] == [
+        type(v) for v in expected.entries.values()
+    ]
+    assert result.uid == expected.uid
+    assert charged.hex() == expected_charge.hex()
+    if name == "recording":
+        assert combiner.calls == reference.calls
+    first, second = partitions
+    takes_path = (
+        bool(first)
+        and bool(second)
+        and len(first) + len(second) >= _PAIR_PATH_MIN_KEYS
+    )
+    assert pair_calls == int(takes_path)
+
+
+def _pair_with_copies(copied: int, merged: int = 16) -> list[Partition]:
+    """Two partitions sharing ``merged`` keys, with ``copied`` keys held
+    by one of them only, half on each side."""
+    shared = [f"s{i}" for i in range(merged)]
+    first = {f"a{i}": i for i in range(copied // 2)}
+    first.update((key, 1) for key in shared)
+    second = {key: 2 for key in shared}
+    second.update((f"b{i}", i) for i in range(copied - copied // 2))
+    return [Partition(first), Partition(second)]
+
+
+def test_a_pair_combine_makes_its_calls_per_merged_key_not_per_key():
+    """Interpreter events of a two-input ``SumCombiner`` combine, as a
+    count: the same for 16 merged keys among 1 000 copied ones as among
+    20 000.  (The gather loop made a ``setdefault`` and an ``append`` a
+    key.)"""
+    counts = []
+    for copied in (1_000, 20_000):
+        partitions = _pair_with_copies(copied)
+        combine = lambda: combine_charged(partitions, SumCombiner())  # noqa: E731
+        expected, _ = _reference(partitions, SumCombiner(), 1.0, 0.0)
+        result, _ = combine()  # warm: every length term is cached after it
+        assert result == expected
+        _, events, _ = profile_calls(combine)
+        counts.append(events)
+    assert counts[0] == counts[1]

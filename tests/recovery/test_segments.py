@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import CheckpointError, CorruptionError
+from repro.common.hashing import fingerprint_bytes
 from repro.recovery.segments import (
     MANIFEST_FILE,
     read_manifest,
@@ -102,3 +103,101 @@ def test_foreign_format_raises_checkpoint_error(tmp_path):
 def test_unpicklable_segment_raises_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match="not picklable"):
         write_segments(tmp_path, {"state": lambda: None}, meta={})
+
+
+def _rewrite_manifest(path, edit):
+    manifest = json.loads((path / MANIFEST_FILE).read_text())
+    (path / MANIFEST_FILE).write_text(json.dumps(edit(manifest)))
+
+
+def _state_entry(value):
+    def edit(manifest):
+        manifest["segments"]["state"] = value
+        return manifest
+
+    return edit
+
+
+def _without_digest(manifest):
+    del manifest["segments"]["state"]["digest"]
+    return manifest
+
+
+#: A manifest that parses as JSON but has the wrong shape, and the message.
+MALFORMED = pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda manifest: [], "JSON list, not an object"),
+        (lambda manifest: "x", "JSON str, not an object"),
+        (lambda manifest: 1, "JSON int, not an object"),
+        (lambda manifest: None, "JSON NoneType, not an object"),
+        (lambda manifest: {**manifest, "meta": None}, "no meta object"),
+        (_without_digest, "malformed index entry"),
+        (_state_entry("state.seg"), "malformed index entry"),
+        (_state_entry(["state.seg"]), "malformed index entry"),
+        (_state_entry({"file": 7, "digest": "00"}), "malformed index entry"),
+    ],
+    ids=[
+        "list",
+        "string",
+        "number",
+        "null",
+        "meta-null",
+        "entry-without-digest",
+        "entry-string",
+        "entry-list",
+        "entry-file-not-string",
+    ],
+)
+
+
+@MALFORMED
+def test_a_malformed_manifest_raises_checkpoint_error(tmp_path, edit, message):
+    """Every structural problem is a ``CheckpointError``, never the
+    ``AttributeError`` / ``KeyError`` / ``TypeError`` of a field read off
+    the wrong shape."""
+    write_segments(tmp_path, {"state": 1}, meta={})
+    _rewrite_manifest(tmp_path, edit)
+    with pytest.raises(CheckpointError, match=message):
+        read_segment(tmp_path, read_manifest(tmp_path), "state")
+
+
+@pytest.mark.parametrize(
+    "content", [b"{not json", b"\xff\xfe\x00"], ids=["not-json", "not-utf8"]
+)
+def test_an_unparsable_manifest_raises_checkpoint_error(tmp_path, content):
+    (tmp_path / MANIFEST_FILE).write_bytes(content)
+    with pytest.raises(CheckpointError, match="unreadable"):
+        read_manifest(tmp_path)
+
+
+def test_an_unreadable_manifest_file_raises_checkpoint_error(tmp_path):
+    (tmp_path / MANIFEST_FILE).mkdir()  # exists, but read_text fails
+    with pytest.raises(CheckpointError, match="unreadable"):
+        read_manifest(tmp_path)
+
+
+def test_a_manifest_without_a_segment_index_raises_checkpoint_error(tmp_path):
+    write_segments(tmp_path, {"state": 1}, meta={})
+    _rewrite_manifest(tmp_path, lambda manifest: {**manifest, "segments": None})
+    with pytest.raises(CheckpointError, match="no segment index"):
+        read_manifest(tmp_path)
+
+
+def test_a_directory_that_cannot_be_made_raises_checkpoint_error(tmp_path):
+    (tmp_path / "file").write_text("not a directory")
+    with pytest.raises(CheckpointError, match="cannot create"):
+        write_segments(tmp_path / "file" / "ckpt", {"state": 1}, meta={})
+
+
+def test_a_segment_that_fails_to_unpickle_after_its_digest_matched(tmp_path):
+    """The digest proves the bytes are what was written; bytes that were
+    never a pickle are a format bug, reported as such."""
+    write_segments(tmp_path, {"state": 1}, meta={})
+    blob = b"not a pickle"
+    (tmp_path / "state.seg").write_bytes(blob)
+    _rewrite_manifest(
+        tmp_path, _state_entry({"file": "state.seg", "digest": fingerprint_bytes(blob)})
+    )
+    with pytest.raises(CheckpointError, match="failed to unpickle"):
+        read_segment(tmp_path, read_manifest(tmp_path), "state")
