@@ -73,17 +73,11 @@ class AnalysisReport:
 
     findings: list[Finding] = field(default_factory=list)
 
-    def add(self, finding: Finding) -> None:
-        self.findings.append(finding)
-
     def extend(self, findings: list[Finding]) -> None:
         self.findings.extend(findings)
 
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity == ERROR]
-
-    def by_rule(self, rule: str) -> list[Finding]:
-        return [f for f in self.findings if f.rule == rule]
 
     @property
     def ok(self) -> bool:

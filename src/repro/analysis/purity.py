@@ -49,11 +49,7 @@ import types
 from typing import Any, Callable, Iterable
 
 from repro.analysis.findings import INFO, Finding
-from repro.analysis.purity_rules import (
-    _ALLOWED_MODULE_PREFIXES,
-    PurityVisitor,
-    _local_names,
-)
+from repro.analysis.purity_rules import PurityVisitor, _local_names
 
 #: How many levels of plain-Python helper calls to follow.
 MAX_HELPER_DEPTH = 3
@@ -83,9 +79,12 @@ def _environment(fn: types.FunctionType) -> dict[str, Any]:
     return env
 
 
+_FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
+
+
 def _source_node(
     fn: types.FunctionType,
-) -> tuple[ast.AST | None, str, int]:
+) -> tuple[_FunctionNode | None, str, int]:
     """Parse ``fn``'s source and return (node, filename, line offset).
 
     Named functions parse their dedented source block; lambdas are located
@@ -117,10 +116,8 @@ def _source_node(
 # entry points
 
 
-def _param_names(node: ast.AST) -> set[str]:
-    args = getattr(node, "args", None)
-    if args is None:
-        return set()
+def _param_names(node: _FunctionNode) -> set[str]:
+    args = node.args
     names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
     if args.vararg:
         names.add(args.vararg.arg)
@@ -192,18 +189,15 @@ def analyze_callable(
     # Default-argument expressions are part of the contract too: a lambda
     # default calling random() poisons every invocation that omits the
     # argument, exactly like the same call in the body would.
-    args = getattr(node, "args", None)
-    if args is not None:
-        for default in list(args.defaults) + list(args.kw_defaults):
-            if default is not None:
-                visitor.visit(default)
+    for default in list(node.args.defaults) + list(node.args.kw_defaults):
+        if default is not None:
+            visitor.visit(default)
     findings = list(visitor.findings)
 
+    # The visitor queues no helper from the trusted substrate
+    # (``purity_rules._ALLOWED_MODULE_PREFIXES``).
     if _depth < MAX_HELPER_DEPTH:
         for helper in visitor.helpers:
-            module = getattr(helper, "__module__", "") or ""
-            if module.startswith(_ALLOWED_MODULE_PREFIXES):
-                continue
             findings.extend(
                 analyze_callable(
                     helper,

@@ -60,8 +60,9 @@ _NONDET_ATTRS = {
 #: Modules whose calls are I/O (impure) wholesale.
 _IO_MODULES = ("subprocess", "socket", "shutil", "requests", "urllib", "http")
 
-#: ``os.*`` calls are I/O except the pure path/name helpers.
-_OS_PURE_PREFIXES = ("os.path",)
+#: ``os.*`` calls are I/O except the pure name helpers.  ``os.path``'s
+#: functions live in ``posixpath`` (or ``ntpath``), not ``os``: they are
+#: followed as plain-Python helpers.
 _OS_PURE_ATTRS = {"fspath", "fsencode", "fsdecode"}
 
 #: Builtins that are nondeterministic or impure when called.
@@ -397,8 +398,6 @@ class PurityVisitor(ast.NodeVisitor):
         candidates: list[str] = []
         if owner:
             candidates.append(str(owner))
-        if isinstance(value, types.ModuleType):
-            candidates.append(value.__name__)
         # numpy C functions often report __module__ None; fall back to the
         # lexical chain resolved through the environment.
         lexical = self._lexical_module(node.func)
@@ -419,8 +418,8 @@ class PurityVisitor(ast.NodeVisitor):
         while isinstance(node, ast.Attribute):
             parts.append(node.attr)
             node = node.value
-        if not isinstance(node, ast.Name):
-            return None
+        # Only a resolved callee gets here, and its chain starts at a name.
+        assert isinstance(node, ast.Name)
         root = self.env.get(node.id)
         root_name = _module_name(root)
         if root_name is None:
@@ -456,7 +455,7 @@ class PurityVisitor(ast.NodeVisitor):
                 )
                 return True
         if module == "os" or module.startswith("os."):
-            if module.startswith(_OS_PURE_PREFIXES) or name in _OS_PURE_ATTRS:
+            if name in _OS_PURE_ATTRS:
                 return True
             self._flag(
                 node,

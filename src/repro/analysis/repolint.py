@@ -98,9 +98,7 @@ class _ModuleLinter(ast.NodeVisitor):
     # -- helpers ---------------------------------------------------------
 
     def _line(self, number: int) -> str:
-        if 1 <= number <= len(self.source_lines):
-            return self.source_lines[number - 1]
-        return ""
+        return self.source_lines[number - 1]
 
     def _function_is_marked(self) -> bool:
         for fn in reversed(self._function_stack):

@@ -57,9 +57,9 @@ def median_from_histogram(histogram: tuple) -> float:
     seen = 0
     for bin_index, count in histogram:
         seen += count
-        if seen >= middle:
-            return (bin_index + 0.5) * BIN_MS
-    return 0.0
+        if seen >= middle:  # by the last bin, seen == total >= middle
+            break
+    return (bin_index + 0.5) * BIN_MS
 
 
 def glasnost_job(num_reducers: int = 2) -> MapReduceJob:

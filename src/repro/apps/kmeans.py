@@ -101,9 +101,7 @@ def kmeans_job(
         ]
 
     def reduce_centroid(key: int, value: tuple) -> Point:
-        count, total = value
-        if count == 0:
-            return centroids[key]
+        count, total = value  # count >= 1: every point is emitted as (1, point)
         return tuple(x / count for x in total)
 
     return MapReduceJob(

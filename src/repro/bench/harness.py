@@ -17,7 +17,7 @@ from typing import Sequence
 from repro.apps.registry import AppSpec
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.cluster.scheduler import HadoopScheduler, HybridScheduler
-from repro.metrics import RunReport
+from repro.metrics import RunReport, _ratio
 from repro.slider.baseline import VanillaRunner
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
@@ -224,9 +224,3 @@ def run_change_sweep(
         work_speedups=work_speedups,
         time_speedups=time_speedups,
     )
-
-
-def _ratio(numerator: float, denominator: float) -> float:
-    if denominator <= 0:
-        return float("inf")
-    return numerator / denominator

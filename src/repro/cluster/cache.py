@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.machine import Cluster
-from repro.common.errors import CacheMissError
 from repro.common.hashing import stable_hash
 from repro.core.partition import Partition
 from repro.telemetry import Telemetry
@@ -59,19 +58,11 @@ class ReadStats:
     repaired_objects: int = 0
     repair_bytes: float = 0.0
 
-    def total_reads(self) -> int:
-        return self.memory_reads + self.fallback_reads
-
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from memory; 0.0 before any lookup."""
         lookups = self.memory_reads + self.fallback_reads + self.misses
         return self.memory_reads / lookups if lookups else 0.0
-
-
-#: Public alias: these *are* the cache's statistics; ``ReadStats`` is the
-#: historical name kept for existing call sites.
-CacheStats = ReadStats
 
 
 class DistributedMemoCache:
@@ -171,12 +162,6 @@ class DistributedMemoCache:
             self.telemetry.count("cache.misses")
         return None
 
-    def fetch_or_raise(self, uid: int) -> Partition:
-        found = self.fetch(uid)
-        if found is None:
-            raise CacheMissError(f"object {uid:#x} not present in any layer")
-        return found
-
     def delete(self, uid: int) -> None:
         owner = self._index.pop(uid, None)
         if owner is not None:
@@ -210,8 +195,6 @@ class DistributedMemoCache:
         Returns the abstract bytes copied.
         """
         alive = {m.machine_id for m in self.cluster.machines if m.alive}
-        if not alive:
-            return 0.0
         machines = [m.machine_id for m in self.cluster.machines]
         target = min(self.config.replicas, len(alive))
         holders: dict[int, list[int]] = {}

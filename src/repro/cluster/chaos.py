@@ -119,11 +119,6 @@ class ChaosSchedule:
         )
         return stream.coin(self.transient.probability)
 
-    def failure_fraction(self) -> float:
-        if self.transient is None:
-            return 0.5
-        return self.transient.failure_fraction
-
     # -- construction -------------------------------------------------------
 
     @staticmethod

@@ -39,10 +39,9 @@ class FaultMachineryMixin:
         self._replan()
 
     def _after_loss(self, state: _TaskState) -> None:
-        """Count a failed/lost attempt; retry with backoff or give up."""
+        """Count a failed/lost attempt; retry with backoff or give up.  The
+        task is not done: the attempt lost was its one live attempt."""
         state.failures += 1
-        if state.done:
-            return
         if state.failures >= MAX_ATTEMPTS:
             raise TaskFailedError(state.task.label, state.failures)
         delay = BACKOFF_BASE * 2.0 ** (state.failures - 1)
@@ -52,8 +51,6 @@ class FaultMachineryMixin:
 
     def _on_retry(self, state: _TaskState) -> None:
         state.cooling = False
-        if state.done:
-            return
         if state not in self._pending:
             self._pending.append(state)
         self._plan()
@@ -90,9 +87,7 @@ class FaultMachineryMixin:
                 continue  # started after the restart; still healthy
             self._running[machine_id][slot_index] = None
             stranded.append(attempt)
-        for attempt in stranded:
-            if attempt.state is not AttemptState.RUNNING:
-                continue
+        for attempt in stranded:  # each RUNNING: ghosts get no events
             attempt.state = AttemptState.LOST
             attempt.finish = now
             self._record_attempt(attempt)

@@ -128,33 +128,6 @@ class BlockStore:
             )
         return repaired
 
-    def repair(self) -> int:
-        """Restore full replication for every under-replicated block.
-
-        Unlike :meth:`on_machine_failure` (which handles one known crash),
-        this sweeps all blocks: replicas on currently-dead machines are
-        dropped and replacements are placed until the replication factor
-        is met or no distinct alive machine remains.  Returns the number
-        of new copies made; the bytes moved accrue to ``repair_traffic``.
-        """
-        repaired = 0
-        for info in self._blocks.values():
-            info.replicas = [
-                m for m in info.replicas if self.cluster.machine(m).alive
-            ]
-            while len(info.replicas) < self.replication:
-                replacement = self._pick_new_replica(info)
-                if replacement is None:
-                    break
-                info.replicas.append(replacement)
-                self.repair_traffic += info.size
-                repaired += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("storage.repair_traffic", delta=info.size)
-        if self.telemetry is not None and repaired:
-            self.telemetry.instant("storage.re_replicate", blocks=repaired)
-        return repaired
-
     # -- placement ----------------------------------------------------------------
 
     def _place(self, split_uid: int) -> list[int]:

@@ -206,12 +206,7 @@ class WaveExecutor(FaultMachineryMixin):
         if not any(free_times):
             if self.events:
                 return  # wait for a detection/recovery event to replan
-            # All-dead cluster with no way out: let the policy raise
-            # exactly as the greedy planner would have.
-            self.scheduler.choose(
-                self._pending[0].task, free_times, self.cluster
-            )
-            raise SchedulingError("no schedulable slots")
+            raise SchedulingError("no schedulable slots: every machine is down")
         for state in sorted(self._pending, key=lambda s: s.order):
             machine_id, slot_index = self.scheduler.choose(
                 state.task, free_times, self.cluster
@@ -304,7 +299,8 @@ class WaveExecutor(FaultMachineryMixin):
         if self.chaos is not None and self.chaos.attempt_fails(
             state.task.label, attempt.number
         ):
-            fail_at = now + duration * self.chaos.failure_fraction()
+            # attempt_fails() is True only under a TransientFaults.
+            fail_at = now + duration * self.chaos.transient.failure_fraction
             self.events.push(fail_at, ("fail", attempt))
         else:
             self.events.push(attempt.expected_finish, ("finish", attempt))
@@ -330,10 +326,8 @@ class WaveExecutor(FaultMachineryMixin):
             self._on_recover(payload[1])
         elif kind == "straggle_on":
             self._on_straggle_on(payload[1], payload[2])
-        elif kind == "straggle_off":
+        else:  # "straggle_off", the one kind left
             self._on_straggle_off(payload[1])
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown event {kind!r}")
 
     def _attempt_event_is_stale(self, attempt: TaskAttempt) -> bool:
         machine = self.cluster.machine(attempt.machine_id)
@@ -364,10 +358,10 @@ class WaveExecutor(FaultMachineryMixin):
         ):
             # Start and predecessor-finish land on the same instant; the
             # finish must be applied first.  Its own queued event becomes
-            # a no-op via the state check.
+            # a no-op via the state check.  The occupant is another
+            # task's attempt (a task has one live attempt or commitment at
+            # a time), so this commitment stays current.
             self._on_finish(occupant)
-            if commitment.cancelled or commitment.state.done:
-                return
         if self._running[machine_id][slot_index] is not None:
             # The plan went stale (e.g. a zombie still holds the slot):
             # put the task back and replan everything.
@@ -407,9 +401,7 @@ class WaveExecutor(FaultMachineryMixin):
         self._record_attempt(attempt)
         self._release_slot(attempt)
         self.stats.attempts_finished += 1
-        state = self._owner[attempt]
-        if state.done:
-            return
+        state = self._owner[attempt]  # not done: this was its live attempt
         state.done = True
         self._unfinished.discard(state)
         state.winner = Assignment(

@@ -49,10 +49,6 @@ class TaskFailedError(SchedulingError):
         self.attempts = attempts
 
 
-class CacheMissError(ReproError):
-    """A memoized object was requested but is not present in any layer."""
-
-
 class MemoStoreFull(ReproError):
     """The shared-memory store's fixed segment cannot take another entry.
 

@@ -54,9 +54,6 @@ class RngStream:
     def choice(self, seq, size=None, replace: bool = True, p=None):
         return self._gen.choice(seq, size=size, replace=replace, p=p)
 
-    def shuffle(self, seq) -> None:
-        self._gen.shuffle(seq)
-
     def coin(self, p: float = 0.5) -> bool:
         """Flip a biased coin."""
         return bool(self._gen.random() < p)

@@ -38,10 +38,6 @@ class TreeStats:
     height: int = 0
     leaves: int = 0
 
-    def reuse_rate(self) -> float:
-        total = self.combiner_invocations + self.combiner_reuses
-        return self.combiner_reuses / total if total else 0.0
-
 
 class ContractionTree(ABC):
     """Base class: a per-reducer incremental combiner tree.
@@ -74,7 +70,6 @@ class ContractionTree(ABC):
         combine_cost_factor: float = 1.0,
         memo_read_cost: float = 0.01,
         memo_write_cost: float = 0.02,
-        invocation_overhead: float | None = None,
         executor: PlanExecutor | None = None,
     ) -> None:
         if not combiner.associative:
@@ -86,11 +81,7 @@ class ContractionTree(ABC):
         self.combine_cost_factor = combine_cost_factor
         self.memo_read_cost = memo_read_cost
         self.memo_write_cost = memo_write_cost
-        self.invocation_overhead = (
-            invocation_overhead
-            if invocation_overhead is not None
-            else self.DEFAULT_INVOCATION_OVERHEAD
-        )
+        self.invocation_overhead = self.DEFAULT_INVOCATION_OVERHEAD
         self.stats = TreeStats()
         self._ran_initial = False
         #: position -> node value: the results a positional variant keeps

@@ -202,9 +202,7 @@ class FoldingTree(ContractionTree):
             dirty = parents
 
     def _node_value(self, level: int, index: int) -> Partition:
-        if level == 0:
-            if index >= self.capacity:
-                return Partition.empty()
+        if level == 0:  # index < capacity: a parent's children are in range
             leaf = self._slots[index]
             return leaf if leaf is not None else Partition.empty()
         return self._cache.get((level, index), Partition.empty())

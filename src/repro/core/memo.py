@@ -198,8 +198,6 @@ class MemoTable:
         return True
 
     def _backing_fetch(self, uid: int) -> Partition | None:
-        if self.backing is None or self.degraded:
-            return None
         try:
             return self.backing.fetch(uid)
         except Exception as exc:

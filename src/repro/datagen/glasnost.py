@@ -74,10 +74,3 @@ class GlasnostTraceGenerator:
                 TestRun(server=server, host=host, month=month, rtts_ms=rtts)
             )
         return runs
-
-    def table3_months(self) -> list[list[TestRun]]:
-        """Eleven months of runs matching Table 3's volumes."""
-        return [
-            self.month_of_runs(month, count)
-            for month, count in enumerate(TABLE3_MONTHLY_RUNS)
-        ]

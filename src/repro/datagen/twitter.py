@@ -53,13 +53,6 @@ class TwitterGraph:
             degree_pool.extend(followees)
             degree_pool.append(user)
 
-    def followers_of(self, user: int) -> list[int]:
-        return [
-            follower
-            for follower, followees in self.followees.items()
-            if user in followees
-        ]
-
 
 class TweetGenerator:
     """Generates a time-ordered tweet stream with retweet cascades."""

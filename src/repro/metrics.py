@@ -67,9 +67,6 @@ class Speedup:
     work: float
     time: float
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"work {self.work:.2f}x, time {self.time:.2f}x"
-
 
 def _ratio(numerator: float, denominator: float) -> float:
     if denominator <= 0:

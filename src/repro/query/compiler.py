@@ -65,15 +65,13 @@ def _apply_row_ops(row: Row, ops: list[RowOp]):
                 return
         elif isinstance(op, ForeachOp):
             row = op.transform(row)
-        elif isinstance(op, JoinOp):
+        else:  # a JoinOp: compile_plan admits no other row operator
             match = op.table.get(op.key_fn(row))
             if match is None:
                 if not op.keep_unmatched:
                     return
                 match = op.default
             row = tuple(row) + (match,)
-        else:  # pragma: no cover - defensive
-            raise QueryCompilationError(f"unknown row operator {op!r}")
     yield row
 
 
@@ -132,29 +130,27 @@ def _make_stage(index: int, row_ops: list[RowOp], boundary: BoundaryOp) -> Compi
 
         return CompiledStage(index, job, emit_distinct, "distinct")
 
-    if isinstance(boundary, TopOp):
-        n, score_fn = boundary.n, boundary.score_fn
+    # A TopOp: compile_plan admits no other boundary operator.
+    n, score_fn = boundary.n, boundary.score_fn
 
-        def map_top(record: Row):
-            for row in _apply_row_ops(record, ops):
-                yield (GLOBAL_KEY, ((float(score_fn(row)), tuple(row)),))
+    def map_top(record: Row):
+        for row in _apply_row_ops(record, ops):
+            yield (GLOBAL_KEY, ((float(score_fn(row)), tuple(row)),))
 
-        job = MapReduceJob(
-            name=f"stage{index}-top",
-            map_fn=map_top,
-            combiner=TopKCombiner(k=n),
-            reduce_fn=lambda key, value: value,
-            num_reducers=1,
-            costs=CostModel(map_cost_per_record=1.0),
-        )
+    job = MapReduceJob(
+        name=f"stage{index}-top",
+        map_fn=map_top,
+        combiner=TopKCombiner(k=n),
+        reduce_fn=lambda key, value: value,
+        num_reducers=1,
+        costs=CostModel(map_cost_per_record=1.0),
+    )
 
-        def emit_top(outputs: dict) -> list[Row]:
-            entries = outputs.get(GLOBAL_KEY, ())
-            return [row for _score, row in entries]
+    def emit_top(outputs: dict) -> list[Row]:
+        entries = outputs.get(GLOBAL_KEY, ())
+        return [row for _score, row in entries]
 
-        return CompiledStage(index, job, emit_top, "top")
-
-    raise QueryCompilationError(f"unknown boundary operator {boundary!r}")
+    return CompiledStage(index, job, emit_top, "top")
 
 
 def compile_plan(plan: Query) -> CompiledPlan:

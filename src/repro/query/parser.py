@@ -178,6 +178,10 @@ def _combine_or(a, b):
 
 def _field_index(schema: tuple[str, ...], name: str) -> int:
     if name.startswith("$"):
+        if not name[1:].isdigit() or int(name[1:]) >= len(schema):
+            raise PigParseError(
+                f"no field {name}; schema has {len(schema)} fields: {schema}"
+            )
         return int(name[1:])
     try:
         return schema.index(name)
@@ -185,6 +189,15 @@ def _field_index(schema: tuple[str, ...], name: str) -> int:
         raise PigParseError(
             f"unknown field {name!r}; schema is {schema}"
         ) from None
+
+
+def _unique(names) -> tuple[str, ...]:
+    """A schema, whose names must differ: a repeated one means its first column."""
+    schema = tuple(names)
+    repeated = sorted({name for name in schema if schema.count(name) > 1})
+    if repeated:
+        raise PigParseError(f"field name(s) {repeated} repeated in {schema}")
+    return schema
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +264,7 @@ def parse_pig(script: str, tables: dict[str, dict] | None = None) -> PigScript:
 
 
 def _split_statements(script: str) -> list[str]:
-    cleaned_lines = []
-    for line in script.splitlines():
-        without_comment = line.split("--", 1)[0]
-        cleaned_lines.append(without_comment)
-    cleaned = "\n".join(cleaned_lines)
+    cleaned = "\n".join(line.split("--", 1)[0] for line in script.splitlines())
     return [s.strip() for s in cleaned.split(";") if s.strip()]
 
 
@@ -295,7 +304,7 @@ def _parse_load(body: str) -> _Relation:
     match = _LOAD_RE.match(body)
     if match is None:
         raise PigParseError(f"malformed LOAD: {body!r}")
-    fields = tuple(f.strip() for f in match.group(1).split(",") if f.strip())
+    fields = _unique(f.strip() for f in match.group(1).split(",") if f.strip())
     if not fields:
         raise PigParseError("LOAD needs at least one field")
     return _Relation(plan=Query.load(fields), schema=fields)
@@ -344,7 +353,7 @@ def _parse_projection(source: _Relation, items: list[str]) -> _Relation:
     plan = source.plan.foreach(
         lambda row, idx=index_tuple: tuple(row[i] for i in idx)
     )
-    return _Relation(plan=plan, schema=tuple(names))
+    return _Relation(plan=plan, schema=_unique(names))
 
 
 def _parse_group_foreach(
@@ -378,7 +387,14 @@ def _parse_group_foreach(
         lambda row, i=key_index: row[i],
         aggregations if len(aggregations) > 1 else aggregations[0],
     )
-    return _Relation(plan=plan, schema=tuple(names))
+    return _Relation(plan=plan, schema=_unique(names))
+
+
+#: The field aggregates ``_AGG_RE`` admits besides COUNT.
+_FIELD_AGGREGATES = {
+    "SUM": SumField, "MIN": Min, "MAX": Max, "AVG": Mean,
+    "COUNT_DISTINCT": CountDistinct,
+}
 
 
 def _make_aggregation(func: str, field_name: str | None, schema):
@@ -386,18 +402,7 @@ def _make_aggregation(func: str, field_name: str | None, schema):
         return Count()
     if field_name is None:
         raise PigParseError(f"{func} needs a field argument (rel.field)")
-    index = _field_index(schema, field_name)
-    if func == "SUM":
-        return SumField(index)
-    if func == "MIN":
-        return Min(index)
-    if func == "MAX":
-        return Max(index)
-    if func == "AVG":
-        return Mean(index)
-    if func == "COUNT_DISTINCT":
-        return CountDistinct(index)
-    raise PigParseError(f"unknown aggregate {func}")
+    return _FIELD_AGGREGATES[func](_field_index(schema, field_name))
 
 
 _GROUP_RE = re.compile(r"^GROUP\s+(\w+)\s+BY\s+([\w$]+)$", re.I)
@@ -469,7 +474,7 @@ def _parse_join(body: str, relations, tables: dict[str, dict]) -> _Relation:
         keep_unmatched=left_outer,
         default=None,
     )
-    return _Relation(plan=plan, schema=source.schema + (alias,))
+    return _Relation(plan=plan, schema=_unique(source.schema + (alias,)))
 
 
 _ORDER_RE = re.compile(
@@ -487,6 +492,8 @@ def _parse_order(body: str, relations) -> _Relation:
     index = _field_index(source.schema, match.group(2))
     descending = match.group(3) is not None
     limit = int(match.group(4))
+    if limit < 1:
+        raise PigParseError(f"LIMIT must be at least 1, got {limit}")
     sign = 1.0 if descending else -1.0
     plan = source.plan.top(limit, score_fn=lambda row, i=index, s=sign: s * row[i])
     return _Relation(plan=plan, schema=source.schema)

@@ -100,11 +100,9 @@ def _inject(tree: "ContractionTree", victim: Victim, salt: int) -> None:
     elif kind == "straw":
         left_uid, right_uid, value = tree._cache[key]
         tree._set_node(key, (left_uid, right_uid, _corrupt_copy(value, salt)))
-    elif kind == "memo":
+    else:  # "memo", the one surface left
         tree.memo.entries[key] = _corrupt_copy(tree.memo.entries[key], salt)
         tree.memo.taint({key})
-    else:  # pragma: no cover - enumerated above
-        raise ValueError(f"unknown corruption surface {kind!r}")
 
 
 def inject_and_repair(
@@ -149,15 +147,15 @@ def inject_and_repair(
 
 
 def _repair(engine: "Slider", victims: list[Victim]) -> int:
-    """Recompute/drop every flipped slot; bit-identical by construction."""
+    """Recompute/drop every flipped slot; bit-identical by construction.
+    Every victim is distinct and was flipped just before, so each fails
+    its fingerprint here."""
     repaired = 0
     # Buckets first: they are the level-0 inputs of the cache sweep.
     for kind, index, slot in victims:
         if kind != "bucket":
             continue
         tree = engine.trees[index]
-        if tree._buckets[slot].verify_fingerprint():
-            continue
         tree._buckets[slot] = tree._combine(
             tree._bucket_leaves[slot], node=f"repair:bucket.{slot}"
         )
@@ -169,8 +167,6 @@ def _repair(engine: "Slider", victims: list[Victim]) -> int:
     )
     for index, (level, node_index) in cache_victims:
         tree = engine.trees[index]
-        if tree._cache[(level, node_index)].verify_fingerprint():
-            continue
         tree._set_node(
             (level, node_index),
             tree._combine(
@@ -187,11 +183,9 @@ def _repair(engine: "Slider", victims: list[Victim]) -> int:
     for kind, index, position in victims:
         if kind != "straw":
             continue
-        tree = engine.trees[index]
-        if not tree._cache[position][2].verify_fingerprint():
-            tree._drop_node(position)
-            engine.telemetry.count("recovery.corruptions_repaired")
-            repaired += 1
+        engine.trees[index]._drop_node(position)
+        engine.telemetry.count("recovery.corruptions_repaired")
+        repaired += 1
     # Memo entries stay tainted: the next lookup verifies lazily, drops
     # the bad copy, and heals from the backing replica or a recompute.
     return repaired

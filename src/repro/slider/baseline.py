@@ -13,7 +13,6 @@ from typing import Sequence
 from repro.cluster.machine import Cluster
 from repro.cluster.scheduler import HadoopScheduler, Scheduler, SimTask
 from repro.common.errors import WindowError
-from repro.common.hashing import stable_hash
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import BatchRuntime
 from repro.mapreduce.types import Split, SplitWindow
@@ -115,13 +114,8 @@ class VanillaRunner:
         reduce_tasks = []
         for record in job_result.tasks:
             preferred = None
-            if record.kind == "map":
-                if self.blocks is not None and record.split_uid is not None:
-                    preferred = self.blocks.preferred_machine(record.split_uid)
-                else:
-                    preferred = stable_hash(record.label, salt="splitloc") % len(
-                        self.cluster
-                    )
+            if record.kind == "map":  # on a cluster, with a block store
+                preferred = self.blocks.preferred_machine(record.split_uid)
             task = SimTask(
                 label=record.label,
                 cost=record.cost,

@@ -82,12 +82,8 @@ class TimeSimulator:
         for uid, cost in run.map_costs.items():
             if cost <= 0:
                 continue
-            if engine.blocks is not None:
-                preferred = engine.blocks.preferred_machine(uid)
-            else:
-                preferred = stable_hash(uid, salt="splitloc") % len(
-                    engine.cluster
-                )
+            # An engine on a cluster always has a block store.
+            preferred = engine.blocks.preferred_machine(uid)
             map_tasks.append(
                 SimTask(
                     label=f"map:{uid:#x}",

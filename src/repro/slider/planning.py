@@ -239,9 +239,8 @@ class RunPlanner:
             return CoalescingTree(
                 engine.job.combiner, split_mode=engine.config.split_mode, **common
             )
-        if variant == "strawman":
-            return StrawmanTree(engine.job.combiner, **common)
-        raise ValueError(f"unknown tree variant {variant!r}")
+        # "strawman": SliderConfig admits no other variant.
+        return StrawmanTree(engine.job.combiner, **common)
 
     # -- map plan ------------------------------------------------------------
 

@@ -117,9 +117,6 @@ class Span:
     def duration(self) -> float:
         return (self.end if self.end is not None else self.start) - self.start
 
-    def work_total(self) -> float:
-        return sum(self.work.values())
-
     def iter(self) -> Iterator["Span"]:
         """This span and all descendants, depth-first, pre-order."""
         stack = [self]

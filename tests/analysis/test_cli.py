@@ -100,6 +100,32 @@ def test_rule_gating_flags(user_module):
         assert excinfo.value.code == 2, flag
 
 
+def test_module_without_targets_warns(user_module, capsys):
+    name = user_module("empty_fixture_mod", "ANSWER = 42\n")
+    assert main([name]) == 0
+    assert "no checkable objects found" in capsys.readouterr().out
+
+
+def test_module_scan_skips_aliases_and_factories_needing_arguments(user_module):
+    name = user_module(
+        "aliased_fixture_mod",
+        """
+        from repro.mapreduce import MapReduceJob, SumCombiner
+
+        def _map(record):
+            yield (record % 4, 1)
+
+        JOB = MapReduceJob(name="wc", map_fn=_map, combiner=SumCombiner())
+        SAME_JOB = JOB
+
+        def sized_job(width):
+            return MapReduceJob(name="sized", map_fn=_map, combiner=SumCombiner())
+        """,
+    )
+    targets = module_targets(__import__(name))
+    assert [target.name for target in targets] == ["job:wc"]
+
+
 def test_unimportable_module_exits_two(capsys):
     assert main(["no_such_module_xyz"]) == 2
     assert "cannot import" in capsys.readouterr().err

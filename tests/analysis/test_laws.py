@@ -67,6 +67,20 @@ class NegativeSize(SumCombiner):
         return -1.0
 
 
+class ComplexFingerprint(SumCombiner):
+    """Deterministic, but a complex number has no stable encoding."""
+
+    def fingerprint(self, value):
+        return complex(value)
+
+
+class NanCost(SumCombiner):
+    """merge_cost violates finiteness."""
+
+    def merge_cost(self, key, values) -> float:
+        return float("nan")
+
+
 class CrashingMerge(SumCombiner):
     """Merge raises — the harness must report, not propagate."""
 
@@ -125,6 +139,18 @@ def test_unstable_fingerprint_is_caught():
 def test_negative_value_size_is_caught():
     findings = check_combiner_laws(NegativeSize())
     assert "laws.cost-sanity" in rules_of(findings)
+
+
+def test_unhashable_fingerprint_is_caught():
+    findings = check_combiner_laws(ComplexFingerprint(), max_examples=5)
+    assert "laws.merge-consistency" in rules_of(findings)
+    assert any("not stably hashable" in f.message for f in findings)
+
+
+def test_non_finite_merge_cost_is_caught():
+    findings = check_combiner_laws(NanCost(), max_examples=5)
+    assert "laws.cost-sanity" in rules_of(findings)
+    assert any("merge_cost must be finite" in f.message for f in findings)
 
 
 def test_crashing_merge_reports_instead_of_raising():

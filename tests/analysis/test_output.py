@@ -40,3 +40,10 @@ def test_report_render_is_deterministic():
     second.extend([b, a])
     assert first.render(verbose=True) == second.render(verbose=True)
     assert "2 finding(s)" in first.render()
+
+
+def test_an_unknown_severity_is_rejected():
+    import pytest
+
+    with pytest.raises(ValueError, match="unknown severity 'fatal'"):
+        _finding(severity="fatal")

@@ -8,9 +8,15 @@ plausibly confuse the AST walker into a false positive or a miss."""
 from __future__ import annotations
 
 import functools
+import math
+import os
 import random
+import sys
+
+import pytest
 
 from repro.analysis import analyze_callable
+from repro.common.hashing import stable_hash
 
 
 def rules_of(findings):
@@ -169,3 +175,109 @@ def test_partial_of_decorated_function_unwraps():
     bound = functools.partial(_decorated_dirty, 3)
     findings = analyze_callable(bound)
     assert any("random" in rule for rule in rules_of(findings))
+
+
+# -- functions the walker cannot read ----------------------------------------
+
+
+def _renamed(record):
+    return record
+
+
+_renamed.__name__ = "not_in_its_source"
+
+
+def _empty_cell():
+    """A closure whose cell is never filled: ``later`` is bound after the
+    return, so ``inspect.getclosurevars`` raises on the empty cell."""
+
+    def uses_later(record):
+        return later(record)
+
+    return uses_later
+    later = None
+
+
+def test_unreadable_functions_are_reported_not_guessed():
+    no_module = eval("lambda record: record", {})
+    # A lambda whose module has no lambda on its first line.
+    misplaced = eval("lambda record: record", {"__name__": __name__})
+    for fn, message in [
+        (no_module, "source unavailable"),
+        (misplaced, "could not locate"),
+        (_renamed, "could not locate"),
+    ]:
+        (finding,) = analyze_callable(fn)
+        assert finding.rule == "purity.unanalyzable"
+        assert finding.severity == "info"
+        assert message in finding.message
+
+
+def test_an_empty_closure_cell_still_analyzes():
+    assert analyze_callable(_empty_cell()) == []
+
+
+# -- rules the one-rule-per-fixture suite does not reach ---------------------
+
+
+def _star_args(*rows, **options):
+    rows[0].append(options)
+
+
+def _deletes_from_argument(record):
+    del record[0]
+
+
+def _pops_without_argument(items):
+    return items.pop()
+
+
+def _reads_a_memo(state, key):
+    return state.memo_table.lookup(key)
+
+
+def _imports_inside(record):
+    import json
+    from math import floor
+
+    return json.dumps(floor(record))
+
+
+def _unknown_module_attribute(record):
+    return math.no_such_function(record)
+
+
+def _os_name_helper_is_pure(record):
+    return os.fspath(str(record))
+
+
+def _os_call_is_io(record):
+    return os.getcwd() + str(record)
+
+
+def _sys_exit_is_io(record):
+    sys.exit(record)
+
+
+def _hashing_helper_is_trusted(record):
+    return stable_hash(record)
+
+
+@pytest.mark.parametrize(
+    "fn,rules",
+    [
+        (_star_args, ["purity.impurity.arg-mutation"]),
+        (_deletes_from_argument, ["purity.impurity.arg-mutation"]),
+        (_pops_without_argument, ["purity.nondeterminism.iteration-order"]),
+        (_reads_a_memo, ["purity.impurity.memo-access"]),
+        (_imports_inside, []),
+        (_unknown_module_attribute, []),
+        (_os_name_helper_is_pure, []),
+        (_os_call_is_io, ["purity.impurity.io"]),
+        (_sys_exit_is_io, ["purity.impurity.io"]),
+        (_hashing_helper_is_trusted, []),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_rule_edges(fn, rules):
+    assert rules_of(analyze_callable(fn)) == rules

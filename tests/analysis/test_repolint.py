@@ -56,6 +56,17 @@ def test_def_line_marker_suppresses(tmp_path):
     assert findings == []
 
 
+def test_call_line_marker_suppresses(tmp_path):
+    findings = lint_source(
+        tmp_path,
+        """
+        def helper(meter):
+            meter.charge("map", 1.0)  # analysis: charge-in-caller-span
+        """,
+    )
+    assert findings == []
+
+
 def test_marker_on_outer_def_covers_nested_function(tmp_path):
     findings = lint_source(
         tmp_path,
@@ -170,6 +181,17 @@ def test_core_relative_import_upward_fires(tmp_path):
     assert rules_of(findings) == ["lint.layering"]
 
 
+def test_relative_import_above_the_package_is_not_judged(tmp_path):
+    findings = lint_source(
+        tmp_path,
+        """
+        from ... import anything
+        """,
+        name="core/tree.py",
+    )
+    assert findings == []
+
+
 def test_core_importing_common_is_clean(tmp_path):
     findings = lint_source(
         tmp_path,
@@ -235,6 +257,13 @@ def test_module_at_cap_is_clean(tmp_path):
 def test_syntax_error_reported_not_raised(tmp_path):
     findings = lint_source(tmp_path, "def broken(:\n")
     assert rules_of(findings) == ["lint.syntax"]
+
+
+def test_a_file_outside_the_package_root_is_named_by_its_path(tmp_path):
+    path = tmp_path / "loose.py"
+    path.write_text("def work(meter):\n    meter.charge('map', 1.0)\n")
+    (finding,) = lint_file(path, tmp_path / "elsewhere")
+    assert finding.where == str(path)
 
 
 def test_repo_package_is_lint_clean():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.cache import CacheConfig, DistributedMemoCache, GarbageCollector
 from repro.cluster.machine import Cluster, ClusterConfig
-from repro.common.errors import CacheMissError
 from repro.core.memo import MemoTable
 from repro.core.partition import Partition
 
@@ -27,8 +26,6 @@ def test_fetch_missing_returns_none_and_counts_miss():
     _, cache = make_cache()
     assert cache.fetch(999) is None
     assert cache.stats.misses == 1
-    with pytest.raises(CacheMissError):
-        cache.fetch_or_raise(999)
 
 
 def test_machine_failure_falls_back_to_replica():
@@ -137,9 +134,8 @@ def test_replicas_survive_any_single_failure():
 
 
 def test_hit_rate_zero_before_any_lookup():
-    from repro.cluster.cache import CacheStats, ReadStats
+    from repro.cluster.cache import ReadStats
 
-    assert CacheStats is ReadStats
     assert ReadStats().hit_rate == 0.0
 
 
@@ -175,3 +171,104 @@ def test_cache_counters_mirrored_into_telemetry():
     cache.fetch(2)
     assert telemetry.counters["cache.memory_reads"] == 1.0
     assert telemetry.counters["cache.misses"] == 1.0
+
+
+def test_detected_crash_re_replicates_every_held_object():
+    """§6's recovery traffic: when the master detects a crash mid-run it
+    copies each under-replicated memo object from a surviving replica
+    until every held object is back at ``min(replicas, alive)`` live disk
+    copies, charging a lookup plus a disk read and a network transfer a
+    copy to the read time Table 2 reports."""
+    from repro import MapReduceJob, Slider, SliderConfig, SumCombiner, WindowMode
+    from repro.cluster import ChaosSchedule, MachineCrash
+    from repro.datagen.text import TextCorpusGenerator
+    from repro.mapreduce.types import make_splits
+
+    job = MapReduceJob(
+        name="wordcount",
+        map_fn=lambda line: [(word, 1) for word in line.split()],
+        combiner=SumCombiner(),
+        num_reducers=2,
+    )
+    cluster = Cluster(ClusterConfig(num_machines=6, slots_per_machine=2))
+    slider = Slider(
+        job,
+        WindowMode.VARIABLE,
+        # The randomized tree is the one that writes its memo through.
+        config=SliderConfig(mode=WindowMode.VARIABLE, tree="randomized"),
+        cluster=cluster,
+    )
+    lines = TextCorpusGenerator(seed=12, vocabulary_size=200).lines(320)
+    splits = make_splits(lines, split_size=10)
+    slider.initial_run(splits[:30])
+    cache, config = slider.cache, slider.cache.config
+
+    def copies() -> dict[int, dict[int, Partition]]:
+        """uid -> {machine holding a disk copy: the copy}."""
+        held: dict[int, dict[int, Partition]] = {}
+        for machine_id, store in cache._disk.items():
+            for uid, value in store.items():
+                held.setdefault(uid, {})[machine_id] = value
+        return held
+
+    def size(value: Partition) -> float:
+        return max(1.0, float(len(value)))
+
+    assert len(copies()) == 33
+    seen = {}
+    repair = cache.repair
+
+    def observed_repair() -> float:
+        before, stats = copies(), dict(vars(cache.stats))
+        seen["copied"] = repair()
+        seen["after"] = copies()
+        seen["new"] = [
+            size(value)
+            for uid, held in seen["after"].items()
+            for machine, value in held.items()
+            if machine not in before[uid]
+        ]
+        seen["grew"] = {
+            name: vars(cache.stats)[name] - stats[name] for name in stats
+        }
+        seen["alive"] = {m.machine_id for m in cluster.machines if m.alive}
+        stats = dict(vars(cache.stats))
+        seen["again"] = repair()
+        seen["still"] = stats == vars(cache.stats)
+        stores = [*cache._memory.values(), *cache._disk.values()]
+        seen["space"] = (
+            cache.space(),
+            sum(size(v) for v in {u: v for s in stores for u, v in s.items()}.values()),
+            sum(size(v) for s in stores for v in s.values()),
+        )
+        return seen["copied"]
+
+    cache.repair = observed_repair
+    slider.set_chaos(ChaosSchedule(crashes=[MachineCrash(time=0.5, machine_id=2)]))
+    slider.advance(splits[30:32], 2)
+
+    alive, after, new = seen["alive"], seen["after"], seen["new"]
+    assert 2 not in alive
+    target = min(config.replicas, len(alive))
+    assert all(len(held.keys() & alive) == target for held in after.values())
+    assert len(new) == seen["grew"]["repaired_objects"] == 13
+    assert seen["copied"] == pytest.approx(sum(new))
+    assert seen["grew"]["repair_bytes"] == pytest.approx(sum(new))
+    per_copy = config.disk_read_cost + config.network_read_cost
+    assert seen["grew"]["read_time"] == pytest.approx(
+        sum(config.lookup_overhead + per_copy * value for value in new)
+    )
+    assert seen["again"] == 0.0 and seen["still"]
+    # A copy adds no space: each held object counts once, however many
+    # memory and disk copies it has.
+    space, each_once, every_copy = seen["space"]
+    assert space == pytest.approx(each_once) and space < every_copy
+
+
+def test_repair_with_every_machine_down_copies_nothing():
+    cluster, cache = make_cache(n=3)
+    cache.put(1, Partition({"k": 1}))
+    for machine in cluster.machines:
+        cluster.kill(machine.machine_id)
+    assert cache.repair() == 0.0
+    assert cache.stats.repaired_objects == 0

@@ -265,6 +265,64 @@ def test_all_machines_dead_raises():
         )
 
 
+def test_a_cluster_down_before_the_wave_raises():
+    cluster = quiet_cluster(n=2)
+    for machine in cluster.machines:
+        cluster.kill(machine.machine_id)
+    with pytest.raises(SchedulingError, match="every machine is down"):
+        execute_wave([SimTask("t", cost=1.0)], cluster, HybridScheduler())
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_policy_given_no_slot_raises(policy):
+    with pytest.raises(ValueError, match="no schedulable slots"):
+        policy().choose(SimTask("t", cost=1.0), [[], []], quiet_cluster(n=2))
+
+
+def test_a_start_on_a_machine_that_just_died_is_a_ghost_until_detected():
+    """The crash at 0.0 is handled before the wave's first starts at 0.0:
+    the master still believes machine 0 alive and dispatches into the
+    void, and the detection sweep reaps the ghosts."""
+    cluster = quiet_cluster(n=2, slots=1)
+    tasks = [SimTask(f"t{i}", cost=2.0) for i in range(4)]
+    chaos = ChaosSchedule(crashes=[MachineCrash(time=0.0, machine_id=0)])
+    report = execute_wave(tasks, cluster, HadoopScheduler(), chaos=chaos)
+    ghosts = [a for a in report.attempts if a.ghost]
+    assert ghosts and all(a.machine_id == 0 for a in ghosts)
+    assert all(a.state is AttemptState.LOST for a in ghosts)
+    assert all(a.finish == pytest.approx(HEARTBEAT_TIMEOUT) for a in ghosts)
+    assert {a.task.label for a in report.assignments} == {t.label for t in tasks}
+    assert all(a.machine_id == 1 for a in report.assignments)
+
+
+def test_a_start_behind_a_zombie_replans():
+    """Machine 0 dies mid-task: its next planned task finds the slot still
+    held by the zombie at its start and is planned afresh elsewhere."""
+    cluster = quiet_cluster(n=2, slots=1)
+    tasks = [SimTask(f"t{i}", cost=2.0) for i in range(4)]
+    chaos = ChaosSchedule(crashes=[MachineCrash(time=1.0, machine_id=0)])
+    report = execute_wave(tasks, cluster, HadoopScheduler(), chaos=chaos)
+    assert not any(a.ghost for a in report.attempts)
+    assert report.stats.lost_attempts == 1
+    assert {a.task.label for a in report.assignments} == {t.label for t in tasks}
+    assert all(a.machine_id == 1 for a in report.assignments)
+
+
+def test_a_crash_of_a_dead_machine_and_a_recovery_of_a_live_one_are_no_ops():
+    cluster = quiet_cluster(n=2, slots=1)
+    tasks = [SimTask(f"t{i}", cost=2.0) for i in range(6)]
+    chaos = ChaosSchedule(
+        crashes=[
+            MachineCrash(time=1.0, machine_id=1, recover_at=2.0),
+            MachineCrash(time=1.5, machine_id=1, recover_at=3.0),
+        ]
+    )
+    report = execute_wave(tasks, cluster, HadoopScheduler(), chaos=chaos)
+    assert report.stats.crashes == 1
+    assert report.stats.recoveries == 1
+    assert len(report.assignments) == 6
+
+
 def test_same_chaos_seed_reproduces_recovery_trace():
     tasks = [SimTask(f"t{i}", cost=7.0, preferred_machine=i % 3) for i in range(9)]
 
@@ -333,3 +391,9 @@ def test_broken_schedule_is_flagged():
         ),
     ]
     assert barrier_violations(assignments, map_finish=5.0) == ["t1"]
+
+
+def test_a_random_schedule_drawn_without_a_transient_rate_has_none():
+    schedule = ChaosSchedule.random(quiet_cluster(), seed=3, horizon=10.0)
+    assert schedule.transient is None
+    assert not schedule.attempt_fails("t0", 0)

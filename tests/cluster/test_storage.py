@@ -117,3 +117,34 @@ def test_slider_integration_uses_block_locality():
     # GC drops blocks for splits that left the window.
     slider.advance(make_splits(["new a", "new b"], 1), removed=4)
     assert slider.blocks.total_blocks() == len(window) - 4 + 2
+
+
+def test_locality_hit_rate_counts_lookups_that_found_an_alive_replica():
+    cluster = quiet_cluster(n=3)
+    store = BlockStore(cluster, replication=1)
+    assert store.locality_hit_rate == 0.0  # before any lookup
+    split = splits(1)[0]
+    store.store_split(split)
+    (home,) = store.replicas_of(split.uid)
+    assert store.preferred_machine(split.uid) == home
+    cluster.kill(home)
+    assert store.preferred_machine(split.uid) is None
+    assert store.locality_hit_rate == 0.5
+
+
+def test_a_crash_with_no_machine_left_to_take_a_copy_repairs_nothing():
+    # Every survivor already holds a replica: no candidate.
+    cluster = quiet_cluster(n=3)
+    store = BlockStore(cluster, replication=3)
+    split = splits(1)[0]
+    store.store_split(split)
+    cluster.kill(0)
+    assert store.on_machine_failure(0) == 0
+    assert sorted(store.replicas_of(split.uid)) == [1, 2]
+    # The last machine dies: no machine is alive to pick from.
+    cluster.kill(1)
+    cluster.kill(2)
+    assert store.on_machine_failure(1) == 0
+    assert store.on_machine_failure(2) == 0
+    assert store.replicas_of(split.uid) == []
+    assert store.repair_traffic == 0.0

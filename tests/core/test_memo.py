@@ -133,3 +133,16 @@ def test_backing_failure_degrades_instead_of_raising():
     assert table.degraded
     assert table.lookup(1) is not None  # local entry still serves
     assert table.lookup(2) is None  # no backing consult once degraded
+
+
+def test_a_failing_fetch_degrades_to_a_miss():
+    table = MemoTable(backing=_FailingBacking())
+    assert table.lookup(1) is None
+    assert table.degraded and table.stats.misses == 1
+
+
+def test_a_failing_delete_degrades_instead_of_raising():
+    table = MemoTable(backing=_FailingBacking())
+    table.entries[1] = Partition({"a": 1})
+    table.discard(1)
+    assert table.degraded and 1 not in table.entries

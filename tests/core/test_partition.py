@@ -104,3 +104,10 @@ def test_record_weight_uses_value_size():
     combiner = KSmallestCombiner(k=3)
     part = Partition({"q": ((1.0, "a"), (2.0, "b"))})
     assert part.record_weight(combiner) == 2.0
+
+
+def test_a_partition_hashes_by_uid_and_equals_only_partitions():
+    first, same = Partition({"a": 1}), Partition({"a": 1})
+    assert hash(first) == hash(first.uid)
+    assert {first, same} == {first}
+    assert first != {"a": 1}

@@ -8,6 +8,7 @@ drives arbitrary slide sequences against each variant.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.coalescing import CoalescingTree
@@ -176,3 +177,26 @@ def test_randomized_tree_height_reasonable(initial, slide_seq, seed):
         if len(window) >= 2:
             bound = 6 * (math.log2(len(window)) + 1) + 8
             assert tree.height <= bound
+
+
+@pytest.mark.parametrize(
+    "tree", [FoldingTree, RandomizedFoldingTree, StrawmanTree], ids=lambda t: t.__name__
+)
+def test_a_negative_removal_is_rejected(tree):
+    instance = tree(SumCombiner())
+    instance.initial_run([Partition({"a": 1})])
+    with pytest.raises(ValueError, match="removed must be non-negative"):
+        instance.advance([], -1)
+
+
+@pytest.mark.parametrize("probability", [0.0, 1.0])
+def test_a_boundary_probability_outside_the_open_unit_interval_is_rejected(
+    probability,
+):
+    with pytest.raises(ValueError, match="must lie in"):
+        RandomizedFoldingTree(SumCombiner(), boundary_probability=probability)
+
+
+def test_a_non_positive_bucket_size_is_rejected():
+    with pytest.raises(ValueError, match="bucket_size must be positive"):
+        RotatingTree(SumCombiner(), bucket_size=0)

@@ -37,6 +37,27 @@ def test_run_experiment_produces_reports(variant):
     assert all(r.work > 0 for r in experiment.incremental)
 
 
+def test_an_unknown_variant_is_rejected():
+    schedule = SlideSchedule.for_change(WindowMode.VARIABLE, 12, 10)
+    with pytest.raises(ValueError, match="unknown variant 'hadoop'"):
+        run_experiment(APP_REGISTRY["hct"], WindowMode.VARIABLE, schedule, "hadoop")
+
+
+def test_background_each_round_records_one_background_pass_a_slide():
+    # Figure 11's split processing: a background pass before every slide.
+    schedule = SlideSchedule.for_change(WindowMode.FIXED, 12, 25, rounds=3)
+    experiment = run_experiment(
+        APP_REGISTRY["hct"],
+        WindowMode.FIXED,
+        schedule,
+        "slider",
+        split_mode=True,
+        background_each_round=True,
+    )
+    assert len(experiment.background_work) == len(schedule.slides) == 3
+    assert all(work > 0 for work in experiment.background_work)
+
+
 def test_variants_agree_on_outputs():
     spec = APP_REGISTRY["hct"]
     schedule = SlideSchedule.for_change(WindowMode.VARIABLE, 12, 10)

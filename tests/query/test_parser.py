@@ -95,6 +95,23 @@ def test_distinct_by_field():
     assert sorted(rows) == [("games",), ("news",), ("sports",)]
 
 
+def test_distinct_whole_rows():
+    rows, parsed = run_script(LOAD + "once = DISTINCT views;", rows=ROWS + ROWS[:2])
+    assert sorted(rows) == sorted(ROWS)
+    assert parsed.schema == parsed.relations["views"].schema
+
+
+def test_min_and_max_aggregates():
+    rows, parsed = run_script(
+        LOAD
+        + "byterm = GROUP views BY term;\n"
+        + "span = FOREACH byterm GENERATE group, MIN(views.revenue) AS low, "
+        + "MAX(views.timespent) AS high;"
+    )
+    assert parsed.schema == ("group", "low", "high")
+    assert sorted(rows) == [("games", 6.0, 9), ("news", 1.0, 5), ("sports", 2.0, 20)]
+
+
 def test_order_by_limit():
     rows, _ = run_script(
         LOAD
@@ -158,11 +175,29 @@ def test_parsed_plan_runs_incrementally():
          "needs a field argument"),
         (LOAD + "t = ORDER views BY user;", "malformed ORDER"),
         ("v = LOAD 'x' AS ();", "at least one field"),
+        ("v = LOAD pv AS (user);", "malformed LOAD"),
+        (LOAD + "f = FILTER views;", "malformed FILTER"),
+        (LOAD + "f = FOREACH views;", "malformed FOREACH"),
+        (LOAD + "g = GROUP views user;", "malformed GROUP"),
+        (LOAD + "d = DISTINCT views BY;", "malformed DISTINCT"),
+        (LOAD + "j = JOIN views WITH tiers;", "malformed JOIN"),
+        (LOAD + "f = FILTER views BY user == 1 2;", "unexpected trailing tokens"),
+        (LOAD + "f = FILTER views BY user revenue;", "expected comparison operator"),
+        (LOAD + "g = GROUP views BY user;\nf = FILTER g BY user == 1;",
+         "cannot FILTER a grouped relation"),
+        (LOAD + "g = GROUP views BY user;\nh = GROUP g BY user;",
+         "cannot GROUP a grouped relation"),
+        (LOAD + "g = GROUP views BY user;\nj = JOIN g BY user WITH tiers;",
+         "cannot JOIN a grouped relation"),
+        (LOAD + "g = GROUP views BY user;\no = FOREACH g GENERATE group, TOTAL(views);",
+         "malformed aggregate"),
+        (LOAD + "g = GROUP views BY user;\no = FOREACH g GENERATE group;",
+         "at least one aggregate"),
     ],
 )
 def test_parse_errors(script, fragment):
     with pytest.raises(PigParseError) as exc:
-        parse_pig(script)
+        parse_pig(script, tables={"tiers": {}})
     assert fragment.lower() in str(exc.value).lower()
 
 
@@ -220,3 +255,30 @@ def test_join_unknown_table_rejected():
     with pytest.raises(PigParseError) as exc:
         parse_pig(LOAD + "j = JOIN views BY user WITH nope;")
     assert "unknown table" in str(exc.value)
+
+
+# -- scripts that must fail at parse time ---------------------------------------
+
+TWO = "s = LOAD 'x' AS (a, b);\n"
+
+
+@pytest.mark.parametrize(
+    "script,fragment",
+    [
+        (TWO + "t = ORDER s BY $9 DESC LIMIT 3;", "no field $9"),
+        (TWO + "t = ORDER s BY $2 LIMIT 3;", "no field $2"),
+        (TWO + "g = GROUP s BY $2;\nt = FOREACH g GENERATE group, COUNT(s);", "no field $2"),
+        (TWO + "t = DISTINCT s BY $5;", "no field $5"),
+        (TWO + "t = FOREACH s GENERATE a, $7;", "no field $7"),
+        (TWO + "t = JOIN s BY $3 WITH tiers;", "no field $3"),
+        (TWO + "t = JOIN s BY a WITH tiers AS b;", "repeated"),
+        (TWO + "t = GROUP s BY $x;", "no field $x"),
+        (TWO + "t = ORDER s BY a DESC LIMIT 0;", "LIMIT must be at least 1"),
+        ("s = LOAD 'x' AS (a, a);", "repeated"),
+        (TWO + "t = FOREACH s GENERATE a, b AS a;", "repeated"),
+    ],
+)
+def test_invalid_scripts_fail_at_parse_time(script, fragment):
+    with pytest.raises(PigParseError) as exc:
+        parse_pig(script, tables={"tiers": {}})
+    assert fragment.lower() in str(exc.value).lower()

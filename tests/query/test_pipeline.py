@@ -99,3 +99,14 @@ def test_append_mode_pipeline(generator, splits):
     got = incremental.advance(splits[8:10], 0)
     want = batch.advance(splits[8:10], 0)
     assert rows_equal(got.rows, want.rows)
+
+
+def test_a_pipeline_takes_its_caller_s_telemetry_and_checks_its_buckets():
+    from repro.telemetry import Telemetry
+
+    plan = pigmix_query("L1_total_revenue_per_user")
+    telemetry = Telemetry(label="query")
+    pipeline = IncrementalQueryPipeline(plan, telemetry=telemetry)
+    assert pipeline.telemetry is telemetry and pipeline.slider.telemetry is telemetry
+    with pytest.raises(ValueError, match="num_buckets must be positive"):
+        IncrementalQueryPipeline(pigmix_query("L8_top_pages"), num_buckets=0)

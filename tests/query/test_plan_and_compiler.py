@@ -160,3 +160,48 @@ def test_schema_accessor():
     assert Query.load(SCHEMA).schema == SCHEMA
     with pytest.raises(ValueError):
         Query(ops=[]).schema
+
+
+def test_a_hand_built_plan_with_an_unknown_operator_is_rejected():
+    from repro.query.plan import LoadOp
+
+    with pytest.raises(QueryCompilationError, match="unknown operator"):
+        compile_plan(Query(ops=[LoadOp(("a",)), LoadOp(("b",))]))
+
+
+def test_an_empty_list_of_aggregations_is_rejected():
+    with pytest.raises(ValueError, match="at least one part"):
+        Query.load(("a",)).group_by(lambda row: row[0], [])
+
+
+def test_a_multi_aggregation_combiner_passes_the_law_harness():
+    from repro.analysis import check_combiner_laws
+    from repro.query.aggregates import MultiAggregation
+
+    combiner = MultiAggregation([Count(), Max(0)]).combiner()
+    assert combiner.exact
+    assert check_combiner_laws(combiner, max_examples=10) == []
+
+
+def test_a_multi_aggregation_with_an_unknown_part_has_no_leaf_strategy():
+    from repro.analysis import check_combiner_laws
+    from repro.mapreduce.combiners import Combiner
+    from repro.query.aggregates import Aggregation, MultiAggregation
+
+    class FirstCombiner(Combiner):
+        def merge(self, key, values):
+            return values[0]
+
+    class First(Aggregation):
+        def initial(self, row):
+            return row[0]
+
+        def combiner(self):
+            return FirstCombiner()
+
+        def finalize(self, value):
+            return value
+
+    combiner = MultiAggregation([Count(), First()]).combiner()
+    findings = check_combiner_laws(combiner, max_examples=10)
+    assert {finding.rule for finding in findings} == {"laws.no-strategy"}

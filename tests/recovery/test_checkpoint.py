@@ -7,10 +7,14 @@ makespan, space, graph and plan.  Here it runs, as the sweep always has,
 over the shared scenario with a simulated cluster attached.
 """
 
+import dataclasses
+
 import pytest
 
+from repro import MapReduceJob, SumCombiner
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.common.errors import CheckpointError, CorruptionError
+from repro.recovery.segments import read_manifest, read_segment, write_segments
 from repro.slider.system import Slider
 from repro.telemetry import SpanKind
 from tests.oracle.fleet import CASES, VARIANTS, Fleet, case_of, count_job, split_of
@@ -68,6 +72,53 @@ def test_checkpoint_refuses_mid_run(tmp_path):
     with engine.telemetry.span("window-update", SpanKind.RUN):
         with pytest.raises(CheckpointError, match="mid-run"):
             engine.checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_refuses_while_a_plan_is_open(tmp_path):
+    """A job function that checkpoints its own engine runs while the
+    executor holds the run's plan open."""
+    engine = None
+
+    def map_fn(record):
+        engine.checkpoint(tmp_path / "ckpt")
+        return [(record, 1)]
+
+    engine = Slider(MapReduceJob(name="counts", map_fn=map_fn, combiner=SumCombiner()))
+    with pytest.raises(CheckpointError, match="open plan"):
+        engine.initial_run([split_of(0)])
+
+
+def rewritten(source, target, edit):
+    """A copy of the checkpoint at ``source`` with ``edit`` applied to its
+    segments, written with fresh digests: a hand-built checkpoint."""
+    manifest = read_manifest(source)
+    segments = {
+        name: read_segment(source, manifest, name) for name in manifest["segments"]
+    }
+    edit(segments)
+    return write_segments(target, segments, manifest["meta"])
+
+
+def test_restore_rejects_a_checkpoint_whose_trees_do_not_match_its_config(tmp_path):
+    engine = Slider(count_job())
+    engine.initial_run([split_of(i) for i in range(3)])
+    engine.checkpoint(tmp_path / "ckpt")
+
+    def other_variant(segments):
+        config = segments["config"]["slider_config"]
+        segments["config"]["slider_config"] = dataclasses.replace(
+            config, tree="randomized"
+        )
+
+    def one_tree_short(segments):
+        segments["state"]["trees"] = segments["state"]["trees"][:1]
+
+    path = rewritten(tmp_path / "ckpt", tmp_path / "variant", other_variant)
+    with pytest.raises(CheckpointError, match="holds a FoldingTree tree"):
+        Slider.restore(path, count_job())
+    path = rewritten(tmp_path / "ckpt", tmp_path / "short", one_tree_short)
+    with pytest.raises(CheckpointError, match="holds 1 reducer trees"):
+        Slider.restore(path, count_job())
 
 
 def test_restore_refuses_tampered_state(tmp_path):

@@ -56,3 +56,12 @@ def test_cluster_time_differs_from_work():
     runner = VanillaRunner(word_job(), cluster=cluster)
     result = runner.initial_run(make_splits(["a b c"] * 12, 1))
     assert 0 < result.report.time < result.report.work
+
+
+def test_a_runner_charges_its_caller_s_telemetry():
+    from repro.telemetry import Telemetry
+
+    telemetry = Telemetry(label="vanilla")
+    runner = VanillaRunner(word_job(), telemetry=telemetry)
+    runner.initial_run(make_splits(["a b"] * 4, 1))
+    assert runner.telemetry is telemetry and telemetry.root.children

@@ -100,6 +100,14 @@ def test_validation_rejects_missing_fields_and_bad_timestamps():
     with pytest.raises(TraceValidationError, match="empty"):
         validate_trace_events({"traceEvents": []})
 
+    unknown = json.loads(json.dumps(good))
+    unknown["traceEvents"][-1]["ph"] = "Q"
+    with pytest.raises(TraceValidationError, match="unknown ph 'Q'"):
+        validate_trace_events(unknown)
+
+    with pytest.raises(TraceValidationError, match="not JSON-serialisable"):
+        validate_trace_events({"traceEvents": [{"ph": "X", "args": {1j}}]})
+
 
 def test_by_phase_summary_in_other_data():
     trace = to_chrome_trace(sample_telemetry())

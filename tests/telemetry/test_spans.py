@@ -153,6 +153,19 @@ def test_null_telemetry_accounts_but_records_nothing():
     assert t.instants == []
 
 
+def test_null_telemetry_span_verbs_are_no_ops():
+    t, other = NullTelemetry(label="off"), Telemetry(label="worker")
+    with other.span("w", SpanKind.TASK):
+        other.charge(Phase.MAP, 1.0)
+    span = t.open_span("u", SpanKind.WINDOW_UPDATE)
+    assert span is t.root
+    t.close_span(span)
+    assert t.adopt(other, name="w") is None
+    t.attach(other.root.children[0])
+    t.gauge("queue.depth", 3.0)
+    assert t.root.children == [] and t.counters == {} and t.by_phase == {}
+
+
 def test_null_and_full_telemetry_by_phase_identical():
     charges = [(Phase.MAP, 0.1), (Phase.MAP, 0.7), (Phase.REDUCE, 1e-9)] * 50
     full, null = Telemetry(label="a"), NullTelemetry(label="b")

@@ -95,3 +95,12 @@ def test_synthetic_bound_violation_is_reported():
     assert rows[0].tasks == 9
     assert check_initial_run_bounds(rows, 8, trees=1)  # 9 > ceil(8/8)=1
     assert check_incremental_bounds(rows, 2, 2, trees=1)  # 9 > 1+1+2
+
+
+def test_the_incremental_bound_leaves_the_leaf_level_out():
+    from repro.telemetry.worktable import LevelRow, check_incremental_bounds
+
+    leaves = LevelRow(level=0, spans=1, tasks=1000, work=1000.0)
+    first = LevelRow(level=1, spans=1, tasks=3, work=3.0)
+    assert check_incremental_bounds([leaves, first], added=1, removed=1) == []
+    assert check_incremental_bounds([first], added=0, removed=0) != []
