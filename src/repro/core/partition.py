@@ -59,7 +59,7 @@ class Partition:
                 acc ^= entry_hash(key, value, salt="pent")
             else:
                 acc ^= entry_hash_encoded(encoded[key], value, salt="pent")
-        return Partition(entries, uid=acc ^ _length_term(len(entries)))
+        return _adopt(entries, acc ^ _length_term(len(entries)))
 
     # -- protocol ----------------------------------------------------------
 
@@ -122,14 +122,22 @@ class Partition:
         return self.uid == _fingerprint_entries(self.entries, memo)
 
 
-def _unpickle_partition(entries: dict[Any, Any], uid: int) -> Partition:
-    """A partition around the very objects the unpickler made: no copy of
-    ``entries`` and no fingerprint (the uid is carried as written, and a
-    restore re-proves it in its sweep)."""
+def _adopt(entries: dict[Any, Any], uid: int) -> Partition:
+    """A partition that takes ``entries`` as its own, under ``uid``: no
+    copy and no fingerprint.  For a dict nobody else holds, whose uid is
+    already made -- a combine's result, a map task's leaf, an unpickled
+    partition -- where the public constructor's copy would be waste."""
     partition = object.__new__(Partition)
     partition.entries = entries
     partition.uid = uid
     return partition
+
+
+def _unpickle_partition(entries: dict[Any, Any], uid: int) -> Partition:
+    """A partition around the very objects the unpickler made (the uid is
+    carried as written, and a restore re-proves it in its sweep).  A
+    checkpoint names this function, so the name stays."""
+    return _adopt(entries, uid)
 
 
 #: ``stable_hash(n, salt="pfp")`` by ``n``: the length term of every
@@ -144,6 +152,39 @@ def _length_term(n: int) -> int:
         # ``repro.core.partition.stable_hash`` sees every miss.
         term = _LENGTH_TERMS[n] = stable_hash(n, salt="pfp")
     return term
+
+
+class _EntryHashes:
+    """``"pent"`` entry hashes by value, for :func:`combined_uid`:
+    ``(key, value)`` -> ``entry_hash(key, value, salt="pent")``, for a
+    pair whose bytes equality fixes -- an exact ``str`` or ``int`` key, or
+    a flat tuple of exact ``str`` / ``int`` items, with an exact ``int``
+    value (so not ``True`` for ``1``, ``1.0`` for ``1``, nor a vector).
+
+    Two generations of at most ``_ENTRY_GENERATION`` pairs each: a miss
+    goes into ``young``, and a full ``young`` becomes ``old``, dropping
+    the old ``old``; a hit in ``old`` moves to ``young``.  A hit is the
+    hash of the pair's own bytes, whatever objects hold them, so no uid
+    depends on what the memo holds.  It is a process's own: never
+    pickled, checkpointed or shipped."""
+
+    __slots__ = ("young", "old")
+
+    def __init__(self) -> None:
+        self.young: dict[tuple[Any, int], int] = {}
+        self.old: dict[tuple[Any, int], int] = {}
+
+
+#: Pairs a generation.  Share of a steady matrix slide's lookups that hit
+#: (rotating tree, fixed window 40, split mode), by generation size:
+#: 2 048: 65.5 %, 4 096: 92.8 %, 8 192: 97.6 % (EXPERIMENTS § "A merged
+#: key's entry hashes, remembered").
+_ENTRY_GENERATION = 4096
+
+_ENTRY_HASHES = _EntryHashes()
+
+#: The item types of a tuple key ``_EntryHashes`` takes.
+_FLAT_ITEMS = frozenset((str, int))
 
 
 def _fingerprint_entries(
@@ -199,7 +240,10 @@ def combined_uid(
     one per input: ``delta_digests``, which the merge loop counted too.
     When it would not be fewer than hashing ``entries`` afresh, they are
     hashed afresh.  (The rule counts a length term as a digest, cached or
-    not.)
+    not.)  Each pair of a merged key that ``_EntryHashes`` takes is looked
+    up in ``_ENTRY_HASHES`` first, and the key is encoded only at its
+    first miss.  A hit is the hash of the pair's own bytes: it saves a
+    digest and moves no uid, and the rule still counts it.
 
     Precondition: every input's ``uid`` is the fingerprint of its entries.
     Everything the engine builds satisfies it, and ``inject_and_repair``
@@ -213,11 +257,37 @@ def combined_uid(
     acc = _length_term(len(entries))
     for partition in inputs:
         acc ^= partition.uid ^ _length_term(len(partition.entries))
+    memo = _ENTRY_HASHES
+    young, old = memo.young, memo.old
     for key, values in merged:
-        hash_with_key = entry_hasher(key, salt="pent")
-        for value in values:
+        kind = type(key)
+        by_value = (
+            kind is str
+            or kind is int
+            or (kind is tuple and _FLAT_ITEMS.issuperset(map(type, key)))
+        )
+        hash_with_key = None
+        for value in (*values, entries[key]):
+            if by_value and type(value) is int:
+                pair = (key, value)
+                hashed = young.get(pair)
+                if hashed is not None:
+                    acc ^= hashed
+                    continue
+                hashed = old.pop(pair, None)
+                if hashed is None:
+                    if hash_with_key is None:
+                        hash_with_key = entry_hasher(key, salt="pent")
+                    hashed = hash_with_key(value)
+                young[pair] = hashed
+                if len(young) == _ENTRY_GENERATION:
+                    memo.old = old = young
+                    memo.young = young = {}
+                acc ^= hashed
+                continue
+            if hash_with_key is None:
+                hash_with_key = entry_hasher(key, salt="pent")
             acc ^= hash_with_key(value)
-        acc ^= hash_with_key(entries[key])
     return acc
 
 
@@ -351,7 +421,7 @@ def combine_charged(  # analysis: charge-in-caller-span (the tree-level span)
     if telemetry is not None:
         telemetry.charge(phase, charged)
     uid = combined_uid(non_empty, merged, delta_digests, entries)
-    return Partition(entries, uid=uid), charged
+    return _adopt(entries, uid), charged
 
 
 def _merge_pair(

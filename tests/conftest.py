@@ -99,6 +99,17 @@ def length_terms(monkeypatch) -> dict:
     return terms
 
 
+@pytest.fixture(autouse=True)
+def entry_hashes(monkeypatch) -> partition_module._EntryHashes:
+    """An empty entry-hash memo for every test, restored after it: the
+    delta of a combine then makes every ``"pent"`` digest its pairs are
+    first met with, whatever ran before, so digest counts hold in any
+    order.  Name it to read the memo's two generations."""
+    memo = partition_module._EntryHashes()
+    monkeypatch.setattr(partition_module, "_ENTRY_HASHES", memo)
+    return memo
+
+
 def profile_calls(thunk, watched=None) -> tuple:
     """``thunk()``'s result, its ``call`` + ``c_call`` profile events, and
     how many of the calls ran the code object ``watched``: interpreter

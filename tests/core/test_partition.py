@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.partition import Partition, combine_partitions
+from repro.core.partition import Partition, combine_charged, combine_partitions
 from repro.mapreduce.combiners import (
     KSmallestCombiner,
     SetUnionCombiner,
@@ -10,6 +10,7 @@ from repro.mapreduce.combiners import (
 )
 from repro.metrics import Phase
 from repro.telemetry import Telemetry
+from tests.conftest import profile_calls
 
 
 def test_empty_partition_is_falsy():
@@ -111,3 +112,26 @@ def test_a_partition_hashes_by_uid_and_equals_only_partitions():
     assert hash(first) == hash(first.uid)
     assert {first, same} == {first}
     assert first != {"a": 1}
+
+
+@pytest.mark.parametrize("keys", [8, 40])  # the loop, the pair path
+def test_only_the_public_constructor_copies_what_it_is_given(keys):
+    """``Partition(entries)`` keeps a copy, so its caller may go on
+    changing the dict.  A combine's result and a map task's leaf are
+    dicts those functions have just built and nobody else holds: they
+    become partitions without a second copy, not through ``__init__``."""
+    given = {"x": 1}
+    kept = Partition(given)
+    given["x"] = 2
+    assert kept.entries == {"x": 1} and kept.verify_fingerprint()
+
+    left = Partition({f"k{i}": i for i in range(keys)})
+    right = Partition({f"k{i}": 1 for i in range(keys // 2, keys + keys // 2)})
+    built = [
+        lambda: combine_charged([left, right], SumCombiner())[0],
+        lambda: Partition.from_value_lists({"x": [1, 2], "y": [3]}, SumCombiner()),
+    ]
+    for build in built:
+        partition, _, inits = profile_calls(build, Partition.__init__.__code__)
+        assert inits == 0
+        assert partition.verify_fingerprint()
