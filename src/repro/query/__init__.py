@@ -11,7 +11,6 @@ the strategy of §5.
 
 from repro.query.aggregates import Count, CountDistinct, Max, Mean, Min, SumField
 from repro.query.compiler import QueryCompilationError, compile_plan
-from repro.query.parser import PigParseError, PigScript, parse_pig
 from repro.query.pigmix import PIGMIX_QUERIES, PigMixDataGenerator, pigmix_query
 from repro.query.pipeline import BatchQueryRunner, IncrementalQueryPipeline
 from repro.query.plan import Query
@@ -25,9 +24,6 @@ __all__ = [
     "SumField",
     "QueryCompilationError",
     "compile_plan",
-    "PigParseError",
-    "PigScript",
-    "parse_pig",
     "PIGMIX_QUERIES",
     "PigMixDataGenerator",
     "pigmix_query",

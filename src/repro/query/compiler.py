@@ -1,9 +1,9 @@
 """Compiles logical query plans into pipelines of MapReduce jobs.
 
-Row-local operators (filter / foreach / join) fuse into the Map function of
-the next stage; every grouping operator (group_by / distinct / top) closes a
-stage.  Trailing row-local operators after the last boundary become a final
-local post-processing function.
+Row-local operators (filter / join) fuse into the Map function of the next
+stage; every grouping operator (group_by / top) closes a stage.  Trailing
+row-local operators after the last boundary become a final local
+post-processing function.
 
 This mirrors how Pig compiles Pig-Latin scripts into pipelined MapReduce
 jobs — the property §5 exploits to incrementalize query processing stage by
@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import QueryCompilationError
-from repro.mapreduce.combiners import MaxCombiner, TopKCombiner
+from repro.mapreduce.combiners import TopKCombiner
 from repro.mapreduce.job import CostModel, MapReduceJob
 from repro.query.plan import (
     BoundaryOp,
-    DistinctOp,
     FilterOp,
-    ForeachOp,
     GroupOp,
     JoinOp,
     LoadOp,
@@ -44,13 +42,13 @@ class CompiledStage:
     job: MapReduceJob
     #: outputs dict -> list of rows for the next stage (or final results).
     emit_rows: Callable[[dict], list[Row]]
-    boundary: str  # "group" | "distinct" | "top"
+    boundary: str  # "group" | "top"
 
 
 @dataclass
 class CompiledPlan:
     stages: list[CompiledStage]
-    #: applied to the last stage's rows (trailing filters/foreach).
+    #: applied to the last stage's rows (trailing filters / joins).
     postprocess: Callable[[list[Row]], list[Row]]
 
     def num_stages(self) -> int:
@@ -63,14 +61,10 @@ def _apply_row_ops(row: Row, ops: list[RowOp]):
         if isinstance(op, FilterOp):
             if not op.predicate(row):
                 return
-        elif isinstance(op, ForeachOp):
-            row = op.transform(row)
         else:  # a JoinOp: compile_plan admits no other row operator
             match = op.table.get(op.key_fn(row))
             if match is None:
-                if not op.keep_unmatched:
-                    return
-                match = op.default
+                return
             row = tuple(row) + (match,)
     yield row
 
@@ -106,30 +100,6 @@ def _make_stage(index: int, row_ops: list[RowOp], boundary: BoundaryOp) -> Compi
 
         return CompiledStage(index, job, emit_group, "group")
 
-    if isinstance(boundary, DistinctOp):
-        key_fn = boundary.key_fn
-
-        def map_distinct(record: Row):
-            for row in _apply_row_ops(record, ops):
-                yield (key_fn(row), 1)
-
-        job = MapReduceJob(
-            name=f"stage{index}-distinct",
-            map_fn=map_distinct,
-            combiner=MaxCombiner(),  # presence flag: idempotent merge
-            reduce_fn=lambda key, value: key,
-            num_reducers=4,
-            costs=CostModel(map_cost_per_record=1.0),
-        )
-
-        def emit_distinct(outputs: dict) -> list[Row]:
-            rows = []
-            for key in outputs:
-                rows.append(key if isinstance(key, tuple) else (key,))
-            return sorted(rows, key=repr)
-
-        return CompiledStage(index, job, emit_distinct, "distinct")
-
     # A TopOp: compile_plan admits no other boundary operator.
     n, score_fn = boundary.n, boundary.score_fn
 
@@ -161,9 +131,9 @@ def compile_plan(plan: Query) -> CompiledPlan:
     stages: list[CompiledStage] = []
     pending_row_ops: list[RowOp] = []
     for op in plan.ops[1:]:
-        if isinstance(op, (FilterOp, ForeachOp, JoinOp)):
+        if isinstance(op, (FilterOp, JoinOp)):
             pending_row_ops.append(op)
-        elif isinstance(op, (GroupOp, DistinctOp, TopOp)):
+        elif isinstance(op, (GroupOp, TopOp)):
             stages.append(_make_stage(len(stages), pending_row_ops, op))
             pending_row_ops = []
         else:
@@ -171,7 +141,7 @@ def compile_plan(plan: Query) -> CompiledPlan:
 
     if not stages:
         raise QueryCompilationError(
-            "plan needs at least one grouping operator (group_by/distinct/top)"
+            "plan needs at least one grouping operator (group_by/top)"
         )
 
     trailing = list(pending_row_ops)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.common.errors import WindowError
 from repro.common.hashing import stable_hash
 from repro.core.execute import PlanExecutor
 from repro.core.partition import Partition
@@ -25,9 +26,12 @@ from repro.mapreduce.types import Split
 from repro.metrics import Phase, RunReport
 from repro.query.compiler import CompiledPlan, CompiledStage, compile_plan
 from repro.query.plan import Query, Row
-from repro.slider.system import Slider, SliderConfig
-from repro.slider.window import WindowMode
+from repro.slider.system import Slider
+from repro.slider.window import WindowDelta, WindowMode
 from repro.telemetry import ENGINE_KEEP_LAST, SpanKind, Telemetry
+
+#: How many content-hashed pseudo-splits a later stage's input rows fill.
+NUM_BUCKETS = 32
 
 
 @dataclass
@@ -42,16 +46,13 @@ class QueryRunResult:
 class StrawmanStageRunner:
     """Incremental executor for stages >= 2 of a pipeline.
 
-    Buckets the stage's input rows by content hash into a fixed number of
+    Buckets the stage's input rows by content hash into :data:`NUM_BUCKETS`
     pseudo-splits.  A small diff in the rows changes few buckets; Map memo
     entries and the strawman tree's positional cache absorb the rest.
     """
 
-    def __init__(self, stage: CompiledStage, num_buckets: int = 32) -> None:
-        if num_buckets <= 0:
-            raise ValueError("num_buckets must be positive")
+    def __init__(self, stage: CompiledStage) -> None:
         self.stage = stage
-        self.num_buckets = num_buckets
         #: The stage's own long-lived recorder (see
         #: :class:`IncrementalQueryPipeline`), shared by its trees.
         self.telemetry = Telemetry(label=f"stage{stage.index}")
@@ -90,9 +91,9 @@ class StrawmanStageRunner:
         return outputs, self.telemetry.total() - before
 
     def _bucketize(self, rows: Sequence[Row]) -> list[Split]:
-        buckets: list[list[Row]] = [[] for _ in range(self.num_buckets)]
+        buckets: list[list[Row]] = [[] for _ in range(NUM_BUCKETS)]
         for row in rows:
-            buckets[stable_hash(row, salt="qbucket") % self.num_buckets].append(row)
+            buckets[stable_hash(row, salt="qbucket") % NUM_BUCKETS].append(row)
         splits = []
         for index, bucket in enumerate(buckets):
             bucket.sort(key=lambda row: stable_hash(row, salt="qorder"))
@@ -139,9 +140,6 @@ class IncrementalQueryPipeline:
         self,
         plan: Query,
         mode: WindowMode = WindowMode.VARIABLE,
-        slider_config: SliderConfig | None = None,
-        num_buckets: int = 32,
-        cluster=None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.plan = plan
@@ -160,16 +158,9 @@ class IncrementalQueryPipeline:
                 label=f"query:{first_job.name}", keep_last=ENGINE_KEEP_LAST
             )
         )
-        self.slider = Slider(
-            first_job,
-            mode=mode,
-            config=slider_config,
-            cluster=cluster,
-            telemetry=self.telemetry,
-        )
+        self.slider = Slider(first_job, mode=mode, telemetry=self.telemetry)
         self.later_stages = [
-            StrawmanStageRunner(stage, num_buckets=num_buckets)
-            for stage in self.compiled.stages[1:]
+            StrawmanStageRunner(stage) for stage in self.compiled.stages[1:]
         ]
         #: Offset past the Slider's work cursor for later-stage span
         #: placement; accumulates so stage spans never overlap across runs.
@@ -220,19 +211,33 @@ class IncrementalQueryPipeline:
 
 
 class BatchQueryRunner:
-    """Recompute-from-scratch baseline for query pipelines."""
+    """Recompute-from-scratch baseline for query pipelines.
+
+    Refuses a second ``initial_run``, an ``advance`` before the first and a
+    slide that no variable-width window admits, as the incremental
+    pipeline does.
+    """
 
     def __init__(self, plan: Query) -> None:
         self.plan = plan
         self.compiled = compile_plan(plan)
         self._window: list[Split] = []
         self._run_index = 0
+        self._ran_initial = False
 
     def initial_run(self, splits: Sequence[Split]) -> QueryRunResult:
+        if self._ran_initial:
+            raise WindowError("initial_run may only be called once")
+        self._ran_initial = True
         self._window = list(splits)
         return self._run()
 
     def advance(self, added: Sequence[Split], removed: int) -> QueryRunResult:
+        if not self._ran_initial:
+            raise WindowError("advance called before initial_run")
+        WindowDelta(len(added), removed).validate(
+            WindowMode.VARIABLE, len(self._window)
+        )
         self._window = self._window[removed:] + list(added)
         return self._run()
 

@@ -1,9 +1,8 @@
 """Logical query plans: a small Pig-Latin-like fluent builder.
 
 Plans operate on *rows* (plain tuples, stably hashable) and chain
-row-local operators (filter, foreach, map-side join) with grouping
-operators (group_by, distinct, top) that introduce MapReduce stage
-boundaries when compiled.
+row-local operators (filter, map-side join) with grouping operators
+(group_by, top) that introduce MapReduce stage boundaries when compiled.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from repro.query.aggregates import Aggregation, MultiAggregation
 
 Row = tuple
 Predicate = Callable[[Row], bool]
-Transform = Callable[[Row], Row]
 KeyFn = Callable[[Row], Any]
 
 
@@ -30,23 +28,15 @@ class FilterOp:
 
 
 @dataclass(frozen=True)
-class ForeachOp:
-    transform: Transform
-
-
-@dataclass(frozen=True)
 class JoinOp:
     """Map-side (fragment-replicate) join against a small static table.
 
     ``table`` maps join keys to the reference row appended to matching
-    stream rows; non-matching rows are dropped (inner join) unless
-    ``keep_unmatched`` makes it a left-outer join with ``default``.
+    stream rows; non-matching rows are dropped (inner join).
     """
 
     table: dict
     key_fn: KeyFn
-    keep_unmatched: bool = False
-    default: Any = None
 
 
 @dataclass(frozen=True)
@@ -56,18 +46,13 @@ class GroupOp:
 
 
 @dataclass(frozen=True)
-class DistinctOp:
-    key_fn: KeyFn
-
-
-@dataclass(frozen=True)
 class TopOp:
     n: int
     score_fn: Callable[[Row], float]
 
 
-RowOp = FilterOp | ForeachOp | JoinOp
-BoundaryOp = GroupOp | DistinctOp | TopOp
+RowOp = FilterOp | JoinOp
+BoundaryOp = GroupOp | TopOp
 
 
 @dataclass
@@ -94,22 +79,12 @@ class Query:
         """Keep only rows matching ``predicate``."""
         return self._extend(FilterOp(predicate))
 
-    def foreach(self, transform: Transform) -> "Query":
-        """Transform every row (Pig's FOREACH ... GENERATE)."""
-        return self._extend(ForeachOp(transform))
-
-    def join(
-        self,
-        table: dict,
-        key_fn: KeyFn,
-        keep_unmatched: bool = False,
-        default: Any = None,
-    ) -> "Query":
+    def join(self, table: dict, key_fn: KeyFn) -> "Query":
         """Map-side join with a small static table.
 
         The matched table value is appended as the row's last field.
         """
-        return self._extend(JoinOp(dict(table), key_fn, keep_unmatched, default))
+        return self._extend(JoinOp(dict(table), key_fn))
 
     # -- stage boundaries -----------------------------------------------------
 
@@ -124,10 +99,6 @@ class Query:
         if isinstance(aggregation, list):
             aggregation = MultiAggregation(aggregation)
         return self._extend(GroupOp(key_fn, aggregation))
-
-    def distinct(self, key_fn: KeyFn = lambda row: row) -> "Query":
-        """Deduplicate rows (by ``key_fn`` projection)."""
-        return self._extend(DistinctOp(key_fn))
 
     def top(self, n: int, score_fn: Callable[[Row], float]) -> "Query":
         """Keep the ``n`` highest-scoring rows (ORDER BY ... LIMIT n)."""
@@ -145,11 +116,4 @@ class Query:
 
     def num_stages(self) -> int:
         """How many MapReduce jobs this plan compiles to."""
-        return max(
-            1,
-            sum(
-                1
-                for op in self.ops
-                if isinstance(op, (GroupOp, DistinctOp, TopOp))
-            ),
-        )
+        return max(1, sum(isinstance(op, (GroupOp, TopOp)) for op in self.ops))

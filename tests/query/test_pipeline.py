@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.common.errors import WindowError
 from repro.query.pigmix import PIGMIX_QUERIES, PigMixDataGenerator, pigmix_query
-from repro.query.pipeline import BatchQueryRunner, IncrementalQueryPipeline
+from repro.query.pipeline import (
+    NUM_BUCKETS,
+    BatchQueryRunner,
+    IncrementalQueryPipeline,
+)
 from repro.slider.window import WindowMode
 
 
@@ -104,9 +109,30 @@ def test_append_mode_pipeline(generator, splits):
 def test_a_pipeline_takes_its_caller_s_telemetry_and_checks_its_buckets():
     from repro.telemetry import Telemetry
 
-    plan = pigmix_query("L1_total_revenue_per_user")
+    plan = pigmix_query("L3_revenue_band_histogram")
     telemetry = Telemetry(label="query")
     pipeline = IncrementalQueryPipeline(plan, telemetry=telemetry)
     assert pipeline.telemetry is telemetry and pipeline.slider.telemetry is telemetry
-    with pytest.raises(ValueError, match="num_buckets must be positive"):
-        IncrementalQueryPipeline(pigmix_query("L8_top_pages"), num_buckets=0)
+    (later,) = pipeline.later_stages
+    rows = PigMixDataGenerator(seed=3).rows(100)
+    assert len(later._bucketize(rows)) == NUM_BUCKETS
+
+
+#: id -> (whether initial_run ran first, the call that must raise)
+BAD_CALLS = {
+    "advance_first": (False, lambda runner, splits: runner.advance(splits[:1], 0)),
+    "second_initial_run": (True, lambda runner, splits: runner.initial_run(splits)),
+    "negative_removal": (True, lambda runner, splits: runner.advance(splits[:1], -1)),
+    "removal_past_window": (True, lambda runner, splits: runner.advance([], 99)),
+}
+
+
+@pytest.mark.parametrize("started,bad_call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_the_batch_runner_refuses_what_its_incremental_twin_refuses(
+    started, bad_call, splits
+):
+    runner = BatchQueryRunner(pigmix_query("L1_total_revenue_per_user"))
+    if started:
+        runner.initial_run(splits[:4])
+    with pytest.raises(WindowError):
+        bad_call(runner, splits[:4])

@@ -70,15 +70,6 @@ def test_filter_fuses_into_map():
     assert outputs == {1: 1, 2: 2}
 
 
-def test_foreach_transforms_rows():
-    outputs, _ = run_single_stage(
-        Query.load(SCHEMA)
-        .foreach(lambda r: (r[0], r[2] * 2))
-        .group_by(lambda r: r[0], SumField(1))
-    )
-    assert outputs[2] == 20.0
-
-
 def test_join_inner_drops_unmatched():
     table = {1: "gold", 2: "silver"}
     outputs, _ = run_single_stage(
@@ -87,24 +78,6 @@ def test_join_inner_drops_unmatched():
         .group_by(lambda r: r[-1], Count())
     )
     assert outputs == {"gold": 2, "silver": 2}
-
-
-def test_join_left_outer_keeps_unmatched():
-    table = {1: "gold"}
-    outputs, _ = run_single_stage(
-        Query.load(SCHEMA)
-        .join(table, key_fn=lambda r: r[0], keep_unmatched=True, default="none")
-        .group_by(lambda r: r[-1], Count())
-    )
-    assert outputs == {"gold": 2, "none": 3}
-
-
-def test_distinct_projects_keys():
-    compiled = compile_plan(Query.load(SCHEMA).distinct(lambda r: r[1]))
-    stage = compiled.stages[0]
-    outputs = BatchRuntime(stage.job).run(make_splits(ROWS, 2)).outputs
-    rows = stage.emit_rows(outputs)
-    assert rows == [("click",), ("view",)]
 
 
 def test_top_keeps_n_best():
