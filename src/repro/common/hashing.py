@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 _HASH_BYTES = 8
 _pack_double = struct.Struct("<d").pack
@@ -146,22 +146,31 @@ def entry_hash(key: Any, value: Any, *, salt: str = "") -> int:
     return entry_hash_encoded(_encode_fast(key), value, salt=salt)
 
 
+#: The item types of a flat tuple key: an entry under such a key with an
+#: exact ``int`` value is remembered by value, by ``xor_entry_hashes``'
+#: memo and by the combine delta's (``repro.core.partition``).  Compared
+#: by exact type, so a ``bool`` item or a subclass makes a key not flat.
+FLAT_ITEMS = frozenset((str, int))
+
+
 def xor_entry_hashes(
-    entries: Mapping[Any, Any],
+    mappings: Iterable[Mapping[Any, Any]],
     *,
     salt: str,
     memo: dict[tuple[Any, Any], int] | None = None,
-) -> int:
-    """The XOR of ``entry_hash(key, value, salt=salt)`` over ``entries``.
+) -> list[int]:
+    """For each of ``mappings``, in order, the XOR of
+    ``entry_hash(key, value, salt=salt)`` over its entries.
 
-    The one loop that fingerprints a whole mapping.  Keys of exact ``str``,
-    ``int`` or ``tuple`` type and values of exact ``int`` or ``float`` type
-    are encoded and framed here, into the bytes ``entry_hash`` makes; any
-    other key (a ``float`` one, ``bool`` and every subclass) goes through
-    ``entry_hash`` itself, and any other value through ``_encode_fast``.
+    The one loop that fingerprints mappings, one or many in a call.  Keys
+    of exact ``str``, ``int`` or ``tuple`` type and values of exact
+    ``int`` or ``float`` type are encoded and framed here, into the bytes
+    ``entry_hash`` makes; any other key (a ``float`` one, ``bool`` and
+    every subclass) goes through ``entry_hash`` itself, and any other
+    value through ``_encode_fast``.
 
     ``memo`` belongs to the caller, maps an entry to its hash, and is read
-    before hashing and written after, for two kinds of entry:
+    before hashing and written after, for three kinds of entry:
 
     - an exact ``str`` key with an exact ``int`` value, by value:
       ``(key, value)``.  Equal objects of these two types encode to the
@@ -171,54 +180,77 @@ def xor_entry_hashes(
     - a ``tuple`` key, by identity: ``(id(key), id(value))``.  That is
       sound only while every key and value it has seen stays alive and
       unmodified, so that an id names one content.
+    - a flat tuple key (exact ``FLAT_ITEMS`` items) with an exact ``int``
+      value, also by value, ``(key, value)``, looked up after an identity
+      miss: equal flat tuples encode to the same bytes, as their items
+      do.  A hit is remembered by identity too.
 
-    The two never collide (a str never equals an int).  Any other entry
-    is hashed every time.
+    The three never collide: an identity key is two ints, and a str or a
+    tuple never equals an int.  Any other entry is hashed every time.
     """
     copy = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy
-    acc = 0
-    for key, value in entries.items():
-        kind = type(key)
-        if kind is str:
-            if memo is not None and type(value) is int:
-                pair: tuple[Any, Any] = (key, value)
-                known = memo.get(pair)
-                if known is not None:
-                    acc ^= known
-                    continue
-            key_bytes = b"s" + key.encode("utf-8")
-        elif kind is int:
-            key_bytes = b"i%d" % key
-        elif kind is tuple:
+    # Bound once: a str-keyed memo hit is the restore sweep's commonest step.
+    recall = None if memo is None else memo.get
+    folded = []
+    for entries in mappings:
+        acc = 0
+        for key, value in entries.items():
+            kind = type(key)
+            if kind is str:
+                if recall is not None and type(value) is int:
+                    pair: tuple[Any, Any] = (key, value)
+                    known = recall(pair)
+                    if known is not None:
+                        acc ^= known
+                        continue
+                key_bytes = b"s" + key.encode("utf-8")
+            elif kind is int:
+                key_bytes = b"i%d" % key
+            elif kind is tuple:
+                if memo is not None:
+                    pair = (id(key), id(value))
+                    known = memo.get(pair)
+                    flat: tuple[Any, Any] | None = None
+                    if (
+                        known is None
+                        and type(value) is int
+                        and FLAT_ITEMS.issuperset(map(type, key))
+                    ):
+                        flat = (key, value)
+                        known = memo.get(flat)
+                        if known is not None:
+                            memo[pair] = known
+                    if known is not None:
+                        acc ^= known
+                        continue
+                key_bytes = _encode_fast(key)
+            else:
+                acc ^= entry_hash(key, value, salt=salt)
+                continue
+            value_kind = type(value)
+            if value_kind is int:
+                value_bytes = b"i%d" % value
+            elif value_kind is float:
+                value_bytes = b"d" + _pack_double(value)
+            else:
+                value_bytes = _encode_fast(value)
+            state = copy()
+            state.update(
+                b"t2%d:%b%d:%b"
+                % (len(key_bytes), key_bytes, len(value_bytes), value_bytes)
+            )
+            hashed = int.from_bytes(state.digest(), "big")
+            acc ^= hashed
+            # ``memo`` first: the one test an entry pays when there is none.
             if memo is not None:
-                pair = (id(key), id(value))
-                known = memo.get(pair)
-                if known is not None:
-                    acc ^= known
-                    continue
-            key_bytes = _encode_fast(key)
-        else:
-            acc ^= entry_hash(key, value, salt=salt)
-            continue
-        value_kind = type(value)
-        if value_kind is int:
-            value_bytes = b"i%d" % value
-        elif value_kind is float:
-            value_bytes = b"d" + _pack_double(value)
-        else:
-            value_bytes = _encode_fast(value)
-        state = copy()
-        state.update(
-            b"t2%d:%b%d:%b" % (len(key_bytes), key_bytes, len(value_bytes), value_bytes)
-        )
-        hashed = int.from_bytes(state.digest(), "big")
-        acc ^= hashed
-        # ``memo`` first: the one test an entry pays when there is none.
-        if memo is not None and (
-            kind is tuple or (kind is str and value_kind is int)
-        ):
-            memo[pair] = hashed
-    return acc
+                if kind is tuple:
+                    memo[pair] = hashed
+                    if flat is not None:
+                        memo[flat] = hashed
+                elif kind is str and value_kind is int:
+                    memo[pair] = hashed
+        folded.append(acc)
+    return folded
 
 
 def entry_hasher(key: Any, *, salt: str = "") -> Callable[[Any], int]:

@@ -17,8 +17,9 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.common.hashing import content_id, entry_hash, entry_hash_encoded
-from repro.common.hashing import entry_hasher, stable_hash, xor_entry_hashes
+from repro.common.hashing import FLAT_ITEMS, content_id, entry_hash
+from repro.common.hashing import entry_hash_encoded, entry_hasher, stable_hash
+from repro.common.hashing import xor_entry_hashes
 from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
@@ -102,42 +103,38 @@ class Partition:
             return float(len(self.entries))
         return sum(combiner.value_size(v) for v in self.entries.values())
 
-    def verify_fingerprint(
-        self, memo: dict[tuple[Any, Any], int] | None = None
-    ) -> bool:
+    def verify_fingerprint(self) -> bool:
         """Check that ``entries`` still hash to the recorded ``uid``.
 
         The uid assigned at construction doubles as a content fingerprint:
         any later mutation of the entries (bit rot, a chaos
         ``CorruptionEvent``) makes the recomputed fingerprint diverge.  The
         shared empty partition carries a symbolic uid rather than a
-        computed one, so it is matched by identity of that uid.  ``memo``
-        is ``xor_entry_hashes``' entry memo (str-keyed int entries by
-        value, tuple-keyed ones by object identity), for a caller that
-        verifies many partitions sharing entries and keeps them all alive;
-        every entry still counts, so a hit changes no verdict.
+        computed one, so it is matched by identity of that uid.  For many
+        partitions at once, :func:`first_unsound`.
         """
         if not self.entries:
             return self.uid in (_EMPTY.uid, _fingerprint_entries(self.entries))
-        return self.uid == _fingerprint_entries(self.entries, memo)
+        return self.uid == _fingerprint_entries(self.entries)
 
 
-def _adopt(entries: dict[Any, Any], uid: int) -> Partition:
+def _unpickle_partition(entries: dict[Any, Any], uid: int) -> Partition:
     """A partition that takes ``entries`` as its own, under ``uid``: no
     copy and no fingerprint.  For a dict nobody else holds, whose uid is
     already made -- a combine's result, a map task's leaf, an unpickled
-    partition -- where the public constructor's copy would be waste."""
+    partition (around the very objects the unpickler made; the uid is
+    carried as written, and a restore re-proves it in its sweep) -- where
+    the public constructor's copy would be waste.  A checkpoint names
+    this function, so the name stays; it is one call a partition at
+    load, not two."""
     partition = object.__new__(Partition)
     partition.entries = entries
     partition.uid = uid
     return partition
 
 
-def _unpickle_partition(entries: dict[Any, Any], uid: int) -> Partition:
-    """A partition around the very objects the unpickler made (the uid is
-    carried as written, and a restore re-proves it in its sweep).  A
-    checkpoint names this function, so the name stays."""
-    return _adopt(entries, uid)
+#: :func:`_unpickle_partition`, by the name the engine's own builders use.
+_adopt = _unpickle_partition
 
 
 #: ``stable_hash(n, salt="pfp")`` by ``n``: the length term of every
@@ -183,17 +180,38 @@ _ENTRY_GENERATION = 4096
 
 _ENTRY_HASHES = _EntryHashes()
 
-#: The item types of a tuple key ``_EntryHashes`` takes.
-_FLAT_ITEMS = frozenset((str, int))
 
-
-def _fingerprint_entries(
-    entries: Mapping[Any, Any], memo: dict[tuple[Any, Any], int] | None = None
-) -> int:
+def _fingerprint_entries(entries: Mapping[Any, Any]) -> int:
     # Key order must not matter: XOR per-entry hashes (stable, order-free).
-    return _length_term(len(entries)) ^ xor_entry_hashes(
-        entries, salt="pent", memo=memo
+    (entry_terms,) = xor_entry_hashes((entries,), salt="pent")
+    return _length_term(len(entries)) ^ entry_terms
+
+
+def first_unsound(partitions: Sequence[Partition]) -> Partition | None:
+    """The first of ``partitions`` whose entries no longer hash to its uid
+    (``verify_fingerprint`` false), or ``None``.
+
+    One call of the entry kernel fingerprints them all, with an entry
+    memo local to this call (``xor_entry_hashes``: str-keyed int entries
+    and flat tuple-keyed int entries by value, tuple-keyed ones by object
+    identity).  That is sound because ``partitions`` holds every object
+    the memo names alive, and unmodified, until the call returns; the
+    memo changes no verdict, only how often one content is hashed, and
+    every partition still pays its length term and is compared whole.
+    """
+    folded = xor_entry_hashes(
+        [partition.entries for partition in partitions], salt="pent", memo={}
     )
+    terms = _LENGTH_TERMS
+    empty = _EMPTY.uid
+    for partition, acc in zip(partitions, folded):
+        size = len(partition.entries)
+        term = terms.get(size)
+        if term is None:
+            term = _length_term(size)
+        if partition.uid != term ^ acc and (size or partition.uid != empty):
+            return partition
+    return None
 
 
 #: ``Combiner``'s own ``value_size`` and ``merge_cost``, bound on first use
@@ -264,7 +282,7 @@ def combined_uid(
         by_value = (
             kind is str
             or kind is int
-            or (kind is tuple and _FLAT_ITEMS.issuperset(map(type, key)))
+            or (kind is tuple and FLAT_ITEMS.issuperset(map(type, key)))
         )
         hash_with_key = None
         for value in (*values, entries[key]):

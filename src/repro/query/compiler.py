@@ -42,7 +42,6 @@ class CompiledStage:
     job: MapReduceJob
     #: outputs dict -> list of rows for the next stage (or final results).
     emit_rows: Callable[[dict], list[Row]]
-    boundary: str  # "group" | "top"
 
 
 @dataclass
@@ -98,7 +97,7 @@ def _make_stage(index: int, row_ops: list[RowOp], boundary: BoundaryOp) -> Compi
                     rows.append((key, value))
             return sorted(rows, key=repr)
 
-        return CompiledStage(index, job, emit_group, "group")
+        return CompiledStage(index, job, emit_group)
 
     # A TopOp: compile_plan admits no other boundary operator.
     n, score_fn = boundary.n, boundary.score_fn
@@ -120,7 +119,7 @@ def _make_stage(index: int, row_ops: list[RowOp], boundary: BoundaryOp) -> Compi
         entries = outputs.get(GLOBAL_KEY, ())
         return [row for _score, row in entries]
 
-    return CompiledStage(index, job, emit_top, "top")
+    return CompiledStage(index, job, emit_top)
 
 
 def compile_plan(plan: Query) -> CompiledPlan:

@@ -32,11 +32,11 @@ Repair strategy per fault surface:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.common.errors import CorruptionError
 from repro.core.folding import FoldingTree
-from repro.core.partition import Partition, map_partitions
+from repro.core.partition import Partition, first_unsound, map_partitions
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
@@ -197,66 +197,88 @@ def verify_restored(engine: "Slider") -> int:
     Checkpoint segments are digest-verified byte-for-byte before this
     runs, so a failure here means in-memory corruption slipped into the
     checkpointed object graph itself; refusing loudly beats recomputing
-    silently in that case.  An object met again (a map-memo leaf is a
-    tree's leaf, a pass-through node the child it is) is verified where
-    first met, and so is an entry: the walk goes reducer by reducer, its
-    map-memo row then its tree, with one entry memo a reducer (a key
-    routes to one reducer).  A str-keyed int entry is hashed once a
-    reducer for each distinct (key, value) it holds, by value; a
-    tuple-keyed (key, value) pair of objects that several partitions hold
-    is hashed once, by identity, which is sound because every object is
-    alive and unmodified for the whole walk.  A slot's name is formatted
-    only when its partition fails.
-    A tree's part is its whole
-    :meth:`~repro.core.base.ContractionTree.state`, walked by
-    the process seam's own :func:`~repro.core.partition.map_partitions`:
-    a field that holds a partition anywhere is verified, however nested.
-    Returns the number of distinct partitions checked.
+    silently in that case.  The walk goes reducer by reducer: its
+    map-memo row, its memo entries, then its tree's whole
+    :meth:`~repro.core.base.ContractionTree.state`, field by field, a dict
+    in sorted key order, nested values by the process seam's own
+    :func:`~repro.core.partition.map_partitions` (a field that holds a
+    partition anywhere is verified, however nested).  An object met again
+    (a map-memo leaf is a tree's leaf, a pass-through node the child it
+    is) is verified where first met.  A reducer's partitions not met
+    before are gathered into one list and fingerprinted by one
+    :func:`~repro.core.partition.first_unsound` pass, with one entry memo
+    (a key routes to one reducer): each distinct str-keyed or flat
+    tuple-keyed int entry is hashed once, by value, and any other
+    tuple-keyed pair of objects once, by identity.  Slots are named only
+    when a partition fails: the reducer is walked again to find where the
+    failing object was first met.  Returns the number of distinct
+    partitions checked.
     """
     verified: set[int] = set()
-    memo: dict[tuple[Any, Any], int] = {}
-
-    def check(partition: Partition, where: str, *parts: Any) -> None:
-        """Verify a partition not met before; ``where.format(*parts)``
-        names its slot in the error."""
-        verified.add(id(partition))
-        if not partition.verify_fingerprint(memo):
-            raise CorruptionError(
-                f"restored state failed fingerprint verification at "
-                f"{where.format(*parts)}: entries diverged from recorded uid "
-                f"{partition.uid:#x} — the checkpoint holds corrupt state"
-            )
-
-    map_memo_uids = sorted(engine.map_memo)
+    map_memo = engine.map_memo
+    map_memo_uids = sorted(map_memo)
     for index, tree in enumerate(engine.trees):
-        memo.clear()
-        for uid in map_memo_uids:
-            partition = engine.map_memo[uid][index]
-            if id(partition) not in verified:
-                check(partition, "map_memo[{:#x}][{}]", uid, index)
-        for uid in sorted(tree.memo.entries):
-            partition = tree.memo.entries[uid]
-            if id(partition) not in verified:
-                check(partition, "tree[{}].memo[{:#x}]", index, uid)
-        for name, value in tree.state().items():
-            # The position cache is reported as ``cache``, as it always was.
-            field = "cache" if name == "_cache" else name
-            if type(value) is dict:
-                slots: Any = [(key, value[key]) for key in sorted(value)]
-            elif type(value) is list:
-                slots = enumerate(value)
-            else:
-                slots = [(None, value)]
-            for slot, item in slots:
-                # A whole field has no slot; ``str.format`` ignores the
-                # ``None`` passed for it.  The lambda is called by
-                # ``map_partitions`` before the loop moves on, so ``where``
-                # and ``slot`` are this slot's.
-                where = "tree[{}].{}" if slot is None else "tree[{}].{}[{}]"
-                map_partitions(
-                    item,
-                    lambda p: None
-                    if id(p) in verified
-                    else check(p, where, index, field, slot),
-                )
+        met = [map_memo[uid][index] for uid in map_memo_uids]
+        memo = tree.memo.entries
+        met += [memo[uid] for uid in sorted(memo)]
+        for value in tree.state().values():
+            for item in _slots(value)[1]:
+                if type(item) is Partition:
+                    met.append(item)
+                elif item is not None:
+                    map_partitions(item, met.append)
+        # By id, in the order first met (a dict keeps a key's first place).
+        unmet = dict(zip(map(id, met), met))
+        for seen in verified.intersection(unmet):
+            del unmet[seen]
+        verified.update(unmet)
+        corrupt = first_unsound(list(unmet.values()))
+        if corrupt is not None:
+            where = next(
+                name
+                for name, item in _named_slots(engine, index)
+                if _holds(item, corrupt)
+            )
+            raise CorruptionError(
+                f"restored state failed fingerprint verification at {where}: "
+                f"entries diverged from recorded uid {corrupt.uid:#x} — the "
+                f"checkpoint holds corrupt state"
+            )
     return len(verified)
+
+
+def _slots(value: Any) -> tuple[Sequence[Any], Sequence[Any]]:
+    """A tree state field's slots and what each holds, in sweep order: a
+    dict's by sorted key, a list's by index, anything else whole, in the
+    one slot ``None``."""
+    if type(value) is dict:
+        slots = sorted(value)
+        return slots, list(map(value.__getitem__, slots))
+    if type(value) is list:
+        return range(len(value)), value
+    return (None,), (value,)
+
+
+def _holds(value: Any, partition: Partition) -> bool:
+    """Whether ``value`` holds ``partition`` itself, however nested."""
+    found: list[Partition] = []
+    map_partitions(value, found.append)
+    return any(item is partition for item in found)
+
+
+def _named_slots(engine: "Slider", index: int) -> Iterator[tuple[str, Any]]:
+    """Reducer ``index``'s walk, in the sweep's order, with each slot's
+    name: only a failure pays for formatting them."""
+    for uid in sorted(engine.map_memo):
+        yield f"map_memo[{uid:#x}][{index}]", engine.map_memo[uid][index]
+    tree = engine.trees[index]
+    for uid in sorted(tree.memo.entries):
+        yield f"tree[{index}].memo[{uid:#x}]", tree.memo.entries[uid]
+    for name, value in tree.state().items():
+        # The position cache is reported as ``cache``, as it always was.
+        field = "cache" if name == "_cache" else name
+        for slot, item in zip(*_slots(value)):
+            if slot is None:
+                yield f"tree[{index}].{field}", item
+            else:
+                yield f"tree[{index}].{field}[{slot}]", item

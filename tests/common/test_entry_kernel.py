@@ -1,8 +1,10 @@
-"""``xor_entry_hashes`` is the XOR of ``entry_hash`` over a mapping.
+"""``xor_entry_hashes`` is the XOR of ``entry_hash`` over each of a
+sequence of mappings.
 
 The kernel encodes and frames the exact-type cases itself and keeps an
 optional memo -- str-keyed int entries by value, tuple-keyed ones by
-object identity; neither may change a bit of what it returns.  Every
+object identity and, after an identity miss, flat tuple-keyed int
+entries by value; none may change a bit of what it returns.  Every
 case here is checked against ``entry_hash``, which
 ``tests/common/test_hashing_vectors.py`` holds to ``stable_hash`` of the
 pair and to the pinned vectors.
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.hashing import entry_hash, xor_entry_hashes
+from repro.common.hashing import FLAT_ITEMS, entry_hash, xor_entry_hashes
+from tests.conftest import count_digests
 
 
 class Count(int):
@@ -76,17 +79,24 @@ def by_entry_hash(entries, salt):
 @given(entries=st.one_of(mixed, float_pairs), salt=SALTS)
 def test_the_kernel_is_the_xor_of_entry_hashes(entries, salt):
     expected = by_entry_hash(entries, salt)
-    assert xor_entry_hashes(entries, salt=salt) == expected
+    assert xor_entry_hashes([entries], salt=salt) == [expected]
     memo: dict = {}
-    assert xor_entry_hashes(entries, salt=salt, memo=memo) == expected
-    # The memo holds tuple-keyed entries and the (key, value) of each
-    # exact-str / exact-int entry (distinct: a mapping's keys are), and a
-    # second pass reads it.
+    assert xor_entry_hashes([entries], salt=salt, memo=memo) == [expected]
+    # The memo holds tuple-keyed entries by identity, and by value the
+    # (key, value) of each exact-str / exact-int entry and of each flat
+    # tuple-keyed exact-int one (distinct: a mapping's keys are); a second
+    # pass reads it.
     assert len(memo) == sum(
-        type(key) is tuple or (type(key) is str and type(value) is int)
+        type(key) is tuple
+        or (type(key) is str and type(value) is int)
+        for key, value in entries.items()
+    ) + sum(
+        type(key) is tuple
+        and type(value) is int
+        and FLAT_ITEMS.issuperset(map(type, key))
         for key, value in entries.items()
     )
-    assert xor_entry_hashes(entries, salt=salt, memo=memo) == expected
+    assert xor_entry_hashes([entries], salt=salt, memo=memo) == [expected]
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,9 +119,14 @@ def test_one_memo_over_two_mappings_that_share_objects(first, extra, salt, data)
         for i, j in data.draw(st.lists(st.tuples(pick, pick), max_size=4)):
             second[items[i][0]] = items[j][1]
     second.update(extra)
+    expected = [by_entry_hash(first, salt), by_entry_hash(second, salt)]
     memo: dict = {}
-    assert xor_entry_hashes(first, salt=salt, memo=memo) == by_entry_hash(first, salt)
-    assert xor_entry_hashes(second, salt=salt, memo=memo) == by_entry_hash(second, salt)
+    assert [
+        xor_entry_hashes([first], salt=salt, memo=memo)[0],
+        xor_entry_hashes([second], salt=salt, memo=memo)[0],
+    ] == expected
+    # The same, folded in one call.
+    assert xor_entry_hashes([first, second], salt=salt, memo={}) == expected
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
@@ -140,7 +155,7 @@ def test_the_value_memo_keys_only_exact_str_int_entries(order):
     stored: set = set()
     for entries in cases:
         expected = by_entry_hash(entries, "pent")
-        assert xor_entry_hashes(entries, salt="pent", memo=memo) == expected
+        assert xor_entry_hashes([entries], salt="pent", memo=memo) == [expected]
         stored.update(
             (key, value)
             for key, value in entries.items()
@@ -151,3 +166,33 @@ def test_the_value_memo_keys_only_exact_str_int_entries(order):
         ("k", 1): entry_hash("k", 1, salt="pent"),
         ("k", big): entry_hash("k", big, salt="pent"),
     }
+
+
+def test_a_flat_tuple_key_is_remembered_by_value_after_an_identity_miss(
+    monkeypatch,
+):
+    """A tuple key of exact str / int items with an exact int value is
+    looked up by value once its objects miss: an equal key remade as new
+    objects is a hit and makes no digest.  A key with a bool, float or
+    nested item, or an int subclass or float value, is not flat and is
+    hashed again; every result is still the kernel's own."""
+    big = 2**70
+    flat = {("a", 1): 3, ("b", big): big}
+    remade = {tuple(list(key)): int(str(value)) for key, value in flat.items()}
+    assert all(a is not b for a, b in zip(remade, flat))
+    off = {
+        ("e", True): 3,
+        ("f", 1.0): 4,
+        (("a", 1),): 3,
+        ("c", 1): Count(3),
+        ("d", 1): 3.0,
+    }
+    assert len(off) == 5
+    again = {tuple(list(key)): value for key, value in off.items()}
+    mappings = [flat, remade, off, again, dict(off)]
+    expected = [by_entry_hash(m, "pent") for m in mappings]
+    digests, _ = count_digests(monkeypatch)
+    assert xor_entry_hashes(mappings, salt="pent", memo={}) == expected
+    # flat's two entries once; off's five once and again once more each
+    # (new key objects, and none flat); a copy of off's very objects hits.
+    assert digests.count("pent") == 2 + 5 + 5

@@ -15,6 +15,7 @@ from repro.recovery.repair import (
 )
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
+from repro.common.hashing import FLAT_ITEMS
 from repro.core.partition import Partition
 from tests.oracle.fleet import (
     VARIANTS,
@@ -133,15 +134,22 @@ def _held_by_reducer(engine) -> list[list[Partition]]:
 
 def _entry_digests(walks: list[list[Partition]]) -> int:
     """The entry digests a sweep over ``walks`` makes, one memo a reducer:
-    each distinct (key, value) with an exact-str key and an exact-int
-    value, each distinct tuple-keyed pair of objects, and every other
-    entry each time it is held."""
+    each distinct (key, value) with an exact-int value and an exact-str
+    key or a tuple key of exact str / int items, each distinct pair of
+    objects under any other tuple key, and every other entry each time it
+    is held."""
     expected = 0
     for walk in walks:
         by_value, by_identity = set(), set()
         for p in walk:
             for key, value in p.items():
                 if type(key) is str and type(value) is int:
+                    by_value.add((key, value))
+                elif (
+                    type(key) is tuple
+                    and type(value) is int
+                    and FLAT_ITEMS.issuperset(map(type, key))
+                ):
                     by_value.add((key, value))
                 elif type(key) is tuple:
                     by_identity.add((id(key), id(value)))
@@ -204,9 +212,12 @@ def test_verify_restored_hashes_each_distinct_entry_once(
 ):
     """A pass-through holds its child's very key and value objects, so a
     restored matrix engine's 128 partitions hold each tuple-keyed (key,
-    value) pair of objects about three times: the sweep digests each once
-    a reducer, and one length term a partition (a digest for each length
-    the emptied cache misses).  About 0.3 of the entries on the
+    value) pair of objects about three times, and equal pairs as other
+    objects besides: its keys are flat (int, int) tuples with int values,
+    remembered by value after an identity miss, so the sweep digests each
+    distinct (key, value) once a reducer (3 505 digests here, 4 747 by
+    identity alone), and one length term a partition (a digest for each
+    length the emptied cache misses).  About 0.18 of the entries on the
     benchmark's matrix shape.  On hct the keys are strs and the counts
     ints, memoized by value: one digest a distinct (key, value) a reducer,
     0.063 of the entries on the ``hct_var_w1000`` shape (3 056 of 48 320),
@@ -398,3 +409,41 @@ def test_kill_restore_sweep_is_bit_identical_under_corruption():
             counters = f.reference.telemetry.counters
             flipped = counters.get("recovery.corruptions_injected")
             assert flipped or variant == "coalescing"
+
+
+def _rotating_with_pending(tmp_path) -> Slider:
+    """A restored fixed-window rotating tree in split mode, whose last
+    advance took the fast root and deferred its path fix: ``_pending``
+    holds (slot, bucket), and ``_bucket_leaves`` a chunk a bucket."""
+    mode = WindowMode.FIXED
+    config = SliderConfig(mode=mode, bucket_size=2, split_mode=True)
+    engine = Slider(count_job(), mode, config=config)
+    engine.initial_run([split_of(i) for i in range(8)])
+    engine.background_preprocess()
+    engine.advance([split_of(8), split_of(9)], 2)
+    engine.checkpoint(tmp_path / "ckpt")
+    return Slider.restore(tmp_path / "ckpt", count_job())
+
+
+def test_a_corrupt_copy_first_met_in_a_nested_slot_is_named_by_it(tmp_path):
+    """The sweep gathers a reducer's partitions in one list; a failure
+    walks the reducer again to name the slot where the failing object was
+    first met, nested ones too: a bucket held only in the deferred path
+    fix is named as the whole field, a leaf deep in a retained chunk as
+    the chunk's slot, and the clean state passes again."""
+    engine = _rotating_with_pending(tmp_path)
+    tree = engine.trees[0]
+    assert tree._pending is not None
+    slot, bucket = tree._pending
+    tree._pending = (slot, _corrupt_copy(bucket, salt=7))
+    with pytest.raises(CorruptionError, match=r"at tree\[0\]\._pending: "):
+        verify_restored(engine)
+    tree._pending = (slot, bucket)
+    chunk = tree._bucket_leaves[1]
+    clean = chunk[1]
+    assert clean
+    chunk[1] = _corrupt_copy(clean, salt=7)
+    with pytest.raises(CorruptionError, match=r"at tree\[0\]\._bucket_leaves\[1\]: "):
+        verify_restored(engine)
+    chunk[1] = clean
+    assert verify_restored(engine)

@@ -18,6 +18,7 @@ from tests.unexecuted import (
     is_full_run,
     parse_allow_list,
     problems,
+    verdict,
 )
 
 SAMPLE = '''\
@@ -126,6 +127,28 @@ def test_a_code_object_stops_being_traced_once_every_line_ran(sample):
     # `square` ran its one line; `used` still has `return -x` to see.
     assert tracer._local[id(module.square.__code__)] is None
     assert tracer._local[id(module.used.__code__)] is not None
+
+
+def test_a_file_edited_after_it_ran_is_refused_by_name(sample):
+    """The lines that ran are the old text's, so a file edited before the
+    run is judged is named and nothing in it is judged, rather than
+    reported as ranges shifted by the edit; left alone, it is judged."""
+    path, module = sample
+    tracer = traced(path.parent, lambda: module.used(1))
+    unexecuted = tracer.unexecuted()
+    assert tracer.moved() == []
+    assert verdict(tracer, unexecuted, []) == problems(
+        unexecuted, {"sample.py": body_lines(path)}, []
+    )
+    path.write_text("# a line that shifts every other\n" + SAMPLE)
+    stamp = path.stat().st_mtime_ns + 10**9  # past any clock granularity
+    os.utime(path, ns=(stamp, stamp))
+    assert tracer.moved() == ["sample.py"]
+    entries = [Entry("sample.py", 1, 2, "why")]
+    assert verdict(tracer, tracer.unexecuted(), entries) == [
+        "sample.py: changed on disk while the run was in progress; its "
+        "lines are not judged, run again"
+    ]
 
 
 def test_a_replaced_tracer_is_reported(tmp_path):

@@ -19,7 +19,10 @@ Only a full run on Python 3.11 is judged: no paths, ``-k``,
 ``-m`` expression, and no test failed.  A judged run fails on an
 unexecuted line that no allow-list entry covers, on an entry covering a
 line that ran, and on an entry covering no unexecuted line.  So the list
-can only shrink.
+can only shrink.  Lines are judged against the source on disk, so a file
+whose modification time moved after its first code object was traced is
+refused by name, and nothing in it is judged: the lines that ran are the
+old text's.
 
 An allow-list line is ``path:first-last  reason`` (or ``path:line
 reason``), the path relative to ``src/repro``; ``#`` starts a comment.
@@ -90,6 +93,8 @@ class LineTracer:
         self.executed: dict[str, set[int]] = {}
         self._local: dict[int, object] = {}  # id(code) -> its line tracer, or None
         self._codes: list[CodeType] = []  # kept alive, so no id is reused
+        # path -> its modification time when its first code object ran.
+        self._stamps: dict[str, int] = {}
         self._saved: tuple = (None, None)
 
         local, register = self._local, self._register
@@ -107,6 +112,8 @@ class LineTracer:
         local = None
         path = os.path.abspath(code.co_filename)
         if path.startswith(self.root):
+            if path not in self._stamps:
+                self._stamps[path] = os.stat(path).st_mtime_ns
             pending = own_lines(code)
             if pending:
                 local = self._line_tracer(code, pending, path)
@@ -150,6 +157,15 @@ class LineTracer:
             if lines:
                 missing[path.relative_to(self.root).as_posix()] = lines
         return missing
+
+    def moved(self) -> list[str]:
+        """Files, relative to ``root``, changed on disk since their first
+        code object ran: their line numbers may not be those that ran."""
+        return sorted(
+            Path(path).relative_to(self.root).as_posix()
+            for path, stamp in self._stamps.items()
+            if not os.path.exists(path) or os.stat(path).st_mtime_ns != stamp
+        )
 
 
 @dataclass(frozen=True)
@@ -225,6 +241,27 @@ def problems(
     return found
 
 
+def verdict(
+    tracer: LineTracer, unexecuted: dict[str, set[int]], entries: list[Entry]
+) -> list[str]:
+    """What a judged run fails on: each file ``tracer`` saw change on disk,
+    by name, and ``problems`` over every other file."""
+    moved = tracer.moved()
+    unexecuted = {p: lines for p, lines in unexecuted.items() if p not in moved}
+    entries = [entry for entry in entries if entry.path not in moved]
+    root = Path(tracer.root)
+    paths = {entry.path for entry in entries} | set(unexecuted)
+    body = {  # a listed file that is gone has no body lines
+        path: body_lines(root / path) for path in paths if (root / path).is_file()
+    }
+    refused = [
+        f"{path}: changed on disk while the run was in progress; its lines "
+        "are not judged, run again"
+        for path in moved
+    ]
+    return refused + problems(unexecuted, body, entries)
+
+
 def is_full_run(config, session) -> bool:
     """Whether a finished run ran the whole suite, as tier-1 selects it,
     and passed."""
@@ -262,13 +299,7 @@ class _Gate:
         else:
             unexecuted = self.tracer.unexecuted()
             entries = parse_allow_list(ALLOW_LIST.read_text())
-            paths = {entry.path for entry in entries} | set(unexecuted)
-            body = {  # a listed file that is gone has no body lines
-                path: body_lines(SOURCE_ROOT / path)
-                for path in paths
-                if (SOURCE_ROOT / path).is_file()
-            }
-            found = problems(unexecuted, body, entries)
+            found = verdict(self.tracer, unexecuted, entries)
             total = sum(map(len, unexecuted.values()))
             self.report.append(
                 f"unexecuted lines: {total} in {len(unexecuted)} files, "
