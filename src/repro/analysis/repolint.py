@@ -21,7 +21,7 @@ Four invariants are mechanical enough to lint:
 
 ``lint.layering``
     ``repro.core`` is the substrate every layer builds on: trees, memo
-    tables, plans, the task-graph IR.  It must never import the layers
+    tables, plans, the run log.  It must never import the layers
     above it (``repro.slider``, ``repro.cluster``) — an upward import
     would let engine details leak back into the substrate and recreate
     the god-module this package split apart.

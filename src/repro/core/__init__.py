@@ -25,7 +25,6 @@ from repro.core.partition import Partition, combine_partitions
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
-from repro.core.taskgraph import TaskGraph, TaskNode
 
 __all__ = [
     "ContractionTree",
@@ -38,6 +37,4 @@ __all__ = [
     "RandomizedFoldingTree",
     "RotatingTree",
     "StrawmanTree",
-    "TaskGraph",
-    "TaskNode",
 ]

@@ -231,7 +231,7 @@ class ProcessBackend(ExecutionBackend):
             engine.telemetry.count("backend.inprocess_runs")
         # Merge strictly in reducer order under the same span/scope
         # structure as the in-process path — this ordering is what makes
-        # the float additions, span positions, and graph uids identical.
+        # the float additions, span positions, and log records identical.
         # The parent's share comes first, advanced here while the workers
         # run theirs.
         roots: "list[Partition]" = []

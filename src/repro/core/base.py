@@ -226,8 +226,8 @@ class ContractionTree(ABC):
         merge pass consuming a root-and-delta union in split processing).
 
         ``node`` names this sub-computation's position in the tree's own
-        level structure; it labels both the plan step and the task-graph
-        node the executor logs.
+        level structure; it labels both the plan step and the record the
+        executor logs.
         """
         return self.executor.combine(
             self,

@@ -12,13 +12,13 @@ there is, in the engine and in a worker:
 * charge the work to the executor's telemetry, into whatever span is
   open — a node opens none;
 * log each executed node as one record of the run's
-  :class:`~repro.core.taskgraph.RunLog` (:meth:`PlanExecutor.log_node`,
+  :class:`~repro.core.plan.RunLog` (:meth:`PlanExecutor.log_node`,
   the one place a node is recorded), the first one carrying the step and
   each carrying the very amount it charged.
 
 A tree-level span, opened on the open log, keeps the range of records
 its sweep appended; the per-level table and the Chrome trace read a
-level's tasks there (:meth:`~repro.core.taskgraph.RunLog.tasks`).
+level's tasks there (:meth:`~repro.core.plan.RunLog.tasks`).
 
 Executing while planning (instead of batching the whole plan first) keeps
 the semantics of the seed path bit-identical — planners may branch on the
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.partition import Partition, combine_charged
-from repro.core.taskgraph import RunLog
+from repro.core.plan import RunLog
 from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
@@ -129,7 +129,7 @@ class PlanExecutor:
     @contextmanager
     def background(self):
         """Log the enclosed steps — background pre-processing, between
-        runs — to a log of their own, which no run's plan or graph reads
+        runs — to a log of their own, which no run's plan or record reads
         and only the level spans they open keep.  On exit no log is open:
         :attr:`active` is False again, as it was."""
         self.log = RunLog("background")
@@ -191,17 +191,16 @@ class PlanExecutor:
         memo_uid: int | None = None,
         consumed: tuple[int, ...] = (),
         produced: tuple[int, ...] = (),
-        follows: bool = False,
     ) -> None:
         """Append one executed node to the open run's log (no-op outside
         a run): every record of a run goes through here.  ``label`` is a
-        ``reduce`` node's key, formatted when the graph is built; a
-        ``kind`` of ``None`` is :meth:`close_step`'s plan-only record."""
+        ``reduce`` node's key, unformatted; a ``kind`` of ``None`` is
+        :meth:`close_step`'s plan-only record."""
         log = self.log
         if log is not None:
             log.records.append((
                 kind, phase, label, cost, data_size, memo_hit, self.reducer,
-                split_uid, memo_uid, consumed, produced, follows, self._step,
+                split_uid, memo_uid, consumed, produced, self._step,
             ))
             self._step = None
 
@@ -290,7 +289,7 @@ class PlanExecutor:
                     self.log_node(
                         "memo_write", Phase.MEMO_WRITE,
                         f"memo-write:{memo_uid:#x}", tree.memo_write_cost,
-                        float(len(result)), memo_uid=memo_uid, follows=True,
+                        float(len(result)), memo_uid=memo_uid,
                     )
         return result
 

@@ -1,4 +1,15 @@
-"""The per-run plan IR: what a window update *will* compute.
+"""The per-run log, and the plan IR read from it.
+
+The paper's central object is the contraction tree as a *graph of
+memoizable sub-computations* — its O(log n) update bound comes from the
+depth of exactly that DAG.  A run records it as it executes: the
+:class:`~repro.core.execute.PlanExecutor` appends one flat :data:`Record`
+a node — Map task, combiner invocation, memo read/write, per-key Reduce —
+to the run's :class:`RunLog`, and a record that opens a plan step also
+carries that step's plan atoms.  The log is the run's only recording: it
+holds what actually ran, with costs, and therefore *does* depend on
+memo-cache state.  Its records name the content ids each node consumed
+and produced, so the graph's edges are in it without being built.
 
 The contraction trees are *planners*: walking their level structure, they
 open one step per sub-computation a window update needs — Map tasks,
@@ -7,30 +18,105 @@ per-reducer Reduce passes.  The unified executor
 (:mod:`repro.core.execute`) resolves each step as it is opened: a step
 carrying a ``memo_uid`` is a **plan-level cache edge** — the plan says
 "this position is memoizable under that id", and only execution decides
-whether the edge is served from cache (a ``memo_read`` node in the
-executed :class:`~repro.core.taskgraph.TaskGraph`) or recomputed
-(``combine`` + ``memo_write`` nodes).
-
-A step is not logged on its own: its atoms ride the first node it
-executes, in the run's one :class:`~repro.core.taskgraph.RunLog`, and a
-:class:`Plan` is the view of that log which makes a :class:`PlanStep` of
-each record that opens a step.  The two views keep two artifacts apart:
-
-* the **plan** (this module) is independent of memo-cache state — two
-  runs over the same window movement open identical step sequences
-  whether their caches are cold or warm (property-tested per variant);
-* the **executed task graph** (:mod:`repro.core.taskgraph`) records what
-  actually ran, with costs, and therefore *does* depend on cache state.
+whether the edge is served from cache (a ``memo_read`` record) or
+recomputed (``combine`` + ``memo_write`` records).  A :class:`Plan` is
+the view of the log which makes a :class:`PlanStep` of each record that
+opens a step, and it is independent of memo-cache state: two runs over
+the same window movement open identical step sequences whether their
+caches are cold or warm (property-tested per variant).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.core.taskgraph import REDUCER, STEP, RunLog
+from repro.core.partition import Partition
 from repro.metrics import Phase
+
+#: Node kinds, the taxonomy of sub-computations a run is made of.
+NODE_KINDS = (
+    "map",          # one Map task over a new split
+    "shuffle",      # routing one Map task's emissions to reducers
+    "combine",      # one real combiner invocation (>= 2 live inputs)
+    "pass_through", # a tree position forwarding its single live child
+    "memo_read",    # a memoized result served instead of recomputation
+    "memo_write",   # persisting a fresh combiner result
+    "reduce",       # the Reduce function on one changed key
+)
+
+#: One executed node as a run logs it: ``(kind, phase, label, cost,
+#: data_size, memo_hit, reducer, split_uid, memo_uid, consumed, produced,
+#: step)``.  ``data_size`` is the abstract size of the node's output (keys
+#: produced); ``label`` is a string, or a ``reduce`` node's key;
+#: ``consumed`` and ``produced`` are the content ids of the partitions
+#: the node read and made.  A ``shuffle`` always directly follows its
+#: ``map``, a ``memo_write`` its ``combine``.  Last is the *step* slot,
+#: the plan atoms a node cannot spell — ``(op, label, phase, n_inputs,
+#: memo_uid, cost_scale)`` — on the node that opens a plan step and
+#: ``None`` on one that continues it.  A ``reduce`` step over an empty
+#: root executes no node, so its atoms ride a *plan-only* record whose
+#: kind is ``None``: the one record that is not a node.  Atoms and tuples
+#: of atoms only.
+Record = tuple
+#: Where a record keeps its reducer, memo uid, consumed uids and step atoms.
+REDUCER, MEMO_UID, CONSUMED, STEP = 6, 8, 9, 11
+
+
+def content_uids(parts: Iterable[Partition]) -> tuple[int, ...]:
+    """Content ids of the non-empty partitions in ``parts`` — the shared
+    empty content id would name a bogus edge between unrelated subtrees."""
+    return tuple([part.uid for part in parts if part])
+
+
+class RunLog:
+    """One run's records, in execution order.
+
+    ``steps`` counts the records that open a plan step and ``heads`` the
+    plan-only ones, so that nobody has to read the records to know how
+    many steps and nodes a run has.  A record holds only what was true
+    when its node executed — sizes, costs and content uids, never a
+    partition — so a log read long after its run is that run's, and a
+    kept result pins none of the window's state.
+    """
+
+    def __init__(self, label: str = "") -> None:
+        self.label = label
+        self.records: list[Record] = []
+        self.steps = 0
+        self.heads = 0
+
+    def extend(self, records: list[Record]) -> None:
+        """Records another process logged of its share of this run, which
+        take their place here: content uids name the same partitions in
+        the one log."""
+        self.records.extend(records)
+        for record in records:
+            if record[STEP] is not None:
+                self.steps += 1
+                self.heads += record[0] is None
+
+    def tasks(self, first: int, last: int) -> list[tuple[str, dict[Phase, float]]]:
+        """The tasks of ``records[first:last]`` — a tree level's nodes —
+        as the per-level table and the trace show them: a name, and the
+        work charged by phase in charge order.  A ``memo_write`` folds
+        into the ``combine`` it follows.  Two nodes log 0.0 having charged
+        nothing: a memo hit that costs nothing, and a combine whose inputs
+        were all empty."""
+        tasks: list[tuple[str, dict[Phase, float]]] = []
+        for record in self.records[first:last]:
+            kind, phase, label, cost = record[:4]
+            if kind == "memo_write":
+                tasks[-1][1][phase] = cost
+            elif kind is not None:
+                if kind == "memo_read":
+                    name, idle = label or "memo-visit", record[MEMO_UID] is not None
+                else:
+                    name, idle = label or "combine", not record[CONSUMED]
+                tasks.append((name, {} if idle and not cost else {phase: cost}))
+        return tasks
+
 
 #: Step kinds a plan is assembled from.
 PLAN_OPS = (
@@ -120,9 +206,8 @@ class Plan:
     A read of ``steps`` (or of a view over it) makes the
     :class:`PlanStep` values for the steps logged since the last read; a
     plan nobody reads never builds one, and ``len`` does not build.  A
-    step's reducer is its record's.  Like
-    :class:`~repro.core.taskgraph.TaskGraph`, plans carry no generated
-    equality; compare :meth:`signature`.
+    step's reducer is its record's.  Plans carry no generated equality;
+    compare :meth:`signature`.
     """
 
     def __init__(self, log: RunLog) -> None:

@@ -33,7 +33,7 @@ class TaskRecord:
 
 @dataclass
 class JobResult:
-    """Everything a job run produces: outputs, metrics, and the task graph."""
+    """Everything a job run produces: outputs, metrics, and its tasks."""
 
     outputs: dict[Any, Any]
     #: The run's own recorder: every charge of the run, and its spans.

@@ -46,7 +46,7 @@ from repro.core.partition import Partition
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
-from repro.core.taskgraph import content_uids
+from repro.core.plan import content_uids
 from repro.mapreduce.shuffle import run_map_task
 from repro.mapreduce.types import Split
 from repro.metrics import Phase
@@ -302,7 +302,7 @@ class RunPlanner:
             if chained:
                 executor.log_node(
                     "shuffle", Phase.SHUFFLE, f"shuffle:{uid:#x}", shuffle_cost,
-                    float(keys), False, uid, produced=produced, follows=True,
+                    float(keys), False, uid, produced=produced,
                 )
         return reused
 

@@ -15,11 +15,10 @@ collaborators, one per concern:
 * :class:`~repro.slider.lifecycle.LifecycleManager` — cross-run state:
   failure healing, garbage collection, space, output verification.
 
-Each run logs one record an executed node, and the
-:class:`SliderResult` returns two views of that log: a
-:class:`~repro.core.plan.Plan` (memo-independent description of the
-window update) and an executed :class:`~repro.core.taskgraph.TaskGraph`
-(what actually ran, with costs).
+Each run logs one record an executed node — what actually ran, with
+costs — and the :class:`SliderResult` returns a
+:class:`~repro.core.plan.Plan` over that log: the memo-independent
+description of the window update, whose ``log`` holds the records.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.core.base import ContractionTree
 from repro.core.execute import PlanExecutor, RunExecution
 from repro.core.partition import Partition
 from repro.core.plan import Plan
-from repro.core.taskgraph import TaskGraph
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.shuffle import HashPartitioner
 from repro.mapreduce.types import Split, SplitWindow
@@ -81,13 +79,10 @@ class SliderResult:
     new_map_tasks: int = 0
     changed_keys: frozenset = frozenset()
     removed_keys: frozenset = frozenset()
-    #: The run's executed task-graph IR: a view of the run's one log,
-    #: built on first read (reading is O(nodes) once; ``len`` does not
-    #: build).  Unread, the log is atoms and pins none of the run's
-    #: partitions.
-    graph: TaskGraph | None = None
     #: The run's own plan: the memo-independent step sequence that was
-    #: executed, the other view of the same log (``len`` does not build).
+    #: executed, a view of the run's one log (``plan.log``, whose records
+    #: are what ran, with costs; ``len`` does not build).  The log is
+    #: atoms and pins none of the run's partitions.
     plan: Plan | None = None
     #: Never set.  Kept only because ``benchmarks/e2e/e2ebench/session.py``
     #: reads it (and treats ``None`` as "no batched steps").
@@ -341,7 +336,6 @@ class Slider:
             new_map_tasks=sum(1 for cost in run.map_costs.values() if cost > 0),
             changed_keys=self._last_changed_keys,
             removed_keys=self._last_removed_keys,
-            graph=TaskGraph(run.log),
             plan=Plan(run.log),
             plan_cache_hit=run.recurring,
         )

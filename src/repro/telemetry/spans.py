@@ -103,7 +103,7 @@ class Span:
     self_work: dict[Phase, float] = field(default_factory=dict)
     work: dict[Phase, float] = field(default_factory=dict)
     #: A tree-level span's nodes: ``log.records[first:last]``, what its
-    #: sweep appended to the run's log (a ``repro.core.taskgraph.RunLog``,
+    #: sweep appended to the run's log (a ``repro.core.plan.RunLog``,
     #: read through its ``tasks`` method); ``None`` on a span opened
     #: without a log.
     log: Any = None

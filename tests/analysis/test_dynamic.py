@@ -1,7 +1,7 @@
 """The static race pass against what executed: on real engines, every
 conflict two executed nodes of one run have between them must be one the
-plan-level pass flags.  The nodes are read off each run's task graph (the
-executed view of its log), not off the plan the pass reads."""
+plan-level pass flags.  The nodes are read off each run's log records
+(what executed), not off the plan the pass reads."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pytest
 from repro.analysis.races import analyze_plan
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-from tests.oracle.fleet import VARIANTS, count_job, split_of
+from tests.oracle.fleet import SPLIT_UID, VARIANTS, count_job, split_of
 
 
 def observed_conflicts(result) -> list[str]:
@@ -23,9 +23,9 @@ def observed_conflicts(result) -> list[str]:
     and content-addressed memo slots (idempotent), so it cannot race.
     """
     writes = Counter(
-        f"map_memo:{node.split_uid:#x}"
-        for node in result.graph.nodes
-        if node.kind == "map"
+        f"map_memo:{record[SPLIT_UID]:#x}"
+        for record in result.plan.log.records
+        if record[0] == "map"
     )
     return [slot for slot, count in writes.items() if count > 1]
 
@@ -47,7 +47,7 @@ def test_static_pass_covers_execution(variant, mode):
         results += [engine.advance([split], removed) for split in splits[4:]]
         executed = 0
         for result in results:
-            executed += len(result.graph.nodes)
+            executed += len(result.plan.log.records) - result.plan.log.heads
             errors = [
                 f.message for f in analyze_plan(result.plan) if f.severity == "error"
             ]

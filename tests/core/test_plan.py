@@ -5,8 +5,7 @@ it, and every view reads the steps."""
 import pytest
 
 from repro.core.execute import PlanExecutor
-from repro.core.plan import Plan, PlanStep
-from repro.core.taskgraph import REDUCER, STEP
+from repro.core.plan import REDUCER, STEP, Plan, PlanStep
 from repro.metrics import Phase
 
 
@@ -55,7 +54,7 @@ class TestLog:
         log = executor.begin_run("t")
         assert executor.open_step("map", "map:0x1", Phase.MAP, 1, 0x1) is None
         executor.log_node("map", Phase.MAP, "map:0x1", 1.0, 1.0)
-        executor.log_node("shuffle", Phase.SHUFFLE, "s", 1.0, 1.0, follows=True)
+        executor.log_node("shuffle", Phase.SHUFFLE, "s", 1.0, 1.0)
         executed(
             executor, "combine", "fold:L1.0", Phase.CONTRACTION, 2,
             reducer=1, cost_scale=0.5,

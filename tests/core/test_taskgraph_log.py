@@ -1,14 +1,15 @@
-"""The built graph is the graph.
+"""The log is the run.
 
-A run appends one flat record a node to its one log, and ``TaskGraph``
-and ``Plan`` make their nodes and steps when somebody reads them.  That a
-graph or plan read late is the one read at once is an invariant of every
-walk of the oracle (``tests/oracle``): the reference's are read only
-when the walk is over (``Fleet.read_late``), every other arm's as its run
-finishes, under generated motion, collections, corruption runs and
-dispatch.  Here: the walks this suite has always named, that a run
-appends exactly once a node, and the unit cases of the log itself,
-whose twin executor builds both views after *every* record.
+A run appends one flat record a node to its one log, and ``Plan`` makes
+its steps when somebody reads them.  That a plan read late is the one
+read at once is an invariant of every walk of the oracle
+(``tests/oracle``): the reference's are read only when the walk is over
+(``Fleet.read_late``), every other arm's as its run finishes, under
+generated motion, collections, corruption runs and dispatch; every arm's
+records are compared with the reference's as its run finishes.  Here:
+the walks this suite has always named, that a run appends exactly once a
+node, and the unit cases of the log itself, whose twin executor builds
+the plan after *every* record.
 """
 
 from __future__ import annotations
@@ -17,36 +18,34 @@ import pytest
 
 from repro.core.execute import PlanExecutor
 from repro.core.partition import Partition
-from repro.core.plan import Plan
+from repro.core.plan import CONSUMED, REDUCER, Plan, content_uids
 from repro.core.strawman import StrawmanTree
-from repro.core.taskgraph import TaskGraph, content_uids
 from repro.mapreduce.combiners import SumCombiner
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
-from tests.oracle.fleet import ALL, CASES, JOBS, Fleet, case_of, count, count_job
-from tests.oracle.fleet import graph_fields as fields
-from tests.oracle.fleet import plan_fields, split_of
+from tests.oracle.fleet import ALL, CASES, JOBS, PRODUCED, Fleet, case_of, count
+from tests.oracle.fleet import count_job, plan_fields, split_of
 from tests.oracle.test_walk import walk
 
 
 class EagerExecutor(PlanExecutor):
-    """Builds the open run's graph and plan after every record."""
+    """Builds the open run's plan after every record."""
 
     def begin_run(self, label="", recurring=False):
         log = super().begin_run(label, recurring)
-        self.graph, self.plan = TaskGraph(log), Plan(log)
+        self.plan = Plan(log)
         return log
 
     def log_node(self, *args, **kwargs):
         super().log_node(*args, **kwargs)
         if self.log is not None:
-            assert len(self.graph.nodes) == len(self.graph)
             assert len(self.plan.steps) == len(self.plan)
 
 
 def test_a_graph_read_late_is_the_graph_built_eagerly():
     """Collected partitions and flipped ones: a record is taken when its
-    step executes, so neither can reach a graph read afterwards."""
+    step executes, so neither can reach a plan read afterwards, and the
+    kept arm's records are the reference's."""
     for case in CASES:
         with Fleet(case, arms=("reference", "kept"), auto_gc=False) as fleet:
             fleet.advance(3, ALL, repeat=True)
@@ -61,12 +60,13 @@ def test_a_graph_read_late_is_the_graph_built_eagerly():
 
 
 def _idle_reduces(result) -> int:
-    """Reduce steps that executed no node, read off the graph: a reducer
-    whose pass left neither a ``reduce`` node nor a reduce-memo read."""
+    """Reduce steps that executed no node, read off the records: a
+    reducer whose pass left neither a ``reduce`` node nor a reduce-memo
+    read."""
     reducing = {
-        node.reducer
-        for node in result.graph.nodes
-        if node.kind == "reduce" or node.label.startswith("reduce-memo")
+        record[REDUCER]
+        for record in result.plan.log.records
+        if record[0] == "reduce" or str(record[2]).startswith("reduce-memo")
     }
     return sum(
         step.op == "reduce" and step.reducer not in reducing
@@ -94,8 +94,9 @@ def test_a_run_appends_once_a_node(monkeypatch):
                 appends.clear()
                 result = fleet.advance(*motion)["reference"]
                 empty = _idle_reduces(result)
-                assert len(appends) == len(result.graph.nodes) + empty
-                assert appends.count(None) == empty
+                log = result.plan.log
+                assert len(appends) == len(log.records)
+                assert appends.count(None) == log.heads == empty
                 idle += empty
     assert idle > 0
 
@@ -124,7 +125,7 @@ def test_records_cross_the_process_seam_in_reducer_order(case):
     and a run in which reducer 2 falls back in-process after a worker
     error while reducer 3's records come from its worker (four reducers:
     the parent advances 0 and 1 itself).  The reference stays in process;
-    plans and graphs are equal exactly, costs to the bit, since a combine
+    plans and records are equal exactly, costs to the bit, since a combine
     logs the float it charged.
     """
     job = (lambda: count_job(num_reducers=4), JOBS["counts"][1])
@@ -164,37 +165,32 @@ def _to_both(executors, name, *args, **kwargs):
 
 
 def _same_as_eager(late, eager):
-    """``late``'s views, read once, are ``eager``'s, read a record at a
-    time."""
+    """``late``'s records, read once, are ``eager``'s, whose plan was read
+    a record at a time; and so is its plan."""
     log = late.end_run().log
-    eager.end_run()
-    graph = TaskGraph(log)
-    assert fields(graph) == fields(eager.graph)
+    assert log.records == eager.end_run().log.records
     assert plan_fields(Plan(log)) == plan_fields(eager.plan)
-    return graph
+    return log.records
 
 
 class TestLog:
     def test_a_read_in_mid_run_then_more_records(self):
         executors = late, eager = _executors()
-        graph = TaskGraph(late.log)
+        plan = Plan(late.log)
         left, right = part([("a", 1)]), part([("b", 2)])
         merged = part([("a", 1), ("b", 2)])
         _to_both(executors, "open_step", "map", "map:0x1", Phase.MAP, memo_uid=1)
         _to_both(executors, "log_node", "map", Phase.MAP, "map:0x1", 1.0, 1.0)
         _to_both(
             executors, "log_node", "shuffle", Phase.SHUFFLE, "shuffle:0x1",
-            0.5, 1.0, produced=(left.uid,), follows=True,
+            0.5, 1.0, produced=(left.uid,),
         )
         _to_both(executors, "open_step", "map", "map:0x2", Phase.MAP, memo_uid=2)
         _to_both(
             executors, "log_node", "memo_read", Phase.MEMO_READ, "map-memo:0x2",
             0.1, 1.0, True, produced=(right.uid,),
         )
-        assert [node.kind for node in graph.nodes] == [
-            "map", "shuffle", "memo_read",
-        ]
-        assert graph.producer_of(left) == 1
+        assert [step.label for step in plan.steps] == ["map:0x1", "map:0x2"]
         with late.reducer_scope(1), eager.reducer_scope(1):
             _to_both(
                 executors, "open_step", "combine", "n", Phase.CONTRACTION, 2, 9
@@ -206,30 +202,29 @@ class TestLog:
             )
             _to_both(
                 executors, "log_node", "memo_write", Phase.MEMO_WRITE,
-                "memo-write:0x9", 0.5, 2.0, memo_uid=9, follows=True,
+                "memo-write:0x9", 0.5, 2.0, memo_uid=9,
             )
-            assert len(late.log.records) == len(graph._nodes) + 2  # goes on
+            assert len(late.log.records) == 5 and len(plan._steps) == 2  # goes on
             _to_both(executors, "open_step", "reduce", "reduce:1", Phase.REDUCE)
             _to_both(
                 executors, "log_node", "reduce", Phase.REDUCE, ("a", 0), 1.0,
                 1.0, consumed=(merged.uid,),
             )
-        assert fields(graph) == fields(_same_as_eager(late, eager))
-        combine, write, reduce = graph.nodes[3:]
-        assert combine.deps == (1, 2)
-        assert write.deps == (combine.uid,)
-        assert reduce.deps == (combine.uid,)
-        assert reduce.label == "reduce:1:('a', 0)"
+        records = _same_as_eager(late, eager)
+        assert [step.op for step in plan.steps] == ["map", "map", "combine", "reduce"]
+        combine, write, reduce = records[3:]
+        assert combine[CONSUMED] == (left.uid, right.uid)
+        assert write[0] == "memo_write" and write[PRODUCED] == ()
+        assert reduce[CONSUMED] == combine[PRODUCED] == (merged.uid,)
+        assert reduce[2] == ("a", 0)  # the key itself, unformatted
 
     def test_len_and_end_run_do_not_build(self):
         executor = PlanExecutor()
         log = executor.begin_run()
-        graph, plan = TaskGraph(log), Plan(log)
+        plan = Plan(log)
         executor.open_step("map", "map:0x7", Phase.MAP, memo_uid=7)
         executor.log_node("map", Phase.MAP, "map:0x7", 2.0, 1.0)
-        executor.log_node(
-            "shuffle", Phase.SHUFFLE, "shuffle:0x7", 1.0, 1.0, follows=True
-        )
+        executor.log_node("shuffle", Phase.SHUFFLE, "shuffle:0x7", 1.0, 1.0)
         with executor.reducer_scope(0):
             executor.open_step("reduce", "reduce:0", Phase.REDUCE)
             executor.log_node(
@@ -239,14 +234,15 @@ class TestLog:
         with executor.reducer_scope(1):
             executor.open_step("reduce", "reduce:1", Phase.REDUCE)
             executor.close_step()  # an empty root: a plan-only record
-        assert (len(graph), len(plan), len(log.records)) == (3, 3, 4)
+        assert (len(plan), log.heads, len(log.records)) == (3, 1, 4)
         assert executor.end_run().log is log
-        assert graph._nodes == [] and plan._steps == []
-        assert graph.counts_by_kind() == {"map": 1, "shuffle": 1, "memo_read": 1}
+        assert plan._steps == []
+        assert [record[0] for record in log.records] == [
+            "map", "shuffle", "memo_read", None,
+        ]
         assert [(step.op, step.reducer) for step in plan.steps] == [
             ("map", None), ("reduce", 0), ("reduce", 1),
         ]
-        assert len(graph) == len(graph.nodes) == 3
 
     def test_pass_through_whose_result_is_its_input(self):
         executors = late, eager = _executors()
@@ -258,11 +254,10 @@ class TestLog:
             assert executor.combine(tree, [value, Partition.empty()]) is value
         _to_both(executors, "log_node", "reduce", Phase.REDUCE, "a", 1.0, 1.0,
                  consumed=(value.uid,))
-        graph = _same_as_eager(late, eager)
-        source, forward, reduce = graph.nodes
-        assert forward.kind == "pass_through" and forward.deps == (source.uid,)
-        assert reduce.deps == (forward.uid,)
-        assert graph.producer_of(value) == forward.uid
+        source, forward, reduce = _same_as_eager(late, eager)
+        assert forward[0] == "pass_through"
+        assert source[PRODUCED] == forward[CONSUMED] == forward[PRODUCED]
+        assert reduce[CONSUMED] == (value.uid,)
 
     def test_an_empty_partition_is_never_registered(self):
         executor = PlanExecutor()
@@ -279,10 +274,11 @@ class TestLog:
             executor.memo_visit(empty, 0.1)
             executor.combine(tree, [empty, part([(f"a{index}", 1)])])
         executor.end_run()
-        graph = TaskGraph(log)
-        assert all(node.deps == () for node in graph.nodes)
-        assert graph.producer_of(Partition.empty()) is None
-        assert graph.producer_of(unshared) is None
+        named = {
+            uid for record in log.records for uid in record[CONSUMED] + record[PRODUCED]
+        }
+        assert not named & {Partition.empty().uid, unshared.uid}
+        assert log.records[0][PRODUCED] == ()
 
     def test_a_record_holds_no_partition(self):
         atoms = (int, float, str, bool, type(None), Phase)

@@ -5,12 +5,12 @@
 is never regenerated: a seed-parity regression.  This test replays the
 same fixed scenario on the current code and requires every recorded
 field — output fingerprints, per-phase work breakdowns, legacy
-wave-model makespans, graph node counts — to be ``==``, for all five
-tree variants.  (That configurations agree with *each other* is the
-oracle's job, ``tests/oracle``; this file is the one golden it left.)
-Beside it, :data:`LOG_DIGESTS` pins every field of every plan step and
-graph node of a second scenario, one with every node kind and a reduce
-step that executes none.
+wave-model makespans, node counts — to be ``==``, for all five tree
+variants.  (That configurations agree with *each other* is the oracle's
+job, ``tests/oracle``; this file is the one golden it left.)  Beside it,
+:data:`LOG_DIGESTS` pins every field of every plan step and every slot
+of every log record of a second scenario, one with every node kind and a
+reduce step that executes none.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.machine import Cluster, ClusterConfig
+from repro.core.plan import REDUCER
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import (
     VARIANTS,
     count_job,
-    graph_fields,
     plan_fields,
     run_record,
     split_of,
@@ -72,32 +72,32 @@ def test_variant_matches_seed_golden(variant, mode):
     assert scenario(variant, mode) == GOLDEN[variant]
 
 
-#: sha256 of ``repr`` of the ``plan_fields`` and of the ``graph_fields``
-#: of every run of :func:`logged`, captured while plan and graph were still
-#: logged separately: the one log reproduces both, field for field.  Once
-#: re-pinned since, for one field: a combine's cost is the float it
-#: charged, no longer a difference of the running total (only the
-#: rotating tree's graph held such a difference here).
+#: sha256 of ``repr`` of the ``plan_fields`` of every run of
+#: :func:`logged`, captured while plan and graph were still logged
+#: separately (the one log reproduces the plan field for field), and of
+#: ``repr`` of each run's log records.  The second column was re-pinned
+#: when the task-graph view went, from the code that still built it
+#: (whose graph digests held), with the records' ``follows`` slot dropped.
 LOG_DIGESTS = {
     "folding": (
         "c5daf84ae6b61f6edefb2e13ffff27b5d82d31a5f92a9c15eaeed2401bf157d9",
-        "b776651fb491c170dd4495b428f87186b9c7e8260df9d60950e0ef3b0662e2b6",
+        "c62808332a351b231a6a8ded394be9c4f288b6a37cf6e3d040469542238fb516",
     ),
     "randomized": (
         "a56620ca1100d971b9a55384c8b52ce64f62d4e33ed73c358631447bda27e701",
-        "94bd93e82a27c746f91c4b251a7241e8790d01db06c5584297e40437a9adb752",
+        "89a3661496c8fd3eec731567aaf995751fc8fc270d4a39b71b23a68b65d8c96d",
     ),
     "strawman": (
         "c6b70cd39f3512aa037ac4bfeb5d90dd4a3dbd4810793cc422dd0356ac7c0d07",
-        "3e58004ec61336dd3606072cd7e9c1c7ce31a36ea4cd652c9a014fdce50bf2ae",
+        "4f0ecefc83411e0fcc8e0f7d57f60d898dcd4fb6465ee1bfb93f1cc64e22dade",
     ),
     "rotating": (
         "20012a993dd4d6441af36f76bff96d5bb6bb4270955d07d6eb1d61346aaf9353",
-        "203b4c280f23bff432ef2b0d3e38ab1f6eaf60e411a2d6f8d123150666601d79",
+        "c6db50c2d27536ae932edd822544701592b34af6359cbfb2241c3ad393df5c08",
     ),
     "coalescing": (
         "1a39e90fed4a7bf0a81f1c9857a4a251563a1e2b619b46f4d2702a8db93a4df2",
-        "345d9516b286ae0e0e0b80b1e3fb94346a486098970e5ef4220947e45deb147e",
+        "8a0f6e5afa794b47990cf07926793acce4bfa699b1438750b2714402fd25d804",
     ),
 }
 
@@ -132,12 +132,12 @@ def test_the_scenario_logs_every_kind_of_node_and_a_reduce_with_none():
     kinds = set()
     for variant, mode in VARIANTS:
         for result in logged(variant, mode):
-            nodes = result.graph.nodes
-            kinds.update(node.kind for node in nodes)
+            records = result.plan.log.records
+            kinds.update(record[0] for record in records)
             reducing = {
-                node.reducer
-                for node in nodes
-                if node.kind == "reduce" or node.label.startswith("reduce-memo")
+                record[REDUCER]
+                for record in records
+                if record[0] == "reduce" or str(record[2]).startswith("reduce-memo")
             }
             idle = [
                 step.reducer
@@ -147,7 +147,7 @@ def test_the_scenario_logs_every_kind_of_node_and_a_reduce_with_none():
             assert idle == [2], (variant, result.run_index)
     assert kinds == {
         "map", "shuffle", "combine", "pass_through", "memo_read",
-        "memo_write", "reduce",
+        "memo_write", "reduce", None,
     }
 
 
@@ -158,5 +158,5 @@ def test_plan_and_graph_match_their_pinned_digests(variant, mode):
     results = logged(variant, mode)
     assert (
         _digest([plan_fields(result.plan) for result in results]),
-        _digest([graph_fields(result.graph) for result in results]),
+        _digest([result.plan.log.records for result in results]),
     ) == LOG_DIGESTS[variant]

@@ -42,8 +42,7 @@ from repro.common.hashing import stable_hash
 from repro.core import backends, parallel
 from repro.core.backends import ProcessBackend, parent_share
 from repro.core.partition import Partition
-from repro.core.plan import Plan, PlanStep
-from repro.core.taskgraph import STEP, TaskGraph, TaskNode
+from repro.core.plan import NODE_KINDS, STEP, Plan, PlanStep
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import BatchRuntime
@@ -139,15 +138,10 @@ def plain_counters(engine: Slider, *but: str) -> dict:
     }
 
 
-_node_fields = attrgetter(*(spec.name for spec in dataclasses.fields(TaskNode)))
 _step_fields = attrgetter(*(spec.name for spec in dataclasses.fields(PlanStep)))
-
-
-def graph_fields(graph: TaskGraph) -> list[tuple]:
-    """Every field of every node of a task graph, in order: uid, kind,
-    phase, label, cost, data size, memo-hit, reducer, split uid, memo
-    uid, deps.  Reading them builds the graph."""
-    return [_node_fields(node) for node in graph.nodes]
+#: The record slots only tests read (``repro.core.plan`` names the rest):
+#: memo hit, split uid and produced uids.
+MEMO_HIT, SPLIT_UID, PRODUCED = 5, 7, 10
 
 
 def plan_fields(plan: Plan) -> list[tuple]:
@@ -156,22 +150,25 @@ def plan_fields(plan: Plan) -> list[tuple]:
 
 
 def assert_one_log(result: SliderResult) -> None:
-    """The plan and the graph are views of one log: a record a node, plus
-    a plan-only record for each ``reduce`` step that executed none."""
+    """The plan is a view of the run's one log: a record a node of the
+    taxonomy, plus a plan-only record for each ``reduce`` step that
+    executed none, and a step for each record that opens one."""
     log = result.plan.log
-    assert result.graph.log is log
     heads = [record for record in log.records if record[0] is None]
-    assert len(log.records) == len(result.graph.nodes) + len(heads)
+    assert len(heads) == log.heads
     assert {record[STEP][0] for record in heads} <= {"reduce"}
-    opened = [record for record in log.records if record[STEP] is not None]
+    assert {record[0] for record in log.records} - {None} <= set(NODE_KINDS)
+    opened = [record[STEP] for record in log.records if record[STEP] is not None]
     assert len(result.plan) == len(opened) == len(result.plan.steps)
+    assert [step.op for step in result.plan.steps] == [atoms[0] for atoms in opened]
 
 
 def run_record(result: SliderResult) -> dict[str, Any]:
     """One run as ``golden_plan_equivalence.json`` records it (the seed
     code path wrote that file; nothing regenerates it)."""
     outputs = sorted((repr(k), repr(v)) for k, v in result.outputs.items())
-    graph = result.graph
+    log = result.plan.log
+    kinds = Counter(record[0] for record in log.records if record[0] is not None)
     return {
         "label": result.report.label,
         "work": result.report.work,
@@ -181,8 +178,8 @@ def run_record(result: SliderResult) -> dict[str, Any]:
         "outputs": f"{stable_hash(tuple(outputs), salt='equiv-out'):#x}",
         "changed_keys": len(result.changed_keys),
         "removed_keys": len(result.removed_keys),
-        "graph_nodes": len(graph),
-        "graph_kinds": dict(sorted(graph.counts_by_kind().items())),
+        "graph_nodes": len(log.records) - log.heads,
+        "graph_kinds": dict(sorted(kinds.items())),
     }
 
 
@@ -231,21 +228,21 @@ def count(engine: Slider, name: str) -> float:
 
 @contextmanager
 def counted_builds() -> Iterator[list[str]]:
-    """The ``PlanStep`` / ``TaskNode`` constructions of this process, one
-    entry each; in any other process (a forked worker) constructing one
-    raises, which reaches the parent as ``backend.worker_fallbacks``."""
+    """The ``PlanStep`` constructions of this process, one entry each; in
+    any other process (a forked worker) constructing one raises, which
+    reaches the parent as ``backend.worker_fallbacks``."""
     made: list[str] = []
     home = os.getpid()
+    init = PlanStep.__init__
+
+    def counting(self, *args, **kwargs):
+        if os.getpid() != home:
+            raise AssertionError("a worker built a PlanStep")
+        init(self, *args, **kwargs)
+        made.append("PlanStep")
+
     with pytest.MonkeyPatch.context() as patch:
-        for kind in (PlanStep, TaskNode):
-
-            def counting(self, *args, _init=kind.__init__, _kind=kind, **kwargs):
-                if os.getpid() != home:
-                    raise AssertionError(f"a worker built a {_kind.__name__}")
-                _init(self, *args, **kwargs)
-                made.append(_kind.__name__)
-
-            patch.setattr(kind, "__init__", counting)
+        patch.setattr(PlanStep, "__init__", counting)
         yield made
 
 
@@ -267,18 +264,20 @@ def _always_scans(engine: Slider) -> None:
     engine.planner.reduce_candidates = scan
 
 
-def order_free_reduces(graph: list[tuple]) -> list[tuple]:
-    """``graph`` with each reducer's run of ``reduce`` nodes as a multiset:
-    sorted by label, their uids (positions in the run) dropped.  Nothing
-    depends on a ``reduce`` node, so every other node keeps its fields."""
+def order_free_reduces(records: list[tuple]) -> list[tuple]:
+    """``records`` with each reducer's run of ``reduce`` records as a
+    multiset: sorted by ``repr`` of the key, and without the step slot,
+    which rides whichever key came first (the plans compare the steps).
+    Nothing consumes what a ``reduce`` node makes, so every other record
+    keeps its place."""
     keyed, run = [], 0
-    for index, node in enumerate(graph):
-        if node[1] == "reduce":
-            keyed.append(((run, node[3]), node[1:]))
+    for index, record in enumerate(records):
+        if record[0] == "reduce":
+            keyed.append(((run, repr(record[2])), record[:STEP]))
         else:
             run = index + 1
-            keyed.append(((index, ""), node))
-    return [node for _, node in sorted(keyed, key=lambda pair: pair[0])]
+            keyed.append(((index, ""), record))
+    return [record for _, record in sorted(keyed, key=lambda pair: pair[0])]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,10 +294,10 @@ class Arm:
     #: boundary of every walk is a kill point.
     restore_first: bool = False
     #: What may differ from the reference: result / report field names,
-    #: counter-name prefixes, and ``reduce_order`` (one reducer's
-    #: ``reduce`` nodes are then compared as a multiset).  A graph node's
-    #: cost is the float it charged, so a worker's nodes are held to the
-    #: bit like any other arm's.
+    #: counter-name prefixes, ``log`` (the run's records), and
+    #: ``reduce_order`` (one reducer's ``reduce`` records are then
+    #: compared as a multiset).  A record's cost is the float it charged,
+    #: so a worker's records are held to the bit like any other arm's.
     differs: tuple[str, ...] = ()
 
 
@@ -307,7 +306,7 @@ class Arm:
 RESTORED = ("plan_cache.", "plan_cache_hit", "now")
 #: What a machine's lost memory may cost: a result that was never
 #: replicated is computed again.  Outputs and plans stay equal.
-LOST_MEMORY = ("work", "breakdown", "space", "graph", "memo.", "new_map_tasks")
+LOST_MEMORY = ("work", "breakdown", "space", "log", "memo.", "new_map_tasks")
 
 #: To add an arm, add a line.  The reference is in process whatever the
 #: environment says, and so is every arm but ``process``: an arm differs
@@ -343,8 +342,9 @@ class Fleet:
     """A reference engine and its arms over one case, in lockstep.
 
     Every public method but :meth:`check`, :meth:`read_late` and
-    :meth:`close` is a rule.  The reference's graphs and plans are read
-    only by :meth:`read_late`; every other arm's after each run.
+    :meth:`close` is a rule.  The reference's plans are read only by
+    :meth:`read_late`; every other arm's after each run.  Every arm's
+    records are compared with the reference's after each run.
     """
 
     def __init__(
@@ -393,9 +393,8 @@ class Fleet:
         self.kinds: set[str] = set()
         self.ops: set[str] = set()
         self.signals: set[str] = set()
-        #: (a reference result, the arm it is compared with when read,
-        #: that arm's graph and plan fields as its run finished)
-        self.late: list[tuple[SliderResult, str, list, list]] = []
+        #: (a reference result, that arm's plan fields as its run finished)
+        self.late: list[tuple[SliderResult, list]] = []
         #: ``backend.worker_fallbacks`` the rules so far account for.
         self.fallbacks = 0
         #: Memo reads the cluster arm's backing served in corrupt rules,
@@ -437,12 +436,12 @@ class Fleet:
                 self._kill(name)
 
     def _each(self, operation: Callable[[Slider], Any]) -> dict[str, Any]:
-        """``operation`` on every arm, none of which builds a step or a
-        node for it; what it returns is equal to the bit across arms."""
+        """``operation`` on every arm, none of which builds a step for it;
+        what it returns is equal to the bit across arms."""
         self._restore_first()
         built = len(self.built)
         got = {name: operation(e) for name, e in self.engines.items()}
-        assert len(self.built) == built, "a rule built a PlanStep or a TaskNode"
+        assert len(self.built) == built, "a rule built a PlanStep"
         first = next(iter(got.values()))
         if not isinstance(first, SliderResult):
             assert all(bits(value) == bits(first) for value in got.values()), got
@@ -489,40 +488,40 @@ class Fleet:
                         getattr(ref.report, field)
                     ), (name, field)
             assert len(got.plan) == len(ref.plan), name
-            assert len(got.graph) == len(ref.graph) or "graph" in differs, name
             if name == "reference":
                 continue
-            graph, plan = graph_fields(got.graph), plan_fields(got.plan)
+            if "log" not in differs:
+                self._same_log(got, ref, "reduce_order" in differs, name)
+            plan = plan_fields(got.plan)
             if base is None:
-                base = (name, graph, plan)
-                self.kinds.update(node[1] for node in graph)
+                base = plan
+                self.kinds.update(record[0] for record in got.plan.log.records)
+                self.kinds.discard(None)  # a plan-only record
                 self.ops.update(step[1] for step in plan[1:])
             else:
-                assert plan == base[2], (name, "plan")
-                if "graph" not in differs:
-                    self._same_graph(graph, base[1], name, base[0])
+                assert plan == base, (name, "plan")
         if base is not None:
-            self.late.append((ref, *base))
+            self.late.append((ref, base))
             if len(self.late) > 256:
                 self.read_late()
 
-    def _same_graph(self, graph: list, other: list, name: str, other_name: str) -> None:
-        differs = self.differs[name] | self.differs[other_name]
-        if "reduce_order" in differs:
-            graph, other = order_free_reduces(graph), order_free_reduces(other)
-        assert graph == other, (name, "graph")
-        assert bits([n[4] for n in graph]) == bits([n[4] for n in other]), name
+    @staticmethod
+    def _same_log(
+        got: SliderResult, ref: SliderResult, unordered: bool, name: str
+    ) -> None:
+        records, other = got.plan.log.records, ref.plan.log.records
+        if unordered:
+            records, other = order_free_reduces(records), order_free_reduces(other)
+        assert records == other, (name, "log")
+        assert bits([r[3] for r in records]) == bits([r[3] for r in other]), name
 
     def read_late(self) -> None:
-        """Only now is any graph or plan of the reference read: each is
-        what the arm that read at once saw."""
+        """Only now is any plan of the reference read: each is what the
+        arm that read at once saw."""
         late, self.late = self.late, []
-        for result, name, graph, plan in late:
+        for result, plan in late:
             assert result.plan._steps == [] and len(result.plan) == len(plan) - 1
-            assert result.graph._nodes == [] and len(result.graph) == len(graph)
             assert plan_fields(result.plan) == plan
-            self._same_graph(graph_fields(result.graph), graph, "reference", name)
-            assert len(result.graph.nodes) == len(result.graph) == len(graph)
             assert_one_log(result)
 
     def _resident_is_the_mirror(self, engine: Slider) -> None:

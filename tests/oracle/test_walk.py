@@ -19,8 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro
-from repro.core.plan import PLAN_OPS
-from repro.core.taskgraph import NODE_KINDS
+from repro.core.plan import NODE_KINDS, PLAN_OPS
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import ARMS, ALL, CASES, DISPATCHING, Fleet, case_of, count
 

@@ -1,15 +1,15 @@
-"""Nothing is built until read, and a kept result pins nothing.
+"""Nothing is built, and a kept result pins nothing.
 
-An advance logs its nodes as flat records; ``TaskNode`` values
-exist only once somebody reads ``result.graph``.  That no rule of any
-walk builds one — in the engine's process or, where constructing one
-raises, in a worker — is an invariant of the oracle (``tests/oracle``:
-``counted_builds`` around every rule).  Here: the long steady walks this
-suite has always named; a result kept for a hundred advances still reads
-as the graph of its run; an unread result holds none of its run's
-partitions; and what a run costs on a cluster (two waves, priced from
-measured work, not from the graph) is pinned to the bit, calm and on the
-event executor.
+An advance logs its nodes as flat records and builds nothing from them:
+no ``PlanStep`` is made until somebody reads ``result.plan.steps``.  That
+no rule of any walk builds one — in the engine's process or, where
+constructing one raises, in a worker — is an invariant of the oracle
+(``tests/oracle``: ``counted_builds`` around every rule).  Here: the long
+steady walks this suite has always named; a result kept for a hundred
+advances still holds the records of its run; a kept result holds none of
+its run's partitions; and what a run costs on a cluster (two waves,
+priced from measured work, not from the records) is pinned to the bit,
+calm and on the event executor.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from tests.oracle.fleet import (
     case_of,
     count,
     count_job,
-    graph_fields as fields,
     split_of,
 )
 
@@ -73,8 +72,8 @@ def dispatched(variant, monkeypatch):
     """The process arm's latest result after 65 dispatched advances, and
     its workers' replies: each carries its run's log as one list of flat
     records, beside its root, state delta and telemetry, and nothing
-    built (a worker that built a ``PlanStep`` or a ``TaskNode`` raises,
-    and the fleet fails on the fallback).  No payload asks for more, and
+    built (a worker that built a ``PlanStep`` raises, and the fleet fails
+    on the fallback).  No payload asks for more, and
     once a worker holds its tree none carries it.  Four reducers: the
     parent advances 0 and 1 itself, the workers 2 and 3."""
     replies, payloads = [], []
@@ -112,7 +111,6 @@ def dispatched(variant, monkeypatch):
             assert type(reply["log"]) is list and reply["log"]
             assert all(flat(record) for record in reply["log"])
             assert b"PlanStep" not in pickle.dumps(reply)
-            assert b"TaskNode" not in pickle.dumps(reply)
         yield last, replies
 
 
@@ -125,10 +123,12 @@ def flat(record) -> bool:
 
 @pytest.mark.parametrize("variant,mode", VARIANTS)
 def test_an_advance_builds_no_node(variant, mode):
+    """Each advance logs its nodes, and nothing is made of them."""
     with unread(variant) as (results, built):
-        assert sum(len(result.graph) for result in results) > 64 * 10
-        assert built == []  # len does not build either
-        assert len(results[-1].graph.nodes) == len(built) > 10
+        logs = [result.plan.log for result in results]
+        assert sum(len(log.records) - log.heads for log in logs) > 64 * 10
+        assert all(flat(record) for log in logs for record in log.records)
+        assert built == []
 
 
 @pytest.mark.parametrize("variant,mode", DISPATCHING)
@@ -141,9 +141,9 @@ def test_a_worker_builds_no_node_and_replies_with_records(variant, mode, monkeyp
 def test_results_kept_for_a_hundred_advances_read_as_their_runs(variant, mode):
     late, twin = (make_slider(variant, mode, auto_gc=True) for _ in range(2))
     kept = steady(late, mode, 128)[::16]
-    as_finished = [fields(r.graph) for r in steady(twin, mode, 128)][::16]
+    as_finished = [list(r.plan.log.records) for r in steady(twin, mode, 128)][::16]
     assert len(kept) == 9
-    assert [fields(result.graph) for result in kept] == as_finished
+    assert [result.plan.log.records for result in kept] == as_finished
 
 
 def _live_partitions(uids: set[int]) -> int:
@@ -170,9 +170,10 @@ def test_an_unread_result_pins_no_partition_of_its_run(variant, mode):
         results.append(slider.advance([own_split(i)], 1))
     slider.collect_garbage()
     assert first.uid not in slider.map_memo
-    assert len(results[0].graph) > 10  # held, whole, unread
+    records = results[0].plan.log.records
+    assert len(records) > 10  # held, whole
     assert _live_partitions(leaf_uids) == 0
-    assert results[0].graph.counts_by_kind()["map"] == 6
+    assert [record[0] for record in records].count("map") == 6
 
 
 #: ``report.time`` of an initial run over six splits, then two slides,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.taskgraph import STEP
+from repro.core.plan import STEP
 from tests.slider.test_graph_unbuilt import (
     DISPATCHING,
     VARIANTS,

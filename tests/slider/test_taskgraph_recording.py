@@ -1,8 +1,8 @@
-"""The task-graph IR recorded per run, and its equivalence to the charges.
+"""The log recorded per run, and its equivalence to the charges.
 
 The core invariant of the refactor: the per-phase work charged to the
-engine's telemetry is a *derived view* of the task graph — per-phase work
-summed over graph nodes equals what was charged (up to float summation
+engine's telemetry is a *derived view* of the run's log — per-phase work
+summed over its records equals what was charged (up to float summation
 order), for every tree variant and every kind of window movement.
 """
 
@@ -11,11 +11,12 @@ import dataclasses
 import pytest
 
 from repro.cluster import ChaosSchedule, Cluster, ClusterConfig, MachineCrash
+from repro.core.plan import CONSUMED, REDUCER
 from repro.mapreduce.types import Split
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-from tests.oracle.fleet import VARIANTS, count_job, split_of
+from tests.oracle.fleet import PRODUCED, VARIANTS, count_job, split_of
 
 
 def make_slider(variant, mode, cluster=None, **config_kwargs):
@@ -23,15 +24,19 @@ def make_slider(variant, mode, cluster=None, **config_kwargs):
     return Slider(count_job(), mode, config=config, cluster=cluster)
 
 
+def kinds(result) -> list:
+    """The kind of each node the run logged, in order."""
+    return [record[0] for record in result.plan.log.records if record[0] is not None]
+
+
 def assert_graph_matches_meter(result):
-    """Graph-derived work equals the meter's per-run breakdown, per phase."""
-    graph = result.graph
-    assert graph is not None
-    # Edges point backwards: the graph is acyclic by construction.
-    assert all(dep < node.uid for node in graph.nodes for dep in node.deps)
-    by_phase = {
-        phase.value: amount for phase, amount in graph.work_by_phase().items()
-    }
+    """Work summed over the run's records equals the meter's per-run
+    breakdown, per phase."""
+    records = [record for record in result.plan.log.records if record[0] is not None]
+    by_phase: dict[str, float] = {}
+    for record in records:
+        phase = record[1].value
+        by_phase[phase] = by_phase.get(phase, 0.0) + record[3]
     breakdown = {
         name: amount
         for name, amount in result.report.breakdown.items()
@@ -41,7 +46,7 @@ def assert_graph_matches_meter(result):
         assert by_phase.get(name, 0.0) == pytest.approx(amount), name
     for name in by_phase:
         assert name in breakdown or by_phase[name] == pytest.approx(0.0)
-    assert graph.total_work() == pytest.approx(result.report.work)
+    assert sum(record[3] for record in records) == pytest.approx(result.report.work)
 
 
 @pytest.mark.parametrize("variant,mode", VARIANTS)
@@ -65,47 +70,57 @@ def test_graph_taxonomy(variant, mode):
     initial = slider.initial_run(
         [Split.from_records([f"k{i}"] * 8, label=f"s{i}") for i in range(6)]
     )
-    counts = initial.graph.counts_by_kind()
-    assert counts["map"] == 6
-    assert counts.get("reduce", 0) == len(initial.changed_keys)
+    counts = kinds(initial)
+    assert counts.count("map") == 6
+    assert counts.count("reduce") == len(initial.changed_keys)
     removed = 0 if mode is WindowMode.APPEND else 1
     narrow = Split.from_records(["k0"] * 8, label="narrow")
     result = slider.advance([narrow], removed)
-    counts = result.graph.counts_by_kind()
-    assert counts["map"] == 1
+    counts = kinds(result)
+    assert counts.count("map") == 1
     # Unchanged keys must be served from memoized state.
-    assert counts.get("memo_read", 0) > 0
+    assert counts.count("memo_read") > 0
 
 
 def test_reduce_nodes_depend_on_combines():
     slider = make_slider("folding", WindowMode.VARIABLE)
     slider.initial_run([split_of(i) for i in range(4)])
-    graph = slider.advance([split_of(9)], 1).graph
-    reduce_nodes = [n for n in graph.nodes if n.kind == "reduce"]
-    assert reduce_nodes
-    for node in reduce_nodes:
-        assert node.reducer is not None
-        assert node.deps, "reduce must consume this run's tree output"
+    records = slider.advance([split_of(9)], 1).plan.log.records
+    produced = set()
+    for record in records:
+        if record[0] == "reduce":
+            assert record[REDUCER] is not None
+            assert set(record[CONSUMED]) <= produced, (
+                "reduce must consume this run's tree output"
+            )
+        elif record[0] in ("combine", "pass_through"):
+            produced.update(record[PRODUCED])
+    assert "reduce" in [record[0] for record in records]
 
 
 def test_map_outputs_feed_combines():
     slider = make_slider("folding", WindowMode.VARIABLE)
     slider.initial_run([split_of(i) for i in range(4)])
-    graph = slider.advance([split_of(9)], 0).graph
-    kinds = {n.uid: n.kind for n in graph.nodes}
-    feeding = {
-        kinds[d]
-        for n in graph.nodes
-        if n.kind in ("combine", "pass_through")
-        for d in n.deps
+    records = slider.advance([split_of(9)], 0).plan.log.records
+    mapped = {
+        uid
+        for record in records
+        if record[0] in ("map", "shuffle")
+        for uid in record[PRODUCED]
+    }
+    consumed = {
+        uid
+        for record in records
+        if record[0] in ("combine", "pass_through")
+        for uid in record[CONSUMED]
     }
     # The fresh split's shuffle output is consumed by the tree.
-    assert "shuffle" in feeding or "map" in feeding
+    assert mapped and mapped <= consumed
 
 
 def test_background_work_not_recorded():
     """Background pre-processing runs between windows and must not leak
-    into any run's graph."""
+    into any run's log."""
     slider = make_slider(
         "rotating", WindowMode.FIXED, split_mode=True, bucket_size=1
     )
@@ -115,23 +130,23 @@ def test_background_work_not_recorded():
     second = slider.advance([split_of(11)], 1)
     for result in (first, second):
         assert all(
-            node.phase is not Phase.BACKGROUND for node in result.graph.nodes
+            record[1] is not Phase.BACKGROUND
+            for record in result.plan.log.records
         )
         assert_graph_matches_meter(result)
 
 
 def test_record_graph_shim_is_gone():
-    """The deprecation window elapsed: the plan/graph IR is the run, and
-    SliderConfig no longer carries the dead knob at all."""
+    """The deprecation window elapsed: the log is the run, and neither
+    SliderConfig nor a result carries the dead knob or the graph view."""
     with pytest.raises(TypeError, match="record_graph"):
         SliderConfig(mode=WindowMode.VARIABLE, record_graph=False)
     slider = Slider(count_job(), WindowMode.VARIABLE)
     result = slider.initial_run([split_of(0)])
-    assert result.graph is not None
-    assert result.plan is not None
+    assert result.plan.log.records
+    assert not hasattr(result, "graph")
     result = slider.advance([split_of(1)], 0)
-    assert result.graph is not None
-    assert result.plan is not None
+    assert result.plan.log.records
 
 
 def test_dag_time_model_validates():
@@ -142,7 +157,7 @@ def test_dag_time_model_validates():
 
 
 class TestDagTimeModel:
-    """On a cluster, graph-derived work still equals the meter's work for
+    """On a cluster, log-derived work still equals the meter's work for
     every run, outputs stay correct, and the simulated time is a map wave
     then a reduce wave: the barrier falls inside the makespan."""
 
@@ -171,7 +186,7 @@ class TestDagTimeModel:
 
     def test_waves_default_unchanged_by_dag_availability(self):
         """The legacy two-wave replay is byte-identical across two
-        identically configured engines (graphs are always recorded)."""
+        identically configured engines (logs are always recorded)."""
         recorded = make_slider(
             "folding", WindowMode.VARIABLE, cluster=self.quiet_cluster()
         )

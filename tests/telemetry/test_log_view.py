@@ -157,7 +157,7 @@ def test_every_combine_logs_what_it_charged(variant, mode):
         charged = {at: (phase, amount) for at, phase, amount in ledger.charges}
         combines = [
             (index, record)
-            for index, record in enumerate(results[-1].graph.log.records)
+            for index, record in enumerate(results[-1].plan.log.records)
             if record[0] == "combine" and record[9]
         ]
         assert combines
