@@ -37,7 +37,7 @@ exactness law is the one that compares with ``==``: it is what licenses
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -72,24 +72,29 @@ class _LawFalsified(AssertionError):
 
 LeafFactory = Callable[[Combiner], st.SearchStrategy]
 
-#: combiner class -> (leaf factory, factory of the leaves ``exact`` covers)
-_LEAF_REGISTRY: dict[type, tuple[LeafFactory, LeafFactory]] = {}
+#: combiner class -> (leaf factory, factory of the leaves ``exact`` covers,
+#: witness leaves)
+_LEAF_REGISTRY: dict[type, tuple[LeafFactory, LeafFactory, tuple]] = {}
 
 
 def register_leaf_strategy(
     combiner_type: type,
     factory: LeafFactory,
     exact_leaves: LeafFactory | None = None,
+    witnesses: tuple = (),
 ) -> None:
     """Register the leaf-value strategy for a combiner class.
 
     ``exact_leaves`` narrows the domain over which the class's ``exact``
     declaration is claimed (and checked); by default it is every leaf.
+    ``witnesses``, three leaves of that domain whose merge re-bracketed
+    differs unless the merge is exact, are tried before the search, so a
+    verdict never rests on what the search happens to draw.
     App combiners can instead define a ``law_leaves()`` method returning a
     hypothesis strategy (and ``law_exact_leaves()`` to narrow it); the
     methods win over the registry.
     """
-    _LEAF_REGISTRY[combiner_type] = (factory, exact_leaves or factory)
+    _LEAF_REGISTRY[combiner_type] = (factory, exact_leaves or factory, witnesses)
 
 
 def _numbers() -> st.SearchStrategy:
@@ -109,12 +114,16 @@ register_leaf_strategy(
 )
 register_leaf_strategy(MinCombiner, lambda c: _numbers())
 register_leaf_strategy(MaxCombiner, lambda c: _numbers())
+# 0.1 + (0.2 + 0.7) != 1.0, the one merge's sum, whether that sum is a
+# plain left fold or a compensated one (``sum`` from CPython 3.12).
+_FLOAT_WITNESSES = (0.1, 0.2, 0.7)
 register_leaf_strategy(
     MeanCombiner,
     lambda c: st.tuples(
         st.just(1),
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
     ),
+    witnesses=tuple((1, x) for x in _FLOAT_WITNESSES),
 )
 register_leaf_strategy(TopKCombiner, lambda c: st.tuples(_entry()))
 register_leaf_strategy(KSmallestCombiner, lambda c: st.tuples(_entry()))
@@ -138,12 +147,19 @@ register_leaf_strategy(
             )
         ),
     ),
+    witnesses=tuple((1, (x, x, x)) for x in _FLOAT_WITNESSES),
 )
 
 
 register_leaf_strategy(
     SetUnionCombiner, lambda c: st.frozensets(st.integers(0, 100), max_size=5)
 )
+
+
+def _registered(combiner: Combiner) -> tuple | None:
+    """The registry entry nearest ``combiner``'s class in its MRO, if any."""
+    entries = map(_LEAF_REGISTRY.get, type(combiner).__mro__)
+    return next((entry for entry in entries if entry is not None), None)
 
 
 def leaf_strategy_for(
@@ -156,11 +172,8 @@ def leaf_strategy_for(
         if exact:
             law_leaves = getattr(combiner, "law_exact_leaves", law_leaves)
         return law_leaves()
-    for klass in type(combiner).__mro__:
-        factories = _LEAF_REGISTRY.get(klass)
-        if factories is not None:
-            return factories[exact](combiner)
-    return None
+    entry = _registered(combiner)
+    return None if entry is None else entry[exact](combiner)
 
 
 def value_strategy_for(combiner: Combiner) -> st.SearchStrategy | None:
@@ -203,6 +216,16 @@ def rearranged_strategy_for(combiner: Combiner) -> st.SearchStrategy:
     return rearranged()
 
 
+def _exactness_witnesses(combiner: Combiner) -> list[tuple]:
+    """Exactness-check arguments from registered witnesses ``a, b, c``: their
+    one merge against ``merge(a, merge(b, c))``; none under ``law_leaves()``."""
+    entry = _registered(combiner)
+    if entry is None or not entry[2] or hasattr(combiner, "law_leaves"):
+        return []
+    a, b, c = entry[2]
+    return [(([a, b, c], _Bracket([a, _Bracket([b, c])])),)]
+
+
 # ---------------------------------------------------------------------------
 # the laws
 
@@ -223,8 +246,10 @@ def _check_law(
     strategies: tuple[st.SearchStrategy, ...],
     body: Callable[..., None],
     max_examples: int,
+    witnesses: Sequence[tuple] = (),
 ) -> Finding | None:
-    """Run one law under hypothesis; a Finding means it was falsified."""
+    """Run one law on ``witnesses`` (the arguments of a check each), then
+    under hypothesis; a Finding means it was falsified."""
 
     configure = settings(
         max_examples=max_examples,
@@ -245,6 +270,8 @@ def _check_law(
         body(*values)
 
     try:
+        for witness in witnesses:
+            body(*witness)
         run()
     except _LawFalsified as counterexample:
         return Finding(
@@ -388,7 +415,7 @@ def check_combiner_laws(
     if combiner.exact:
         finding = _check_law(
             "exactness", label, (rearranged_strategy_for(combiner),), exactness,
-            max_examples,
+            max_examples, _exactness_witnesses(combiner),
         )
         if finding:
             findings.append(finding)

@@ -23,21 +23,22 @@ from repro.common.hashing import stable_hash
 from repro.core.partition import Partition
 from repro.telemetry import Telemetry
 
+# The shim I/O layer's read prices, in abstract seconds per object size.
+MEMORY_READ_COST = 0.0015
+DISK_READ_COST = 0.003
+NETWORK_READ_COST = 0.002
+#: The fixed per-read cost of consulting the master index, paid regardless
+#: of which layer serves the object — it is why small-object reads benefit
+#: less from in-memory caching than large-object reads (Table 2's
+#: per-application spread).
+LOOKUP_OVERHEAD = 0.005
+
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Cost knobs for the shim I/O layer (abstract seconds per object size).
+    """What the fault-tolerance ablation and Table 2 sweep: persisted
+    copies per object, and whether reads may be served from memory."""
 
-    ``lookup_overhead`` is the fixed per-read cost of consulting the master
-    index, paid regardless of which layer serves the object — it is why
-    small-object reads benefit less from in-memory caching than large-object
-    reads (Table 2's per-application spread).
-    """
-
-    memory_read_cost: float = 0.0015
-    disk_read_cost: float = 0.003
-    network_read_cost: float = 0.002
-    lookup_overhead: float = 0.005
     replicas: int = 2
     in_memory_enabled: bool = True
 
@@ -133,8 +134,7 @@ class DistributedMemoCache:
             if found is not None:
                 self.stats.memory_reads += 1
                 self.stats.read_time += (
-                    self.config.lookup_overhead
-                    + self.config.memory_read_cost * max(1, len(found))
+                    LOOKUP_OVERHEAD + MEMORY_READ_COST * max(1, len(found))
                 )
                 if self.telemetry is not None:
                     self.telemetry.count("cache.memory_reads")
@@ -146,8 +146,8 @@ class DistributedMemoCache:
             found = self._disk[machine.machine_id].get(uid)
             if found is not None:
                 self.stats.fallback_reads += 1
-                self.stats.read_time += self.config.lookup_overhead + (
-                    self.config.disk_read_cost + self.config.network_read_cost
+                self.stats.read_time += LOOKUP_OVERHEAD + (
+                    DISK_READ_COST + NETWORK_READ_COST
                 ) * max(1, len(found))
                 if self.telemetry is not None:
                     self.telemetry.count("cache.fallback_reads")
@@ -221,8 +221,8 @@ class DistributedMemoCache:
                 live_holders.append(candidate)
                 self.stats.repaired_objects += 1
                 self.stats.repair_bytes += size
-                self.stats.read_time += self.config.lookup_overhead + (
-                    self.config.disk_read_cost + self.config.network_read_cost
+                self.stats.read_time += LOOKUP_OVERHEAD + (
+                    DISK_READ_COST + NETWORK_READ_COST
                 ) * size
                 copied += size
                 needed -= 1

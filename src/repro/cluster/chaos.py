@@ -69,13 +69,19 @@ class CorruptionEvent:
         return picks
 
 
+#: Share of its expected duration a transiently failing attempt runs
+#: before it dies.
+FAILURE_FRACTION = 0.5
+#: Chance that a crashed machine of a random schedule comes back.
+RECOVER_PROBABILITY = 0.5
+
+
 @dataclass(frozen=True)
 class TransientFaults:
     """Attempt-level failures: each attempt dies with ``probability``,
-    after ``failure_fraction`` of its expected duration has elapsed."""
+    after ``FAILURE_FRACTION`` of its expected duration has elapsed."""
 
     probability: float = 0.0
-    failure_fraction: float = 0.5
 
 
 @dataclass
@@ -127,31 +133,24 @@ class ChaosSchedule:
         seed: int,
         horizon: float,
         crash_probability: float = 0.5,
-        max_crashes: int = 1,
-        recover_probability: float = 0.5,
         straggle_probability: float = 0.3,
         transient_rate: float = 0.0,
     ) -> "ChaosSchedule":
         """Draw one schedule with fault times inside ``[0, horizon)``.
 
-        ``max_crashes`` bounds simultaneous deaths so that, with the
-        default replication factor of 2, at least one persisted copy of
+        At most one machine crashes, and never the last one, so that with
+        the cache's default two replicas at least one persisted copy of
         every memoized object stays reachable.
         """
         rng = RngStream(seed, "chaos")
         machine_ids = [m.machine_id for m in cluster.machines]
         crashes: list[MachineCrash] = []
         crash_rng = rng.child("crashes")
-        limit = min(max_crashes, max(0, len(machine_ids) - 1))
-        for _ in range(limit):
-            if not crash_rng.coin(crash_probability):
-                continue
-            victims = [m for m in machine_ids
-                       if m not in {c.machine_id for c in crashes}]
-            victim = int(crash_rng.choice(victims))
+        if len(machine_ids) > 1 and crash_rng.coin(crash_probability):
+            victim = int(crash_rng.choice(machine_ids))
             when = float(crash_rng.uniform(0.0, horizon))
             recover_at = None
-            if crash_rng.coin(recover_probability):
+            if crash_rng.coin(RECOVER_PROBABILITY):
                 recover_at = when + float(
                     crash_rng.uniform(0.1 * horizon, 0.5 * horizon)
                 )

@@ -1,9 +1,9 @@
 """Machines and cluster configuration.
 
 Mirrors the paper's testbed shape (§7.1): a master plus worker machines,
-each with a number of task slots and a relative speed.  Stragglers are
-modeled as machines whose speed is scaled down by a straggle factor, chosen
-deterministically from the cluster RNG so experiments are reproducible.
+each with task slots, running one work unit a second.  Stragglers run at a
+straggle factor of that speed, chosen deterministically from the cluster
+RNG so experiments are reproducible.
 """
 
 from __future__ import annotations
@@ -14,26 +14,27 @@ from dataclasses import dataclass
 from repro.common.errors import SchedulingError
 from repro.common.rng import RngStream
 
+#: Speed multiplier applied to straggler machines.
+STRAGGLER_SLOWDOWN = 0.5
+#: Seconds to move one abstract byte across the network.
+NETWORK_COST_PER_BYTE = 0.002
+
 
 @dataclass
 class Machine:
-    """One worker: ``slots`` parallel task slots at ``speed`` work-units/sec."""
+    """One worker: ``slots`` task slots at one work unit a second times ``straggle``."""
 
     machine_id: int
     slots: int = 2
-    speed: float = 1.0
     alive: bool = True
     #: Multiplier < 1 models a temporarily overloaded (straggler) node.
     straggle: float = 1.0
 
-    def effective_speed(self) -> float:
-        if not self.alive:
-            raise SchedulingError(f"machine {self.machine_id} is dead")
-        return self.speed * self.straggle
-
     def duration_for(self, cost: float) -> float:
         """Seconds to execute ``cost`` work units on this machine."""
-        return cost / self.effective_speed()
+        if not self.alive:
+            raise SchedulingError(f"machine {self.machine_id} is dead")
+        return cost / self.straggle
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,8 @@ class ClusterConfig:
 
     num_machines: int = 24
     slots_per_machine: int = 2
-    base_speed: float = 1.0
     #: Fraction of machines that are stragglers in a given run.
     straggler_fraction: float = 0.08
-    #: Speed multiplier applied to straggler machines.
-    straggler_slowdown: float = 0.5
-    #: Seconds to move one abstract byte across the network.
-    network_cost_per_byte: float = 0.002
-    #: Extra seconds to read one abstract byte from disk instead of memory.
-    disk_cost_per_byte: float = 0.004
     seed: int = 42
 
 
@@ -62,11 +56,7 @@ class Cluster:
         if self.config.num_machines <= 0:
             raise SchedulingError("cluster needs at least one machine")
         self.machines = [
-            Machine(
-                machine_id=i,
-                slots=self.config.slots_per_machine,
-                speed=self.config.base_speed,
-            )
+            Machine(machine_id=i, slots=self.config.slots_per_machine)
             for i in range(self.config.num_machines)
         ]
         self._rng = RngStream(self.config.seed, "cluster")
@@ -136,5 +126,5 @@ class Cluster:
         chosen = self._rng.choice(candidates, size=count, replace=False)
         ids = [int(i) for i in chosen]
         for machine_id in ids:
-            self.machines[machine_id].straggle = self.config.straggler_slowdown
+            self.machines[machine_id].straggle = STRAGGLER_SLOWDOWN
         return ids

@@ -24,7 +24,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.cluster.machine import Cluster
+from repro.cluster.machine import NETWORK_COST_PER_BYTE, Cluster
+
+#: Seconds a memoization-local slot may finish later than the best remote
+#: slot and still take the task (:class:`HybridScheduler`).
+PATIENCE = 1.0
 
 
 @dataclass
@@ -155,15 +159,12 @@ class HybridScheduler(Scheduler):
 
     Estimates per-slot finish times (including the fetch penalty for
     running away from the memoized state).  The task stays local unless a
-    remote slot would finish more than ``patience`` seconds sooner — which
+    remote slot would finish more than ``PATIENCE`` seconds sooner — which
     happens exactly when the preferred machine is slow (a straggler) or
     backed up.
     """
 
     name = "hybrid"
-
-    def __init__(self, patience: float = 1.0):
-        self.patience = patience
 
     def choose(self, task, free_times, cluster):
         best: tuple[float, int, int] | None = None
@@ -178,9 +179,7 @@ class HybridScheduler(Scheduler):
                     task.preferred_machine is not None
                     and machine_id != task.preferred_machine
                 ):
-                    finish += (
-                        task.fetch_bytes * cluster.config.network_cost_per_byte
-                    )
+                    finish += task.fetch_bytes * NETWORK_COST_PER_BYTE
                 key = (finish, machine_id, slot_index)
                 if best is None or key < best:
                     best = key
@@ -190,7 +189,7 @@ class HybridScheduler(Scheduler):
                     local = key
         if best is None:
             raise ValueError("no schedulable slots")
-        if local is not None and local[0] <= best[0] + self.patience:
+        if local is not None and local[0] <= best[0] + PATIENCE:
             return local[1], local[2]
         return best[1], best[2]
 

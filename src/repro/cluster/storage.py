@@ -18,6 +18,9 @@ from repro.common.hashing import stable_hash
 from repro.mapreduce.types import Split
 from repro.telemetry import Telemetry
 
+#: Copies of each block, HDFS's default.
+REPLICATION = 3
+
 
 @dataclass
 class BlockInfo:
@@ -34,13 +37,9 @@ class BlockStore:
     def __init__(
         self,
         cluster: Cluster,
-        replication: int = 3,
         telemetry: Telemetry | None = None,
     ) -> None:
-        if replication <= 0:
-            raise ValueError(f"replication must be positive, got {replication}")
         self.cluster = cluster
-        self.replication = replication
         #: Telemetry backbone to emit replication events/counters into.
         self.telemetry = telemetry
         self._blocks: dict[int, BlockInfo] = {}
@@ -132,7 +131,7 @@ class BlockStore:
 
     def _place(self, split_uid: int) -> list[int]:
         alive = [m.machine_id for m in self.cluster.alive_machines()]
-        count = min(self.replication, len(alive))
+        count = min(REPLICATION, len(alive))
         home_index = stable_hash(split_uid, salt="block-home") % len(alive)
         replicas = []
         for offset in range(count):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from repro.cluster.chaos import FAILURE_FRACTION
 from repro.cluster.exec_faults import FaultMachineryMixin
 from repro.cluster.exec_types import (
     AttemptState,
@@ -47,7 +48,7 @@ from repro.cluster.exec_types import (
     _Commitment,
     _TaskState,
 )
-from repro.cluster.machine import Cluster, Machine
+from repro.cluster.machine import NETWORK_COST_PER_BYTE, Cluster, Machine
 from repro.cluster.scheduler import Assignment, Scheduler, SimTask
 from repro.cluster.simulation import EventQueue, SimClock
 from repro.common.errors import SchedulingError
@@ -253,14 +254,10 @@ class WaveExecutor(FaultMachineryMixin):
     def _duration_on(
         self, machine: Machine, task: SimTask, fetched: bool
     ) -> float:
-        if machine.alive:
-            duration = machine.duration_for(task.cost)
-        else:  # undetected-dead machine: the attempt is doomed anyway
-            duration = task.cost / (machine.speed * machine.straggle)
+        # Priced alike on an undetected-dead machine: the attempt is doomed.
+        duration = task.cost / machine.straggle
         if fetched:
-            duration += (
-                task.fetch_bytes * self.cluster.config.network_cost_per_byte
-            )
+            duration += task.fetch_bytes * NETWORK_COST_PER_BYTE
         return duration
 
     # -- attempt lifecycle --------------------------------------------------
@@ -300,7 +297,7 @@ class WaveExecutor(FaultMachineryMixin):
             state.task.label, attempt.number
         ):
             # attempt_fails() is True only under a TransientFaults.
-            fail_at = now + duration * self.chaos.transient.failure_fraction
+            fail_at = now + duration * FAILURE_FRACTION
             self.events.push(fail_at, ("fail", attempt))
         else:
             self.events.push(attempt.expected_finish, ("finish", attempt))

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.common.errors import CombinerContractError
 from repro.core.execute import PlanExecutor
 from repro.core.memo import MemoTable
-from repro.core.partition import Partition, combine_partitions
+from repro.core.partition import Partition, combine_partitions, count_keys
 from repro.telemetry import Phase, SpanKind
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
@@ -68,8 +68,6 @@ class ContractionTree(ABC):
         combiner: Combiner,
         memo: MemoTable | None = None,
         combine_cost_factor: float = 1.0,
-        memo_read_cost: float = 0.01,
-        memo_write_cost: float = 0.02,
         executor: PlanExecutor | None = None,
     ) -> None:
         if not combiner.associative:
@@ -79,8 +77,6 @@ class ContractionTree(ABC):
         self.combiner = combiner
         self.memo = memo if memo is not None else MemoTable()
         self.combine_cost_factor = combine_cost_factor
-        self.memo_read_cost = memo_read_cost
-        self.memo_write_cost = memo_write_cost
         self.invocation_overhead = self.DEFAULT_INVOCATION_OVERHEAD
         self.stats = TreeStats()
         self._ran_initial = False
@@ -154,7 +150,7 @@ class ContractionTree(ABC):
     @staticmethod
     def _node_keys(value: Any) -> int:
         """Keys one ``_cache`` value holds (the strawman caches triples)."""
-        return len(value)
+        return len(value.entries)
 
     def _set_node(self, position: tuple[int, int], value: Any) -> None:
         """Cache ``value`` as the node at ``position``."""
@@ -186,11 +182,12 @@ class ContractionTree(ABC):
         restore needs after setting ``_cache`` wholesale; the tests hold
         :meth:`space` to this after every step.  Never on the advance path.
         """
-        self._cache_keys = sum(map(self._node_keys, self._cache.values()))
-        return (
-            float(sum(len(p) for p in self.memo.entries.values()))
-            + self._cache_keys
-        )
+        self._cache_keys = count_keys(self._cached_partitions())
+        return float(count_keys(self.memo.entries.values())) + self._cache_keys
+
+    def _cached_partitions(self) -> Iterable[Partition]:
+        """The partitions ``_cache`` holds (the strawman caches triples)."""
+        return self._cache.values()
 
     # -- shared machinery ----------------------------------------------------
 

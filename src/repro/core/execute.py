@@ -38,6 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core.memo import MEMO_READ_COST, MEMO_WRITE_COST
 from repro.core.partition import Partition, combine_charged
 from repro.core.plan import RunLog
 from repro.telemetry import Phase, Telemetry
@@ -209,7 +210,6 @@ class PlanExecutor:
         step over an empty root — is logged as a plan-only record."""
         log = self.log
         if log is not None and self._step is not None:
-            log.heads += 1
             self.log_node(None, None, "", 0.0, 0.0)
 
     # -- sub-computation execution ------------------------------------------
@@ -238,12 +238,11 @@ class PlanExecutor:
             cached = tree.memo.lookup(memo_uid)
             if cached is not None:
                 tree.stats.combiner_reuses += 1
-                if tree.memo_read_cost:
-                    telemetry.charge(Phase.MEMO_READ, tree.memo_read_cost)
+                telemetry.charge(Phase.MEMO_READ, MEMO_READ_COST)
                 if recording:
                     self.log_node(
                         "memo_read", Phase.MEMO_READ,
-                        node or f"memo:{memo_uid:#x}", tree.memo_read_cost,
+                        node or f"memo:{memo_uid:#x}", MEMO_READ_COST,
                         float(len(cached)), True, memo_uid=memo_uid,
                         produced=(cached.uid,) if cached else (),
                     )
@@ -283,14 +282,13 @@ class PlanExecutor:
             )
         if memo_uid is not None:
             tree.memo.store(memo_uid, result)
-            if tree.memo_write_cost:
-                telemetry.charge(Phase.MEMO_WRITE, tree.memo_write_cost)
-                if recording:
-                    self.log_node(
-                        "memo_write", Phase.MEMO_WRITE,
-                        f"memo-write:{memo_uid:#x}", tree.memo_write_cost,
-                        float(len(result)), memo_uid=memo_uid,
-                    )
+            telemetry.charge(Phase.MEMO_WRITE, MEMO_WRITE_COST)
+            if recording:
+                self.log_node(
+                    "memo_write", Phase.MEMO_WRITE,
+                    f"memo-write:{memo_uid:#x}", MEMO_WRITE_COST,
+                    float(len(result)), memo_uid=memo_uid,
+                )
         return result
 
     def memo_visit(  # analysis: charge-in-caller-span (the tree-level span)

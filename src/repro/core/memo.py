@@ -17,10 +17,18 @@ from repro.core.partition import Partition
 from repro.telemetry import Telemetry
 
 __all__ = [
+    "MEMO_READ_COST",
+    "MEMO_WRITE_COST",
     "DictMemoStore",
     "MemoStats",
     "MemoTable",
 ]
+
+#: Work units a memo hit charges: a tree node served from a memo table, a
+#: record of a split whose Map outputs are reused, an unchanged Reduce key.
+MEMO_READ_COST = 0.01
+#: Work units a tree node's memo store charges.
+MEMO_WRITE_COST = 0.02
 
 
 @dataclass

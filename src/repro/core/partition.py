@@ -13,7 +13,8 @@ nests, for the process seam and the restore sweep alike.
 from __future__ import annotations
 
 from itertools import compress
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,6 +136,13 @@ def _unpickle_partition(entries: dict[Any, Any], uid: int) -> Partition:
 
 #: :func:`_unpickle_partition`, by the name the engine's own builders use.
 _adopt = _unpickle_partition
+
+_ENTRIES = attrgetter("entries")
+
+
+def count_keys(partitions: Iterable[Partition]) -> int:
+    """Keys held over ``partitions``, with no Python frame a partition."""
+    return sum(map(len, map(_ENTRIES, partitions)))
 
 
 #: ``stable_hash(n, salt="pfp")`` by ``n``: the length term of every

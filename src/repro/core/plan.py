@@ -60,8 +60,8 @@ NODE_KINDS = (
 #: kind is ``None``: the one record that is not a node.  Atoms and tuples
 #: of atoms only.
 Record = tuple
-#: Where a record keeps its reducer, memo uid, consumed uids and step atoms.
-REDUCER, MEMO_UID, CONSUMED, STEP = 6, 8, 9, 11
+#: Where a record keeps its reducer, consumed uids and step atoms.
+REDUCER, CONSUMED, STEP = 6, 9, 11
 
 
 def content_uids(parts: Iterable[Partition]) -> tuple[int, ...]:
@@ -73,19 +73,17 @@ def content_uids(parts: Iterable[Partition]) -> tuple[int, ...]:
 class RunLog:
     """One run's records, in execution order.
 
-    ``steps`` counts the records that open a plan step and ``heads`` the
-    plan-only ones, so that nobody has to read the records to know how
-    many steps and nodes a run has.  A record holds only what was true
-    when its node executed — sizes, costs and content uids, never a
-    partition — so a log read long after its run is that run's, and a
-    kept result pins none of the window's state.
+    ``steps`` counts the records that open a plan step, so that nobody
+    has to read the records to know how many steps a run has.  A record
+    holds only what was true when its node executed — sizes, costs and
+    content uids, never a partition — so a log read long after its run is
+    that run's, and a kept result pins none of the window's state.
     """
 
     def __init__(self, label: str = "") -> None:
         self.label = label
         self.records: list[Record] = []
         self.steps = 0
-        self.heads = 0
 
     def extend(self, records: list[Record]) -> None:
         """Records another process logged of its share of this run, which
@@ -95,26 +93,23 @@ class RunLog:
         for record in records:
             if record[STEP] is not None:
                 self.steps += 1
-                self.heads += record[0] is None
 
     def tasks(self, first: int, last: int) -> list[tuple[str, dict[Phase, float]]]:
         """The tasks of ``records[first:last]`` — a tree level's nodes —
         as the per-level table and the trace show them: a name, and the
         work charged by phase in charge order.  A ``memo_write`` folds
-        into the ``combine`` it follows.  Two nodes log 0.0 having charged
-        nothing: a memo hit that costs nothing, and a combine whose inputs
-        were all empty."""
+        into the ``combine`` it follows.  A combine whose inputs were all
+        empty logs 0.0 having charged nothing."""
         tasks: list[tuple[str, dict[Phase, float]]] = []
         for record in self.records[first:last]:
             kind, phase, label, cost = record[:4]
             if kind == "memo_write":
                 tasks[-1][1][phase] = cost
+            elif kind == "memo_read":
+                tasks.append((label or "memo-visit", {phase: cost}))
             elif kind is not None:
-                if kind == "memo_read":
-                    name, idle = label or "memo-visit", record[MEMO_UID] is not None
-                else:
-                    name, idle = label or "combine", not record[CONSUMED]
-                tasks.append((name, {} if idle and not cost else {phase: cost}))
+                idle = not record[CONSUMED] and not cost
+                tasks.append((label or "combine", {} if idle else {phase: cost}))
         return tasks
 
 

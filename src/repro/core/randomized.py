@@ -21,6 +21,11 @@ from repro.common.hashing import stable_hash
 from repro.core.base import ContractionTree
 from repro.core.partition import Partition
 
+#: Chance a node closes its group (the skip-list coin): 1/p is the
+#: expected group size.  A coin is a 32-bit draw below the threshold.
+BOUNDARY_PROBABILITY = 0.5
+_BOUNDARY_THRESHOLD = int(BOUNDARY_PROBABILITY * (1 << 32))
+
 _MAX_LEVELS = 128
 
 
@@ -32,19 +37,11 @@ class RandomizedFoldingTree(ContractionTree):
         *args,
         seed: int = 0,
         auto_gc: bool = True,
-        boundary_probability: float = 0.5,
         **kwargs,
     ) -> None:
-        """``boundary_probability``: chance a node closes its group (the
-        skip-list coin).  1/p is the expected group size; smaller values
-        give shorter, wider trees."""
         super().__init__(*args, **kwargs)
-        if not 0.0 < boundary_probability < 1.0:
-            raise ValueError("boundary_probability must lie in (0, 1)")
         self.seed = seed
         self.auto_gc = auto_gc
-        self.boundary_probability = boundary_probability
-        self._boundary_threshold = int(boundary_probability * (1 << 32))
         self._leaves: list[Partition] = []
         self._root = Partition.empty()
 
@@ -83,7 +80,7 @@ class RandomizedFoldingTree(ContractionTree):
         ``level``?  Derived from the node's content id, so the tree shape
         is a pure function of the leaf sequence."""
         draw = stable_hash((uid, level, self.seed), salt="coin") & 0xFFFFFFFF
-        return draw < self._boundary_threshold
+        return draw < _BOUNDARY_THRESHOLD
 
     def _build(self) -> Partition:
         """(Re)build the level structure; memo hits skip group recomputation."""

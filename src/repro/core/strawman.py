@@ -22,20 +22,22 @@ baseline.
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from repro.core.base import ContractionTree
 from repro.core.partition import Partition
+
+#: Work units charged per key of a *reused* node's output: the
+#: data-movement constant of the strawman design.
+VISIT_COST = 0.15
 
 
 class StrawmanTree(ContractionTree):
     """Left-aligned binary tree with positional memoization."""
 
-    def __init__(self, *args, visit_cost: float = 0.15, **kwargs) -> None:
-        """``visit_cost``: work units charged per key of a *reused* node's
-        output — the data-movement constant of the strawman design."""
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.visit_cost = visit_cost
         # ``_cache`` here maps (level, index) -> (left_uid, right_uid, value).
         self._leaves: list[Partition] = []
         self._root = Partition.empty()
@@ -68,7 +70,10 @@ class StrawmanTree(ContractionTree):
 
     @staticmethod
     def _node_keys(value: tuple[int, int, Partition]) -> int:
-        return len(value[2])
+        return len(value[2].entries)
+
+    def _cached_partitions(self) -> Iterable[Partition]:
+        return map(itemgetter(2), self._cache.values())
 
     def _build(self) -> Partition:
         """Walk the whole tree; reuse positionally-unchanged nodes."""
@@ -90,7 +95,7 @@ class StrawmanTree(ContractionTree):
                         # linear visit cost).
                         self._memo_visit(
                             value,
-                            self.visit_cost * max(1, len(value)),
+                            VISIT_COST * max(1, len(value)),
                             node=f"straw:L{height}.{i // 2}",
                         )
                     else:

@@ -35,9 +35,6 @@ class CostModel:
     map_cost_per_record: float = 1.0
     combine_cost_factor: float = 1.0
     reduce_cost_per_key: float = 1.0
-    shuffle_cost_per_pair: float = 0.05
-    memo_write_cost_per_key: float = 0.02
-    memo_read_cost_per_key: float = 0.01
 
 
 @dataclass(frozen=True)

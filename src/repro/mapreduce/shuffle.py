@@ -31,6 +31,9 @@ def _interned_strs_are_mortal() -> bool:
 #: drifting key set stays bounded.
 _INTERN_KEYS = _interned_strs_are_mortal()
 
+#: Work units the shuffle charges per (key, value) pair a Map task emits.
+SHUFFLE_COST_PER_PAIR = 0.05
+
 
 class HashPartitioner:
     """Routes a key to one of ``num_partitions`` reducers, stably."""
@@ -112,9 +115,7 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
 
         if telemetry is not None:
             telemetry.charge(Phase.MAP, record_count * job.costs.map_cost_per_record)
-            telemetry.charge(
-                Phase.SHUFFLE, pair_count * job.costs.shuffle_cost_per_pair
-            )
+            telemetry.charge(Phase.SHUFFLE, pair_count * SHUFFLE_COST_PER_PAIR)
 
         return [
             Partition.from_value_lists(buffer, job.combiner, encoded=encoded)

@@ -18,6 +18,7 @@ from typing import Any, Sequence
 from repro.common.errors import WindowError
 from repro.common.hashing import stable_hash
 from repro.core.execute import PlanExecutor
+from repro.core.memo import MEMO_READ_COST
 from repro.core.partition import Partition
 from repro.core.strawman import StrawmanTree
 from repro.mapreduce.runtime import BatchRuntime, reduce_partition
@@ -119,9 +120,7 @@ class StrawmanStageRunner:
                 self._map_memo[split.uid] = cached
             else:
                 self.telemetry.charge(
-                    Phase.MEMO_READ,
-                    self.stage.job.costs.memo_read_cost_per_key
-                    * max(1, len(split)),
+                    Phase.MEMO_READ, MEMO_READ_COST * max(1, len(split))
                 )
             for reducer_index, partition in enumerate(cached):
                 per_reducer[reducer_index].append(partition)

@@ -73,12 +73,6 @@ def write_checkpoint(
             "cluster_config": (
                 engine.cluster.config if engine.cluster is not None else None
             ),
-            "cache_config": (
-                engine.cache.config if engine.cache is not None else None
-            ),
-            "blocks_replication": (
-                engine.blocks.replication if engine.blocks is not None else None
-            ),
             "chaos": engine.chaos,
             "scheduler": engine.scheduler,
         },
@@ -126,11 +120,8 @@ def restore_slider(path: str | Path, job: "MapReduceJob") -> "Slider":
         config=config["slider_config"],
         cluster=cluster,
         scheduler=config["scheduler"],
-        cache_config=config["cache_config"],
         chaos=config["chaos"],
     )
-    if engine.blocks is not None and config["blocks_replication"] is not None:
-        engine.blocks.replication = config["blocks_replication"]
     apply_engine_state(engine, state)
     apply_telemetry(engine.telemetry, telemetry_state)
     verify_restored(engine)

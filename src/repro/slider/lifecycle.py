@@ -9,10 +9,12 @@ incremental outputs always equal a from-scratch batch run.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from repro.common.approx import same_value
 from repro.common.errors import ReproError, SchedulingError
+from repro.core.partition import count_keys
 
 if TYPE_CHECKING:  # pragma: no cover - type-only facade reference
     from repro.slider.system import Slider
@@ -179,9 +181,7 @@ class LifecycleManager:
         oracle for :meth:`space`.  ``advance`` never calls it.
         """
         engine = self.engine
-        engine.map_keys = sum(
-            len(p) for row in engine.map_memo.values() for p in row
-        )
+        engine.map_keys = count_keys(chain.from_iterable(engine.map_memo.values()))
         return float(engine.map_keys) + sum(
             tree.recount() for tree in engine.trees
         )

@@ -41,7 +41,7 @@ from repro.common.errors import CombinerContractError
 from repro.core.base import ContractionTree
 from repro.core.coalescing import CoalescingTree
 from repro.core.folding import FoldingTree
-from repro.core.memo import MemoTable
+from repro.core.memo import MEMO_READ_COST, MemoTable
 from repro.core.partition import Partition
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
@@ -203,8 +203,6 @@ class RunPlanner:
         common = dict(
             memo=memo,
             combine_cost_factor=engine.job.costs.combine_cost_factor,
-            memo_read_cost=engine.job.costs.memo_read_cost_per_key,
-            memo_write_cost=engine.job.costs.memo_write_cost_per_key,
             executor=engine.executor,
         )
         variant = engine.config.tree_variant()
@@ -264,9 +262,7 @@ class RunPlanner:
             label = f"map:{uid:#x}"
             executor.open_step("map", label, Phase.MAP, memo_uid=uid)
             if uid in engine.map_memo:
-                read_cost = engine.job.costs.memo_read_cost_per_key * max(
-                    1, len(split)
-                )
+                read_cost = MEMO_READ_COST * max(1, len(split))
                 telemetry.charge(Phase.MEMO_READ, read_cost)
                 outputs = engine.map_memo[uid]
                 executor.log_node(
@@ -385,7 +381,6 @@ class RunPlanner:
         telemetry = engine.telemetry
         outputs = engine.reduce_outputs
         reduce_fn = engine.job.reduce_fn
-        read_cost = engine.job.costs.memo_read_cost_per_key
         reduce_cost = engine.job.costs.reduce_cost_per_key
         changed_keys: set[Any] = set()
         removed_keys: set[Any] = set()
@@ -427,11 +422,11 @@ class RunPlanner:
                 if changed:
                     telemetry.charge(Phase.REDUCE, changed * reduce_cost)
                 if unchanged:
-                    telemetry.charge(Phase.MEMO_READ, unchanged * read_cost)
+                    telemetry.charge(Phase.MEMO_READ, unchanged * MEMO_READ_COST)
                     log_node(
                         "memo_read", Phase.MEMO_READ,
                         f"reduce-memo:{reducer_index}:{unchanged}keys",
-                        unchanged * read_cost, float(unchanged), True, None,
+                        unchanged * MEMO_READ_COST, float(unchanged), True, None,
                         None, consumed,
                     )
                 executor.close_step()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
-from repro.cluster.cache import CacheConfig, DistributedMemoCache, GarbageCollector
+from repro.cluster.cache import DistributedMemoCache, GarbageCollector
 from repro.cluster.chaos import ChaosPlan, ChaosSchedule
 from repro.cluster.machine import Cluster
 from repro.cluster.scheduler import HybridScheduler, Scheduler
@@ -103,7 +103,6 @@ class Slider:
         config: SliderConfig | None = None,
         cluster: Cluster | None = None,
         scheduler: Scheduler | None = None,
-        cache_config: CacheConfig | None = None,
         chaos: ChaosSchedule | ChaosPlan | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
@@ -140,9 +139,7 @@ class Slider:
         if cluster is not None:
             from repro.cluster.storage import BlockStore
 
-            self.cache = DistributedMemoCache(
-                cluster, cache_config, telemetry=self.telemetry
-            )
+            self.cache = DistributedMemoCache(cluster, telemetry=self.telemetry)
             self.gc = GarbageCollector(self.cache)
             self.blocks = BlockStore(cluster, telemetry=self.telemetry)
         #: Fault schedule(s) the time simulation executes under; outputs

@@ -44,13 +44,15 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 _ENGINE_THREAD = "engine"
+#: The trace's one process lane: a trace is one recorder's spans.
+_PID = 1
 
 
 class TraceValidationError(ValueError):
     """The exported trace violates the Chrome trace-event schema."""
 
 
-def to_chrome_trace(telemetry: Telemetry, pid: int = 1) -> dict[str, Any]:
+def to_chrome_trace(telemetry: Telemetry) -> dict[str, Any]:
     """Render a telemetry tree as a Trace Event Format document.
 
     The spans, instants and counter samples are those the recorder
@@ -78,7 +80,7 @@ def to_chrome_trace(telemetry: Telemetry, pid: int = 1) -> dict[str, Any]:
                 {
                     "name": "thread_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": _PID,
                     "tid": tids[thread],
                     "args": {"name": thread},
                 }
@@ -89,7 +91,7 @@ def to_chrome_trace(telemetry: Telemetry, pid: int = 1) -> dict[str, Any]:
         {
             "name": "process_name",
             "ph": "M",
-            "pid": pid,
+            "pid": _PID,
             "args": {"name": f"repro:{telemetry.root.name}"},
         }
     )
@@ -108,7 +110,7 @@ def to_chrome_trace(telemetry: Telemetry, pid: int = 1) -> dict[str, Any]:
             "ph": "X",
             "ts": start * TIME_SCALE,
             "dur": (end - start) * TIME_SCALE,
-            "pid": pid,
+            "pid": _PID,
             "tid": tid_for(thread or _ENGINE_THREAD),
             "args": args,
         })
@@ -137,7 +139,7 @@ def to_chrome_trace(telemetry: Telemetry, pid: int = 1) -> dict[str, Any]:
                 "ph": "i",
                 "s": "p",
                 "ts": instant["ts"] * TIME_SCALE,
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid_for(_ENGINE_THREAD),
                 "args": {k: v for k, v in instant["args"].items() if _jsonable(v)},
             }
@@ -149,7 +151,7 @@ def to_chrome_trace(telemetry: Telemetry, pid: int = 1) -> dict[str, Any]:
                 "name": name,
                 "ph": "C",
                 "ts": ts * TIME_SCALE,
-                "pid": pid,
+                "pid": _PID,
                 "args": {"value": value},
             }
         )
@@ -204,9 +206,9 @@ def validate_trace_events(trace: dict[str, Any]) -> int:
     return len(events)
 
 
-def write_chrome_trace(telemetry: Telemetry, path: str, pid: int = 1) -> dict[str, Any]:
+def write_chrome_trace(telemetry: Telemetry, path: str) -> dict[str, Any]:
     """Export, validate, and write a trace; returns the trace document."""
-    trace = to_chrome_trace(telemetry, pid=pid)
+    trace = to_chrome_trace(telemetry)
     validate_trace_events(trace)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(trace, fh)
@@ -225,7 +227,6 @@ def export_micro_benchmark_trace(
     # Imported lazily: the telemetry package must stay import-light so
     # every layer can depend on it without cycles.
     from repro.apps.registry import micro_benchmark_apps
-    from repro.cluster.cache import CacheConfig
     from repro.cluster.machine import Cluster, ClusterConfig
     from repro.slider.system import Slider, SliderConfig
     from repro.slider.window import WindowMode
@@ -239,7 +240,6 @@ def export_micro_benchmark_trace(
         cluster=Cluster(
             ClusterConfig(num_machines=8, slots_per_machine=2, seed=42)
         ),
-        cache_config=CacheConfig(),
         telemetry=telemetry,
     )
     slider.initial_run(spec.make_splits(8, 17, 0))

@@ -3,8 +3,14 @@ hypothesis counterexamples, and passes every shipped combiner."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis import check_combiner_laws
 from repro.mapreduce.combiners import (
     Combiner,
@@ -181,3 +187,46 @@ def test_falsification_is_deterministic():
     first = check_combiner_laws(BadMeanCombiner())
     second = check_combiner_laws(BadMeanCombiner())
     assert [f.message for f in first] == [f.message for f in second]
+
+
+#: Run in a fresh interpreter: import the module named on the command line
+#: (if any) from the directory named after it, then print the findings on a
+#: float mean mislabeled exact.
+_LAWS_AFTER_IMPORT = """
+import importlib, sys
+if len(sys.argv) > 1:
+    sys.path.insert(0, sys.argv[2])
+    importlib.import_module(sys.argv[1])
+from repro.analysis import check_combiner_laws
+from repro.mapreduce.combiners import MeanCombiner
+
+class ExactMean(MeanCombiner):
+    exact = True
+
+print(repr([(f.rule, f.message) for f in check_combiner_laws(ExactMean())]))
+"""
+
+
+def _findings_after_import(*module_and_dir: str) -> str:
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _LAWS_AFTER_IMPORT, *module_and_dir],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_a_verdict_does_not_depend_on_the_modules_loaded(tmp_path):
+    """Hypothesis mixes the literals of every loaded non-test module into
+    what it draws, so its search meets other examples when another
+    module is imported; the verdict on a combiner must not move with
+    them.  These eight literals, imported, once hid the counterexample
+    to ``ExactMean`` from all 60 examples."""
+    (tmp_path / "literals.py").write_text(
+        "LITERALS = (1e-06, 0.11, 0.31, 0.32, 0.4, 0.9, 92.0, 115.0)\n"
+    )
+    plain = _findings_after_import()
+    assert "laws.exactness" in plain
+    assert _findings_after_import("literals", str(tmp_path)) == plain

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cluster.cache import CacheConfig, DistributedMemoCache, GarbageCollector
+from repro.cluster.cache import (
+    DISK_READ_COST,
+    LOOKUP_OVERHEAD,
+    NETWORK_READ_COST,
+    CacheConfig,
+    DistributedMemoCache,
+    GarbageCollector,
+)
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.core.memo import MemoTable
 from repro.core.partition import Partition
@@ -254,9 +261,9 @@ def test_detected_crash_re_replicates_every_held_object():
     assert len(new) == seen["grew"]["repaired_objects"] == 13
     assert seen["copied"] == pytest.approx(sum(new))
     assert seen["grew"]["repair_bytes"] == pytest.approx(sum(new))
-    per_copy = config.disk_read_cost + config.network_read_cost
+    per_copy = DISK_READ_COST + NETWORK_READ_COST
     assert seen["grew"]["read_time"] == pytest.approx(
-        sum(config.lookup_overhead + per_copy * value for value in new)
+        sum(LOOKUP_OVERHEAD + per_copy * value for value in new)
     )
     assert seen["again"] == 0.0 and seen["still"]
     # A copy adds no space: each held object counts once, however many

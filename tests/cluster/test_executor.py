@@ -21,6 +21,7 @@ from repro.cluster import (
     execute_two_waves,
     execute_wave,
 )
+from repro.cluster.machine import NETWORK_COST_PER_BYTE
 from repro.common.errors import SchedulingError, TaskFailedError
 from repro.common.rng import RngStream
 
@@ -55,7 +56,7 @@ def greedy_reference(tasks, cluster, scheduler, start_time=0.0):
         )
         duration = machine.duration_for(task.cost)
         if fetched:
-            duration += task.fetch_bytes * cluster.config.network_cost_per_byte
+            duration += task.fetch_bytes * NETWORK_COST_PER_BYTE
         finish = start + duration
         free_times[machine_id][slot_index] = finish
         log.append((task.label, machine_id, start, finish, fetched))

@@ -6,21 +6,14 @@ from repro.cluster.machine import Cluster, ClusterConfig, Machine
 from repro.common.errors import SchedulingError
 
 
-def test_machine_duration_scales_with_speed():
-    fast = Machine(0, speed=2.0)
-    slow = Machine(1, speed=0.5)
-    assert fast.duration_for(10.0) == 5.0
-    assert slow.duration_for(10.0) == 20.0
-
-
 def test_dead_machine_rejects_execution():
     machine = Machine(0, alive=False)
     with pytest.raises(SchedulingError):
-        machine.effective_speed()
+        machine.duration_for(1.0)
 
 
 def test_straggler_slows_machine():
-    machine = Machine(0, speed=1.0, straggle=0.5)
+    machine = Machine(0, straggle=0.5)
     assert machine.duration_for(10.0) == 20.0
 
 

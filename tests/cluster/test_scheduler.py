@@ -12,6 +12,8 @@ from repro.cluster import (
     execute_two_waves,
     execute_wave,
 )
+from repro.cluster.machine import NETWORK_COST_PER_BYTE
+from repro.cluster.scheduler import PATIENCE
 
 
 def quiet_cluster(n=4, slots=1, **kwargs) -> Cluster:
@@ -82,7 +84,7 @@ def test_hadoop_scheduler_fetches_remote_state():
     _, log = wave(tasks, cluster, HadoopScheduler())
     fetched = [a for a in log if a.fetched]
     assert fetched  # spread across machines -> some remote reads
-    expected_penalty = 100.0 * cluster.config.network_cost_per_byte
+    expected_penalty = 100.0 * NETWORK_COST_PER_BYTE
     for a in fetched:
         assert a.finish - a.start == pytest.approx(5.0 + expected_penalty)
 
@@ -110,7 +112,10 @@ def test_hybrid_migrates_when_preferred_backed_up():
         SimTask(f"r{i}", cost=10.0, preferred_machine=0, fetch_bytes=1.0)
         for i in range(4)
     ]
-    _, log = wave(tasks, cluster, HybridScheduler(patience=2.0))
+    # A queued task would wait a whole task's 10 s for its local slot,
+    # longer than the scheduler's patience.
+    assert PATIENCE < 10.0
+    _, log = wave(tasks, cluster, HybridScheduler())
     used = {a.machine_id for a in log}
     assert used == {0, 1}  # overflow migrated instead of queueing forever
 

@@ -1,9 +1,7 @@
 """Unit tests for the HDFS-like block store."""
 
-import pytest
-
 from repro.cluster.machine import Cluster, ClusterConfig
-from repro.cluster.storage import BlockStore
+from repro.cluster.storage import REPLICATION, BlockStore
 from repro.mapreduce.types import make_splits
 
 
@@ -16,10 +14,10 @@ def splits(count=5):
 
 
 def test_store_places_replicas_on_distinct_machines():
-    store = BlockStore(quiet_cluster(), replication=3)
+    store = BlockStore(quiet_cluster())
     for split in splits():
         info = store.store_split(split)
-        assert len(info.replicas) == 3
+        assert len(info.replicas) == REPLICATION == 3
         assert len(set(info.replicas)) == 3
 
 
@@ -33,7 +31,7 @@ def test_store_is_idempotent():
 
 
 def test_replication_capped_by_cluster_size():
-    store = BlockStore(quiet_cluster(n=2), replication=3)
+    store = BlockStore(quiet_cluster(n=2))
     info = store.store_split(splits(1)[0])
     assert len(info.replicas) == 2
 
@@ -55,7 +53,7 @@ def test_unknown_block_has_no_locality():
 
 def test_failure_triggers_rereplication():
     cluster = quiet_cluster()
-    store = BlockStore(cluster, replication=3)
+    store = BlockStore(cluster)
     store.store_all(splits(10))
     victim = store.replicas_of(splits(10)[0].uid)[0]
 
@@ -71,7 +69,7 @@ def test_failure_triggers_rereplication():
 
 def test_preferred_machine_skips_dead_replica():
     cluster = quiet_cluster()
-    store = BlockStore(cluster, replication=2)
+    store = BlockStore(cluster)
     split = splits(1)[0]
     store.store_split(split)
     first = store.preferred_machine(split.uid)
@@ -90,11 +88,6 @@ def test_drop_split_frees_storage():
     store.drop_split(split.uid)
     assert store.total_blocks() == 0
     assert store.stored_bytes() == 0.0
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        BlockStore(quiet_cluster(), replication=0)
 
 
 def test_slider_integration_uses_block_locality():
@@ -121,13 +114,14 @@ def test_slider_integration_uses_block_locality():
 
 def test_locality_hit_rate_counts_lookups_that_found_an_alive_replica():
     cluster = quiet_cluster(n=3)
-    store = BlockStore(cluster, replication=1)
+    store = BlockStore(cluster)
     assert store.locality_hit_rate == 0.0  # before any lookup
     split = splits(1)[0]
     store.store_split(split)
-    (home,) = store.replicas_of(split.uid)
-    assert store.preferred_machine(split.uid) == home
-    cluster.kill(home)
+    replicas = store.replicas_of(split.uid)
+    assert store.preferred_machine(split.uid) == replicas[0]
+    for machine_id in replicas:
+        cluster.kill(machine_id)
     assert store.preferred_machine(split.uid) is None
     assert store.locality_hit_rate == 0.5
 
@@ -135,7 +129,7 @@ def test_locality_hit_rate_counts_lookups_that_found_an_alive_replica():
 def test_a_crash_with_no_machine_left_to_take_a_copy_repairs_nothing():
     # Every survivor already holds a replica: no candidate.
     cluster = quiet_cluster(n=3)
-    store = BlockStore(cluster, replication=3)
+    store = BlockStore(cluster)
     split = splits(1)[0]
     store.store_split(split)
     cluster.kill(0)

@@ -4,12 +4,14 @@ import pytest
 
 from repro.core.execute import PlanExecutor
 from repro.core.partition import Partition
-from repro.core.plan import CONSUMED, MEMO_UID, NODE_KINDS, REDUCER, content_uids
+from repro.core.plan import CONSUMED, NODE_KINDS, REDUCER, content_uids
 from repro.core.strawman import StrawmanTree
 from repro.mapreduce.combiners import SumCombiner
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
-from tests.oracle.fleet import MEMO_HIT, PRODUCED, SPLIT_UID, count_job, split_of
+from tests.oracle.fleet import (
+    MEMO_HIT, MEMO_UID, PRODUCED, SPLIT_UID, count_job, split_of,
+)
 
 
 def part(items):
@@ -61,7 +63,7 @@ class TestGraphRecorder:
         assert run.log is log
         assert not executor.active
         assert [record[0] for record in log.records] == ["map", "shuffle"]
-        assert (log.steps, log.heads, len(log.records)) == (1, 0, 2)
+        assert (log.steps, len(log.records)) == (1, 2)
 
     def test_map_task_chains_shuffle_and_registers_outputs(self):
         slider = Slider(count_job(), config=SliderConfig())

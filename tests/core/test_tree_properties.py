@@ -189,14 +189,6 @@ def test_a_negative_removal_is_rejected(tree):
         instance.advance([], -1)
 
 
-@pytest.mark.parametrize("probability", [0.0, 1.0])
-def test_a_boundary_probability_outside_the_open_unit_interval_is_rejected(
-    probability,
-):
-    with pytest.raises(ValueError, match="must lie in"):
-        RandomizedFoldingTree(SumCombiner(), boundary_probability=probability)
-
-
 def test_a_non_positive_bucket_size_is_rejected():
     with pytest.raises(ValueError, match="bucket_size must be positive"):
         RotatingTree(SumCombiner(), bucket_size=0)
