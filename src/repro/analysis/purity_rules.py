@@ -90,7 +90,7 @@ _MUTATING_METHODS = {
 _MEMO_METHODS = frozenset(
     {
         "lookup", "get", "__contains__", "space",
-        "store", "discard", "taint", "retain_only", "put", "delete",
+        "store", "discard", "retain_only", "put", "delete",
         "get_or_compute", "setdefault", "pop",
     }
 )

@@ -41,34 +41,6 @@ class StraggleEpisode:
     factor: float = 0.25
 
 
-@dataclass(frozen=True)
-class CorruptionEvent:
-    """Flip ``count`` memoized entries at the start of the run.
-
-    Victims are drawn deterministically (seeded by the schedule seed and
-    ``salt``) from the engine's retained state: tree memo tables, position
-    caches, and the map memo.  Corruption never changes outputs — the
-    recovery layer detects the bad fingerprints, drops the poisoned
-    subtrees, and recomputes, charging the repair as work.
-    """
-
-    count: int = 1
-    #: Derives independent victim choices for multiple events in one run.
-    salt: int = 0
-
-    def choose(self, candidates: list, seed: int) -> list:
-        """Pick up to ``count`` victims from ``candidates``, stably."""
-        if not candidates:
-            return []
-        stream = RngStream(seed, f"chaos/corruption/{self.salt}")
-        pool = list(candidates)
-        picks = []
-        for _ in range(min(self.count, len(pool))):
-            index = int(stream.integers(0, len(pool)))
-            picks.append(pool.pop(index))
-        return picks
-
-
 #: Share of its expected duration a transiently failing attempt runs
 #: before it dies.
 FAILURE_FRACTION = 0.5
@@ -91,11 +63,6 @@ class ChaosSchedule:
     crashes: list[MachineCrash] = field(default_factory=list)
     straggles: list[StraggleEpisode] = field(default_factory=list)
     transient: TransientFaults | None = None
-    #: Memo-entry corruption injected before the run starts.  Orthogonal to
-    #: the time-affecting faults above: :meth:`is_empty` ignores it, so a
-    #: corruption-only schedule prices time on the calm path while the
-    #: lifecycle layer still injects (and repairs) the flipped entries.
-    corruptions: list[CorruptionEvent] = field(default_factory=list)
     seed: int = 0
 
     def for_run(self, run_index: int) -> "ChaosSchedule | None":

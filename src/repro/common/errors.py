@@ -69,11 +69,10 @@ class CheckpointError(ReproError):
 class CorruptionError(ReproError):
     """Stored state failed content-fingerprint verification.
 
-    Raised eagerly on restore when a checkpoint segment's digest does not
-    match its manifest entry, or when a restored partition's entries no
-    longer hash to its recorded uid.  In-memory corruption found lazily on
-    memo reads is *not* raised — it is repaired by recomputation and only
-    costs work.
+    Raised on restore when a checkpoint segment's digest does not match
+    its manifest entry, or when a restored partition's entries no longer
+    hash to its recorded uid (the restore sweep).  Those are the two
+    places corruption is checked for.
     """
 
 

@@ -23,8 +23,8 @@ rung of the ladder holds; any miss falls back to in-process for the run
 or the reducer, with a telemetry trace of why:
 
 1. the engine has been in this structural state before (the run was
-   opened ``recurring``: a first visit, a chaos run and a variant whose
-   structure depends on window content stay local);
+   opened ``recurring``: a first visit and a variant whose structure
+   depends on window content stay local);
 2. the (variant, window-mode) pair holds a green
    ``parallel-safety-certificate/v2`` (the frozen allowlist below is
    tied to the live ``repro.analysis.shared`` certification by test);

@@ -82,9 +82,8 @@ class ContractionTree(ABC):
         self._ran_initial = False
         #: position -> node value: the results a positional variant keeps
         #: between runs (empty for the variants that memoize by content).
-        #: A plain ``dict``, written only through :meth:`_set_node`,
-        #: :meth:`_drop_node` and :meth:`_replace_nodes`, which keep
-        #: ``_cache_keys`` beside it.
+        #: A plain ``dict``, written only through :meth:`_set_node` and
+        #: :meth:`_replace_nodes`, which keep ``_cache_keys`` beside it.
         self._cache: dict[tuple[int, int], Any] = {}
         #: Keys held over all of ``_cache``: a plain int in the tree's own
         #: state, so it crosses the process seam and comes back with it.
@@ -147,22 +146,14 @@ class ContractionTree(ABC):
 
     # -- retained space ------------------------------------------------------
 
-    @staticmethod
-    def _node_keys(value: Any) -> int:
-        """Keys one ``_cache`` value holds (the strawman caches triples)."""
-        return len(value.entries)
-
-    def _set_node(self, position: tuple[int, int], value: Any) -> None:
-        """Cache ``value`` as the node at ``position``."""
+    def _set_node(self, position: tuple[int, int], value: Partition) -> None:
+        """Cache ``value`` as the node at ``position`` (the positional
+        variants; the strawman replaces its whole cache)."""
         old = self._cache.get(position)
         if old is not None:
-            self._cache_keys -= self._node_keys(old)
+            self._cache_keys -= len(old.entries)
         self._cache[position] = value
-        self._cache_keys += self._node_keys(value)
-
-    def _drop_node(self, position: tuple[int, int]) -> None:
-        """Forget the node cached at ``position``."""
-        self._cache_keys -= self._node_keys(self._cache.pop(position))
+        self._cache_keys += len(value.entries)
 
     def _replace_nodes(self, nodes: dict[tuple[int, int], Any], keys: int) -> None:
         """Swap in a whole new cache whose values hold ``keys`` keys."""

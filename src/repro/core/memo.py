@@ -36,8 +36,6 @@ class MemoStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Entries that failed fingerprint verification and were dropped.
-    corruptions: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -110,25 +108,14 @@ class MemoTable:
     #: True once the backing store failed; the table then runs local-only
     #: instead of failing the run.
     degraded: bool = False
-    _tainted: set[int] = field(default_factory=set)
 
     def lookup(self, uid: int) -> Partition | None:
         found = self.entries.get(uid)
-        if found is not None and not self._verified(uid, found):
-            # Only the local copy is known bad: the uid stays marked, so the
-            # replica is verified too, and deleted only if it is bad as well.
-            self.entries.pop(uid, None)
-            found = None
         if found is None and self.backing is not None and not self.degraded:
             found = self._backing_fetch(uid)
-            if found is not None and not self._verified(uid, found):
-                self._backing_delete(uid)
-                found = None
             if found is not None:
                 self.entries[uid] = found
         if found is None:
-            # What is stored under the uid next is computed afresh.
-            self._tainted.discard(uid)
             self.stats.misses += 1
             if self.telemetry is not None:
                 self.telemetry.count("memo.misses")
@@ -151,37 +138,9 @@ class MemoTable:
             self.stats.evictions += 1
             if self.telemetry is not None:
                 self.telemetry.count("memo.evictions")
-        self._tainted.discard(uid)
         self._backing_delete(uid)
 
-    # -- corruption detection and degradation ------------------------------
-
-    def taint(self, uids: "set[int] | None" = None) -> None:
-        """Mark entries as suspect: each is fingerprint-verified on its
-        next read (and the mark cleared if it passes).
-
-        With no argument, every currently known uid is tainted — the
-        eager-verification mode used right after a checkpoint restore.
-        """
-        if uids is None:
-            self._tainted.update(self.entries)
-        else:
-            self._tainted.update(uids)
-
-    def _verified(self, uid: int, value: Partition) -> bool:
-        """An entry marked by :meth:`taint` is verified once, on its next
-        read; a corrupt one is counted in ``memo.corruptions`` and the
-        caller drops it."""
-        if uid not in self._tainted:
-            return True
-        if value.verify_fingerprint():
-            self._tainted.discard(uid)
-            return True
-        self.stats.corruptions += 1
-        if self.telemetry is not None:
-            self.telemetry.count("memo.corruptions")
-            self.telemetry.instant("memo.corruption_dropped", uid=uid)
-        return False
+    # -- degradation ---------------------------------------------------------
 
     def _degrade(self, exc: Exception) -> None:
         self.degraded = True
@@ -232,7 +191,7 @@ class MemoTable:
 
         The recovery layer checkpoints entries as a plain dict and
         restores them through here, which re-derives the store's size.
-        Bypasses stat accounting: this is state transfer, not
+        It counts no hit, miss or eviction: this is state transfer, not
         computation.
         """
         self.entries.clear()

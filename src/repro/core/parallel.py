@@ -196,8 +196,7 @@ def encode_refs(value: Any, places: dict[int, Any]) -> tuple[Any, int, int]:
     marks)`` — and how many partitions went by reference and by value.
 
     By reference only when ``places`` has the very object: a copy with
-    the same uid and other entries (what :mod:`repro.recovery.repair`
-    injects) travels in full.
+    the same uid and other entries travels in full.
     """
     where: list[Any] = []
     values = 0

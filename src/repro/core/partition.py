@@ -104,20 +104,6 @@ class Partition:
             return float(len(self.entries))
         return sum(combiner.value_size(v) for v in self.entries.values())
 
-    def verify_fingerprint(self) -> bool:
-        """Check that ``entries`` still hash to the recorded ``uid``.
-
-        The uid assigned at construction doubles as a content fingerprint:
-        any later mutation of the entries (bit rot, a chaos
-        ``CorruptionEvent``) makes the recomputed fingerprint diverge.  The
-        shared empty partition carries a symbolic uid rather than a
-        computed one, so it is matched by identity of that uid.  For many
-        partitions at once, :func:`first_unsound`.
-        """
-        if not self.entries:
-            return self.uid in (_EMPTY.uid, _fingerprint_entries(self.entries))
-        return self.uid == _fingerprint_entries(self.entries)
-
 
 def _unpickle_partition(entries: dict[Any, Any], uid: int) -> Partition:
     """A partition that takes ``entries`` as its own, under ``uid``: no
@@ -196,8 +182,9 @@ def _fingerprint_entries(entries: Mapping[Any, Any]) -> int:
 
 
 def first_unsound(partitions: Sequence[Partition]) -> Partition | None:
-    """The first of ``partitions`` whose entries no longer hash to its uid
-    (``verify_fingerprint`` false), or ``None``.
+    """The first of ``partitions`` whose entries no longer hash to its uid,
+    or ``None``.  The one fingerprint check: the shared empty partition's
+    symbolic uid passes only over no entries.
 
     One call of the entry kernel fingerprints them all, with an entry
     memo local to this call (``xor_entry_hashes``: str-keyed int entries
@@ -272,10 +259,11 @@ def combined_uid(
     digest and moves no uid, and the rule still counts it.
 
     Precondition: every input's ``uid`` is the fingerprint of its entries.
-    Everything the engine builds satisfies it, and ``inject_and_repair``
-    repairs a flipped slot before a combine reads it.  From an input whose
-    entries diverged from its uid the delta yields a uid that fails
-    ``verify_fingerprint`` too (hashing afresh would fingerprint the
+    Everything the engine builds satisfies it, and the restore sweep
+    (:func:`~repro.recovery.repair.verify_restored`) proves it of every
+    partition a restored engine holds before a combine reads one.  From an
+    input whose entries diverged from its uid the delta yields a uid that
+    fails :func:`first_unsound` too (hashing afresh would fingerprint the
     corrupt content as valid); the entries are the same either way.
     """
     if delta_digests >= len(entries):

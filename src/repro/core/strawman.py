@@ -68,10 +68,6 @@ class StrawmanTree(ContractionTree):
 
     # -- internals ---------------------------------------------------------
 
-    @staticmethod
-    def _node_keys(value: tuple[int, int, Partition]) -> int:
-        return len(value[2].entries)
-
     def _cached_partitions(self) -> Iterable[Partition]:
         return map(itemgetter(2), self._cache.values())
 

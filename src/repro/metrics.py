@@ -46,7 +46,7 @@ class RunReport:
     #: Fault-tolerance cost of the run: when its chaos schedule is
     #: non-empty, re-executed attempts, detection delay, wasted work (see
     #: RecoveryStats.as_dict), the map wave's finish and re-replication
-    #: traffic; a schedule's memo corruption adds its repair counts.
+    #: traffic; empty on a calm run.
     recovery: dict[str, float] = field(default_factory=dict)
 
     def speedup_over(self, baseline: "RunReport") -> "Speedup":

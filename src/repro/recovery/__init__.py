@@ -1,7 +1,6 @@
-"""Durability and recovery: checkpoint/restore, corruption repair.
+"""Durability and recovery: checkpoint, restore and the restore sweep.
 
-The recovery subsystem makes the whole Slider pipeline restartable and
-self-healing:
+The recovery subsystem makes the whole Slider pipeline restartable:
 
 * :mod:`repro.recovery.segments` — the on-disk checkpoint format: a
   manifest plus content-fingerprinted pickle segments, verified eagerly
@@ -14,10 +13,8 @@ self-healing:
 * :mod:`repro.recovery.checkpoint` — ``Slider.checkpoint``/``restore``
   and the :class:`~repro.slider.driver.StreamDriver` resume path that
   replays only the unacknowledged record tail;
-* :mod:`repro.recovery.repair` — corruption injection (the chaos layer's
-  :class:`~repro.cluster.chaos.CorruptionEvent`) and the eager repair
-  sweep that recomputes poisoned subtrees so corruption costs work but
-  never changes outputs.
+* :mod:`repro.recovery.repair` — the restore sweep, which proves every
+  restored partition against its uid before any run reads it.
 
 That a restored engine continues bit for bit is held by the test oracle
 (``tests/oracle``), one arm of which is killed and restored before every
@@ -30,12 +27,9 @@ from repro.recovery.checkpoint import (
     write_checkpoint,
     write_driver_checkpoint,
 )
-from repro.recovery.repair import corruption_candidates, inject_and_repair
 from repro.recovery.segments import read_segment, write_segments
 
 __all__ = [
-    "corruption_candidates",
-    "inject_and_repair",
     "read_segment",
     "restore_driver",
     "restore_slider",

@@ -45,7 +45,6 @@ def capture_tree(tree: ContractionTree) -> dict[str, Any]:
             "entries": dict(tree.memo.entries.items()),
             "stats": tree.memo.stats,
             "degraded": tree.memo.degraded,
-            "tainted": set(tree.memo._tainted),
         },
     }
 
@@ -62,7 +61,6 @@ def apply_tree(tree: ContractionTree, state: dict[str, Any]) -> None:
     tree.memo.replace_entries(state["memo"]["entries"])
     tree.memo.stats = state["memo"]["stats"]
     tree.memo.degraded = state["memo"]["degraded"]
-    tree.memo._tainted = set(state["memo"]["tainted"])
 
 
 def capture_engine_state(engine: "Slider") -> dict[str, Any]:
@@ -73,7 +71,6 @@ def capture_engine_state(engine: "Slider") -> dict[str, Any]:
         "reduce_memo": engine.reduce_memo,
         "trees": [capture_tree(tree) for tree in engine.trees],
         "chaos_downed": list(engine.chaos_downed),
-        "last_recovery": dict(engine.last_recovery),
         "run_index": engine.run_index,
         "ran_initial": engine._ran_initial,
         "last_changed_keys": engine._last_changed_keys,
@@ -132,7 +129,6 @@ def apply_engine_state(engine: "Slider", state: dict[str, Any]) -> None:
     # just set wholesale.
     engine.lifecycle.recount()
     engine.chaos_downed = list(state["chaos_downed"])
-    engine.last_recovery = dict(state["last_recovery"])
     engine.run_index = state["run_index"]
     engine._ran_initial = state["ran_initial"]
     engine._last_changed_keys = state["last_changed_keys"]

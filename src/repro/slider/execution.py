@@ -64,8 +64,10 @@ class TimeSimulator:
 
     def simulate(
         self, phase_delta: dict[Phase, float], run: RunExecution
-    ) -> float:
-        """Price this run's tasks on the cluster; fall back to work-as-time."""
+    ) -> tuple[float, dict[str, float]]:
+        """Price this run's tasks on the cluster; fall back to work-as-time.
+        Returns the makespan and the run's recovery costs (empty unless
+        its chaos schedule is non-empty)."""
         engine = self.engine
         foreground = sum(
             amount
@@ -73,10 +75,12 @@ class TimeSimulator:
             if phase is not Phase.BACKGROUND
         )
         if engine.cluster is None:
-            return foreground
+            return foreground, {}
         return self._wave_cost_model(foreground, run)
 
-    def _wave_cost_model(self, foreground: float, run: RunExecution) -> float:
+    def _wave_cost_model(
+        self, foreground: float, run: RunExecution
+    ) -> tuple[float, dict[str, float]]:
         engine = self.engine
         map_tasks = []
         for uid, cost in run.map_costs.items():
@@ -124,7 +128,7 @@ class TimeSimulator:
             return calm_two_waves(
                 map_tasks, reduce_tasks, engine.cluster, engine.scheduler,
                 engine.telemetry,
-            )
+            ), {}
         return self._execute_under_chaos(map_tasks, reduce_tasks, schedule)
 
     # -- chaos wiring ---------------------------------------------------------
@@ -143,10 +147,10 @@ class TimeSimulator:
         map_tasks: list[SimTask],
         reduce_tasks: list[SimTask],
         schedule: "ChaosSchedule",
-    ) -> float:
+    ) -> tuple[float, dict[str, float]]:
         """Run the wave pair on the fault-tolerant executor, reacting to
-        crashes with cache/block-store re-replication, and record the
-        recovery costs for the run report."""
+        crashes with cache/block-store re-replication; returns the
+        makespan and the recovery costs for the run report."""
         engine = self.engine
         repair_bytes_before = (
             engine.cache.stats.repair_bytes if engine.cache is not None else 0.0
@@ -177,10 +181,4 @@ class TimeSimulator:
             recovery["block_repair_traffic"] = (
                 engine.blocks.repair_traffic - block_traffic_before
             )
-        # Merge, not replace: corruption-repair stats recorded by the
-        # lifecycle layer earlier in this run must survive the simulation.
-        for key, value in recovery.items():
-            engine.last_recovery[key] = (
-                engine.last_recovery.get(key, 0.0) + value
-            )
-        return report.makespan
+        return report.makespan, recovery

@@ -93,31 +93,6 @@ class LifecycleManager:
             tree.memo.entries.clear()
         return lost
 
-    # -- corruption injection and repair -------------------------------------
-
-    def inject_corruption(self) -> dict[str, float]:
-        """Inject this run's scheduled corruption and repair it eagerly.
-
-        Called inside the window-update span, before the run's plan opens:
-        the repair recomputes land in the run's phase delta, so corruption
-        costs work but never changes outputs.  Merges repair stats into
-        ``engine.last_recovery`` and returns them.
-        """
-        engine = self.engine
-        schedule = None
-        if engine.chaos is not None:
-            schedule = engine.chaos.for_run(engine.run_index)
-        if schedule is None or not getattr(schedule, "corruptions", None):
-            return {}
-        from repro.recovery.repair import inject_and_repair
-
-        stats = inject_and_repair(engine, schedule)
-        for key, value in stats.items():
-            engine.last_recovery[key] = (
-                engine.last_recovery.get(key, 0.0) + value
-            )
-        return stats
-
     # -- garbage collection and space ----------------------------------------
 
     def collect_garbage(self) -> int:

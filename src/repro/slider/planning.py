@@ -14,9 +14,9 @@ advance by (window motion, per-tree structure key) and opens the run
 ``recurring`` when the key was seen before; :meth:`RunPlanner.finish_run`
 remembers the key of a run that completed.  Every run executes the same
 way — the verdict only tells the process backend whether it may dispatch
-(its first rung).  Chaos runs are not keyed, and the data-dependent
-variants (randomized, strawman) never are — their ``plan_structure_key``
-is ``None``.
+(its first rung).  A chaos run is keyed like a calm one (its schedule
+changes only simulated time); the data-dependent variants (randomized,
+strawman) are never keyed — their ``plan_structure_key`` is ``None``.
 
 * **Map plan** — one ``map`` step per split in the update; the split uid
   is the step's plan-level cache edge.  Execution resolves it against the
@@ -70,8 +70,6 @@ class PlanCacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-    #: Lookups skipped entirely: a fault schedule covers the run.
-    bypasses: int = 0
     #: Lookups skipped because a tree declared its plans data-dependent.
     uncacheable: int = 0
 
@@ -87,7 +85,6 @@ class PlanCacheStats:
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,
-            "bypasses": self.bypasses,
             "uncacheable": self.uncacheable,
             "hit_rate": self.hit_rate,
         }
@@ -170,10 +167,6 @@ class RunPlanner:
 
     def _plan_key(self, added: Sequence[Split], removed: int) -> tuple | None:
         engine = self.engine
-        if self._chaos_active():
-            engine.telemetry.count("plan_cache.bypasses")
-            engine.plan_cache.stats.bypasses += 1
-            return None
         structure = []
         for tree in engine.trees:
             tree_key = tree.plan_structure_key()
@@ -183,14 +176,6 @@ class RunPlanner:
                 return None
             structure.append(tree_key)
         return ("advance", len(added), removed, tuple(structure))
-
-    def _chaos_active(self) -> bool:
-        """A run under any fault schedule is not keyed: chaos paths may
-        branch execution in ways the structure key cannot see."""
-        chaos = self.engine.chaos
-        if chaos is None:
-            return False
-        return chaos.for_run(self.engine.run_index) is not None
 
     # -- tree assembly -------------------------------------------------------
 
@@ -343,15 +328,13 @@ class RunPlanner:
         combiner's root value is a function of the multiset of leaf values
         for its key, however a tree brackets them, so every other key still
         ``==`` its memoized value.  ``None`` (scan the root; the reason is
-        counted) when the combiner does not say so, a fault schedule covers
-        the run, or a leaving row is not held.
+        counted) when the combiner does not say so or a leaving row is not
+        held.
         """
         engine = self.engine
         rows = [engine.map_memo.get(split.uid) for split in (*added, *departed)]
         if not engine.job.combiner.exact:
             engine.telemetry.count("reduce.scan.inexact")
-        elif self._chaos_active():
-            engine.telemetry.count("reduce.scan.chaos")
         elif None in rows:
             engine.telemetry.count("reduce.scan.departed_row")
         else:

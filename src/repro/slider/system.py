@@ -149,7 +149,6 @@ class Slider:
         #: Machines chaos crashed during the latest simulated execution;
         #: healed at the start of the next run.
         self.chaos_downed: list[int] = []
-        self.last_recovery: dict[str, float] = {}
         #: split uid -> per-reducer map-output partitions.
         self.map_memo: dict[int, list[Partition]] = {}
         #: Keys held over every row of ``map_memo``, kept where rows are
@@ -198,7 +197,6 @@ class Slider:
         with self.telemetry.span(
             "initial", SpanKind.WINDOW_UPDATE, run_index=self.run_index
         ):
-            self.lifecycle.inject_corruption()
             self.executor.begin_run("initial")
             with self.telemetry.span("map", SpanKind.PHASE):
                 self.planner.run_maps(splits)
@@ -232,7 +230,6 @@ class Slider:
             added=len(added),
             removed=removed,
         ):
-            self.lifecycle.inject_corruption()
             # Keys the advance off pre-mutation tree structure.
             self.planner.begin_run(
                 f"incremental-{self.run_index}", added, removed
@@ -315,16 +312,15 @@ class Slider:
             if phase is not Phase.BACKGROUND
         )
         with self.telemetry.span("execute", SpanKind.PHASE, label=label):
-            time = self.timing.simulate(phase_delta, run)
+            time, recovery = self.timing.simulate(phase_delta, run)
         report = RunReport(
             label=label,
             work=work,
             time=time,
             space=self.space(),
             breakdown={phase.value: amount for phase, amount in phase_delta.items()},
-            recovery=dict(self.last_recovery),
+            recovery=recovery,
         )
-        self.last_recovery = {}
         result = SliderResult(
             outputs=outputs,
             report=report,

@@ -23,6 +23,7 @@ from repro.core.partition import (
     _EntryHashes,
     _fingerprint_entries,
     combine_partitions,
+    first_unsound,
 )
 from repro.mapreduce.combiners import MaxCombiner, SumCombiner
 from repro.slider.system import Slider, SliderConfig
@@ -77,7 +78,7 @@ def test_a_pair_equality_does_not_encode_bypasses_the_memo(
     )
     assert combined.entries[key] == merged
     assert combined.uid == _fingerprint_entries(combined.entries)
-    assert combined.verify_fingerprint()
+    assert first_unsound([combined]) is None
     assert entry_hashes.young == planted and not entry_hashes.old
 
 
@@ -108,14 +109,14 @@ def test_a_corrupt_input_read_from_the_memo_is_as_stale_as_without_it(
     )  # puts ("m", 4), ("m", 5) and ("m", 9) in the memo
     stale = Partition(dict(clean.entries, m=4), uid=clean.uid)
     assert ("m", 4) in entry_hashes.young
-    assert not stale.verify_fingerprint()
+    assert first_unsound([stale]) is stale
 
     warm = combine_partitions([stale, other], SumCombiner())
     monkeypatch.setattr(partition_module, "_ENTRY_HASHES", _EntryHashes())
     cold = combine_partitions([stale, other], SumCombiner())
     assert warm.entries == cold.entries and warm.entries["m"] == 14
     assert warm.uid == cold.uid
-    assert not warm.verify_fingerprint()
+    assert first_unsound([warm]) is warm
 
 
 def _distinct_pairs(start: int, merged: int) -> list[Partition]:
@@ -168,13 +169,13 @@ def test_a_warm_memo_leaves_every_pair_combine_uid_the_fingerprint(case):
     """The combine kernel's pair strategy, each combine run twice on a
     memo that stays warm across examples (one test, one memo): the uid
     is the fresh fingerprint of the entries both times (the shared
-    empty partition's uid is symbolic; ``verify_fingerprint`` knows)."""
+    empty partition's uid is symbolic; ``first_unsound`` knows)."""
     name, partitions, _, _ = case
     kind = PAIR_COMBINERS[name][0]
     first = combine_partitions(partitions, kind())
     again = combine_partitions(partitions, kind())
     assert again.entries == first.entries and again.uid == first.uid
-    assert again.verify_fingerprint()
+    assert first_unsound([again]) is None
     if again:
         assert again.uid == _fingerprint_entries(again.entries)
 

@@ -17,6 +17,7 @@ from repro.core.partition import (
     Partition,
     _fingerprint_entries,
     combine_partitions,
+    first_unsound,
 )
 from repro.mapreduce.combiners import (
     ListConcatCombiner,
@@ -91,7 +92,7 @@ def test_combined_uid_is_the_fingerprint_of_the_entries(merge):
     kind, partitions = merge
     combined = combine_partitions(partitions, COMBINERS[kind])
     assert combined.uid == _fingerprint_entries(combined.entries)
-    assert combined.verify_fingerprint()
+    assert first_unsound([combined]) is None
     assert combined == Partition(combined.entries)
 
 
@@ -186,20 +187,20 @@ def test_a_set_valued_delta_is_the_fresh_fingerprint(monkeypatch):
 
 def test_a_stale_input_uid_fails_verification_downstream():
     """The delta trusts its inputs' uids.  An input whose entries diverged
-    from its uid (a flipped slot read before anything tainted it) yields
+    from its uid (a slot flipped in memory) yields
     the same entries as ever, under a uid that no longer verifies -- where
     the full re-hash fingerprints the corrupt content as valid."""
     clean, other = _two_inputs(merged=2, passing=30)
     rotten_entries = dict(clean.entries, p1=-999)
     assert "p1" in clean.entries
     stale = Partition(rotten_entries, uid=clean.uid)
-    assert not stale.verify_fingerprint()
+    assert first_unsound([stale]) is stale
 
     honest = combine_partitions([Partition(rotten_entries), other], SumCombiner())
     combined = combine_partitions([stale, other], SumCombiner())
     assert combined.entries == honest.entries  # outputs do not change
-    assert honest.verify_fingerprint()
-    assert not combined.verify_fingerprint()  # ... detection gets stricter
+    assert first_unsound([honest]) is None
+    assert first_unsound([combined]) is combined  # ... detection gets stricter
 
     # Below the threshold every entry is hashed afresh, as before: the
     # corrupt content comes out with a valid fingerprint of itself.
@@ -208,4 +209,4 @@ def test_a_stale_input_uid_fails_verification_downstream():
         dict(small_clean.entries, p1=-999), uid=small_clean.uid
     )
     rehashed = combine_partitions([small_stale, small_other], SumCombiner())
-    assert rehashed.verify_fingerprint()
+    assert first_unsound([rehashed]) is None

@@ -1,9 +1,7 @@
 """Unit tests for the memo table."""
 
-from repro.cluster import Cluster, ClusterConfig, DistributedMemoCache
 from repro.core.memo import MemoTable
 from repro.core.partition import Partition
-from repro.recovery.repair import _corrupt_copy
 
 
 def test_lookup_miss_then_hit():
@@ -50,70 +48,6 @@ def test_hit_rate_is_a_plain_float():
     table.lookup(1)
     assert type(table.stats.hit_rate) is float
     assert not callable(table.stats.hit_rate)
-
-
-def _corrupted(value: Partition) -> Partition:
-    """A copy whose entries diverged from the recorded fingerprint."""
-    entries = dict(value.entries)
-    entries["\x00bitrot"] = 1
-    return Partition(entries, uid=value.uid)
-
-
-def test_tainted_mode_verifies_once_after_taint():
-    table = MemoTable()
-    good = Partition({"k": 1})
-    table.store(7, good)
-    table.entries[7] = _corrupted(good)
-    # Untainted: the corrupt entry is served (verification is lazy).
-    assert table.lookup(7) is not None
-    table.taint({7})
-    assert table.lookup(7) is None
-    assert table.stats.corruptions == 1
-    assert 7 not in table.entries
-
-
-def test_taint_clears_on_successful_verify():
-    table = MemoTable()
-    table.store(7, Partition({"k": 1}))
-    table.taint()  # no argument: taint everything known
-    assert table.lookup(7) is not None
-    assert 7 not in table._tainted
-    assert table.stats.corruptions == 0
-
-
-def test_a_corrupt_local_copy_is_healed_from_its_replica():
-    """Only the local copy is bad: the backing's replica is verified, then
-    served and taken back in, and the cache still holds it."""
-    cache = DistributedMemoCache(
-        Cluster(ClusterConfig(num_machines=4, straggler_fraction=0.0))
-    )
-    table = MemoTable(backing=cache)
-    good = Partition({"k": 1, "j": 2})
-    table.store(7, good)
-    table.entries[7] = _corrupt_copy(good, 7)
-    table.taint({7})
-    assert table.lookup(7) == good
-    assert table.entries[7].verify_fingerprint()
-    assert table.stats.corruptions == 1 and table.stats.hits == 1
-    assert cache.stats.misses == 0 and cache.total_objects() == 1
-    assert 7 not in table._tainted
-
-
-def test_a_corrupt_replica_is_verified_and_deleted_too():
-    cache = DistributedMemoCache(
-        Cluster(ClusterConfig(num_machines=4, straggler_fraction=0.0))
-    )
-    table = MemoTable(backing=cache)
-    good = Partition({"k": 1})
-    table.store(7, good)
-    bad = _corrupt_copy(good, 7)
-    table.entries[7] = bad
-    cache.fetch = lambda uid: bad  # every copy rotted
-    table.taint({7})
-    assert table.lookup(7) is None
-    assert table.stats.corruptions == 2 and table.stats.misses == 1
-    assert cache.total_objects() == 0
-    assert 7 not in table.entries and 7 not in table._tainted
 
 
 class _FailingBacking:

@@ -5,7 +5,7 @@ its steps when somebody reads them.  That a plan read late is the one
 read at once is an invariant of every walk of the oracle
 (``tests/oracle``): the reference's are read only when the walk is over
 (``Fleet.read_late``), every other arm's as its run finishes, under
-generated motion, collections, corruption runs and dispatch; every arm's
+generated motion, collections, crash runs and dispatch; every arm's
 records are compared with the reference's as its run finishes.  Here:
 the walks this suite has always named, that a run appends exactly once a
 node, and the unit cases of the log itself, whose twin executor builds
@@ -43,17 +43,17 @@ class EagerExecutor(PlanExecutor):
 
 
 def test_a_graph_read_late_is_the_graph_built_eagerly():
-    """Collected partitions and flipped ones: a record is taken when its
-    step executes, so neither can reach a plan read afterwards, and the
-    kept arm's records are the reference's."""
+    """Collected partitions and runs under a crash: a record is taken
+    when its step executes, so nothing done after it can reach a plan
+    read afterwards, and the kept arm's records are the reference's."""
     for case in CASES:
         with Fleet(case, arms=("reference", "kept"), auto_gc=False) as fleet:
             fleet.advance(3, ALL, repeat=True)
-            fleet.corrupt(seed=2, victims=2)
+            fleet.crash(seed=2, machine=1)
             fleet.background()
             fleet.advance(2, 1)
             fleet.collect()
-            fleet.corrupt(seed=4, victims=2)
+            fleet.crash(seed=4, machine=2, recover=True)
             assert len(fleet.late) == 5
             fleet.read_late()
             assert fleet.late == []

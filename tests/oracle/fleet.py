@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterator
 import pytest
 
 from repro.apps.registry import APP_REGISTRY
-from repro.cluster.chaos import ChaosPlan, ChaosSchedule, CorruptionEvent
+from repro.cluster.chaos import ChaosSchedule, MachineCrash
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.common.approx import same_value
 from repro.common.hashing import stable_hash
@@ -396,9 +396,9 @@ class Fleet:
         self.late: list[tuple[SliderResult, list]] = []
         #: ``backend.worker_fallbacks`` the rules so far account for.
         self.fallbacks = 0
-        #: Memo reads the cluster arm's backing served in corrupt rules,
-        #: where the reference recomputed.
-        self.replica_reads = 0
+        #: The last makespan of an arm on a cluster: :meth:`crash` fells a
+        #: machine halfway through it.
+        self.makespan = 0.0
         #: A fault rule is in flight: the process arm may fail a dispatch.
         self.sabotaged = False
         self.collected = self.config.auto_gc
@@ -464,6 +464,9 @@ class Fleet:
         before = count(process, "backend.dispatch_runs") if live else 0
         results = self._each(lambda e: operation(e, list(added)))
         self._compare_runs(results)
+        for name, result in results.items():
+            if self.engines[name].cluster is not None:
+                self.makespan = result.report.time
         if live and not self.sabotaged:
             hit = results["process"].plan_cache_hit
             assert count(process, "backend.dispatch_runs") - before == hit, (
@@ -720,33 +723,35 @@ class Fleet:
 
     # -- rules: faults --------------------------------------------------------
 
-    def corrupt(self, seed: int = 1, victims: int = 2) -> None:
-        """A chaos corruption run: stored copies are swapped for corrupt
-        ones of the same uid at the start of one advance, and repaired.
-        A memo table drops only its corrupt copy, so the cluster arm of a
-        variant that memoizes reads the intact replica where the
-        reference recomputes."""
-        self.fired["corrupt"] += 1
-        flips = [CorruptionEvent(count=victims)]
-        schedule = ChaosSchedule(corruptions=flips, seed=seed)
-        for engine in self.engines.values():
-            engine.set_chaos(ChaosPlan(schedules={engine.run_index: schedule}))
+    def crash(self, seed: int = 1, machine: int = 1, recover: bool = False) -> None:
+        """One advance under a chaos schedule that fells ``machine``
+        halfway through the last makespan on a cluster -- mid-wave -- and,
+        if ``recover``, brings it back a quarter of it later.  Every arm
+        runs under it: an arm on a cluster takes the event executor and
+        loses the machine's memory mid-run; on any other arm a schedule
+        changes nothing.  A schedule changes only simulated time, so the
+        run keys, dispatches and reduces as a calm one would."""
+        self.fired["crash"] += 1
+        when = self.makespan / 2
+        felled = MachineCrash(
+            time=when, machine_id=machine, recover_at=1.5 * when if recover else None
+        )
+        schedule = ChaosSchedule(crashes=[felled], seed=seed)
         cluster = self.engines.get("cluster")
-        memoizes = cluster is not None and any(t.memo.entries for t in cluster.trees)
-        if memoizes:
+        # What a memo table held only in the lost memory is computed again.
+        if cluster is not None and any(t.memo.entries for t in cluster.trees):
             self.differs["cluster"].update(LOST_MEMORY)
+        add, remove = self._clamp(1, 1)
 
-        def extra_hits() -> float:
-            """The cluster arm's memo hits beyond the reference's."""
-            if not memoizes:
-                return 0.0
-            return count(cluster, "memo.hits") - count(self.reference, "memo.hits")
+        def operation(engine: Slider, added: list[Split]) -> SliderResult:
+            engine.set_chaos(schedule)
+            try:
+                return engine.advance(added, remove)
+            finally:
+                engine.set_chaos(None)
 
-        before = extra_hits()
-        self.advance()
-        for engine in self.engines.values():
-            engine.set_chaos(None)
-        self.replica_reads += extra_hits() - before
+        self._run(operation, add, remove)
+        self.collected = self.config.auto_gc
 
     def _live_backend(self) -> "ProcessBackend | None":
         """The process arm's backend, while it may still dispatch."""

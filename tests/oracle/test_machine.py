@@ -68,9 +68,9 @@ class OracleMachine(RuleBasedStateMachine):
     def interlude(self):
         self.fleet.interlude()
 
-    @rule(seed=st.integers(0, 9), victims=st.integers(1, 3))
-    def corrupt(self, seed, victims):
-        self.fleet.corrupt(seed, victims)
+    @rule(seed=st.integers(0, 9), machine=st.integers(0, 3), recover=st.booleans())
+    def crash(self, seed, machine, recover):
+        self.fleet.crash(seed, machine, recover)
 
     @rule(hard=st.booleans())
     def kill_worker(self, hard):

@@ -1,114 +1,46 @@
-"""Injected corruption is detected and repaired; outputs never change."""
+"""The restore sweep: a partition whose entries diverged from its uid is
+refused at restore, named by the slot where the sweep first met it."""
 
 import re
 
 import pytest
 
 from repro.apps.registry import APP_REGISTRY
-from repro.cluster.chaos import ChaosPlan, ChaosSchedule, CorruptionEvent
 from repro.cluster.machine import Cluster, ClusterConfig
 from repro.common.errors import CorruptionError
-from repro.recovery.repair import (
-    _corrupt_copy,
-    corruption_candidates,
-    verify_restored,
-)
+from repro.recovery.repair import verify_restored
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from repro.common.hashing import FLAT_ITEMS
 from repro.core.partition import Partition
-from tests.oracle.fleet import (
-    VARIANTS,
-    Fleet,
-    case_of,
-    count_job,
-    split_of,
-    tree_partitions,
-)
+from tests.oracle.fleet import VARIANTS, count_job, split_of, tree_partitions
 from tests.conftest import count_digests
 
 
-def _run_scenario(variant: str, chaos=None):
+def _folding_engine() -> Slider:
+    """A folding tree on a cluster, three runs in."""
     slider = Slider(
         count_job(),
         WindowMode.VARIABLE,
-        config=SliderConfig(tree=variant),
+        config=SliderConfig(tree="folding"),
         cluster=Cluster(ClusterConfig(num_machines=8, straggler_fraction=0.0)),
-        chaos=chaos,
     )
-    results = [slider.initial_run([split_of(i) for i in range(6)])]
-    results.append(slider.advance([split_of(10)], 2))
-    results.append(slider.advance([split_of(11)], 1))
-    return slider, results
+    slider.initial_run([split_of(i) for i in range(6)])
+    slider.advance([split_of(10)], 2)
+    slider.advance([split_of(11)], 1)
+    return slider
 
 
-def _outputs(results):
-    return [dict(result.outputs) for result in results]
-
-
-def _corruption_plan(count=3, seed=5) -> ChaosPlan:
-    return ChaosPlan(
-        schedules={
-            1: ChaosSchedule(
-                corruptions=[CorruptionEvent(count=count)], seed=seed
-            ),
-            2: ChaosSchedule(
-                corruptions=[CorruptionEvent(count=count, salt=1)], seed=seed
-            ),
-        }
-    )
-
-
-@pytest.mark.parametrize("variant", ["folding", "randomized", "strawman"])
-def test_corruption_never_reaches_outputs(variant):
-    _, clean = _run_scenario(variant)
-    corrupted_engine, corrupted = _run_scenario(variant, chaos=_corruption_plan())
-    assert _outputs(corrupted) == _outputs(clean)
-    corrupted_engine.verify_outputs()
-    injected = corrupted_engine.telemetry.counters.get(
-        "recovery.corruptions_injected", 0
-    )
-    assert injected > 0
-
-
-def test_eager_repair_is_charged_as_work():
-    clean_engine, _ = _run_scenario("folding")
-    engine, results = _run_scenario("folding", chaos=_corruption_plan())
-    recovery = results[1].report.recovery
-    assert recovery["corruptions_injected"] > 0
-    assert recovery["corruptions_repaired"] > 0
-    assert recovery["corruption_repair_work"] > 0
-    # Corruption costs work, not correctness: total charged work strictly
-    # exceeds the clean run's.
-    assert engine.telemetry.total() > clean_engine.telemetry.total()
-
-
-def test_repair_telemetry_is_deterministic():
-    a, results_a = _run_scenario("folding", chaos=_corruption_plan())
-    b, results_b = _run_scenario("folding", chaos=_corruption_plan())
-    assert [r.report.recovery for r in results_a] == [
-        r.report.recovery for r in results_b
-    ]
-    assert a.telemetry.counters == b.telemetry.counters
-
-
-def test_corruption_candidates_are_deterministic():
-    engine, _ = _run_scenario("folding")
-    assert corruption_candidates(engine) == corruption_candidates(engine)
-    assert corruption_candidates(engine), "retained state should be flippable"
-
-
-def test_randomized_memo_corruption_heals_lazily():
-    """Tainted memo entries are verified on next read and dropped; the
-    backing replica (untouched by the bit-flip) serves the good copy."""
-    _, clean = _run_scenario("randomized")
-    engine, results = _run_scenario("randomized", chaos=_corruption_plan(count=4))
-    assert _outputs(results) == _outputs(clean)
-    engine.verify_outputs()
+def _corrupt_copy(value: Partition, salt: int) -> Partition:
+    """A copy of ``value`` under its uid whose entries hold one more key:
+    what a slot flipped in memory before a checkpoint looks like."""
+    entries = dict(value.entries)
+    entries["\x00bitrot"] = salt
+    return Partition(entries, uid=value.uid)
 
 
 def test_verify_restored_raises_on_in_memory_corruption():
-    engine, _ = _run_scenario("folding")
+    engine = _folding_engine()
     assert verify_restored(engine) > 0
     tree = engine.trees[0]
     position = next(iter(sorted(tree._cache)))
@@ -324,7 +256,7 @@ def test_an_empty_partition_passes_only_under_an_empty_uid():
     """The shared empty partition's uid is symbolic; an empty partition a
     combine produced carries the fingerprint of no entries.  Under any
     other uid -- a slot whose entries were lost -- it is corrupt."""
-    engine, _ = _run_scenario("folding")
+    engine = _folding_engine()
     tree = engine.trees[0]
     position = max(tree._cache)
     lost = tree._cache[position]
@@ -337,9 +269,9 @@ def test_an_empty_partition_passes_only_under_an_empty_uid():
 
 
 def test_a_flipped_memo_entry_checkpointed_live_is_refused_at_restore(tmp_path):
-    """What the segment digest cannot see: a memo entry flipped while
-    nothing tainted it is written as it is held, its bytes verify on
-    read, and only the sweep finds that the graph written was unsound."""
+    """What the segment digest cannot see: a memo entry flipped in memory
+    is written as it is held, its bytes verify on read, and only the
+    sweep finds that the graph written was unsound."""
     engine = Slider(
         count_job(),
         WindowMode.VARIABLE,
@@ -356,8 +288,8 @@ def test_a_flipped_memo_entry_checkpointed_live_is_refused_at_restore(tmp_path):
 
 @pytest.mark.parametrize("field", ["_buckets", "_bucket_leaves"])
 def test_a_rotating_trees_bucket_leaves_are_swept_at_restore(field, tmp_path):
-    """A bucket's retained leaf chunk is what its repair recombines, so a
-    corrupt copy there is refused at restore as one in the bucket is: the
+    """A bucket's retained leaf chunk is what the bucket is combined from,
+    so a corrupt copy there is refused at restore as one in the bucket is: the
     sweep walks every field of the tree's state, lists of lists too."""
     mode = WindowMode.FIXED
     engine = Slider(count_job(), mode, config=SliderConfig(mode=mode, bucket_size=2))
@@ -377,7 +309,7 @@ def test_each_reducer_is_walked_whole_before_the_next():
     """Reducer r's map-memo row is met before tree r, and all of reducer
     0 before anything of reducer 1: corruption in both is reported at
     reducer 0's tree, and without it at reducer 1's map output."""
-    engine, _ = _run_scenario("folding")
+    engine = _folding_engine()
     split = engine.window.splits[-1]
     assert engine.map_memo[split.uid][1]
     engine.map_memo[split.uid][1].entries["\x00rot"] = 1
@@ -390,25 +322,6 @@ def test_each_reducer_is_walked_whole_before_the_next():
     tree._cache[position] = clean
     with pytest.raises(CorruptionError, match=rf"at map_memo\[{split.uid:#x}\]\[1\]"):
         verify_restored(engine)
-
-
-def test_kill_restore_sweep_is_bit_identical_under_corruption():
-    """Every variant, killed and restored at every boundary while slots
-    are being flipped and repaired, reproduces the uninterrupted run: a
-    repaired node's uid is again the fingerprint of its entries, so the
-    combines above it may derive theirs from it."""
-    for variant, _ in VARIANTS:
-        arms = ("reference", "restored")
-        with Fleet(case_of(variant), job="scenario", arms=arms, first=6) as f:
-            f.corrupt(seed=5, victims=3)
-            f.check()
-            f.advance(2, 2)
-            f.corrupt(seed=6, victims=3)
-            f.check()
-            # A coalescing root is no legal fault surface: nothing to flip.
-            counters = f.reference.telemetry.counters
-            flipped = counters.get("recovery.corruptions_injected")
-            assert flipped or variant == "coalescing"
 
 
 def _rotating_with_pending(tmp_path) -> Slider:

@@ -4,13 +4,16 @@ What is left of the plan cache is a set of keys.  An advance from a
 state the engine has advanced from before is *recurring* — the process
 backend's first rung — and runs exactly like any other: its own plan,
 same outputs, same work, same metered breakdown.  The safety contract of
-the key: anything that could change the upcoming plan's shape (chaos,
-non-steady motion, data-dependent planners) must miss or go unkeyed.
+the key: anything that could change the upcoming plan's shape (non-steady
+motion, data-dependent planners) must miss or go unkeyed.  A fault
+schedule changes only simulated time, so a chaos run is keyed as its calm
+twin is.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.chaos import ChaosPlan, ChaosSchedule
+from repro.cluster.chaos import ChaosPlan, ChaosSchedule, MachineCrash
+from repro.cluster.machine import Cluster, ClusterConfig
 from repro.slider.planning import PlanCache
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
@@ -124,35 +127,69 @@ class TestInvalidation:
         assert not emptied.plan_cache_hit
         assert emptied.outputs == {}
 
+    @staticmethod
+    def assert_a_crash_changes_only_time(variant, mode, schedule_for):
+        """A cluster engine whose runs ``schedule_for(calm times)`` fells
+        a machine mid-wave against its calm twin: each advance has the
+        twin's ``plan_cache_hit``, outputs, changed and removed keys and
+        work to the bit, and Reduce never leaves the candidate path."""
+        removed = 0 if mode is WindowMode.APPEND else 1
+
+        def run(chaos=None):
+            slider = Slider(
+                count_job(),
+                mode,
+                config=SliderConfig(mode=mode, tree=variant),
+                cluster=Cluster(ClusterConfig(num_machines=4, straggler_fraction=0.0)),
+                chaos=chaos,
+            )
+            slider.initial_run([split_of(i) for i in range(WINDOW)])
+            advances = [
+                slider.advance([split_of(WINDOW + k)], removed)
+                for k in range(2 * WINDOW)
+            ]
+            return slider, advances
+
+        _, calm = run()
+        chaos = schedule_for([result.report.time for result in calm])
+        slider, crashed = run(chaos)
+        assert any(result.plan_cache_hit for result in calm)  # not vacuous
+        for a, b in zip(crashed, calm):
+            for field in ("plan_cache_hit", "outputs", "changed_keys", "removed_keys"):
+                assert getattr(a, field) == getattr(b, field), (a.run_index, field)
+            assert a.report.work.hex() == b.report.work.hex(), a.run_index
+            schedule = chaos.for_run(a.run_index)
+            if schedule is None or schedule.is_empty():
+                assert a.report.recovery == {}, a.run_index  # the calm path
+            else:
+                assert a.report.recovery["crashes"] == 1.0, a.run_index
+        assert not [n for n in slider.telemetry.counters if n.startswith("reduce.scan")]
+
     def test_chaos_bypasses_the_cache(self):
-        # A schedule (even a calm one) may branch execution in ways the
-        # structure key cannot see: every run under chaos goes unkeyed.
-        config = SliderConfig(mode=WindowMode.VARIABLE, tree="folding")
-        slider = Slider(
-            count_job(),
-            WindowMode.VARIABLE,
-            config=config,
-            chaos=ChaosSchedule(),
-        )
-        slider.initial_run([split_of(i) for i in range(4)])
-        for k in range(3):
-            assert not slider.advance([split_of(9 + k)], 1).plan_cache_hit
-        stats = slider.plan_cache.stats
-        assert stats.bypasses == 3
-        assert stats.hits == 0 and stats.misses == 0
+        """One schedule covers every run: a crash halfway through the
+        shortest calm makespan."""
+
+        def every_run(times):
+            when = min(times) / 2
+            return ChaosSchedule(crashes=[MachineCrash(time=when, machine_id=1)])
+
+        self.assert_a_crash_changes_only_time("folding", WindowMode.VARIABLE, every_run)
 
     def test_chaos_plan_bypasses_only_scheduled_runs(self):
-        chaos = ChaosPlan(schedules={3: ChaosSchedule()})
-        slider = Slider(
-            count_job(), WindowMode.APPEND,
-            config=SliderConfig(mode=WindowMode.APPEND, tree="coalescing"),
-            chaos=chaos,
-        )
-        slider.initial_run([split_of(0)])
-        hits = [slider.advance([split_of(1 + k)], 0).plan_cache_hit for k in range(5)]
-        # Runs are numbered from the initial run; run 3 is scheduled.
-        assert False in hits
-        assert slider.plan_cache.stats.bypasses == 1
+        """A plan covers some runs, each felled mid-wave and back before
+        its run ends, and gives one an empty schedule, priced on the calm
+        path.  Runs are numbered from the initial run."""
+
+        def some_runs(times):
+            def felled(when):
+                crash = MachineCrash(time=when, machine_id=2, recover_at=1.5 * when)
+                return ChaosSchedule(crashes=[crash])
+
+            plan = ChaosPlan({k + 1: felled(times[k] / 2) for k in (2, 5, 9)})
+            plan.schedules[12] = ChaosSchedule()
+            return plan
+
+        self.assert_a_crash_changes_only_time("coalescing", WindowMode.APPEND, some_runs)
 
 
 class TestPlanCacheMechanics:

@@ -39,7 +39,7 @@ def test_space_equals_recount_after_every_step():
         with Fleet(case, arms=arms, common=cluster, auto_gc=False, **config) as fleet:
             for step in (
                 lambda: fleet.advance(3, 1),
-                lambda: fleet.corrupt(seed=1, victims=2),
+                lambda: fleet.crash(seed=1, machine=1),
                 lambda: fleet.advance(2, ALL, repeat=True),
                 fleet.background,
                 lambda: fleet.advance(0, 2),
