@@ -91,7 +91,7 @@ _MEMO_METHODS = frozenset(
     {
         "lookup", "get", "__contains__", "space",
         "store", "discard", "retain_only", "put", "delete",
-        "get_or_compute", "setdefault", "pop",
+        "setdefault", "pop",
     }
 )
 #: Receiver-name fragments that identify a memo/cache table.

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any, Callable, Iterable, Mapping
+from itertools import chain, count, repeat
+from operator import is_, itemgetter
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+
+import numpy as np
 
 _HASH_BYTES = 8
 _pack_double = struct.Struct("<d").pack
@@ -119,12 +123,21 @@ def hash_encoded(encoded: bytes, *, salt: str = "") -> int:
     return int.from_bytes(state.digest(), "big")
 
 
+#: A sequence item's bytes framed by their length, ``<len>:<bytes>``.
+_FRAMED = b"%d:%b"
+#: The bytes of an entry ``(key, value)`` are the pair's encoding: ``t2``,
+#: then the key's and the value's own bytes, each framed.  Every spelling
+#: of an entry hash builds them from these two formats.
+_ENTRY_HEAD = b"t2" + _FRAMED
+_ENTRY_FRAME = _ENTRY_HEAD + _FRAMED
+
+
 def entry_hash_encoded(key: bytes, value: Any, *, salt: str = "") -> int:
     """``entry_hash`` from ``encode_key(key)``: ``t2``, then key and value each
     framed by its length.  Not for a ``float`` key (a block, with a float)."""
     value = _encode_fast(value)
     state = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
-    state.update(b"t2%d:%b%d:%b" % (len(key), key, len(value), value))
+    state.update(_ENTRY_FRAME % (len(key), key, len(value), value))
     return int.from_bytes(state.digest(), "big")
 
 
@@ -236,7 +249,7 @@ def xor_entry_hashes(
                 value_bytes = _encode_fast(value)
             state = copy()
             state.update(
-                b"t2%d:%b%d:%b"
+                _ENTRY_FRAME
                 % (len(key_bytes), key_bytes, len(value_bytes), value_bytes)
             )
             hashed = int.from_bytes(state.digest(), "big")
@@ -253,6 +266,82 @@ def xor_entry_hashes(
     return folded
 
 
+def _flat_entry_digests(
+    pairs: Collection[tuple[tuple[Any, ...], int]], *, salt: str
+) -> bytes:
+    """``entry_hash(key, value, salt=salt)`` for each of ``pairs``, in order,
+    as its 8 big-endian digest bytes, all joined into one ``bytes``: for a
+    caller that folds them in bulk.  Every key is a flat tuple (exact
+    ``FLAT_ITEMS`` items) and every value an exact ``int`` -- the caller
+    checks that.
+
+    Such a key's bytes are ``t<n>`` and its items' own, each framed, so
+    each distinct item and value is encoded (by ``_encode_fast``, the
+    rules' one home) and framed once a call, and each distinct key's
+    entry head once; an entry is then its key's head and its value's
+    frame.  ``xor_entry_hashes`` makes the same bytes with an
+    ``_encode_fast`` call a key: about 1.5 us on matrix's ``(str, str)``
+    keys, against 0.5 us for the BLAKE2b work itself.
+    """
+    frames: dict[Any, bytes] = {}
+    for item in set(chain.from_iterable(map(itemgetter(0), pairs))).union(
+        map(itemgetter(1), pairs)
+    ):
+        encoded = _encode_fast(item)
+        frames[item] = _FRAMED % (len(encoded), encoded)
+    frame = frames.__getitem__
+    heads: dict[tuple[Any, ...], bytes] = {}
+    copy = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy
+    digests: list[bytes] = []
+    for key, value in pairs:
+        head = heads.get(key)
+        if head is None:
+            # ``t<n>``: a sequence's header, as ``_encode_sequence`` writes it.
+            key_bytes = b"t%d%b" % (len(key), b"".join(map(frame, key)))
+            head = heads[key] = _ENTRY_HEAD % (len(key_bytes), key_bytes)
+        state = copy()
+        state.update(head + frames[value])
+        digests.append(state.digest())
+    return b"".join(digests)
+
+
+def xor_flat_entry_hashes(
+    mappings: Sequence[dict[Any, Any]], *, salt: str
+) -> list[int] | None:
+    """``xor_entry_hashes(mappings, salt=salt)`` when every key is a flat
+    tuple (exact ``FLAT_ITEMS`` items) and every value an exact ``int``,
+    else ``None``.  C-level type scans decide, keys first, so a str-keyed
+    set of mappings leaves at its first key.  Such entries are hashed by
+    value, as the loop's memo hashes them: one ``dict.setdefault`` pass
+    maps each distinct pair to the place it is first held, each distinct
+    pair is digested once by ``_flat_entry_digests``, and each mapping's
+    XOR is folded by ``numpy`` over the size offsets (an empty mapping's
+    is 0).  No Python step is taken an entry, only a distinct pair."""
+    if not all(map(is_, map(type, chain.from_iterable(mappings)), repeat(tuple))):
+        return None
+    keys = list(chain.from_iterable(mappings))
+    if not FLAT_ITEMS.issuperset(map(type, chain.from_iterable(keys))):
+        return None
+    values = list(chain.from_iterable(map(dict.values, mappings)))
+    if not all(map(is_, map(type, values), repeat(int))):
+        return None
+    # Each distinct pair -> the place it is first held, which gets its
+    # digest; every entry then takes the digest at its pair's place.
+    first: dict[tuple[Any, int], int] = {}
+    places = map(first.setdefault, zip(keys, values), count())
+    held_at = np.fromiter(places, np.intp, len(keys))
+    hashes = np.zeros(len(keys), np.uint64)
+    hashes[np.fromiter(first.values(), np.intp, len(first))] = np.frombuffer(
+        _flat_entry_digests(first, salt=salt), ">u8"
+    )
+    hashes = hashes[held_at]
+    sizes = np.fromiter(map(len, mappings), np.intp, len(mappings))
+    held = sizes > 0
+    folded = np.zeros(len(mappings), np.uint64)
+    folded[held] = np.bitwise_xor.reduceat(hashes, (np.cumsum(sizes) - sizes)[held])
+    return folded.tolist()
+
+
 def entry_hasher(key: Any, *, salt: str = "") -> Callable[[Any], int]:
     """Return ``h`` with ``h(value) == stable_hash((key, value), salt=salt)``.
 
@@ -267,12 +356,12 @@ def entry_hasher(key: Any, *, salt: str = "") -> Callable[[Any], int]:
         return lambda value: stable_hash((key, value), salt=salt)
     key = _encode_fast(key)
     keyed = (_PROTOTYPES.get(salt) or _new_prototype(salt)).copy()
-    keyed.update(b"t2%d:%b" % (len(key), key))
+    keyed.update(_ENTRY_HEAD % (len(key), key))
 
     def finish(value: Any) -> int:
         value = _encode_fast(value)
         state = keyed.copy()
-        state.update(b"%d:%b" % (len(value), value))
+        state.update(_FRAMED % (len(value), value))
         return int.from_bytes(state.digest(), "big")
 
     return finish

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.common.hashing import FLAT_ITEMS, content_id, entry_hash
 from repro.common.hashing import entry_hash_encoded, entry_hasher, stable_hash
-from repro.common.hashing import xor_entry_hashes
+from repro.common.hashing import xor_entry_hashes, xor_flat_entry_hashes
 from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
@@ -186,17 +186,27 @@ def first_unsound(partitions: Sequence[Partition]) -> Partition | None:
     or ``None``.  The one fingerprint check: the shared empty partition's
     symbolic uid passes only over no entries.
 
-    One call of the entry kernel fingerprints them all, with an entry
-    memo local to this call (``xor_entry_hashes``: str-keyed int entries
-    and flat tuple-keyed int entries by value, tuple-keyed ones by object
-    identity).  That is sound because ``partitions`` holds every object
-    the memo names alive, and unmodified, until the call returns; the
-    memo changes no verdict, only how often one content is hashed, and
-    every partition still pays its length term and is compared whole.
+    Two paths fold each partition's entry hashes, to the same integers
+    with the same digests.  When every key is a flat tuple and every
+    value an exact ``int`` (matrix's reducers), ``xor_flat_entry_hashes``
+    folds them all in one flattened pass, each distinct ``(key, value)``
+    digested once.  Any other set of partitions (str-keyed hct's,
+    kmeans' vectors, a reducer that mixes in one other key) goes through
+    one call of the entry kernel, with an entry memo local to this call
+    (``xor_entry_hashes``: str-keyed int entries and flat tuple-keyed int
+    entries by value, tuple-keyed ones by object identity).  The kernel
+    pays about 0.6 us of Python per held entry on tuple keys, which the
+    flat pass does at C level; on str keys it pays about 0.2 us, where a
+    per-partition C-level path was 1.35x slower (EXPERIMENTS § "A
+    restore that pays per distinct key").  The memo is sound because ``partitions`` holds
+    every object it names alive, and unmodified, until the call returns;
+    neither path changes a verdict, only how often one content is hashed,
+    and every partition still pays its length term and is compared whole.
     """
-    folded = xor_entry_hashes(
-        [partition.entries for partition in partitions], salt="pent", memo={}
-    )
+    mappings = [partition.entries for partition in partitions]
+    folded = xor_flat_entry_hashes(mappings, salt="pent")
+    if folded is None:
+        folded = xor_entry_hashes(mappings, salt="pent", memo={})
     terms = _LENGTH_TERMS
     empty = _EMPTY.uid
     for partition, acc in zip(partitions, folded):

@@ -36,10 +36,16 @@ def verify_restored(engine: "Slider") -> int:
     (a map-memo leaf is a tree's leaf, a pass-through node the child it
     is) is verified where first met.  A reducer's partitions not met
     before are gathered into one list and fingerprinted by one
-    :func:`~repro.core.partition.first_unsound` pass, with one entry memo
-    (a key routes to one reducer): each distinct str-keyed or flat
-    tuple-keyed int entry is hashed once, by value, and any other
-    tuple-keyed pair of objects once, by identity.  Slots are named only
+    :func:`~repro.core.partition.first_unsound` pass (a key routes to one
+    reducer, so the reducer is the scope of every by-value rule): each
+    distinct str-keyed or flat tuple-keyed int entry is hashed once, by
+    value, and any other tuple-keyed pair of objects once, by identity.
+    A reducer holding only flat tuple keys and exact int values (matrix)
+    is folded in one C-level pass over all its entries, about 0.6 us of
+    Python an entry less than the kernel's loop; any other reducer keeps
+    the loop, whose str-keyed memo hit costs about 0.2 us and where a
+    per-partition C-level path was 1.35x slower (hct's partitions hold
+    about six entries).  Slots are named only
     when a partition fails: the reducer is walked again to find where the
     failing object was first met.  Returns the number of distinct
     partitions checked.

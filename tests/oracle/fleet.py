@@ -41,7 +41,7 @@ from repro.common.approx import same_value
 from repro.common.hashing import stable_hash
 from repro.core import backends, parallel
 from repro.core.backends import ProcessBackend, parent_share
-from repro.core.partition import Partition
+from repro.core.partition import Partition, first_unsound
 from repro.core.plan import NODE_KINDS, STEP, Plan, PlanStep
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
@@ -572,6 +572,16 @@ class Fleet:
                 ref, *differs
             ), name
             assert engine.space() == engine.lifecycle.recount(), name
+            # Every uid is its partition's fingerprint: a leaf in the map
+            # memo, a memoized node, anything the trees' state holds.
+            held = tree_partitions(list(engine.map_memo.values()))
+            for tree in engine.trees:
+                held += tree_partitions(tree)
+                held += tree.memo.entries.values()
+            assert first_unsound(list({id(p): p for p in held}.values())) is None, (
+                name,
+                "uid",
+            )
             assert engine.telemetry.unclosed_spans() == [], name
             if "space" not in differs:
                 assert [(t.memo.stats, t.memo.space()) for t in engine.trees] == [
