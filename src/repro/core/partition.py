@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.common.hashing import FLAT_ITEMS, content_id, entry_hash
-from repro.common.hashing import entry_hash_encoded, entry_hasher, stable_hash
+from repro.common.hashing import ENTRY_HASHES, content_id, entry_hash
+from repro.common.hashing import entry_hash_encoded, stable_hash
 from repro.common.hashing import xor_entry_hashes, xor_flat_entry_hashes
 from repro.telemetry import Phase, Telemetry
 
@@ -145,36 +145,6 @@ def _length_term(n: int) -> int:
     return term
 
 
-class _EntryHashes:
-    """``"pent"`` entry hashes by value, for :func:`combined_uid`:
-    ``(key, value)`` -> ``entry_hash(key, value, salt="pent")``, for a
-    pair whose bytes equality fixes -- an exact ``str`` or ``int`` key, or
-    a flat tuple of exact ``str`` / ``int`` items, with an exact ``int``
-    value (so not ``True`` for ``1``, ``1.0`` for ``1``, nor a vector).
-
-    Two generations of at most ``_ENTRY_GENERATION`` pairs each: a miss
-    goes into ``young``, and a full ``young`` becomes ``old``, dropping
-    the old ``old``; a hit in ``old`` moves to ``young``.  A hit is the
-    hash of the pair's own bytes, whatever objects hold them, so no uid
-    depends on what the memo holds.  It is a process's own: never
-    pickled, checkpointed or shipped."""
-
-    __slots__ = ("young", "old")
-
-    def __init__(self) -> None:
-        self.young: dict[tuple[Any, int], int] = {}
-        self.old: dict[tuple[Any, int], int] = {}
-
-
-#: Pairs a generation.  Share of a steady matrix slide's lookups that hit
-#: (rotating tree, fixed window 40, split mode), by generation size:
-#: 2 048: 65.5 %, 4 096: 92.8 %, 8 192: 97.6 % (EXPERIMENTS § "A merged
-#: key's entry hashes, remembered").
-_ENTRY_GENERATION = 4096
-
-_ENTRY_HASHES = _EntryHashes()
-
-
 def _fingerprint_entries(entries: Mapping[Any, Any]) -> int:
     # Key order must not matter: XOR per-entry hashes (stable, order-free).
     (entry_terms,) = xor_entry_hashes((entries,), salt="pent")
@@ -263,10 +233,12 @@ def combined_uid(
     one per input: ``delta_digests``, which the merge loop counted too.
     When it would not be fewer than hashing ``entries`` afresh, they are
     hashed afresh.  (The rule counts a length term as a digest, cached or
-    not.)  Each pair of a merged key that ``_EntryHashes`` takes is looked
-    up in ``_ENTRY_HASHES`` first, and the key is encoded only at its
-    first miss.  A hit is the hash of the pair's own bytes: it saves a
-    digest and moves no uid, and the rule still counts it.
+    not.)  Either way each pair :func:`~repro.common.hashing.by_value`
+    takes is looked up in ``ENTRY_HASHES`` first: afresh, every entry's
+    (any other entry goes through the entry kernel); in the delta, each
+    pair of a merged key, whose key is encoded only at its first miss.  A
+    hit is the hash of the pair's own bytes: it saves a digest and moves
+    no uid, and the rule still counts it.
 
     Precondition: every input's ``uid`` is the fingerprint of its entries.
     Everything the engine builds satisfies it, and the restore sweep
@@ -276,43 +248,13 @@ def combined_uid(
     fails :func:`first_unsound` too (hashing afresh would fingerprint the
     corrupt content as valid); the entries are the same either way.
     """
+    memo = ENTRY_HASHES
     if delta_digests >= len(entries):
-        return _fingerprint_entries(entries)
+        return _length_term(len(entries)) ^ memo.xor(entries)
     acc = _length_term(len(entries))
     for partition in inputs:
         acc ^= partition.uid ^ _length_term(len(partition.entries))
-    memo = _ENTRY_HASHES
-    young, old = memo.young, memo.old
-    for key, values in merged:
-        kind = type(key)
-        by_value = (
-            kind is str
-            or kind is int
-            or (kind is tuple and FLAT_ITEMS.issuperset(map(type, key)))
-        )
-        hash_with_key = None
-        for value in (*values, entries[key]):
-            if by_value and type(value) is int:
-                pair = (key, value)
-                hashed = young.get(pair)
-                if hashed is not None:
-                    acc ^= hashed
-                    continue
-                hashed = old.pop(pair, None)
-                if hashed is None:
-                    if hash_with_key is None:
-                        hash_with_key = entry_hasher(key, salt="pent")
-                    hashed = hash_with_key(value)
-                young[pair] = hashed
-                if len(young) == _ENTRY_GENERATION:
-                    memo.old = old = young
-                    memo.young = young = {}
-                acc ^= hashed
-                continue
-            if hash_with_key is None:
-                hash_with_key = entry_hasher(key, salt="pent")
-            acc ^= hash_with_key(value)
-    return acc
+    return acc ^ memo.xor_merged(merged, entries)
 
 
 _EMPTY = Partition({}, uid=content_id("empty-partition"))

@@ -100,14 +100,25 @@ def length_terms(monkeypatch) -> dict:
 
 
 @pytest.fixture(autouse=True)
-def entry_hashes(monkeypatch) -> partition_module._EntryHashes:
-    """An empty entry-hash memo for every test, restored after it: the
-    delta of a combine then makes every ``"pent"`` digest its pairs are
-    first met with, whatever ran before, so digest counts hold in any
-    order.  Name it to read the memo's two generations."""
-    memo = partition_module._EntryHashes()
-    monkeypatch.setattr(partition_module, "_ENTRY_HASHES", memo)
+def entry_hashes(monkeypatch) -> hashing.EntryHashes:
+    """The entry-hash memo, empty for every test and restored after it:
+    a combine then makes every ``"pent"`` digest its pairs are first met
+    with, whatever ran before, so digest counts hold in any order.  Name
+    it to read the memo's two generations."""
+    memo = hashing.ENTRY_HASHES
+    monkeypatch.setattr(memo, "young", {})
+    monkeypatch.setattr(memo, "old", {})
+    monkeypatch.setattr(memo, "size", 0)
     return memo
+
+
+def held_pairs(generation: dict) -> dict:
+    """One generation of the entry memo, flat: ``(key, value)`` -> hash."""
+    return {
+        (key, value): hashed
+        for key, hashes in generation.items()
+        for value, hashed in hashes.items()
+    }
 
 
 def profile_calls(thunk, watched=None) -> tuple:

@@ -111,14 +111,59 @@ def _point_split(i: int) -> Split:
     return _POINTS[i % len(_POINTS)]
 
 
+#: The key-heavy stream's vocabulary: 512 words, paired into matrix's key
+#: shape, a tuple of two strs.
+WORDS = tuple(f"w{i:03d}" for i in range(512))
+#: Pairs most splits share: split ``i`` holds the 32 of them with
+#: ``(h + i) % 5 != 0``, so neighbouring leaves merge most of them.
+HOT_PAIRS = 40
+
+
+def pair_split(i: int) -> Split:
+    """Split ``i`` of the key-heavy stream, one word pair a record: its
+    hot pairs and 16 of its own drawn over the whole vocabulary, about 24
+    keys a leaf on each of two reducers.  So a node over a few leaves
+    takes the pair path (``_merge_pair``), leaves merge enough keys to
+    hash afresh, a node higher up merges a few of many keys and takes the
+    fingerprint delta, and the distinct ``(key, count)`` pairs turn the
+    entry memo over."""
+    hot = [(WORDS[h], WORDS[(h * 7 + 1) % 512]) for h in range(HOT_PAIRS)]
+    own = [
+        (WORDS[(i * 29 + j) % 512], WORDS[(i * 29 + j * 13 + 5) % 512])
+        for j in range(16)
+    ]
+    # A hot pair comes one to four times, so that counts up the tree
+    # take many values: each new ``(key, count)`` is a memo miss.
+    pairs = [
+        pair
+        for h, pair in enumerate(hot)
+        if (h + i) % 5
+        for _ in range(h * (i + 1) % 4 + 1)
+    ]
+    return Split.from_records([f"{a} {b}" for a, b in pairs + own], label=f"p{i}")
+
+
+def _word_pair(record: str) -> list:
+    return [(tuple(record.split()), 1)]
+
+
+def pair_job(name: str = "pairs", num_reducers: int = 2) -> MapReduceJob:
+    """Co-occurrence counts: each record's two words, as a tuple key."""
+    return MapReduceJob(
+        name=name, map_fn=_word_pair, combiner=SumCombiner(), num_reducers=num_reducers
+    )
+
+
 #: name -> (job factory, split ``i`` of its stream).  ``counts`` splits
 #: hold between 3 and 9 keys, so that a miscounted partition shows;
 #: ``scenario`` is the stream the goldens pin, every node of it a merge;
-#: ``kmeans`` is the registry's job, whose combiner is not ``exact``.
+#: ``kmeans`` is the registry's job, whose combiner is not ``exact``;
+#: ``pairs`` is the key-heavy stream (:func:`pair_split`).
 JOBS: dict[str, tuple[Callable[[], MapReduceJob], Callable[[int], Split]]] = {
     "counts": (count_job, lambda i: split_of(i, spread=17, n=3 + i % 7)),
     "scenario": (count_job, split_of),
     "kmeans": (APP_REGISTRY["kmeans"].make_job, _point_split),
+    "pairs": (pair_job, pair_split),
 }
 
 

@@ -6,19 +6,28 @@ counters (``coverage`` is not installed here): every rule fired, every
 fallback and degradation signal was seen on some arm, every kind of task
 node and every plan op was compared, and the process arm crossed the
 seam.  A rung that cannot be made to fire here has no test anywhere; it
-is deleted, not listed as an exception.
+is deleted, not listed as an exception.  The script runs over two
+streams: the small word count, and the key-heavy word pairs, whose
+partitions reach the pair path, both ``combined_uid`` branches and the
+entry memo's turnover on every arm.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 
 import repro
+from repro.common import hashing
+from repro.common.hashing import ENTRY_HASHES
+from repro.core import partition
 from repro.core.plan import NODE_KINDS, PLAN_OPS
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import ARMS, ALL, CASES, DISPATCHING, Fleet, case_of, count
@@ -93,33 +102,74 @@ SIGNALS = {
 }
 
 
+@contextmanager
+def combines_counted(reached: Counter) -> Iterator[None]:
+    """Count, in this process, the combines that take the pair path and
+    each ``combined_uid`` branch: ``fresh`` hashes every entry (through
+    the entry memo where it can), ``delta`` works from the merged keys."""
+    merge_pair, combined_uid = partition._merge_pair, partition.combined_uid
+
+    def pair_path(*args):
+        reached["pair_path"] += 1
+        return merge_pair(*args)
+
+    def uid(inputs, merged, delta_digests, entries):
+        reached["fresh" if delta_digests >= len(entries) else "delta"] += 1
+        return combined_uid(inputs, merged, delta_digests, entries)
+
+    partition._merge_pair, partition.combined_uid = pair_path, uid
+    try:
+        yield
+    finally:
+        partition._merge_pair, partition.combined_uid = merge_pair, combined_uid
+
+
+#: Pairs a generation of the entry memo in the key-heavy walk: small
+#: enough that every case turns the memo over, mid-combine included.  A
+#: walk puts about 1 500 to 2 500 pairs at the program's 4 096, too few.
+WALK_GENERATION = 1024
+
+
+def walk(case: tuple, job: str = "counts") -> SimpleNamespace:
+    """The script over ``case`` and ``job``'s stream (once a session), and
+    what it saw."""
+    return _walk(case, job)
+
+
 @functools.cache
-def walk(case: tuple) -> SimpleNamespace:
-    """The script over ``case`` (once a session), and what it saw."""
+def _walk(case: tuple, job: str) -> SimpleNamespace:
+    reached: Counter = Counter()
+    memo = ENTRY_HASHES
+    first = memo.young, memo.old
     # Every other case collects only when the script says so, so that a
     # split can come back while its map output is still retained.
-    with Fleet(case, auto_gc=CASES.index(case) % 2 == 0) as fleet:
-        fleet.check()
-        for step in SCRIPT:
-            step(fleet)
+    with pytest.MonkeyPatch.context() as patch, combines_counted(reached):
+        if job == "pairs":
+            patch.setattr(hashing, "ENTRY_GENERATION", WALK_GENERATION)
+        with Fleet(case, job=job, auto_gc=CASES.index(case) % 2 == 0) as fleet:
             fleet.check()
-        process = fleet.engines["process"]
-        seam = {
-            name: count(process, f"backend.{name}")
-            for name in ("dispatch_runs", "worker_fallbacks")
-        }
+            for step in SCRIPT:
+                step(fleet)
+                fleet.check()
+            process = fleet.engines["process"]
+            seam = {
+                name: count(process, f"backend.{name}")
+                for name in ("dispatch_runs", "worker_fallbacks")
+            }
+    # Neither generation is one it started with: it turned over twice.
+    held = memo.young, memo.old
+    reached["memo_turned"] = all(g is not f for g in held for f in first)
     return SimpleNamespace(
         fired=dict(fleet.fired),
         signals=fleet.signals,
         kinds=fleet.kinds,
         ops=fleet.ops,
         seam=seam,
+        reached=reached,
     )
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case[0]}-{case[2]}")
-def test_the_walk_holds_and_fires_every_rule(case):
-    seen = walk(case)
+def _holds_and_fires_every_rule(case: tuple, seen: SimpleNamespace) -> None:
     expected = RULES if case[0] in DISPATCHING else RULES - SEAM_RULES
     if case[1] is WindowMode.APPEND:
         expected = expected - {"forget_row"}  # nothing ever leaves
@@ -131,6 +181,21 @@ def test_the_walk_holds_and_fires_every_rule(case):
         assert seen.seam["worker_fallbacks"] == 1
     else:
         assert seen.seam == {"dispatch_runs": 0, "worker_fallbacks": 0}
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case[0]}-{case[2]}")
+def test_the_walk_holds_and_fires_every_rule(case):
+    _holds_and_fires_every_rule(case, walk(case))
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case[0]}-{case[2]}")
+def test_the_key_heavy_walk_reaches_the_pair_path_both_uids_and_memo_turnover(case):
+    """The same script over the key-heavy stream holds as well, and
+    reaches what the small one never does."""
+    seen = walk(case, "pairs")
+    _holds_and_fires_every_rule(case, seen)
+    reached = {name for name, n in seen.reached.items() if n}
+    assert {"pair_path", "fresh", "delta", "memo_turned"} <= reached, seen.reached
 
 
 @functools.cache
