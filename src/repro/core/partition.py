@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.common.hashing import ENTRY_HASHES, content_id, entry_hash
-from repro.common.hashing import entry_hash_encoded, stable_hash
-from repro.common.hashing import xor_entry_hashes, xor_flat_entry_hashes
+from repro.common.hashing import content_id, stable_hash
+from repro.core.identity import ENTRY_HASHES, xor_entry_hashes
+from repro.core.identity import xor_flat_entry_hashes, xor_leaf
 from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
@@ -51,17 +51,12 @@ class Partition:
     ) -> "Partition":
         """Build a partition from per-key value lists (a Map task's buffer);
         ``encoded`` is key -> ``encode_key(key)`` where the caller made it (to
-        route the key): the entry's hash is finished from those bytes."""
+        route the key): the by-value entries' hashes are finished from those
+        bytes (:func:`~repro.core.identity.xor_leaf`)."""
         entries: dict[Any, Any] = {}
-        acc = 0
         for key, values in buffer.items():
-            value = values[0] if len(values) == 1 else combiner.merge(key, values)
-            entries[key] = value
-            if encoded is None or type(key) is float:
-                acc ^= entry_hash(key, value, salt="pent")
-            else:
-                acc ^= entry_hash_encoded(encoded[key], value, salt="pent")
-        return _adopt(entries, acc ^ _length_term(len(entries)))
+            entries[key] = values[0] if len(values) == 1 else combiner.merge(key, values)
+        return _adopt(entries, xor_leaf(entries, encoded) ^ _length_term(len(entries)))
 
     # -- protocol ----------------------------------------------------------
 
@@ -156,21 +151,13 @@ def first_unsound(partitions: Sequence[Partition]) -> Partition | None:
     or ``None``.  The one fingerprint check: the shared empty partition's
     symbolic uid passes only over no entries.
 
-    Two paths fold each partition's entry hashes, to the same integers
-    with the same digests.  When every key is a flat tuple and every
-    value an exact ``int`` (matrix's reducers), ``xor_flat_entry_hashes``
-    folds them all in one flattened pass, each distinct ``(key, value)``
-    digested once.  Any other set of partitions (str-keyed hct's,
-    kmeans' vectors, a reducer that mixes in one other key) goes through
-    one call of the entry kernel, with an entry memo local to this call
-    (``xor_entry_hashes``: str-keyed int entries and flat tuple-keyed int
-    entries by value, tuple-keyed ones by object identity).  The kernel
-    pays about 0.6 us of Python per held entry on tuple keys, which the
-    flat pass does at C level; on str keys it pays about 0.2 us, where a
-    per-partition C-level path was 1.35x slower (EXPERIMENTS § "A
-    restore that pays per distinct key").  The memo is sound because ``partitions`` holds
-    every object it names alive, and unmodified, until the call returns;
-    neither path changes a verdict, only how often one content is hashed,
+    Two paths of ``repro.core.identity`` fold each partition's entry
+    hashes, to the same integers with the same digests: the flat fold
+    (``xor_flat_entry_hashes``) where every key is a flat tuple and every
+    value an exact ``int`` (matrix's reducers), else one call of the
+    entry kernel with an entry memo local to this call.  The memo is
+    sound because ``partitions`` holds every object it names alive, and
+    unmodified, until the call returns; neither path changes a verdict,
     and every partition still pays its length term and is compared whole.
     """
     mappings = [partition.entries for partition in partitions]
@@ -233,12 +220,12 @@ def combined_uid(
     one per input: ``delta_digests``, which the merge loop counted too.
     When it would not be fewer than hashing ``entries`` afresh, they are
     hashed afresh.  (The rule counts a length term as a digest, cached or
-    not.)  Either way each pair :func:`~repro.common.hashing.by_value`
+    not.)  Either way each pair :func:`~repro.core.identity.by_value`
     takes is looked up in ``ENTRY_HASHES`` first: afresh, every entry's
     (any other entry goes through the entry kernel); in the delta, each
-    pair of a merged key, whose key is encoded only at its first miss.  A
-    hit is the hash of the pair's own bytes: it saves a digest and moves
-    no uid, and the rule still counts it.
+    pair of a merged key.  The misses go to the pair digester together,
+    each key encoded once.  A hit is the hash of the pair's own bytes: it
+    saves a digest and moves no uid, and the rule still counts it.
 
     Precondition: every input's ``uid`` is the fingerprint of its entries.
     Everything the engine builds satisfies it, and the restore sweep

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.hashing import FLAT_ITEMS, entry_hash, xor_entry_hashes
+from repro.core.identity import FLAT_ITEMS, entry_hash, xor_entry_hashes
 from tests.conftest import count_digests
 
 

@@ -25,12 +25,10 @@ from repro.common.hashing import (
     _encode,
     _encode_fast,
     encode_key,
-    entry_hash,
-    entry_hash_encoded,
-    entry_hasher,
     hash_encoded,
     stable_hash,
 )
+from repro.core.identity import by_value, entry_hash, pair_digests, xor_entry_hashes
 from repro.core.partition import Partition, first_unsound
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.shuffle import HashPartitioner
@@ -48,6 +46,26 @@ def pinned(payload: bytes, salt: str = "") -> int:
         payload, digest_size=8, person=salt.encode("utf-8")[:16]
     ).digest()
     return int.from_bytes(digest, "big")
+
+
+def digested(key, value, salt: str, encoded: bytes | None = None) -> int:
+    """The engine's own entry hash of ``(key, value)``: by the pair
+    digester where the pair is in its domain -- any pair from the key's
+    ``encoded`` bytes, as a map task's leaf, or an exact int value under a
+    key the by-value rule takes -- else by the kernel, and a key no
+    mapping can hold by ``entry_hash`` alone."""
+    try:
+        if encoded is not None:
+            (digest,) = pair_digests([(key, value)], salt=salt, encoded={key: encoded})
+            return int.from_bytes(digest, "big")
+        if type(value) is int and by_value(key):
+            (digest,) = pair_digests([(key, value)], salt=salt)
+            return int.from_bytes(digest, "big")
+        return xor_entry_hashes([{key: value}], salt=salt)[0]
+    except TypeError as error:
+        if "unhashable" not in str(error):
+            raise
+        return entry_hash(key, value, salt=salt)
 
 
 def float_from_bits(bits: int) -> float:
@@ -174,7 +192,7 @@ def test_numpy_float64_hashes_as_the_float_it_is():
         assert stable_hash(("k", 3, value, None)) == stable_hash(("k", 3, x, None))
         expected = entry_hash("k", x, salt="pent")
         assert entry_hash("k", value, salt="pent") == expected
-        assert entry_hasher("k", salt="pent")(value) == expected
+        assert digested("k", value, "pent") == expected
 
 
 def test_a_tuple_of_numpy_float64_is_not_a_block():
@@ -323,7 +341,7 @@ def test_equal_encodings_mean_equal_content(left, right):
         assert content(left) == content(right)
 
 
-# -- the two entry forms are ``stable_hash`` of the pair ----------------------
+# -- the entry forms are ``stable_hash`` of the pair --------------------------
 
 
 class Colour(enum.IntEnum):
@@ -345,7 +363,7 @@ PAIR_VECTORS = [
 def test_pinned_pair_vector_through_both_entry_forms(pair, salt, expected):
     key, value = pair
     assert entry_hash(key, value, salt=salt) == expected
-    assert entry_hasher(key, salt=salt)(value) == expected
+    assert digested(key, value, salt) == expected
 
 
 @pytest.mark.parametrize(
@@ -362,13 +380,13 @@ def test_pinned_vector_finished_from_its_encoding(value, salt, expected):
 @pytest.mark.parametrize("pair, salt, expected", PAIR_VECTORS)
 def test_pinned_pair_vector_finished_from_the_keys_encoding(pair, salt, expected):
     """What a map task does: one ``encode_key(key)``, the route and the
-    leaf's entry hash finished from it.  A float key's entry goes through
-    ``entry_hash`` (with a float value the pair is a block), inside
-    ``from_value_lists``; every other key's bytes finish directly."""
+    leaf's entry hash finished from it.  A pair in the digester's domain
+    is finished from those bytes; any other (a float key: with a float
+    value the pair is a block) goes to the kernel, inside
+    ``from_value_lists``."""
     key, value = pair
     encoded = encode_key(key)
-    if type(key) is not float:
-        assert entry_hash_encoded(encoded, value, salt=salt) == expected
+    assert digested(key, value, salt, encoded) == expected
     leaf = Partition.from_value_lists({key: [value]}, SumCombiner(), encoded={key: encoded})
     assert leaf.uid == stable_hash(1, salt="pfp") ^ stable_hash((key, value), salt="pent")
     assert leaf.uid == Partition({key: value}).uid
@@ -391,16 +409,52 @@ entry_parts = st.one_of(
 def test_both_entry_forms_are_stable_hash_of_the_pair(key, value, salt):
     expected = stable_hash((key, value), salt=salt)
     assert entry_hash(key, value, salt=salt) == expected
-    assert entry_hasher(key, salt=salt)(value) == expected
+    assert digested(key, value, salt) == expected
+
+
+flat_keys = st.one_of(
+    st.text(max_size=6),
+    st.integers(),
+    st.lists(st.one_of(st.text(max_size=4), st.integers()), max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    groups=st.lists(
+        st.tuples(flat_keys, st.lists(st.integers(), min_size=1, max_size=4, unique=True)),
+        max_size=6,
+    ),
+    salt=st.sampled_from(["", "pent", "a-salt-over-16-bytes"]),
+)
+def test_the_pair_digester_gives_each_pair_its_hash(groups, salt):
+    """A pair is one update; a key handed a dict of several values is a
+    keyed state each value finishes a copy of; with ``recurring`` a key
+    or value met again in the call (as the restore fold's are) reuses its
+    head or frame.  Each digest is the pair's ``stable_hash``, in order."""
+    expected = [
+        stable_hash((key, value), salt=salt) for key, values in groups for value in values
+    ]
+    pairs = [(key, value) for key, values in groups for value in values]
+    keyed = [(key, dict.fromkeys(values)) for key, values in groups]
+    for digests in (
+        pair_digests(pairs, salt=salt),
+        pair_digests(keyed, salt=salt),
+        pair_digests(pairs, salt=salt, recurring=True),
+    ):
+        assert [int.from_bytes(digest, "big") for digest in digests] == expected
 
 
 @settings(max_examples=100, deadline=None)
-@given(key=entry_parts, several=st.lists(entry_parts, max_size=5))
+@given(key=flat_keys, several=st.lists(st.integers(), max_size=5, unique=True))
 def test_finishing_a_keyed_hasher_leaves_its_key_state_alone(key, several):
-    hash_with_key = entry_hasher(key, salt="pent")
+    """The entry memo's keyed state: the key's head is absorbed once and
+    each value finishes a copy of it, so no value's digest depends on the
+    values finished before it, in either order."""
     expected = [stable_hash((key, value), salt="pent") for value in several]
-    assert [hash_with_key(value) for value in several] == expected
-    assert [hash_with_key(value) for value in reversed(several)] == expected[::-1]
+    for values, want in ((several, expected), (several[::-1], expected[::-1])):
+        digests = pair_digests([(key, dict.fromkeys(values))], salt="pent")
+        assert [int.from_bytes(digest, "big") for digest in digests] == want
 
 
 @pytest.mark.parametrize("key, value", [(numpy.int64(3), 1), ("k", numpy.int64(3))])
@@ -410,4 +464,4 @@ def test_what_stable_hash_cannot_encode_neither_entry_form_can(key, value):
     with pytest.raises(TypeError, match="int64"):
         entry_hash(key, value, salt="pent")
     with pytest.raises(TypeError, match="int64"):
-        entry_hasher(key, salt="pent")(value)
+        xor_entry_hashes([{key: value}], salt="pent")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.common import hashing
+from repro.core import identity
 from repro.common.rng import RngStream
 from repro.core import partition as partition_module
 from repro.core.partition import Partition
@@ -50,7 +51,7 @@ class _CountedState:
     """A BLAKE2b state that logs what is made of it: its salt at every
     ``digest`` and, at an ``update`` that opens a pair's encoding
     (``t2``, then the key's framed bytes), the key's bytes.  Its copies
-    log too, so a keyed hasher's finishes count as digests."""
+    log too, so the digests finished from a keyed state count."""
 
     def __init__(self, state, salt: str, digests: list, keyings: list) -> None:
         self._state, self._salt = state, salt
@@ -76,13 +77,13 @@ def count_digests(monkeypatch) -> tuple[list, list]:
     """Count fingerprint hashing at the bottom, whatever spelling made it:
     ``digests`` gets the salt of every length (``"pfp"``) and entry
     (``"pent"``) digest made, and ``keyings`` the encoded key of every pair
-    encoding begun -- once a flat entry hash, once a keyed hasher however
-    many values it then finishes.  Wraps the two salts' prototype states,
+    encoding begun -- once a pair hashed in one update, once a keyed state
+    however many values it then finishes.  Wraps the two salts' prototype states,
     which every digest starts from a copy of."""
     digests: list[str] = []
     keyings: list[bytes] = []
     for salt in ("pfp", "pent"):
-        real = hashing._PROTOTYPES.get(salt) or hashing._new_prototype(salt)
+        real = hashing.prototype(salt)
         counted = _CountedState(real, salt, digests, keyings)
         monkeypatch.setitem(hashing._PROTOTYPES, salt, counted)
     return digests, keyings
@@ -100,12 +101,12 @@ def length_terms(monkeypatch) -> dict:
 
 
 @pytest.fixture(autouse=True)
-def entry_hashes(monkeypatch) -> hashing.EntryHashes:
+def entry_hashes(monkeypatch) -> identity.EntryHashes:
     """The entry-hash memo, empty for every test and restored after it:
     a combine then makes every ``"pent"`` digest its pairs are first met
     with, whatever ran before, so digest counts hold in any order.  Name
     it to read the memo's two generations."""
-    memo = hashing.ENTRY_HASHES
+    memo = identity.ENTRY_HASHES
     monkeypatch.setattr(memo, "young", {})
     monkeypatch.setattr(memo, "old", {})
     monkeypatch.setattr(memo, "size", 0)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.apps.registry import APP_REGISTRY
-from repro.common.hashing import ENTRY_GENERATION
+from repro.core.identity import ENTRY_GENERATION
 from repro.core import partition as partition_module
 from repro.core.partition import (
     Partition,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import CombinerContractError, WindowError
+from repro.core.partition import Partition, combine_partitions
 from repro.core.rotating import RotatingTree
 from repro.mapreduce.combiners import ListConcatCombiner, SumCombiner
 from repro.metrics import Phase
@@ -58,6 +59,21 @@ def test_rotation_replaces_oldest():
     tree.initial_run(leaf_seq([1, 2, 3, 4, 5, 6, 7, 8]))
     root = tree.advance(leaf_seq([10, 20]), removed=2)
     assert root_total(root) == 3 + 4 + 5 + 6 + 7 + 8 + 10 + 20
+    assert root.entries == tree.reference_root().entries
+
+
+def test_a_one_bucket_window_in_split_mode_has_an_empty_intermediate():
+    """One bucket: the next victim has no off-path sibling, so the
+    background pass sets ``I`` to the empty partition, and the advance
+    that follows still gives the batch result over the new window."""
+    tree = make_tree(bucket_size=2, split_mode=True)
+    tree.initial_run(leaf_seq([1, 2]))
+    tree.background_preprocess()
+    assert tree._intermediate is Partition.empty()
+    added = leaf_seq([10, 20])
+    root = tree.advance(added, removed=2)
+    assert root_total(root) == 30
+    assert root.entries == combine_partitions(added, SumCombiner()).entries
     assert root.entries == tree.reference_root().entries
 
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.hashing import entry_hash, xor_entry_hashes, xor_flat_entry_hashes
+from repro.core.identity import entry_hash, xor_entry_hashes, xor_flat_entry_hashes
 from repro.core import partition as partition_module
 from repro.core.partition import Partition, _adopt, first_unsound
 from tests.conftest import count_digests

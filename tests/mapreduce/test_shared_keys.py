@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from repro.common.hashing import entry_hash, stable_hash
+from repro.common.hashing import stable_hash
+from repro.core.identity import entry_hash
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.shuffle import HashPartitioner, _INTERN_KEYS, run_map_task

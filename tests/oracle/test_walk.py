@@ -25,8 +25,8 @@ from typing import Iterator
 import pytest
 
 import repro
-from repro.common import hashing
-from repro.common.hashing import ENTRY_HASHES
+from repro.core import identity
+from repro.core.identity import ENTRY_HASHES
 from repro.core import partition
 from repro.core.plan import NODE_KINDS, PLAN_OPS
 from repro.slider.window import WindowMode
@@ -145,7 +145,7 @@ def _walk(case: tuple, job: str) -> SimpleNamespace:
     # split can come back while its map output is still retained.
     with pytest.MonkeyPatch.context() as patch, combines_counted(reached):
         if job == "pairs":
-            patch.setattr(hashing, "ENTRY_GENERATION", WALK_GENERATION)
+            patch.setattr(identity, "ENTRY_GENERATION", WALK_GENERATION)
         with Fleet(case, job=job, auto_gc=CASES.index(case) % 2 == 0) as fleet:
             fleet.check()
             for step in SCRIPT:

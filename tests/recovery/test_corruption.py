@@ -11,7 +11,7 @@ from repro.common.errors import CorruptionError
 from repro.recovery.repair import verify_restored
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-from repro.common.hashing import FLAT_ITEMS
+from repro.core.identity import FLAT_ITEMS
 from repro.core.partition import Partition
 from tests.oracle.fleet import VARIANTS, count_job, split_of, tree_partitions
 from tests.conftest import count_digests
