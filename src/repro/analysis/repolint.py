@@ -4,13 +4,14 @@ Four invariants are mechanical enough to lint:
 
 ``lint.span-hygiene``
     Every ``*.charge(...)`` call must be lexically inside a ``with
-    ...span(...)`` block, so charged work is always attributed to an open
-    span.  Helpers that deliberately charge into *their caller's* span
-    (e.g. :func:`repro.core.partition.combine_charged`, which runs under
-    the tree-level span its tree opened) declare so with a trailing
-    marker comment ``# analysis: charge-in-caller-span`` on their ``def``
-    line — the contract is then documented at the definition site
-    instead of being implicit.
+    ...span(...)`` or ``with ..._level_mark(...)`` block, so charged work
+    is always attributed to an open span or level mark.  Helpers that
+    deliberately charge into *their caller's* span (e.g.
+    :func:`repro.core.partition.combine_charged`, which runs under the
+    level mark its tree opened) declare so with a trailing marker comment
+    ``# analysis: charge-in-caller-span`` on their ``def`` line — the
+    contract is then documented at the definition site instead of being
+    implicit.
 
 ``lint.bare-telemetry``
     ``Telemetry()`` constructed with no label creates an anonymous span
@@ -67,11 +68,17 @@ LAYERING_RULES = {
 }
 
 
-def _is_span_context(item: ast.withitem) -> bool:
-    """True when a with-item opens a telemetry span.
+#: A with-item whose callee name contains one of these opens a charge
+#: scope: a telemetry span, or a tree level's mark.
+_SCOPE_NAMES = ("span", "level_mark")
 
-    Matches any call whose callee name contains ``span`` —
-    ``telemetry.span(...)``, ``self._level_span(...)``, ``phase_span(...)``.
+
+def _is_span_context(item: ast.withitem) -> bool:
+    """True when a with-item opens a charge scope.
+
+    Matches any call whose callee name contains ``span`` or
+    ``level_mark`` — ``telemetry.span(...)``, ``phase_span(...)``,
+    ``self._level_mark(...)``.
     """
     for node in ast.walk(item.context_expr):
         if isinstance(node, ast.Call):
@@ -81,7 +88,7 @@ def _is_span_context(item: ast.withitem) -> bool:
                 name = callee.attr
             elif isinstance(callee, ast.Name):
                 name = callee.id
-            if name is not None and "span" in name:
+            if name is not None and any(word in name for word in _SCOPE_NAMES):
                 return True
     return False
 

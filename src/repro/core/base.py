@@ -23,7 +23,7 @@ from repro.common.errors import CombinerContractError
 from repro.core.execute import PlanExecutor
 from repro.core.memo import MemoTable
 from repro.core.partition import Partition, combine_partitions, count_keys
-from repro.telemetry import Phase, SpanKind
+from repro.telemetry import LevelMark, Phase
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
     from repro.mapreduce.combiners import Combiner
@@ -182,19 +182,16 @@ class ContractionTree(ABC):
 
     # -- shared machinery ----------------------------------------------------
 
-    def _level_span(self, tree: str, level: int):
-        """Open a TREE_LEVEL span around one level's contraction sweep.
-
-        The span covers the records the sweep appends to the open log (a
-        run's, or background's), its nodes; the per-level work table
-        (:mod:`repro.telemetry.worktable`) aggregates these spans and
-        their records to check the asymptotic-analysis bounds.
+    def _level_mark(self, tree: str, level: int) -> LevelMark:
+        """A level mark for one level's contraction sweep, as a ``with``
+        scope: it keeps on the open log (a run's, or background's) the
+        records the sweep appends, its nodes, and tallies what they
+        charge; the per-level work table
+        (:mod:`repro.telemetry.worktable`) aggregates the marks and their
+        records to check the asymptotic-analysis bounds.  It opens no span.
         """
         executor = self.executor
-        return executor.telemetry.span(
-            f"{tree}:L{level}", SpanKind.TREE_LEVEL, log=executor.log,
-            tree=tree, level=level,
-        )
+        return LevelMark(executor.telemetry, executor.log, tree, level)
 
     def _combine(
         self,

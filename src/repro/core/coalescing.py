@@ -36,7 +36,7 @@ class CoalescingTree(ContractionTree):
     def initial_run(self, leaves: Sequence[Partition]) -> Partition:
         self._check_initial(done=True)
         self._leaves = list(leaves)
-        with self._level_span("coal", 1):
+        with self._level_mark("coal", 1):
             self._root = self._combine(
                 self._leaves, phase=Phase.CONTRACTION, node="coal:root"
             )
@@ -56,7 +56,7 @@ class CoalescingTree(ContractionTree):
             self._reduce_input = self._effective_root()
             return self._reduce_input
 
-        with self._level_span("coal", 1):
+        with self._level_mark("coal", 1):
             delta = self._combine(added, phase=Phase.CONTRACTION, node="coal:delta")
         if self.split_mode:
             # Catch up if the background phase was skipped (best-effort).

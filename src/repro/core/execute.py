@@ -9,16 +9,17 @@ there is, in the engine and in a worker:
 * consult the planner's memo table (plan-level cache edges become
   ``memo_read`` nodes on hit, ``combine`` + ``memo_write`` on miss);
 * run the combiner over the live inputs (or forward a pass-through);
-* charge the work to the executor's telemetry, into whatever span is
-  open — a node opens none;
+* charge the work to the executor's telemetry, into whatever span and
+  level mark are open — a node opens neither;
 * log each executed node as one record of the run's
   :class:`~repro.core.plan.RunLog` (:meth:`PlanExecutor.log_node`,
   the one place a node is recorded), the first one carrying the step and
   each carrying the very amount it charged.
 
-A tree-level span, opened on the open log, keeps the range of records
-its sweep appended; the per-level table and the Chrome trace read a
-level's tasks there (:meth:`~repro.core.plan.RunLog.tasks`).
+A tree level's sweep is a :class:`~repro.telemetry.LevelMark` on the
+open log, which keeps the range of records the sweep appended and the
+work it charged; the per-level table and the Chrome trace read a level's
+tasks there (:meth:`~repro.core.plan.RunLog.tasks`).
 
 Executing while planning (instead of batching the whole plan first) keeps
 the semantics of the seed path bit-identical — planners may branch on the
@@ -75,7 +76,7 @@ class PlanExecutor:
     """
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
-        #: Where every step charges and opens its level spans: the
+        #: Where every step charges and every level mark tallies: the
         #: engine's recorder, or a private one for a standalone tree.
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry(label="executor")
@@ -114,10 +115,14 @@ class PlanExecutor:
         return self.log
 
     def end_run(self) -> RunExecution:
-        """Close the run; returns its log plus measurements."""
+        """Close the run; returns its log plus measurements.  A log with
+        level marks is kept by the telemetry's current span, the run's
+        window-update span, for the per-level table and the trace."""
         log, self.log = self.log, None
         if log is None:
             raise RuntimeError("end_run called with no open run")
+        if log.marks:
+            self.telemetry.keep_log(log)
         self.reducer = self._step = None
         recurring, self.recurring = self.recurring, False
         return RunExecution(
@@ -131,12 +136,15 @@ class PlanExecutor:
     def background(self):
         """Log the enclosed steps — background pre-processing, between
         runs — to a log of their own, which no run's plan or record reads
-        and only the level spans they open keep.  On exit no log is open:
-        :attr:`active` is False again, as it was."""
-        self.log = RunLog("background")
+        and the telemetry's current span (the background phase span)
+        keeps if a level was swept, as :meth:`end_run` does.  On exit no
+        log is open: :attr:`active` is False again, as it was."""
+        log = self.log = RunLog("background")
         try:
             yield
         finally:
+            if log.marks:
+                self.telemetry.keep_log(log)
             self.log = self._step = None
 
     @contextmanager
@@ -214,7 +222,7 @@ class PlanExecutor:
 
     # -- sub-computation execution ------------------------------------------
 
-    def combine(  # analysis: charge-in-caller-span (the tree-level span)
+    def combine(  # analysis: charge-in-caller-span (the level mark)
         self,
         tree: "ContractionTree",
         parts: Sequence[Partition],
@@ -291,7 +299,7 @@ class PlanExecutor:
                 )
         return result
 
-    def memo_visit(  # analysis: charge-in-caller-span (the tree-level span)
+    def memo_visit(  # analysis: charge-in-caller-span (the level mark)
         self, value: Partition, cost: float, node: str = ""
     ) -> None:
         """Plan and charge a memoized result moving through the tree —

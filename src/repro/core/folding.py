@@ -183,11 +183,16 @@ class FoldingTree(ContractionTree):
     # -- change propagation ------------------------------------------------
 
     def _propagate(self, dirty_leaves: set[int]) -> None:
-        """Recompute internal nodes on the root paths of dirty leaves."""
+        """Recompute internal nodes on the root paths of dirty leaves.
+
+        Stops at the first level with no dirty node: an advance that
+        changed no leaf walks no level."""
         dirty = dirty_leaves
         for level in range(1, self._height + 1):
             parents = {index // 2 for index in dirty}
-            with self._level_span("fold", level):
+            if not parents:
+                break
+            with self._level_mark("fold", level):
                 for parent in parents:
                     left = self._node_value(level - 1, parent * 2)
                     right = self._node_value(level - 1, parent * 2 + 1)

@@ -304,7 +304,7 @@ def combine_partitions(
 _PAIR_PATH_MIN_KEYS = 64
 
 
-def combine_charged(  # analysis: charge-in-caller-span (the tree-level span)
+def combine_charged(  # analysis: charge-in-caller-span (the level mark)
     partitions: Sequence[Partition],
     combiner: Combiner,
     telemetry: Telemetry | None = None,

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator
 
 from repro.core.partition import Partition
 from repro.metrics import Phase
+from repro.telemetry import LevelMark
 
 #: Node kinds, the taxonomy of sub-computations a run is made of.
 NODE_KINDS = (
@@ -78,12 +79,18 @@ class RunLog:
     holds only what was true when its node executed — sizes, costs and
     content uids, never a partition — so a log read long after its run is
     that run's, and a kept result pins none of the window's state.
+
+    ``marks`` holds one :class:`~repro.telemetry.LevelMark` a tree level
+    swept, in sweep order: the range of records the sweep appended and
+    the work it charged, which the per-level table and the Chrome trace
+    read as the level's tasks.
     """
 
     def __init__(self, label: str = "") -> None:
         self.label = label
         self.records: list[Record] = []
         self.steps = 0
+        self.marks: list[LevelMark] = []
 
     def extend(self, records: list[Record]) -> None:
         """Records another process logged of its share of this run, which

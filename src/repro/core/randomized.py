@@ -91,7 +91,7 @@ class RandomizedFoldingTree(ContractionTree):
         # contract them into the root directly — coin-flipping the last few
         # nodes down would only add expensive near-root levels.
         while len(level) > 2 and height < _MAX_LEVELS:
-            with self._level_span("rft", height + 1):
+            with self._level_mark("rft", height + 1):
                 next_level: list[tuple[int, Partition]] = []
                 group: list[tuple[int, Partition]] = []
                 for uid, value in level:
@@ -110,7 +110,7 @@ class RandomizedFoldingTree(ContractionTree):
             level = next_level
             height += 1
         if len(level) > 1:
-            with self._level_span("rft", height + 1):
+            with self._level_mark("rft", height + 1):
                 level = [self._contract_group(height, level, live_uids)]
             height += 1
 

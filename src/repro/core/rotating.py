@@ -200,7 +200,7 @@ class RotatingTree(ContractionTree):
         dirty = dirty_slots
         for level in range(1, self._height + 1):
             parents = {index // 2 for index in dirty}
-            with self._level_span("rot", level):
+            with self._level_mark("rot", level):
                 for parent in parents:
                     left = self._node_value(level - 1, parent * 2)
                     right = self._node_value(level - 1, parent * 2 + 1)

@@ -79,7 +79,7 @@ class StrawmanTree(ContractionTree):
         keys = 0
         while len(level) > 1:
             next_level: list[Partition] = []
-            with self._level_span("straw", height + 1):
+            with self._level_mark("straw", height + 1):
                 for i in range(0, len(level) - 1, 2):
                     left, right = level[i], level[i + 1]
                     position = (height, i // 2)

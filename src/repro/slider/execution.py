@@ -65,7 +65,9 @@ class TimeSimulator:
     def simulate(
         self, phase_delta: dict[Phase, float], run: RunExecution
     ) -> tuple[float, dict[str, float]]:
-        """Price this run's tasks on the cluster; fall back to work-as-time.
+        """Price this run's tasks on the cluster, under an ``execute``
+        phase span (the parent of the attempts the waves record); with no
+        cluster, the run's foreground work is its time and no span opens.
         Returns the makespan and the run's recovery costs (empty unless
         its chaos schedule is non-empty)."""
         engine = self.engine
@@ -76,7 +78,8 @@ class TimeSimulator:
         )
         if engine.cluster is None:
             return foreground, {}
-        return self._wave_cost_model(foreground, run)
+        with engine.telemetry.span("execute", SpanKind.PHASE, label=run.log.label):
+            return self._wave_cost_model(foreground, run)
 
     def _wave_cost_model(
         self, foreground: float, run: RunExecution

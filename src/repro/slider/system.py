@@ -259,7 +259,7 @@ class Slider:
 
         Returns the background work charged.  No-op for trees without a
         split-processing mode.  Its nodes are logged apart from any run,
-        for the tree-level spans they fall in.
+        for the level marks they fall in.
         """
         self._check_open()
         before = self.telemetry.by_phase.get(Phase.BACKGROUND, 0.0)
@@ -311,8 +311,7 @@ class Slider:
             for phase, amount in phase_delta.items()
             if phase is not Phase.BACKGROUND
         )
-        with self.telemetry.span("execute", SpanKind.PHASE, label=label):
-            time, recovery = self.timing.simulate(phase_delta, run)
+        time, recovery = self.timing.simulate(phase_delta, run)
         report = RunReport(
             label=label,
             work=work,

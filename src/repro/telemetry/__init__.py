@@ -1,8 +1,8 @@
 """Unified telemetry backbone: spans, counters, traces.
 
-One span tree per run — ``run → window-update → phase → tree-level →
-task/attempt`` — is the single source of truth for the paper's *work*
-and *time* measures and for fault accounting.  See
+One span tree per run — ``run → window-update → phase → task/attempt``,
+each tree level a mark on its run's log — is the single source of truth
+for the paper's *work* and *time* measures and for fault accounting.  See
 :mod:`repro.telemetry.spans` for the model and the bit-identity
 contract, :mod:`repro.telemetry.export` for Chrome trace-event JSON
 output, and :mod:`repro.telemetry.worktable` for the per-level work
@@ -20,6 +20,7 @@ from repro.telemetry.spans import (
 )
 from repro.telemetry.merge import (
     CaptureTelemetry,
+    graft_marks,
     graft_spans,
     replay_events,
 )
@@ -30,6 +31,7 @@ from repro.telemetry.export import (
     write_chrome_trace,
 )
 from repro.telemetry.worktable import (
+    LevelMark,
     LevelRow,
     check_incremental_bounds,
     check_initial_run_bounds,
@@ -40,6 +42,8 @@ from repro.telemetry.worktable import (
 __all__ = [
     "ENGINE_KEEP_LAST",
     "CaptureTelemetry",
+    "LevelMark",
+    "graft_marks",
     "graft_spans",
     "replay_events",
     "NullTelemetry",

@@ -4,9 +4,11 @@ Writes a :class:`~repro.telemetry.spans.Telemetry` tree as Trace Event
 Format JSON (the ``chrome://tracing`` / Perfetto ``traceEvents`` array):
 
 * every span becomes a complete event (``ph: "X"``) with ``ts``/``dur``
-  and per-phase work totals in ``args``, and so does every node a tree
-  level covers — a record of the run's log, not a span (``cat: "task"``,
-  laid end to end from the level's start in charge order);
+  and per-phase work totals in ``args``, and so does every tree level —
+  a mark on its run's log, not a span (``cat: "tree_level"``, placed
+  among the children of the span it ran under where it was swept) — and
+  every node a level covers — a record of the log (``cat: "task"``, laid
+  end to end from the level's start in charge order);
 * engine spans share one lane per nesting context, cluster spans land on
   their machine/slot lane (``span.thread``), named via ``M`` metadata;
 * instant events become ``ph: "i"`` and counter samples ``ph: "C"``, so
@@ -29,7 +31,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.telemetry.spans import Telemetry
+from repro.telemetry.spans import Span, Telemetry
+from repro.telemetry.worktable import LevelMark
 
 #: Microseconds per abstract time unit: one work/sim unit reads as 1 s.
 TIME_SCALE = 1_000_000.0
@@ -115,21 +118,44 @@ def to_chrome_trace(telemetry: Telemetry) -> dict[str, Any]:
             "args": args,
         })
 
-    for span in telemetry.iter_spans():
-        attrs = {k: v for k, v in span.attrs.items() if _jsonable(v)}
-        end = span.end if span.end is not None else telemetry.now()
+    def level(mark: LevelMark, log: Any) -> None:
         # A tree level's work is all its nodes': each node is an event of
         # its own, laid end to end from the level's start in charge order.
-        own = span.self_work if span.log is None else {}
+        attrs = {"tree": mark.tree, "level": mark.level}
+        complete(f"{mark.tree}:L{mark.level}", "tree_level", mark.start,
+                 mark.end, None, attrs, mark.work, {})
+        cursor = mark.start
+        for name, work in log.tasks(mark.first, mark.last):
+            start = cursor
+            for amount in work.values():
+                cursor += amount
+            complete(name, "task", start, cursor, None, {}, work, work)
+
+    # Pre-order over the spans, each span's level marks among its
+    # children where they were swept.  A span that keeps a log is met
+    # before every span its marks ran under.
+    root = telemetry.root
+    marks_under: dict[int, list[tuple[LevelMark, Any]]] = {}
+    stack: list[Span | tuple[LevelMark, Any]] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            level(*item)
+            continue
+        span = item
+        log = span.attrs.get("log")
+        if log is not None:
+            for mark in log.marks:
+                under = root if mark.span is None else mark.span()
+                marks_under.setdefault(id(under), []).append((mark, log))
+        attrs = {k: v for k, v in span.attrs.items() if _jsonable(v)}
+        end = span.end if span.end is not None else telemetry.now()
         complete(span.name, span.kind.value, span.start, end, span.thread,
-                 attrs, span.work, own)
-        if span.log is not None:
-            cursor = span.start
-            for name, work in span.log.tasks(span.first, span.last):
-                start = cursor
-                for amount in work.values():
-                    cursor += amount
-                complete(name, "task", start, cursor, span.thread, {}, work, work)
+                 attrs, span.work, span.self_work)
+        children: list[Span | tuple[LevelMark, Any]] = list(span.children)
+        for mark, log in reversed(marks_under.pop(id(span), ())):
+            children.insert(mark.at, (mark, log))
+        stack.extend(reversed(children))
 
     for instant in telemetry.instants:
         events.append(
@@ -221,7 +247,7 @@ def export_micro_benchmark_trace(
     """Run one micro-benchmark window slide on a cluster and export it.
 
     Produces the acceptance-criteria trace: map/contraction/reduce phase
-    spans, tree-level spans and their combiner tasks, executor attempt
+    spans, tree levels and their combiner tasks, executor attempt
     events on machine lanes, and cache counters, all in one file.
     """
     # Imported lazily: the telemetry package must stay import-light so

@@ -16,7 +16,8 @@ this subtle: addition order matters.  The contract here is:
   :meth:`~repro.telemetry.Telemetry.absorb_charge`, so every open parent
   span sees the exact float-addition sequence of an in-process run,
   while the worker's own spans (grafted by :func:`graft_spans` with
-  their cursor timestamps shifted to the parent clock) keep the
+  their cursor timestamps shifted to the parent clock) and its level
+  marks (taken into the parent's log by :func:`graft_marks`) keep the
   self-work.  Counters come back the same way, as replayed ``count``
   events.
 """
@@ -24,11 +25,14 @@ this subtle: addition order matters.  The contract here is:
 from __future__ import annotations
 
 from typing import Any, Iterable
+from weakref import ref
 
 from repro.telemetry.spans import NullTelemetry, Phase, Span, Telemetry
+from repro.telemetry.worktable import LevelMark
 
 __all__ = [
     "CaptureTelemetry",
+    "graft_marks",
     "graft_spans",
     "replay_events",
 ]
@@ -96,25 +100,41 @@ def replay_events(telemetry: Telemetry, events: Iterable[TelemetryEvent]) -> Non
             raise ValueError(f"unknown telemetry event verb {verb!r}")
 
 
-def _shift(span: Span, offset: float, log: Any, base: int) -> None:
+def _shift(span: Span, offset: float) -> None:
     span.start += offset
     if span.end is not None:
         span.end += offset
-    if span.log is not None:
-        span.log = log
-        span.first += base
-        span.last += base
     for child in span.children:
-        _shift(child, offset, log, base)
+        _shift(child, offset)
 
 
-def graft_spans(
-    telemetry: Telemetry,
-    spans: Iterable[Span],
-    offset: float,
-    log: Any = None,
-    base: int = 0,
+def graft_marks(
+    telemetry: Telemetry, marks: Iterable[LevelMark], offset: float, log: Any
 ) -> None:
+    """Take a worker's level marks into ``log``, the parent's run log,
+    before the worker's spans are grafted and its records appended.
+
+    A mark's record range moves by the records ``log`` holds, its cursor
+    positions by ``offset`` (as :func:`graft_spans`), and one the worker
+    swept under its recorder's root moves under the current span, after
+    the children that span has: where an in-process sweep would have
+    put it.  The marks are adopted in place, not duplicated.
+    """
+    current = telemetry.current
+    under = None if current is telemetry.root else ref(current)
+    base, at = len(log.records), len(current.children)
+    for mark in marks:
+        mark.first += base
+        mark.last += base
+        mark.start += offset
+        mark.end += offset
+        if mark.span is None:
+            mark.span = under
+            mark.at += at
+        log.marks.append(mark)
+
+
+def graft_spans(telemetry: Telemetry, spans: Iterable[Span], offset: float) -> None:
     """Attach worker spans under the current span, shifted to parent time.
 
     Worker span timestamps are positions on the worker's own work
@@ -122,10 +142,8 @@ def graft_spans(
     when the merge began, so after shifting, the grafted spans occupy
     exactly the interval the replayed charges advance the parent cursor
     through — the same coordinates an in-process run would have given
-    them.  Likewise a tree-level span's records move into ``log``, the
-    parent's, which held ``base`` records before the worker's were
-    appended.  The spans are adopted in place (the parent owns the
-    unpickled copies), not duplicated.
+    them.  The spans are adopted in place (the parent owns the unpickled
+    copies), not duplicated.
 
     A null recorder discards span structure by contract, so grafting
     into one is a no-op — the replayed charges already carried the
@@ -134,6 +152,6 @@ def graft_spans(
     if isinstance(telemetry, NullTelemetry):
         return
     for span in spans:
-        _shift(span, offset, log, base)
+        _shift(span, offset)
         telemetry.attach(span)
 

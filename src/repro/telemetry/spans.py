@@ -6,16 +6,19 @@ computed in three disconnected subsystems: a flat per-phase accumulator, the
 task-graph IR's node costs, and the executor's attempt timeline.  This
 module unifies them: every run grows a single hierarchical span tree
 
-    run → window-update → phase → task (map task, reducer) → tree-level
+    run → window-update → phase → task (map task, reducer)
                                 → attempt
 
 and all accounting flows through it: a caller charges, opens spans on and
 reads :attr:`Telemetry.by_phase` / :meth:`Telemetry.total` off the one
-:class:`Telemetry` it holds.  A tree's nodes (combines, pass-throughs,
-memo reads, visits) open no span: each is one record of the run's log,
-and a tree-level span keeps the range of records its sweep appended
-(:attr:`Span.log`, ``first``, ``last``), which the per-level table and the
-Chrome trace read as the level's tasks.
+:class:`Telemetry` it holds.  Neither a tree level nor a tree's nodes
+(combines, pass-throughs, memo reads, visits) open a span: each node is
+one record of the run's log, and each level's sweep is a mark on that
+log (:class:`~repro.telemetry.worktable.LevelMark`) — the range of
+records it appended, the span it ran under and a tally of its own —
+which the per-level table and the Chrome trace read.  A run's
+window-update span (or a background phase span) keeps its log, in
+``attrs["log"]`` (:meth:`Telemetry.keep_log`).
 
 Bit-identity contract
 ---------------------
@@ -25,12 +28,16 @@ span on the open-span stack, root first — so the root span's inclusive
 ``work`` dict is built by exactly the same float additions in exactly the
 same order as the seed's flat dict, and every historical figure/table
 number is unchanged to the last bit.  Intermediate spans inherit the same
-property for their own subtrees, which is what makes the per-level work
-table (:mod:`repro.telemetry.worktable`) exact rather than approximate.
+property for their own subtrees.  While a level mark is open, the charge
+that would land in the current span's ``self_work`` lands in the mark's
+tally instead, so the mark's tally is built by the same additions a span
+of its own would have made, which is what makes the per-level work table
+(:mod:`repro.telemetry.worktable`) exact rather than approximate, and
+every span's ``self_work`` leaves out the levels swept under it.
 
 Timestamps
 ----------
-Engine spans (map/contraction/reduce, reducers, tree levels) use the
+Engine spans (map/contraction/reduce, reducers) and level marks use the
 cumulative work counter as a pseudo-clock: a span's duration is the work
 charged while it was open.  Cluster spans (executor attempts, replication
 events) instead carry simulated-cluster-clock timestamps and are recorded
@@ -76,7 +83,6 @@ class SpanKind(enum.Enum):
     RUN = "run"
     WINDOW_UPDATE = "window_update"
     PHASE = "phase"
-    TREE_LEVEL = "tree_level"
     TASK = "task"
     ATTEMPT = "attempt"
 
@@ -102,13 +108,6 @@ class Span:
     children: list["Span"] = field(default_factory=list)
     self_work: dict[Phase, float] = field(default_factory=dict)
     work: dict[Phase, float] = field(default_factory=dict)
-    #: A tree-level span's nodes: ``log.records[first:last]``, what its
-    #: sweep appended to the run's log (a ``repro.core.plan.RunLog``,
-    #: read through its ``tasks`` method); ``None`` on a span opened
-    #: without a log.
-    log: Any = None
-    first: int = 0
-    last: int = 0
 
     @property
     def is_open(self) -> bool:
@@ -183,6 +182,9 @@ class Telemetry:
         #: Instant events: dicts with name/ts/args.
         self.instants: list[dict[str, Any]] = []
         self._work_cursor = 0.0
+        #: The open level mark's tally (``worktable.LevelMark`` sets it),
+        #: which takes the charges the current span's ``self_work`` would.
+        self._tally: dict[Phase, float] | None = None
         #: Spans that were open inside a subtree built elsewhere when it
         #: was attached here (``adopt``, ``merge.graft_spans``); no stack
         #: of this recorder will ever close them.
@@ -203,15 +205,9 @@ class Telemetry:
     def current(self) -> Span:
         return self._stack[-1]
 
-    def open_span(
-        self, name: str, kind: SpanKind, log: Any = None, **attrs: Any
-    ) -> Span:
-        """Open a child span of the current span.  Given a ``log`` (a
-        run's, with a ``records`` list), the span covers the records the
-        log gains until it closes."""
+    def open_span(self, name: str, kind: SpanKind, **attrs: Any) -> Span:
+        """Open a child span of the current span."""
         span = Span(name=name, kind=kind, start=self._work_cursor, attrs=attrs)
-        if log is not None:
-            span.log, span.first = log, len(log.records)
         self._add_child(span)
         self._stack.append(span)
         return span
@@ -224,17 +220,19 @@ class Telemetry:
             )
         self._stack.pop()
         span.end = self._work_cursor
-        if span.log is not None:
-            span.last = len(span.log.records)
 
     def span(
         self, name: str, kind: SpanKind = SpanKind.TASK, **attrs: Any
     ) -> "_SpanContext":
         """Open a child span of the current span for a ``with`` body:
-        ``with telemetry.span(...) as span``.  The span opens here (a
-        ``log`` keyword reaches :meth:`open_span`) and closes when the
-        body exits, however it exits."""
+        ``with telemetry.span(...) as span``.  The span opens here and
+        closes when the body exits, however it exits."""
         return _SpanContext(self, self.open_span(name, kind, **attrs))
+
+    def keep_log(self, log: Any) -> None:
+        """Let the current span keep ``log``, a finished run's
+        (``attrs["log"]``): its level marks are read with the span."""
+        self._stack[-1].attrs["log"] = log
 
     def record_span(
         self,
@@ -312,8 +310,10 @@ class Telemetry:
 
     # -- accounting ------------------------------------------------------
     def charge(self, phase: Phase, amount: float) -> None:
-        """Charge work to every open span, root first.  ``amount`` must be
-        finite and non-negative (``ValueError`` otherwise).
+        """Charge work to every open span, root first, and to the open
+        level mark's tally or else the current span's ``self_work``.
+        ``amount`` must be finite and non-negative (``ValueError``
+        otherwise).
 
         The root-first order is load-bearing: it makes the root's
         inclusive totals float-identical to the seed's flat accumulator.
@@ -323,8 +323,10 @@ class Telemetry:
         for span in self._stack:
             work = span.work
             work[phase] = work.get(phase, 0.0) + amount
-        current = self._stack[-1]
-        current.self_work[phase] = current.self_work.get(phase, 0.0) + amount
+        own = self._tally
+        if own is None:
+            own = self._stack[-1].self_work
+        own[phase] = own.get(phase, 0.0) + amount
         self._work_cursor += amount
 
     def absorb_charge(self, phase: Phase, amount: float) -> None:
@@ -409,6 +411,7 @@ class Telemetry:
         label = self.root.name
         self.root = Span(name=label, kind=SpanKind.RUN, start=0.0)
         self._stack = [self.root]
+        self._tally = None
         self._foreign_open.clear()
         self._marks.clear()
         self._dropped = (0, 0, 0)

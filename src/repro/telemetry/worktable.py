@@ -4,15 +4,17 @@ The *Asymptotic Analysis of Self-Adjusting Contraction Trees* report
 (PAPERS.md) proves per-level bounds that a flat per-phase accumulator
 could never witness: charges lost their tree-level structure the moment they
 hit ``by_phase``.  The telemetry backbone keeps that structure — tree
-variants open a ``TREE_LEVEL`` span around each level's contraction
-sweep — and this module aggregates those spans into a compact table:
+variants put a :class:`~repro.telemetry.LevelMark` on the open log for
+each level's contraction sweep, and the run's window-update span (or a
+background phase span) keeps that log — and this module aggregates those
+marks into a compact table:
 
     level | spans | tasks | work
 
-``tasks`` counts the nodes each level executed — combines, pass-throughs,
-memo reads and visits, a memo write counted with the combine it follows —
-read as the run's log records the level span covers (a level swept with
-no log open covers none), which is the quantity the analysis bounds:
+``spans`` counts the sweeps (marks) at a level.  ``tasks`` counts the
+nodes each level executed — combines, pass-throughs, memo reads and
+visits, a memo write counted with the combine it follows — read as the
+log records the mark covers, which is the quantity the analysis bounds:
 
 * initial run over ``n`` leaves: level *i* touches at most
   ``ceil(n / 2**i)`` nodes (each level halves the frontier);
@@ -22,7 +24,7 @@ no log open covers none), which is the quantity the analysis bounds:
   contiguous run of *k* dirty nodes has at most ``ceil(k / 2**i) + 1``
   ancestors at level *i*).
 
-Because span work totals are accumulated in charge order (see
+Because a mark's tally is accumulated in charge order (see
 :mod:`repro.telemetry.spans`), the ``work`` column is exact, not a
 re-derived estimate.
 """
@@ -31,13 +33,84 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
+from weakref import ref
 
-from repro.telemetry.spans import Phase, Span, SpanKind, Telemetry
+from repro.telemetry.spans import Phase, Span, Telemetry
+
+
+class LevelMark:
+    """One tree level's sweep, kept on the run's log instead of a span.
+
+    ``tree`` and ``level`` name it (``fold``, 3); ``first`` and ``last``
+    bound the records the sweep appended to the log (a
+    ``repro.core.plan.RunLog``, read through its ``tasks`` method);
+    ``start`` and ``end`` are the work cursor at open and close; ``span``
+    is a weak reference to the span it ran under (``None`` for the
+    recorder's root: a kept log pins no span) and ``at`` how many
+    children that span had then, which is where the Chrome trace places
+    the level; ``work`` tallies by phase, in charge order, what was
+    charged while it was open.
+
+    A mark is its own ``with`` scope: it opens on the recorder and the log
+    it is made with, and lets go of both when it closes.  While it is
+    open the recorder's :meth:`~repro.telemetry.Telemetry.charge` adds to
+    its tally where it would add to the current span's ``self_work``
+    (the recorder's ``_tally``, which only a mark sets).  Made with no
+    log, it still takes the tally but is kept nowhere.  A closed mark
+    pickles without its span (a weak reference stays in its process):
+    a worker's marks ran under its root anyway.
+    """
+
+    __slots__ = (
+        "tree", "level", "first", "last", "start", "end", "span", "at",
+        "work", "_telemetry", "_log",
+    )
+
+    def __init__(self, telemetry: Telemetry, log: Any, tree: str, level: int) -> None:
+        self.tree = tree
+        self.level = level
+        self.first = self.last = 0
+        self.work: dict[Phase, float] = {}
+        #: The recorder and log the mark is open on; ``None`` once closed.
+        self._telemetry: Any = telemetry
+        self._log: Any = log
+
+    def __enter__(self) -> "LevelMark":
+        telemetry, log = self._telemetry, self._log
+        current = telemetry._stack[-1]
+        self.span = None if current is telemetry.root else ref(current)
+        self.at = len(current.children)
+        self.start = telemetry._work_cursor
+        telemetry._tally = self.work
+        if log is not None:
+            self.first = len(log.records)
+            log.marks.append(self)
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        telemetry, log = self._telemetry, self._log
+        telemetry._tally = None
+        self.end = telemetry._work_cursor
+        if log is not None:
+            self.last = len(log.records)
+        self._telemetry = self._log = None
+
+    def __getstate__(self) -> tuple:
+        return (
+            self.tree, self.level, self.first, self.last, self.start,
+            self.end, self.at, self.work,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.tree, self.level, self.first, self.last, self.start, self.end,
+         self.at, self.work) = state
+        self.span = self._telemetry = self._log = None
 
 
 @dataclass(frozen=True)
 class LevelRow:
-    """Aggregate of all TREE_LEVEL spans at one level of one tree."""
+    """Aggregate of all level marks at one level of one tree."""
 
     level: int
     spans: int
@@ -49,40 +122,42 @@ class LevelRow:
 def per_level_table(
     root: Telemetry | Span, tree: str | None = None
 ) -> list[LevelRow]:
-    """Aggregate TREE_LEVEL spans under ``root`` into per-level rows.
+    """Aggregate the level marks read under ``root`` into per-level rows.
 
-    Given a :class:`Telemetry` it reads the spans that recorder retains:
-    all of them for ``keep_last=None``, the last runs for the ring an
-    engine makes for itself — hand the engine a recorder of your own to
-    tabulate a whole experiment.
+    The marks are those on the logs that ``root`` and the spans under it
+    keep: a run's window-update span, a background phase span, or a
+    recorder's root where a run was opened with no span open.  Given a
+    :class:`Telemetry` it reads the spans that recorder retains: all of
+    them for ``keep_last=None``, the last runs for the ring an engine
+    makes for itself — hand the engine a recorder of your own to tabulate
+    a whole experiment.
 
-    ``tree`` filters by the variant tag the tree recorded on its level
-    spans (``fold``, ``rft``, ``rot``, ``straw``); ``None`` keeps all.
+    ``tree`` filters by the variant tag the tree recorded on its marks
+    (``fold``, ``rft``, ``rot``, ``straw``, ``coal``); ``None`` keeps all.
     """
     if isinstance(root, Telemetry):
         root = root.root
-    buckets: dict[int, list[Span]] = {}
+    buckets: dict[int, list[tuple[Any, LevelMark]]] = {}
     for span in root.iter():
-        if span.kind is not SpanKind.TREE_LEVEL:
+        log = span.attrs.get("log")
+        if log is None:
             continue
-        if tree is not None and span.attrs.get("tree") != tree:
-            continue
-        buckets.setdefault(int(span.attrs.get("level", 0)), []).append(span)
+        for mark in log.marks:
+            if tree is None or mark.tree == tree:
+                buckets.setdefault(mark.level, []).append((log, mark))
 
     rows = []
     for level in sorted(buckets):
-        spans = buckets[level]
-        tasks = sum(
-            len(s.log.tasks(s.first, s.last)) for s in spans if s.log is not None
-        )
+        marks = buckets[level]
+        tasks = sum(len(log.tasks(m.first, m.last)) for log, m in marks)
         by_phase: dict[Phase, float] = {}
-        for s in spans:
-            for phase, amount in s.work.items():
+        for _, m in marks:
+            for phase, amount in m.work.items():
                 by_phase[phase] = by_phase.get(phase, 0.0) + amount
         rows.append(
             LevelRow(
                 level=level,
-                spans=len(spans),
+                spans=len(marks),
                 tasks=tasks,
                 work=sum(by_phase.values()),
                 by_phase=by_phase,

@@ -45,6 +45,18 @@ def test_charge_inside_span_is_clean(tmp_path):
     assert findings == []
 
 
+def test_charge_inside_level_mark_is_clean(tmp_path):
+    findings = lint_source(
+        tmp_path,
+        """
+        def sweep(self, telemetry):
+            with self._level_mark("fold", 1):
+                telemetry.charge("contraction", 1.0)
+        """,
+    )
+    assert findings == []
+
+
 def test_def_line_marker_suppresses(tmp_path):
     findings = lint_source(
         tmp_path,

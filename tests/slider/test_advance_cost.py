@@ -10,7 +10,8 @@ of events at 2 048 and fails this (before retained space and collection
 became deltas the folding case read 4.9x against 1.7x).
 
 The same count holds bulk motion to one walk: ``advance(added=k,
-removed=k)`` against ``k`` advances of one split.
+removed=k)`` against ``k`` advances of one split, and an advance that
+changes no leaf walks no level of a folding tree.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import statistics
 
 import pytest
 
+from repro.apps.registry import micro_benchmark_apps
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from tests.conftest import profile_calls
@@ -112,3 +114,36 @@ def test_bulk_motion_costs_one_walk_not_k(variant, mode, window=64, k=8):
         f"{variant}: {costs[k]:.0f} events for one advance of {k} against "
         f"{costs[1]:.0f} for {k} of one ({costs[k] / costs[1]:.2f}x)"
     )
+
+
+def test_an_empty_advance_walks_no_level():
+    """Counted on the registry hct job, folding tree, variable window 40:
+    ``advance([], 0)`` leaves no level mark and no tree node record, and
+    the next one-in-one-out advance logs the same records and charges
+    the same work as on a twin engine that skipped the empty one."""
+    spec = next(s for s in micro_benchmark_apps() if s.name == "hct")
+    splits = spec.make_splits(46, 17, 0)
+    config = SliderConfig(
+        mode=WindowMode.VARIABLE, tree="folding", execution_backend="inprocess"
+    )
+    engine, twin = (
+        Slider(spec.make_job(), WindowMode.VARIABLE, config) for _ in range(2)
+    )
+    try:
+        for slider in (engine, twin):
+            slider.initial_run(splits[:40])
+            for split in splits[40:44]:
+                slider.advance([split], 1)
+        assert min(tree.height for tree in engine.trees) == 6
+        empty = engine.advance([], 0).plan.log
+        assert empty.marks == []
+        assert [r for r in empty.records if str(r[2]).startswith("fold:")] == []
+        for split in splits[44:]:
+            result, twin_result = engine.advance([split], 1), twin.advance([split], 1)
+            log, twin_log = result.plan.log, twin_result.plan.log
+            assert len(log.marks) == 6 * len(engine.trees)
+            assert log.records == twin_log.records
+            assert result.report.work.hex() == twin_result.report.work.hex()
+    finally:
+        engine.close()
+        twin.close()

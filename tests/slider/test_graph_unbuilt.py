@@ -71,7 +71,8 @@ def unread(variant):
 def dispatched(variant, monkeypatch):
     """The process arm's latest result after 65 dispatched advances, and
     its workers' replies: each carries its run's log as one list of flat
-    records, beside its root, state delta and telemetry, and nothing
+    records and its level marks, beside its root, state delta and
+    telemetry, and nothing
     built (a worker that built a ``PlanStep`` raises, and the fleet fails
     on the fallback).  No payload asks for more, and
     once a worker holds its tree none carries it.  Four reducers: the
@@ -107,7 +108,7 @@ def dispatched(variant, monkeypatch):
             assert set(payload) in (slide, slide | {"seed"})
         assert sum("seed" in payload for payload in payloads) < len(payloads) / 4
         for reply in replies:
-            assert set(reply) == {"coded", "events", "spans", "log"}
+            assert set(reply) == {"coded", "events", "spans", "marks", "log"}
             assert type(reply["log"]) is list and reply["log"]
             assert all(flat(record) for record in reply["log"])
             assert b"PlanStep" not in pickle.dumps(reply)

@@ -67,10 +67,11 @@ def test_reduce_follows_the_slides_keys_not_the_roots():
 
 
 def test_a_map_task_encodes_each_distinct_key_once(length_terms):
-    """One top-level ``_encode_fast`` a distinct key (the route and the
-    leaf's entry hash are finished from it), one a value, one a length
-    term the cache misses (a leaf length no earlier leaf had); a key used
-    to be encoded for each of its two hashes."""
+    """At most one top-level ``_encode_fast`` a distinct key (the route
+    and the leaf's entry hash are finished from it), one a value, one a
+    length term the cache misses (a leaf length no earlier leaf had): an
+    upper bound, so an encoder that frames each distinct value once still
+    passes; a key used to be encoded for each of its two hashes."""
     spec = APP_REGISTRY["matrix"]
     job = spec.make_job()
     watched = _encode_fast.__code__
@@ -92,5 +93,5 @@ def test_a_map_task_encodes_each_distinct_key_once(length_terms):
         lengths = profile_calls(
             lambda: [stable_hash(n, salt="pfp") for n in missed], watched
         )[2]
-        assert hits == once(keys) + once(values) + lengths
+        assert hits <= once(keys) + once(values) + lengths
         assert hits < 2 * once(keys) + once(values)

@@ -1,12 +1,14 @@
-"""A combine opens no span: a tree level's tasks are the log records it
-covers.
+"""Neither a combine nor a tree level opens a span: a level's tasks are
+the log records its mark covers.
 
 Every node of a contraction tree — combine, pass-through, memo read,
-strawman visit — is one record of the run's log and no ``Span``; a
-``TREE_LEVEL`` span keeps the range of records its sweep appended, and
-:func:`~repro.telemetry.per_level_table` and the Chrome trace read the
-level's tasks there.  The digests below were taken while each node still
-opened a ``TASK`` span of its own: the view reads what the spans read.
+strawman visit — is one record of the run's log and no ``Span``; each
+level's sweep is a :class:`~repro.telemetry.LevelMark` on that log, which
+keeps the range of records the sweep appended and the work it charged,
+and :func:`~repro.telemetry.per_level_table` and the Chrome trace read
+the level there.  The digests below were taken while each node still
+opened a ``TASK`` span of its own and each level a span: the view reads
+what the spans read.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from repro.apps.registry import micro_benchmark_apps
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-from repro.telemetry import SpanKind, Telemetry, per_level_table
+from repro.telemetry import Telemetry, per_level_table
 from repro.telemetry.export import export_micro_benchmark_trace
 from tests.oracle.fleet import VARIANTS, count_job, split_of
 
@@ -167,9 +169,9 @@ def test_every_combine_logs_what_it_charged(variant, mode):
 
 
 def _opened_per_advance(window: int, slides: int = 6) -> tuple[list, Telemetry]:
-    """Per steady ``advance(1, 1)`` of a folding tree: the spans opened
-    other than tree levels, the tree levels, and the nodes logged; and
-    the engine's recorder."""
+    """Per steady ``advance(1, 1)`` of a folding tree: the spans opened,
+    the level marks left on the run's log, and the nodes logged; and the
+    engine's recorder."""
     engine = Slider(
         count_job(),
         WindowMode.VARIABLE,
@@ -177,51 +179,65 @@ def _opened_per_advance(window: int, slides: int = 6) -> tuple[list, Telemetry]:
     )
     engine.initial_run([split_of(i) for i in range(window)])
     telemetry = engine.telemetry
-    kinds: list[SpanKind] = []
+    opened = 0
     open_span = telemetry.open_span
 
     def counting(name, kind, **attrs):
-        kinds.append(kind)
+        nonlocal opened
+        opened += 1
         return open_span(name, kind, **attrs)
 
     telemetry.open_span = counting
     per_advance = []
     try:
         for i in range(window, window + slides):
-            kinds.clear()
+            opened = 0
             result = engine.advance([split_of(i)], 1)
-            levels = kinds.count(SpanKind.TREE_LEVEL)
+            log = result.plan.log
+            heights = sum(tree.height for tree in engine.trees)
+            assert len(log.marks) == heights
             nodes = sum(
                 record[0] in ("combine", "pass_through", "memo_read")
-                for record in result.plan.log.records
+                for record in log.records
             )
-            per_advance.append((len(kinds) - levels, levels, nodes))
+            per_advance.append((opened, len(log.marks), nodes))
     finally:
         engine.close()
     return per_advance, telemetry
 
 
-def _assert_no_task_under_a_level(telemetry: Telemetry) -> None:
+def _assert_levels_are_marks(telemetry: Telemetry) -> None:
+    """No span is a level's or a node's, and every log a span keeps has
+    its marks cover consecutive ranges of its records, in sweep order."""
     for span in telemetry.iter_spans():
-        if span.kind is SpanKind.TREE_LEVEL:
-            assert [s.kind for s in span.iter()] == [SpanKind.TREE_LEVEL], span.name
+        assert ":L" not in span.name, span.name
+        log = span.attrs.get("log")
+        if log is None:
+            continue
+        last = 0
+        for mark in log.marks:
+            assert last <= mark.first <= mark.last <= len(log.records)
+            assert mark.start <= mark.end
+            last = mark.last
 
 
 def test_spans_opened_do_not_grow_with_combines():
     """Counted, at windows 64 and 2 048: an advance opens its run, phase,
-    map-task and reducer spans and one span a tree level, whatever number
-    of nodes those levels execute."""
+    map-task and reducer spans, the same number at both windows, and
+    leaves one level mark a tree level swept, whatever number of nodes
+    those levels execute."""
     (small, _), (large, telemetry) = _opened_per_advance(64), _opened_per_advance(2048)
     assert max(n for *_, n in small) < min(n for *_, n in large)
-    assert all(levels < nodes for _, levels, nodes in large)
-    assert len({other for other, _, _ in small + large}) == 1, (small, large)
-    _assert_no_task_under_a_level(telemetry)
+    assert max(m for _, m, _ in small) < min(m for _, m, _ in large)
+    assert all(marks < nodes for _, marks, nodes in large)
+    assert len({opened for opened, _, _ in small + large}) == 1, (small, large)
+    _assert_levels_are_marks(telemetry)
 
 
 def test_a_workers_levels_cover_the_records_it_sent():
-    """Over the process backend a worker's reply carries level spans with
-    no task under them, and once grafted they read the parent's log: the
-    rows equal an in-process twin's, bit for bit."""
+    """Over the process backend a worker's reply carries its level marks,
+    and once taken into the parent's log they read the parent's records:
+    the rows equal an in-process twin's, bit for bit."""
     rows = {}
     for backend in ("inprocess", "process"):
         telemetry, engine = _run(
@@ -232,7 +248,7 @@ def test_a_workers_levels_cover_the_records_it_sent():
             engine.advance([split_of(100 + i)], 1)
         counters = dict(telemetry.counters)
         engine.close()
-        _assert_no_task_under_a_level(telemetry)
+        _assert_levels_are_marks(telemetry)
         rows[backend] = _rows(per_level_table(telemetry))
     assert counters.get("backend.dispatched_reducers", 0) > 0
     assert counters.get("backend.worker_fallbacks", 0) == 0

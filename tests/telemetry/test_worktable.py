@@ -6,8 +6,8 @@ from repro.core.partition import Partition
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from repro.telemetry import (
+    LevelMark,
     Phase,
-    SpanKind,
     Telemetry,
     check_incremental_bounds,
     check_initial_run_bounds,
@@ -36,7 +36,7 @@ def test_initial_run_obeys_per_level_bound():
     telemetry, trees = folding_run()
     initial = telemetry.root.children[0]
     rows = per_level_table(initial, tree="fold")
-    assert rows, "no TREE_LEVEL spans recorded"
+    assert rows, "no level marks recorded"
     # Levels are contiguous from 1 and halve the frontier.
     assert [row.level for row in rows] == list(range(1, len(rows) + 1))
     assert check_initial_run_bounds(rows, LEAVES, trees=trees) == []
@@ -87,7 +87,7 @@ def test_synthetic_bound_violation_is_reported():
     t = Telemetry(label="synthetic")
     executor = PlanExecutor(t)
     executor.begin_run("synthetic")
-    with t.span("lvl", SpanKind.TREE_LEVEL, log=executor.log, tree="fold", level=3):
+    with LevelMark(t, executor.log, "fold", 3):
         for i in range(9):
             executor.memo_visit(Partition({f"k{i}": 1}), 1.0, node=f"task{i}")
     executor.end_run()
