@@ -52,7 +52,7 @@ from repro.core.parallel import (
     tree_fields,
 )
 from repro.telemetry import SpanKind
-from repro.telemetry.merge import graft_marks, graft_spans, replay_events
+from repro.telemetry.merge import graft_marks, replay_events
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.core.base import ContractionTree
@@ -285,7 +285,6 @@ class ProcessBackend(ExecutionBackend):
         log = engine.executor.log
         replay_events(telemetry, result["events"])
         graft_marks(telemetry, result["marks"], offset, log)
-        graft_spans(telemetry, result["spans"], offset)
         log.extend(result["log"])
         apply_delta(tree.__dict__, delta)
         if not self.broken:  # an earlier reducer's failure ended dispatching

@@ -237,6 +237,14 @@ class ContractionTree(ABC):
             raise RuntimeError("advance called before initial_run")
         self._ran_initial = True
 
+    @staticmethod
+    def _check_removed(removed: int, size: int) -> None:
+        """A slide drops between none and all of the ``size`` leaves."""
+        if removed < 0:
+            raise ValueError("removed must be non-negative")
+        if removed > size:
+            raise ValueError(f"cannot remove {removed} of {size} leaves")
+
     def reference_root(self) -> Partition:
         """Recompute the root non-incrementally (for verification only).
 
@@ -244,3 +252,101 @@ class ContractionTree(ABC):
         that incremental maintenance matches batch recomputation.
         """
         return combine_partitions(self.window_leaves(), self.combiner)
+
+
+class BalancedTree(ContractionTree):
+    """An array-indexed balanced binary tree, the folding (§3.1) and the
+    rotating (§4.1) tree: node ``(level, index)`` has the children
+    ``(level - 1, 2 * index)`` and ``(level - 1, 2 * index + 1)``, level 0
+    is the variant's row of leaf slots (:meth:`_leaf_row`), the levels
+    above it are ``_cache`` and ``(_height, 0)`` is the root.  A variant
+    moves leaves in its row; :meth:`_propagate` recomputes."""
+
+    #: Names the tree in its nodes' labels and its level marks.
+    TAG = ""
+
+    _height: int
+
+    @property
+    def height(self) -> int:
+        return self._height
+
+    @abstractmethod
+    def _leaf_row(self) -> Sequence[Partition | None]:
+        """Level 0 by slot: ``None`` in a void slot.  A slot past the end
+        of the row reads as void too."""
+
+    def _propagate(
+        self, dirty_leaves: set[int], phase: Phase = Phase.CONTRACTION
+    ) -> None:
+        """Recompute the internal nodes on the root paths of dirty leaves.
+
+        Stops at the first level with no dirty node: an advance that
+        changed no leaf walks no level."""
+        tag = self.TAG
+        row = self._leaf_row()
+        dirty = dirty_leaves
+        for level in range(1, self._height + 1):
+            parents = {index // 2 for index in dirty}
+            if not parents:
+                break
+            with self._level_mark(tag, level):
+                for parent in parents:
+                    left = self._node_value(level - 1, parent * 2, row)
+                    right = self._node_value(level - 1, parent * 2 + 1, row)
+                    self._set_node(
+                        (level, parent),
+                        self._combine(
+                            [left, right],
+                            phase=phase,
+                            node=f"{tag}:L{level}.{parent}",
+                        ),
+                    )
+            dirty = parents
+
+    def _node_value(
+        self, level: int, index: int, row: Sequence[Partition | None]
+    ) -> Partition:
+        """Node ``(level, index)``, reading level 0 from ``row``; a void or
+        absent node is the combiner's identity."""
+        if level == 0:
+            leaf = row[index] if index < len(row) else None
+            return leaf if leaf is not None else Partition.empty()
+        return self._cache.get((level, index), Partition.empty())
+
+    def _tree_root(self) -> Partition:
+        return self._node_value(self._height, 0, self._leaf_row())
+
+
+class LeafListTree(ContractionTree):
+    """A tree rebuilt over its window's leaf list on every run, the
+    randomized (§3.2) and the strawman (§2) tree: it keeps the list and
+    the last root, and a variant says only how it builds (:meth:`_build`)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._leaves: list[Partition] = []
+        self._root = Partition.empty()
+
+    def initial_run(self, leaves: Sequence[Partition]) -> Partition:
+        self._check_initial(done=True)
+        self._leaves = list(leaves)
+        self._root = self._build()
+        return self._root
+
+    def advance(self, added: Sequence[Partition], removed: int) -> Partition:
+        self._check_initial(done=False)
+        self._check_removed(removed, len(self._leaves))
+        self._leaves = self._leaves[removed:] + list(added)
+        self._root = self._build()
+        return self._root
+
+    def window_leaves(self) -> list[Partition]:
+        return list(self._leaves)
+
+    def root(self) -> Partition:
+        return self._root
+
+    @abstractmethod
+    def _build(self) -> Partition:
+        """Build the tree over ``_leaves`` and return its root."""

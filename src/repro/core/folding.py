@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.base import ContractionTree
+from repro.core.base import BalancedTree
 from repro.core.partition import Partition
-from repro.metrics import Phase
 
 
-class FoldingTree(ContractionTree):
+class FoldingTree(BalancedTree):
     """Array-backed complete binary tree with void-leaf folding."""
+
+    TAG = "fold"
 
     def __init__(self, *args, rebuild_factor: int | None = None, **kwargs) -> None:
         """``rebuild_factor``: if set, a window more than this factor smaller
@@ -46,10 +47,7 @@ class FoldingTree(ContractionTree):
 
     def advance(self, added: Sequence[Partition], removed: int) -> Partition:
         self._check_initial(done=False)
-        if removed < 0:
-            raise ValueError("removed must be non-negative")
-        if removed > self.size:
-            raise ValueError(f"cannot remove {removed} of {self.size} leaves")
+        self._check_removed(removed, self.size)
 
         dirty: set[int] = set()
         self._delete_front(removed, dirty)
@@ -68,13 +66,7 @@ class FoldingTree(ContractionTree):
         return [p for p in self._slots[self._start : self._end] if p is not None]
 
     def root(self) -> Partition:
-        if self.size == 0:
-            return Partition.empty()
-        if self._height == 0:
-            leaf = self._slots[self._start]
-            assert leaf is not None
-            return leaf
-        return self._cache.get((self._height, 0), Partition.empty())
+        return self._tree_root()
 
     def plan_structure_key(self) -> tuple | None:
         """Plans are a pure function of ``(height, start, end)`` plus motion.
@@ -96,10 +88,6 @@ class FoldingTree(ContractionTree):
     @property
     def capacity(self) -> int:
         return len(self._slots)
-
-    @property
-    def height(self) -> int:
-        return self._height
 
     # -- construction --------------------------------------------------------
 
@@ -180,37 +168,10 @@ class FoldingTree(ContractionTree):
                     keys += len(value)
             self._replace_nodes(shifted, keys)
 
-    # -- change propagation ------------------------------------------------
+    # -- level 0 of the balanced sweep ---------------------------------------
 
-    def _propagate(self, dirty_leaves: set[int]) -> None:
-        """Recompute internal nodes on the root paths of dirty leaves.
-
-        Stops at the first level with no dirty node: an advance that
-        changed no leaf walks no level."""
-        dirty = dirty_leaves
-        for level in range(1, self._height + 1):
-            parents = {index // 2 for index in dirty}
-            if not parents:
-                break
-            with self._level_mark("fold", level):
-                for parent in parents:
-                    left = self._node_value(level - 1, parent * 2)
-                    right = self._node_value(level - 1, parent * 2 + 1)
-                    self._set_node(
-                        (level, parent),
-                        self._combine(
-                            [left, right],
-                            phase=Phase.CONTRACTION,
-                            node=f"fold:L{level}.{parent}",
-                        ),
-                    )
-            dirty = parents
-
-    def _node_value(self, level: int, index: int) -> Partition:
-        if level == 0:  # index < capacity: a parent's children are in range
-            leaf = self._slots[index]
-            return leaf if leaf is not None else Partition.empty()
-        return self._cache.get((level, index), Partition.empty())
+    def _leaf_row(self) -> list[Partition | None]:
+        return self._slots
 
 
 def _ceil_log2(n: int) -> int:

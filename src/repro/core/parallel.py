@@ -277,7 +277,6 @@ def _execute_payload(
     return {
         "coded": coded,
         "events": telemetry.events,
-        "spans": telemetry.root.children,
         "marks": run.log.marks,
         "log": run.log.records,
     }, tree

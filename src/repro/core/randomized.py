@@ -15,10 +15,8 @@ therefore a pure function of the current leaf sequence, so:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.common.hashing import stable_hash
-from repro.core.base import ContractionTree
+from repro.core.base import LeafListTree
 from repro.core.partition import Partition
 
 #: Chance a node closes its group (the skip-list coin): 1/p is the
@@ -29,7 +27,7 @@ _BOUNDARY_THRESHOLD = int(BOUNDARY_PROBABILITY * (1 << 32))
 _MAX_LEVELS = 128
 
 
-class RandomizedFoldingTree(ContractionTree):
+class RandomizedFoldingTree(LeafListTree):
     """Skip-list-style contraction tree with deterministic coins."""
 
     def __init__(
@@ -42,32 +40,6 @@ class RandomizedFoldingTree(ContractionTree):
         super().__init__(*args, **kwargs)
         self.seed = seed
         self.auto_gc = auto_gc
-        self._leaves: list[Partition] = []
-        self._root = Partition.empty()
-
-    def initial_run(self, leaves: Sequence[Partition]) -> Partition:
-        self._check_initial(done=True)
-        self._leaves = list(leaves)
-        self._root = self._build()
-        return self._root
-
-    def advance(self, added: Sequence[Partition], removed: int) -> Partition:
-        self._check_initial(done=False)
-        if removed < 0:
-            raise ValueError("removed must be non-negative")
-        if removed > len(self._leaves):
-            raise ValueError(
-                f"cannot remove {removed} of {len(self._leaves)} leaves"
-            )
-        self._leaves = self._leaves[removed:] + list(added)
-        self._root = self._build()
-        return self._root
-
-    def window_leaves(self) -> list[Partition]:
-        return list(self._leaves)
-
-    def root(self) -> Partition:
-        return self._root
 
     @property
     def height(self) -> int:

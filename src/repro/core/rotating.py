@@ -20,14 +20,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.common.errors import CombinerContractError, WindowError
-from repro.core.base import ContractionTree
+from repro.core.base import BalancedTree
 from repro.core.partition import Partition
 from repro.metrics import Phase
 
 
-class RotatingTree(ContractionTree):
+class RotatingTree(BalancedTree):
     """Fixed-width window tree with round-robin bucket rotation."""
 
+    TAG = "rot"
     requires_commutative = True
 
     def __init__(
@@ -118,10 +119,6 @@ class RotatingTree(ContractionTree):
         return self._root
 
     @property
-    def height(self) -> int:
-        return self._height
-
-    @property
     def num_buckets(self) -> int:
         return len(self._buckets)
 
@@ -192,39 +189,12 @@ class RotatingTree(ContractionTree):
             return
         slot, _bucket = self._pending
         self._pending = None
-        self._propagate({slot}, phase=phase)
+        self._propagate({slot}, phase)
 
-    # -- balanced-tree plumbing (same indexing as FoldingTree) -------------
+    # -- level 0 of the balanced sweep ---------------------------------------
 
-    def _propagate(self, dirty_slots: set[int], phase: Phase = Phase.CONTRACTION) -> None:
-        dirty = dirty_slots
-        for level in range(1, self._height + 1):
-            parents = {index // 2 for index in dirty}
-            with self._level_mark("rot", level):
-                for parent in parents:
-                    left = self._node_value(level - 1, parent * 2)
-                    right = self._node_value(level - 1, parent * 2 + 1)
-                    self._set_node(
-                        (level, parent),
-                        self._combine(
-                            [left, right],
-                            phase=phase,
-                            node=f"rot:L{level}.{parent}",
-                        ),
-                    )
-            dirty = parents
-
-    def _node_value(self, level: int, index: int) -> Partition:
-        if level == 0:
-            if index < len(self._buckets):
-                return self._buckets[index]
-            return Partition.empty()
-        return self._cache.get((level, index), Partition.empty())
-
-    def _tree_root(self) -> Partition:
-        if self._height == 0:
-            return self._buckets[0] if self._buckets else Partition.empty()
-        return self._cache.get((self._height, 0), Partition.empty())
+    def _leaf_row(self) -> list[Partition]:
+        return self._buckets
 
     def _off_path_values(self, slot: int) -> list[Partition]:
         """Values of the sibling nodes along ``slot``'s root path."""
@@ -232,7 +202,7 @@ class RotatingTree(ContractionTree):
         index = slot
         for level in range(self._height):
             sibling_index = index ^ 1
-            value = self._node_value(level, sibling_index)
+            value = self._node_value(level, sibling_index, self._buckets)
             if value:
                 siblings.append(value)
             index //= 2

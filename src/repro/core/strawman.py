@@ -23,9 +23,9 @@ baseline.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.core.base import ContractionTree
+from repro.core.base import LeafListTree
 from repro.core.partition import Partition
 
 #: Work units charged per key of a *reused* node's output: the
@@ -33,38 +33,9 @@ from repro.core.partition import Partition
 VISIT_COST = 0.15
 
 
-class StrawmanTree(ContractionTree):
-    """Left-aligned binary tree with positional memoization."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # ``_cache`` here maps (level, index) -> (left_uid, right_uid, value).
-        self._leaves: list[Partition] = []
-        self._root = Partition.empty()
-
-    def initial_run(self, leaves: Sequence[Partition]) -> Partition:
-        self._check_initial(done=True)
-        self._leaves = list(leaves)
-        self._root = self._build()
-        return self._root
-
-    def advance(self, added: Sequence[Partition], removed: int) -> Partition:
-        self._check_initial(done=False)
-        if removed < 0:
-            raise ValueError("removed must be non-negative")
-        if removed > len(self._leaves):
-            raise ValueError(
-                f"cannot remove {removed} of {len(self._leaves)} leaves"
-            )
-        self._leaves = self._leaves[removed:] + list(added)
-        self._root = self._build()
-        return self._root
-
-    def window_leaves(self) -> list[Partition]:
-        return list(self._leaves)
-
-    def root(self) -> Partition:
-        return self._root
+class StrawmanTree(LeafListTree):
+    """Left-aligned binary tree with positional memoization: ``_cache``
+    maps ``(level, index)`` to ``(left_uid, right_uid, value)``."""
 
     # -- internals ---------------------------------------------------------
 

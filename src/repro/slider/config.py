@@ -35,12 +35,8 @@ class SliderConfig:
     bucket_size: int = 1
     #: Enable background pre-processing (§4) for FIXED/APPEND modes.
     split_mode: bool = False
-    #: Rebuild threshold for the plain folding tree (None = never rebuild).
-    rebuild_factor: int | None = None
     #: Seed for the randomized folding tree's coins.
     seed: int = 0
-    #: Garbage-collect memoized state that fell out of the window.
-    auto_gc: bool = True
     #: Where certified contraction work executes: "inprocess" (default,
     #: bit-identical single-process path) or "process" (persistent forked
     #: worker pool; ineligible runs fall back per the backend's dispatch

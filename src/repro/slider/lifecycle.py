@@ -99,9 +99,9 @@ class LifecycleManager:
         """Drop memoized state that the current window can no longer use.
 
         The map memo loses exactly the splits that left the window since
-        the last collection (:meth:`SplitWindow.take_departed`), so the
-        cost follows the slide and not the window — whether this runs
-        after every advance (``auto_gc``) or after many.  The tree-side
+        the last collection (:meth:`SplitWindow.take_departed`), and an
+        engine collects after every advance, so the cost follows the
+        slide and not the window.  The tree-side
         steps keep their whole-table shape: ``retain_only`` walks only a
         strawman's (empty) table, and the distributed cache's collection,
         which does walk every tree's entries, runs only with a cluster

@@ -202,11 +202,7 @@ class RunPlanner:
     def _construct_tree(self, variant: str, common: dict) -> ContractionTree:
         engine = self.engine
         if variant == "folding":
-            return FoldingTree(
-                engine.job.combiner,
-                rebuild_factor=engine.config.rebuild_factor,
-                **common,
-            )
+            return FoldingTree(engine.job.combiner, **common)
         if variant == "randomized":
             return RandomizedFoldingTree(
                 engine.job.combiner, seed=engine.config.seed, **common

@@ -250,8 +250,7 @@ class Slider:
                 reused=reused,
                 label=f"incremental-{self.run_index}",
             )
-            if self.config.auto_gc:
-                self.collect_garbage()
+            self.collect_garbage()
             return result
 
     def background_preprocess(self) -> float:

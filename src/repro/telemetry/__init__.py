@@ -21,7 +21,6 @@ from repro.telemetry.spans import (
 from repro.telemetry.merge import (
     CaptureTelemetry,
     graft_marks,
-    graft_spans,
     replay_events,
 )
 from repro.telemetry.export import (
@@ -44,7 +43,6 @@ __all__ = [
     "CaptureTelemetry",
     "LevelMark",
     "graft_marks",
-    "graft_spans",
     "replay_events",
     "NullTelemetry",
     "Phase",

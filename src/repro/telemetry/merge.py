@@ -8,18 +8,19 @@ totals, and the same counters it would have built itself.  Floats make
 this subtle: addition order matters.  The contract here is:
 
 * Workers record through :class:`CaptureTelemetry`, which keeps an
-  **ordered event log** (charges, counts, gauges, instants) alongside
-  the normal span tree.
+  **ordered event log** (charges, counts, gauges, instants).  A worker
+  opens no span: what it sweeps is level marks on its run's log.
 * The parent replays each worker's log — in reducer order, inside the
   span that would have enclosed the work in-process — via
-  :func:`replay_events`.  Charges go through
-  :meth:`~repro.telemetry.Telemetry.absorb_charge`, so every open parent
-  span sees the exact float-addition sequence of an in-process run,
-  while the worker's own spans (grafted by :func:`graft_spans` with
-  their cursor timestamps shifted to the parent clock) and its level
-  marks (taken into the parent's log by :func:`graft_marks`) keep the
-  self-work.  Counters come back the same way, as replayed ``count``
-  events.
+  :func:`replay_events`, so every open parent span sees the exact
+  float-addition sequence of an in-process run.  A charge made outside
+  a level mark is the current span's self-work, as in process; one made
+  inside a mark is absorbed, because the worker's marks (taken into the
+  parent's log by :func:`graft_marks`) carry it in their tallies.
+  Counters come back the same way, as replayed ``count`` events.
+
+A reply is the charges, tagged in or out of a mark, then the marks, then
+the records.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from __future__ import annotations
 from typing import Any, Iterable
 from weakref import ref
 
-from repro.telemetry.spans import NullTelemetry, Phase, Span, Telemetry
+from repro.telemetry.spans import Phase, Telemetry
 from repro.telemetry.worktable import LevelMark
 
 __all__ = [
     "CaptureTelemetry",
     "graft_marks",
-    "graft_spans",
     "replay_events",
 ]
 
@@ -49,7 +49,7 @@ class CaptureTelemetry(Telemetry):
     original order, which a post-hoc summary (dict of totals) could not.
     Event shapes::
 
-        ("charge",  Phase, amount)
+        ("charge",  Phase, amount, in_mark)
         ("count",   name, delta)
         ("gauge",   name, value)
         ("instant", name, {args})
@@ -61,7 +61,7 @@ class CaptureTelemetry(Telemetry):
 
     def charge(self, phase: Phase, amount: float) -> None:
         super().charge(phase, amount)
-        self.events.append(("charge", phase, amount))
+        self.events.append(("charge", phase, amount, self._tally is not None))
 
     def count(self, name: str, delta: float = 1.0, ts: float | None = None) -> None:
         super().count(name, delta, ts)
@@ -76,20 +76,26 @@ class CaptureTelemetry(Telemetry):
         self.events.append(("instant", name, args))
 
 
-def replay_events(telemetry: Telemetry, events: Iterable[TelemetryEvent]) -> None:
+def replay_events(  # analysis: charge-in-caller-span (the reducer's span)
+    telemetry: Telemetry, events: Iterable[TelemetryEvent]
+) -> None:
     """Replay a captured event log into ``telemetry`` at its cursor.
 
-    Charges are absorbed (inclusive work + cursor only — the grafted
-    worker spans carry the self-work); counts, gauges, and instants go
-    through the normal verbs, picking up the parent's work cursor as
-    their timestamp.  Because charges and counter bumps replay in their
-    original interleaving, those timestamps match what an in-process run
-    would have recorded.
+    A charge made in a level mark is absorbed (inclusive work and cursor
+    only: the grafted mark brings its own tally); any other is charged,
+    to the current span's self-work as well.  Counts, gauges, and
+    instants go through the normal verbs, picking up the parent's work
+    cursor as their timestamp.  Because charges and counter bumps replay
+    in their original interleaving, those timestamps match what an
+    in-process run would have recorded.
     """
     for event in events:
         verb = event[0]
         if verb == "charge":
-            telemetry.absorb_charge(event[1], event[2])
+            if event[3]:
+                telemetry.absorb_charge(event[1], event[2])
+            else:
+                telemetry.charge(event[1], event[2])
         elif verb == "count":
             telemetry.count(event[1], event[2])
         elif verb == "gauge":
@@ -100,25 +106,19 @@ def replay_events(telemetry: Telemetry, events: Iterable[TelemetryEvent]) -> Non
             raise ValueError(f"unknown telemetry event verb {verb!r}")
 
 
-def _shift(span: Span, offset: float) -> None:
-    span.start += offset
-    if span.end is not None:
-        span.end += offset
-    for child in span.children:
-        _shift(child, offset)
-
-
 def graft_marks(
     telemetry: Telemetry, marks: Iterable[LevelMark], offset: float, log: Any
 ) -> None:
     """Take a worker's level marks into ``log``, the parent's run log,
-    before the worker's spans are grafted and its records appended.
+    after its charges are replayed and before its records are appended.
 
-    A mark's record range moves by the records ``log`` holds, its cursor
-    positions by ``offset`` (as :func:`graft_spans`), and one the worker
-    swept under its recorder's root moves under the current span, after
-    the children that span has: where an in-process sweep would have
-    put it.  The marks are adopted in place, not duplicated.
+    A mark's record range moves by the records ``log`` holds, and its
+    cursor positions by ``offset``, the parent's cursor when the merge
+    began: worker positions are on the worker's own cursor, which
+    started at zero.  A mark swept under the worker recorder's root moves
+    under the current span, after the children that span has: where an
+    in-process sweep would have put it.  The marks are adopted in place,
+    not duplicated.
     """
     current = telemetry.current
     under = None if current is telemetry.root else ref(current)
@@ -132,26 +132,3 @@ def graft_marks(
             mark.span = under
             mark.at += at
         log.marks.append(mark)
-
-
-def graft_spans(telemetry: Telemetry, spans: Iterable[Span], offset: float) -> None:
-    """Attach worker spans under the current span, shifted to parent time.
-
-    Worker span timestamps are positions on the worker's own work
-    cursor, which started at zero; ``offset`` is the parent's cursor
-    when the merge began, so after shifting, the grafted spans occupy
-    exactly the interval the replayed charges advance the parent cursor
-    through — the same coordinates an in-process run would have given
-    them.  The spans are adopted in place (the parent owns the unpickled
-    copies), not duplicated.
-
-    A null recorder discards span structure by contract, so grafting
-    into one is a no-op — the replayed charges already carried the
-    accounting totals through :meth:`absorb_charge`.
-    """
-    if isinstance(telemetry, NullTelemetry):
-        return
-    for span in spans:
-        _shift(span, offset)
-        telemetry.attach(span)
-

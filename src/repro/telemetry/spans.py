@@ -186,7 +186,7 @@ class Telemetry:
         #: which takes the charges the current span's ``self_work`` would.
         self._tally: dict[Phase, float] | None = None
         #: Spans that were open inside a subtree built elsewhere when it
-        #: was attached here (``adopt``, ``merge.graft_spans``); no stack
+        #: was attached here (``adopt``); no stack
         #: of this recorder will ever close them.
         self._foreign_open: list[Span] = []
         #: Per kept top-level span (``keep_last`` only): how many counter
@@ -337,10 +337,10 @@ class Telemetry:
         replaying a worker's charges in their original order reproduces
         the exact float-addition sequence of an in-process run) and
         advances the work cursor — but it does **not** touch the current
-        span's ``self_work``.  The grafted worker spans already carry
-        that self-work, so absorbing it again would break the invariant
-        that a span's inclusive work equals the sum of self-work over
-        its subtree.
+        span's ``self_work``.  It is for a charge made in a worker's level
+        mark, whose grafted tally already carries it: charging it again
+        would break the invariant that a span's inclusive work equals the
+        sum of self-work over its subtree and its marks.
         """
         if not 0.0 <= amount < _INF:
             raise ValueError(f"work must be non-negative, got {amount}")

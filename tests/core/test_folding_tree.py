@@ -162,6 +162,7 @@ def test_rebuild_factor_shrinks_capacity():
     assert tree.capacity == 64
     tree.advance(leaf_seq([1]), removed=60)  # window now 5 leaves
     assert tree.capacity <= 4 * tree.size
+    assert tree.space() == tree.recount()
 
 
 def test_rebuild_factor_validation():

@@ -47,7 +47,7 @@ def test_a_graph_read_late_is_the_graph_built_eagerly():
     when its step executes, so nothing done after it can reach a plan
     read afterwards, and the kept arm's records are the reference's."""
     for case in CASES:
-        with Fleet(case, arms=("reference", "kept"), auto_gc=False) as fleet:
+        with Fleet(case, arms=("reference", "kept")) as fleet:
             fleet.advance(3, ALL, repeat=True)
             fleet.crash(seed=2, machine=1)
             fleet.background()

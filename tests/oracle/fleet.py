@@ -398,12 +398,15 @@ class Fleet:
         arms: tuple[str, ...] = tuple(ARMS),
         first: int = 5,
         common: Callable[[], dict] = dict,
+        max_window: int = MAX_WINDOW,
         **config: Any,
     ) -> None:
         """``job`` names a :data:`JOBS` entry (or is one); ``common`` makes
         ``Slider(...)`` arguments every arm gets (a cluster, a chaos
-        plan), ``config`` the ``SliderConfig`` fields every arm gets."""
+        plan), ``max_window`` bounds a variable window, and ``config``
+        holds the ``SliderConfig`` fields every arm gets."""
         self.variant, self.mode, split_mode = self.case = case
+        self.max_window = max_window
         make_job, self.split = JOBS[job] if isinstance(job, str) else job
         self.job = make_job()
         self.config = SliderConfig(
@@ -446,7 +449,6 @@ class Fleet:
         self.makespan = 0.0
         #: A fault rule is in flight: the process arm may fail a dispatch.
         self.sabotaged = False
-        self.collected = self.config.auto_gc
         try:
             self._run(lambda e, added: e.initial_run(added), first, 0)
         except BaseException:
@@ -632,8 +634,7 @@ class Fleet:
                 assert [(t.memo.stats, t.memo.space()) for t in engine.trees] == [
                     (t.memo.stats, t.memo.space()) for t in ref.trees
                 ], name
-            if self.collected:
-                assert set(engine.map_memo) == set(window), name
+            assert set(engine.map_memo) == set(window), name
             self.signals.update(engine.telemetry.counters)
             self.signals.update(event["name"] for event in engine.telemetry.instants)
         process = self.engines.get("process")
@@ -650,7 +651,7 @@ class Fleet:
         if self.mode is WindowMode.FIXED:
             return min(add, size), min(add, size)
         remove = size if remove == ALL else min(remove, size)
-        return min(add, MAX_WINDOW - (size - remove)), remove
+        return min(add, self.max_window - (size - remove)), remove
 
     def advance(
         self,
@@ -667,7 +668,6 @@ class Fleet:
             lambda engine, added: engine.advance(added, remove),
             add, remove, repeat, back,
         )
-        self.collected = self.config.auto_gc
         return results
 
     def _until(
@@ -709,7 +709,6 @@ class Fleet:
     def collect(self) -> None:
         self.fired["collect"] += 1
         self._each(lambda e: e.collect_garbage())
-        self.collected = True
 
     def forget_row(self) -> bool:
         """The oldest split's map output is gone when the split leaves (no
@@ -728,7 +727,6 @@ class Fleet:
             return engine.advance(added, 1)
 
         self._run(operation, 1, 1)
-        self.collected = self.config.auto_gc
         return True
 
     # -- rules: lives ---------------------------------------------------------
@@ -806,7 +804,6 @@ class Fleet:
                 engine.set_chaos(None)
 
         self._run(operation, add, remove)
-        self.collected = self.config.auto_gc
 
     def _live_backend(self) -> "ProcessBackend | None":
         """The process arm's backend, while it may still dispatch."""

@@ -22,14 +22,9 @@ class OracleMachine(RuleBasedStateMachine):
     case: tuple = CASES[0]
     fleet: Fleet | None = None
 
-    @initialize(
-        job=st.sampled_from(["counts", "counts", "counts", "kmeans"]),
-        auto_gc=st.booleans(),
-        rebuild=st.booleans(),
-    )
-    def start(self, job, auto_gc, rebuild):
-        config = {"rebuild_factor": 2} if rebuild and self.case[0] == "folding" else {}
-        self.fleet = Fleet(self.case, job=job, auto_gc=auto_gc, **config)
+    @initialize(job=st.sampled_from(["counts", "counts", "counts", "kmeans"]))
+    def start(self, job):
+        self.fleet = Fleet(self.case, job=job)
 
     @rule(
         add=st.integers(0, 3),  # zero-add, or a k-split bulk move

@@ -141,12 +141,10 @@ def _walk(case: tuple, job: str) -> SimpleNamespace:
     reached: Counter = Counter()
     memo = ENTRY_HASHES
     first = memo.young, memo.old
-    # Every other case collects only when the script says so, so that a
-    # split can come back while its map output is still retained.
     with pytest.MonkeyPatch.context() as patch, combines_counted(reached):
         if job == "pairs":
             patch.setattr(identity, "ENTRY_GENERATION", WALK_GENERATION)
-        with Fleet(case, job=job, auto_gc=CASES.index(case) % 2 == 0) as fleet:
+        with Fleet(case, job=job) as fleet:
             fleet.check()
             for step in SCRIPT:
                 step(fleet)

@@ -120,16 +120,16 @@ def test_reduce_memo_tracks_value_reversions():
     assert calls == []
 
 
-def test_reused_split_after_gc_disabled_hits_map_memo():
+def test_a_split_back_in_the_advance_it_left_hits_map_memo():
     job = word_job()
     splits = make_splits(CORPUS, 2)
-    config = SliderConfig(mode=WindowMode.VARIABLE, auto_gc=False)
-    slider = Slider(job, WindowMode.VARIABLE, config=config)
+    slider = Slider(job, WindowMode.VARIABLE)
     slider.initial_run(splits[:6])
-    slider.advance([], removed=3)  # splits 0-2 leave, memo retained
-    result = slider.advance(splits[:3], removed=0)  # they come back
+    result = slider.advance(splits[:3], removed=3)  # 0-2 leave and come back
     assert result.new_map_tasks == 0
     assert result.reused_map_tasks == 3
+    # Back in the window, their rows survive the advance's collection.
+    assert set(slider.map_memo) == {split.uid for split in splits[:6]}
 
 
 def test_config_mode_mismatch_is_reconciled():

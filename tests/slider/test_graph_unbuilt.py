@@ -108,7 +108,7 @@ def dispatched(variant, monkeypatch):
             assert set(payload) in (slide, slide | {"seed"})
         assert sum("seed" in payload for payload in payloads) < len(payloads) / 4
         for reply in replies:
-            assert set(reply) == {"coded", "events", "spans", "marks", "log"}
+            assert set(reply) == {"coded", "events", "marks", "log"}
             assert type(reply["log"]) is list and reply["log"]
             assert all(flat(record) for record in reply["log"])
             assert b"PlanStep" not in pickle.dumps(reply)
@@ -141,7 +141,7 @@ def test_a_worker_builds_no_node_and_replies_with_records(variant, mode, monkeyp
 
 @pytest.mark.parametrize("variant,mode", VARIANTS)
 def test_results_kept_for_a_hundred_advances_read_as_their_runs(variant, mode):
-    late, twin = (make_slider(variant, mode, auto_gc=True) for _ in range(2))
+    late, twin = (make_slider(variant, mode) for _ in range(2))
     kept = steady(late, mode, 128)[::16]
     as_finished = [list(r.plan.log.records) for r in steady(twin, mode, 128)][::16]
     assert len(kept) == 9
@@ -163,7 +163,7 @@ def test_an_unread_result_pins_no_partition_of_its_run(variant, mode):
     def own_split(i):  # no key, so no content id, in common with another
         return Split.from_records([f"s{i}.{j}" for j in range(8)], label=f"s{i}")
 
-    slider = make_slider(variant, mode, auto_gc=True)
+    slider = make_slider(variant, mode)
     first = own_split(0)
     results = [slider.initial_run([first] + [own_split(i) for i in range(1, 6)])]
     leaf_uids = {leaf.uid for leaf in slider.map_memo[first.uid]}

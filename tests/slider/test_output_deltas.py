@@ -93,29 +93,26 @@ def test_full_eviction_then_refill():
 
 
 def test_collect_garbage_shrinks_space():
-    """Memoized state for evicted splits is dropped by collect_garbage,
-    and space() reflects the shrink."""
-    from repro.slider.system import SliderConfig
-
-    config = SliderConfig(mode=WindowMode.VARIABLE, auto_gc=False)
-    slider = Slider(count_job(), WindowMode.VARIABLE, config=config)
+    """Memoized state for evicted splits is dropped by the collection an
+    advance ends with, and space() reflects the shrink."""
+    slider = Slider(count_job(), WindowMode.VARIABLE)
     slider.initial_run(
         [split_of([f"k{i}", f"k{i}x"], f"s{i}") for i in range(6)]
     )
-    # Slide most of the window out without garbage collection.
-    slider.advance([split_of(["fresh"], "s9")], removed=5)
     before = slider.space()
-    dropped = slider.collect_garbage()
+    # Slide most of the window out: the advance collects what left.
+    slider.advance([split_of(["fresh"], "s9")], removed=5)
     after = slider.space()
-    assert dropped > 0
+    assert len(slider.map_memo) == 2
+    assert slider.collect_garbage() == 0
     assert after < before
     # Outputs are untouched by garbage collection.
     assert slider.verify_outputs() > 0
 
 
 def test_auto_gc_keeps_space_bounded():
-    """With auto_gc on (the default), sliding a fixed-size window does not
-    accumulate memoized state for long-gone splits."""
+    """An engine collects after every advance, so sliding a fixed-size
+    window does not accumulate memoized state for long-gone splits."""
     slider = Slider(count_job(), WindowMode.VARIABLE)
     slider.initial_run([split_of([f"w{i}"], f"s{i}") for i in range(4)])
     sizes = []

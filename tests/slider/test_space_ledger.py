@@ -19,7 +19,7 @@ from repro.cluster.machine import Cluster, ClusterConfig
 from repro.core.memo import DictMemoStore
 from repro.core.partition import Partition
 from repro.mapreduce.types import SplitWindow
-from repro.slider.system import Slider, SliderConfig
+from repro.slider.system import Slider
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import ALL, CASES, JOBS, Fleet, case_of, count, count_job
 
@@ -29,14 +29,14 @@ _split = JOBS["counts"][1]  # between 3 and 9 keys: a miscounted partition shows
 
 def test_space_equals_recount_after_every_step():
     """With a cluster attached to every arm (its cache's collection walks
-    the trees' entries), a rebuilding folding tree, and a restore."""
+    the trees' entries) and a restore.  A rebuilding folding tree's count
+    is held to its recount in ``tests/core/test_folding_tree.py``."""
     cluster = lambda: {
         "cluster": Cluster(ClusterConfig(num_machines=4, straggler_fraction=0.0))
     }
     for case in CASES:
-        config = {"rebuild_factor": 2} if case[0] == "folding" else {}
         arms = ("reference", "recount", "restored")
-        with Fleet(case, arms=arms, common=cluster, auto_gc=False, **config) as fleet:
+        with Fleet(case, arms=arms, common=cluster) as fleet:
             for step in (
                 lambda: fleet.advance(3, 1),
                 lambda: fleet.crash(seed=1, machine=1),
@@ -89,17 +89,17 @@ def test_window_counts_what_left_and_what_came_back():
     assert window.counts == {c.uid: 1}
 
 
-def test_collecting_after_many_advances_without_auto_gc():
-    engine = Slider(
-        _job(), WindowMode.VARIABLE, SliderConfig(auto_gc=False)
-    )
+def test_every_advance_collects_what_left():
+    """An engine collects after every advance: each leaves exactly the
+    window's splits in the map memo, and a collection then finds none."""
+    engine = Slider(_job(), WindowMode.VARIABLE)
     try:
         engine.initial_run([_split(i) for i in range(4)])
         for i in range(4, 12):
             engine.advance([_split(i)], 1)
-        assert len(engine.map_memo) == 12
-        assert engine.collect_garbage() == 8
-        assert set(engine.map_memo) == {split.uid for split in engine.window}
+            assert set(engine.map_memo) == {split.uid for split in engine.window}
+        assert len(engine.map_memo) == 4
+        assert engine.collect_garbage() == 0
         assert engine.space() == engine.lifecycle.recount()
     finally:
         engine.close()

@@ -153,7 +153,7 @@ def test_dag_time_model_validates():
     """Two waves is the one time model: the knob is gone, not ignored."""
     with pytest.raises(TypeError, match="time_model"):
         SliderConfig(time_model="dag")
-    assert len(dataclasses.fields(SliderConfig)) == 9
+    assert len(dataclasses.fields(SliderConfig)) == 7
 
 
 class TestDagTimeModel:

@@ -234,22 +234,39 @@ def test_spans_opened_do_not_grow_with_combines():
     _assert_levels_are_marks(telemetry)
 
 
+def _self_work(telemetry: Telemetry) -> list:
+    return [
+        (span.name, [(p.value, v.hex()) for p, v in span.self_work.items()])
+        for span in telemetry.iter_spans()
+    ]
+
+
 def test_a_workers_levels_cover_the_records_it_sent():
     """Over the process backend a worker's reply carries its level marks,
     and once taken into the parent's log they read the parent's records:
-    the rows equal an in-process twin's, bit for bit."""
-    rows = {}
-    for backend in ("inprocess", "process"):
-        telemetry, engine = _run(
-            "folding", WindowMode.VARIABLE, window=6,
-            execution_backend=backend, workers=2,
-        )
-        for i in range(40):
-            engine.advance([split_of(100 + i)], 1)
-        counters = dict(telemetry.counters)
-        engine.close()
-        _assert_levels_are_marks(telemetry)
-        rows[backend] = _rows(per_level_table(telemetry))
-    assert counters.get("backend.dispatched_reducers", 0) > 0
-    assert counters.get("backend.worker_fallbacks", 0) == 0
-    assert rows["process"] == rows["inprocess"]
+    the rows equal an in-process twin's, bit for bit.  So does every
+    span's self-work, which takes the charges a tree makes outside a
+    level (a rotating tree's buckets, a coalescing tree's root)."""
+    for variant, mode in (
+        ("folding", WindowMode.VARIABLE),
+        ("rotating", WindowMode.FIXED),
+        ("coalescing", WindowMode.APPEND),
+    ):
+        rows, owned = {}, {}
+        removed = 0 if mode is WindowMode.APPEND else 1
+        for backend in ("inprocess", "process"):
+            telemetry, engine = _run(
+                variant, mode, window=6 if variant == "folding" else 8,
+                execution_backend=backend, workers=2,
+            )
+            for i in range(40):
+                engine.advance([split_of(100 + i)], removed)
+            counters = dict(telemetry.counters)
+            engine.close()
+            _assert_levels_are_marks(telemetry)
+            rows[backend] = _rows(per_level_table(telemetry))
+            owned[backend] = _self_work(telemetry)
+        assert counters.get("backend.dispatched_reducers", 0) > 0, variant
+        assert counters.get("backend.worker_fallbacks", 0) == 0, variant
+        assert rows["process"] == rows["inprocess"], variant
+        assert owned["process"] == owned["inprocess"], variant
