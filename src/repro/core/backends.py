@@ -52,7 +52,7 @@ from repro.core.parallel import (
     tree_fields,
 )
 from repro.telemetry import SpanKind
-from repro.telemetry.merge import graft_marks, replay_events
+from repro.telemetry.merge import replay_events
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.core.base import ContractionTree
@@ -280,12 +280,8 @@ class ProcessBackend(ExecutionBackend):
             engine.telemetry.count("backend.worker_fallbacks")
             self._worker_failed(engine, worker=worker, error=str(exc))
             return None
-        telemetry = engine.telemetry
-        offset = telemetry.now()
         log = engine.executor.log
-        replay_events(telemetry, result["events"])
-        graft_marks(telemetry, result["marks"], offset, log)
-        log.extend(result["log"])
+        replay_events(engine.telemetry, result["events"], log, result["log"])
         apply_delta(tree.__dict__, delta)
         if not self.broken:  # an earlier reducer's failure ended dispatching
             self._synced[reducer] = snapshot(tree_fields(tree))

@@ -185,8 +185,8 @@ class ContractionTree(ABC):
     def _level_mark(self, tree: str, level: int) -> LevelMark:
         """A level mark for one level's contraction sweep, as a ``with``
         scope: it keeps on the open log (a run's, or background's) the
-        records the sweep appends, its nodes, and tallies what they
-        charge; the per-level work table
+        range of records the sweep appends, its nodes, whose costs are
+        the level's work; the per-level work table
         (:mod:`repro.telemetry.worktable`) aggregates the marks and their
         records to check the asymptotic-analysis bounds.  It opens no span.
         """

@@ -17,9 +17,9 @@ there is, in the engine and in a worker:
   each carrying the very amount it charged.
 
 A tree level's sweep is a :class:`~repro.telemetry.LevelMark` on the
-open log, which keeps the range of records the sweep appended and the
-work it charged; the per-level table and the Chrome trace read a level's
-tasks there (:meth:`~repro.core.plan.RunLog.tasks`).
+open log, which keeps the range of records the sweep appended; the
+per-level table and the Chrome trace read a level's tasks and its work
+there (:meth:`~repro.core.plan.RunLog.tasks`).
 
 Executing while planning (instead of batching the whole plan first) keeps
 the semantics of the seed path bit-identical — planners may branch on the

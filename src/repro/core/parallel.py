@@ -15,9 +15,9 @@ slide's new leaves, ``removed`` and the label.  Any other dispatch
 whole :meth:`~repro.core.base.ContractionTree.state`, the combiner
 included.  A worker runs the advance the way the engine would have (it
 opens its own plan steps) and replies with the root, what its run logged
-(the charges, counters and spans its
-:class:`~repro.telemetry.merge.CaptureTelemetry` captured and its run's
-log records and level marks, each in order, for the parent to take
+(the charges, counters and level marks' opens and
+closes its :class:`~repro.telemetry.merge.CaptureTelemetry` captured,
+then its run's log records, each in order, for the parent to replay
 into its own run, which keeps the merged run bit-identical to an
 in-process one; see :mod:`repro.telemetry.merge`) and the *state delta*
 (:func:`state_delta`): the fields the run changed and, for a list or dict
@@ -277,7 +277,6 @@ def _execute_payload(
     return {
         "coded": coded,
         "events": telemetry.events,
-        "marks": run.log.marks,
         "log": run.log.records,
     }, tree
 

@@ -81,9 +81,9 @@ class RunLog:
     that run's, and a kept result pins none of the window's state.
 
     ``marks`` holds one :class:`~repro.telemetry.LevelMark` a tree level
-    swept, in sweep order: the range of records the sweep appended and
-    the work it charged, which the per-level table and the Chrome trace
-    read as the level's tasks.
+    swept, in sweep order: the range of records the sweep appended,
+    which the per-level table and the Chrome trace read as the level's
+    tasks and its work.
     """
 
     def __init__(self, label: str = "") -> None:

@@ -20,6 +20,7 @@ folded into a completed slide are never re-fed.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -93,7 +94,7 @@ def restore_slider(path: str | Path, job: "MapReduceJob") -> "Slider":
     """Rebuild a Slider from a checkpoint, verifying every fingerprint."""
     from repro.cluster.machine import Cluster
     from repro.recovery.repair import verify_restored
-    from repro.slider.system import Slider
+    from repro.slider.system import Slider, SliderConfig
 
     manifest = read_manifest(path)
     meta = manifest["meta"]
@@ -114,10 +115,16 @@ def restore_slider(path: str | Path, job: "MapReduceJob") -> "Slider":
         # __init__ did; the captured alive/straggle flags are applied on
         # top by apply_engine_state, so the stream position matches.
         cluster = Cluster(config["cluster_config"])
+    # Unpickling a frozen dataclass restores its whole ``__dict__``: a
+    # config written before a field was dropped would carry it on.
+    saved = config["slider_config"]
+    slider_config = SliderConfig(**{
+        f.name: getattr(saved, f.name) for f in dataclasses.fields(SliderConfig)
+    })
     engine = Slider(
         job,
         mode=config["mode"],
-        config=config["slider_config"],
+        config=slider_config,
         cluster=cluster,
         scheduler=config["scheduler"],
         chaos=config["chaos"],

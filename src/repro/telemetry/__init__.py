@@ -6,7 +6,7 @@ for the paper's *work* and *time* measures and for fault accounting.  See
 :mod:`repro.telemetry.spans` for the model and the bit-identity
 contract, :mod:`repro.telemetry.export` for Chrome trace-event JSON
 output, and :mod:`repro.telemetry.worktable` for the per-level work
-table checked against the asymptotic-analysis bounds.
+table, which a level reads off its records.
 """
 
 from repro.telemetry.spans import (
@@ -20,7 +20,6 @@ from repro.telemetry.spans import (
 )
 from repro.telemetry.merge import (
     CaptureTelemetry,
-    graft_marks,
     replay_events,
 )
 from repro.telemetry.export import (
@@ -32,9 +31,7 @@ from repro.telemetry.export import (
 from repro.telemetry.worktable import (
     LevelMark,
     LevelRow,
-    check_incremental_bounds,
-    check_initial_run_bounds,
-    format_level_table,
+    level_work,
     per_level_table,
 )
 
@@ -42,7 +39,6 @@ __all__ = [
     "ENGINE_KEEP_LAST",
     "CaptureTelemetry",
     "LevelMark",
-    "graft_marks",
     "replay_events",
     "NullTelemetry",
     "Phase",
@@ -55,8 +51,6 @@ __all__ = [
     "validate_trace_events",
     "write_chrome_trace",
     "LevelRow",
-    "check_incremental_bounds",
-    "check_initial_run_bounds",
-    "format_level_table",
+    "level_work",
     "per_level_table",
 ]

@@ -32,7 +32,7 @@ import json
 from typing import Any
 
 from repro.telemetry.spans import Span, Telemetry
-from repro.telemetry.worktable import LevelMark
+from repro.telemetry.worktable import LevelMark, level_work
 
 #: Microseconds per abstract time unit: one work/sim unit reads as 1 s.
 TIME_SCALE = 1_000_000.0
@@ -122,10 +122,11 @@ def to_chrome_trace(telemetry: Telemetry) -> dict[str, Any]:
         # A tree level's work is all its nodes': each node is an event of
         # its own, laid end to end from the level's start in charge order.
         attrs = {"tree": mark.tree, "level": mark.level}
+        tasks = log.tasks(mark.first, mark.last)
         complete(f"{mark.tree}:L{mark.level}", "tree_level", mark.start,
-                 mark.end, None, attrs, mark.work, {})
+                 mark.end, None, attrs, level_work(tasks), {})
         cursor = mark.start
-        for name, work in log.tasks(mark.first, mark.last):
+        for name, work in tasks:
             start = cursor
             for amount in work.values():
                 cursor += amount

@@ -4,36 +4,35 @@ The multi-process execution backend runs each reducer's contraction in a
 worker process with its own fresh :class:`~repro.telemetry.Telemetry`.
 For the run to stay *bit-identical* to an in-process execution, the
 parent must end up with the same span tree, the same per-phase float
-totals, and the same counters it would have built itself.  Floats make
-this subtle: addition order matters.  The contract here is:
+totals, the same level marks and the same counters it would have built
+itself.  Floats make this subtle: addition order matters.  The contract
+here is:
 
 * Workers record through :class:`CaptureTelemetry`, which keeps an
-  **ordered event log** (charges, counts, gauges, instants).  A worker
-  opens no span: what it sweeps is level marks on its run's log.
+  **ordered event log** (charges, counts, instants, and each level
+  mark's open and close with its record index).  A worker opens no
+  span, and its marks stay in its process.
 * The parent replays each worker's log — in reducer order, inside the
   span that would have enclosed the work in-process — via
   :func:`replay_events`, so every open parent span sees the exact
-  float-addition sequence of an in-process run.  A charge made outside
-  a level mark is the current span's self-work, as in process; one made
-  inside a mark is absorbed, because the worker's marks (taken into the
-  parent's log by :func:`graft_marks`) carry it in their tallies.
+  float-addition sequence of an in-process run.  It opens and closes a
+  mark of its own where the worker did, on its own cursor, log and
+  current span, so a charge inside it stays out of the span's
+  self-work and the mark's positions are the in-process ones, exactly.
   Counters come back the same way, as replayed ``count`` events.
 
-A reply is the charges, tagged in or out of a mark, then the marks, then
-the records.
+A reply is the events, then the records.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
-from weakref import ref
 
 from repro.telemetry.spans import Phase, Telemetry
 from repro.telemetry.worktable import LevelMark
 
 __all__ = [
     "CaptureTelemetry",
-    "graft_marks",
     "replay_events",
 ]
 
@@ -47,12 +46,14 @@ class CaptureTelemetry(Telemetry):
     The log is the wire format for shipping a worker's accounting back
     to the parent: replaying it reproduces every float addition in its
     original order, which a post-hoc summary (dict of totals) could not.
-    Event shapes::
+    Event shapes (``first`` / ``last``: the mark's record range in the
+    worker's run log)::
 
-        ("charge",  Phase, amount, in_mark)
+        ("charge",  Phase, amount)
         ("count",   name, delta)
-        ("gauge",   name, value)
         ("instant", name, {args})
+        ("open",    tree, level, first)
+        ("close",   last)
     """
 
     def __init__(self, label: str = "run") -> None:
@@ -61,74 +62,60 @@ class CaptureTelemetry(Telemetry):
 
     def charge(self, phase: Phase, amount: float) -> None:
         super().charge(phase, amount)
-        self.events.append(("charge", phase, amount, self._tally is not None))
+        self.events.append(("charge", phase, amount))
 
     def count(self, name: str, delta: float = 1.0, ts: float | None = None) -> None:
         super().count(name, delta, ts)
         self.events.append(("count", name, delta))
 
-    def gauge(self, name: str, value: float, ts: float | None = None) -> None:
-        super().gauge(name, value, ts)
-        self.events.append(("gauge", name, value))
-
     def instant(self, name: str, ts: float | None = None, **args: Any) -> None:
         super().instant(name, ts, **args)
         self.events.append(("instant", name, args))
 
+    def enter_mark(self, mark: LevelMark) -> None:
+        super().enter_mark(mark)
+        self.events.append(("open", mark.tree, mark.level, mark.first))
+
+    def exit_mark(self, mark: LevelMark) -> None:
+        super().exit_mark(mark)
+        self.events.append(("close", mark.last))
+
 
 def replay_events(  # analysis: charge-in-caller-span (the reducer's span)
-    telemetry: Telemetry, events: Iterable[TelemetryEvent]
+    telemetry: Telemetry,
+    events: Iterable[TelemetryEvent],
+    log: Any,
+    records: list,
 ) -> None:
-    """Replay a captured event log into ``telemetry`` at its cursor.
+    """Replay a worker's captured event log into ``telemetry`` at its
+    cursor, and its run's ``records`` into ``log``, the parent's run log.
 
-    A charge made in a level mark is absorbed (inclusive work and cursor
-    only: the grafted mark brings its own tally); any other is charged,
-    to the current span's self-work as well.  Counts, gauges, and
-    instants go through the normal verbs, picking up the parent's work
-    cursor as their timestamp.  Because charges and counter bumps replay
-    in their original interleaving, those timestamps match what an
-    in-process run would have recorded.
+    Charges, counts and instants go through the normal verbs, picking up
+    the parent's work cursor as their timestamp; because they replay in
+    their original interleaving, those timestamps match what an
+    in-process run would have recorded.  Before a mark opens or closes,
+    ``log`` takes the records the worker had logged by then, so the
+    parent's mark opens on the record index, cursor and current span an
+    in-process sweep would have read.  The rest of the records follow.
     """
+    taken = 0
+    mark: Any = None
     for event in events:
         verb = event[0]
         if verb == "charge":
-            if event[3]:
-                telemetry.absorb_charge(event[1], event[2])
-            else:
-                telemetry.charge(event[1], event[2])
+            telemetry.charge(event[1], event[2])
         elif verb == "count":
             telemetry.count(event[1], event[2])
-        elif verb == "gauge":
-            telemetry.gauge(event[1], event[2])
+        elif verb == "open":
+            log.extend(records[taken:event[3]])
+            taken = event[3]
+            mark = LevelMark(telemetry, log, event[1], event[2]).__enter__()
+        elif verb == "close":
+            log.extend(records[taken:event[1]])
+            taken = event[1]
+            mark.__exit__()
         elif verb == "instant":
             telemetry.instant(event[1], **event[2])
         else:  # pragma: no cover - wire-format guard
             raise ValueError(f"unknown telemetry event verb {verb!r}")
-
-
-def graft_marks(
-    telemetry: Telemetry, marks: Iterable[LevelMark], offset: float, log: Any
-) -> None:
-    """Take a worker's level marks into ``log``, the parent's run log,
-    after its charges are replayed and before its records are appended.
-
-    A mark's record range moves by the records ``log`` holds, and its
-    cursor positions by ``offset``, the parent's cursor when the merge
-    began: worker positions are on the worker's own cursor, which
-    started at zero.  A mark swept under the worker recorder's root moves
-    under the current span, after the children that span has: where an
-    in-process sweep would have put it.  The marks are adopted in place,
-    not duplicated.
-    """
-    current = telemetry.current
-    under = None if current is telemetry.root else ref(current)
-    base, at = len(log.records), len(current.children)
-    for mark in marks:
-        mark.first += base
-        mark.last += base
-        mark.start += offset
-        mark.end += offset
-        if mark.span is None:
-            mark.span = under
-            mark.at += at
-        log.marks.append(mark)
+    log.extend(records[taken:])

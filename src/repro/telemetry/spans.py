@@ -15,10 +15,10 @@ reads :attr:`Telemetry.by_phase` / :meth:`Telemetry.total` off the one
 (combines, pass-throughs, memo reads, visits) open a span: each node is
 one record of the run's log, and each level's sweep is a mark on that
 log (:class:`~repro.telemetry.worktable.LevelMark`) — the range of
-records it appended, the span it ran under and a tally of its own —
-which the per-level table and the Chrome trace read.  A run's
-window-update span (or a background phase span) keeps its log, in
-``attrs["log"]`` (:meth:`Telemetry.keep_log`).
+records it appended and the span it ran under — which the per-level
+table and the Chrome trace read; a level's work is its records' costs.
+A run's window-update span (or a background phase span) keeps its log,
+in ``attrs["log"]`` (:meth:`Telemetry.keep_log`).
 
 Bit-identity contract
 ---------------------
@@ -28,10 +28,11 @@ span on the open-span stack, root first — so the root span's inclusive
 ``work`` dict is built by exactly the same float additions in exactly the
 same order as the seed's flat dict, and every historical figure/table
 number is unchanged to the last bit.  Intermediate spans inherit the same
-property for their own subtrees.  While a level mark is open, the charge
-that would land in the current span's ``self_work`` lands in the mark's
-tally instead, so the mark's tally is built by the same additions a span
-of its own would have made, which is what makes the per-level work table
+property for their own subtrees.  While a level mark is open, a charge
+stays out of the current span's ``self_work``: it is a node's, which
+the node's record keeps (its cost is the float it charged), so summing
+a mark's records by phase in record order repeats the charges'
+additions, which is what makes the per-level work table
 (:mod:`repro.telemetry.worktable`) exact rather than approximate, and
 every span's ``self_work`` leaves out the levels swept under it.
 
@@ -175,16 +176,16 @@ class Telemetry:
         self.keep_last = keep_last
         self.root = Span(name=label, kind=SpanKind.RUN, start=0.0)
         self._stack: list[Span] = [self.root]
-        #: Monotone counters by name (gauges are the latest sample value).
+        #: Monotone counters by name.
         self.counters: dict[str, float] = {}
         #: ``(name, ts, value)`` samples, one per count() call, for export.
         self.counter_samples: list[tuple[str, float, float]] = []
         #: Instant events: dicts with name/ts/args.
         self.instants: list[dict[str, Any]] = []
         self._work_cursor = 0.0
-        #: The open level mark's tally (``worktable.LevelMark`` sets it),
-        #: which takes the charges the current span's ``self_work`` would.
-        self._tally: dict[Phase, float] | None = None
+        #: Whether a level mark is open (:meth:`enter_mark`): its charges
+        #: are its records', not the current span's ``self_work``.
+        self._in_mark = False
         #: Spans that were open inside a subtree built elsewhere when it
         #: was attached here (``adopt``); no stack
         #: of this recorder will ever close them.
@@ -310,8 +311,8 @@ class Telemetry:
 
     # -- accounting ------------------------------------------------------
     def charge(self, phase: Phase, amount: float) -> None:
-        """Charge work to every open span, root first, and to the open
-        level mark's tally or else the current span's ``self_work``.
+        """Charge work to every open span, root first, and, unless a
+        level mark is open, to the current span's ``self_work``.
         ``amount`` must be finite and non-negative (``ValueError``
         otherwise).
 
@@ -323,31 +324,19 @@ class Telemetry:
         for span in self._stack:
             work = span.work
             work[phase] = work.get(phase, 0.0) + amount
-        own = self._tally
-        if own is None:
+        if not self._in_mark:
             own = self._stack[-1].self_work
-        own[phase] = own.get(phase, 0.0) + amount
+            own[phase] = own.get(phase, 0.0) + amount
         self._work_cursor += amount
 
-    def absorb_charge(self, phase: Phase, amount: float) -> None:
-        """Fold a charge replayed from another telemetry tree into this one.
+    def enter_mark(self, mark: Any) -> None:
+        """A level mark (``worktable.LevelMark``) opens, its place read:
+        until :meth:`exit_mark`, a charge stays out of ``self_work``."""
+        self._in_mark = True
 
-        Like :meth:`charge` it adds to every open span's inclusive
-        ``work`` (root first, preserving the bit-identity contract:
-        replaying a worker's charges in their original order reproduces
-        the exact float-addition sequence of an in-process run) and
-        advances the work cursor — but it does **not** touch the current
-        span's ``self_work``.  It is for a charge made in a worker's level
-        mark, whose grafted tally already carries it: charging it again
-        would break the invariant that a span's inclusive work equals the
-        sum of self-work over its subtree and its marks.
-        """
-        if not 0.0 <= amount < _INF:
-            raise ValueError(f"work must be non-negative, got {amount}")
-        for span in self._stack:
-            work = span.work
-            work[phase] = work.get(phase, 0.0) + amount
-        self._work_cursor += amount
+    def exit_mark(self, mark: Any) -> None:
+        """The open level mark closes, its last record read."""
+        self._in_mark = False
 
     @property
     def by_phase(self) -> dict[Phase, float]:
@@ -362,13 +351,6 @@ class Telemetry:
     def count(self, name: str, delta: float = 1.0, ts: float | None = None) -> None:
         """Bump a monotone counter and record a sample for trace export."""
         value = self.counters.get(name, 0.0) + delta
-        self.counters[name] = value
-        self.counter_samples.append(
-            (name, self._work_cursor if ts is None else ts, value)
-        )
-
-    def gauge(self, name: str, value: float, ts: float | None = None) -> None:
-        """Set a gauge to an absolute value (latest sample wins)."""
         self.counters[name] = value
         self.counter_samples.append(
             (name, self._work_cursor if ts is None else ts, value)
@@ -406,19 +388,6 @@ class Telemetry:
             unclosed_spans=len(self.unclosed_spans()),
             instant_events=len(self.instants),
         )
-
-    def reset(self) -> None:
-        label = self.root.name
-        self.root = Span(name=label, kind=SpanKind.RUN, start=0.0)
-        self._stack = [self.root]
-        self._tally = None
-        self._foreign_open.clear()
-        self._marks.clear()
-        self._dropped = (0, 0, 0)
-        self.counters.clear()
-        self.counter_samples.clear()
-        self.instants.clear()
-        self._work_cursor = 0.0
 
 
 class _SpanContext:
@@ -488,9 +457,6 @@ class NullTelemetry(Telemetry):
         self._work_cursor += amount
 
     def count(self, name: str, delta: float = 1.0, ts: float | None = None) -> None:
-        pass
-
-    def gauge(self, name: str, value: float, ts: float | None = None) -> None:
         pass
 
     def instant(self, name: str, ts: float | None = None, **args: Any) -> None:

@@ -15,23 +15,19 @@ marks into a compact table:
 nodes each level executed — combines, pass-throughs, memo reads and
 visits, a memo write counted with the combine it follows — read as the
 log records the mark covers, which is the quantity the analysis bounds:
+level *i* of an initial run over ``n`` leaves touches at most
+``ceil(n / 2**i)`` nodes, and of a slide that removes ``r`` leaves and
+appends ``a`` at most ``ceil(r / 2**i) + ceil(a / 2**i) + 2``
+(``tests/telemetry/test_worktable.py`` checks both).
 
-* initial run over ``n`` leaves: level *i* touches at most
-  ``ceil(n / 2**i)`` nodes (each level halves the frontier);
-* an incremental slide that removes ``r`` leaves at the front and
-  appends ``a`` at the back dirties two contiguous runs, so level *i*
-  touches at most ``ceil(r / 2**i) + ceil(a / 2**i) + 2`` nodes (each
-  contiguous run of *k* dirty nodes has at most ``ceil(k / 2**i) + 1``
-  ancestors at level *i*).
-
-Because a mark's tally is accumulated in charge order (see
-:mod:`repro.telemetry.spans`), the ``work`` column is exact, not a
-re-derived estimate.
+``work`` is the level's records' costs summed by phase in record order:
+a record's cost is the float its node charged, so the sums repeat the
+charges' own additions and the column is exact, not a re-derived
+estimate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 from weakref import ref
@@ -44,34 +40,32 @@ class LevelMark:
 
     ``tree`` and ``level`` name it (``fold``, 3); ``first`` and ``last``
     bound the records the sweep appended to the log (a
-    ``repro.core.plan.RunLog``, read through its ``tasks`` method);
-    ``start`` and ``end`` are the work cursor at open and close; ``span``
-    is a weak reference to the span it ran under (``None`` for the
-    recorder's root: a kept log pins no span) and ``at`` how many
-    children that span had then, which is where the Chrome trace places
-    the level; ``work`` tallies by phase, in charge order, what was
-    charged while it was open.
+    ``repro.core.plan.RunLog``, read through its ``tasks`` method), whose
+    costs are the level's work (:func:`level_work`); ``start`` and
+    ``end`` are the work cursor at open and close; ``span`` is a weak
+    reference to the span it ran under (``None`` for the recorder's root:
+    a kept log pins no span) and ``at`` how many children that span had
+    then, which is where the Chrome trace places the level.
 
     A mark is its own ``with`` scope: it opens on the recorder and the log
     it is made with, and lets go of both when it closes.  While it is
-    open the recorder's :meth:`~repro.telemetry.Telemetry.charge` adds to
-    its tally where it would add to the current span's ``self_work``
-    (the recorder's ``_tally``, which only a mark sets).  Made with no
-    log, it still takes the tally but is kept nowhere.  A closed mark
-    pickles without its span (a weak reference stays in its process):
-    a worker's marks ran under its root anyway.
+    open the recorder's :meth:`~repro.telemetry.Telemetry.charge` leaves
+    the current span's ``self_work`` alone (``Telemetry.enter_mark``).
+    Made with no log, it still does, but is kept nowhere.  A mark stays
+    in the process whose log holds it: a worker's open and close cross
+    the seam as events (:mod:`repro.telemetry.merge`), and the parent
+    opens a mark of its own on them.
     """
 
     __slots__ = (
         "tree", "level", "first", "last", "start", "end", "span", "at",
-        "work", "_telemetry", "_log",
+        "_telemetry", "_log",
     )
 
     def __init__(self, telemetry: Telemetry, log: Any, tree: str, level: int) -> None:
         self.tree = tree
         self.level = level
         self.first = self.last = 0
-        self.work: dict[Phase, float] = {}
         #: The recorder and log the mark is open on; ``None`` once closed.
         self._telemetry: Any = telemetry
         self._log: Any = log
@@ -82,30 +76,29 @@ class LevelMark:
         self.span = None if current is telemetry.root else ref(current)
         self.at = len(current.children)
         self.start = telemetry._work_cursor
-        telemetry._tally = self.work
         if log is not None:
             self.first = len(log.records)
             log.marks.append(self)
+        telemetry.enter_mark(self)
         return self
 
     def __exit__(self, *exc: Any) -> None:
         telemetry, log = self._telemetry, self._log
-        telemetry._tally = None
         self.end = telemetry._work_cursor
         if log is not None:
             self.last = len(log.records)
+        telemetry.exit_mark(self)
         self._telemetry = self._log = None
 
-    def __getstate__(self) -> tuple:
-        return (
-            self.tree, self.level, self.first, self.last, self.start,
-            self.end, self.at, self.work,
-        )
 
-    def __setstate__(self, state: tuple) -> None:
-        (self.tree, self.level, self.first, self.last, self.start, self.end,
-         self.at, self.work) = state
-        self.span = self._telemetry = self._log = None
+def level_work(tasks: list[tuple[str, dict[Phase, float]]]) -> dict[Phase, float]:
+    """A level's work by phase: its tasks' (``RunLog.tasks`` of its
+    mark's records), summed in record order, which is charge order."""
+    work: dict[Phase, float] = {}
+    for _, costs in tasks:
+        for phase, amount in costs.items():
+            work[phase] = work.get(phase, 0.0) + amount
+    return work
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,12 @@ def per_level_table(
     rows = []
     for level in sorted(buckets):
         marks = buckets[level]
-        tasks = sum(len(log.tasks(m.first, m.last)) for log, m in marks)
+        tasks = 0
         by_phase: dict[Phase, float] = {}
-        for _, m in marks:
-            for phase, amount in m.work.items():
+        for log, m in marks:
+            level_tasks = log.tasks(m.first, m.last)
+            tasks += len(level_tasks)
+            for phase, amount in level_work(level_tasks).items():
                 by_phase[phase] = by_phase.get(phase, 0.0) + amount
         rows.append(
             LevelRow(
@@ -164,59 +159,3 @@ def per_level_table(
             )
         )
     return rows
-
-
-def format_level_table(rows: list[LevelRow], title: str = "per-level work") -> str:
-    """Render rows as a compact fixed-width table for reports."""
-    lines = [title, f"{'level':>5} {'spans':>6} {'tasks':>6} {'work':>12}"]
-    for row in rows:
-        lines.append(
-            f"{row.level:>5} {row.spans:>6} {row.tasks:>6} {row.work:>12.3f}"
-        )
-    total = sum(r.work for r in rows)
-    lines.append(f"{'total':>5} {'':>6} {sum(r.tasks for r in rows):>6} {total:>12.3f}")
-    return "\n".join(lines)
-
-
-def check_initial_run_bounds(
-    rows: list[LevelRow], leaves: int, trees: int = 1
-) -> list[str]:
-    """Violations of the initial-run bound; empty list means it holds.
-
-    ``leaves`` is the per-tree leaf count and ``trees`` the number of
-    independent contraction trees aggregated into ``rows`` (one per
-    reducer) — the per-level bound scales linearly with it.
-    """
-    violations = []
-    for row in rows:
-        per_tree = math.ceil(leaves / (2**row.level)) if row.level > 0 else leaves
-        bound = per_tree * trees
-        if row.tasks > bound:
-            violations.append(
-                f"level {row.level}: {row.tasks} tasks > bound {bound} "
-                f"(n={leaves}, trees={trees})"
-            )
-    return violations
-
-
-def check_incremental_bounds(
-    rows: list[LevelRow], added: int, removed: int, trees: int = 1
-) -> list[str]:
-    """Violations of the incremental-slide bound; empty list means ok.
-
-    As with :func:`check_initial_run_bounds`, ``trees`` scales the bound
-    when ``rows`` aggregates several independent reducer trees.
-    """
-    violations = []
-    for row in rows:
-        if row.level <= 0:
-            continue
-        scale = 2**row.level
-        per_tree = math.ceil(added / scale) + math.ceil(removed / scale) + 2
-        bound = per_tree * trees
-        if row.tasks > bound:
-            violations.append(
-                f"level {row.level}: {row.tasks} tasks > bound {bound} "
-                f"(added={added}, removed={removed}, trees={trees})"
-            )
-    return violations

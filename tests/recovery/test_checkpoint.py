@@ -121,6 +121,24 @@ def test_restore_rejects_a_checkpoint_whose_trees_do_not_match_its_config(tmp_pa
         Slider.restore(path, count_job())
 
 
+def test_a_restored_config_holds_only_the_declared_fields(tmp_path):
+    """A config pickled with an attribute its class no longer declares (a
+    checkpoint written before the field was dropped) restores without it,
+    and a later checkpoint does not carry it on."""
+    engine = Slider(count_job())
+    object.__setattr__(engine.config, "auto_gc", False)
+    engine.initial_run([split_of(i) for i in range(3)])
+    engine.checkpoint(tmp_path / "old")
+    restored = Slider.restore(tmp_path / "old", count_job())
+    declared = {f.name for f in dataclasses.fields(restored.config)}
+    assert set(vars(restored.config)) == declared
+    assert restored.config == engine.config
+    restored.checkpoint(tmp_path / "again")
+    manifest = read_manifest(tmp_path / "again")
+    config = read_segment(tmp_path / "again", manifest, "config")["slider_config"]
+    assert set(vars(config)) == declared
+
+
 def test_restore_refuses_tampered_state(tmp_path):
     engine = Slider(count_job())
     engine.initial_run([split_of(i) for i in range(3)])

@@ -108,7 +108,7 @@ def dispatched(variant, monkeypatch):
             assert set(payload) in (slide, slide | {"seed"})
         assert sum("seed" in payload for payload in payloads) < len(payloads) / 4
         for reply in replies:
-            assert set(reply) == {"coded", "events", "marks", "log"}
+            assert set(reply) == {"coded", "events", "log"}
             assert type(reply["log"]) is list and reply["log"]
             assert all(flat(record) for record in reply["log"])
             assert b"PlanStep" not in pickle.dumps(reply)

@@ -242,17 +242,18 @@ def _self_work(telemetry: Telemetry) -> list:
 
 
 def test_a_workers_levels_cover_the_records_it_sent():
-    """Over the process backend a worker's reply carries its level marks,
-    and once taken into the parent's log they read the parent's records:
-    the rows equal an in-process twin's, bit for bit.  So does every
-    span's self-work, which takes the charges a tree makes outside a
-    level (a rotating tree's buckets, a coalescing tree's root)."""
+    """Over the process backend the parent opens a level mark where a
+    worker's reply says the worker did, on the parent's records: the rows
+    equal an in-process twin's, bit for bit, and so does every mark's
+    place and cursor.  So does every span's self-work, which takes the
+    charges a tree makes outside a level (a rotating tree's buckets, a
+    coalescing tree's root)."""
     for variant, mode in (
         ("folding", WindowMode.VARIABLE),
         ("rotating", WindowMode.FIXED),
         ("coalescing", WindowMode.APPEND),
     ):
-        rows, owned = {}, {}
+        rows, owned, marks = {}, {}, {}
         removed = 0 if mode is WindowMode.APPEND else 1
         for backend in ("inprocess", "process"):
             telemetry, engine = _run(
@@ -266,7 +267,15 @@ def test_a_workers_levels_cover_the_records_it_sent():
             _assert_levels_are_marks(telemetry)
             rows[backend] = _rows(per_level_table(telemetry))
             owned[backend] = _self_work(telemetry)
+            marks[backend] = [
+                (m.tree, m.level, m.first, m.last, m.start.hex(),
+                 m.end.hex(), m.at, m.span and m.span().name)
+                for span in telemetry.iter_spans()
+                if (log := span.attrs.get("log")) is not None
+                for m in log.marks
+            ]
         assert counters.get("backend.dispatched_reducers", 0) > 0, variant
         assert counters.get("backend.worker_fallbacks", 0) == 0, variant
         assert rows["process"] == rows["inprocess"], variant
         assert owned["process"] == owned["inprocess"], variant
+        assert marks["process"] == marks["inprocess"], variant

@@ -4,14 +4,14 @@ The process backend's bit-identity claim rests on event replay: a parent
 that replays each worker's ordered charge log (worker by worker) performs
 *exactly* the float additions a single process interleaving the same
 charges would, so per-phase totals are bit-identical, not merely close.
-A worker opens no span: a charge it made outside a level mark is replayed
-into the parent's current span's self-work, one made inside a mark is
-absorbed, and the mark, taken into the parent's log, brings its tally.
-Counters ride the same log as ``count`` events.  The hypothesis tests
-drive that over random programs with adversarial float amounts.
+A worker opens no span, and its level marks stay in its process: their
+opens and closes ride the log with their record index, and the parent
+opens a mark of its own on each, on its own cursor, so a charge inside
+one stays out of the reducer span's self-work and every mark's place is
+the in-process one.  Counters ride the same log as ``count`` events.
+The hypothesis tests drive that over random programs with adversarial
+float amounts.
 """
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,6 @@ from repro.telemetry import (
     LevelMark,
     SpanKind,
     Telemetry,
-    graft_marks,
     replay_events,
 )
 from repro.telemetry.export import TraceValidationError, to_chrome_trace
@@ -87,13 +86,26 @@ def _spans(telemetry):
 
 
 def _marks(log):
-    """A mark's cursor positions are left out: a worker's are shifted by
-    the parent's offset, which may round apart from the cursor's sum."""
+    """A mark's place and cursor positions; its work is its records'."""
     return [
-        (mark.tree, mark.level, mark.first, mark.last, mark.span().name,
-         mark.at, sorted((p.value, v.hex()) for p, v in mark.work.items()))
+        (mark.tree, mark.level, mark.first, mark.last, mark.start.hex(),
+         mark.end.hex(), mark.span().name, mark.at)
         for mark in log.marks
     ]
+
+
+def _merge(parent, parent_log, programs, before=None):
+    """The merge protocol, in reducer order: a worker runs the program at
+    its recorder's root; the parent replays its events and records inside
+    the reducer's span (``before`` first, in that span, if given)."""
+    for r, program in enumerate(programs):
+        worker, worker_log = CaptureTelemetry(label="worker"), RunLog()
+        _execute(worker, worker_log, program)
+        assert worker.span_count() == 1
+        with parent.span(f"reducer:{r}", SpanKind.TASK):
+            if before is not None:
+                before(parent)
+            replay_events(parent, worker.events, parent_log, worker_log.records)
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,26 +113,15 @@ def _marks(log):
 def test_replayed_forest_totals_bit_identical_to_single_process(programs):
     """Parent replay of N worker logs == one process doing all the work:
     totals, counters, every span's work and self-work, every mark's
-    tally and place, bit for bit."""
+    place and cursor positions, bit for bit."""
     # Single-process reference: each reducer's program inside its span.
     reference, reference_log = Telemetry(label="run"), RunLog()
     for r, program in enumerate(programs):
         with reference.span(f"reducer:{r}", SpanKind.TASK):
             _execute(reference, reference_log, program)
 
-    # The merge protocol, in reducer order: a worker runs the program at
-    # its recorder's root; the parent replays its charges, then takes its
-    # marks, then its records, inside the reducer's span.
     parent, parent_log = Telemetry(label="run"), RunLog()
-    for r, program in enumerate(programs):
-        worker, worker_log = CaptureTelemetry(label="worker"), RunLog()
-        _execute(worker, worker_log, program)
-        assert worker.span_count() == 1
-        with parent.span(f"reducer:{r}", SpanKind.TASK):
-            offset = parent.now()
-            replay_events(parent, worker.events)
-            graft_marks(parent, worker_log.marks, offset, parent_log)
-            parent_log.extend(worker_log.records)
+    _merge(parent, parent_log, programs)
 
     assert {p: v.hex() for p, v in parent.by_phase.items()} == {
         p: v.hex() for p, v in reference.by_phase.items()
@@ -128,11 +129,33 @@ def test_replayed_forest_totals_bit_identical_to_single_process(programs):
     assert parent.counters == reference.counters
     assert _spans(parent) == _spans(reference)
     assert _marks(parent_log) == _marks(reference_log)
-    for ours, theirs in zip(parent_log.marks, reference_log.marks):
-        assert math.isclose(ours.start, theirs.start, rel_tol=1e-12)
-        assert math.isclose(ours.end, theirs.end, rel_tol=1e-12)
     assert parent_log.records == reference_log.records
     assert parent.unclosed_spans() == []
+
+
+def test_a_dispatched_marks_cursor_is_the_in_process_one():
+    """A parent cursor far above the worker's: in process, each ``1.0``
+    charged at ``2**53`` rounds away, so the mark opens and closes at
+    ``2**53``; the worker's own close, ``2.0``, shifted by the parent's
+    cursor would read ``2**53 + 2.0``.  A mark opened on the parent's
+    cursor reads what the in-process one does."""
+    program = [("charge", Phase.MAP, 1.0), ("mark", "fold"),
+               ("charge", Phase.CONTRACTION, 1.0), ("mark", "fold")]
+
+    def lift(telemetry):
+        telemetry.charge(Phase.SHUFFLE, 2.0**53)
+
+    reference, reference_log = Telemetry(label="run"), RunLog()
+    with reference.span("reducer:0", SpanKind.TASK):
+        lift(reference)
+        _execute(reference, reference_log, program)
+    parent, parent_log = Telemetry(label="run"), RunLog()
+    _merge(parent, parent_log, [program], before=lift)
+
+    [mark] = reference_log.marks
+    assert (mark.start, mark.end) == (2.0**53, 2.0**53)
+    assert _marks(parent_log) == _marks(reference_log)
+    assert _spans(parent) == _spans(reference)
 
 
 # -- subtrees built elsewhere ----------------------------------------------------

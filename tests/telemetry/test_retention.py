@@ -122,19 +122,6 @@ def test_samples_instants_and_foreign_spans_leave_with_their_span():
     assert t.unclosed_spans() == []
 
 
-def test_reset_keeps_the_policy():
-    t = Telemetry(label="ring", keep_last=1)
-    for _ in range(3):
-        with t.span("u", SpanKind.WINDOW_UPDATE):
-            t.count("c")
-    t.reset()
-    assert t.keep_last == 1 and t.root.children == [] and t.counter_samples == []
-    for _ in range(3):
-        with t.span("u", SpanKind.WINDOW_UPDATE):
-            t.count("c")
-    assert len(t.root.children) == 1 and len(t.counter_samples) == 1
-
-
 def test_keep_last_must_be_positive():
     with pytest.raises(ValueError):
         Telemetry(label="x", keep_last=0)
