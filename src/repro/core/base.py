@@ -8,9 +8,11 @@ propagates the change, and returns the new root partition to feed the
 Reduce function.
 
 Trees are *planners*: every sub-computation flows through
-:meth:`ContractionTree._combine`, which opens a plan step on the shared
-:class:`~repro.core.execute.PlanExecutor` — the single place where memo
-resolution, combiner execution, work charging, and logging happen.
+:meth:`ContractionTree._combine` (a balanced tree's node, through
+:meth:`~repro.core.execute.PlanExecutor.combine_pair`), which opens a plan
+step on the shared :class:`~repro.core.execute.PlanExecutor` — the single
+place where memo resolution, combiner execution, work charging, and
+logging happen.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.common.errors import CombinerContractError
-from repro.core.execute import PlanExecutor
+from repro.core.execute import PlanExecutor, node_prices
 from repro.core.memo import MemoTable
 from repro.core.partition import Partition, combine_partitions, count_keys
 from repro.telemetry import LevelMark, Phase
@@ -43,7 +45,8 @@ class ContractionTree(ABC):
     """Base class: a per-reducer incremental combiner tree.
 
     Subclasses implement ``initial_run`` and ``advance``.  All combiner
-    work must flow through :meth:`_combine` so that work accounting, memo
+    work must flow through the executor (:meth:`_combine`, or a balanced
+    sweep's ``combine_pair``) so that work accounting, memo
     I/O costs, and the invocation counters stay consistent across
     variants.
     """
@@ -82,7 +85,8 @@ class ContractionTree(ABC):
         self._ran_initial = False
         #: position -> node value: the results a positional variant keeps
         #: between runs (empty for the variants that memoize by content).
-        #: A plain ``dict``, written only through :meth:`_set_node` and
+        #: A plain ``dict``, written only by a balanced tree's sweep (a
+        #: node in place, :meth:`BalancedTree._propagate`) and through
         #: :meth:`_replace_nodes`, which keep ``_cache_keys`` beside it.
         self._cache: dict[tuple[int, int], Any] = {}
         #: Keys held over all of ``_cache``: a plain int in the tree's own
@@ -145,15 +149,6 @@ class ContractionTree(ABC):
         }
 
     # -- retained space ------------------------------------------------------
-
-    def _set_node(self, position: tuple[int, int], value: Partition) -> None:
-        """Cache ``value`` as the node at ``position`` (the positional
-        variants; the strawman replaces its whole cache)."""
-        old = self._cache.get(position)
-        if old is not None:
-            self._cache_keys -= len(old.entries)
-        self._cache[position] = value
-        self._cache_keys += len(value.entries)
 
     def _replace_nodes(self, nodes: dict[tuple[int, int], Any], keys: int) -> None:
         """Swap in a whole new cache whose values hold ``keys`` keys."""
@@ -281,27 +276,46 @@ class BalancedTree(ContractionTree):
     ) -> None:
         """Recompute the internal nodes on the root paths of dirty leaves.
 
-        Stops at the first level with no dirty node: an advance that
-        changed no leaf walks no level."""
+        Each node is one :meth:`PlanExecutor.combine_pair` call over its
+        children, read straight from the leaf row (level 1) or ``_cache``,
+        and its value is written to ``_cache`` in place, ``_cache_keys``
+        beside it.  An advance that changed no leaf walks no level."""
+        if not dirty_leaves:
+            return
         tag = self.TAG
         row = self._leaf_row()
+        width = len(row)
+        cache = self._cache
+        empty = Partition.empty()
+        combine_pair = self.executor.combine_pair
+        prices = node_prices(self)
         dirty = dirty_leaves
         for level in range(1, self._height + 1):
             parents = {index // 2 for index in dirty}
-            if not parents:
-                break
+            below = level - 1
             with self._level_mark(tag, level):
                 for parent in parents:
-                    left = self._node_value(level - 1, parent * 2, row)
-                    right = self._node_value(level - 1, parent * 2 + 1, row)
-                    self._set_node(
-                        (level, parent),
-                        self._combine(
-                            [left, right],
-                            phase=phase,
-                            node=f"{tag}:L{level}.{parent}",
-                        ),
+                    index = parent * 2
+                    if below:
+                        left = cache.get((below, index), empty)
+                        right = cache.get((below, index + 1), empty)
+                    else:
+                        left = row[index] if index < width else None
+                        right = row[index + 1] if index + 1 < width else None
+                        if left is None:
+                            left = empty
+                        if right is None:
+                            right = empty
+                    value = combine_pair(
+                        self, left, right, phase, f"{tag}:L{level}.{parent}", prices
                     )
+                    position = (level, parent)
+                    old = cache.get(position)
+                    keys = len(value.entries)
+                    if old is not None:
+                        keys -= len(old.entries)
+                    cache[position] = value
+                    self._cache_keys += keys
             dirty = parents
 
     def _node_value(

@@ -1,8 +1,9 @@
 """The unified plan executor: one substrate runs every sub-computation.
 
-Trees *plan*; this module *executes*.  Each planner call (a tree's
-``_combine``/``_memo_visit``, the engine's map and reduce passes) opens a
-step of the run's plan and hands it straight to the
+Trees *plan*; this module *executes* and *prices*.  Each planner call (a
+tree's ``_combine``/``_memo_visit``, a balanced sweep's node through
+:meth:`PlanExecutor.combine_pair`, the engine's map and reduce passes)
+opens a step of the run's plan and hands it straight to the
 :class:`PlanExecutor`, which resolves it in a single pass — the only mode
 there is, in the engine and in a worker:
 
@@ -37,15 +38,19 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.memo import MEMO_READ_COST, MEMO_WRITE_COST
-from repro.core.partition import Partition, combine_charged
+from repro.core.partition import Partition, _priced_by_count, combine_charged
 from repro.core.plan import RunLog
 from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
     from repro.core.base import ContractionTree
+
+#: A partition's content id, for a node's ``consumed`` uids.
+_UID = attrgetter("uid")
 
 
 @dataclass
@@ -63,6 +68,21 @@ class RunExecution:
 
     def reducer_cost_list(self, num_reducers: int) -> list[float]:
         return [self.reducer_costs.get(r, 0.0) for r in range(num_reducers)]
+
+
+def node_prices(tree: "ContractionTree") -> tuple:
+    """What a node of ``tree`` is priced by: its combiner, whether that
+    combiner is priced by count, the combine cost factor, the invocation
+    overhead and the pass-through weight (a merge pays the overhead, a
+    pass-through half of it plus the weight a record it moves)."""
+    combiner = tree.combiner
+    return (
+        combiner,
+        _priced_by_count(combiner),
+        tree.combine_cost_factor,
+        tree.invocation_overhead,
+        tree.PASS_THROUGH_WEIGHT,
+    )
 
 
 class PlanExecutor:
@@ -255,39 +275,10 @@ class PlanExecutor:
                         produced=(cached.uid,) if cached else (),
                     )
                 return cached
-        tree.stats.combiner_invocations += 1
-        live = [p for p in parts if p]
-        if len(live) == 1:
-            # A pass-through node (single live child): no merge runs, but
-            # the child's data still moves through the tree position — on a
-            # real cluster every tree node spills and copies its input, so
-            # an overly tall tree is not free even where siblings are void.
-            value = live[0]
-            charge = cost_scale * (
-                0.5 * tree.invocation_overhead
-                + tree.PASS_THROUGH_WEIGHT * value.record_weight(tree.combiner)
-            )
-            telemetry.charge(phase, charge)
-            if recording:
-                self.log_node(
-                    "pass_through", phase, node, charge, float(len(value)),
-                    consumed=(value.uid,), produced=(value.uid,),
-                )
-            return value
-        result, charge = combine_charged(
-            live,
-            tree.combiner,
-            telemetry=telemetry,
-            phase=phase,
-            cost_factor=tree.combine_cost_factor * cost_scale,
-            invocation_overhead=tree.invocation_overhead * cost_scale,
+        result = self._resolve(
+            tree, [p for p in parts if p], phase, node, node_prices(tree),
+            cost_scale, memo_uid,
         )
-        if recording:
-            self.log_node(
-                "combine", phase, node, charge, float(len(result)),
-                memo_uid=memo_uid, consumed=tuple([p.uid for p in live]),
-                produced=(result.uid,) if result else (),
-            )
         if memo_uid is not None:
             tree.memo.store(memo_uid, result)
             telemetry.charge(Phase.MEMO_WRITE, MEMO_WRITE_COST)
@@ -297,6 +288,80 @@ class PlanExecutor:
                     f"memo-write:{memo_uid:#x}", MEMO_WRITE_COST,
                     float(len(result)), memo_uid=memo_uid,
                 )
+        return result
+
+    def combine_pair(
+        self,
+        tree: "ContractionTree",
+        left: Partition,
+        right: Partition,
+        phase: Phase,
+        node: str,
+        prices: tuple,
+    ) -> Partition:
+        """A balanced tree's node over its two children: :meth:`combine`
+        with no memo and no discount, its step opened in place and its
+        live inputs read off the children's entries.  ``prices`` is
+        :func:`node_prices` of ``tree``, which its sweep takes once."""
+        log = self.log
+        if log is not None:
+            log.steps += 1
+            self._step = ("combine", node, phase, 2, None, 1.0)
+        if left.entries:
+            live = (left, right) if right.entries else (left,)
+        else:
+            live = (right,) if right.entries else ()
+        return self._resolve(tree, live, phase, node, prices, 1.0, None)
+
+    def _resolve(  # analysis: charge-in-caller-span (the level mark)
+        self,
+        tree: "ContractionTree",
+        live: Sequence[Partition],
+        phase: Phase,
+        node: str,
+        prices: tuple,
+        cost_scale: float,
+        memo_uid: int | None,
+    ) -> Partition:
+        """Run one invocation over its non-empty inputs, ``live``: charge
+        it and log it as its node.  A lone input passes through, none
+        combine to the empty partition (charging nothing), and two or
+        more merge (:func:`~repro.core.partition.combine_charged`)."""
+        tree.stats.combiner_invocations += 1
+        combiner, by_count, cost_factor, overhead, pass_weight = prices
+        if len(live) == 1:
+            # A pass-through node (single live child): no merge runs, but
+            # the child's data still moves through the tree position — on a
+            # real cluster every tree node spills and copies its input, so
+            # an overly tall tree is not free even where siblings are void.
+            value = live[0]
+            weight = (
+                float(len(value.entries))
+                if by_count
+                else value.record_weight(combiner)
+            )
+            charge = cost_scale * (0.5 * overhead + pass_weight * weight)
+            self.telemetry.charge(phase, charge)
+            if self.log is not None:
+                self.log_node(
+                    "pass_through", phase, node, charge,
+                    float(len(value.entries)),
+                    consumed=(value.uid,), produced=(value.uid,),
+                )
+            return value
+        if live:
+            result, charge = combine_charged(
+                live, combiner, self.telemetry, phase,
+                cost_factor * cost_scale, overhead * cost_scale, by_count,
+            )
+        else:
+            result, charge = Partition.empty(), 0.0
+        if self.log is not None:
+            self.log_node(
+                "combine", phase, node, charge, float(len(result.entries)),
+                memo_uid=memo_uid, consumed=tuple(map(_UID, live)),
+                produced=(result.uid,) if result.entries else (),
+            )
         return result
 
     def memo_visit(  # analysis: charge-in-caller-span (the level mark)

@@ -311,10 +311,14 @@ def combine_charged(  # analysis: charge-in-caller-span (the level mark)
     phase: Phase = Phase.CONTRACTION,
     cost_factor: float = 1.0,
     invocation_overhead: float = 0.0,
+    by_count: bool | None = None,
 ) -> tuple[Partition, float]:
     """:func:`combine_partitions`, and what its merge costs: the very
     float charged to ``telemetry`` (``0.0`` when no merge runs), which
-    the executor logs as the node's cost.
+    the executor logs as the node's cost.  ``by_count`` is for a caller
+    that already holds both facts the combine would derive: it is
+    :func:`_priced_by_count` of ``combiner``, and ``partitions`` are two
+    or more non-empty inputs (the executor's node).
 
     The cost is ``combiner.merge_cost`` a merged key plus
     ``combiner.value_size(value) * 0.1`` a key copied through, summed in
@@ -325,39 +329,53 @@ def combine_charged(  # analysis: charge-in-caller-span (the level mark)
     entries are in gather order too, and :func:`combined_uid` makes its
     uid from the merged keys and the delta's digest count.
 
-    Two ways build the result, to the same entries, uid and float.  Two
-    non-empty inputs of such a combiner holding at least
-    ``_PAIR_PATH_MIN_KEYS`` keys between them take :func:`_merge_pair`,
-    whose per-key work is all at C level except at the merged keys; any
-    other combine gathers each key's values, then makes one pass that
-    merges, prices and collects.
+    Three ways build the result, to the same entries, uid and float.  Two
+    non-empty inputs of such a combiner take a pair way, whose gather
+    order is ``dict(first)`` updated by ``second``: holding at least
+    ``_PAIR_PATH_MIN_KEYS`` keys between them :func:`_merge_pair`, whose
+    per-key work is all at C level except at the merged keys, and fewer
+    the small-pair loop, one pass over ``first``'s keys that merges where
+    ``second`` holds the key and adds ``2.0`` or ``0.1`` as it goes, then
+    ``0.1`` for each of ``second``'s keys ``first`` lacks.  Any other
+    combine gathers each key's values, then makes one pass that merges,
+    prices and collects.
     """
-    non_empty = [p for p in partitions if p]
-    if not non_empty:
-        return Partition.empty(), 0.0
-    if len(non_empty) == 1:
-        return non_empty[0], 0.0
-
-    by_count = _priced_by_count(combiner)
-    if (
-        by_count
-        and len(non_empty) == 2
-        and len(non_empty[0].entries) + len(non_empty[1].entries)
-        >= _PAIR_PATH_MIN_KEYS
-    ):
-        entries, merged, cost = _merge_pair(
-            non_empty[0].entries, non_empty[1].entries, combiner
-        )
+    if by_count is None:
+        partitions = [p for p in partitions if p]
+        if not partitions:
+            return Partition.empty(), 0.0
+        if len(partitions) == 1:
+            return partitions[0], 0.0
+        by_count = _priced_by_count(combiner)
+    if by_count and len(partitions) == 2:
+        first, second = partitions[0].entries, partitions[1].entries
+        if len(first) + len(second) >= _PAIR_PATH_MIN_KEYS:
+            entries, merged, cost = _merge_pair(first, second, combiner)
+        else:
+            entries = dict(first)
+            entries.update(second)
+            merged = []
+            cost = 0.0
+            for key, value in first.items():
+                if key in second:
+                    values = [value, second[key]]
+                    merged.append((key, values))
+                    entries[key] = combiner.merge(key, values)
+                    cost += 2.0
+                else:
+                    cost += 0.1
+            for _ in range(len(second) - len(merged)):
+                cost += 0.1
         delta_digests = 2 + 3 * len(merged)
     else:
         merged_lists: dict[Any, list[Any]] = {}
-        for partition in non_empty:
+        for partition in partitions:
             for key, value in partition.entries.items():
                 merged_lists.setdefault(key, []).append(value)
 
         entries = {}
         merged = []
-        delta_digests = len(non_empty)
+        delta_digests = len(partitions)
         cost = 0.0
         for key, values in merged_lists.items():
             if len(values) == 1:
@@ -373,7 +391,7 @@ def combine_charged(  # analysis: charge-in-caller-span (the level mark)
     charged = cost * cost_factor + invocation_overhead
     if telemetry is not None:
         telemetry.charge(phase, charged)
-    uid = combined_uid(non_empty, merged, delta_digests, entries)
+    uid = combined_uid(partitions, merged, delta_digests, entries)
     return _adopt(entries, uid), charged
 
 

@@ -7,14 +7,17 @@ tests hold its entries, uid and charged float to a reference that calls
 the cost hooks on every key, as every combine did before, over combiners
 that override nothing, one hook, a hook on the instance, and the shipped
 ones; and they count that a steady histogram advance calls neither hook.
-Two inputs of such a combiner holding ``_PAIR_PATH_MIN_KEYS`` keys or
-more take the pair path; it is held to the same reference on both sides
-of that gate, and counted to make its per-key calls at merged keys only.
+Two inputs of such a combiner take one of two pair ways: the pair path
+at ``_PAIR_PATH_MIN_KEYS`` keys or more between them, the small-pair
+loop below; both are held to the same reference on both sides of that
+gate, and the pair path is counted to make its per-key calls at merged
+keys only.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,6 +274,11 @@ def pair_combines(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=pair_combines())
 def test_the_pair_path_is_the_per_key_reference_to_the_bit(case):
+    """Either pair way -- the pair path or the small-pair loop -- gives
+    the reference's entries, gather order, value types, uid, charge and
+    ``merge`` calls, and the gate picks which one runs.  A single
+    non-empty input takes neither and gathers nothing either: it passes
+    through."""
     name, partitions, cost_factor, overhead = case
     kind = PAIR_COMBINERS[name][0]
     combiner, reference = kind(), kind()
@@ -295,13 +303,40 @@ def test_the_pair_path_is_the_per_key_reference_to_the_bit(case):
     assert charged.hex() == expected_charge.hex()
     if name == "recording":
         assert combiner.calls == reference.calls
-    first, second = partitions
-    takes_path = (
-        bool(first)
-        and bool(second)
-        and len(first) + len(second) >= _PAIR_PATH_MIN_KEYS
+    gathers = _gathered_keys(
+        lambda: combine_charged(
+            partitions,
+            kind(),
+            cost_factor=cost_factor,
+            invocation_overhead=overhead,
+        )
     )
-    assert pair_calls == int(takes_path)
+    first, second = partitions
+    pair = bool(first) and bool(second)
+    wide = len(first) + len(second) >= _PAIR_PATH_MIN_KEYS
+    # Two non-empty inputs take exactly one pair way, by the gate: the
+    # pair path, or below it the small-pair loop, which gathers no key.
+    assert pair_calls == int(pair and wide)
+    assert gathers == 0
+
+
+def _gathered_keys(thunk) -> int:
+    """Keys ``thunk``'s combines gathered: the general loop's
+    ``dict.setdefault`` calls, one a key it meets; neither pair way
+    makes one."""
+    calls = 0
+
+    def on_event(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "c_call" and getattr(arg, "__name__", "") == "setdefault":
+            calls += 1
+
+    sys.setprofile(on_event)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def _pair_with_copies(copied: int, merged: int = 16) -> list[Partition]:

@@ -104,9 +104,13 @@ SIGNALS = {
 
 @contextmanager
 def combines_counted(reached: Counter) -> Iterator[None]:
-    """Count, in this process, the combines that take the pair path and
-    each ``combined_uid`` branch: ``fresh`` hashes every entry (through
-    the entry memo where it can), ``delta`` works from the merged keys."""
+    """Count, in this process, the combines that take each pair way and
+    each ``combined_uid`` branch: ``pair_path`` is ``_merge_pair``,
+    ``small_pair`` a combine of two inputs holding fewer than
+    ``_PAIR_PATH_MIN_KEYS`` keys between them (under a count-priced
+    combiner, which every walk's job has, that is the small-pair loop),
+    ``fresh`` hashes every entry (through the entry memo where it can),
+    ``delta`` works from the merged keys."""
     merge_pair, combined_uid = partition._merge_pair, partition.combined_uid
 
     def pair_path(*args):
@@ -114,6 +118,12 @@ def combines_counted(reached: Counter) -> Iterator[None]:
         return merge_pair(*args)
 
     def uid(inputs, merged, delta_digests, entries):
+        if (
+            len(inputs) == 2
+            and len(inputs[0].entries) + len(inputs[1].entries)
+            < partition._PAIR_PATH_MIN_KEYS
+        ):
+            reached["small_pair"] += 1
         reached["fresh" if delta_digests >= len(entries) else "delta"] += 1
         return combined_uid(inputs, merged, delta_digests, entries)
 
@@ -145,6 +155,7 @@ def _walk(case: tuple, job: str) -> SimpleNamespace:
         if job == "pairs":
             patch.setattr(identity, "ENTRY_GENERATION", WALK_GENERATION)
         with Fleet(case, job=job) as fleet:
+            assert partition._priced_by_count(fleet.job.combiner)
             fleet.check()
             for step in SCRIPT:
                 step(fleet)
@@ -183,7 +194,12 @@ def _holds_and_fires_every_rule(case: tuple, seen: SimpleNamespace) -> None:
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case[0]}-{case[2]}")
 def test_the_walk_holds_and_fires_every_rule(case):
-    _holds_and_fires_every_rule(case, walk(case))
+    seen = walk(case)
+    _holds_and_fires_every_rule(case, seen)
+    # Its partitions hold at most 17 keys, so every pair of them is under
+    # the pair path's gate: the small-pair loop, and both uid branches.
+    reached = {name for name, n in seen.reached.items() if n}
+    assert {"small_pair", "fresh", "delta"} <= reached, seen.reached
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case[0]}-{case[2]}")
@@ -193,7 +209,8 @@ def test_the_key_heavy_walk_reaches_the_pair_path_both_uids_and_memo_turnover(ca
     seen = walk(case, "pairs")
     _holds_and_fires_every_rule(case, seen)
     reached = {name for name, n in seen.reached.items() if n}
-    assert {"pair_path", "fresh", "delta", "memo_turned"} <= reached, seen.reached
+    expected = {"pair_path", "small_pair", "fresh", "delta", "memo_turned"}
+    assert expected <= reached, seen.reached
 
 
 @functools.cache

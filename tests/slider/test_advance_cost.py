@@ -10,8 +10,9 @@ of events at 2 048 and fails this (before retained space and collection
 became deltas the folding case read 4.9x against 1.7x).
 
 The same count holds bulk motion to one walk: ``advance(added=k,
-removed=k)`` against ``k`` advances of one split, and an advance that
-changes no leaf walks no level of a folding tree.
+removed=k)`` against ``k`` advances of one split, an advance that
+changes no leaf walks no level of a folding tree, and a level sweep's
+node costs one executor call.
 """
 
 from __future__ import annotations
@@ -147,3 +148,48 @@ def test_an_empty_advance_walks_no_level():
     finally:
         engine.close()
         twin.close()
+
+
+#: Profile events of a balanced tree's sweep per node it logs, on the
+#: hct folding advance below: 99.7 while a node went through six frames
+#: (two child reads, ``_combine``, ``PlanExecutor.combine``,
+#: ``open_step``, ``_set_node``), 59.4 as one ``combine_pair`` call.  The
+#: bound sits within one event a node of the latter, so a per-node frame
+#: brought back fails.
+SWEEP_EVENTS_PER_NODE = 60.0
+
+
+def test_a_contraction_node_is_one_executor_call(length_terms):
+    """Counted on the registry hct job, folding tree, variable window 40,
+    one split in and one out, after a structural period of warm-up: the
+    ``call`` and ``c_call`` events of every level sweep of 16 steady
+    advances, over the tree nodes they logged.  (Length terms start
+    empty, so each is a miss the warm-up makes.)"""
+    spec = next(s for s in micro_benchmark_apps() if s.name == "hct")
+    splits = spec.make_splits(40 + 64 + 16, 17, 0)
+    config = SliderConfig(
+        mode=WindowMode.VARIABLE, tree="folding", execution_backend="inprocess"
+    )
+    engine = Slider(spec.make_job(), WindowMode.VARIABLE, config)
+    events = nodes = 0
+
+    def counted(sweep):
+        def propagate(*args):
+            nonlocal events
+            events += profile_calls(lambda: sweep(*args))[1]
+
+        return propagate
+
+    try:
+        engine.initial_run(splits[:40])
+        for split in splits[40:104]:
+            engine.advance([split], 1)
+        for tree in engine.trees:
+            tree._propagate = counted(tree._propagate)
+        for split in splits[104:]:
+            records = engine.advance([split], 1).plan.log.records
+            nodes += sum(1 for r in records if str(r[2]).startswith("fold:"))
+    finally:
+        engine.close()
+    assert nodes == 704
+    assert events / nodes <= SWEEP_EVENTS_PER_NODE, f"{events} events, {nodes} nodes"
