@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.memo import MEMO_READ_COST, MEMO_WRITE_COST
@@ -48,10 +47,6 @@ from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
     from repro.core.base import ContractionTree
-
-#: A partition's content id, for a node's ``consumed`` uids.
-_UID = attrgetter("uid")
-
 
 @dataclass
 class RunExecution:
@@ -218,18 +213,18 @@ class PlanExecutor:
         memo_hit: bool = False,
         split_uid: int | None = None,
         memo_uid: int | None = None,
-        consumed: tuple[int, ...] = (),
-        produced: tuple[int, ...] = (),
+        live: int = 0,
     ) -> None:
         """Append one executed node to the open run's log (no-op outside
         a run): every record of a run goes through here.  ``label`` is a
-        ``reduce`` node's key, unformatted; a ``kind`` of ``None`` is
+        ``reduce`` node's key, unformatted; ``live`` counts the non-empty
+        partitions the node read; a ``kind`` of ``None`` is
         :meth:`close_step`'s plan-only record."""
         log = self.log
         if log is not None:
             log.records.append((
                 kind, phase, label, cost, data_size, memo_hit, self.reducer,
-                split_uid, memo_uid, consumed, produced, self._step,
+                split_uid, memo_uid, live, self._step,
             ))
             self._step = None
 
@@ -272,7 +267,6 @@ class PlanExecutor:
                         "memo_read", Phase.MEMO_READ,
                         node or f"memo:{memo_uid:#x}", MEMO_READ_COST,
                         float(len(cached)), True, memo_uid=memo_uid,
-                        produced=(cached.uid,) if cached else (),
                     )
                 return cached
         result = self._resolve(
@@ -345,8 +339,7 @@ class PlanExecutor:
             if self.log is not None:
                 self.log_node(
                     "pass_through", phase, node, charge,
-                    float(len(value.entries)),
-                    consumed=(value.uid,), produced=(value.uid,),
+                    float(len(value.entries)), live=1,
                 )
             return value
         if live:
@@ -359,8 +352,7 @@ class PlanExecutor:
         if self.log is not None:
             self.log_node(
                 "combine", phase, node, charge, float(len(result.entries)),
-                memo_uid=memo_uid, consumed=tuple(map(_UID, live)),
-                produced=(result.uid,) if result.entries else (),
+                memo_uid=memo_uid, live=len(live),
             )
         return result
 
@@ -375,5 +367,4 @@ class PlanExecutor:
             self.log_node(
                 "memo_read", Phase.MEMO_READ, node, cost,
                 float(len(value)), True,
-                produced=(value.uid,) if value else (),
             )

@@ -4,8 +4,9 @@ A Partition maps keys to combined values.  Combining two partitions applies
 the job's Combiner per key; the work charged is the combiner's declared merge
 cost, scaled by the job's combine cost factor.  Charges go to the caller's
 :class:`~repro.telemetry.Telemetry`, so they attribute to every open span
-(run, window update, phase, tree level, task) at once.  Partitions carry a
-stable content id so identical results share memo entries.
+(run, window update, phase, tree level, task) at once.  A partition's
+stable content id is made where it is first read (:attr:`Partition.uid`),
+by the fold the restore sweep uses: a combine and a map task make none.
 :func:`map_partitions` is the one walk over the partitions a tree's state
 nests, for the process seam and the restore sweep alike.
 """
@@ -19,23 +20,34 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.common.hashing import content_id, stable_hash
-from repro.core.identity import ENTRY_HASHES, xor_entry_hashes
-from repro.core.identity import xor_flat_entry_hashes, xor_leaf
+from repro.core.identity import xor_entry_hashes, xor_flat_entry_hashes
 from repro.telemetry import Phase, Telemetry
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.mapreduce
     from repro.mapreduce.combiners import Combiner
 
 class Partition:
-    """An immutable key -> combined-value mapping with a content id."""
+    """An immutable key -> combined-value mapping with a content id.
 
-    __slots__ = ("entries", "uid")
+    The id, :attr:`uid`, is made at its first read and kept in ``_uid``
+    (``None`` until then): no folding, rotating or coalescing tree reads
+    one, so their nodes never pay for it."""
+
+    __slots__ = ("entries", "_uid")
 
     def __init__(self, entries: Mapping[Any, Any], uid: int | None = None) -> None:
         self.entries: dict[Any, Any] = dict(entries)
+        self._uid = uid
+
+    @property
+    def uid(self) -> int:
+        """The fingerprint of the entries, made here on the first read by
+        the restore sweep's fold, or the one recorded (a checkpoint's, a
+        caller's)."""
+        uid = self._uid
         if uid is None:
-            uid = _fingerprint_entries(self.entries)
-        self.uid = uid
+            uid = self._uid = _fingerprint_entries(self.entries)
+        return uid
 
     # -- constructors ------------------------------------------------------
 
@@ -45,18 +57,13 @@ class Partition:
 
     @staticmethod
     def from_value_lists(
-        buffer: Mapping[Any, list[Any]],
-        combiner: Combiner,
-        encoded: Mapping[Any, bytes] | None = None,
+        buffer: Mapping[Any, list[Any]], combiner: Combiner
     ) -> "Partition":
-        """Build a partition from per-key value lists (a Map task's buffer);
-        ``encoded`` is key -> ``encode_key(key)`` where the caller made it (to
-        route the key): the by-value entries' hashes are finished from those
-        bytes (:func:`~repro.core.identity.xor_leaf`)."""
+        """Build a partition from per-key value lists (a Map task's buffer)."""
         entries: dict[Any, Any] = {}
         for key, values in buffer.items():
             entries[key] = values[0] if len(values) == 1 else combiner.merge(key, values)
-        return _adopt(entries, xor_leaf(entries, encoded) ^ _length_term(len(entries)))
+        return _adopt(entries)
 
     # -- protocol ----------------------------------------------------------
 
@@ -67,20 +74,27 @@ class Partition:
         return bool(self.entries)
 
     def __eq__(self, other: object) -> bool:
+        """Equal entries; two uids are compared only where both are made,
+        so a comparison makes none."""
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.uid == other.uid and self.entries == other.entries
+        mine, theirs = self._uid, other._uid
+        if mine is not None and theirs is not None and mine != theirs:
+            return False
+        return self.entries == other.entries
 
     def __hash__(self) -> int:
         return self.uid
 
     def __reduce__(self) -> tuple:
         # Two fields, not the default slot-state dict: a checkpoint and
-        # the process seam pickle every partition through here.
-        return (_unpickle_partition, (self.entries, self.uid))
+        # the process seam pickle every partition through here, a uid
+        # never made as ``None``.
+        return (_unpickle_partition, (self.entries, self._uid))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Partition({len(self.entries)} keys, uid={self.uid:#x})"
+        uid = "unmade" if self._uid is None else f"{self._uid:#x}"
+        return f"Partition({len(self.entries)} keys, uid={uid})"
 
     def get(self, key: Any, default: Any = None) -> Any:
         return self.entries.get(key, default)
@@ -100,18 +114,20 @@ class Partition:
         return sum(combiner.value_size(v) for v in self.entries.values())
 
 
-def _unpickle_partition(entries: dict[Any, Any], uid: int) -> Partition:
-    """A partition that takes ``entries`` as its own, under ``uid``: no
-    copy and no fingerprint.  For a dict nobody else holds, whose uid is
-    already made -- a combine's result, a map task's leaf, an unpickled
-    partition (around the very objects the unpickler made; the uid is
-    carried as written, and a restore re-proves it in its sweep) -- where
-    the public constructor's copy would be waste.  A checkpoint names
-    this function, so the name stays; it is one call a partition at
-    load, not two."""
+def _unpickle_partition(
+    entries: dict[Any, Any], uid: int | None = None
+) -> Partition:
+    """A partition that takes ``entries`` as its own, under ``uid`` (or
+    none yet): no copy and no fingerprint.  For a dict nobody else holds
+    -- a combine's result, a map task's leaf, an unpickled partition
+    (around the very objects the unpickler made; a uid is carried as
+    written, and a restore proves it, or makes a missing one, in its
+    sweep) -- where the public constructor's copy would be waste.  A
+    checkpoint names this function, so the name stays; it is one call a
+    partition at load, not two."""
     partition = object.__new__(Partition)
     partition.entries = entries
-    partition.uid = uid
+    partition._uid = uid
     return partition
 
 
@@ -140,38 +156,51 @@ def _length_term(n: int) -> int:
     return term
 
 
-def _fingerprint_entries(entries: Mapping[Any, Any]) -> int:
-    # Key order must not matter: XOR per-entry hashes (stable, order-free).
-    (entry_terms,) = xor_entry_hashes((entries,), salt="pent")
+def _entry_folds(
+    mappings: Sequence[dict[Any, Any]], memo: dict | None = None
+) -> list[int]:
+    """The XOR of each mapping's entry hashes (key order must not matter):
+    the flat fold (``xor_flat_entry_hashes``) where every key is a flat
+    tuple and every value an exact ``int`` (matrix's reducers), else the
+    entry kernel, reading and filling ``memo``.  Both make the same
+    integers with the same digests."""
+    folded = xor_flat_entry_hashes(mappings, salt="pent")
+    if folded is None:
+        folded = xor_entry_hashes(mappings, salt="pent", memo=memo)
+    return folded
+
+
+def _fingerprint_entries(entries: dict[Any, Any]) -> int:
+    (entry_terms,) = _entry_folds((entries,))
     return _length_term(len(entries)) ^ entry_terms
 
 
 def first_unsound(partitions: Sequence[Partition]) -> Partition | None:
-    """The first of ``partitions`` whose entries no longer hash to its uid,
-    or ``None``.  The one fingerprint check: the shared empty partition's
-    symbolic uid passes only over no entries.
+    """The first of ``partitions`` whose entries no longer hash to its
+    recorded uid, or ``None``; a partition whose uid was never made gets
+    the one its entries hash to.  The one fingerprint check: the shared
+    empty partition's symbolic uid passes only over no entries.
 
-    Two paths of ``repro.core.identity`` fold each partition's entry
-    hashes, to the same integers with the same digests: the flat fold
-    (``xor_flat_entry_hashes``) where every key is a flat tuple and every
-    value an exact ``int`` (matrix's reducers), else one call of the
-    entry kernel with an entry memo local to this call.  The memo is
-    sound because ``partitions`` holds every object it names alive, and
-    unmodified, until the call returns; neither path changes a verdict,
-    and every partition still pays its length term and is compared whole.
+    The entry hashes are folded in one :func:`_entry_folds` call, the
+    kernel's with an entry memo local to this call.  The memo is sound
+    because ``partitions`` holds every object it names alive, and
+    unmodified, until the call returns; it changes no verdict, and every
+    partition still pays its length term and is compared whole.  So a
+    partition changed before its uid was first read is proved against
+    nothing: it takes the uid of what it holds.
     """
-    mappings = [partition.entries for partition in partitions]
-    folded = xor_flat_entry_hashes(mappings, salt="pent")
-    if folded is None:
-        folded = xor_entry_hashes(mappings, salt="pent", memo={})
+    folded = _entry_folds([partition.entries for partition in partitions], {})
     terms = _LENGTH_TERMS
-    empty = _EMPTY.uid
+    empty = _EMPTY._uid
     for partition, acc in zip(partitions, folded):
         size = len(partition.entries)
         term = terms.get(size)
         if term is None:
             term = _length_term(size)
-        if partition.uid != term ^ acc and (size or partition.uid != empty):
+        uid = partition._uid
+        if uid is None:
+            partition._uid = term ^ acc
+        elif uid != term ^ acc and (size or uid != empty):
             return partition
     return None
 
@@ -198,50 +227,6 @@ def _priced_by_count(combiner: Combiner) -> bool:
         and "value_size" not in own
         and "merge_cost" not in own
     )
-
-
-def combined_uid(
-    inputs: Sequence["Partition"],
-    merged: Sequence[tuple[Any, list[Any]]],
-    delta_digests: int,
-    entries: Mapping[Any, Any],
-) -> int:
-    """``_fingerprint_entries(entries)`` for the result of combining ``inputs``.
-
-    ``merged`` is what the combine's merge loop collected on its way
-    through the key gather: each key more than one input held, with the
-    value each of those inputs held for it, in gather order; ``entries``
-    is what the combine produced.  A fingerprint is an XOR of per-entry
-    hashes, so the result's equals the XOR of the inputs' with the length
-    terms swapped and, for each merged key (every one is in ``entries``),
-    those inputs' entries taken out and the merged entry put in.  Keys one
-    input held pass through unhashed.  That is ``m + 1`` digests per key
-    ``m`` inputs held -- all finished from one encoding of the key -- plus
-    one per input: ``delta_digests``, which the merge loop counted too.
-    When it would not be fewer than hashing ``entries`` afresh, they are
-    hashed afresh.  (The rule counts a length term as a digest, cached or
-    not.)  Either way each pair :func:`~repro.core.identity.by_value`
-    takes is looked up in ``ENTRY_HASHES`` first: afresh, every entry's
-    (any other entry goes through the entry kernel); in the delta, each
-    pair of a merged key.  The misses go to the pair digester together,
-    each key encoded once.  A hit is the hash of the pair's own bytes: it
-    saves a digest and moves no uid, and the rule still counts it.
-
-    Precondition: every input's ``uid`` is the fingerprint of its entries.
-    Everything the engine builds satisfies it, and the restore sweep
-    (:func:`~repro.recovery.repair.verify_restored`) proves it of every
-    partition a restored engine holds before a combine reads one.  From an
-    input whose entries diverged from its uid the delta yields a uid that
-    fails :func:`first_unsound` too (hashing afresh would fingerprint the
-    corrupt content as valid); the entries are the same either way.
-    """
-    memo = ENTRY_HASHES
-    if delta_digests >= len(entries):
-        return _length_term(len(entries)) ^ memo.xor(entries)
-    acc = _length_term(len(entries))
-    for partition in inputs:
-        acc ^= partition.uid ^ _length_term(len(partition.entries))
-    return acc ^ memo.xor_merged(merged, entries)
 
 
 _EMPTY = Partition({}, uid=content_id("empty-partition"))
@@ -326,10 +311,10 @@ def combine_charged(  # analysis: charge-in-caller-span (the level mark)
     where it is first seen); a combiner :func:`_priced_by_count` is
     charged the same floats, ``float(len(values))`` and ``0.1``, without
     a call, so it is called per key only where keys merge.  The result's
-    entries are in gather order too, and :func:`combined_uid` makes its
-    uid from the merged keys and the delta's digest count.
+    entries are in gather order too; it makes no uid (:attr:`Partition.uid`
+    makes one where it is read).
 
-    Three ways build the result, to the same entries, uid and float.  Two
+    Three ways build the result, to the same entries and float.  Two
     non-empty inputs of such a combiner take a pair way, whose gather
     order is ``dict(first)`` updated by ``second``: holding at least
     ``_PAIR_PATH_MIN_KEYS`` keys between them :func:`_merge_pair`, whose
@@ -350,23 +335,21 @@ def combine_charged(  # analysis: charge-in-caller-span (the level mark)
     if by_count and len(partitions) == 2:
         first, second = partitions[0].entries, partitions[1].entries
         if len(first) + len(second) >= _PAIR_PATH_MIN_KEYS:
-            entries, merged, cost = _merge_pair(first, second, combiner)
+            entries, cost = _merge_pair(first, second, combiner)
         else:
             entries = dict(first)
             entries.update(second)
-            merged = []
             cost = 0.0
+            copied = len(second)  # ``second``'s keys ``first`` lacks
             for key, value in first.items():
                 if key in second:
-                    values = [value, second[key]]
-                    merged.append((key, values))
-                    entries[key] = combiner.merge(key, values)
+                    entries[key] = combiner.merge(key, [value, second[key]])
                     cost += 2.0
+                    copied -= 1
                 else:
                     cost += 0.1
-            for _ in range(len(second) - len(merged)):
+            for _ in range(copied):
                 cost += 0.1
-        delta_digests = 2 + 3 * len(merged)
     else:
         merged_lists: dict[Any, list[Any]] = {}
         for partition in partitions:
@@ -374,16 +357,12 @@ def combine_charged(  # analysis: charge-in-caller-span (the level mark)
                 merged_lists.setdefault(key, []).append(value)
 
         entries = {}
-        merged = []
-        delta_digests = len(partitions)
         cost = 0.0
         for key, values in merged_lists.items():
             if len(values) == 1:
                 entries[key] = values[0]  # copied through
                 cost += 0.1 if by_count else combiner.value_size(values[0]) * 0.1
                 continue
-            merged.append((key, values))
-            delta_digests += len(values) + 1
             entries[key] = combiner.merge(key, values)
             cost += (
                 float(len(values)) if by_count else combiner.merge_cost(key, values)
@@ -391,13 +370,12 @@ def combine_charged(  # analysis: charge-in-caller-span (the level mark)
     charged = cost * cost_factor + invocation_overhead
     if telemetry is not None:
         telemetry.charge(phase, charged)
-    uid = combined_uid(partitions, merged, delta_digests, entries)
-    return _adopt(entries, uid), charged
+    return _adopt(entries), charged
 
 
 def _merge_pair(
     first: dict[Any, Any], second: dict[Any, Any], combiner: Combiner
-) -> tuple[dict[Any, Any], list[tuple[Any, list[Any]]], float]:
+) -> tuple[dict[Any, Any], float]:
     """Two inputs of a count-priced combiner, merged per merged key only.
 
     ``dict(first)`` updated by ``second`` is the gather order: ``first``'s
@@ -412,11 +390,8 @@ def _merge_pair(
     entries = dict(first)
     entries.update(second)
     mask = np.fromiter(map(second.__contains__, first), bool, len(first))
-    merged: list[tuple[Any, list[Any]]] = []
     for key in compress(first, mask):
-        values = [first[key], second[key]]
-        merged.append((key, values))
-        entries[key] = combiner.merge(key, values)
+        entries[key] = combiner.merge(key, [first[key], second[key]])
     costs = np.full(len(entries), 0.1)
     costs[: len(first)][mask] = 2.0
-    return entries, merged, float(np.cumsum(costs)[-1])
+    return entries, float(np.cumsum(costs)[-1])

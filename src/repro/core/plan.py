@@ -8,8 +8,10 @@ a node — Map task, combiner invocation, memo read/write, per-key Reduce —
 to the run's :class:`RunLog`, and a record that opens a plan step also
 carries that step's plan atoms.  The log is the run's only recording: it
 holds what actually ran, with costs, and therefore *does* depend on
-memo-cache state.  Its records name the content ids each node consumed
-and produced, so the graph's edges are in it without being built.
+memo-cache state.  A record names its node by its place -- its reducer
+and its label (tree tag, level, index) -- never by the content of the
+partitions it read or made, so no node has to make a content id to be
+logged.
 
 The contraction trees are *planners*: walking their level structure, they
 open one step per sub-computation a window update needs — Map tasks,
@@ -30,9 +32,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from repro.core.partition import Partition
 from repro.metrics import Phase
 from repro.telemetry import LevelMark
 
@@ -48,11 +49,12 @@ NODE_KINDS = (
 )
 
 #: One executed node as a run logs it: ``(kind, phase, label, cost,
-#: data_size, memo_hit, reducer, split_uid, memo_uid, consumed, produced,
-#: step)``.  ``data_size`` is the abstract size of the node's output (keys
-#: produced); ``label`` is a string, or a ``reduce`` node's key;
-#: ``consumed`` and ``produced`` are the content ids of the partitions
-#: the node read and made.  A ``shuffle`` always directly follows its
+#: data_size, memo_hit, reducer, split_uid, memo_uid, live, step)``.
+#: ``data_size`` is the abstract size of the node's output (keys
+#: produced); ``label`` is a string, or a ``reduce`` node's key; ``live``
+#: counts the non-empty partitions the node read: a combine's inputs, a
+#: pass-through's one, a Reduce pass's root, and none for a ``map``,
+#: ``shuffle`` or memo hit.  A ``shuffle`` always directly follows its
 #: ``map``, a ``memo_write`` its ``combine``.  Last is the *step* slot,
 #: the plan atoms a node cannot spell — ``(op, label, phase, n_inputs,
 #: memo_uid, cost_scale)`` — on the node that opens a plan step and
@@ -61,14 +63,8 @@ NODE_KINDS = (
 #: kind is ``None``: the one record that is not a node.  Atoms and tuples
 #: of atoms only.
 Record = tuple
-#: Where a record keeps its reducer, consumed uids and step atoms.
-REDUCER, CONSUMED, STEP = 6, 9, 11
-
-
-def content_uids(parts: Iterable[Partition]) -> tuple[int, ...]:
-    """Content ids of the non-empty partitions in ``parts`` — the shared
-    empty content id would name a bogus edge between unrelated subtrees."""
-    return tuple([part.uid for part in parts if part])
+#: Where a record keeps its reducer, live-input count and step atoms.
+REDUCER, LIVE, STEP = 6, 9, 10
 
 
 class RunLog:
@@ -77,7 +73,7 @@ class RunLog:
     ``steps`` counts the records that open a plan step, so that nobody
     has to read the records to know how many steps a run has.  A record
     holds only what was true when its node executed — sizes, costs and
-    content uids, never a partition — so a log read long after its run is
+    places, never a partition — so a log read long after its run is
     that run's, and a kept result pins none of the window's state.
 
     ``marks`` holds one :class:`~repro.telemetry.LevelMark` a tree level
@@ -94,8 +90,8 @@ class RunLog:
 
     def extend(self, records: list[Record]) -> None:
         """Records another process logged of its share of this run, which
-        take their place here: content uids name the same partitions in
-        the one log."""
+        take their place here: a record names its node by its reducer and
+        label, which mean the same in the one log."""
         self.records.extend(records)
         for record in records:
             if record[STEP] is not None:
@@ -106,7 +102,7 @@ class RunLog:
         as the per-level table and the trace show them: a name, and the
         work charged by phase in charge order.  A ``memo_write`` folds
         into the ``combine`` it follows.  A combine whose inputs were all
-        empty logs 0.0 having charged nothing."""
+        empty (no live input) logs 0.0 having charged nothing."""
         tasks: list[tuple[str, dict[Phase, float]]] = []
         for record in self.records[first:last]:
             kind, phase, label, cost = record[:4]
@@ -115,7 +111,7 @@ class RunLog:
             elif kind == "memo_read":
                 tasks.append((label or "memo-visit", {phase: cost}))
             elif kind is not None:
-                idle = not record[CONSUMED] and not cost
+                idle = not record[LIVE] and not cost
                 tasks.append((label or "combine", {} if idle else {phase: cost}))
         return tasks
 

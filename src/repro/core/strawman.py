@@ -22,6 +22,7 @@ baseline.
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable
 
@@ -32,10 +33,28 @@ from repro.core.partition import Partition
 #: data-movement constant of the strawman design.
 VISIT_COST = 0.15
 
+#: How many builds' worth of nodes :attr:`StrawmanTree._made` remembers.
+#: A slide of one leaf brings a level-``h`` node's children back every
+#: ``2**h`` builds, so eight builds cover the three lowest levels, where
+#: most of the nodes are.
+MADE_BUILDS = 8
+
 
 class StrawmanTree(LeafListTree):
     """Left-aligned binary tree with positional memoization: ``_cache``
     maps ``(level, index)`` to ``(left_uid, right_uid, value)``."""
+
+    #: ``_made`` is a process-local cache, not state: a restored tree
+    #: starts with none, and a checkpoint does not carry it.
+    COLLABORATORS = LeafListTree.COLLABORATORS + ("_made",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: ``(left uid, right uid)`` -> the uid of their combine, for the
+        #: nodes of the last :data:`MADE_BUILDS` builds whose uid was made.
+        #: A recomputed node whose children's uids are here takes its uid
+        #: from it, not from a fold of its entries: the next level reads it.
+        self._made: dict[tuple[int, int], int] = {}
 
     # -- internals ---------------------------------------------------------
 
@@ -48,14 +67,16 @@ class StrawmanTree(LeafListTree):
         height = 0
         fresh: dict[tuple[int, int], tuple[int, int, Partition]] = {}
         keys = 0
+        made = self._made
         while len(level) > 1:
             next_level: list[Partition] = []
             with self._level_mark("straw", height + 1):
                 for i in range(0, len(level) - 1, 2):
                     left, right = level[i], level[i + 1]
                     position = (height, i // 2)
+                    pair = (left.uid, right.uid)
                     cached = self._cache.get(position)
-                    if cached is not None and cached[:2] == (left.uid, right.uid):
+                    if cached is not None and cached[:2] == pair:
                         value = cached[2]
                         self.stats.combiner_reuses += 1
                         # Data movement for the memoized output (the strawman's
@@ -69,7 +90,9 @@ class StrawmanTree(LeafListTree):
                         value = self._combine(
                             [left, right], node=f"straw:L{height}.{i // 2}"
                         )
-                    fresh[position] = (left.uid, right.uid, value)
+                        if value._uid is None:
+                            value._uid = made.get(pair)
+                    fresh[position] = (*pair, value)
                     keys += len(value)
                     next_level.append(value)
             if len(level) % 2:
@@ -77,6 +100,12 @@ class StrawmanTree(LeafListTree):
             level = next_level
             height += 1
         self._replace_nodes(fresh, keys)
+        for left_uid, right_uid, value in fresh.values():
+            if value._uid is not None:
+                made[left_uid, right_uid] = value._uid
+        excess = len(made) - MADE_BUILDS * len(fresh)
+        for stale in list(islice(made, max(0, excess))):
+            del made[stale]
         self.stats.height = height
         self.stats.leaves = len(self._leaves)
         return level[0] if level else Partition.empty()

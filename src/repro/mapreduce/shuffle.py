@@ -69,8 +69,8 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
     The partitioner is asked once per distinct key, not per pair: keys equal
     as dict keys (``1``, ``1.0`` and ``True``) are one key to the task, as
     they are to every dict downstream, and go where the first of them went.
-    It is handed the key's encoding, from which the leaf's fingerprint is
-    finished too: a key is encoded once a task.  An exact ``str`` key is
+    It is handed the key's encoding, made once a task and only for the
+    route (a leaf's uid is made where it is read).  An exact ``str`` key is
     replaced by ``sys.intern(key)`` where the task first meets it, so
     every leaf holds one object per distinct str key (a checkpoint writes
     it once, and a restore rebuilds it once); a str subclass, and every
@@ -90,10 +90,8 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
         buffers: list[dict[Any, list[Any]]] = [
             {} for _ in range(partitioner.num_partitions)
         ]
-        # key -> that key's value list in its reducer's buffer, and key -> its
-        # encoding: made once, for the route and for the leaf's fingerprint.
+        # key -> that key's value list in its reducer's buffer.
         routed: dict[Any, list[Any]] = {}
-        encoded: dict[Any, bytes] = {}
         record_count = 0
         pair_count = 0
         if job.map_split_fn is not None:
@@ -108,8 +106,7 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
                 if values is None:
                     if type(key) is str and _INTERN_KEYS:
                         key = sys.intern(key)
-                    code = encoded[key] = encode_key(key)
-                    buffer = buffers[partitioner.partition(key, code)]
+                    buffer = buffers[partitioner.partition(key, encode_key(key))]
                     values = routed[key] = buffer[key] = []
                 values.append(value)
 
@@ -118,8 +115,7 @@ def run_map_task(  # analysis: charge-in-caller-span (opens its own task span)
             telemetry.charge(Phase.SHUFFLE, pair_count * SHUFFLE_COST_PER_PAIR)
 
         return [
-            Partition.from_value_lists(buffer, job.combiner, encoded=encoded)
-            for buffer in buffers
+            Partition.from_value_lists(buffer, job.combiner) for buffer in buffers
         ]
 
 

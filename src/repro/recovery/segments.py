@@ -34,8 +34,13 @@ FORMAT_NAME = "slider-checkpoint"
 #: keys are hashes of hashes, so version 1 is refused, not converted.
 #: 3: a partition pickles as its two fields through
 #: ``repro.core.partition._unpickle_partition``, and a tree as its
-#: ``state()``.  Uids are those of version 2.  No older version is read.
-FORMAT_VERSION = 3
+#: ``state()``.  Uids are those of version 2.
+#: 4: a partition whose uid was never made pickles it as ``None``; the
+#: restore sweep makes it.  A version 3 checkpoint is a version 4 one whose
+#: every uid was made, so both are read; no older version is.
+FORMAT_VERSION = 4
+#: The versions this build reads.
+READABLE_VERSIONS = (3, 4)
 #: Why each older version is refused, for the skew message.
 _REFUSED = {
     1: "a version 1 checkpoint holds fingerprints of uid encoding 1, which "
@@ -116,12 +121,12 @@ def read_manifest(path: str | Path) -> dict[str, Any]:
             f"(format={manifest.get('format')!r})"
         )
     version = manifest.get("version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         reason = _REFUSED.get(version, "it was written by another build")
         raise CheckpointError(
             f"checkpoint version {version!r} is not supported: this build "
-            f"reads version {FORMAT_VERSION} only ({reason}) -- re-run from "
-            "the stream"
+            f"reads versions 3 and 4 only ({reason}) -- re-run from the "
+            "stream"
         )
     if not isinstance(manifest.get("segments"), dict):
         raise CheckpointError(f"{manifest_path} has no segment index")

@@ -46,7 +46,6 @@ from repro.core.partition import Partition
 from repro.core.randomized import RandomizedFoldingTree
 from repro.core.rotating import RotatingTree
 from repro.core.strawman import StrawmanTree
-from repro.core.plan import content_uids
 from repro.mapreduce.shuffle import run_map_task
 from repro.mapreduce.types import Split
 from repro.metrics import Phase
@@ -249,7 +248,6 @@ class RunPlanner:
                 executor.log_node(
                     "memo_read", Phase.MEMO_READ, f"map-memo:{uid:#x}",
                     read_cost, float(sum(len(p) for p in outputs)), True, uid,
-                    produced=content_uids(outputs),
                 )
                 executor.record_map_cost(uid, 0.0)
                 continue
@@ -266,20 +264,17 @@ class RunPlanner:
             keys = sum(len(p) for p in outputs)
             engine.map_keys += keys
             executor.record_map_cost(uid, telemetry.total() - before)
-            # A map node, then the shuffle that routed its emissions: the
-            # per-reducer outputs are produced by the chain's tail.
-            produced = content_uids(outputs)
+            # A map node, then the shuffle that routed its emissions.
             shuffle_cost = telemetry.by_phase.get(Phase.SHUFFLE, 0.0) - shuffle_before
-            chained = shuffle_cost > 0
             executor.log_node(
                 "map", Phase.MAP, label,
                 telemetry.by_phase.get(Phase.MAP, 0.0) - map_before, float(keys),
-                False, uid, produced=() if chained else produced,
+                False, uid,
             )
-            if chained:
+            if shuffle_cost > 0:
                 executor.log_node(
                     "shuffle", Phase.SHUFFLE, f"shuffle:{uid:#x}", shuffle_cost,
-                    float(keys), False, uid, produced=produced,
+                    float(keys), False, uid,
                 )
         return reused
 
@@ -368,7 +363,6 @@ class RunPlanner:
                 executor.open_step(
                     "reduce", f"reduce:{reducer_index}", Phase.REDUCE
                 )
-                consumed = (root.uid,) if root else ()
                 memo = engine.reduce_memo[reducer_index]
                 entries = root.entries
                 if candidates is None:
@@ -395,7 +389,7 @@ class RunPlanner:
                     # slot holds the key itself.
                     log_node(
                         "reduce", Phase.REDUCE, key, reduce_cost, 1.0, False,
-                        None, None, consumed,
+                        None, None, 1,
                     )
                 unchanged = len(entries) - changed
                 if changed:
@@ -405,8 +399,8 @@ class RunPlanner:
                     log_node(
                         "memo_read", Phase.MEMO_READ,
                         f"reduce-memo:{reducer_index}:{unchanged}keys",
-                        unchanged * MEMO_READ_COST, float(unchanged), True, None,
-                        None, consumed,
+                        unchanged * MEMO_READ_COST, float(unchanged), True,
+                        None, None, 1,
                     )
                 executor.close_step()
         return dict(outputs), frozenset(changed_keys), frozenset(removed_keys)

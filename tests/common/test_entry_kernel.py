@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.identity import FLAT_ITEMS, entry_hash, xor_entry_hashes
+from repro.core.identity import FLAT_ITEMS, by_value, entry_hash, xor_entry_hashes
 from tests.conftest import count_digests
 
 
@@ -196,3 +196,18 @@ def test_a_flat_tuple_key_is_remembered_by_value_after_an_identity_miss(
     # flat's two entries once; off's five once and again once more each
     # (new key objects, and none flat); a copy of off's very objects hits.
     assert digests.count("pent") == 2 + 5 + 5
+
+
+@pytest.mark.parametrize(
+    "key, taken",
+    [
+        ("w", True), (7, True), (("w", 7), True), ((), True),
+        (True, False), (1.0, False), (None, False), (b"w", False),
+        (("w", True), False), (("w", ("x",)), False),
+    ],
+)
+def test_the_by_value_rule_takes_exact_strs_ints_and_flat_tuples_of_them(key, taken):
+    """Equality fixes the bytes only of an exact ``str`` or ``int`` and a
+    flat tuple of them; a ``bool``, a float, anything else, or a tuple
+    holding one, keeps an entry off the by-value memo."""
+    assert by_value(key) is taken

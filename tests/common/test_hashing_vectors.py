@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import (
+    ENTRY_FRAME,
     _encode,
     _encode_fast,
     encode_key,
@@ -48,16 +49,12 @@ def pinned(payload: bytes, salt: str = "") -> int:
     return int.from_bytes(digest, "big")
 
 
-def digested(key, value, salt: str, encoded: bytes | None = None) -> int:
+def digested(key, value, salt: str) -> int:
     """The engine's own entry hash of ``(key, value)``: by the pair
-    digester where the pair is in its domain -- any pair from the key's
-    ``encoded`` bytes, as a map task's leaf, or an exact int value under a
-    key the by-value rule takes -- else by the kernel, and a key no
+    digester where the pair is in its domain -- an exact int value under
+    a key the by-value rule takes -- else by the kernel, and a key no
     mapping can hold by ``entry_hash`` alone."""
     try:
-        if encoded is not None:
-            (digest,) = pair_digests([(key, value)], salt=salt, encoded={key: encoded})
-            return int.from_bytes(digest, "big")
         if type(value) is int and by_value(key):
             (digest,) = pair_digests([(key, value)], salt=salt)
             return int.from_bytes(digest, "big")
@@ -379,15 +376,20 @@ def test_pinned_vector_finished_from_its_encoding(value, salt, expected):
 
 @pytest.mark.parametrize("pair, salt, expected", PAIR_VECTORS)
 def test_pinned_pair_vector_finished_from_the_keys_encoding(pair, salt, expected):
-    """What a map task does: one ``encode_key(key)``, the route and the
-    leaf's entry hash finished from it.  A pair in the digester's domain
-    is finished from those bytes; any other (a float key: with a float
-    value the pair is a block) goes to the kernel, inside
-    ``from_value_lists``."""
+    """What a map task does: one ``encode_key(key)``, for the route.  The
+    pair's hash is the entry frame finished from those bytes and the
+    value's -- but a float key's with a float value, a block -- and the
+    leaf's uid, unmade until its first read, is that hash's."""
     key, value = pair
     encoded = encode_key(key)
-    assert digested(key, value, salt, encoded) == expected
-    leaf = Partition.from_value_lists({key: [value]}, SumCombiner(), encoded={key: encoded})
+    route = stable_hash(key, salt="part") % 7
+    assert HashPartitioner(7).partition(key, encoded) == route
+    if not (type(key) is float and type(value) is float):
+        value_bytes = encode_key(value)
+        frame = ENTRY_FRAME % (len(encoded), encoded, len(value_bytes), value_bytes)
+        assert pinned(frame, salt) == expected
+    leaf = Partition.from_value_lists({key: [value]}, SumCombiner())
+    assert leaf._uid is None
     assert leaf.uid == stable_hash(1, salt="pfp") ^ stable_hash((key, value), salt="pent")
     assert leaf.uid == Partition({key: value}).uid
     assert first_unsound([leaf]) is None
@@ -428,32 +430,27 @@ flat_keys = st.one_of(
     salt=st.sampled_from(["", "pent", "a-salt-over-16-bytes"]),
 )
 def test_the_pair_digester_gives_each_pair_its_hash(groups, salt):
-    """A pair is one update; a key handed a dict of several values is a
-    keyed state each value finishes a copy of; with ``recurring`` a key
-    or value met again in the call (as the restore fold's are) reuses its
-    head or frame.  Each digest is the pair's ``stable_hash``, in order."""
+    """A pair is one update of its key's head and its value's frame; a
+    key or value met again in the call (as the restore fold's are) reuses
+    its head or frame.  Each digest is the pair's ``stable_hash``, in
+    order."""
     expected = [
         stable_hash((key, value), salt=salt) for key, values in groups for value in values
     ]
     pairs = [(key, value) for key, values in groups for value in values]
-    keyed = [(key, dict.fromkeys(values)) for key, values in groups]
-    for digests in (
-        pair_digests(pairs, salt=salt),
-        pair_digests(keyed, salt=salt),
-        pair_digests(pairs, salt=salt, recurring=True),
-    ):
-        assert [int.from_bytes(digest, "big") for digest in digests] == expected
+    digests = pair_digests(pairs, salt=salt)
+    assert [int.from_bytes(digest, "big") for digest in digests] == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(key=flat_keys, several=st.lists(st.integers(), max_size=5, unique=True))
 def test_finishing_a_keyed_hasher_leaves_its_key_state_alone(key, several):
-    """The entry memo's keyed state: the key's head is absorbed once and
-    each value finishes a copy of it, so no value's digest depends on the
-    values finished before it, in either order."""
+    """A key met with several values in a call: its head is made once and
+    each value finishes a fresh state from it, so no value's digest
+    depends on the values finished before it, in either order."""
     expected = [stable_hash((key, value), salt="pent") for value in several]
     for values, want in ((several, expected), (several[::-1], expected[::-1])):
-        digests = pair_digests([(key, dict.fromkeys(values))], salt="pent")
+        digests = pair_digests([(key, value) for value in values], salt="pent")
         assert [int.from_bytes(digest, "big") for digest in digests] == want
 
 

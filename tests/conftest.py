@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from repro.common import hashing
-from repro.core import identity
 from repro.common.rng import RngStream
 from repro.core import partition as partition_module
 from repro.core.partition import Partition
@@ -77,8 +76,7 @@ def count_digests(monkeypatch) -> tuple[list, list]:
     """Count fingerprint hashing at the bottom, whatever spelling made it:
     ``digests`` gets the salt of every length (``"pfp"``) and entry
     (``"pent"``) digest made, and ``keyings`` the encoded key of every pair
-    encoding begun -- once a pair hashed in one update, once a keyed state
-    however many values it then finishes.  Wraps the two salts' prototype states,
+    encoding begun.  Wraps the two salts' prototype states,
     which every digest starts from a copy of."""
     digests: list[str] = []
     keyings: list[bytes] = []
@@ -98,28 +96,6 @@ def length_terms(monkeypatch) -> dict:
     terms: dict[int, int] = {}
     monkeypatch.setattr(partition_module, "_LENGTH_TERMS", terms)
     return terms
-
-
-@pytest.fixture(autouse=True)
-def entry_hashes(monkeypatch) -> identity.EntryHashes:
-    """The entry-hash memo, empty for every test and restored after it:
-    a combine then makes every ``"pent"`` digest its pairs are first met
-    with, whatever ran before, so digest counts hold in any order.  Name
-    it to read the memo's two generations."""
-    memo = identity.ENTRY_HASHES
-    monkeypatch.setattr(memo, "young", {})
-    monkeypatch.setattr(memo, "old", {})
-    monkeypatch.setattr(memo, "size", 0)
-    return memo
-
-
-def held_pairs(generation: dict) -> dict:
-    """One generation of the entry memo, flat: ``(key, value)`` -> hash."""
-    return {
-        (key, value): hashed
-        for key, hashes in generation.items()
-        for value, hashed in hashes.items()
-    }
 
 
 def profile_calls(thunk, watched=None) -> tuple:

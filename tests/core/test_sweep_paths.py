@@ -10,7 +10,9 @@ the same folds, the same verdict and the same digest count: where flat
 keys meet ``bool`` items, subclasses, ``1.0`` for ``1`` and nested keys,
 over empty partitions and the shared empty partition's symbolic uid,
 with equal pairs held across partitions, and after a single-entry
-mutation.
+mutation.  The sweep proves only a uid that was made (it makes a missing
+one from what the partition holds), so a partition's uid is read before
+it is mutated.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ def test_a_single_entry_mutation_is_caught_at_the_same_partition(mutate, loop_on
         {},
     ]
     partitions = [Partition(row) for row in rows]
+    assert all(p.uid for p in partitions)  # made before the mutation
     victim = partitions[2]
     key = ("a", 1)
     new_key, new_value = mutate(key, victim.entries.pop(key))
@@ -175,7 +178,7 @@ def test_drawn_flat_reducers_take_the_flat_path_to_the_loops_verdict(
     partitions = [Partition(row) for row in rows]
     if symbolic:
         partitions.insert(len(partitions) // 2, Partition.empty())
-    assert assert_same_paths(partitions, True) is None
+    assert assert_same_paths(partitions, True) is None  # makes every uid
     held = [p for p in partitions if p]
     if not held:
         return
@@ -188,7 +191,7 @@ def test_drawn_flat_reducers_take_the_flat_path_to_the_loops_verdict(
     elif kind == "value-to-true":
         # The partition is re-made holding 1 there first, so True is equal.
         victim.entries[key] = value = 1
-        victim.uid = partition_module._fingerprint_entries(victim.entries)
+        victim._uid = partition_module._fingerprint_entries(victim.entries)
         new_key, new_value = key, True
     else:
         swaps = [(i, _subclassed(item)) for i, item in enumerate(key)]

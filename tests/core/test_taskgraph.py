@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.execute import PlanExecutor
 from repro.core.partition import Partition
-from repro.core.plan import CONSUMED, NODE_KINDS, REDUCER, content_uids
+from repro.core.plan import LIVE, NODE_KINDS, REDUCER
 from repro.core.strawman import StrawmanTree
 from repro.mapreduce.combiners import SumCombiner
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
 from tests.oracle.fleet import (
-    MEMO_HIT, MEMO_UID, PRODUCED, SPLIT_UID, count_job, split_of,
+    MEMO_HIT, MEMO_UID, SPLIT_UID, count_job, split_of,
 )
 
 
@@ -29,8 +29,8 @@ def records_of(executor):
 
 
 def made(executor, value, cost=0.0):
-    """Log a map node that produced ``value``."""
-    executor.log_node("map", Phase.MAP, "", cost, 1.0, produced=(value.uid,))
+    """Log a map node that built ``value``."""
+    executor.log_node("map", Phase.MAP, "", cost, float(len(value)))
 
 
 class TestGraphRecorder:
@@ -73,9 +73,10 @@ class TestGraphRecorder:
         assert map_node[0] == "map" and map_node[SPLIT_UID] == split.uid
         assert shuffle_node[0] == "shuffle"
         assert shuffle_node[SPLIT_UID] == split.uid
-        # The chain's tail, not the map, produced the per-reducer outputs.
-        assert map_node[PRODUCED] == ()
-        assert shuffle_node[PRODUCED] == content_uids(slider.map_memo[split.uid])
+        # Both name the split by its place: its uid, in the label too.
+        assert shuffle_node[2] == f"shuffle:{split.uid:#x}"
+        assert map_node[2] == f"map:{split.uid:#x}"
+        assert map_node[LIVE] == shuffle_node[LIVE] == 0
 
     def test_combine_wires_deps_through_partitions(self):
         executor = running()
@@ -85,19 +86,20 @@ class TestGraphRecorder:
         made(executor, right)
         result = executor.combine(tree, [left, right], node="n")
         node = records_of(executor)[2]
-        assert node[0] == "combine" and node[2] == "n"
-        assert node[CONSUMED] == (left.uid, right.uid)
-        assert node[PRODUCED] == (result.uid,)
+        assert node[0] == "combine" and node[2] == "n" and node[LIVE] == 2
+        assert node[4] == float(len(result)) == 2.0
+        # A record names its node by place: no uid was made to log it.
+        assert left._uid is right._uid is result._uid is None
 
     def test_combine_ignores_prior_run_inputs(self):
         """Values carried over from earlier runs are initial state: the
-        combine names them, and no record of the run produced them."""
+        combine counts them live, and no record of the run made them."""
         executor = running()
         tree = StrawmanTree(SumCombiner(), executor=executor)
-        stale, fresh = part([("old", 1)]), part([("new", 1)])  # never produced
+        stale, fresh = part([("old", 1)]), part([("new", 1)])  # never made
         executor.combine(tree, [stale, fresh])
         (node,) = records_of(executor)
-        assert node[CONSUMED] == (stale.uid, fresh.uid)
+        assert node[0] == "combine" and node[LIVE] == 2
 
     def test_reducer_context_tags_nodes(self):
         executor = running()
@@ -117,7 +119,8 @@ class TestGraphRecorder:
         node, write, hit = records_of(executor)
         assert (node[0], write[0], hit[0]) == ("combine", "memo_write", "memo_read")
         assert node[MEMO_UID] == write[MEMO_UID] == hit[MEMO_UID] == 9
-        assert hit[MEMO_HIT] and hit[PRODUCED] == node[PRODUCED]
+        assert hit[MEMO_HIT] and hit[2] == "memo:0x9" and hit[4] == node[4]
+        assert (node[LIVE], write[LIVE], hit[LIVE]) == (2, 0, 0)
 
     def test_all_node_kinds_are_valid(self):
         executor = running()

@@ -18,12 +18,12 @@ import pytest
 
 from repro.core.execute import PlanExecutor
 from repro.core.partition import Partition
-from repro.core.plan import CONSUMED, REDUCER, Plan, content_uids
+from repro.core.plan import LIVE, REDUCER, Plan
 from repro.core.strawman import StrawmanTree
 from repro.mapreduce.combiners import SumCombiner
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
-from tests.oracle.fleet import ALL, CASES, JOBS, PRODUCED, Fleet, case_of, count
+from tests.oracle.fleet import ALL, CASES, JOBS, Fleet, case_of, count
 from tests.oracle.fleet import count_job, plan_fields, split_of
 from tests.oracle.test_walk import walk
 
@@ -184,12 +184,12 @@ class TestLog:
         _to_both(executors, "log_node", "map", Phase.MAP, "map:0x1", 1.0, 1.0)
         _to_both(
             executors, "log_node", "shuffle", Phase.SHUFFLE, "shuffle:0x1",
-            0.5, 1.0, produced=(left.uid,),
+            0.5, 1.0,
         )
         _to_both(executors, "open_step", "map", "map:0x2", Phase.MAP, memo_uid=2)
         _to_both(
             executors, "log_node", "memo_read", Phase.MEMO_READ, "map-memo:0x2",
-            0.1, 1.0, True, produced=(right.uid,),
+            0.1, 1.0, True,
         )
         assert [step.label for step in plan.steps] == ["map:0x1", "map:0x2"]
         with late.reducer_scope(1), eager.reducer_scope(1):
@@ -198,8 +198,7 @@ class TestLog:
             )
             _to_both(
                 executors, "log_node", "combine", Phase.CONTRACTION, "n", 2.0,
-                2.0, memo_uid=9, consumed=(left.uid, right.uid),
-                produced=(merged.uid,),
+                2.0, memo_uid=9, live=2,
             )
             _to_both(
                 executors, "log_node", "memo_write", Phase.MEMO_WRITE,
@@ -209,14 +208,14 @@ class TestLog:
             _to_both(executors, "open_step", "reduce", "reduce:1", Phase.REDUCE)
             _to_both(
                 executors, "log_node", "reduce", Phase.REDUCE, ("a", 0), 1.0,
-                1.0, consumed=(merged.uid,),
+                1.0, live=1,
             )
         records = _same_as_eager(late, eager)
         assert [step.op for step in plan.steps] == ["map", "map", "combine", "reduce"]
         combine, write, reduce = records[3:]
-        assert combine[CONSUMED] == (left.uid, right.uid)
-        assert write[0] == "memo_write" and write[PRODUCED] == ()
-        assert reduce[CONSUMED] == combine[PRODUCED] == (merged.uid,)
+        assert combine[LIVE] == 2 and combine[REDUCER] == reduce[REDUCER] == 1
+        assert write[0] == "memo_write" and write[LIVE] == 0
+        assert reduce[LIVE] == 1
         assert reduce[2] == ("a", 0)  # the key itself, unformatted
 
     def test_len_and_end_run_do_not_build(self):
@@ -248,38 +247,36 @@ class TestLog:
     def test_pass_through_whose_result_is_its_input(self):
         executors = late, eager = _executors()
         value = part([("a", 1)])
-        _to_both(executors, "log_node", "map", Phase.MAP, "", 1.0, 1.0,
-                 produced=(value.uid,))
+        _to_both(executors, "log_node", "map", Phase.MAP, "", 1.0, 1.0)
         for executor in executors:
             tree = StrawmanTree(SumCombiner(), executor=executor)
             assert executor.combine(tree, [value, Partition.empty()]) is value
         _to_both(executors, "log_node", "reduce", Phase.REDUCE, "a", 1.0, 1.0,
-                 consumed=(value.uid,))
+                 live=1)
         source, forward, reduce = _same_as_eager(late, eager)
         assert forward[0] == "pass_through"
-        assert source[PRODUCED] == forward[CONSUMED] == forward[PRODUCED]
-        assert reduce[CONSUMED] == (value.uid,)
+        assert (source[LIVE], forward[LIVE], reduce[LIVE]) == (0, 1, 1)
+        assert forward[4] == float(len(value)) and value._uid is None
 
     def test_an_empty_partition_is_never_registered(self):
+        """An empty input is never counted among a node's live inputs."""
         executor = PlanExecutor()
         log = executor.begin_run()
         tree = StrawmanTree(SumCombiner(), executor=executor)
         unshared = Partition({})  # empty, without the shared empty's uid
         # A Map task that emitted nothing for either of its reducers.
-        executor.log_node(
-            "map", Phase.MAP, "", 1.0, 0.0,
-            produced=content_uids([Partition.empty(), unshared]),
-        )
+        executor.log_node("map", Phase.MAP, "", 1.0, 0.0)
         for index, empty in enumerate((Partition.empty(), unshared)):
             executor.combine(tree, [empty, empty])
             executor.memo_visit(empty, 0.1)
             executor.combine(tree, [empty, part([(f"a{index}", 1)])])
         executor.end_run()
-        named = {
-            uid for record in log.records for uid in record[CONSUMED] + record[PRODUCED]
-        }
-        assert not named & {Partition.empty().uid, unshared.uid}
-        assert log.records[0][PRODUCED] == ()
+        kinds = [(record[0], record[LIVE]) for record in log.records]
+        assert kinds == [("map", 0)] + 2 * [
+            ("combine", 0), ("memo_read", 0), ("pass_through", 1)
+        ]
+        # An idle combine is a task with no work in the level view.
+        assert log.tasks(1, 2) == [("combine", {})]
 
     def test_a_record_holds_no_partition(self):
         atoms = (int, float, str, bool, type(None), Phase)

@@ -77,27 +77,30 @@ def test_variant_matches_seed_golden(variant, mode):
 #: separately (the one log reproduces the plan field for field), and of
 #: ``repr`` of each run's log records.  The second column was re-pinned
 #: when the task-graph view went, from the code that still built it
-#: (whose graph digests held), with the records' ``follows`` slot dropped.
+#: (whose graph digests held), with the records' ``follows`` slot dropped;
+#: and again when records began to name a node by its place: the code
+#: that still logged content uids gives these digests with each record's
+#: ``consumed`` uids replaced by their count and its ``produced`` dropped.
 LOG_DIGESTS = {
     "folding": (
         "c5daf84ae6b61f6edefb2e13ffff27b5d82d31a5f92a9c15eaeed2401bf157d9",
-        "c62808332a351b231a6a8ded394be9c4f288b6a37cf6e3d040469542238fb516",
+        "430fb74af696986477447d5c345a56d22f0e61ab2eecf0ce6d7059638a9ff2d1",
     ),
     "randomized": (
         "a56620ca1100d971b9a55384c8b52ce64f62d4e33ed73c358631447bda27e701",
-        "89a3661496c8fd3eec731567aaf995751fc8fc270d4a39b71b23a68b65d8c96d",
+        "a4f0defdd80f7a5f7aedcc7aab2de05b7ac8465940342933720f4ca2ab22d2a5",
     ),
     "strawman": (
         "c6b70cd39f3512aa037ac4bfeb5d90dd4a3dbd4810793cc422dd0356ac7c0d07",
-        "4f0ecefc83411e0fcc8e0f7d57f60d898dcd4fb6465ee1bfb93f1cc64e22dade",
+        "628556faff24ae5ebc3ff444f659c313acae9dc2d28e89d1ed9f96424b38db0a",
     ),
     "rotating": (
         "20012a993dd4d6441af36f76bff96d5bb6bb4270955d07d6eb1d61346aaf9353",
-        "c6db50c2d27536ae932edd822544701592b34af6359cbfb2241c3ad393df5c08",
+        "8a2d7f420e58da6912c5ff00c0842da5554d75b1e3c32ee7cf6ea49a00cbdf4d",
     ),
     "coalescing": (
         "1a39e90fed4a7bf0a81f1c9857a4a251563a1e2b619b46f4d2702a8db93a4df2",
-        "8a0f6e5afa794b47990cf07926793acce4bfa699b1438750b2714402fd25d804",
+        "87eedcf6932ec6f419ea290dfb2250e13c7b6e0c72df842e869de1e6c1363ac0",
     ),
 }
 

@@ -1,18 +1,17 @@
-"""A map task's leaves: one ``"pent"`` digest a leaf entry, and each
-leaf's uid the fingerprint of its entries.
+"""A map task's leaves: no digest where they are built, one ``"pent"``
+digest a leaf entry where a uid is read, and each leaf's uid the
+fingerprint of its entries.
 
-A map task fingerprints each leaf it builds
-(``Partition.from_value_lists``) as it builds it, by the pair digester
-from the bytes the task made to route each key.  Nothing is remembered
-across leaves, so an initial run's map wave makes exactly one digest an
-entry -- the count a leaf path that deduplicates pairs across a wave's
-leaves would lower.
+A map task encodes each key once, for its route only, and builds each
+leaf (``Partition.from_value_lists``) with its uid unmade: an initial
+run's map wave on a folding tree makes no digest.  A leaf's first uid
+read folds its entries, one digest an entry.
 """
 
 import pytest
 
 from repro.apps.registry import APP_REGISTRY
-from repro.common.hashing import encode_key, stable_hash
+from repro.common.hashing import stable_hash
 from repro.core.partition import Partition
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.job import MapReduceJob
@@ -28,9 +27,10 @@ def _is_fingerprint(leaf: Partition) -> bool:
 
 
 @pytest.mark.parametrize("app", ["hct", "matrix"])
-def test_an_initial_runs_map_wave_makes_one_digest_a_leaf_entry(app, monkeypatch):
+def test_an_initial_runs_map_wave_makes_no_digest(app, monkeypatch):
     """The registry job on a folding tree over 8 splits: the map tasks
-    make one ``"pent"`` digest for each entry of the leaves they return."""
+    make no ``"pent"`` digest, and their leaves' uids, read afterwards,
+    make one an entry."""
     spec = APP_REGISTRY[app]
     mode = WindowMode.VARIABLE
     config = SliderConfig(
@@ -38,13 +38,11 @@ def test_an_initial_runs_map_wave_makes_one_digest_a_leaf_entry(app, monkeypatch
     )
     engine = Slider(spec.make_job(), mode, config=config)
     digests, _ = count_digests(monkeypatch)
-    made, leaves = [0], []
+    leaves = []
     real = planning.run_map_task
 
     def counting(*args, **kwargs):
-        before = len(digests)
         outputs = real(*args, **kwargs)
-        made[0] += digests[before:].count("pent")
         leaves.extend(outputs)
         return outputs
 
@@ -53,9 +51,11 @@ def test_an_initial_runs_map_wave_makes_one_digest_a_leaf_entry(app, monkeypatch
         engine.initial_run(spec.make_splits(8, 7, 0))
     finally:
         engine.close()
+    assert digests.count("pent") == 0
+    assert all(leaf._uid is None for leaf in leaves)
     entries = sum(map(len, leaves))
-    assert entries > 8 and made[0] == entries
-    assert all(map(_is_fingerprint, leaves))
+    assert entries > 8 and all(map(_is_fingerprint, leaves))
+    assert digests.count("pent") == 2 * entries  # the read, and the check's
 
 
 def _float_keyed_job() -> MapReduceJob:
@@ -77,8 +77,8 @@ def test_a_leaf_of_other_keys_and_values_makes_one_digest_an_entry(
 ):
     """Keys and values the by-value rule does not take -- kmeans'
     vectors, a float key with a float value (a block), a ``bool`` key, a
-    float-bearing tuple key -- are finished from their route bytes too:
-    one digest an entry, to the leaf's fingerprint."""
+    float-bearing tuple key -- are hashed by the entry kernel when a
+    leaf's uid is read: one digest an entry, to the leaf's fingerprint."""
     if job == "kmeans":
         spec = APP_REGISTRY["kmeans"]
         built, records = spec.make_job(), spec.make_splits(1, 7, 0)[0].records
@@ -86,6 +86,8 @@ def test_a_leaf_of_other_keys_and_values_makes_one_digest_an_entry(
         built, records = _float_keyed_job(), list(range(12))
     digests, _ = count_digests(monkeypatch)
     leaves = run_map_task(built, records, HashPartitioner(built.num_reducers))
+    assert digests == []
+    assert [leaf.uid for leaf in leaves]
     assert digests.count("pent") == sum(map(len, leaves)) > 0
     assert all(map(_is_fingerprint, leaves))
 
@@ -97,12 +99,9 @@ class Celsius(float):
 @pytest.mark.parametrize(
     "key", [True, 1.5, -0.0, Celsius(2.0), ("x", 0.5), (("a", 1),), (), b"k", None]
 )
-def test_a_key_the_by_value_rule_leaves_off_is_finished_from_its_route_bytes(key):
-    """Only a float key's pair with a float value is a block, so a leaf
-    finishes any other key's entry from the bytes that routed it: the
-    pair's own hash."""
-    leaf = Partition.from_value_lists(
-        {key: [3]}, SumCombiner(), encoded={key: encode_key(key)}
-    )
+def test_a_leaf_uid_of_a_key_the_by_value_rule_leaves_off_is_its_pairs_hash(key):
+    """Only a float key's pair with a float value is a block, so a leaf's
+    uid read hashes any other key's entry as the pair's own hash."""
+    leaf = Partition.from_value_lists({key: [3]}, SumCombiner())
     assert leaf.uid == stable_hash(1, salt="pfp") ^ stable_hash((key, 3), salt="pent")
     assert _is_fingerprint(leaf)

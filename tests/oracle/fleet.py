@@ -185,8 +185,8 @@ def plain_counters(engine: Slider, *but: str) -> dict:
 
 _step_fields = attrgetter(*(spec.name for spec in dataclasses.fields(PlanStep)))
 #: The record slots only tests read (``repro.core.plan`` names the rest):
-#: memo hit, split uid, memo uid and produced uids.
-MEMO_HIT, SPLIT_UID, MEMO_UID, PRODUCED = 5, 7, 8, 10
+#: memo hit, split uid and memo uid.
+MEMO_HIT, SPLIT_UID, MEMO_UID = 5, 7, 8
 
 
 def plan_fields(plan: Plan) -> list[tuple]:
@@ -241,12 +241,22 @@ def tree_partitions(value: Any) -> list[Partition]:
     return []
 
 
+def held_partitions(engine: Slider) -> dict[int, Partition]:
+    """Every partition ``engine`` holds -- its map memo's leaves, its
+    trees' state and memo entries -- by id."""
+    held = tree_partitions(list(engine.map_memo.values()))
+    for tree in engine.trees:
+        held += tree_partitions(tree)
+        held += tree.memo.entries.values()
+    return {id(p): p for p in held}
+
+
 def by_place(value: Any) -> Any:
-    """``value`` with each partition as its uid, found without the
-    seam's own walker: two trees whose fields are equal this way hold
-    the same partitions in the same places."""
+    """``value`` with each partition as its uid and entries, found
+    without the seam's own walker: two trees whose fields are equal this
+    way hold the same partitions in the same places."""
     if isinstance(value, Partition):
-        return ("partition", value.uid)
+        return ("partition", value.uid, value.entries)
     if isinstance(value, dict):
         return {key: by_place(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -619,16 +629,19 @@ class Fleet:
                 ref, *differs
             ), name
             assert engine.space() == engine.lifecycle.recount(), name
-            # Every uid is its partition's fingerprint: a leaf in the map
-            # memo, a memoized node, anything the trees' state holds.
-            held = tree_partitions(list(engine.map_memo.values()))
-            for tree in engine.trees:
-                held += tree_partitions(tree)
-                held += tree.memo.entries.values()
-            assert first_unsound(list({id(p): p for p in held}.values())) is None, (
-                name,
-                "uid",
-            )
+            # Every uid made is its partition's fingerprint, and the sweep
+            # makes the rest: a leaf in the map memo, a memoized node,
+            # anything the trees' state holds.
+            held = list(held_partitions(engine).values())
+            assert first_unsound(held) is None, (name, "uid")
+            # The same partitions in the same places as the reference's:
+            # entries and uid, node by node (each uid made by the sweep
+            # above).  Counts of reuse may differ (a crash re-runs work).
+            for tree, mirror in zip(engine.trees, ref.trees, strict=True):
+                fields, expected = tree.state(), mirror.state()
+                for state in fields, expected:
+                    del state["combiner"], state["stats"]
+                assert by_place(fields) == by_place(expected), (name, "nodes")
             assert engine.telemetry.unclosed_spans() == [], name
             if "space" not in differs:
                 assert [(t.memo.stats, t.memo.space()) for t in engine.trees] == [

@@ -8,8 +8,9 @@ node and every plan op was compared, and the process arm crossed the
 seam.  A rung that cannot be made to fire here has no test anywhere; it
 is deleted, not listed as an exception.  The script runs over two
 streams: the small word count, and the key-heavy word pairs, whose
-partitions reach the pair path, both ``combined_uid`` branches and the
-entry memo's turnover on every arm.
+partitions reach the pair path on every arm.  Along the way, every node
+the reference builds keeps its uid unmade until something reads it: a
+positional tree reads none, the randomized tree its leaves' only.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from typing import Iterator
 import pytest
 
 import repro
-from repro.core import identity
-from repro.core.identity import ENTRY_HASHES
-from repro.core import partition
+from repro.core import execute, partition
+from repro.core.partition import Partition
 from repro.core.plan import NODE_KINDS, PLAN_OPS
 from repro.slider.window import WindowMode
 from tests.oracle.fleet import ARMS, ALL, CASES, DISPATCHING, Fleet, case_of, count
+from tests.oracle.fleet import held_partitions
 
 #: Every step is followed by :meth:`Fleet.check`.
 SCRIPT = (
@@ -104,40 +105,65 @@ SIGNALS = {
 
 @contextmanager
 def combines_counted(reached: Counter) -> Iterator[None]:
-    """Count, in this process, the combines that take each pair way and
-    each ``combined_uid`` branch: ``pair_path`` is ``_merge_pair``,
-    ``small_pair`` a combine of two inputs holding fewer than
-    ``_PAIR_PATH_MIN_KEYS`` keys between them (under a count-priced
-    combiner, which every walk's job has, that is the small-pair loop),
-    ``fresh`` hashes every entry (through the entry memo where it can),
-    ``delta`` works from the merged keys."""
-    merge_pair, combined_uid = partition._merge_pair, partition.combined_uid
+    """Count, in this process, the combines that take each pair way:
+    ``pair_path`` is ``_merge_pair``, ``small_pair`` a combine of two
+    inputs holding fewer than ``_PAIR_PATH_MIN_KEYS`` keys between them
+    (under a count-priced combiner, which every walk's job has, that is
+    the small-pair loop)."""
+    merge_pair, charged = partition._merge_pair, execute.combine_charged
 
     def pair_path(*args):
         reached["pair_path"] += 1
         return merge_pair(*args)
 
-    def uid(inputs, merged, delta_digests, entries):
+    def combine(partitions, *args):
         if (
-            len(inputs) == 2
-            and len(inputs[0].entries) + len(inputs[1].entries)
+            len(partitions) == 2
+            and len(partitions[0].entries) + len(partitions[1].entries)
             < partition._PAIR_PATH_MIN_KEYS
         ):
             reached["small_pair"] += 1
-        reached["fresh" if delta_digests >= len(entries) else "delta"] += 1
-        return combined_uid(inputs, merged, delta_digests, entries)
+        return charged(partitions, *args)
 
-    partition._merge_pair, partition.combined_uid = pair_path, uid
+    partition._merge_pair, execute.combine_charged = pair_path, combine
     try:
         yield
     finally:
-        partition._merge_pair, partition.combined_uid = merge_pair, combined_uid
+        partition._merge_pair, execute.combine_charged = merge_pair, charged
 
 
-#: Pairs a generation of the entry memo in the key-heavy walk: small
-#: enough that every case turns the memo over, mid-combine included.  A
-#: walk puts about 1 500 to 2 500 pairs at the program's 4 096, too few.
-WALK_GENERATION = 1024
+#: The arms whose new nodes must keep their uids unmade: the reference.
+#: Not the process arm: its workers hold nodes that crossed after a check
+#: made their uids, and a node sent back by value is a new object there
+#: (``tests/core/test_lazy_uid.py`` runs the seam with no uid read).
+UNREAD = ("reference",)
+
+
+def unread_uids_stay_unmade(case: tuple, fleet: Fleet, before: dict) -> dict:
+    """What each :data:`UNREAD` arm holds now, after asserting that each
+    partition it did not hold at the last check (``before``, kept alive
+    so that no id is reused) has no uid yet -- but a randomized tree's
+    leaf, whose uid its coins read.  Nothing is asserted on the strawman,
+    which reads every child's uid, nor of an arm the step restored, whose
+    sweep made every uid."""
+    now = {}
+    for name in UNREAD:
+        engine = fleet.engines[name]
+        now[name] = engine, held_partitions(engine)
+        was, held = before[name]
+        if case[0] == "strawman" or engine is not was:
+            continue
+        leaves = {id(p) for row in engine.map_memo.values() for p in row}
+        made = [
+            p
+            for key, p in now[name][1].items()
+            if key not in held
+            and p._uid is not None
+            and p is not Partition.empty()  # its uid is symbolic
+            and not (case[0] == "randomized" and key in leaves)
+        ]
+        assert made == [], (case, name, len(made))
+    return now
 
 
 def walk(case: tuple, job: str = "counts") -> SimpleNamespace:
@@ -149,25 +175,24 @@ def walk(case: tuple, job: str = "counts") -> SimpleNamespace:
 @functools.cache
 def _walk(case: tuple, job: str) -> SimpleNamespace:
     reached: Counter = Counter()
-    memo = ENTRY_HASHES
-    first = memo.young, memo.old
-    with pytest.MonkeyPatch.context() as patch, combines_counted(reached):
-        if job == "pairs":
-            patch.setattr(identity, "ENTRY_GENERATION", WALK_GENERATION)
+    with combines_counted(reached):
         with Fleet(case, job=job) as fleet:
             assert partition._priced_by_count(fleet.job.combiner)
             fleet.check()
+            held = {
+                name: (fleet.engines[name], held_partitions(fleet.engines[name]))
+                for name in UNREAD
+            }
             for step in SCRIPT:
                 step(fleet)
+                held = unread_uids_stay_unmade(case, fleet, held)
+                reached["unmade"] += 1
                 fleet.check()
             process = fleet.engines["process"]
             seam = {
                 name: count(process, f"backend.{name}")
                 for name in ("dispatch_runs", "worker_fallbacks")
             }
-    # Neither generation is one it started with: it turned over twice.
-    held = memo.young, memo.old
-    reached["memo_turned"] = all(g is not f for g in held for f in first)
     return SimpleNamespace(
         fired=dict(fleet.fired),
         signals=fleet.signals,
@@ -197,20 +222,20 @@ def test_the_walk_holds_and_fires_every_rule(case):
     seen = walk(case)
     _holds_and_fires_every_rule(case, seen)
     # Its partitions hold at most 17 keys, so every pair of them is under
-    # the pair path's gate: the small-pair loop, and both uid branches.
+    # the pair path's gate: the small-pair loop.
     reached = {name for name, n in seen.reached.items() if n}
-    assert {"small_pair", "fresh", "delta"} <= reached, seen.reached
+    assert {"small_pair", "unmade"} <= reached, seen.reached
+    assert "pair_path" not in reached, seen.reached
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case[0]}-{case[2]}")
-def test_the_key_heavy_walk_reaches_the_pair_path_both_uids_and_memo_turnover(case):
+def test_the_key_heavy_walk_reaches_the_pair_path_and_makes_no_unread_uid(case):
     """The same script over the key-heavy stream holds as well, and
     reaches what the small one never does."""
     seen = walk(case, "pairs")
     _holds_and_fires_every_rule(case, seen)
     reached = {name for name, n in seen.reached.items() if n}
-    expected = {"pair_path", "small_pair", "fresh", "delta", "memo_turned"}
-    assert expected <= reached, seen.reached
+    assert {"pair_path", "small_pair", "unmade"} <= reached, seen.reached
 
 
 @functools.cache

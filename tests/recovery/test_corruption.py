@@ -1,5 +1,9 @@
 """The restore sweep: a partition whose entries diverged from its uid is
-refused at restore, named by the slot where the sweep first met it."""
+refused at restore, named by the slot where the sweep first met it.
+
+The sweep proves a uid that was made and makes one that was not, from
+what the partition holds: so each corruption here is made to a
+partition whose uid was read first (or to a copy that carries one)."""
 
 import re
 
@@ -311,7 +315,7 @@ def test_each_reducer_is_walked_whole_before_the_next():
     reducer 0's tree, and without it at reducer 1's map output."""
     engine = _folding_engine()
     split = engine.window.splits[-1]
-    assert engine.map_memo[split.uid][1]
+    assert engine.map_memo[split.uid][1].uid  # made before the corruption
     engine.map_memo[split.uid][1].entries["\x00rot"] = 1
     tree = engine.trees[0]
     position = max(tree._cache)

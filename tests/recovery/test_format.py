@@ -1,5 +1,6 @@
-"""Checkpoint format 3: a partition pickles as its two fields, a tree as
-its ``state()``.  Counted in bytes and digests, never timed."""
+"""Checkpoint format 4: a partition pickles as its two fields -- a uid
+never made as ``None`` -- a tree as its ``state()``.  Counted in bytes
+and digests, never timed."""
 
 import json
 import pickle
@@ -12,7 +13,7 @@ from repro.recovery.segments import MANIFEST_FILE, PICKLE_PROTOCOL
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
 from tests.conftest import count_digests
-from tests.oracle.fleet import count_job, split_of
+from tests.oracle.fleet import count_job, split_of, tree_partitions
 
 #: The ``state`` segment format 2 wrote for :func:`_engine`'s engine,
 #: partitions pickled as slot state and each tree as its variant's field list.
@@ -52,6 +53,7 @@ def test_unpickling_a_partition_hashes_nothing(monkeypatch):
     """The uid is carried, not recomputed (the restore sweep re-proves
     it), and the entries are the unpickler's own dict, not a copy."""
     partition = Partition({"a": 1, ("b", 2): 2.5, 3: (1.0, 2.0)})
+    assert partition.uid  # made, so carried
     blob = pickle.dumps(partition, protocol=PICKLE_PROTOCOL)
     assert b"_unpickle_partition" in blob  # what a version 2 reader lacks
     digests, _ = count_digests(monkeypatch)
@@ -86,3 +88,35 @@ def test_a_restored_map_memo_leaf_is_the_trees_leaf(checkpointed):
         leaves = zip(tree.window_leaves(), restored.window, strict=True)
         for leaf, split in leaves:
             assert leaf is restored.map_memo[split.uid][reducer]
+
+
+def test_a_version_3_checkpoint_restores_and_advances_as_version_4(tmp_path):
+    """A version 3 writer made every uid before it wrote: the same engine
+    with every uid read, its manifest saying 3, restores to the outputs
+    and the next two advances of its version 4 twin, whose unmade uids
+    the restore sweep made."""
+    spec = APP_REGISTRY["hct"]
+    splits = spec.make_splits(24, 17, 0)
+    twins = []
+    for version in (3, 4):
+        engine = Slider(spec.make_job(), WindowMode.VARIABLE)
+        engine.initial_run(splits[:16])
+        for split in splits[16:20]:
+            engine.advance([split], 1)
+        if version == 3:
+            held = tree_partitions(list(engine.map_memo.values()))
+            for tree in engine.trees:
+                held += tree_partitions(tree) + list(tree.memo.entries.values())
+            assert all(p.uid for p in held)  # every uid made, as v3 wrote
+        path = tmp_path / f"v{version}"
+        engine.checkpoint(path)
+        engine.close()
+        manifest = json.loads((path / MANIFEST_FILE).read_text())
+        assert manifest["version"] == 4
+        manifest["version"] = version
+        (path / MANIFEST_FILE).write_text(json.dumps(manifest))
+        restored = Slider.restore(path, spec.make_job())
+        results = [restored.advance([split], 1) for split in splits[20:22]]
+        twins.append([(r.outputs, r.report.work) for r in results])
+        restored.close()
+    assert twins[0] == twins[1]

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import CheckpointError, CorruptionError
 from repro.common.hashing import fingerprint_bytes
 from repro.recovery.segments import (
+    FORMAT_VERSION,
     MANIFEST_FILE,
     read_manifest,
     read_segment,
@@ -66,7 +67,7 @@ def test_missing_segment_raises_checkpoint_error(tmp_path):
 def _write_saying_version(path, version):
     write_segments(path, {"state": 1}, meta={})
     manifest = json.loads((path / MANIFEST_FILE).read_text())
-    assert manifest["version"] == 3
+    assert manifest["version"] == FORMAT_VERSION == 4
     manifest["version"] = version
     (path / MANIFEST_FILE).write_text(json.dumps(manifest))
 
@@ -92,6 +93,15 @@ def test_an_old_checkpoint_is_refused_with_its_reason(tmp_path, version, reason)
     _write_saying_version(tmp_path, version)
     with pytest.raises(CheckpointError, match=f"{reason}.*re-run from the stream"):
         read_manifest(tmp_path)
+
+
+def test_a_version_3_manifest_is_still_read(tmp_path):
+    """Version 4 only lets a uid never made be written as ``None``: a
+    version 3 checkpoint is a version 4 one whose every uid was made."""
+    _write_saying_version(tmp_path, 3)
+    manifest = read_manifest(tmp_path)
+    assert manifest["version"] == 3
+    assert read_segment(tmp_path, manifest, "state") == 1
 
 
 def test_foreign_format_raises_checkpoint_error(tmp_path):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import statistics
 
 from repro.apps.registry import APP_REGISTRY
-from repro.common.hashing import _encode_fast, encode_key, stable_hash
+from repro.common.hashing import _encode_fast, encode_key
 from repro.mapreduce.shuffle import HashPartitioner, run_map_task
 from repro.mapreduce.types import Split
 from repro.slider.system import Slider, SliderConfig
@@ -67,31 +67,20 @@ def test_reduce_follows_the_slides_keys_not_the_roots():
 
 
 def test_a_map_task_encodes_each_distinct_key_once(length_terms):
-    """At most one top-level ``_encode_fast`` a distinct key (the route
-    and the leaf's entry hash are finished from it), one a value, one a
-    length term the cache misses (a leaf length no earlier leaf had): an
-    upper bound, so an encoder that frames each distinct value once still
-    passes; a key used to be encoded for each of its two hashes."""
+    """One top-level ``_encode_fast`` a distinct key, for its route, and
+    nothing else: no value is encoded and no length term made, because
+    a leaf's uid is made only where it is read.  A key used to be
+    encoded for each of its two hashes."""
     spec = APP_REGISTRY["matrix"]
     job = spec.make_job()
     watched = _encode_fast.__code__
     for split in spec.make_splits(2, 5):
-        known = set(length_terms)
         outputs, _, hits = profile_calls(
             lambda: run_map_task(job, split.records, HashPartitioner(job.num_reducers)),
             watched,
         )
-        entries = [item for leaf in outputs for item in leaf.entries.items()]
-        assert len(entries) > 100
-
-        def once(values) -> int:  # calls, nested items included, to encode each
-            return profile_calls(lambda: [encode_key(v) for v in values], watched)[2]
-
-        keys, values = zip(*entries)
-        missed = {len(leaf) for leaf in outputs} - known
-        assert set(length_terms) == known | missed
-        lengths = profile_calls(
-            lambda: [stable_hash(n, salt="pfp") for n in missed], watched
-        )[2]
-        assert hits <= once(keys) + once(values) + lengths
-        assert hits < 2 * once(keys) + once(values)
+        keys = [key for leaf in outputs for key in leaf.entries]
+        assert len(keys) > 100 and len(set(keys)) == len(keys)
+        once = profile_calls(lambda: [encode_key(k) for k in keys], watched)[2]
+        assert hits == once
+        assert not length_terms

@@ -11,12 +11,12 @@ import dataclasses
 import pytest
 
 from repro.cluster import ChaosSchedule, Cluster, ClusterConfig, MachineCrash
-from repro.core.plan import CONSUMED, REDUCER
+from repro.core.plan import LIVE, REDUCER
 from repro.mapreduce.types import Split
 from repro.metrics import Phase
 from repro.slider.system import Slider, SliderConfig
 from repro.slider.window import WindowMode
-from tests.oracle.fleet import PRODUCED, VARIANTS, count_job, split_of
+from tests.oracle.fleet import SPLIT_UID, VARIANTS, count_job, split_of
 
 
 def make_slider(variant, mode, cluster=None, **config_kwargs):
@@ -83,39 +83,42 @@ def test_graph_taxonomy(variant, mode):
 
 
 def test_reduce_nodes_depend_on_combines():
+    """A record names its node by place: a reducer's ``reduce`` nodes
+    follow the nodes its tree ran, and read its one live root."""
     slider = make_slider("folding", WindowMode.VARIABLE)
     slider.initial_run([split_of(i) for i in range(4)])
     records = slider.advance([split_of(9)], 1).plan.log.records
-    produced = set()
+    swept = set()
     for record in records:
         if record[0] == "reduce":
-            assert record[REDUCER] is not None
-            assert set(record[CONSUMED]) <= produced, (
+            assert record[REDUCER] in swept, (
                 "reduce must consume this run's tree output"
             )
+            assert record[LIVE] == 1
         elif record[0] in ("combine", "pass_through"):
-            produced.update(record[PRODUCED])
+            swept.add(record[REDUCER])
     assert "reduce" in [record[0] for record in records]
 
 
 def test_map_outputs_feed_combines():
+    """The fresh split's shuffle comes first, and each reducer it fed a
+    non-empty leaf then runs a node with a live input."""
     slider = make_slider("folding", WindowMode.VARIABLE)
     slider.initial_run([split_of(i) for i in range(4)])
-    records = slider.advance([split_of(9)], 0).plan.log.records
-    mapped = {
-        uid
-        for record in records
-        if record[0] in ("map", "shuffle")
-        for uid in record[PRODUCED]
+    split = split_of(9)
+    records = slider.advance([split], 0).plan.log.records
+    (shuffle,) = [
+        index
+        for index, record in enumerate(records)
+        if record[0] == "shuffle" and record[SPLIT_UID] == split.uid
+    ]
+    fed = {reducer for reducer, leaf in enumerate(slider.map_memo[split.uid]) if leaf}
+    swept = {
+        record[REDUCER]
+        for record in records[shuffle + 1 :]
+        if record[0] in ("combine", "pass_through") and record[LIVE]
     }
-    consumed = {
-        uid
-        for record in records
-        if record[0] in ("combine", "pass_through")
-        for uid in record[CONSUMED]
-    }
-    # The fresh split's shuffle output is consumed by the tree.
-    assert mapped and mapped <= consumed
+    assert fed and fed <= swept
 
 
 def test_background_work_not_recorded():
